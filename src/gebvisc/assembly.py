@@ -4,8 +4,9 @@ Unknowns are the incremental control translations and rotations, six per
 control point, patch-major.  Field equations are collocated at the interior
 Greville points; every patch end owns six boundary rows filled by a support,
 a rigid joint or free-end force/couple conditions.  The system is square by
-construction and solved with a sparse LU (dense for small problems) after
-row equilibration.
+construction, its sparsity pattern is fixed when the simulation is built,
+and it is solved with a sparse LU (dense for small problems) after row
+equilibration.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import so3
-from .beam_residual import (CollocationState, end_force_spatial,
+from .beam_residual import (BoundaryRow, CollocationState, end_force_spatial,
                             end_moment_spatial, neumann_force_row,
                             neumann_moment_row, residual_force,
                             residual_moment, tangent_blocks_force,
@@ -90,42 +91,42 @@ class PatchRuntime:
         return f0, f1, f2
 
 
-def fd_tangent_blocks(runtime: PatchRuntime, law, CN_bar, CM_bar, n_dist,
-                      m_dist, h, eps=1.0e-7):
-    """Finite-difference替 tangent blocks (oracle-grade, for verification)."""
-    from .beam_residual import TangentBlocks
-    st = runtime.state
-    n = st.n
-    blocks_F = [np.zeros((n, 3, 3)) for _ in range(6)]
-    blocks_V = [np.zeros((n, 3, 3)) for _ in range(6)]
-    for ch in range(6):
-        for comp in range(3):
-            inc = [np.zeros((n, 3)) for _ in range(6)]
-            inc[ch][:, comp] = eps
-            sp_ = st.copy()
-            apply_increment(sp_, *inc, h)
-            sm = st.copy()
-            inc_m = [-d for d in inc]
-            apply_increment(sm, *inc_m, h)
-            dF = (residual_force(sp_, law, CN_bar, n_dist, h)
-                  - residual_force(sm, law, CN_bar, n_dist, h)) / (2 * eps)
-            dV = (residual_moment(sp_, law, CN_bar, CM_bar, m_dist, h)
-                  - residual_moment(sm, law, CN_bar, CM_bar, m_dist, h)) / (2 * eps)
-            blocks_F[ch][:, :, comp] = dF
-            blocks_V[ch][:, :, comp] = dV
-    names = ("e", "es", "ess", "t", "ts", "tss")
-    return (TangentBlocks(**dict(zip(names, blocks_F))),
-            TangentBlocks(**dict(zip(names, blocks_V))))
+#: translation components each support kind fixes (None: no support); the
+#: other components keep their force rows
+FIXED = {None: [], "clamp": [0, 1, 2], "hinge": [0, 1, 2], "roller_x3": [2]}
+
+
+def _material_rows(blk, r, at: int, row: BoundaryRow) -> None:
+    """Material force (``at`` = 0) or moment (``at`` = 3) rows of an end."""
+    rows = slice(at, at + 3)
+    blk[0, rows, 3:] = row.t
+    blk[1, rows, 3:] = row.ts
+    blk[1, rows, :3] = row.es
+    r[rows] = row.residual
+
+
+def _fixed_rows(blk, r, sup: Support, rt: PatchRuntime, i: int,
+                t_next: float) -> None:
+    """Unit rows of what ``sup`` fixes at point ``i``: translation
+    components toward the (moving) support position, and a clamp's
+    rotation."""
+    fixed = FIXED[sup.kind]
+    target = rt.patch.frames.c0[i]
+    if sup.motion is not None:
+        target = target + sup.motion(t_next)
+    blk[0, fixed, fixed] = 1.0
+    r[fixed] = target[fixed] - rt.state.c[i][fixed]
+    if sup.kind == "clamp":
+        blk[0, 3:, 3:] = np.eye(3)
+        r[3:] = so3.log_so3(rt.state.R[i].T @ rt.patch.frames.R0[i])
 
 
 class Simulation:
     """Owns the runtime states of a model and advances them in time."""
 
-    def __init__(self, model: BeamModel, settings: NewtonSettings | None = None,
-                 tangent_mode: str = "analytic"):
+    def __init__(self, model: BeamModel, settings: NewtonSettings | None = None):
         self.model = model
         self.settings = settings or NewtonSettings()
-        self.tangent_mode = tangent_mode
         self.runtimes = [PatchRuntime(p) for p in model.patches]
         offsets = np.cumsum([0] + [6 * p.n for p in model.patches])
         self.offsets = offsets[:-1]
@@ -133,15 +134,30 @@ class Simulation:
         self.t = 0.0
         self.total_iterations = 0
         self._supported = model.supported_ends()
-        self._jointed = model.jointed_ends()
-        self._joint_plans = self._plan_joints()
-        self._interior_idx = self._plan_interior()
+        self._plan_boundary()
+        self._plan_pattern()
         self._init_conditions()
 
     # -- construction helpers ------------------------------------------------
 
-    def _plan_joints(self):
-        plans = []
+    def _plan_boundary(self):
+        """End terms of the boundary and joint rows.
+
+        A term couples the six rows of one end's slot with the value and ,s
+        stencils of one end: its own, or in a joint that of the joint's first
+        end.  Joints list their supported end first; its slot holds the
+        balance terms of every end, the other slots their continuity terms.
+        """
+        terms = []
+
+        def term(slot_end, stencil_end):
+            k, end = slot_end
+            row = self.offsets[k] + 6 * self.runtimes[k].patch.end_index(end)
+            k, end = stencil_end
+            terms.append((row, k, self.runtimes[k].patch.end_index(end)))
+            return len(terms) - 1
+
+        self._joint_plans = []
         for joint in self.model.joints:
             ends = [tuple(e) for e in joint.ends]
             sup = [e for e in ends if e in self._supported]
@@ -150,25 +166,64 @@ class Simulation:
             if sup:
                 ends.remove(sup[0])
                 ends.insert(0, sup[0])
-            plans.append((joint, ends,
-                          self._supported.get(ends[0])))
-        return plans
+            balance = [term(ends[0], e) for e in ends]
+            continuity = [(term(e, e), term(e, ends[0])) for e in ends[1:]]
+            self._joint_plans.append((joint, ends, self._supported.get(ends[0]),
+                                      balance, continuity))
+        jointed = self.model.jointed_ends()
+        self._end_plans = [(k, end, self._supported.get((k, end)),
+                            term((k, end), (k, end)))
+                           for k in range(len(self.runtimes))
+                           for end in (START, END) if (k, end) not in jointed]
+        self._term_rows = np.array([row for row, _, _ in terms], dtype=int)
+        # one entry per stencil point of every term
+        term_of, phi, cols = [], [], []
+        for t, (_, k, i) in enumerate(terms):
+            p = self.runtimes[k].patch
+            term_of += [t] * (p.degree + 1)
+            phi.append(np.stack([p.phi0[i], p.phi1[i]], axis=-1))
+            cols.append(self.offsets[k] + 6 * p.support_idx[i])
+        self._stencil_term = np.array(term_of, dtype=int)
+        self._stencil_phi = np.concatenate(phi)[:, :, None, None]
+        self._stencil_col = np.concatenate(cols)
 
-    def _plan_interior(self):
-        """Static sparse index arrays of the interior field-equation rows."""
-        idx = []
-        for rt, off in zip(self.runtimes, self.offsets):
-            p = rt.patch
-            n, w = p.n, p.degree + 1
-            interior = np.arange(1, n - 1)
-            rows = (off + 6 * interior[:, None, None, None]
-                    + np.arange(6)[None, :, None, None])
-            cols = (off + 6 * p.support_idx[interior][:, None, :, None]
-                    + np.arange(6)[None, None, None, :])
-            rows = np.broadcast_to(rows, (n - 2, 6, w, 6))
-            cols = np.broadcast_to(cols, (n - 2, 6, w, 6))
-            idx.append((interior, rows.reshape(-1), cols.reshape(-1)))
-        return idx
+    def _plan_pattern(self):
+        """CSC structure of the whole system and the slot of every value.
+
+        Values come in the order ``assemble`` produces them: the interior
+        blocks (point, 6, stencil point, 6) patch by patch, then the end
+        blocks (stencil point, 6, 6).  Entries that are zero at a given state
+        stay in the structure and are eliminated after equilibration, so the
+        factorized pattern is the one of the nonzero values.
+        """
+        six = np.arange(6)
+        rows, cols = [], []
+
+        def add(r, c):
+            r, c = np.broadcast_arrays(r, c)
+            rows.append(r.reshape(-1))
+            cols.append(c.reshape(-1))
+
+        for p, off in zip(self.model.patches, self.offsets):
+            add(off + 6 * np.arange(1, p.n - 1)[:, None, None, None]
+                + six[:, None, None],
+                off + 6 * p.support_idx[1:-1, None, :, None] + six)
+        add(self._term_rows[self._stencil_term][:, None, None] + six[:, None],
+            self._stencil_col[:, None, None] + six)
+        keys, self._slot = np.unique(np.concatenate(cols) * self.ndof
+                                     + np.concatenate(rows),
+                                     return_inverse=True)
+        self._nnz = len(keys)
+        self._indices = (keys % self.ndof).astype(np.int32)
+        self._indptr = np.searchsorted(keys // self.ndof,
+                                       np.arange(self.ndof + 1)).astype(np.int32)
+        row_nnz = np.bincount(self._indices, minlength=self.ndof)
+        if not row_nnz.all():
+            empty = np.flatnonzero(row_nnz == 0)
+            raise RuntimeError(f"under-constrained system: empty rows {empty[:10]}")
+        # slots in row order, for the row maxima of the equilibration
+        self._row_order = np.argsort(self._indices, kind="stable")
+        self._row_starts = np.concatenate([[0], np.cumsum(row_nnz)[:-1]])
 
     def _init_conditions(self, v0=None, W0=None):
         for k, rt in enumerate(self.runtimes):
@@ -201,18 +256,9 @@ class Simulation:
         off = self.offsets[k]
         return off, off + 6 * self.runtimes[k].patch.n
 
-    def _end_cols(self, k: int, end: str):
-        """Column indices (eta columns, theta columns) of the end basis row."""
-        rt = self.runtimes[k]
-        p = rt.patch
-        i = p.end_index(end)
-        ctrl = p.support_idx[i]
-        base = self.offsets[k] + 6 * ctrl
-        return i, ctrl, base
-
     def assemble(self, h: float, t_next: float):
         """Equilibrated sparse matrix and right-hand side at the current state."""
-        data_parts, row_parts, col_parts = [], [], []
+        values = []
         rhs = np.zeros(self.ndof)
         per_patch = []
         for k, rt in enumerate(self.runtimes):
@@ -223,250 +269,137 @@ class Simulation:
             m_dist = np.tile(m, (rt.patch.n, 1))
             F = residual_force(rt.state, law, CN_bar, n_dist, h)
             V = residual_moment(rt.state, law, CN_bar, CM_bar, m_dist, h)
-            if self.tangent_mode == "fd":
-                bf, bm = fd_tangent_blocks(rt, law, CN_bar, CM_bar, n_dist,
-                                           m_dist, h)
-            else:
-                bf = tangent_blocks_force(rt.state, law, CN_bar, n_dist, h)
-                bm = tangent_blocks_moment(rt.state, law, CN_bar, CM_bar,
-                                           m_dist, h)
+            bf = tangent_blocks_force(rt.state, law, CN_bar, n_dist, h)
+            bm = tangent_blocks_moment(rt.state, law, CN_bar, CM_bar, m_dist, h)
             per_patch.append((CN_bar, CM_bar))
 
+            # interior points 1..n-2
             p = rt.patch
-            interior, rows, cols = self._interior_idx[k]
-            phi0 = p.phi0[interior]
-            phi1 = p.phi1[interior]
-            phi2 = p.phi2[interior]
-            blk = np.zeros((len(interior), 6, p.degree + 1, 6))
+            phi0 = p.phi0[1:-1]
+            phi1 = p.phi1[1:-1]
+            phi2 = p.phi2[1:-1]
+            blk = np.zeros((p.n - 2, 6, p.degree + 1, 6))
             # force rows (0:3): eta blocks and theta blocks
             blk[:, 0:3, :, 0:3] = (
-                np.einsum("nab,nk->nakb", bf.e[interior], phi0)
-                + np.einsum("nab,nk->nakb", bf.es[interior], phi1)
-                + np.einsum("nab,nk->nakb", bf.ess[interior], phi2))
+                np.einsum("nab,nk->nakb", bf.e[1:-1], phi0)
+                + np.einsum("nab,nk->nakb", bf.es[1:-1], phi1)
+                + np.einsum("nab,nk->nakb", bf.ess[1:-1], phi2))
             blk[:, 0:3, :, 3:6] = (
-                np.einsum("nab,nk->nakb", bf.t[interior], phi0)
-                + np.einsum("nab,nk->nakb", bf.ts[interior], phi1))
+                np.einsum("nab,nk->nakb", bf.t[1:-1], phi0)
+                + np.einsum("nab,nk->nakb", bf.ts[1:-1], phi1))
             # moment rows (3:6)
-            blk[:, 3:6, :, 0:3] = np.einsum("nab,nk->nakb", bm.es[interior],
-                                            phi1)
+            blk[:, 3:6, :, 0:3] = np.einsum("nab,nk->nakb", bm.es[1:-1], phi1)
             blk[:, 3:6, :, 3:6] = (
-                np.einsum("nab,nk->nakb", bm.t[interior], phi0)
-                + np.einsum("nab,nk->nakb", bm.ts[interior], phi1)
-                + np.einsum("nab,nk->nakb", bm.tss[interior], phi2))
-            data_parts.append(blk.reshape(-1))
-            row_parts.append(rows)
-            col_parts.append(cols)
-            base = self.offsets[k] + 6 * interior
-            rhs_rows = np.concatenate([(base[:, None] + np.arange(3)).ravel(),
-                                       (base[:, None] + 3 + np.arange(3)).ravel()])
-            rhs_vals = np.concatenate([-F[interior].ravel(),
-                                       -V[interior].ravel()])
-            rhs[rhs_rows] = rhs_vals
+                np.einsum("nab,nk->nakb", bm.t[1:-1], phi0)
+                + np.einsum("nab,nk->nakb", bm.ts[1:-1], phi1)
+                + np.einsum("nab,nk->nakb", bm.tss[1:-1], phi2))
+            values.append(blk.reshape(-1))
+            lo, hi = self._dof_slice(k)
+            r = rhs[lo:hi].reshape(-1, 6)
+            r[1:-1, :3] = -F[1:-1]
+            r[1:-1, 3:] = -V[1:-1]
 
-        self._boundary_rows(h, t_next, per_patch, data_parts, row_parts,
-                            col_parts, rhs)
-        A = sp.coo_matrix((np.concatenate(data_parts),
-                           (np.concatenate(row_parts),
-                            np.concatenate(col_parts))),
-                          shape=(self.ndof, self.ndof)).tocsr()
+        B = self._boundary_rows(t_next, per_patch, rhs)[self._stencil_term]
+        phi = self._stencil_phi
+        values.append((B[:, 0] * phi[:, 0] + B[:, 1] * phi[:, 1]).reshape(-1))
+        data = np.bincount(self._slot, weights=np.concatenate(values),
+                           minlength=self._nnz)
         # row equilibration: rows mix stiffness scales with unit Dirichlet rows
-        row_nnz = np.diff(A.indptr)
-        if np.any(row_nnz == 0):
-            empty = np.flatnonzero(row_nnz == 0)
-            raise RuntimeError(f"under-constrained system: empty rows {empty[:10]}")
-        scale = np.maximum.reduceat(np.abs(A.data), A.indptr[:-1])
-        scale = np.where(scale > 0.0, scale, 1.0)
+        scale = np.maximum.reduceat(np.abs(data[self._row_order]),
+                                    self._row_starts)
+        if not scale.all():
+            zero = np.flatnonzero(scale == 0.0)
+            raise RuntimeError(f"under-constrained system: zero rows {zero[:10]}")
         inv = 1.0 / scale
-        A = sp.diags(inv) @ A
-        return A.tocsc(), rhs * inv
+        data *= inv[self._indices]
+        A = sp.csc_matrix((data, self._indices.copy(), self._indptr.copy()),
+                          shape=(self.ndof, self.ndof))
+        A.eliminate_zeros()
+        return A, rhs * inv
 
-    def _add_row(self, parts, row, cols, vals):
-        data_parts, row_parts, col_parts = parts
-        data_parts.append(np.asarray(vals, dtype=float).ravel())
-        col_parts.append(np.asarray(cols, dtype=int).ravel())
-        row_parts.append(np.full(len(vals), row, dtype=int))
+    def _boundary_rows(self, t_next, per_patch, rhs):
+        """Coefficient blocks (terms, 2, 6, 6) of every end term; fills the
+        boundary entries of ``rhs``.
 
-    def _add_block_row(self, parts, row_base, comp_rows, theta_blk, theta_s_blk,
-                       eta_s_blk, k, end, eta_blk=None):
-        """Append rows coupling one end's basis stencil with 3x3 blocks."""
-        rt = self.runtimes[k]
-        p = rt.patch
-        i, ctrl, base = self._end_cols(k, end)
-        phi0 = p.phi0[i]
-        phi1 = p.phi1[i]
-        for a in comp_rows:
-            cols, vals = [], []
-            for kk in range(p.degree + 1):
-                for b in range(3):
-                    v_eta = 0.0
-                    if eta_blk is not None:
-                        v_eta += eta_blk[a, b] * phi0[kk]
-                    if eta_s_blk is not None:
-                        v_eta += eta_s_blk[a, b] * phi1[kk]
-                    if v_eta != 0.0:
-                        cols.append(base[kk] + b)
-                        vals.append(v_eta)
-                    v_th = 0.0
-                    if theta_blk is not None:
-                        v_th += theta_blk[a, b] * phi0[kk]
-                    if theta_s_blk is not None:
-                        v_th += theta_s_blk[a, b] * phi1[kk]
-                    if v_th != 0.0:
-                        cols.append(base[kk] + 3 + b)
-                        vals.append(v_th)
-            self._add_row(parts, row_base + a, cols, vals)
+        ``[term, 0]`` multiplies the value stencil and ``[term, 1]`` the ,s
+        stencil of the term's end.  Rows 0:3 of a block are the force (or
+        translation) rows of its slot and rows 3:6 the moment (or rotation)
+        rows; columns 0:3 act on the displacement and 3:6 on the rotation
+        increment of each control point.
+        """
+        B = np.zeros((len(self._term_rows), 2, 6, 6))
+        for plan in self._joint_plans:
+            self._joint_rows(B, rhs, t_next, per_patch, *plan)
+        for k, end, sup, term in self._end_plans:
+            row = self._term_rows[term]
+            args = (B[term], rhs[row:row + 6], t_next, per_patch, k, end)
+            if sup is None:
+                self._free_end_rows(*args)
+            else:
+                self._support_rows(*args, sup)
+        return B
 
-    def _dirichlet_translation_rows(self, parts, rhs, row_base, comps, k, end,
-                                    target):
-        rt = self.runtimes[k]
-        p = rt.patch
-        i, ctrl, base = self._end_cols(k, end)
-        phi0 = p.phi0[i]
-        current = rt.state.c[i]
-        for a in comps:
-            cols = base + a
-            self._add_row(parts, row_base + a, cols, phi0)
-            rhs[row_base + a] = target[a] - current[a]
-
-    def _dirichlet_rotation_rows(self, parts, rhs, row_base, k, end, R_target):
-        rt = self.runtimes[k]
-        p = rt.patch
-        i, ctrl, base = self._end_cols(k, end)
-        phi0 = p.phi0[i]
-        mismatch = so3.log_so3(rt.state.R[i].T @ R_target)
-        for a in range(3):
-            cols = base + 3 + a
-            self._add_row(parts, row_base + 3 + a, cols, phi0)
-            rhs[row_base + 3 + a] = mismatch[a]
-
-    def _boundary_rows(self, h, t_next, per_patch, data_parts, row_parts,
-                       col_parts, rhs):
-        parts = (data_parts, row_parts, col_parts)
-        handled = set()
-        for (joint, ends, support) in self._joint_plans:
-            self._joint_rows(parts, rhs, h, t_next, per_patch, joint, ends,
-                             support)
-            handled.update(ends)
-        for k, rt in enumerate(self.runtimes):
-            for end in (START, END):
-                key = (k, end)
-                if key in handled:
-                    continue
-                row_base = self.offsets[k] + 6 * rt.patch.end_index(end)
-                sup = self._supported.get(key)
-                if sup is None:
-                    self._free_end_rows(parts, rhs, row_base, h, t_next,
-                                        per_patch, k, end)
-                else:
-                    self._support_rows(parts, rhs, row_base, h, t_next,
-                                       per_patch, k, end, sup)
-
-    def _free_end_rows(self, parts, rhs, row_base, h, t_next, per_patch, k,
-                       end):
+    def _free_end_rows(self, blk, r, t_next, per_patch, k, end):
         rt = self.runtimes[k]
         law = rt.patch.law
         CN_bar, CM_bar = per_patch[k]
         i = rt.patch.end_index(end)
         sign = rt.patch.end_sign(end)
         f_c, m_c = self.model.end_load_at(k, end, t_next)
-        rf = neumann_force_row(rt.state, law, CN_bar, i, f_c, sign)
-        rm = neumann_moment_row(rt.state, law, CM_bar, i, m_c, sign)
-        self._add_block_row(parts, row_base, range(3), rf.t, rf.ts, rf.es, k,
-                            end)
-        rhs[row_base:row_base + 3] = rf.residual
-        self._add_block_row(parts, row_base + 3, range(3), rm.t, rm.ts, rm.es,
-                            k, end)
-        rhs[row_base + 3:row_base + 6] = rm.residual
+        _material_rows(blk, r, 0, neumann_force_row(rt.state, law, CN_bar, i,
+                                                    f_c, sign))
+        _material_rows(blk, r, 3, neumann_moment_row(rt.state, law, CM_bar, i,
+                                                     m_c, sign))
 
-    def _support_rows(self, parts, rhs, row_base, h, t_next, per_patch, k, end,
-                      sup: Support):
+    def _support_rows(self, blk, r, t_next, per_patch, k, end, sup: Support):
         rt = self.runtimes[k]
         law = rt.patch.law
         CN_bar, CM_bar = per_patch[k]
         i = rt.patch.end_index(end)
         sign = rt.patch.end_sign(end)
-        target = rt.patch.frames.c0[i].copy()
-        if sup.motion is not None:
-            target = target + sup.motion(t_next)
-        if sup.kind == "clamp":
-            self._dirichlet_translation_rows(parts, rhs, row_base, range(3), k,
-                                             end, target)
-            self._dirichlet_rotation_rows(parts, rhs, row_base, k, end,
-                                          rt.patch.frames.R0[i])
-        elif sup.kind == "hinge":
-            self._dirichlet_translation_rows(parts, rhs, row_base, range(3), k,
-                                             end, target)
-            rm = neumann_moment_row(rt.state, law, CM_bar, i, np.zeros(3), sign)
-            self._add_block_row(parts, row_base + 3, range(3), rm.t, rm.ts,
-                                rm.es, k, end)
-            rhs[row_base + 3:row_base + 6] = rm.residual
-        elif sup.kind == "roller_x3":
-            # spatial-frame force rows for the free components, vertical pin
+        free = [a for a in range(3) if a not in FIXED[sup.kind]]
+        if free:
+            # spatial-frame force rows for the components left free (a
+            # supported end carries no end load)
             f, bt, bes = end_force_spatial(rt.state, law, CN_bar, i, sign)
-            f_c, _ = self.model.end_load_at(k, end, t_next)
-            for a in (0, 1):
-                self._add_block_row(parts, row_base, [a], bt, None, bes, k,
-                                    end)
-                rhs[row_base + a] = f_c[a] - f[a]
-            self._dirichlet_translation_rows(parts, rhs, row_base, [2], k, end,
-                                             target)
-            rm = neumann_moment_row(rt.state, law, CM_bar, i, np.zeros(3), sign)
-            self._add_block_row(parts, row_base + 3, range(3), rm.t, rm.ts,
-                                rm.es, k, end)
-            rhs[row_base + 3:row_base + 6] = rm.residual
+            blk[0, free, 3:] = bt[free]
+            blk[1, free, :3] = bes[free]
+            r[free] = -f[free]
+        _fixed_rows(blk, r, sup, rt, i, t_next)
+        if sup.kind != "clamp":
+            _material_rows(blk, r, 3, neumann_moment_row(
+                rt.state, law, CM_bar, i, np.zeros(3), sign))
 
-    def _joint_rows(self, parts, rhs, h, t_next, per_patch, joint, ends,
-                    support):
-        # row slots owned by each incident end
-        slot = {}
-        for (k, end) in ends:
-            slot[(k, end)] = self.offsets[k] + 6 * self.runtimes[k].patch.end_index(end)
+    def _joint_rows(self, B, rhs, t_next, per_patch, joint, ends, support,
+                    balance, continuity):
         k0, end0 = ends[0]
         rt0 = self.runtimes[k0]
         i0 = rt0.patch.end_index(end0)
-        _, _, base0 = self._end_cols(k0, end0)
-        phi0_0 = rt0.patch.phi0[i0]
         Q0 = rt0.state.R[i0] @ rt0.patch.frames.R0[i0].T
 
-        # continuity rows in the slots of ends 1..k-1
-        for (k, end) in ends[1:]:
+        # continuity rows in the slots of ends 1..k-1:
+        # d_eta_i - d_eta_0 = c_0 - c_i, R_i dTheta_i - R_0 dTheta_0 = log(Q_0 Q_i^T)
+        for (k, end), (own, first) in zip(ends[1:], continuity):
             rt = self.runtimes[k]
             i = rt.patch.end_index(end)
-            _, _, base = self._end_cols(k, end)
-            phi0 = rt.patch.phi0[i]
-            row_base = slot[(k, end)]
-            # translation: d_eta_i - d_eta_0 = c_0 - c_i
-            for a in range(3):
-                cols = np.concatenate([base + a, base0 + a])
-                vals = np.concatenate([phi0, -phi0_0])
-                self._add_row(parts, row_base + a, cols, vals)
-                rhs[row_base + a] = rt0.state.c[i0][a] - rt.state.c[i][a]
-            # rotation: R_i dTheta_i - R_0 dTheta_0 = log(Q_0 Q_i^T)
+            B[own, 0, :3, :3] = np.eye(3)
+            B[own, 0, 3:, 3:] = rt.state.R[i]
+            B[first, 0, :3, :3] = -np.eye(3)
+            B[first, 0, 3:, 3:] = -rt0.state.R[i0]
+            row = self._term_rows[own]
+            rhs[row:row + 3] = rt0.state.c[i0] - rt.state.c[i]
             Qi = rt.state.R[i] @ rt.patch.frames.R0[i].T
-            r_mis = so3.log_so3(Q0 @ Qi.T)
-            Ri = rt.state.R[i]
-            R0m = rt0.state.R[i0]
-            for a in range(3):
-                cols = []
-                vals = []
-                for kk in range(len(phi0)):
-                    for b in range(3):
-                        cols.append(base[kk] + 3 + b)
-                        vals.append(Ri[a, b] * phi0[kk])
-                        cols.append(base0[kk] + 3 + b)
-                        vals.append(-R0m[a, b] * phi0_0[kk])
-                self._add_row(parts, row_base + 3 + a, cols, vals)
-                rhs[row_base + 3 + a] = r_mis[a]
+            rhs[row + 3:row + 6] = so3.log_so3(Q0 @ Qi.T)
 
-        # balance rows (and support overrides) in the slot of end 0
-        row_base = slot[(k0, end0)]
+        # balance rows in the slot of end 0, less the rows its support fixes
+        kind = support.kind if support is not None else None
+        free = [a for a in range(3) if a not in FIXED[kind]]
+        moments = kind != "clamp"
         f_J = joint.force(t_next) if joint.force is not None else np.zeros(3)
         m_J = joint.moment(t_next) if joint.moment is not None else np.zeros(3)
-        force_terms = []
-        moment_terms = []
         res_F = f_J.copy()
         res_M = m_J.copy()
-        for (k, end) in ends:
+        for (k, end), term in zip(ends, balance):
             rt = self.runtimes[k]
             CN_bar, CM_bar = per_patch[k]
             i = rt.patch.end_index(end)
@@ -477,35 +410,18 @@ class Simulation:
                                             sign)
             res_F -= f
             res_M -= m
-            force_terms.append((k, end, bt, bes))
-            moment_terms.append((k, end, mt, mts))
-
-        sup_kind = support.kind if support is not None else None
-        target = rt0.patch.frames.c0[i0].copy()
-        if support is not None and support.motion is not None:
-            target = target + support.motion(t_next)
-
-        force_comps = {None: (0, 1, 2), "clamp": (), "hinge": (),
-                       "roller_x3": (0, 1)}[sup_kind]
-        dirichlet_comps = {None: (), "clamp": (0, 1, 2), "hinge": (0, 1, 2),
-                           "roller_x3": (2,)}[sup_kind]
-        for a in force_comps:
-            for (k, end, bt, bes) in force_terms:
-                self._add_block_row(parts, row_base, [a], bt, None, bes, k,
-                                    end)
-            rhs[row_base + a] = res_F[a]
-        if dirichlet_comps:
-            self._dirichlet_translation_rows(parts, rhs, row_base,
-                                             dirichlet_comps, k0, end0, target)
-        if sup_kind == "clamp":
-            self._dirichlet_rotation_rows(parts, rhs, row_base, k0, end0,
-                                          rt0.patch.frames.R0[i0])
-        else:
-            for a in range(3):
-                for (k, end, mt, mts) in moment_terms:
-                    self._add_block_row(parts, row_base + 3, [a], mt, mts,
-                                        None, k, end)
-                rhs[row_base + 3 + a] = res_M[a]
+            B[term, 0, free, 3:] = bt[free]
+            B[term, 1, free, :3] = bes[free]
+            if moments:
+                B[term, 0, 3:, 3:] = mt
+                B[term, 1, 3:, 3:] = mts
+        row = self._term_rows[balance[0]]
+        r = rhs[row:row + 6]
+        r[free] = res_F[free]
+        if moments:
+            r[3:] = res_M
+        if support is not None:
+            _fixed_rows(B[balance[0]], r, support, rt0, i0, t_next)
 
     # -- solving ---------------------------------------------------------------
 
@@ -642,23 +558,35 @@ class Trajectory:
 
 def time_march(sim: Simulation, t_end: float, h: float,
                observer=None) -> Trajectory:
-    """March to ``t_end`` in steps of ``h``, sampling probes each step."""
+    """March to ``t_end`` in steps of ``h``, sampling probes each step.
+
+    A ``StepFailure`` propagates with the history of the committed steps
+    attached as its ``trajectory``.
+    """
     model = sim.model
     times = [sim.t]
     samples = {p.name: [sim.probe_displacement(p)] for p in model.probes}
     iters = []
     start = _time.perf_counter()
+
+    def trajectory():
+        wall = _time.perf_counter() - start
+        return Trajectory(np.array(times),
+                          {k: np.array(v) for k, v in samples.items()},
+                          iters, wall)
+
     n_steps = int(round((t_end - sim.t) / h))
     for _ in range(n_steps):
         before = sim.total_iterations
-        sim.advance(h)
+        try:
+            sim.advance(h)
+        except StepFailure as exc:
+            exc.trajectory = trajectory()
+            raise
         iters.append(sim.total_iterations - before)
         times.append(sim.t)
         for p in model.probes:
             samples[p.name].append(sim.probe_displacement(p))
         if observer is not None:
             observer(sim)
-    wall = _time.perf_counter() - start
-    return Trajectory(np.array(times),
-                      {k: np.array(v) for k, v in samples.items()},
-                      iters, wall)
+    return trajectory()

@@ -123,14 +123,16 @@ def _rowscale(d: np.ndarray, M: np.ndarray) -> np.ndarray:
     return d[None, :, None] * M
 
 
-def _kin(state: CollocationState):
-    """Shared kinematic quantities: (RT, y, Gam, Gam_s, Kap, Kap_s)."""
-    RT = np.swapaxes(state.R, -1, -2)
-    y = np.einsum("nij,nj->ni", RT, state.c_s)
-    Gam = y - state.Gref
-    Gam_s = (-np.cross(state.K, y)
-             + np.einsum("nij,nj->ni", RT, state.c_ss) - state.Gref_s)
-    return RT, y, Gam, Gam_s, state.K - state.K0, state.K_s - state.K0_s
+def _kin(state: CollocationState, pts=slice(None)):
+    """Shared kinematic quantities (RT, y, Gam, Gam_s, Kap, Kap_s) at the
+    points ``pts`` (all by default)."""
+    RT = np.swapaxes(state.R[pts], -1, -2)
+    K = state.K[pts]
+    y = np.einsum("nij,nj->ni", RT, state.c_s[pts])
+    Gam = y - state.Gref[pts]
+    Gam_s = (-np.cross(K, y)
+             + np.einsum("nij,nj->ni", RT, state.c_ss[pts]) - state.Gref_s[pts])
+    return RT, y, Gam, Gam_s, K - state.K0[pts], state.K_s[pts] - state.K0_s[pts]
 
 
 def residual_force(state: CollocationState, law: SectionLaw, CN_bar: np.ndarray,
@@ -239,12 +241,13 @@ def neumann_force_row(state: CollocationState, law: SectionLaw,
                       CN_bar: np.ndarray, i: int, n_c: np.ndarray,
                       sign: float) -> BoundaryRow:
     """Material force boundary row at point index ``i`` with end load ``n_c``."""
-    RT, y, Gam, _, _, _ = _kin(state)
-    SbG, _ = state.visc.force_history(law)
-    rn = RT[i] @ n_c
-    res = SbG[i] - CN_bar * Gam[i] + sign * rn
-    t = CN_bar[:, None] * so3.skew(y[i]) - sign * so3.skew(rn)
-    es = CN_bar[:, None] * RT[i]
+    pt = slice(i, i + 1)
+    RT, y, Gam, _, _, _ = _kin(state, pt)
+    SbG, _ = state.visc.force_history(law, pt)
+    rn = RT[0] @ n_c
+    res = SbG[0] - CN_bar * Gam[0] + sign * rn
+    t = CN_bar[:, None] * so3.skew(y[0]) - sign * so3.skew(rn)
+    es = CN_bar[:, None] * RT[0]
     return BoundaryRow(residual=res, t=t, ts=np.zeros((3, 3)), es=es)
 
 
@@ -252,11 +255,10 @@ def neumann_moment_row(state: CollocationState, law: SectionLaw,
                        CM_bar: np.ndarray, i: int, m_c: np.ndarray,
                        sign: float) -> BoundaryRow:
     """Material moment boundary row at point index ``i`` with end couple ``m_c``."""
-    RT = np.swapaxes(state.R, -1, -2)
     Kap = state.K[i] - state.K0[i]
-    SbK, _ = state.visc.couple_history(law)
-    rm = RT[i] @ m_c
-    res = SbK[i] - CM_bar * Kap + sign * rm
+    SbK, _ = state.visc.couple_history(law, slice(i, i + 1))
+    rm = state.R[i].T @ m_c
+    res = SbK[0] - CM_bar * Kap + sign * rm
     t = CM_bar[:, None] * so3.skew(state.K[i]) - sign * so3.skew(rm)
     return BoundaryRow(residual=res, t=t, ts=np.diag(CM_bar),
                        es=np.zeros((3, 3)))
@@ -269,13 +271,14 @@ def end_force_spatial(state: CollocationState, law: SectionLaw,
     Returns (force (3,), block_theta, block_eta_s); used for joint balance and
     component-wise mixed supports, where rows live in the fixed frame.
     """
-    RT, y, Gam, _, _, _ = _kin(state)
-    SbG, _ = state.visc.force_history(law)
-    zF = CN_bar * Gam[i] - SbG[i]
+    pt = slice(i, i + 1)
+    RT, y, Gam, _, _, _ = _kin(state, pt)
+    SbG, _ = state.visc.force_history(law, pt)
+    zF = CN_bar * Gam[0] - SbG[0]
     R = state.R[i]
     f = sign * (R @ zF)
-    blk_t = sign * (R @ (CN_bar[:, None] * so3.skew(y[i]) - so3.skew(zF)))
-    blk_es = sign * (R @ (CN_bar[:, None] * RT[i]))
+    blk_t = sign * (R @ (CN_bar[:, None] * so3.skew(y[0]) - so3.skew(zF)))
+    blk_es = sign * (R @ (CN_bar[:, None] * RT[0]))
     return f, blk_t, blk_es
 
 
@@ -283,8 +286,8 @@ def end_moment_spatial(state: CollocationState, law: SectionLaw,
                        CM_bar: np.ndarray, i: int, sign: float):
     """Spatial end couple sign * R M at point ``i`` and its tangent blocks."""
     Kap = state.K[i] - state.K0[i]
-    SbK, _ = state.visc.couple_history(law)
-    zM = CM_bar * Kap - SbK[i]
+    SbK, _ = state.visc.couple_history(law, slice(i, i + 1))
+    zM = CM_bar * Kap - SbK[0]
     R = state.R[i]
     m = sign * (R @ zM)
     blk_t = sign * (R @ (CM_bar[:, None] * so3.skew(state.K[i]) - so3.skew(zM)))

@@ -31,8 +31,9 @@ def run_scenario(name: str, overrides: dict | None = None, out_dir=None,
                  config: dict | None = None):
     """Run one scenario to its end time; returns (sim, trajectory, params).
 
-    On solver failure the partial CSV written so far is retained and the
-    exception is re-raised for the caller to turn into an exit code.
+    On solver failure the history of the committed steps is written to the
+    CSV and the exception is re-raised for the caller to turn into an exit
+    code.
     """
     if name == "custom":
         if config is None:
@@ -59,28 +60,16 @@ def run_scenario(name: str, overrides: dict | None = None, out_dir=None,
 
     try:
         traj = time_march(sim, T, h, observer=observer)
-    except StepFailure:
+    except StepFailure as exc:
         if out_dir is not None:
-            partial = _collect_partial(sim, model)
-            if partial is not None:
-                write_history_csv(os.path.join(out_dir, "history.csv"), partial)
+            write_history_csv(os.path.join(out_dir, "history.csv"),
+                              exc.trajectory)
         raise
     if out_dir is not None:
         write_history_csv(os.path.join(out_dir, "history.csv"), traj)
         write_run_metadata(os.path.join(out_dir, "run.json"), name, params,
                            traj)
     return sim, traj, params
-
-
-def _collect_partial(sim, model):
-    # best effort: probes at the last committed state only
-    from .assembly import Trajectory
-    if not model.probes:
-        return None
-    return Trajectory(np.array([sim.t]),
-                      {p.name: np.array([sim.probe_displacement(p)])
-                       for p in model.probes},
-                      [], 0.0)
 
 
 # ---------------------------------------------------------------------------

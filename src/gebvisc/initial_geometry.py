@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import so3
-from .splines import NurbsCurve, arclength_derivatives
+from .splines import NurbsCurve
 
 #: tolerance for a degenerate tangent
 MIN_TANGENT = 1.0e-12

@@ -14,7 +14,7 @@ adjacent to the member ends, which rigidly rotates the end tangents.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -199,9 +199,6 @@ class BeamModel:
 
     def n_dofs(self) -> int:
         return 6 * sum(p.n for p in self.patches)
-
-    def end_key(self, patch: int, end: str) -> tuple[int, str]:
-        return (patch, end)
 
     def jointed_ends(self) -> dict[tuple[int, str], int]:
         out = {}

@@ -88,11 +88,12 @@ class SectionLaw:
     CM0: np.ndarray = field(init=False)
     mu: float = field(init=False)
     inertia: np.ndarray = field(init=False)
-    #: (CNv, CMv) of each branch, then (CN_inf, CM_inf), stacked for the
-    #: (N, M) pair and shaped (m + 1, 2, 1, 3) to broadcast over points
+    #: CNv of each branch, then CN_inf, on the Gam channel and CMv, then
+    #: CM_inf, on the Kap channel of the four strain channels (the ,s
+    #: channels get 0), shaped (m + 1, 4, 1, 3) to broadcast over points
     CNM: np.ndarray = field(init=False, repr=False)
-    #: per step size h: trapezoidal (c, d) and the effective stiffness
-    _per_step: dict = field(init=False, repr=False, compare=False)
+    #: read-only arrays derived from the law, see ``_store``
+    _cache: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.E_inf <= 0.0 or self.rho <= 0.0:
@@ -122,10 +123,11 @@ class SectionLaw:
         object.__setattr__(self, "mu", self.rho * g.A)
         object.__setattr__(self, "inertia", self.rho * np.array(
             [g.J2 + g.J3, g.J2, g.J3]))
-        object.__setattr__(self, "CNM", np.stack(
-            (np.vstack((CNv, self.CN_inf)), np.vstack((CMv, self.CM_inf))),
-            axis=1)[:, :, None, :])
-        object.__setattr__(self, "_per_step", {})
+        CNM = np.zeros((m + 1, 4, 1, 3))
+        CNM[:, 0, 0] = np.vstack((CNv, self.CN_inf))
+        CNM[:, 2, 0] = np.vstack((CMv, self.CM_inf))
+        object.__setattr__(self, "CNM", CNM)
+        object.__setattr__(self, "_cache", {})
 
     @property
     def n_elements(self) -> int:
@@ -165,32 +167,66 @@ def linearize_viscous(h: float, taus) -> np.ndarray:
     return trapezoidal_coeffs(taus, h)[0]
 
 
+def _store(law: SectionLaw, key, arrays: tuple) -> tuple:
+    """Cache the read-only ``arrays`` on ``law`` under ``key``.
+
+    A run uses a handful of step sizes (h and its halvings) and of point
+    counts, and the cache is cleared should it ever grow past 256 entries.
+    """
+    for a in arrays:
+        a.setflags(write=False)
+    if len(law._cache) >= 256:
+        law._cache.clear()
+    law._cache[key] = arrays
+    return arrays
+
+
 def step_coefficients(law: SectionLaw, h: float):
     """(c, d, CN_bar, CM_bar) of ``law`` for a step of size ``h``.
 
     ``c``/``d`` are the trapezoidal coefficients shaped (m, 1, 1, 1) to
     broadcast over the stacked (m, 4, n, 3) viscous arrays; ``CN_bar`` and
-    ``CM_bar`` are the effective diagonals of the time-discretized law.  The
-    read-only arrays are cached on the law: a run uses a handful of step
-    sizes (h and its halvings), and the cache is cleared should it ever
-    grow past 64 entries.
+    ``CM_bar`` are the effective diagonals of the time-discretized law.
+    The arrays are cached on the law and read-only.
     """
-    cached = law._per_step.get(h)
-    if cached is not None:
-        return cached
-    c, d = trapezoidal_coeffs(law.taus, h)
-    if law.n_elements:
-        CN_bar = law.CN0 - (c[:, None] * law.CNv).sum(axis=0)
-        CM_bar = law.CM0 - (c[:, None] * law.CMv).sum(axis=0)
-    else:
-        CN_bar, CM_bar = law.CN0.copy(), law.CM0.copy()
-    cached = (c[:, None, None, None], d[:, None, None, None], CN_bar, CM_bar)
-    for a in cached:
-        a.setflags(write=False)
-    if len(law._per_step) >= 64:
-        law._per_step.clear()
-    law._per_step[h] = cached
+    cached = law._cache.get(h)
+    if cached is None:
+        c, d = trapezoidal_coeffs(law.taus, h)
+        if law.n_elements:
+            CN_bar = law.CN0 - (c[:, None] * law.CNv).sum(axis=0)
+            CM_bar = law.CM0 - (c[:, None] * law.CMv).sum(axis=0)
+        else:
+            CN_bar, CM_bar = law.CN0.copy(), law.CM0.copy()
+        cached = _store(law, h, (c[:, None, None, None], d[:, None, None, None],
+                                 CN_bar, CM_bar))
     return cached
+
+
+def _point_coefficients(law: SectionLaw, h: float, n: int
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """(c, d) of ``step_coefficients`` spelled out to the full (m, 4, n, 3)
+    shape of the viscous arrays of n points (cached, read-only).
+
+    The history updates then multiply arrays of one shape, which numpy does
+    without setting up a broadcast; on arrays of a few points that set-up
+    costs more than the arithmetic.
+    """
+    cached = law._cache.get((h, n))
+    if cached is None:
+        c, d = step_coefficients(law, h)[:2]
+        shape = (law.n_elements, 4, n, 3)
+        cached = _store(law, (h, n), (np.broadcast_to(c, shape).copy(),
+                                      np.broadcast_to(d, shape).copy()))
+    return cached
+
+
+def _point_moduli(law: SectionLaw, n: int) -> np.ndarray:
+    """``law.CNM`` spelled out to (m + 1, 4, n, 3), for the same reason."""
+    cached = law._cache.get(("moduli", n))
+    if cached is None:
+        cached = _store(law, ("moduli", n), (np.broadcast_to(
+            law.CNM, (law.n_elements + 1, 4, n, 3)).copy(),))
+    return cached[0]
 
 
 def effective_stiffness(law: SectionLaw, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -238,12 +274,13 @@ class ViscousState:
         self.n = n_points
         self.branch = np.zeros((n_elements, 4, n_points, 3))
         self.beta = np.zeros((n_elements, 4, n_points, 3))
-        # scratch: the total strains in channel order, a stacked temporary
-        # for the history update, and the (N, M) elastic parts of every
-        # branch followed by the total (Gam, Kap)
-        self._strains = np.empty((4, n_points, 3))
-        self._work = np.empty((n_elements, 4, n_points, 3))
-        self._pair_work = np.empty((n_elements + 1, 2, n_points, 3))
+        # scratch (m + 1, 4, n, 3): the total strains once for every branch
+        # and once more for the long-term spring, as (m + 1, n, 3) channel
+        # views; zeroed so that the ,s channels, which ``internal_forces``
+        # does not load, are finite from the start
+        self._work = np.zeros((n_elements + 1, 4, n_points, 3))
+        self._rows = self._work[:-1]
+        self._channels = tuple(self._work[:, k] for k in range(4))
 
     def copy(self) -> "ViscousState":
         out = ViscousState(self.m, self.n)
@@ -252,22 +289,27 @@ class ViscousState:
         return out
 
     def load_strains(self, Gam, Gam_s, Kap, Kap_s) -> np.ndarray:
-        """The four total strains (n, 3) as one (4, n, 3) scratch array."""
-        S = self._strains
-        S[0] = Gam
-        S[1] = Gam_s
-        S[2] = Kap
-        S[3] = Kap_s
-        return S
+        """The four total strains (n, 3) repeated for every branch, as the
+        first m rows of the (m + 1, 4, n, 3) scratch array."""
+        S, S_s, K, K_s = self._channels
+        S[...] = Gam
+        S_s[...] = Gam_s
+        K[...] = Kap
+        K_s[...] = Kap_s
+        return self._rows
 
-    def force_history(self, law: SectionLaw) -> tuple[np.ndarray, np.ndarray]:
-        """(sum_a CNv_a beta_Ga, its s-derivative), each (n, 3)."""
-        S = np.einsum("ak,acnk->cnk", law.CNv, self.beta[:, :2])
+    def force_history(self, law: SectionLaw, pts=slice(None)
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """(sum_a CNv_a beta_Ga, its s-derivative) at the points ``pts``
+        (all by default), each (n, 3)."""
+        S = np.einsum("ak,acnk->cnk", law.CNv, self.beta[:, :2, pts])
         return S[0], S[1]
 
-    def couple_history(self, law: SectionLaw) -> tuple[np.ndarray, np.ndarray]:
-        """(sum_a CMv_a beta_Ka, its s-derivative), each (n, 3)."""
-        S = np.einsum("ak,acnk->cnk", law.CMv, self.beta[:, 2:])
+    def couple_history(self, law: SectionLaw, pts=slice(None)
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """(sum_a CMv_a beta_Ka, its s-derivative) at the points ``pts``
+        (all by default), each (n, 3)."""
+        S = np.einsum("ak,acnk->cnk", law.CMv, self.beta[:, 2:, pts])
         return S[0], S[1]
 
 
@@ -279,11 +321,12 @@ def compute_beta(law: SectionLaw, state: ViscousState, Gam: np.ndarray,
     ``Gam``/``Kap`` are the total strain measures (n, 3) at the step start;
     the state's branch strains must correspond to the same instant.
     """
-    c, d, _, _ = step_coefficients(law, h)
+    c, d = _point_coefficients(law, h, state.n)
     S = state.load_strains(Gam, Gam_s, Kap, Kap_s)
-    np.multiply(c, S, out=state.beta)
-    np.multiply(d, state.branch, out=state._work)
-    state.beta += state._work
+    beta = state.beta
+    np.multiply(c, S, S)
+    np.multiply(d, state.branch, beta)
+    np.add(beta, S, beta)
 
 
 def update_viscous_state(law: SectionLaw, state: ViscousState, Gam: np.ndarray,
@@ -295,8 +338,9 @@ def update_viscous_state(law: SectionLaw, state: ViscousState, Gam: np.ndarray,
     end; the betas in ``state`` must have been computed at the step start.
     """
     S = state.load_strains(Gam, Gam_s, Kap, Kap_s)
-    np.multiply(step_coefficients(law, h)[0], S, out=state.branch)
-    state.branch += state.beta
+    branch = state.branch
+    np.multiply(_point_coefficients(law, h, state.n)[0], S, branch)
+    np.add(branch, state.beta, branch)
 
 
 def internal_forces(law: SectionLaw, Gam: np.ndarray, Kap: np.ndarray,
@@ -309,17 +353,19 @@ def internal_forces(law: SectionLaw, Gam: np.ndarray, Kap: np.ndarray,
     form: expanding it would cancel digits when the long-term modulus is
     small against the branch moduli).
     """
-    if state is not None and law.n_elements:
+    if state is not None and state.m:
         # the long-term spring is the last row, so the sum adds it last, to
-        # the branch sum, as in CN_inf * Gam + sum_a CNv_a (Gam - Gam_a)
-        work = state._pair_work
-        pair = work[-1]
-        pair[0] = Gam
-        pair[1] = Kap
-        np.subtract(pair, state.branch[:, ::2], out=work[:-1])
-        work *= law.CNM
+        # the branch sum, as in CN_inf * Gam + sum_a CNv_a (Gam - Gam_a);
+        # the ,s channels hold finite leftovers and are multiplied by 0
+        work = state._work
+        S, _, K, _ = state._channels
+        S[...] = Gam
+        K[...] = Kap
+        elastic = state._rows
+        np.subtract(elastic, state.branch, elastic)
+        np.multiply(work, _point_moduli(law, state.n), work)
         NM = np.add.reduce(work, axis=0)
-        return NM[0], NM[1]
+        return NM[0], NM[2]
     N = law.CN_inf * Gam
     M = law.CM_inf * Kap
     if law.n_elements:

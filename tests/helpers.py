@@ -3,8 +3,10 @@
 import numpy as np
 
 from gebvisc import so3
-from gebvisc.beam_residual import CollocationState
+from gebvisc.beam_residual import (CollocationState, TangentBlocks,
+                                   residual_force, residual_moment)
 from gebvisc.initial_geometry import InitialFrameField
+from gebvisc.integrator import apply_increment
 from gebvisc.viscoelastic import SectionGeometry, build_section_law
 
 
@@ -71,3 +73,35 @@ def relative_error(fd, an, floor=1e-8):
     den = np.maximum(np.maximum(np.linalg.norm(fd, axis=-1),
                                 np.linalg.norm(an, axis=-1)), floor)
     return (num / den).max()
+
+
+def fd_tangent(residual, state, *args, eps=1.0e-7):
+    """Central-difference tangent blocks of ``residual(state, *args)``.
+
+    Each increment channel (displacement and rotation, value and first and
+    second arc-length derivative) is perturbed by +-eps along the solver's
+    own update rule; ``args`` end with the step size h.
+    """
+    n, h = state.n, args[-1]
+    blocks = [np.zeros((n, 3, 3)) for _ in range(6)]
+    for ch in range(6):
+        for comp in range(3):
+            inc = [np.zeros((n, 3)) for _ in range(6)]
+            inc[ch][:, comp] = eps
+            sp = state.copy()
+            apply_increment(sp, *inc, h)
+            sm = state.copy()
+            apply_increment(sm, *(-d for d in inc), h)
+            blocks[ch][:, :, comp] = (residual(sp, *args)
+                                      - residual(sm, *args)) / (2 * eps)
+    return TangentBlocks(*blocks)
+
+
+def fd_tangent_blocks_force(state, law, CN_bar, n_dist, h):
+    """Drop-in finite-difference oracle for ``tangent_blocks_force``."""
+    return fd_tangent(residual_force, state, law, CN_bar, n_dist, h)
+
+
+def fd_tangent_blocks_moment(state, law, CN_bar, CM_bar, m_dist, h):
+    """Drop-in finite-difference oracle for ``tangent_blocks_moment``."""
+    return fd_tangent(residual_moment, state, law, CN_bar, CM_bar, m_dist, h)

@@ -1,12 +1,17 @@
+import pathlib
+
 import numpy as np
 import pytest
 
+from gebvisc import assembly
 from gebvisc.assembly import NewtonSettings, Simulation, time_march
+from gebvisc.beam_residual import BoundaryRow
 from gebvisc.integrator import begin_step
 from gebvisc.model import (BeamModel, DistributedLoad, EndLoad, Joint,
                            LoadHistory, Patch, Probe, Support)
-from gebvisc.splines import line_curve
+from gebvisc.splines import KnotVector, greville, interpolate_curve, line_curve
 from gebvisc.viscoelastic import SectionGeometry, build_section_law
+from helpers import fd_tangent_blocks_force, fd_tangent_blocks_moment
 
 
 def pendulum_law():
@@ -21,6 +26,69 @@ def pendulum_model(n=40, degree=4, probes=True):
                      loads=[DistributedLoad(
                          0, LoadHistory.constant([0, 0, -0.8475]))],
                      probes=[Probe(0, 1.0, "tip")] if probes else [])
+
+
+def row_kinds_model():
+    """Six patches whose ends carry every kind of boundary and joint row.
+
+    Non-joint ends: a moving clamp, a hinge, a roller_x3, a free end with an
+    end force and couple, and an unloaded free end.  Joints: an unsupported
+    two-end joint with a joint force, a three-end joint carrying a roller_x3
+    support on an end listed last, and a two-end joint carrying a clamp.
+    """
+    law = pendulum_law()
+    O, A = np.zeros(3), np.array([0.4, 0.0, 0.0])
+    B = np.array([0.4, 0.4, 0.1])
+    C, D = B + [0.3, 0.1, 0.0], B + [-0.1, 0.3, -0.1]
+    E, F, G = [1.0, 0.0, 0.0], [1.0, 0.4, 0.0], [1.0, 0.7, 0.2]
+    kv = KnotVector.open_uniform(3, 7)
+    u = greville(kv)
+    arc = interpolate_curve(
+        u, A + np.outer(u, B - A) + np.outer(0.1 * np.sin(np.pi * u),
+                                             [0.0, 0.0, 1.0]), kv)
+    curves = [line_curve(O, A, 3, 7), arc, line_curve(B, C, 3, 7),
+              line_curve(B, D, 3, 7), line_curve(E, F, 3, 7),
+              line_curve(F, G, 3, 7)]
+    weight = LoadHistory.constant([0, 0, -0.8475])
+    return BeamModel(
+        [Patch(c, law) for c in curves],
+        supports=[Support(0, "start", "clamp",
+                          LoadHistory.sine_ramp_hold([0, 0, 0.01], 0.1)),
+                  Support(3, "end", "roller_x3"),
+                  Support(4, "start", "hinge"),
+                  Support(3, "start", "roller_x3"),
+                  Support(4, "end", "clamp")],
+        joints=[Joint([(0, "end"), (1, "start")],
+                      force=LoadHistory.constant([0.01, 0.0, 0.0])),
+                Joint([(1, "end"), (2, "start"), (3, "start")]),
+                Joint([(4, "end"), (5, "start")])],
+        loads=[DistributedLoad(k, weight) for k in range(len(curves))],
+        end_loads=[EndLoad(2, "end", force=LoadHistory.constant([0, 0.02, 0]),
+                           moment=LoadHistory.constant([0.001, 0, 0]))])
+
+
+def row_kinds_system(h=1e-3):
+    """Equilibrated (A, rhs) of ``row_kinds_model`` at the predictor of the
+    third step."""
+    sim = Simulation(row_kinds_model())
+    time_march(sim, 2 * h, h)
+    for rt in sim.runtimes:
+        begin_step(rt.state, rt.patch.law, h)
+    return sim.assemble(h, sim.t + h)
+
+
+class TestRowKinds:
+    # recorded with row_kinds_system() at commit 8eeffae, where every row was
+    # written entry by entry and the system went through COO and CSR
+    REFERENCE = pathlib.Path(__file__).parent / "data" / "row_kinds_system.npz"
+
+    def test_system_matches_recorded(self):
+        A, rhs = row_kinds_system()
+        ref = np.load(self.REFERENCE)
+        np.testing.assert_array_equal(A.indptr, ref["indptr"])
+        np.testing.assert_array_equal(A.indices, ref["indices"])
+        np.testing.assert_allclose(A.data, ref["data"], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(rhs, ref["rhs"], rtol=1e-12, atol=0)
 
 
 class TestSystemStructure:
@@ -44,6 +112,14 @@ class TestSystemStructure:
         for r in range(A.shape[0]):
             cols = coo.col[coo.row == r]
             assert cols.max() - cols.min() < 6 * (4 + 1)
+
+    def test_all_zero_row_raises(self, monkeypatch):
+        zero = BoundaryRow(np.zeros(3), np.zeros((3, 3)), np.zeros((3, 3)),
+                           np.zeros((3, 3)))
+        monkeypatch.setattr(assembly, "neumann_force_row", lambda *a: zero)
+        sim = Simulation(pendulum_model(n=10, degree=2))
+        with pytest.raises(RuntimeError, match="under-constrained"):
+            sim.assemble(1e-3, 1e-3)
 
     def test_timoshenko_tip_deflection(self):
         E, nu = 1e7, 0.3
@@ -101,13 +177,15 @@ class TestNewton:
                   for i in range(1, len(logs) - 1) if logs[i] != logs[i - 1]]
         assert max(slopes) > 1.5  # superlinear contraction visible
 
-    def test_fd_tangent_converges_to_same_state(self):
+    def test_fd_tangent_converges_to_same_state(self, monkeypatch):
         model_a = pendulum_model(n=8, degree=2)
         model_b = pendulum_model(n=8, degree=2)
-        sim_a = Simulation(model_a)
-        sim_b = Simulation(model_b, tangent_mode="fd")
-        ta = time_march(sim_a, 0.02, 5e-3)
-        tb = time_march(sim_b, 0.02, 5e-3)
+        ta = time_march(Simulation(model_a), 0.02, 5e-3)
+        monkeypatch.setattr(assembly, "tangent_blocks_force",
+                            fd_tangent_blocks_force)
+        monkeypatch.setattr(assembly, "tangent_blocks_moment",
+                            fd_tangent_blocks_moment)
+        tb = time_march(Simulation(model_b), 0.02, 5e-3)
         ua = ta.probes["tip"][-1]
         ub = tb.probes["tip"][-1]
         assert np.abs(ua - ub).max() < 1e-7

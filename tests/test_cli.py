@@ -7,6 +7,7 @@ import pytest
 from gebvisc.assembly import Simulation, time_march
 from gebvisc.cli import (fit_preplateau_slope, main, run_convergence,
                          run_scenario)
+from gebvisc.integrator import StepFailure
 from gebvisc.output import (read_history_csv, read_vtk_points,
                             write_history_csv, write_vtk_snapshot)
 from gebvisc.scenarios import (PLA_ELEMENTS, PLA_E_INF, PLA_NU, PLA_RHO,
@@ -82,6 +83,24 @@ class TestOutputs:
         meta = json.loads((tmp_path / "run.json").read_text())
         assert meta["steps"] == 10
         assert meta["newton_iterations_total"] > 0
+
+    def test_failed_run_keeps_committed_history(self, tmp_path,
+                                                 monkeypatch):
+        h, k = 5e-3, 4
+        advance = Simulation.advance
+
+        def fail_at_step_k(sim, h_step, depth=0):
+            if round(sim.t / h) == k:
+                raise StepFailure("forced failure")
+            advance(sim, h_step, depth)
+
+        monkeypatch.setattr(Simulation, "advance", fail_at_step_k)
+        with pytest.raises(StepFailure):
+            run_scenario("pendulum", {"T": 0.05, "h": h, "n": 12,
+                                      "degree": 3}, out_dir=str(tmp_path))
+        _, data = read_history_csv(tmp_path / "history.csv")
+        assert data.shape == (k + 1, 4)  # initial row plus committed steps
+        np.testing.assert_allclose(data[:, 0], h * np.arange(k + 1))
 
     def test_vtk_round_trip(self, tmp_path):
         sim, traj, _ = run_scenario("pendulum", {"T": 0.02, "n": 12,
