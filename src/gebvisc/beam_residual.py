@@ -4,7 +4,7 @@ Per collocation point the time-discretized force and moment balances are
 evaluated together with the 3x3 coefficient blocks of their linearization with
 respect to the incremental displacement and rotation fields and their first
 and second arc-length derivatives.  All quantities are material (pulled back
-by R^T); everything is vectorized over the points of a patch.
+by R^T); everything is vectorized over the points of a law stack.
 
 The tangent blocks are the exact directional derivatives of the residuals
 along the solver's own update rule (position channels incremented, rotations
@@ -25,7 +25,8 @@ from .viscoelastic import SectionLaw, ViscousState
 
 
 class CollocationState:
-    """Kinematic and viscous state at the collocation points of one patch.
+    """Kinematic and viscous state at the collocation points of the patches
+    of one law stack (all points of every patch that shares a section law).
 
     Arrays are stacked over points: vectors (n, 3), rotations (n, 3, 3).
     ``eta``/``Theta`` accumulate the within-step increments (``qTheta`` is the
@@ -293,16 +294,3 @@ def end_moment_spatial(state: CollocationState, law: SectionLaw,
     blk_t = sign * (R @ (CM_bar[:, None] * so3.skew(state.K[i]) - so3.skew(zM)))
     blk_ts = sign * (R @ np.diag(CM_bar))
     return m, blk_t, blk_ts
-
-
-def superpose_rotation(state: CollocationState, Q: np.ndarray) -> CollocationState:
-    """Rigidly rotate a state (and its initial configuration) by ``Q``.
-
-    Material quantities are untouched; used by the frame-indifference checks.
-    """
-    out = state.copy()
-    out.R = Q @ state.R
-    for name in ("c", "c_s", "c_ss", "v", "a", "eta"):
-        setattr(out, name, getattr(state, name) @ Q.T)
-    out.R0 = Q @ state.R0
-    return out

@@ -177,8 +177,3 @@ def bishop_frames(curve: NurbsCurve, eval_points, initial_director=None,
     c0_ss = xuu_e / jac[:, None] ** 2 - xu_e * (jac_u / jac ** 3)[:, None]
     return InitialFrameField(eval_points, x_e, c0_s, c0_ss, R[idx], K0, K0_s,
                              jac, jac_u)
-
-
-def initial_curvature(curve: NurbsCurve, eval_points, **kwargs) -> np.ndarray:
-    """Initial material curvature at the evaluation points (see bishop_frames)."""
-    return bishop_frames(curve, eval_points, **kwargs).K0

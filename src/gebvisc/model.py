@@ -246,17 +246,6 @@ class BeamModel:
             if not 0 <= load.patch < n_patches:
                 raise ValueError("distributed load references invalid patch")
 
-    def distributed_at(self, patch: int, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Total distributed (force, moment) per unit length at time t."""
-        f = np.zeros(3)
-        m = np.zeros(3)
-        for load in self.loads:
-            if load.patch == patch:
-                f = f + load.force(t)
-                if load.moment is not None:
-                    m = m + load.moment(t)
-        return f, m
-
     def end_load_at(self, patch: int, end: str, t: float):
         f = np.zeros(3)
         m = np.zeros(3)

@@ -275,17 +275,3 @@ def rotvec_from_quat_continuous(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ws = np.where(np.abs(w) < 1.0e-12, 1.0, w)
     f = np.where(small, 2.0 / ws * (1.0 - s * s / (3.0 * ws * ws)), angle / ss)
     return f[..., None] * v, angle
-
-
-def compose_rotvec(theta: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Rotation vector of exp(skew(theta)) @ exp(skew(delta)) via quaternions."""
-    return rotvec_from_quat(
-        quat_multiply(quat_from_rotvec(theta), quat_from_rotvec(delta)))
-
-
-def is_rotation(R: np.ndarray, tol: float = 1.0e-12) -> bool:
-    """True if ``R`` is proper orthogonal within ``tol`` (all batch entries)."""
-    R = np.asarray(R, dtype=float)
-    ortho = np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)).max()
-    det = np.abs(np.linalg.det(R) - 1.0).max()
-    return bool(ortho <= tol and det <= tol)

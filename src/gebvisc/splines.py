@@ -244,16 +244,6 @@ class NurbsCurve:
         return float(total)
 
 
-def arclength_derivatives(c0: NurbsCurve, u: float) -> tuple[float, float]:
-    """Jacobian J(u) = ||c0,_u|| and its parametric derivative J,_u."""
-    d = c0.eval(u, 2)
-    J = float(np.linalg.norm(d[1]))
-    if J <= MIN_JACOBIAN:
-        raise ValueError(f"degenerate parameterization at u = {u}")
-    J_u = float(np.dot(d[1], d[2]) / J)
-    return J, J_u
-
-
 def to_arclength(f_u: np.ndarray, f_uu: np.ndarray, J: float,
                  J_u: float) -> tuple[np.ndarray, np.ndarray]:
     """Convert parametric derivatives of any field to arc-length derivatives."""
@@ -289,10 +279,3 @@ def line_curve(start, end, degree: int, n: int) -> NurbsCurve:
     start = np.asarray(start, dtype=float)
     end = np.asarray(end, dtype=float)
     return NurbsCurve(kv, start + g[:, None] * (end - start))
-
-
-def interpolate_function(fn, degree: int, n: int) -> NurbsCurve:
-    """Interpolate an analytic curve ``fn: u in [0,1] -> R^3`` at Greville points."""
-    kv = KnotVector.open_uniform(degree, n)
-    g = greville(kv)
-    return interpolate_curve(g, np.array([fn(u) for u in g]), kv)

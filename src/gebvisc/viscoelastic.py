@@ -159,14 +159,6 @@ def trapezoidal_coeffs(taus: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarr
     return h / den, (2.0 * taus - h) / den
 
 
-def linearize_viscous(h: float, taus) -> np.ndarray:
-    """Factor h/(2 tau_a + h) picked up by branch strains under linearization.
-
-    This is exactly the amount by which the instantaneous stiffness is reduced
-    to the effective one in the tangent."""
-    return trapezoidal_coeffs(taus, h)[0]
-
-
 def _store(law: SectionLaw, key, arrays: tuple) -> tuple:
     """Cache the read-only ``arrays`` on ``law`` under ``key``.
 

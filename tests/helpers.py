@@ -5,9 +5,12 @@ import numpy as np
 from gebvisc import so3
 from gebvisc.beam_residual import (CollocationState, TangentBlocks,
                                    residual_force, residual_moment)
-from gebvisc.initial_geometry import InitialFrameField
+from gebvisc.initial_geometry import InitialFrameField, bishop_frames
 from gebvisc.integrator import apply_increment
-from gebvisc.viscoelastic import SectionGeometry, build_section_law
+from gebvisc.splines import (MIN_JACOBIAN, KnotVector, NurbsCurve, greville,
+                             interpolate_curve)
+from gebvisc.viscoelastic import (SectionGeometry, build_section_law,
+                                  trapezoidal_coeffs)
 
 
 def unit_law(elements=((2.0, 0.5), (1.0, 0.05)), nu=0.3):
@@ -105,3 +108,68 @@ def fd_tangent_blocks_force(state, law, CN_bar, n_dist, h):
 def fd_tangent_blocks_moment(state, law, CN_bar, CM_bar, m_dist, h):
     """Drop-in finite-difference oracle for ``tangent_blocks_moment``."""
     return fd_tangent(residual_moment, state, law, CN_bar, CM_bar, m_dist, h)
+
+
+def linearize_viscous(h: float, taus) -> np.ndarray:
+    """Factor h/(2 tau_a + h) picked up by branch strains under linearization.
+
+    This is exactly the amount by which the instantaneous stiffness is reduced
+    to the effective one in the tangent."""
+    return trapezoidal_coeffs(taus, h)[0]
+
+
+def compose_rotvec(theta: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Rotation vector of exp(skew(theta)) @ exp(skew(delta)) via quaternions."""
+    return so3.rotvec_from_quat(
+        so3.quat_multiply(so3.quat_from_rotvec(theta),
+                          so3.quat_from_rotvec(delta)))
+
+
+def initial_curvature(curve: NurbsCurve, eval_points, **kwargs) -> np.ndarray:
+    """Initial material curvature at the evaluation points (see bishop_frames)."""
+    return bishop_frames(curve, eval_points, **kwargs).K0
+
+
+def interpolate_function(fn, degree: int, n: int) -> NurbsCurve:
+    """Interpolate an analytic curve ``fn: u in [0,1] -> R^3`` at Greville points."""
+    kv = KnotVector.open_uniform(degree, n)
+    g = greville(kv)
+    return interpolate_curve(g, np.array([fn(u) for u in g]), kv)
+
+
+def patch_end(sim, k: int, end: str):
+    """(law-stack state, stacked point index) of the end ``end`` of patch
+    ``k`` of a simulation."""
+    patch, rt, pts = sim.runtimes[k]
+    return rt.state, pts.start + patch.end_index(end)
+
+
+def superpose_rotation(state: CollocationState, Q: np.ndarray) -> CollocationState:
+    """Rigidly rotate a state (and its initial configuration) by ``Q``.
+
+    Material quantities are untouched; used by the frame-indifference checks.
+    """
+    out = state.copy()
+    out.R = Q @ state.R
+    for name in ("c", "c_s", "c_ss", "v", "a", "eta"):
+        setattr(out, name, getattr(state, name) @ Q.T)
+    out.R0 = Q @ state.R0
+    return out
+
+
+def is_rotation(R: np.ndarray, tol: float = 1.0e-12) -> bool:
+    """True if ``R`` is proper orthogonal within ``tol`` (all batch entries)."""
+    R = np.asarray(R, dtype=float)
+    ortho = np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)).max()
+    det = np.abs(np.linalg.det(R) - 1.0).max()
+    return bool(ortho <= tol and det <= tol)
+
+
+def arclength_derivatives(c0: NurbsCurve, u: float) -> tuple[float, float]:
+    """Jacobian J(u) = ||c0,_u|| and its parametric derivative J,_u."""
+    d = c0.eval(u, 2)
+    J = float(np.linalg.norm(d[1]))
+    if J <= MIN_JACOBIAN:
+        raise ValueError(f"degenerate parameterization at u = {u}")
+    J_u = float(np.dot(d[1], d[2]) / J)
+    return J, J_u

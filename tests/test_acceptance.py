@@ -20,8 +20,7 @@ from gebvisc import so3
 from gebvisc.assembly import NewtonSettings, Simulation, time_march
 from gebvisc.beam_residual import (neumann_force_row, neumann_moment_row,
                                    residual_force, residual_moment,
-                                   superpose_rotation, tangent_blocks_force,
-                                   tangent_blocks_moment)
+                                   tangent_blocks_force, tangent_blocks_moment)
 from gebvisc.cli import fit_preplateau_slope, run_convergence, run_scenario
 from gebvisc.integrator import apply_increment, begin_step
 from gebvisc.model import (BeamModel, DistributedLoad, EndLoad, Joint,
@@ -33,7 +32,7 @@ from gebvisc.viscoelastic import (SectionGeometry, ViscousState,
                                   effective_stiffness, internal_forces,
                                   trapezoidal_coeffs, update_viscous_state)
 
-from helpers import random_state, relative_error, unit_law
+from helpers import random_state, relative_error, superpose_rotation, unit_law
 
 
 def ok(criterion, detail):
@@ -187,8 +186,8 @@ class TestCriterion4:
         sim = Simulation(model, NewtonSettings(tol_increment=1e-14,
                                                max_iterations=40))
         time_march(sim, 0.25, 5e-3)
-        for rt in sim.runtimes:
-            begin_step(rt.state, rt.patch.law, 5e-3)
+        for rt in sim.stacks:
+            begin_step(rt.state, rt.law, 5e-3)
         rep = sim.newton(5e-3, sim.t + 5e-3)
         r = np.array([x for x in rep.residual_norms if x > 0])
         assert len(r) >= 3
@@ -220,7 +219,7 @@ class TestCriterion5:
         G_inf = E_inf / (2 * (1 + nu))
         exact = -(F * L ** 3 / (3 * E_inf * I) + F * L / (G_inf * A))
         # strain stays small as required
-        kappa_max = max(np.abs(rt.state.kappa()).max() for rt in sim.runtimes)
+        kappa_max = max(np.abs(rt.state.kappa()).max() for rt in sim.stacks)
         assert kappa_max * side / 2 < 1e-4
         rel = abs(u3 - exact) / abs(exact)
         wall = time.perf_counter() - start
@@ -278,7 +277,7 @@ class TestCriterion7:
         err = np.abs(traj.probes["mid"] - np.outer(traj.times, v0)).max()
         strain = max(max(np.abs(rt.state.gamma()).max(),
                          np.abs(rt.state.kappa()).max())
-                     for rt in sim.runtimes)
+                     for rt in sim.stacks)
         assert err < 1e-12
         assert strain < 1e-12
         ok("7-flight", f"free flight error {err:.1e}, strain {strain:.1e}")
@@ -326,7 +325,7 @@ class TestCriterion7:
         sim = Simulation(model)
         time_march(sim, 10_000 * 2e-4, 2e-4)
         drift = max(np.abs(np.swapaxes(rt.state.R, -1, -2) @ rt.state.R
-                           - np.eye(3)).max() for rt in sim.runtimes)
+                           - np.eye(3)).max() for rt in sim.stacks)
         assert drift < 1e-10
         ok("7-drift", f"orthonormality drift {drift:.1e} after 10^4 steps")
 

@@ -6,12 +6,13 @@ import pytest
 from gebvisc import assembly
 from gebvisc.assembly import NewtonSettings, Simulation, time_march
 from gebvisc.beam_residual import BoundaryRow
-from gebvisc.integrator import begin_step
+from gebvisc.integrator import StepFailure, begin_step
 from gebvisc.model import (BeamModel, DistributedLoad, EndLoad, Joint,
                            LoadHistory, Patch, Probe, Support)
 from gebvisc.splines import KnotVector, greville, interpolate_curve, line_curve
 from gebvisc.viscoelastic import SectionGeometry, build_section_law
-from helpers import fd_tangent_blocks_force, fd_tangent_blocks_moment
+from helpers import (fd_tangent_blocks_force, fd_tangent_blocks_moment,
+                     patch_end)
 
 
 def pendulum_law():
@@ -72,9 +73,102 @@ def row_kinds_system(h=1e-3):
     third step."""
     sim = Simulation(row_kinds_model())
     time_march(sim, 2 * h, h)
-    for rt in sim.runtimes:
-        begin_step(rt.state, rt.patch.law, h)
+    for rt in sim.stacks:
+        begin_step(rt.state, rt.law, h)
     return sim.assemble(h, sim.t + h)
+
+
+def two_law_model():
+    """Four patches of two section laws and of degrees 3 and 4, each law
+    holding one patch of either degree, with joints between the laws."""
+    law_a = pendulum_law()
+    law_b = build_section_law(2e6, 0.3, [(1e6, 0.05), (5e5, 0.5)],
+                              SectionGeometry.circle(0.012), 1000.0)
+    O, A = np.zeros(3), np.array([0.4, 0.0, 0.0])
+    B = np.array([0.4, 0.4, 0.1])
+    kv = KnotVector.open_uniform(4, 8)
+    u = greville(kv)
+    arc = interpolate_curve(
+        u, A + np.outer(u, B - A) + np.outer(0.1 * np.sin(np.pi * u),
+                                             [0.0, 0.0, 1.0]), kv)
+    patches = [Patch(line_curve(O, A, 3, 7), law_a), Patch(arc, law_b),
+               Patch(line_curve(B, B + [0.4, 0.0, 0.0], 4, 8), law_a),
+               Patch(line_curve(B, B + [0.0, 0.4, -0.1], 3, 7), law_b)]
+    weight = LoadHistory.constant([0, 0, -0.8475])
+    return BeamModel(
+        patches,
+        supports=[Support(0, "start", "clamp"), Support(3, "end", "hinge")],
+        joints=[Joint([(0, "end"), (1, "start")]),
+                Joint([(1, "end"), (2, "start"), (3, "start")])],
+        loads=[DistributedLoad(k, weight) for k in (0, 1, 2)]
+        + [DistributedLoad(1, LoadHistory.constant([0.1, 0, 0]),
+                           LoadHistory.constant([0, 0.01, 0]))],
+        end_loads=[EndLoad(2, "end",
+                           force=LoadHistory.constant([0, 0.02, 0]))],
+        probes=[Probe(2, 1.0, "tip"), Probe(1, 0.5, "arc")])
+
+
+class TestStacking:
+    # recorded at commit 0eda50f, where every patch had its own runtime
+    REFERENCE = pathlib.Path(__file__).parent / "data" / "two_law_run.npz"
+
+    def test_two_laws_match_recorded(self):
+        h = 1e-3
+        sim = Simulation(two_law_model())
+        assert [rt.patches for rt in sim.stacks] == [[0, 2], [1, 3]]
+        traj = time_march(sim, 3 * h, h)
+        for rt in sim.stacks:
+            begin_step(rt.state, rt.law, h)
+        A, rhs = sim.assemble(h, sim.t + h)
+        ref = np.load(self.REFERENCE)
+        np.testing.assert_array_equal(traj.iterations, ref["iterations"])
+        for name in ("tip", "arc"):
+            np.testing.assert_array_equal(traj.probes[name], ref[name])
+        np.testing.assert_array_equal(A.indptr, ref["indptr"])
+        np.testing.assert_array_equal(A.indices, ref["indices"])
+        # the last bits of the 3x3 products in the kernels follow the BLAS
+        # thread count; rows are equilibrated to a largest entry of 1, so
+        # the absolute part of the tolerance is relative to the row
+        np.testing.assert_allclose(A.data, ref["data"], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(rhs, ref["rhs"], rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref["rhs"]).max())
+
+    @pytest.mark.parametrize("model", ["lattice", "two_law"])
+    def test_kernels_run_once_per_law_stack(self, model, monkeypatch):
+        if model == "lattice":
+            from gebvisc.scenarios import build_scenario
+            sim = Simulation(build_scenario("lattice", {"cells": 3})[0])
+            assert len(sim.runtimes) == 24
+        else:
+            sim = Simulation(two_law_model())
+        calls = {}
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(sim, "assemble")
+        for name in ("residual_force", "residual_moment",
+                     "tangent_blocks_force", "tangent_blocks_moment",
+                     "apply_increment", "begin_step", "commit_step"):
+            counted(assembly, name)
+        stacks = len({id(p.law) for p in sim.model.patches})
+        assert len(sim.stacks) == stacks
+        h = 5e-3
+        sim.assemble(h, h)
+        assert calls == {"assemble": 1, **dict.fromkeys(
+            ["residual_force", "residual_moment", "tangent_blocks_force",
+             "tangent_blocks_moment"], stacks)}
+        calls.clear()
+        sim.advance(h)
+        assert sim.total_iterations > 0
+        assert calls["tangent_blocks_force"] == stacks * calls["assemble"]
+        assert calls["apply_increment"] == stacks * sim.total_iterations
+        assert calls["begin_step"] == calls["commit_step"] == stacks
 
 
 class TestRowKinds:
@@ -133,11 +227,12 @@ class TestSystemStructure:
                                                  [0, 0, F]))])
         sim = Simulation(model)
         h = 1e6  # statics limit: inertia terms negligible
-        for rt in sim.runtimes:
-            begin_step(rt.state, rt.patch.law, h)
+        for rt in sim.stacks:
+            begin_step(rt.state, rt.law, h)
         report = sim.newton(h, h)
         assert report.converged
-        tip = sim.runtimes[0].state.c[-1] - sim.runtimes[0].patch.frames.c0[-1]
+        state, j = patch_end(sim, 0, "end")
+        tip = state.c[j] - sim.runtimes[0].patch.frames.c0[-1]
         I = np.pi * 0.05 ** 4 / 64
         A_sec = np.pi * 0.05 ** 2 / 4
         G = E / (2 * (1 + nu))
@@ -151,8 +246,8 @@ class TestNewton:
         model = BeamModel(model.patches, supports=model.supports, loads=[],
                           probes=[])  # no load: quiescent
         sim = Simulation(model)
-        for rt in sim.runtimes:
-            begin_step(rt.state, rt.patch.law, 1e-3)
+        for rt in sim.stacks:
+            begin_step(rt.state, rt.law, 1e-3)
         report = sim.newton(1e-3, 1e-3)
         assert report.converged
         assert report.iterations == 0
@@ -167,8 +262,8 @@ class TestNewton:
                          NewtonSettings(tol_increment=1e-13,
                                         max_iterations=30))
         traj = time_march(sim, 0.05, 5e-3)
-        for rt in sim.runtimes:
-            begin_step(rt.state, rt.patch.law, 5e-3)
+        for rt in sim.stacks:
+            begin_step(rt.state, rt.law, 5e-3)
         report = sim.newton(5e-3, sim.t + 5e-3)
         r = np.array(report.residual_norms)
         r = r[r > 1e-14]
@@ -211,7 +306,7 @@ class TestExactness:
         traj = time_march(sim, n_steps * h, h)
         expect = np.outer(traj.times, v0)
         assert np.abs(traj.probes["mid"] - expect).max() < 1e-12
-        for rt in sim.runtimes:
+        for rt in sim.stacks:
             assert np.abs(rt.state.gamma()).max() < 1e-12
             assert np.abs(rt.state.kappa()).max() < 1e-12
 
@@ -284,19 +379,16 @@ class TestJoints:
                                force=LoadHistory.constant([0, 0, 1e-3]))])
         sim = Simulation(model)
         h = 1e6
-        for rt in sim.runtimes:
-            begin_step(rt.state, rt.patch.law, h)
+        for rt in sim.stacks:
+            begin_step(rt.state, rt.law, h)
         report = sim.newton(h, h)
         assert report.converged
         from gebvisc.beam_residual import end_force_spatial
         from gebvisc.viscoelastic import effective_stiffness
         CN, _ = effective_stiffness(law, h)
-        fa, _, _ = end_force_spatial(sim.runtimes[0].state, law, CN,
-                                     sim.runtimes[0].patch.end_index("end"),
-                                     +1.0)
-        fb, _, _ = end_force_spatial(sim.runtimes[1].state, law, CN,
-                                     sim.runtimes[1].patch.end_index("start"),
-                                     -1.0)
+        (sa, ja), (sb, jb) = patch_end(sim, 0, "end"), patch_end(sim, 1, "start")
+        fa, _, _ = end_force_spatial(sa, law, CN, ja, +1.0)
+        fb, _, _ = end_force_spatial(sb, law, CN, jb, -1.0)
         assert np.abs(fa + fb).max() < 1e-8
         # transmitted force equals the applied tip load up to the collocation
         # equilibrium error of the coarse patch
@@ -313,11 +405,12 @@ class TestJoints:
             loads=[DistributedLoad(0, hist), DistributedLoad(1, hist)])
         sim = Simulation(model)
         time_march(sim, 0.1, 5e-3)
-        ca = sim.runtimes[0].state.c[-1]
-        cb = sim.runtimes[1].state.c[0]
+        (sa, ja), (sb, jb) = patch_end(sim, 0, "end"), patch_end(sim, 1, "start")
+        ca = sa.c[ja]
+        cb = sb.c[jb]
         assert np.linalg.norm(ca - cb) < 1e-9
-        Qa = sim.runtimes[0].state.R[-1] @ sim.runtimes[0].patch.frames.R0[-1].T
-        Qb = sim.runtimes[1].state.R[0] @ sim.runtimes[1].patch.frames.R0[0].T
+        Qa = sa.R[ja] @ sim.runtimes[0].patch.frames.R0[-1].T
+        Qb = sb.R[jb] @ sim.runtimes[1].patch.frames.R0[0].T
         assert np.abs(Qa - Qb).max() < 1e-9
 
 
@@ -337,3 +430,51 @@ class TestStepControl:
         sim = Simulation(model, NewtonSettings(max_iterations=8))
         traj = time_march(sim, 0.05, 0.025)
         assert sim.t == pytest.approx(0.05)
+
+    @staticmethod
+    def hard_step(**settings):
+        law = build_section_law(1e5, 0.3, [(9e5, 0.05)],
+                                SectionGeometry.circle(0.01), 1100.0)
+        curve = line_curve([0, 0, 0], [0, 0.5, 0], degree=3, n=10)
+        model = BeamModel([Patch(curve, law)],
+                          supports=[Support(0, "start", "clamp")],
+                          end_loads=[EndLoad(0, "end",
+                                             force=LoadHistory.constant(
+                                                 [0, 0, -5.0]))])
+        return Simulation(model, NewtonSettings(max_iterations=8, **settings))
+
+    def test_capped_retry_goes_on_from_plain_attempt(self, monkeypatch):
+        assembled = []
+        original = Simulation.assemble
+
+        def assemble(self, *args):
+            assembled.append(self)
+            return original(self, *args)
+
+        monkeypatch.setattr(Simulation, "assemble", assemble)
+        h = 0.025
+        replay = self.hard_step()
+        with pytest.raises(StepFailure):
+            replay._attempt(h, None)
+        # a retry from the step start, which repeats the plain attempt up to
+        # its first update above the cap
+        replay._attempt(h, replay.settings.retry_increment_cap)
+        sim = self.hard_step()
+        sim.advance(h)
+        assert 0 < assembled.count(sim) < assembled.count(replay)
+        assert sim.t == replay.t == h
+        st, ref = sim.stacks[0].state, replay.stacks[0].state
+        for name in st.ARRAYS + ("R", "qTheta"):
+            np.testing.assert_array_equal(getattr(st, name), getattr(ref, name))
+        np.testing.assert_array_equal(st.visc.branch, ref.visc.branch)
+        np.testing.assert_array_equal(sim.stacks[0].ctrl, replay.stacks[0].ctrl)
+
+    def test_capped_retry_skipped_without_capped_update(self, monkeypatch):
+        sim = self.hard_step(retry_increment_cap=1e9)
+        attempts = []
+        original = Simulation._attempt
+        monkeypatch.setattr(Simulation, "_attempt", lambda self, h, cap, *a: (
+            attempts.append((h, cap)) or original(self, h, cap, *a)))
+        sim.advance(0.025)
+        # a capped retry could only repeat the plain attempt: halve at once
+        assert attempts[:2] == [(0.025, None), (0.0125, None)]

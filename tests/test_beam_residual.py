@@ -4,15 +4,16 @@ import pytest
 from gebvisc import so3
 from gebvisc.beam_residual import (CollocationState, neumann_force_row,
                                    neumann_moment_row, residual_force,
-                                   residual_moment, superpose_rotation,
-                                   tangent_blocks_force, tangent_blocks_moment,
+                                   residual_moment, tangent_blocks_force,
+                                   tangent_blocks_moment,
                                    end_force_spatial, end_moment_spatial)
 from gebvisc.integrator import apply_increment
 from gebvisc.viscoelastic import (SectionGeometry, build_section_law,
                                   effective_stiffness, internal_forces,
                                   trapezoidal_coeffs)
 
-from helpers import random_state, relative_error, straight_frames, unit_law
+from helpers import (random_state, relative_error, straight_frames,
+                     superpose_rotation, unit_law)
 
 H = 0.02
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from gebvisc import so3
-from gebvisc.initial_geometry import bishop_frames, initial_curvature
-from gebvisc.splines import (KnotVector, NurbsCurve, greville,
-                             interpolate_function, line_curve)
+from gebvisc.initial_geometry import bishop_frames
+from gebvisc.splines import KnotVector, NurbsCurve, greville, line_curve
+from helpers import initial_curvature, interpolate_function, is_rotation
 
 
 def circle_curve(radius, n=40, degree=5, turns=0.7):
@@ -58,7 +58,7 @@ class TestCircle:
         c = circle_curve(1.0)
         pts = np.linspace(0.0, 1.0, 11)
         ff = bishop_frames(c, pts)
-        assert so3.is_rotation(ff.R0, tol=1e-10)
+        assert is_rotation(ff.R0, tol=1e-10)
         dots = np.einsum("ni,ni->n", ff.R0[:, :, 0], ff.c0_s)
         assert np.abs(dots - 1.0).max() < 1e-10
 
@@ -95,7 +95,7 @@ class TestSpivak:
         ff = bishop_frames(c, pts)
         assert np.all(np.isfinite(ff.R0))
         assert np.all(np.isfinite(ff.K0))
-        assert so3.is_rotation(ff.R0, tol=1e-9)
+        assert is_rotation(ff.R0, tol=1e-9)
         # directors vary continuously: per-gap change bounded by curvature * ds
         d = ff.R0[:, :, 1]
         gaps = np.linalg.norm(np.diff(d, axis=0), axis=-1)

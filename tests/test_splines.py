@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from gebvisc.splines import (KnotVector, NurbsCurve, arclength_derivatives,
-                             basis_eval, basis_matrices, greville,
-                             interpolate_curve, interpolate_function,
+from gebvisc.splines import (KnotVector, NurbsCurve, basis_eval,
+                             basis_matrices, greville, interpolate_curve,
                              line_curve, to_arclength)
+from helpers import arclength_derivatives, interpolate_function
 
 
 def spivak_point(s):

@@ -4,8 +4,8 @@ import pytest
 from gebvisc.viscoelastic import (MaxwellElement, SectionGeometry, ViscousState,
                                   build_section_law, compute_beta,
                                   effective_stiffness, internal_forces,
-                                  linearize_viscous, trapezoidal_coeffs,
-                                  update_viscous_state)
+                                  trapezoidal_coeffs, update_viscous_state)
+from helpers import linearize_viscous
 
 PLA_ELEMENTS = [
     (1.577e8, 0.02), (3.610e7, 0.18), (4.095e8, 17.0), (7.580e8, 117.0),
