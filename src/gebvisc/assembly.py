@@ -9,7 +9,10 @@ and it is solved with a sparse LU (dense for small problems) after row
 equilibration.  Patches that share a section law are stacked into one
 collocation state, so the residual and tangent kernels, the increment update
 and the step commit run once per law per Newton iteration, whatever the
-number of patches.
+number of patches.  The boundary and joint rows are planned at construction
+as index arrays over the patch ends: each end kernel runs at most once per
+law stack, on all the ends that need it, and the rows are written by index
+assignment, whatever the number of ends and joints.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .beam_residual import (BoundaryRow, CollocationState, end_force_spatial,
 from .initial_geometry import InitialFrameField
 from .integrator import (StepFailure, apply_increment, begin_step, commit_step,
                          initialize_accelerations)
-from .model import END, START, BeamModel, Support
+from .model import END, START, BeamModel
 from .splines import basis_eval, basis_matrices
 from .viscoelastic import effective_stiffness
 
@@ -141,27 +144,20 @@ PatchSlot = namedtuple("PatchSlot", "patch rt pts")
 FIXED = {None: [], "clamp": [0, 1, 2], "hinge": [0, 1, 2], "roller_x3": [2]}
 
 
-def _material_rows(blk, r, at: int, row: BoundaryRow) -> None:
-    """Material force (``at`` = 0) or moment (``at`` = 3) rows of an end."""
+#: ends of one law stack that one end kernel evaluates: their end ids (2 k
+#: and 2 k + 1 for the start and the end of patch k), stacked points and
+#: outward signs, and the term and point (six rows) of their own slots
+EndGroup = namedtuple("EndGroup", "ends pts sign terms slots")
+
+
+def _material_rows(B, r, group: EndGroup, at: int, row: BoundaryRow) -> None:
+    """Material force (``at`` = 0) or moment (``at`` = 3) rows of the ends
+    of ``group`` in their own slots."""
     rows = slice(at, at + 3)
-    blk[0, rows, 3:] = row.t
-    blk[1, rows, 3:] = row.ts
-    blk[1, rows, :3] = row.es
-    r[rows] = row.residual
-
-
-def _fixed_rows(blk, r, sup: Support, st: CollocationState, j: int,
-                c0: np.ndarray, t_next: float) -> None:
-    """Unit rows of what ``sup`` fixes at stacked point ``j`` (initially at
-    ``c0``): translation components toward the (moving) support position,
-    and a clamp's rotation."""
-    fixed = FIXED[sup.kind]
-    target = c0 if sup.motion is None else c0 + sup.motion(t_next)
-    blk[0, fixed, fixed] = 1.0
-    r[fixed] = target[fixed] - st.c[j][fixed]
-    if sup.kind == "clamp":
-        blk[0, 3:, 3:] = np.eye(3)
-        r[3:] = so3.log_so3(st.R[j].T @ st.R0[j])
+    B[group.terms, 0, rows, 3:] = row.t
+    B[group.terms, 1, rows, 3:] = row.ts
+    B[group.terms, 1, rows, :3] = row.es
+    r[group.slots, rows] = row.residual
 
 
 class Simulation:
@@ -184,12 +180,6 @@ class Simulation:
         slots = {k: PatchSlot(model.patches[k], rt, pts)
                  for rt in self.stacks for k, pts in zip(rt.patches, rt.pts)}
         self.runtimes = [slots[k] for k in range(len(model.patches))]
-        #: (law stack, stacked point index, outward sign, initial position)
-        #: of every patch end
-        self._ends = {(k, end): (rt, pts.start + patch.end_index(end),
-                                 patch.end_sign(end), patch.end_position(end))
-                      for k, (patch, rt, pts) in enumerate(self.runtimes)
-                      for end in (START, END)}
         self.t = 0.0
         self.total_iterations = 0
         self._resume = None
@@ -213,13 +203,19 @@ class Simulation:
                                         c.points[first:first + len(ders[0])])
 
     def _plan_boundary(self):
-        """End terms of the boundary and joint rows.
+        """End terms of the boundary and joint rows, and the index arrays
+        that fill them in one pass.
 
         A term couples the six rows of one end's slot with the value and ,s
         stencils of one end: its own, or in a joint that of the joint's first
         end.  Joints list their supported end first; its slot holds the
         balance terms of every end, the other slots their continuity terms.
+        End g is the start (g = 2 k) or the end (g = 2 k + 1) of patch k.
         """
+        keys = [(k, end) for k in range(len(self.runtimes))
+                for end in (START, END)]
+        gid = {key: g for g, key in enumerate(keys)}
+        n = len(keys)
         terms = []
 
         def term(slot_end, stencil_end):
@@ -229,7 +225,12 @@ class Simulation:
             terms.append((row, k, self.runtimes[k].patch.end_index(end)))
             return len(terms) - 1
 
-        self._joint_plans = []
+        # per end: the term of its own slot and stencil, the term that takes
+        # its spatial force and couple blocks, and the first end of its joint
+        # (itself off joints), whose support fixes translation rows
+        own, force = np.empty(n, dtype=int), np.empty(n, dtype=int)
+        lead = np.arange(n)
+        joint_ends, continuity = [], []
         for joint in self.model.joints:
             ends = [tuple(e) for e in joint.ends]
             sup = [e for e in ends if e in self._supported]
@@ -238,15 +239,18 @@ class Simulation:
             if sup:
                 ends.remove(sup[0])
                 ends.insert(0, sup[0])
-            balance = [term(ends[0], e) for e in ends]
-            continuity = [(term(e, e), term(e, ends[0])) for e in ends[1:]]
-            self._joint_plans.append((joint, ends, self._supported.get(ends[0]),
-                                      balance, continuity))
-        jointed = self.model.jointed_ends()
-        self._end_plans = [(k, end, self._supported.get((k, end)),
-                            term((k, end), (k, end)))
-                           for k in range(len(self.runtimes))
-                           for end in (START, END) if (k, end) not in jointed]
+            g = [gid[e] for e in ends]
+            force[g] = [term(ends[0], e) for e in ends]
+            own[g[0]] = force[g[0]]
+            for e, gi in zip(ends[1:], g[1:]):
+                own[gi] = term(e, e)
+                continuity.append((own[gi], term(e, ends[0]), gi, g[0]))
+            lead[g] = g[0]
+            joint_ends.append(g)
+        jointed = np.zeros(n, dtype=bool)
+        jointed[[g for ends in joint_ends for g in ends]] = True
+        for g in np.flatnonzero(~jointed):
+            own[g] = force[g] = term(keys[g], keys[g])
         self._term_rows = np.array([row for row, _, _ in terms], dtype=int)
         # one entry per stencil point of every term
         term_of, phi, cols = [], [], []
@@ -258,6 +262,90 @@ class Simulation:
         self._stencil_term = np.array(term_of, dtype=int)
         self._stencil_phi = np.concatenate(phi)[:, :, None, None]
         self._stencil_col = np.concatenate(cols)
+
+        slot = self._term_rows[own] // 6
+        at = [(self.runtimes[k], end) for k, end in keys]
+        of_stack = np.array([self.stacks.index(rt) for (_, rt, _), _ in at])
+        pts = np.array([pts.start + patch.end_index(end)
+                        for (patch, _, pts), end in at])
+        sign = np.array([patch.end_sign(end) for (patch, _, _), end in at])
+        self._end_c0 = np.array([patch.end_position(end)
+                                 for (patch, _, _), end in at])
+        self._end_R0 = np.array([patch.frames.R0[patch.end_index(end)]
+                                 for (patch, _, _), end in at])
+        kind = [getattr(self._supported.get(key), "kind", None) for key in keys]
+        supported = np.array([k is not None for k in kind])
+        clamped = np.array([k == "clamp" for k in kind])
+        fixed = np.array([[a in FIXED[k] for a in range(3)] for k in kind])
+        # translation rows that are spatial force rows: those of joint ends
+        # and of supported ends that their support leaves free
+        free = ~fixed[lead] & (jointed | supported)[:, None]
+
+        def groups(mask):
+            out = []
+            for s in range(len(self.stacks)):
+                g = np.flatnonzero(mask & (of_stack == s))
+                out.append(EndGroup(g, pts[g], sign[g], own[g], slot[g])
+                           if len(g) else None)
+            return out
+
+        #: per stack, the ends (None: none) of: every end; the Neumann force
+        #: rows (free ends); the Neumann moment rows (free, hinged and roller
+        #: ends); the spatial forces (ends with spatial force rows, and every
+        #: joint end for the balance); the spatial couples (joint ends)
+        self._end_groups = list(zip(
+            groups(np.ones(n, dtype=bool)), groups(~jointed & ~supported),
+            groups(~jointed & ~clamped), groups(jointed | free.any(axis=1)),
+            groups(jointed)))
+        #: end loads, resolved once: (force or couple, end, history)
+        self._end_loads = [(ch, gid[el.patch, el.end], history)
+                           for el in self.model.end_loads
+                           for ch, history in enumerate((el.force, el.moment))
+                           if history is not None]
+        g, a = np.nonzero(free)
+        #: (term, end, component) of every spatial force row, and (point,
+        #: end, component) of those off joints
+        self._force_rows = (force[g], g, a)
+        g, a = g[~jointed[g]], a[~jointed[g]]
+        self._support_force = (slot[g], g, a)
+
+        # joint balance
+        self._joint_loads = [(j, ch, history)
+                             for j, joint in enumerate(self.model.joints)
+                             for ch, history in enumerate((joint.force,
+                                                           joint.moment))
+                             if history is not None]
+        arity = np.full((len(joint_ends), max(map(len, joint_ends), default=0)),
+                        -1)
+        for j, g in enumerate(joint_ends):
+            arity[j, :len(g)] = g
+        #: per arity position: the joints that have an end there, and it
+        self._arity = [(np.flatnonzero(col >= 0), col[col >= 0])
+                       for col in arity.T]
+        first = np.array([g[0] for g in joint_ends], dtype=int)
+        j, a = np.nonzero(free[first])
+        #: (point, joint, component) of the force rows of the balance,
+        #: (point, joint) of its moment rows and (term, end) of their blocks
+        self._balance_force = (slot[first[j]], j, a)
+        j = np.flatnonzero(~clamped[first])
+        self._balance_moment = (slot[first[j]], j)
+        g = np.flatnonzero(jointed & ~clamped[lead])
+        self._couple_blocks = (force[g], g)
+        #: (own term, term on the first end's stencil, point, end, first end)
+        own_c, first_c, g, g0 = np.array(continuity, dtype=int).reshape(-1, 4).T
+        self._continuity = (own_c, first_c, slot[g], g, g0)
+
+        # supports
+        self._motions = [(gid[s.patch, s.end], s.motion)
+                         for s in self.model.supports if s.motion is not None]
+        g, a = np.nonzero(fixed)
+        #: (term, point, end, component) of every fixed translation and
+        #: (term, end) of every clamp
+        self._fixed = (own[g], slot[g], g, a)
+        g = np.flatnonzero(clamped)
+        self._clamped = (own[g], g)
+        #: points of the rotation rows: joint continuity, then clamps
+        self._rotation_slots = np.concatenate([self._continuity[2], slot[g]])
 
     def _plan_pattern(self):
         """CSC structure of the whole system and the slot of every value.
@@ -318,7 +406,8 @@ class Simulation:
                 st.W = np.tile(np.asarray(W0, dtype=float), (st.n, 1))
             initialize_accelerations(st, rt.law, *fm[:, rt.patch_of_point])
         for (pk, end), sup in self._supported.items():
-            rt, j, _, _ = self._ends[pk, end]
+            patch, rt, pts = self.runtimes[pk]
+            j = pts.start + patch.end_index(end)
             rt.state.a[j, FIXED[sup.kind]] = 0.0
             if sup.kind == "clamp":
                 rt.state.A[j] = 0.0
@@ -379,92 +468,88 @@ class Simulation:
         stencil of the term's end.  Rows 0:3 of a block are the force (or
         translation) rows of its slot and rows 3:6 the moment (or rotation)
         rows; columns 0:3 act on the displacement and 3:6 on the rotation
-        increment of each control point.
+        increment of each control point.  Each end kernel runs at most once
+        per law stack, on all the ends that need it.
         """
         B = np.zeros((len(self._term_rows), 2, 6, 6))
-        for plan in self._joint_plans:
-            self._joint_rows(B, rhs, h, t_next, *plan)
-        for k, end, sup, term in self._end_plans:
-            row = self._term_rows[term]
-            args = (B[term], rhs[row:row + 6], h, t_next, k, end)
-            if sup is None:
-                self._free_end_rows(*args)
-            else:
-                self._support_rows(*args, sup)
-        return B
+        r = rhs.reshape(-1, 6)
+        n = len(self._end_c0)
+        c, R = np.empty((n, 3)), np.empty((n, 3, 3))
+        # spatial end force and couple (end, 2, 3), and their blocks
+        fm = np.empty((n, 2, 3))
+        ft, fes, mt, mts = np.empty((4, n, 3, 3))
+        loads = np.zeros((2, n, 3))
+        for ch, g, history in self._end_loads:
+            loads[ch, g] += history(t_next)
+        for rt, (every, nf, nm, fs, ms) in zip(self.stacks, self._end_groups):
+            st, law = rt.state, rt.law
+            CN_bar, CM_bar = effective_stiffness(law, h)
+            c[every.ends] = st.c[every.pts]
+            R[every.ends] = st.R[every.pts]
+            if nf is not None:
+                _material_rows(B, r, nf, 0, neumann_force_row(
+                    st, law, CN_bar, nf.pts, loads[0, nf.ends], nf.sign))
+            if nm is not None:
+                _material_rows(B, r, nm, 3, neumann_moment_row(
+                    st, law, CM_bar, nm.pts, loads[1, nm.ends], nm.sign))
+            if fs is not None:
+                fm[fs.ends, 0], ft[fs.ends], fes[fs.ends] = end_force_spatial(
+                    st, law, CN_bar, fs.pts, fs.sign)
+            if ms is not None:
+                fm[ms.ends, 1], mt[ms.ends], mts[ms.ends] = end_moment_spatial(
+                    st, law, CM_bar, ms.pts, ms.sign)
 
-    def _free_end_rows(self, blk, r, h, t_next, k, end):
-        rt, j, sign, _ = self._ends[k, end]
-        CN_bar, CM_bar = effective_stiffness(rt.law, h)
-        f_c, m_c = self.model.end_load_at(k, end, t_next)
-        _material_rows(blk, r, 0, neumann_force_row(rt.state, rt.law, CN_bar,
-                                                    j, f_c, sign))
-        _material_rows(blk, r, 3, neumann_moment_row(rt.state, rt.law, CM_bar,
-                                                     j, m_c, sign))
+        # spatial force rows of the translation components left free
+        T, g, a = self._force_rows
+        if len(g):
+            B[T, 0, a, 3:] = ft[g, a]
+            B[T, 1, a, :3] = fes[g, a]
+            p, g, a = self._support_force
+            r[p, a] = -fm[g, 0, a]
 
-    def _support_rows(self, blk, r, h, t_next, k, end, sup: Support):
-        rt, j, sign, c0 = self._ends[k, end]
-        CN_bar, CM_bar = effective_stiffness(rt.law, h)
-        free = [a for a in range(3) if a not in FIXED[sup.kind]]
-        if free:
-            # spatial-frame force rows for the components left free (a
-            # supported end carries no end load)
-            f, bt, bes = end_force_spatial(rt.state, rt.law, CN_bar, j, sign)
-            blk[0, free, 3:] = bt[free]
-            blk[1, free, :3] = bes[free]
-            r[free] = -f[free]
-        _fixed_rows(blk, r, sup, rt.state, j, c0, t_next)
-        if sup.kind != "clamp":
-            _material_rows(blk, r, 3, neumann_moment_row(
-                rt.state, rt.law, CM_bar, j, np.zeros(3), sign))
-
-    def _joint_rows(self, B, rhs, h, t_next, joint, ends, support, balance,
-                    continuity):
-        rt0, j0, _, c00 = self._ends[ends[0]]
-        st0 = rt0.state
-        Q0 = st0.R[j0] @ st0.R0[j0].T
-
-        # continuity rows in the slots of ends 1..k-1:
-        # d_eta_i - d_eta_0 = c_0 - c_i, R_i dTheta_i - R_0 dTheta_0 = log(Q_0 Q_i^T)
-        for (k, end), (own, first) in zip(ends[1:], continuity):
-            rt, j, _, _ = self._ends[k, end]
-            st = rt.state
+        own, first, p, g, g0 = self._continuity
+        if self._arity:
+            # balance in the slot of the first end: the applied load less
+            # the end resultants, end by end
+            S = np.zeros((len(self.model.joints), 2, 3))
+            for j, ch, history in self._joint_loads:
+                S[j, ch] = history(t_next)
+            for js, gs in self._arity:
+                S[js] -= fm[gs]
+            q, j, a = self._balance_force
+            r[q, a] = S[j, 0, a]
+            q, j = self._balance_moment
+            r[q, 3:] = S[j, 1]
+            T, e = self._couple_blocks
+            B[T, 0, 3:, 3:] = mt[e]
+            B[T, 1, 3:, 3:] = mts[e]
+            # continuity in the slots of the other ends: d_eta_i - d_eta_0 =
+            # c_0 - c_i, R_i dTheta_i - R_0 dTheta_0 = log(Q_0 Q_i^T)
             B[own, 0, :3, :3] = np.eye(3)
-            B[own, 0, 3:, 3:] = st.R[j]
+            B[own, 0, 3:, 3:] = R[g]
             B[first, 0, :3, :3] = -np.eye(3)
-            B[first, 0, 3:, 3:] = -st0.R[j0]
-            row = self._term_rows[own]
-            rhs[row:row + 3] = st0.c[j0] - st.c[j]
-            Qi = st.R[j] @ st.R0[j].T
-            rhs[row + 3:row + 6] = so3.log_so3(Q0 @ Qi.T)
+            B[first, 0, 3:, 3:] = -R[g0]
+            r[p, :3] = c[g0] - c[g]
 
-        # balance rows in the slot of end 0, less the rows its support fixes
-        kind = support.kind if support is not None else None
-        free = [a for a in range(3) if a not in FIXED[kind]]
-        moments = kind != "clamp"
-        f_J = joint.force(t_next) if joint.force is not None else np.zeros(3)
-        m_J = joint.moment(t_next) if joint.moment is not None else np.zeros(3)
-        res_F = f_J.copy()
-        res_M = m_J.copy()
-        for (k, end), term in zip(ends, balance):
-            rt, j, sign, _ = self._ends[k, end]
-            CN_bar, CM_bar = effective_stiffness(rt.law, h)
-            f, bt, bes = end_force_spatial(rt.state, rt.law, CN_bar, j, sign)
-            m, mt, mts = end_moment_spatial(rt.state, rt.law, CM_bar, j, sign)
-            res_F -= f
-            res_M -= m
-            B[term, 0, free, 3:] = bt[free]
-            B[term, 1, free, :3] = bes[free]
-            if moments:
-                B[term, 0, 3:, 3:] = mt
-                B[term, 1, 3:, 3:] = mts
-        row = self._term_rows[balance[0]]
-        r = rhs[row:row + 6]
-        r[free] = res_F[free]
-        if moments:
-            r[3:] = res_M
-        if support is not None:
-            _fixed_rows(B[balance[0]], r, support, st0, j0, c00, t_next)
+        # supports: translations toward the (moving) support position, and a
+        # clamp's rotation
+        X = self._end_c0
+        if self._motions:
+            X = X.copy()
+            for e, motion in self._motions:
+                X[e] += motion(t_next)
+        T, p, e, a = self._fixed
+        B[T, 0, a, a] = 1.0
+        r[p, a] = X[e, a] - c[e, a]
+        T, e = self._clamped
+        B[T, 0, 3:, 3:] = np.eye(3)
+        if len(self._rotation_slots):
+            R0 = self._end_R0
+            Q = R @ np.swapaxes(R0, -1, -2)
+            rot = np.concatenate([Q[g0] @ np.swapaxes(Q[g], -1, -2),
+                                  np.swapaxes(R[e], -1, -2) @ R0[e]])
+            r[self._rotation_slots, 3:] = so3.log_so3(rot)
+        return B
 
     # -- solving ---------------------------------------------------------------
 

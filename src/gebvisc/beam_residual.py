@@ -124,16 +124,23 @@ def _rowscale(d: np.ndarray, M: np.ndarray) -> np.ndarray:
     return d[None, :, None] * M
 
 
-def _kin(state: CollocationState, pts=slice(None)):
-    """Shared kinematic quantities (RT, y, Gam, Gam_s, Kap, Kap_s) at the
-    points ``pts`` (all by default)."""
-    RT = np.swapaxes(state.R[pts], -1, -2)
-    K = state.K[pts]
-    y = np.einsum("nij,nj->ni", RT, state.c_s[pts])
-    Gam = y - state.Gref[pts]
-    Gam_s = (-np.cross(K, y)
-             + np.einsum("nij,nj->ni", RT, state.c_ss[pts]) - state.Gref_s[pts])
-    return RT, y, Gam, Gam_s, K - state.K0[pts], state.K_s[pts] - state.K0_s[pts]
+def _kin(state: CollocationState):
+    """Shared kinematic quantities (RT, y, Gam, Gam_s, Kap, Kap_s) at every
+    point."""
+    RT = np.swapaxes(state.R, -1, -2)
+    y = np.einsum("nij,nj->ni", RT, state.c_s)
+    Gam_s = (-np.cross(state.K, y)
+             + np.einsum("nij,nj->ni", RT, state.c_ss) - state.Gref_s)
+    return (RT, y, y - state.Gref, Gam_s, state.K - state.K0,
+            state.K_s - state.K0_s)
+
+
+def _end_kin(state: CollocationState, pts: np.ndarray):
+    """(R, R^T, y, Gam) of ``_kin`` at the points ``pts``."""
+    R = state.R.take(pts, axis=0)
+    RT = np.swapaxes(R, -1, -2)
+    y = np.einsum("nij,nj->ni", RT, state.c_s.take(pts, axis=0))
+    return R, RT, y, y - state.Gref.take(pts, axis=0)
 
 
 def residual_force(state: CollocationState, law: SectionLaw, CN_bar: np.ndarray,
@@ -225,13 +232,17 @@ def tangent_blocks_moment(state: CollocationState, law: SectionLaw,
 
 
 # ---------------------------------------------------------------------------
-# Boundary rows.  ``sign`` is the outward normal of the end (+1 at u = 1,
-# -1 at u = 0): an applied end load f satisfies sign * n(end) = f.
+# Boundary rows, stacked over a set of ends given as an index array ``pts`` of
+# points.  ``sign`` (e,) is the outward normal of each end (+1 at u = 1, -1 at
+# u = 0): an applied end load f satisfies sign * n(end) = f.  The 3x3
+# products use ``@``, which gives the bits of the one-matrix product on each
+# end of the stack.
 # ---------------------------------------------------------------------------
 
 @dataclass
 class BoundaryRow:
-    """Residual (3,) and tangent blocks of one boundary condition row."""
+    """Residuals (e, 3) and tangent blocks (e, 3, 3) of one boundary
+    condition row at e ends."""
     residual: np.ndarray
     t: np.ndarray        # block on the rotation increment
     ts: np.ndarray       # block on its first arc-length derivative
@@ -239,58 +250,65 @@ class BoundaryRow:
 
 
 def neumann_force_row(state: CollocationState, law: SectionLaw,
-                      CN_bar: np.ndarray, i: int, n_c: np.ndarray,
-                      sign: float) -> BoundaryRow:
-    """Material force boundary row at point index ``i`` with end load ``n_c``."""
-    pt = slice(i, i + 1)
-    RT, y, Gam, _, _, _ = _kin(state, pt)
-    SbG, _ = state.visc.force_history(law, pt)
-    rn = RT[0] @ n_c
-    res = SbG[0] - CN_bar * Gam[0] + sign * rn
-    t = CN_bar[:, None] * so3.skew(y[0]) - sign * so3.skew(rn)
-    es = CN_bar[:, None] * RT[0]
-    return BoundaryRow(residual=res, t=t, ts=np.zeros((3, 3)), es=es)
+                      CN_bar: np.ndarray, pts: np.ndarray, n_c: np.ndarray,
+                      sign: np.ndarray) -> BoundaryRow:
+    """Material force boundary rows at the points ``pts`` with end loads
+    ``n_c`` (e, 3)."""
+    _, RT, y, Gam = _end_kin(state, pts)
+    SbG, _ = state.visc.force_history(law, pts)
+    rn = (RT @ n_c[:, :, None])[..., 0]
+    res = SbG - CN_bar * Gam + sign[:, None] * rn
+    t = CN_bar[:, None] * so3.skew(y) - sign[:, None, None] * so3.skew(rn)
+    es = CN_bar[:, None] * RT
+    return BoundaryRow(residual=res, t=t, ts=np.zeros(t.shape), es=es)
 
 
 def neumann_moment_row(state: CollocationState, law: SectionLaw,
-                       CM_bar: np.ndarray, i: int, m_c: np.ndarray,
-                       sign: float) -> BoundaryRow:
-    """Material moment boundary row at point index ``i`` with end couple ``m_c``."""
-    Kap = state.K[i] - state.K0[i]
-    SbK, _ = state.visc.couple_history(law, slice(i, i + 1))
-    rm = state.R[i].T @ m_c
-    res = SbK[0] - CM_bar * Kap + sign * rm
-    t = CM_bar[:, None] * so3.skew(state.K[i]) - sign * so3.skew(rm)
-    return BoundaryRow(residual=res, t=t, ts=np.diag(CM_bar),
-                       es=np.zeros((3, 3)))
+                       CM_bar: np.ndarray, pts: np.ndarray, m_c: np.ndarray,
+                       sign: np.ndarray) -> BoundaryRow:
+    """Material moment boundary rows at the points ``pts`` with end couples
+    ``m_c`` (e, 3)."""
+    K = state.K.take(pts, axis=0)
+    Kap = K - state.K0.take(pts, axis=0)
+    SbK, _ = state.visc.couple_history(law, pts)
+    RT = np.swapaxes(state.R.take(pts, axis=0), -1, -2)
+    rm = (RT @ m_c[:, :, None])[..., 0]
+    res = SbK - CM_bar * Kap + sign[:, None] * rm
+    t = CM_bar[:, None] * so3.skew(K) - sign[:, None, None] * so3.skew(rm)
+    ts = np.empty(t.shape)
+    ts[:] = np.diag(CM_bar)
+    return BoundaryRow(residual=res, t=t, ts=ts, es=np.zeros(t.shape))
 
 
 def end_force_spatial(state: CollocationState, law: SectionLaw,
-                      CN_bar: np.ndarray, i: int, sign: float):
-    """Spatial end force sign * R N at point ``i`` and its tangent blocks.
+                      CN_bar: np.ndarray, pts: np.ndarray, sign: np.ndarray):
+    """Spatial end forces sign * R N at the points ``pts`` and their tangent
+    blocks.
 
-    Returns (force (3,), block_theta, block_eta_s); used for joint balance and
-    component-wise mixed supports, where rows live in the fixed frame.
+    Returns (forces (e, 3), blocks_theta, blocks_eta_s (e, 3, 3)); used for
+    joint balance and component-wise mixed supports, where rows live in the
+    fixed frame.
     """
-    pt = slice(i, i + 1)
-    RT, y, Gam, _, _, _ = _kin(state, pt)
-    SbG, _ = state.visc.force_history(law, pt)
-    zF = CN_bar * Gam[0] - SbG[0]
-    R = state.R[i]
-    f = sign * (R @ zF)
-    blk_t = sign * (R @ (CN_bar[:, None] * so3.skew(y[0]) - so3.skew(zF)))
-    blk_es = sign * (R @ (CN_bar[:, None] * RT[0]))
+    R, RT, y, Gam = _end_kin(state, pts)
+    SbG, _ = state.visc.force_history(law, pts)
+    zF = CN_bar * Gam - SbG
+    f = sign[:, None] * (R @ zF[:, :, None])[..., 0]
+    s = sign[:, None, None]
+    blk_t = s * (R @ (CN_bar[:, None] * so3.skew(y) - so3.skew(zF)))
+    blk_es = s * (R @ (CN_bar[:, None] * RT))
     return f, blk_t, blk_es
 
 
 def end_moment_spatial(state: CollocationState, law: SectionLaw,
-                       CM_bar: np.ndarray, i: int, sign: float):
-    """Spatial end couple sign * R M at point ``i`` and its tangent blocks."""
-    Kap = state.K[i] - state.K0[i]
-    SbK, _ = state.visc.couple_history(law, slice(i, i + 1))
-    zM = CM_bar * Kap - SbK[0]
-    R = state.R[i]
-    m = sign * (R @ zM)
-    blk_t = sign * (R @ (CM_bar[:, None] * so3.skew(state.K[i]) - so3.skew(zM)))
-    blk_ts = sign * (R @ np.diag(CM_bar))
+                       CM_bar: np.ndarray, pts: np.ndarray, sign: np.ndarray):
+    """Spatial end couples sign * R M at the points ``pts`` and their tangent
+    blocks (couples (e, 3), blocks_theta, blocks_theta_s (e, 3, 3))."""
+    K = state.K.take(pts, axis=0)
+    SbK, _ = state.visc.couple_history(law, pts)
+    zM = CM_bar * (K - state.K0.take(pts, axis=0)) - SbK
+    R = state.R.take(pts, axis=0)
+    m = sign[:, None] * (R @ zM[:, :, None])[..., 0]
+    s = sign[:, None, None]
+    blk_t = s * (R @ (CM_bar[:, None] * so3.skew(K) - so3.skew(zM)))
+    blk_ts = s * (R @ np.diag(CM_bar))
     return m, blk_t, blk_ts

@@ -30,6 +30,45 @@ JOINT_TOL = 1.0e-9
 START, END = "start", "end"
 
 
+def _sine_ramp_hold(value, t, t_ramp):
+    return value * np.sin(0.5 * np.pi * t / t_ramp) if t <= t_ramp else value
+
+
+def _raised_sine_pulse(value, t, omega, t_end):
+    if t <= t_end:
+        return value * 0.5 * (1.0 - np.sin(omega * t + 0.5 * np.pi))
+    return 0.0 * value
+
+
+def _table(value, t, times, values):
+    out = np.empty(3)
+    for k in range(3):
+        out[k] = np.interp(t, times, np.asarray(values)[:, k])
+    return out
+
+
+#: per load history kind: its evaluator ``f(value, t, **params)`` and the
+#: keys of its configuration entries, in the order of the arguments of the
+#: ``LoadHistory`` constructor of the same name
+HISTORY_KINDS = {
+    "constant": (lambda value, t: value, ("value",)),
+    "impulse_hold_release": (
+        lambda value, t, t_off: value if t <= t_off else 0.0 * value,
+        ("value", "t_off")),
+    "sine_ramp_hold": (_sine_ramp_hold, ("value", "t_ramp")),
+    "raised_sine_pulse": (_raised_sine_pulse, ("peak", "omega", "t_end")),
+    "table": (_table, ("times", "values")),
+}
+
+
+def _history_kind(kind: str):
+    """(evaluator, configuration keys) of a load history kind."""
+    try:
+        return HISTORY_KINDS[kind]
+    except KeyError:
+        raise ValueError(f"unknown load history kind '{kind}'") from None
+
+
 class LoadHistory:
     """Piecewise-defined vector load history, evaluable at any t >= 0."""
 
@@ -39,26 +78,7 @@ class LoadHistory:
         self.params = params
 
     def __call__(self, t: float) -> np.ndarray:
-        p = self.params
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "impulse_hold_release":
-            return self.value if t <= p["t_off"] else 0.0 * self.value
-        if self.kind == "sine_ramp_hold":
-            t_ramp = p["t_ramp"]
-            if t <= t_ramp:
-                return self.value * np.sin(0.5 * np.pi * t / t_ramp)
-            return self.value
-        if self.kind == "raised_sine_pulse":
-            if t <= p["t_end"]:
-                return self.value * 0.5 * (1.0 - np.sin(p["omega"] * t + 0.5 * np.pi))
-            return 0.0 * self.value
-        if self.kind == "table":
-            out = np.empty(3)
-            for k in range(3):
-                out[k] = np.interp(t, p["times"], np.asarray(p["values"])[:, k])
-            return out
-        raise ValueError(f"unknown load history kind '{self.kind}'")
+        return _history_kind(self.kind)[0](self.value, t, **self.params)
 
     @classmethod
     def constant(cls, value):
@@ -200,13 +220,6 @@ class BeamModel:
     def n_dofs(self) -> int:
         return 6 * sum(p.n for p in self.patches)
 
-    def jointed_ends(self) -> dict[tuple[int, str], int]:
-        out = {}
-        for j, joint in enumerate(self.joints):
-            for e in joint.ends:
-                out[tuple(e)] = j
-        return out
-
     def supported_ends(self) -> dict[tuple[int, str], Support]:
         return {(s.patch, s.end): s for s in self.supports}
 
@@ -245,17 +258,6 @@ class BeamModel:
         for load in self.loads:
             if not 0 <= load.patch < n_patches:
                 raise ValueError("distributed load references invalid patch")
-
-    def end_load_at(self, patch: int, end: str, t: float):
-        f = np.zeros(3)
-        m = np.zeros(3)
-        for el in self.end_loads:
-            if el.patch == patch and el.end == end:
-                if el.force is not None:
-                    f = f + el.force(t)
-                if el.moment is not None:
-                    m = m + el.moment(t)
-        return f, m
 
 
 # ---------------------------------------------------------------------------
@@ -543,18 +545,8 @@ def _law_from_config(cfg: dict) -> SectionLaw:
 
 def _history_from_config(cfg: dict) -> LoadHistory:
     kind = cfg["kind"]
-    if kind == "constant":
-        return LoadHistory.constant(cfg["value"])
-    if kind == "impulse_hold_release":
-        return LoadHistory.impulse_hold_release(cfg["value"], cfg["t_off"])
-    if kind == "sine_ramp_hold":
-        return LoadHistory.sine_ramp_hold(cfg["value"], cfg["t_ramp"])
-    if kind == "raised_sine_pulse":
-        return LoadHistory.raised_sine_pulse(cfg["peak"], cfg["omega"],
-                                             cfg["t_end"])
-    if kind == "table":
-        return LoadHistory.table(cfg["times"], cfg["values"])
-    raise ValueError(f"unknown load history kind '{kind}'")
+    _, keys = _history_kind(kind)
+    return getattr(LoadHistory, kind)(*(cfg[key] for key in keys))
 
 
 def model_from_config(cfg: dict) -> tuple[BeamModel, dict]:

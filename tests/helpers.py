@@ -3,8 +3,9 @@
 import numpy as np
 
 from gebvisc import so3
-from gebvisc.beam_residual import (CollocationState, TangentBlocks,
-                                   residual_force, residual_moment)
+from gebvisc.beam_residual import (BoundaryRow, CollocationState,
+                                   TangentBlocks, residual_force,
+                                   residual_moment)
 from gebvisc.initial_geometry import InitialFrameField, bishop_frames
 from gebvisc.integrator import apply_increment
 from gebvisc.splines import (MIN_JACOBIAN, KnotVector, NurbsCurve, greville,
@@ -142,6 +143,17 @@ def patch_end(sim, k: int, end: str):
     ``k`` of a simulation."""
     patch, rt, pts = sim.runtimes[k]
     return rt.state, pts.start + patch.end_index(end)
+
+
+def one_end(kernel, state, law, bar, i, *args):
+    """A stacked end kernel at the one point ``i``, given the load and the
+    outward sign of that end (a vector and a scalar) and returning its
+    outputs at that end."""
+    out = kernel(state, law, bar, np.array([i]),
+                 *(np.asarray(x, dtype=float)[None] for x in args))
+    if isinstance(out, BoundaryRow):
+        return BoundaryRow(out.residual[0], out.t[0], out.ts[0], out.es[0])
+    return tuple(x[0] for x in out)
 
 
 def superpose_rotation(state: CollocationState, Q: np.ndarray) -> CollocationState:

@@ -32,7 +32,8 @@ from gebvisc.viscoelastic import (SectionGeometry, ViscousState,
                                   effective_stiffness, internal_forces,
                                   trapezoidal_coeffs, update_viscous_state)
 
-from helpers import random_state, relative_error, superpose_rotation, unit_law
+from helpers import (one_end, random_state, relative_error,
+                     superpose_rotation, unit_law)
 
 
 def ok(criterion, detail):
@@ -164,12 +165,12 @@ class TestCriterion4:
             sign = -1.0 if i == 0 else 1.0
             n_c = rng.normal(size=3)
             m_c = rng.normal(size=3)
-            rf = neumann_force_row(st, law, CN, i, n_c, sign)
-            rm = neumann_moment_row(st, law, CM, i, m_c, sign)
-            fd_f = -(neumann_force_row(sp, law, CN, i, n_c, sign).residual
-                     - neumann_force_row(sm, law, CN, i, n_c, sign).residual) / (2 * eps)
-            fd_m = -(neumann_moment_row(sp, law, CM, i, m_c, sign).residual
-                     - neumann_moment_row(sm, law, CM, i, m_c, sign).residual) / (2 * eps)
+            rf = one_end(neumann_force_row, st, law, CN, i, n_c, sign)
+            rm = one_end(neumann_moment_row, st, law, CM, i, m_c, sign)
+            fd_f = -(one_end(neumann_force_row, sp, law, CN, i, n_c, sign).residual
+                     - one_end(neumann_force_row, sm, law, CN, i, n_c, sign).residual) / (2 * eps)
+            fd_m = -(one_end(neumann_moment_row, sp, law, CM, i, m_c, sign).residual
+                     - one_end(neumann_moment_row, sm, law, CM, i, m_c, sign).residual) / (2 * eps)
             an_f = rf.t @ inc[3][i] + rf.ts @ inc[4][i] + rf.es @ inc[1][i]
             an_m = rm.t @ inc[3][i] + rm.ts @ inc[4][i] + rm.es @ inc[1][i]
             worst_bc = max(worst_bc, relative_error(fd_f[None], an_f[None]),

@@ -2,18 +2,23 @@ import numpy as np
 import pytest
 
 from gebvisc import so3
-from gebvisc.beam_residual import (CollocationState, neumann_force_row,
-                                   neumann_moment_row, residual_force,
+from gebvisc.assembly import Simulation, time_march
+from gebvisc.beam_residual import (BoundaryRow, CollocationState,
+                                   neumann_force_row, neumann_moment_row,
+                                   residual_force,
                                    residual_moment, tangent_blocks_force,
                                    tangent_blocks_moment,
                                    end_force_spatial, end_moment_spatial)
 from gebvisc.integrator import apply_increment
+from gebvisc.model import (BeamModel, EndLoad, Joint, LoadHistory, Patch,
+                           Support)
+from gebvisc.splines import line_curve
 from gebvisc.viscoelastic import (SectionGeometry, build_section_law,
                                   effective_stiffness, internal_forces,
                                   trapezoidal_coeffs)
 
-from helpers import (random_state, relative_error, straight_frames,
-                     superpose_rotation, unit_law)
+from helpers import (one_end, random_state, relative_error,
+                     straight_frames, superpose_rotation, unit_law)
 
 H = 0.02
 
@@ -196,9 +201,9 @@ class TestBoundaryRows:
         law = unit_law()
         st = CollocationState(straight_frames(5), law)
         CN, CM = bars(law)
-        row = neumann_force_row(st, law, CN, 4, np.zeros(3), +1.0)
+        row = one_end(neumann_force_row, st, law, CN, 4, np.zeros(3), +1.0)
         assert np.abs(row.residual).max() == 0.0
-        row = neumann_moment_row(st, law, CM, 0, np.zeros(3), -1.0)
+        row = one_end(neumann_moment_row, st, law, CM, 0, np.zeros(3), -1.0)
         assert np.abs(row.residual).max() == 0.0
 
     def test_elastic_tip_force_algebra(self):
@@ -209,8 +214,47 @@ class TestBoundaryRows:
         Gam = (st.R[i].T @ f) / law.CN0
         st.c_s[i] = st.R[i] @ (st.Gref[i] + Gam)
         CN, _ = bars(law)
-        row = neumann_force_row(st, law, CN, i, f, +1.0)
+        row = one_end(neumann_force_row, st, law, CN, i, f, +1.0)
         assert np.abs(row.residual).max() < 1e-15
+
+    def test_stacked_ends_match_one_end_calls(self):
+        # the four ends of two patches of degrees 3 and 4 in one law stack,
+        # after three steps under an end force and couple
+        law = build_section_law(5e5, 0.3, [(4.5e6, 0.1), (1e6, 0.02)],
+                                SectionGeometry.circle(0.01), 1100.0)
+        model = BeamModel(
+            [Patch(line_curve([0, 0, 0], [0, 0.5, 0], 3, 8), law),
+             Patch(line_curve([0, 0.5, 0], [0.3, 0.9, 0.1], 4, 9), law)],
+            supports=[Support(0, "start", "clamp")],
+            joints=[Joint([(0, "end"), (1, "start")])],
+            end_loads=[EndLoad(1, "end",
+                               force=LoadHistory.constant([0, 0, -0.5]),
+                               moment=LoadHistory.constant([0.01, 0, 0]))])
+        sim = Simulation(model)
+        h = 1e-3
+        time_march(sim, 3 * h, h)
+        (rt,) = sim.stacks
+        st = rt.state
+        pts = np.array([rt.pts[1].stop - 1, rt.pts[0].start,
+                        rt.pts[1].start, rt.pts[0].stop - 1])
+        sign = np.array([1.0, -1.0, -1.0, 1.0])
+        loads = np.random.default_rng(14).normal(size=(2, 4, 3))
+        CN, CM = effective_stiffness(law, h)
+        for kernel, bar, args in ((neumann_force_row, CN, (loads[0], sign)),
+                                  (neumann_moment_row, CM, (loads[1], sign)),
+                                  (end_force_spatial, CN, (sign,)),
+                                  (end_moment_spatial, CM, (sign,))):
+            out = kernel(st, law, bar, pts, *args)
+            for e, i in enumerate(pts):
+                one = one_end(kernel, st, law, bar, i, *(x[e] for x in args))
+                if isinstance(out, BoundaryRow):
+                    pairs = [(getattr(out, f)[e], getattr(one, f))
+                             for f in ("residual", "t", "ts", "es")]
+                else:
+                    pairs = [(x[e], y) for x, y in zip(out, one)]
+                for x, y in pairs:
+                    np.testing.assert_array_equal(x, y)
+                assert np.abs(pairs[0][0]).max() > 0.0
 
     def test_fd_consistency_of_rows(self):
         rng = np.random.default_rng(11)
@@ -232,12 +276,12 @@ class TestBoundaryRows:
                 return sp
 
             sp, sm = perturbed(1.0), perturbed(-1.0)
-            rf = neumann_force_row(st, law, CN, i, n_c, sign)
-            rm = neumann_moment_row(st, law, CM, i, m_c, sign)
-            fd_f = -(neumann_force_row(sp, law, CN, i, n_c, sign).residual
-                     - neumann_force_row(sm, law, CN, i, n_c, sign).residual) / (2 * eps)
-            fd_m = -(neumann_moment_row(sp, law, CM, i, m_c, sign).residual
-                     - neumann_moment_row(sm, law, CM, i, m_c, sign).residual) / (2 * eps)
+            rf = one_end(neumann_force_row, st, law, CN, i, n_c, sign)
+            rm = one_end(neumann_moment_row, st, law, CM, i, m_c, sign)
+            fd_f = -(one_end(neumann_force_row, sp, law, CN, i, n_c, sign).residual
+                     - one_end(neumann_force_row, sm, law, CN, i, n_c, sign).residual) / (2 * eps)
+            fd_m = -(one_end(neumann_moment_row, sp, law, CM, i, m_c, sign).residual
+                     - one_end(neumann_moment_row, sm, law, CM, i, m_c, sign).residual) / (2 * eps)
             an_f = rf.t @ inc[3][i] + rf.ts @ inc[4][i] + rf.es @ inc[1][i]
             an_m = rm.t @ inc[3][i] + rm.ts @ inc[4][i] + rm.es @ inc[1][i]
             worst_f = max(worst_f, relative_error(fd_f[None], an_f[None]))
@@ -261,14 +305,14 @@ class TestBoundaryRows:
 
             sp, sm = perturbed(1.0), perturbed(-1.0)
             for i, sign in ((0, -1.0), (2, +1.0)):
-                f0, bt, bes = end_force_spatial(st, law, CN, i, sign)
-                fd = (end_force_spatial(sp, law, CN, i, sign)[0]
-                      - end_force_spatial(sm, law, CN, i, sign)[0]) / (2 * eps)
+                f0, bt, bes = one_end(end_force_spatial, st, law, CN, i, sign)
+                fd = (one_end(end_force_spatial, sp, law, CN, i, sign)[0]
+                      - one_end(end_force_spatial, sm, law, CN, i, sign)[0]) / (2 * eps)
                 an = bt @ inc[3][i] + bes @ inc[1][i]
                 assert relative_error(fd[None], an[None]) < 5e-6
-                m0, bt, bts = end_moment_spatial(st, law, CM, i, sign)
-                fd = (end_moment_spatial(sp, law, CM, i, sign)[0]
-                      - end_moment_spatial(sm, law, CM, i, sign)[0]) / (2 * eps)
+                m0, bt, bts = one_end(end_moment_spatial, st, law, CM, i, sign)
+                fd = (one_end(end_moment_spatial, sp, law, CM, i, sign)[0]
+                      - one_end(end_moment_spatial, sm, law, CM, i, sign)[0]) / (2 * eps)
                 an = bt @ inc[3][i] + bts @ inc[4][i]
                 assert relative_error(fd[None], an[None]) < 5e-6
 

@@ -3,9 +3,9 @@ import pytest
 
 from gebvisc import so3
 from gebvisc.model import (BeamModel, DistributedLoad, EndLoad, Joint,
-                           LoadHistory, Patch, Support, build_auxetic,
-                           build_lattice, model_from_config, spiral_curve,
-                           spivak_curve)
+                           LoadHistory, Patch, Support, _history_from_config,
+                           build_auxetic, build_lattice, model_from_config,
+                           spiral_curve, spivak_curve)
 from gebvisc.splines import line_curve
 from gebvisc.viscoelastic import SectionGeometry, build_section_law
 
@@ -55,6 +55,33 @@ class TestLoadHistory:
         h = LoadHistory.table([0.0, 1.0, 2.0],
                               [[0, 0, 0], [0, 0, 2.0], [0, 0, 0]])
         assert h(0.5)[2] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("cfg, built", [
+        ({"kind": "constant", "value": [1.0, 0, 2.0]},
+         LoadHistory.constant([1.0, 0, 2.0])),
+        ({"kind": "impulse_hold_release", "value": [0, 0, 500.0],
+          "t_off": 0.5}, LoadHistory.impulse_hold_release([0, 0, 500.0], 0.5)),
+        ({"kind": "sine_ramp_hold", "value": [0, 0, -1.0], "t_ramp": 0.5},
+         LoadHistory.sine_ramp_hold([0, 0, -1.0], 0.5)),
+        ({"kind": "raised_sine_pulse", "peak": [0, 0, -0.1],
+          "omega": 4 * np.pi, "t_end": 2.0},
+         LoadHistory.raised_sine_pulse([0, 0, -0.1], 4 * np.pi, 2.0)),
+        ({"kind": "table", "times": [0.0, 1.0, 2.0],
+          "values": [[0, 0, 0], [0, 0, 2.0], [0, 0, 0]]},
+         LoadHistory.table([0.0, 1.0, 2.0],
+                           [[0, 0, 0], [0, 0, 2.0], [0, 0, 0]])),
+    ])
+    def test_config_matches_constructor(self, cfg, built):
+        hist = _history_from_config(cfg)
+        assert hist.kind == cfg["kind"]
+        for t in (0.0, 0.25, 0.5, 0.75, 2.5):
+            np.testing.assert_array_equal(hist(t), built(t))
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown load history kind"):
+            LoadHistory("step", [0, 0, 1.0])(0.0)
+        with pytest.raises(ValueError, match="unknown load history kind"):
+            _history_from_config({"kind": "step", "value": [0, 0, 1.0]})
 
 
 class TestValidation:
