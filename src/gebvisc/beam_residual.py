@@ -58,7 +58,7 @@ class CollocationState:
         self.K0 = frames.K0
         self.K0_s = frames.K0_s
         self.Gref = np.einsum("nji,nj->ni", frames.R0, frames.c0_s)
-        self.Gref_s = (-np.cross(frames.K0, self.Gref)
+        self.Gref_s = (-so3.cross(frames.K0, self.Gref)
                        + np.einsum("nji,nj->ni", frames.R0, frames.c0_ss))
 
     def copy(self) -> "CollocationState":
@@ -81,7 +81,7 @@ class CollocationState:
 
     def gamma_s(self) -> np.ndarray:
         y = np.einsum("nji,nj->ni", self.R, self.c_s)
-        return (-np.cross(self.K, y)
+        return (-so3.cross(self.K, y)
                 + np.einsum("nji,nj->ni", self.R, self.c_ss) - self.Gref_s)
 
     def kappa(self) -> np.ndarray:
@@ -129,7 +129,7 @@ def _kin(state: CollocationState):
     point."""
     RT = np.swapaxes(state.R, -1, -2)
     y = np.einsum("nij,nj->ni", RT, state.c_s)
-    Gam_s = (-np.cross(state.K, y)
+    Gam_s = (-so3.cross(state.K, y)
              + np.einsum("nij,nj->ni", RT, state.c_ss) - state.Gref_s)
     return (RT, y, y - state.Gref, Gam_s, state.K - state.K0,
             state.K_s - state.K0_s)
@@ -154,7 +154,7 @@ def residual_force(state: CollocationState, law: SectionLaw, CN_bar: np.ndarray,
     RT, y, Gam, Gam_s, _, _ = _kin(state)
     SbG, SbG_s = state.visc.force_history(law)
     zF = CN_bar * Gam - SbG
-    return (np.cross(state.K, zF) + CN_bar * Gam_s - SbG_s
+    return (so3.cross(state.K, zF) + CN_bar * Gam_s - SbG_s
             + np.einsum("nij,nj->ni", RT, n_dist - law.mu * state.a))
 
 
@@ -167,9 +167,9 @@ def residual_moment(state: CollocationState, law: SectionLaw, CN_bar: np.ndarray
     zF = CN_bar * Gam - SbG
     zM = CM_bar * Kap - SbK
     J = law.inertia
-    return (np.cross(state.K, zM) + CM_bar * Kap_s - SbK_s + np.cross(y, zF)
+    return (so3.cross(state.K, zM) + CM_bar * Kap_s - SbK_s + so3.cross(y, zF)
             + np.einsum("nij,nj->ni", RT, m_dist)
-            - J * state.A - np.cross(state.W, J * state.W))
+            - J * state.A - so3.cross(state.W, J * state.W))
 
 
 def tangent_blocks_force(state: CollocationState, law: SectionLaw,
@@ -188,7 +188,7 @@ def tangent_blocks_force(state: CollocationState, law: SectionLaw,
     ts = CNyt - so3.skew(zF)
     t = (Kt @ CNyt - so3.skew(zF) @ Kt
          + _rowscale(CN_bar, so3.skew(np.einsum("nij,nj->ni", RT, state.c_ss)))
-         - _rowscale(CN_bar, so3.skew(np.cross(state.K, y)))
+         - _rowscale(CN_bar, so3.skew(so3.cross(state.K, y)))
          + so3.skew(np.einsum("nij,nj->ni", RT, n_dist - law.mu * state.a)))
     es = Kt @ CNRT - _rowscale(CN_bar, Kt @ RT)
     e = -(4.0 / h ** 2) * law.mu * RT

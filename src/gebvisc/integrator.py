@@ -86,7 +86,7 @@ def apply_increment(state: CollocationState, de: np.ndarray, de_s: np.ndarray,
         EK = np.einsum("nij,nj->ni", ET, state.K)
         K_new = EK + Tdts
         K_s_new = (np.einsum("nij,nj->ni", ET, state.K_s)
-                   + np.cross(EK, Tdts)
+                   + so3.cross(EK, Tdts)
                    + np.einsum("nij,nj->ni", so3.dtangent_map(dt, dt_s), dt_s)
                    + np.einsum("nij,nj->ni", T, dt_ss))
         state.R = state.R @ E
@@ -136,9 +136,9 @@ def initialize_accelerations(state: CollocationState, law: SectionLaw,
         M_s = M_s + (mM * (Kap_s[None] - state.visc.Kap_s)).sum(axis=0)
     RT = np.swapaxes(state.R, -1, -2)
     y = np.einsum("nij,nj->ni", RT, state.c_s)
-    f = np.cross(state.K, N) + N_s + np.einsum("nij,nj->ni", RT, n_dist)
+    f = so3.cross(state.K, N) + N_s + np.einsum("nij,nj->ni", RT, n_dist)
     state.a = np.einsum("nij,nj->ni", state.R, f) / law.mu
-    rhs_m = (np.cross(state.K, M) + M_s + np.cross(y, N)
+    rhs_m = (so3.cross(state.K, M) + M_s + so3.cross(y, N)
              + np.einsum("nij,nj->ni", RT, m_dist)
-             - np.cross(state.W, law.inertia * state.W))
+             - so3.cross(state.W, law.inertia * state.W))
     state.A = rhs_m / law.inertia

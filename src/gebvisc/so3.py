@@ -41,6 +41,21 @@ def skew(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis, broadcast like ``np.cross``.
+
+    The same products and differences as ``np.cross``, so the same bits,
+    without its fixed cost of some 20 us per call.
+    """
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    np.subtract(a1 * b2, a2 * b1, out=out[..., 0])
+    np.subtract(a2 * b0, a0 * b2, out=out[..., 1])
+    np.subtract(a0 * b1, a1 * b0, out=out[..., 2])
+    return out
+
+
 def axial(A: np.ndarray, tol: float = 1.0e-10) -> np.ndarray:
     """Axial vector of a skew-symmetric matrix.
 
@@ -183,7 +198,7 @@ def quat_multiply(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     w1, v1 = q1[..., :1], q1[..., 1:]
     w2, v2 = q2[..., :1], q2[..., 1:]
     w = w1 * w2 - np.sum(v1 * v2, axis=-1, keepdims=True)
-    v = w1 * v2 + w2 * v1 + np.cross(v1, v2)
+    v = w1 * v2 + w2 * v1 + cross(v1, v2)
     return np.concatenate([w, v], axis=-1)
 
 

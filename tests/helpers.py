@@ -156,6 +156,13 @@ def one_end(kernel, state, law, bar, i, *args):
     return tuple(x[0] for x in out)
 
 
+def dense_solve(A, rhs):
+    """Reference solve of an assembled system: LAPACK on the dense matrix,
+    the solver's own path for up to 400 unknowns before every system went
+    through the sparse LU."""
+    return np.linalg.solve(A.toarray(), rhs)
+
+
 def superpose_rotation(state: CollocationState, Q: np.ndarray) -> CollocationState:
     """Rigidly rotate a state (and its initial configuration) by ``Q``.
 
