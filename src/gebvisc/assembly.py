@@ -562,18 +562,18 @@ class Simulation:
         Every system, the first of its structure included, is renumbered
         symmetrically in that order and factored with ``NATURAL``, so
         SuperLU skips its ordering phase and the solution does not depend on
-        which systems were solved before.  On the settled structures this
-        order cut the per-solve time against a COLAMD order per call on the
-        beam networks (auxetic 27.6 -> 15.2 ms, lattice3 4.3 -> 3.3 ms) and
-        matched ``NATURAL`` on single patches, where a dense LAPACK solve
-        was slower still.
+        which systems were solved before.  Per solve of a settled structure
+        (2 vCPUs, one BLAS thread, median of 50) this took 13.2 ms against
+        21.8 ms for a COLAMD order per call on the auxetic network, 3.5
+        against 5.2 ms on the 3x3 lattice, and 0.59 against 0.65 ms (0.95 ms
+        for dense LAPACK) on the 240-unknown pendulum.
         """
         if not (np.array_equal(A.indptr, self._lu_indptr)
                 and np.array_equal(A.indices, self._lu_indices)):
             self._renumber(A)
         pos = self._lu_pos
-        P = sp.csc_matrix((A.data[self._lu_gather], self._lu_pattern[0],
-                           self._lu_pattern[1]), shape=A.shape)
+        P = sp.csc_matrix((A.data[self._lu_gather], *self._lu_pattern),
+                          shape=A.shape)
         b = np.empty_like(rhs)
         b[pos] = rhs
         return spla.splu(P, permc_spec="NATURAL").solve(b)[pos]
@@ -589,7 +589,7 @@ class Simulation:
             pos = spla.splu(A, permc_spec="MMD_ATA").perm_c.astype(np.int32)
             self._lu_orders[key] = pos
         rows = pos[A.indices]
-        cols = pos[np.repeat(np.arange(self.ndof), np.diff(A.indptr))]
+        cols = np.repeat(pos, np.diff(A.indptr))
         self._lu_gather = np.lexsort((rows, cols))
         self._lu_pattern = (rows[self._lu_gather], np.concatenate(
             [[0], np.cumsum(np.bincount(cols, minlength=self.ndof))]

@@ -157,9 +157,8 @@ def one_end(kernel, state, law, bar, i, *args):
 
 
 def dense_solve(A, rhs):
-    """Reference solve of an assembled system: LAPACK on the dense matrix,
-    the solver's own path for up to 400 unknowns before every system went
-    through the sparse LU."""
+    """Reference solve of an assembled system: LAPACK on the dense
+    matrix."""
     return np.linalg.solve(A.toarray(), rhs)
 
 

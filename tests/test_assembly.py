@@ -75,7 +75,13 @@ def row_kinds_system(h=1e-3):
     # the recorded system pins the rounding of the march's solves, which
     # were dense LAPACK solves at 252 unknowns when it was recorded
     sim._solve = dense_solve
-    time_march(sim, 2 * h, h)
+    return predictor_system(sim, 2, h)
+
+
+def predictor_system(sim, steps, h):
+    """March ``steps`` steps of h and return the equilibrated (A, rhs) at
+    the predictor of the next one."""
+    time_march(sim, steps * h, h)
     for rt in sim.stacks:
         begin_step(rt.state, rt.law, h)
     return sim.assemble(h, sim.t + h)
@@ -202,43 +208,43 @@ class TestRowKinds:
         np.testing.assert_allclose(rhs, ref["rhs"], rtol=1e-12, atol=0)
 
 
-def lattice3_system(h=5e-3):
-    """A lattice3 benchmark simulation and its equilibrated (A, rhs) at the
-    predictor of the fourth step."""
-    from gebvisc.scenarios import build_scenario
-    sim = Simulation(build_scenario("lattice", {"cells": 3,
-                                                "psi": 0.5236})[0])
-    time_march(sim, 3 * h, h)
-    for rt in sim.stacks:
-        begin_step(rt.state, rt.law, h)
-    return sim, sim.assemble(h, sim.t + h)
+def structure(A):
+    return A.indptr.tobytes() + A.indices.tobytes()
 
 
-def two_law_system(h=1e-3):
-    sim = Simulation(two_law_model())
-    time_march(sim, 3 * h, h)
-    for rt in sim.stacks:
-        begin_step(rt.state, rt.law, h)
-    return sim, sim.assemble(h, sim.t + h)
+def solved_structures(sim):
+    """List that receives the nonzero structure of every system ``sim``
+    solves from now on."""
+    solved, solve = [], sim._solve
+
+    def recorded(A, rhs):
+        solved.append(structure(A))
+        return solve(A, rhs)
+    sim._solve = recorded
+    return solved
 
 
 class TestSolve:
-    @pytest.mark.parametrize("system", ["row_kinds", "two_law", "lattice3"])
-    def test_matches_dense_reference(self, system):
-        if system == "row_kinds":
+    @pytest.mark.parametrize("model", ["row_kinds", "two_law", "lattice3"])
+    def test_matches_dense_reference(self, model):
+        if model == "row_kinds":
             sim, (A, rhs) = Simulation(row_kinds_model()), row_kinds_system()
+        elif model == "two_law":
+            sim = Simulation(two_law_model())
+            A, rhs = predictor_system(sim, 3, 1e-3)
         else:
-            sim, (A, rhs) = {"two_law": two_law_system,
-                             "lattice3": lattice3_system}[system]()
+            from gebvisc.scenarios import build_scenario
+            sim = Simulation(build_scenario(
+                "lattice", {"cells": 3, "psi": 0.5236})[0])
+            A, rhs = predictor_system(sim, 3, 5e-3)
         ref = dense_solve(A, rhs)
-        x = sim._solve(A, rhs)
         # both solves are backward stable, so they differ by at most about
         # cond(A) * eps times |x|: up to 3e-8 at the condition number 1.2e8
         # measured on the lattice.  1e-9 of the largest entry is 500 times
         # the largest error on these systems (lattice3, 2.1e-12) and 80
         # times that on the spiral at the fifth step (1.2e-11), while a
         # misnumbered row or column gives errors of order one.
-        np.testing.assert_allclose(x, ref, rtol=0,
+        np.testing.assert_allclose(sim._solve(A, rhs), ref, rtol=0,
                                    atol=1e-9 * np.abs(ref).max())
 
     def test_order_once_per_structure(self, monkeypatch):
@@ -247,21 +253,13 @@ class TestSolve:
         original = spla.splu
 
         def splu(A, permc_spec=None, **kwargs):
-            structure = A.indptr.tobytes() + A.indices.tobytes()
             (orders if permc_spec == "MMD_ATA" else natural).append(
-                (permc_spec, structure))
+                (permc_spec, structure(A)))
             return original(A, permc_spec=permc_spec, **kwargs)
 
         monkeypatch.setattr(spla, "splu", splu)
         sim = Simulation(pendulum_model())
-        solved = []
-        solve = sim._solve
-
-        def counted(A, rhs):
-            solved.append(A.indptr.tobytes() + A.indices.tobytes())
-            return solve(A, rhs)
-
-        sim._solve = counted
+        solved = solved_structures(sim)
         time_march(sim, 20 * 5e-3, 5e-3)
         distinct = set(solved)
         # the pattern changes as entries turn exactly zero or nonzero
@@ -276,18 +274,11 @@ class TestSolve:
         fresh = Simulation(pendulum_model())
         A, rhs = fresh.assemble(h, h)
         used = Simulation(pendulum_model())
-        solved = []
-        solve = used._solve
-
-        def recorded(B, b):
-            solved.append(B.indptr.tobytes() + B.indices.tobytes())
-            return solve(B, b)
-
-        used._solve = recorded
+        solved = solved_structures(used)
         time_march(used, 20 * h, h)
-        structure = A.indptr.tobytes() + A.indices.tobytes()
-        assert len(set(solved)) > 1 and solved[-1] != structure
-        np.testing.assert_array_equal(solve(A, rhs), fresh._solve(A, rhs))
+        assert len(set(solved)) > 1 and solved[-1] != structure(A)
+        np.testing.assert_array_equal(Simulation._solve(used, A, rhs),
+                                      fresh._solve(A, rhs))
 
 
 class TestSystemStructure:

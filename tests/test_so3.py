@@ -31,6 +31,13 @@ class TestSkewAxial:
         out = so3.skew([1.0, 0.0, 0.0]) @ np.array([0.0, 1.0, 0.0])
         np.testing.assert_allclose(out, [0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("shapes", [((2, 3), (2, 3)), ((250, 3), (3,)),
+                                        ((3,), (4, 1, 3))])
+    def test_cross_matches_numpy_bitwise(self, shapes):
+        rng = np.random.default_rng(2)
+        a, b = (rng.normal(size=s) for s in shapes)
+        np.testing.assert_array_equal(so3.cross(a, b), np.cross(a, b))
+
     def test_round_trip(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(50, 3))
