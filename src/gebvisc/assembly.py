@@ -21,14 +21,14 @@ import hashlib
 import logging
 import time as _time
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import so3
-from .beam_residual import (BoundaryRow, CollocationState, end_force_spatial,
+from .beam_residual import (CollocationState, end_force_spatial,
                             end_moment_spatial, neumann_force_row,
                             neumann_moment_row, residual_force,
                             residual_moment, tangent_blocks_force,
@@ -56,13 +56,30 @@ class NewtonSettings:
     tol_increment: float = 1.0e-8
     tol_residual: float = 1.0e-12
     max_halvings: int = 3
-    #: cap on the increment inf-norm used only by the failure-retry path;
-    #: the first attempt of every step is always plain (undamped) Newton
-    retry_increment_cap: float = 0.3
+    #: cap on the increment inf-norm used only by the failure-retry path
+    #: (None: no capped retry); the first attempt of every step is always
+    #: plain (undamped) Newton
+    retry_increment_cap: float | None = 0.3
 
     def __post_init__(self):
         if self.tol_increment <= 0 or self.tol_residual <= 0:
             raise ValueError("tolerances must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
+        if self.max_halvings < 0:
+            raise ValueError("max_halvings must not be negative")
+        if self.retry_increment_cap is not None and \
+                self.retry_increment_cap <= 0:
+            raise ValueError("retry_increment_cap must be positive or None")
+
+    @classmethod
+    def from_config(cls, section: dict) -> "NewtonSettings":
+        """Settings from the ``newton`` section of a model configuration;
+        keys left out keep their defaults."""
+        unknown = set(section) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown newton settings: {sorted(unknown)}")
+        return cls(**section)
 
 
 @dataclass
@@ -145,16 +162,6 @@ FIXED = {None: [], "clamp": [0, 1, 2], "hinge": [0, 1, 2], "roller_x3": [2]}
 #: and 2 k + 1 for the start and the end of patch k), stacked points and
 #: outward signs, and the term and point (six rows) of their own slots
 EndGroup = namedtuple("EndGroup", "ends pts sign terms slots")
-
-
-def _material_rows(B, r, group: EndGroup, at: int, row: BoundaryRow) -> None:
-    """Material force (``at`` = 0) or moment (``at`` = 3) rows of the ends
-    of ``group`` in their own slots."""
-    rows = slice(at, at + 3)
-    B[group.terms, 0, rows, 3:] = row.t
-    B[group.terms, 1, rows, 3:] = row.ts
-    B[group.terms, 1, rows, :3] = row.es
-    r[group.slots, rows] = row.residual
 
 
 class Simulation:
@@ -430,13 +437,11 @@ class Simulation:
             n_dist, m_dist = fm[:, rt.patch_of_point]
             F = residual_force(st, law, CN_bar, n_dist, h)
             V = residual_moment(st, law, CN_bar, CM_bar, m_dist, h)
-            bf = tangent_blocks_force(st, law, CN_bar, n_dist, h)
-            bm = tangent_blocks_moment(st, law, CN_bar, CM_bar, m_dist, h)
             # (point, force/moment rows, displacement/rotation columns,
             # value/,s/,ss stencil, 3, 3)
-            C = np.stack([bf.e, bf.es, bf.ess, bf.t, bf.ts, bf.tss, bm.e,
-                          bm.es, bm.ess, bm.t, bm.ts, bm.tss],
-                         axis=1).reshape(-1, 2, 2, 3, 3, 3)
+            C = np.stack([tangent_blocks_force(st, law, CN_bar, n_dist, h),
+                          tangent_blocks_moment(st, law, CN_bar, CM_bar,
+                                                m_dist, h)], axis=1)
             for sel, points, phi, _ in rt.interior:
                 values.append(np.einsum("nrcdab,ndk->nrakcb", C[sel],
                                         phi).reshape(-1))
@@ -468,16 +473,18 @@ class Simulation:
         stencil of the term's end.  Rows 0:3 of a block are the force (or
         translation) rows of its slot and rows 3:6 the moment (or rotation)
         rows; columns 0:3 act on the displacement and 3:6 on the rotation
-        increment of each control point.  Each end kernel runs at most once
-        per law stack, on all the ends that need it.
+        increment of each control point.  The end kernels return their
+        blocks (ends, 2, 3, 6) in this [stencil, row, column] layout, so
+        they are written into ``B`` as they come.  Each end kernel runs at
+        most once per law stack, on all the ends that need it.
         """
         B = np.zeros((len(self._term_rows), 2, 6, 6))
         r = rhs.reshape(-1, 6)
         n = len(self._end_c0)
         c, R = np.empty((n, 3)), np.empty((n, 3, 3))
-        # spatial end force and couple (end, 2, 3), and their blocks
-        fm = np.empty((n, 2, 3))
-        ft, fes, mt, mts = np.empty((4, n, 3, 3))
+        # spatial end force and couple (end, force/couple, 3) and their
+        # blocks (end, force/couple, stencil, 3, 6)
+        fm, dfm = np.empty((n, 2, 3)), np.empty((n, 2, 2, 3, 6))
         loads = np.zeros((2, n, 3))
         for ch, g, history in self._end_loads:
             loads[ch, g] += history(t_next)
@@ -487,23 +494,22 @@ class Simulation:
             c[every.ends] = st.c[every.pts]
             R[every.ends] = st.R[every.pts]
             if nf is not None:
-                _material_rows(B, r, nf, 0, neumann_force_row(
-                    st, law, CN_bar, nf.pts, loads[0, nf.ends], nf.sign))
+                r[nf.slots, :3], B[nf.terms, :, :3] = neumann_force_row(
+                    st, law, CN_bar, nf.pts, loads[0, nf.ends], nf.sign)
             if nm is not None:
-                _material_rows(B, r, nm, 3, neumann_moment_row(
-                    st, law, CM_bar, nm.pts, loads[1, nm.ends], nm.sign))
+                r[nm.slots, 3:], B[nm.terms, :, 3:] = neumann_moment_row(
+                    st, law, CM_bar, nm.pts, loads[1, nm.ends], nm.sign)
             if fs is not None:
-                fm[fs.ends, 0], ft[fs.ends], fes[fs.ends] = end_force_spatial(
+                fm[fs.ends, 0], dfm[fs.ends, 0] = end_force_spatial(
                     st, law, CN_bar, fs.pts, fs.sign)
             if ms is not None:
-                fm[ms.ends, 1], mt[ms.ends], mts[ms.ends] = end_moment_spatial(
+                fm[ms.ends, 1], dfm[ms.ends, 1] = end_moment_spatial(
                     st, law, CM_bar, ms.pts, ms.sign)
 
         # spatial force rows of the translation components left free
         T, g, a = self._force_rows
         if len(g):
-            B[T, 0, a, 3:] = ft[g, a]
-            B[T, 1, a, :3] = fes[g, a]
+            B[T, :, a] = dfm[g, 0, :, a]
             p, g, a = self._support_force
             r[p, a] = -fm[g, 0, a]
 
@@ -521,8 +527,7 @@ class Simulation:
             q, j = self._balance_moment
             r[q, 3:] = S[j, 1]
             T, e = self._couple_blocks
-            B[T, 0, 3:, 3:] = mt[e]
-            B[T, 1, 3:, 3:] = mts[e]
+            B[T, :, 3:] = dfm[e, 1]
             # continuity in the slots of the other ends: d_eta_i - d_eta_0 =
             # c_0 - c_i, R_i dTheta_i - R_0 dTheta_0 = log(Q_0 Q_i^T)
             B[own, 0, :3, :3] = np.eye(3)

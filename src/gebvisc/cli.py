@@ -31,6 +31,10 @@ def run_scenario(name: str, overrides: dict | None = None, out_dir=None,
                  config: dict | None = None):
     """Run one scenario to its end time; returns (sim, trajectory, params).
 
+    Without ``settings`` the scenario 'custom' takes its Newton settings
+    from the configuration's ``newton`` section, every other scenario the
+    defaults.
+
     On solver failure the history of the committed steps is written to the
     CSV and the exception is re-raised for the caller to turn into an exit
     code.
@@ -39,7 +43,9 @@ def run_scenario(name: str, overrides: dict | None = None, out_dir=None,
         if config is None:
             raise ValueError("scenario 'custom' needs a configuration file")
         model, extras = model_from_config(config)
-        params = dict(extras.get("time", {}))
+        if settings is None:
+            settings = NewtonSettings.from_config(extras["newton"])
+        params = dict(extras["time"])
         params.setdefault("h", 1e-3)
         params.setdefault("T", 1.0)
         if overrides:
@@ -246,6 +252,7 @@ def main(argv=None) -> int:
     if args.command == "validate":
         try:
             model, extras = model_from_config(load_config(args.config))
+            NewtonSettings.from_config(extras["newton"])
         except (ValueError, KeyError) as exc:
             print(f"invalid configuration: {exc}", file=sys.stderr)
             return 2

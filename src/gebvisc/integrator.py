@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import so3
-from .beam_residual import CollocationState
+from .beam_residual import CollocationState, kin
 from .viscoelastic import SectionLaw, compute_beta, internal_forces, \
     update_viscous_state
 
@@ -37,8 +37,7 @@ def begin_step(state: CollocationState, law: SectionLaw, h: float) -> None:
     """
     if h <= 0.0:
         raise ValueError("time step must be positive")
-    compute_beta(law, state.visc, state.gamma(), state.gamma_s(),
-                 state.kappa(), state.kappa_s(), h)
+    compute_beta(law, state.visc, *kin(state)[2:], h)
     state.a_star = (4.0 / h) * state.v + state.a
     state.v_star = state.v.copy()
     state.A_star = (4.0 / h) * state.W + state.A
@@ -111,8 +110,7 @@ def apply_increment(state: CollocationState, de: np.ndarray, de_s: np.ndarray,
 
 def commit_step(state: CollocationState, law: SectionLaw, h: float) -> None:
     """Finalize a converged step: advance branch strains, tidy rotations."""
-    update_viscous_state(law, state.visc, state.gamma(), state.gamma_s(),
-                         state.kappa(), state.kappa_s(), h)
+    update_viscous_state(law, state.visc, *kin(state)[2:], h)
     # re-orthonormalize against float drift; a no-op up to rounding
     state.R = so3.quat_to_matrix(so3.quat_from_matrix(state.R))
 
@@ -124,8 +122,7 @@ def initialize_accelerations(state: CollocationState, law: SectionLaw,
     Uses the continuous-time constitutive law (no step size involved); any
     support constraints are applied afterwards by the model layer.
     """
-    Gam, Gam_s = state.gamma(), state.gamma_s()
-    Kap, Kap_s = state.kappa(), state.kappa_s()
+    RT, y, Gam, Gam_s, Kap, Kap_s = kin(state)
     N, M = internal_forces(law, Gam, Kap, state.visc)
     mC = law.CNv[:, None, :]
     mM = law.CMv[:, None, :]
@@ -134,8 +131,6 @@ def initialize_accelerations(state: CollocationState, law: SectionLaw,
     if law.n_elements:
         N_s = N_s + (mC * (Gam_s[None] - state.visc.Gam_s)).sum(axis=0)
         M_s = M_s + (mM * (Kap_s[None] - state.visc.Kap_s)).sum(axis=0)
-    RT = np.swapaxes(state.R, -1, -2)
-    y = np.einsum("nij,nj->ni", RT, state.c_s)
     f = so3.cross(state.K, N) + N_s + np.einsum("nij,nj->ni", RT, n_dist)
     state.a = np.einsum("nij,nj->ni", state.R, f) / law.mu
     rhs_m = (so3.cross(state.K, M) + M_s + so3.cross(y, N)

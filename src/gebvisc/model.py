@@ -552,7 +552,8 @@ def _history_from_config(cfg: dict) -> LoadHistory:
 def model_from_config(cfg: dict) -> tuple[BeamModel, dict]:
     """Build a model from a configuration dictionary.
 
-    Returns the model and the solver/time/output sections for the caller.
+    Returns the model and the ``time`` and ``newton`` sections (empty when
+    left out) for the caller.
     """
     version = cfg.get("version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
@@ -600,7 +601,7 @@ def model_from_config(cfg: dict) -> tuple[BeamModel, dict]:
               for k, p in enumerate(cfg.get("output", {}).get("probes", []))]
     model = BeamModel(patches, supports=supports, joints=joints, loads=loads,
                       end_loads=end_loads, probes=probes)
-    extras = {key: cfg.get(key, {}) for key in ("time", "newton", "output")}
+    extras = {key: cfg.get(key, {}) for key in ("time", "newton")}
     return model, extras
 
 

@@ -3,8 +3,7 @@
 import numpy as np
 
 from gebvisc import so3
-from gebvisc.beam_residual import (BoundaryRow, CollocationState,
-                                   TangentBlocks, residual_force,
+from gebvisc.beam_residual import (CollocationState, residual_force,
                                    residual_moment)
 from gebvisc.initial_geometry import InitialFrameField, bishop_frames
 from gebvisc.integrator import apply_increment
@@ -80,7 +79,8 @@ def relative_error(fd, an, floor=1e-8):
 
 
 def fd_tangent(residual, state, *args, eps=1.0e-7):
-    """Central-difference tangent blocks of ``residual(state, *args)``.
+    """Central-difference tangent blocks (n, 2, 3, 3, 3) of
+    ``residual(state, *args)``.
 
     Each increment channel (displacement and rotation, value and first and
     second arc-length derivative) is perturbed by +-eps along the solver's
@@ -98,7 +98,27 @@ def fd_tangent(residual, state, *args, eps=1.0e-7):
             apply_increment(sm, *(-d for d in inc), h)
             blocks[ch][:, :, comp] = (residual(sp, *args)
                                       - residual(sm, *args)) / (2 * eps)
-    return TangentBlocks(*blocks)
+    return np.stack(blocks, axis=1).reshape(n, 2, 3, 3, 3)
+
+
+def apply_blocks(blocks, de, de_s, de_ss, dt, dt_s, dt_ss) -> np.ndarray:
+    """Contract interior tangent blocks (n, 2, 3, 3, 3) with increment
+    fields (n, 3) -> (n, 3)."""
+    out = np.einsum("nij,nj->ni", blocks[:, 0, 0], de)
+    out += np.einsum("nij,nj->ni", blocks[:, 0, 1], de_s)
+    out += np.einsum("nij,nj->ni", blocks[:, 0, 2], de_ss)
+    out += np.einsum("nij,nj->ni", blocks[:, 1, 0], dt)
+    out += np.einsum("nij,nj->ni", blocks[:, 1, 1], dt_s)
+    out += np.einsum("nij,nj->ni", blocks[:, 1, 2], dt_ss)
+    return out
+
+
+def apply_end_blocks(blocks, inc, i) -> np.ndarray:
+    """Contract the (2, 3, 6) blocks of one end row with the value and ,s
+    of the six increment fields ``inc`` (as ``apply_blocks`` takes them) at
+    the point ``i``."""
+    return (blocks[0] @ np.concatenate([inc[0][i], inc[3][i]])
+            + blocks[1] @ np.concatenate([inc[1][i], inc[4][i]]))
 
 
 def fd_tangent_blocks_force(state, law, CN_bar, n_dist, h):
@@ -148,11 +168,9 @@ def patch_end(sim, k: int, end: str):
 def one_end(kernel, state, law, bar, i, *args):
     """A stacked end kernel at the one point ``i``, given the load and the
     outward sign of that end (a vector and a scalar) and returning its
-    outputs at that end."""
+    vector and blocks at that end."""
     out = kernel(state, law, bar, np.array([i]),
                  *(np.asarray(x, dtype=float)[None] for x in args))
-    if isinstance(out, BoundaryRow):
-        return BoundaryRow(out.residual[0], out.t[0], out.ts[0], out.es[0])
     return tuple(x[0] for x in out)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from gebvisc import assembly
 from gebvisc.assembly import NewtonSettings, Simulation, time_march
-from gebvisc.beam_residual import BoundaryRow
+from gebvisc.beam_residual import kin
 from gebvisc.integrator import StepFailure, begin_step
 from gebvisc.model import (BeamModel, DistributedLoad, EndLoad, Joint,
                            LoadHistory, Patch, Probe, Support)
@@ -306,8 +306,7 @@ class TestSystemStructure:
     def test_all_zero_row_raises(self, monkeypatch):
         monkeypatch.setattr(
             assembly, "neumann_force_row", lambda st, law, CN, pts, *a:
-            BoundaryRow(np.zeros((len(pts), 3)),
-                        *np.zeros((3, len(pts), 3, 3))))
+            (np.zeros((len(pts), 3)), np.zeros((len(pts), 2, 3, 6))))
         sim = Simulation(pendulum_model(n=10, degree=2))
         with pytest.raises(RuntimeError, match="under-constrained"):
             sim.assemble(1e-3, 1e-3)
@@ -338,6 +337,19 @@ class TestSystemStructure:
 
 
 class TestNewton:
+    @pytest.mark.parametrize("bad", [
+        {"tol_increment": 0.0}, {"tol_residual": -1e-12},
+        {"max_iterations": 0}, {"max_halvings": -1},
+        {"retry_increment_cap": 0.0}, {"retry_increment_cap": -0.3}])
+    def test_invalid_settings_rejected(self, bad):
+        with pytest.raises(ValueError):
+            NewtonSettings(**bad)
+
+    def test_settings_at_their_limits_accepted(self):
+        s = NewtonSettings(max_iterations=1, max_halvings=0,
+                           retry_increment_cap=None)
+        assert s.retry_increment_cap is None
+
     def test_zero_iterations_when_converged(self):
         model = pendulum_model(n=10, degree=2)
         model = BeamModel(model.patches, supports=model.supports, loads=[],
@@ -404,8 +416,8 @@ class TestExactness:
         expect = np.outer(traj.times, v0)
         assert np.abs(traj.probes["mid"] - expect).max() < 1e-12
         for rt in sim.stacks:
-            assert np.abs(rt.state.gamma()).max() < 1e-12
-            assert np.abs(rt.state.kappa()).max() < 1e-12
+            assert np.abs(kin(rt.state)[2]).max() < 1e-12
+            assert np.abs(kin(rt.state)[4]).max() < 1e-12
 
     def test_quiescent_persistence(self):
         law = pendulum_law()
@@ -484,8 +496,8 @@ class TestJoints:
         from gebvisc.viscoelastic import effective_stiffness
         CN, _ = effective_stiffness(law, h)
         (sa, ja), (sb, jb) = patch_end(sim, 0, "end"), patch_end(sim, 1, "start")
-        fa, _, _ = one_end(end_force_spatial, sa, law, CN, ja, +1.0)
-        fb, _, _ = one_end(end_force_spatial, sb, law, CN, jb, -1.0)
+        fa, _ = one_end(end_force_spatial, sa, law, CN, ja, +1.0)
+        fb, _ = one_end(end_force_spatial, sb, law, CN, jb, -1.0)
         assert np.abs(fa + fb).max() < 1e-8
         # transmitted force equals the applied tip load up to the collocation
         # equilibrium error of the coarse patch

@@ -3,7 +3,7 @@ import pytest
 
 from gebvisc import so3
 from gebvisc.assembly import Simulation, time_march
-from gebvisc.beam_residual import (BoundaryRow, CollocationState,
+from gebvisc.beam_residual import (CollocationState, kin,
                                    neumann_force_row, neumann_moment_row,
                                    residual_force,
                                    residual_moment, tangent_blocks_force,
@@ -17,8 +17,9 @@ from gebvisc.viscoelastic import (SectionGeometry, build_section_law,
                                   effective_stiffness, internal_forces,
                                   trapezoidal_coeffs)
 
-from helpers import (one_end, random_state, relative_error,
-                     straight_frames, superpose_rotation, unit_law)
+from helpers import (apply_blocks, apply_end_blocks, one_end, random_state,
+                     relative_error, straight_frames, superpose_rotation,
+                     unit_law)
 
 H = 0.02
 
@@ -77,8 +78,7 @@ class TestTwoPathOracle:
         n = 12
         st = random_state(law, n, H, rng)
         c, _ = trapezoidal_coeffs(law.taus, H)
-        Gam, Gam_s = st.gamma(), st.gamma_s()
-        Kap, Kap_s = st.kappa(), st.kappa_s()
+        _, _, Gam, Gam_s, Kap, Kap_s = kin(st)
         st.visc.Gam = c[:, None, None] * Gam[None] + st.visc.beta_G
         st.visc.Gam_s = c[:, None, None] * Gam_s[None] + st.visc.beta_G_s
         st.visc.Kap = c[:, None, None] * Kap[None] + st.visc.beta_K
@@ -130,8 +130,8 @@ class TestTangentFiniteDifference:
                 - residual_moment(sm, law, CN, CM, m_dist, H)) / (2 * eps)
         bf = tangent_blocks_force(st, law, CN, n_dist, H)
         bm = tangent_blocks_moment(st, law, CN, CM, m_dist, H)
-        return (relative_error(fd_F, bf.apply(*inc)),
-                relative_error(fd_V, bm.apply(*inc)), bf, bm)
+        return (relative_error(fd_F, apply_blocks(bf, *inc)),
+                relative_error(fd_V, apply_blocks(bm, *inc)), bf, bm)
 
     def test_force_and_moment_blocks(self):
         law = unit_law()
@@ -148,9 +148,31 @@ class TestTangentFiniteDifference:
     def test_block_structure(self):
         law = unit_law()
         _, _, bf, bm = self.fd_vs_blocks(law, 10, seed=9)
-        assert np.abs(bf.tss).max() == 0.0  # no dTheta,ss in the force rows
-        assert np.abs(bm.ess).max() == 0.0  # no deta,ss in the moment rows
-        assert np.abs(bm.e).max() == 0.0
+        assert np.abs(bf[:, 1, 2]).max() == 0.0  # no dTheta,ss in the force rows
+        assert np.abs(bm[:, 0, 2]).max() == 0.0  # no deta,ss in the moment rows
+        assert np.abs(bm[:, 0, 0]).max() == 0.0
+        # end rows (value/,s stencil, displacement/rotation columns): the
+        # force rows couple to dTheta and deta,s, the moment rows to dTheta
+        # and dTheta,s; every other block is exactly zero
+        rng = np.random.default_rng(9)
+        st = random_state(law, 10, H, rng)
+        CN, CM = bars(law)
+        pts = np.arange(10)
+        sign = np.where(pts % 2, 1.0, -1.0)
+        loads = rng.normal(size=(10, 3))
+        force, moment = {(0, 1), (1, 0)}, {(0, 1), (1, 1)}
+        for kernel, bar, args, coupled in (
+                (neumann_force_row, CN, (loads, sign), force),
+                (neumann_moment_row, CM, (loads, sign), moment),
+                (end_force_spatial, CN, (sign,), force),
+                (end_moment_spatial, CM, (sign,), moment)):
+            _, blk = kernel(st, law, bar, pts, *args)
+            assert blk.shape == (10, 2, 3, 6)
+            for d in range(2):
+                for c in range(2):
+                    part = np.abs(blk[:, d, :, 3 * c:3 * c + 3]).max()
+                    assert (part > 0.0) == ((d, c) in coupled), \
+                        (kernel.__name__, d, c)
 
     def test_zero_state_blocks(self):
         law = unit_law()
@@ -160,17 +182,17 @@ class TestTangentFiniteDifference:
         bf = tangent_blocks_force(st, law, CN, z, H)
         bm = tangent_blocks_moment(st, law, CN, CM, z, H)
         R0T = np.swapaxes(st.R0, -1, -2)
-        np.testing.assert_allclose(bf.ess, CN[None, :, None] * R0T, atol=1e-15)
-        np.testing.assert_allclose(bf.e, -(4 / H ** 2) * law.mu * R0T,
+        np.testing.assert_allclose(bf[:, 0, 2], CN[None, :, None] * R0T, atol=1e-15)
+        np.testing.assert_allclose(bf[:, 0, 0], -(4 / H ** 2) * law.mu * R0T,
                                    atol=1e-10)
         # inertia part plus the geometric coupling through the end tangent
         # y = R^T c,_s (nonzero even at the stress-free state)
         y = np.einsum("nij,nj->ni", R0T, st.c_s)
         geo = so3.skew(y) * CN[None, None, :] @ so3.skew(y)
-        np.testing.assert_allclose(bm.t, geo - (4 / H ** 2)
+        np.testing.assert_allclose(bm[:, 1, 0], geo - (4 / H ** 2)
                                    * np.broadcast_to(np.diag(law.inertia),
                                                      (4, 3, 3)), atol=1e-10)
-        np.testing.assert_allclose(bm.tss,
+        np.testing.assert_allclose(bm[:, 1, 2],
                                    np.broadcast_to(np.diag(CM), (4, 3, 3)),
                                    atol=1e-15)
 
@@ -189,11 +211,12 @@ class TestTangentFiniteDifference:
         st2.visc.beta_K_s[:] = 0.0
         bf2 = tangent_blocks_force(st2, law, CN, z, H)
         # identical except for the beta-driven skew terms in t / ts
-        np.testing.assert_array_equal(bf.e, bf2.e)
-        np.testing.assert_array_equal(bf.es, bf2.es)
-        np.testing.assert_array_equal(bf.ess, bf2.ess)
+        np.testing.assert_array_equal(bf[:, 0, 0], bf2[:, 0, 0])
+        np.testing.assert_array_equal(bf[:, 0, 1], bf2[:, 0, 1])
+        np.testing.assert_array_equal(bf[:, 0, 2], bf2[:, 0, 2])
         SbG = (law.CNv[:, None, :] * st.visc.beta_G).sum(0)
-        np.testing.assert_allclose(bf.ts - bf2.ts, so3.skew(SbG), atol=1e-12)
+        np.testing.assert_allclose(bf[:, 1, 1] - bf2[:, 1, 1], so3.skew(SbG),
+                                   atol=1e-12)
 
 
 class TestBoundaryRows:
@@ -201,10 +224,10 @@ class TestBoundaryRows:
         law = unit_law()
         st = CollocationState(straight_frames(5), law)
         CN, CM = bars(law)
-        row = one_end(neumann_force_row, st, law, CN, 4, np.zeros(3), +1.0)
-        assert np.abs(row.residual).max() == 0.0
-        row = one_end(neumann_moment_row, st, law, CM, 0, np.zeros(3), -1.0)
-        assert np.abs(row.residual).max() == 0.0
+        res, _ = one_end(neumann_force_row, st, law, CN, 4, np.zeros(3), +1.0)
+        assert np.abs(res).max() == 0.0
+        res, _ = one_end(neumann_moment_row, st, law, CM, 0, np.zeros(3), -1.0)
+        assert np.abs(res).max() == 0.0
 
     def test_elastic_tip_force_algebra(self):
         law = unit_law(elements=())
@@ -214,8 +237,8 @@ class TestBoundaryRows:
         Gam = (st.R[i].T @ f) / law.CN0
         st.c_s[i] = st.R[i] @ (st.Gref[i] + Gam)
         CN, _ = bars(law)
-        row = one_end(neumann_force_row, st, law, CN, i, f, +1.0)
-        assert np.abs(row.residual).max() < 1e-15
+        res, _ = one_end(neumann_force_row, st, law, CN, i, f, +1.0)
+        assert np.abs(res).max() < 1e-15
 
     def test_stacked_ends_match_one_end_calls(self):
         # the four ends of two patches of degrees 3 and 4 in one law stack,
@@ -247,11 +270,7 @@ class TestBoundaryRows:
             out = kernel(st, law, bar, pts, *args)
             for e, i in enumerate(pts):
                 one = one_end(kernel, st, law, bar, i, *(x[e] for x in args))
-                if isinstance(out, BoundaryRow):
-                    pairs = [(getattr(out, f)[e], getattr(one, f))
-                             for f in ("residual", "t", "ts", "es")]
-                else:
-                    pairs = [(x[e], y) for x, y in zip(out, one)]
+                pairs = [(x[e], y) for x, y in zip(out, one)]
                 for x, y in pairs:
                     np.testing.assert_array_equal(x, y)
                 assert np.abs(pairs[0][0]).max() > 0.0
@@ -278,12 +297,12 @@ class TestBoundaryRows:
             sp, sm = perturbed(1.0), perturbed(-1.0)
             rf = one_end(neumann_force_row, st, law, CN, i, n_c, sign)
             rm = one_end(neumann_moment_row, st, law, CM, i, m_c, sign)
-            fd_f = -(one_end(neumann_force_row, sp, law, CN, i, n_c, sign).residual
-                     - one_end(neumann_force_row, sm, law, CN, i, n_c, sign).residual) / (2 * eps)
-            fd_m = -(one_end(neumann_moment_row, sp, law, CM, i, m_c, sign).residual
-                     - one_end(neumann_moment_row, sm, law, CM, i, m_c, sign).residual) / (2 * eps)
-            an_f = rf.t @ inc[3][i] + rf.ts @ inc[4][i] + rf.es @ inc[1][i]
-            an_m = rm.t @ inc[3][i] + rm.ts @ inc[4][i] + rm.es @ inc[1][i]
+            fd_f = -(one_end(neumann_force_row, sp, law, CN, i, n_c, sign)[0]
+                     - one_end(neumann_force_row, sm, law, CN, i, n_c, sign)[0]) / (2 * eps)
+            fd_m = -(one_end(neumann_moment_row, sp, law, CM, i, m_c, sign)[0]
+                     - one_end(neumann_moment_row, sm, law, CM, i, m_c, sign)[0]) / (2 * eps)
+            an_f = apply_end_blocks(rf[1], inc, i)
+            an_m = apply_end_blocks(rm[1], inc, i)
             worst_f = max(worst_f, relative_error(fd_f[None], an_f[None]))
             worst_m = max(worst_m, relative_error(fd_m[None], an_m[None]))
         assert worst_f < 5e-6
@@ -305,15 +324,15 @@ class TestBoundaryRows:
 
             sp, sm = perturbed(1.0), perturbed(-1.0)
             for i, sign in ((0, -1.0), (2, +1.0)):
-                f0, bt, bes = one_end(end_force_spatial, st, law, CN, i, sign)
+                f0, blk = one_end(end_force_spatial, st, law, CN, i, sign)
                 fd = (one_end(end_force_spatial, sp, law, CN, i, sign)[0]
                       - one_end(end_force_spatial, sm, law, CN, i, sign)[0]) / (2 * eps)
-                an = bt @ inc[3][i] + bes @ inc[1][i]
+                an = apply_end_blocks(blk, inc, i)
                 assert relative_error(fd[None], an[None]) < 5e-6
-                m0, bt, bts = one_end(end_moment_spatial, st, law, CM, i, sign)
+                m0, blk = one_end(end_moment_spatial, st, law, CM, i, sign)
                 fd = (one_end(end_moment_spatial, sp, law, CM, i, sign)[0]
                       - one_end(end_moment_spatial, sm, law, CM, i, sign)[0]) / (2 * eps)
-                an = bt @ inc[3][i] + bts @ inc[4][i]
+                an = apply_end_blocks(blk, inc, i)
                 assert relative_error(fd[None], an[None]) < 5e-6
 
 
@@ -334,5 +353,7 @@ class TestFrameIndifference:
         assert np.abs(F - F_rot).max() < 1e-12 * max(1, np.abs(F).max())
         assert np.abs(V - V_rot).max() < 1e-12 * max(1, np.abs(V).max())
         # strain measures themselves are material
-        assert np.abs(st.gamma() - st_rot.gamma()).max() < 1e-13
-        assert np.abs(st.kappa() - st_rot.kappa()).max() == 0.0
+        _, _, Gam, _, Kap, _ = kin(st)
+        _, _, Gam_rot, _, Kap_rot, _ = kin(st_rot)
+        assert np.abs(Gam - Gam_rot).max() < 1e-13
+        assert np.abs(Kap - Kap_rot).max() == 0.0

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from gebvisc.assembly import Simulation, time_march
+from gebvisc.assembly import NewtonSettings, Simulation, time_march
 from gebvisc.cli import (fit_preplateau_slope, main, run_convergence,
                          run_scenario)
 from gebvisc.integrator import StepFailure
@@ -177,6 +177,45 @@ class TestCliCommands:
         assert rc == 0
         header, data = read_history_csv(out / "history.csv")
         assert data.shape[0] == 5
+
+    @staticmethod
+    def short_config(newton):
+        return {
+            "version": 1,
+            "material": {"E_inf": 5e5, "nu": 0.5, "rho": 1100.0},
+            "section": {"type": "circle", "diameter": 0.01},
+            "patches": [{"generator": "line",
+                         "params": {"start": [0, 0, 0], "end": [0, 1, 0]},
+                         "degree": 2, "n": 6}],
+            "supports": [{"patch": 0, "end": "start", "type": "hinge"}],
+            "loads": [{"target": {"kind": "distributed", "patch": 0},
+                       "history": {"kind": "constant",
+                                   "value": [0, 0, -0.8475]}}],
+            "time": {"h": 5e-3, "T": 5e-3},
+            "newton": newton,
+        }
+
+    def test_custom_config_newton_section(self):
+        section = {"max_iterations": 12, "tol_increment": 1e-9,
+                   "retry_increment_cap": None}
+        sim, _, _ = run_scenario("custom", config=self.short_config(section))
+        assert sim.settings == NewtonSettings(**section)
+        # an explicit settings argument takes precedence over the section
+        given = NewtonSettings(max_iterations=5)
+        sim, _, _ = run_scenario("custom", config=self.short_config(section),
+                                 settings=given)
+        assert sim.settings is given
+
+    @pytest.mark.parametrize("section", [{"max_iters": 12},
+                                         {"max_iterations": 0}])
+    def test_invalid_newton_section_rejected(self, tmp_path, capsys, section):
+        cfg = self.short_config(section)
+        with pytest.raises(ValueError):
+            run_scenario("custom", config=cfg)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
 
     def test_converge_command(self, tmp_path):
         study = {"scenario": "pendulum", "pairs": [[2, 8], [2, 12], [2, 16]],

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gebvisc import so3
-from gebvisc.beam_residual import CollocationState, residual_force, residual_moment
+from gebvisc.beam_residual import (CollocationState, kin, residual_force,
+                                   residual_moment)
 from gebvisc.integrator import (StepFailure, apply_increment, begin_step,
                                 commit_step, initialize_accelerations)
 from gebvisc.viscoelastic import effective_stiffness, internal_forces, \
@@ -92,9 +93,9 @@ class TestApplyIncrement:
         apply_increment(st, de, de_s, z, z, z, z, H)
         np.testing.assert_array_equal(st.R, before.R)
         np.testing.assert_array_equal(st.K, before.K)
-        np.testing.assert_array_equal(st.kappa(), before.kappa())
+        np.testing.assert_array_equal(kin(st)[4], kin(before)[4])
         # translational strain changes only through R^T de,_s
-        dG = st.gamma() - before.gamma()
+        dG = kin(st)[2] - kin(before)[2]
         expect = np.einsum("nji,nj->ni", before.R, de_s)
         np.testing.assert_allclose(dG, expect, atol=1e-14)
 
@@ -177,7 +178,7 @@ class TestCommit:
         tau = 0.5
         st = CollocationState(straight_frames(2), law)
         st.c_s *= 1.01  # held stretch
-        gam = st.gamma()
+        gam = kin(st)[2]
         c, d = trapezoidal_coeffs(law.taus, H)
         ratios = []
         prev = None
@@ -198,11 +199,11 @@ class TestCommit:
         for _ in range(50):
             begin_step(st, law, H)
             commit_step(st, law, H)
-            N_hist.append(internal_forces(law, st.gamma(), st.kappa(),
+            N_hist.append(internal_forces(law, kin(st)[2], kin(st)[4],
                                           st.visc)[0][0, 0])
         assert np.all(np.diff(N_hist) < 0.0)
         # approaches the long-term value from above
-        assert N_hist[-1] > law.CN_inf[0] * st.gamma()[0, 0]
+        assert N_hist[-1] > law.CN_inf[0] * kin(st)[2][0, 0]
 
 
 class TestInitialAccelerations:
@@ -220,17 +221,17 @@ class TestInitialAccelerations:
         law = unit_law()
         st = random_state(law, 6, H, rng)
         # consistent branch strains for the continuous law
-        st.visc.Gam_s[:] = 0.3 * st.gamma_s()[None]
-        st.visc.Kap_s[:] = 0.3 * st.kappa_s()[None]
+        st.visc.Gam_s[:] = 0.3 * kin(st)[3][None]
+        st.visc.Kap_s[:] = 0.3 * kin(st)[5][None]
         n_dist = rng.normal(size=(6, 3))
         m_dist = rng.normal(size=(6, 3))
         initialize_accelerations(st, law, n_dist, m_dist)
-        Gam, Kap = st.gamma(), st.kappa()
+        Gam, Kap = kin(st)[2], kin(st)[4]
         N, M = internal_forces(law, Gam, Kap, st.visc)
         RT = np.swapaxes(st.R, -1, -2)
-        N_s = (law.CN_inf * st.gamma_s()
+        N_s = (law.CN_inf * kin(st)[3]
                + (law.CNv[:, None, :]
-                  * (st.gamma_s()[None] - st.visc.Gam_s)).sum(0))
+                  * (kin(st)[3][None] - st.visc.Gam_s)).sum(0))
         f = np.cross(st.K, N) + N_s + np.einsum("nij,nj->ni", RT, n_dist)
         lhs = law.mu * np.einsum("nij,nj->ni", RT, st.a)
         np.testing.assert_allclose(lhs, f, atol=1e-10)
