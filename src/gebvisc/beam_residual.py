@@ -88,8 +88,8 @@ def _rowscale(d: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 def kin(state: CollocationState):
     """Kinematic quantities at every point: R^T, y = R^T c,_s, and the strain
-    measures Gam = y - R0^T c0,_s, Gam,_s, Kap = K - K0 and Kap,_s.  This is
-    the only place the strains are evaluated."""
+    measures Gam = y - R0^T c0,_s, Gam,_s, Kap = K - K0 and Kap,_s, read by
+    the interior kernels and by the step begin and commit."""
     RT = np.swapaxes(state.R, -1, -2)
     y = np.einsum("nij,nj->ni", RT, state.c_s)
     Gam_s = (-so3.cross(state.K, y)
