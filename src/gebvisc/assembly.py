@@ -31,14 +31,13 @@ from . import so3
 from .beam_residual import (CollocationState, end_force_spatial,
                             end_moment_spatial, neumann_force_row,
                             neumann_moment_row, residual_force,
-                            residual_moment, tangent_blocks_force,
-                            tangent_blocks_moment)
+                            residual_moment, section_state,
+                            tangent_blocks_force, tangent_blocks_moment)
 from .initial_geometry import InitialFrameField
 from .integrator import (StepFailure, apply_increment, begin_step, commit_step,
                          initialize_accelerations)
-from .model import END, START, BeamModel
+from .model import END, START, SUPPORT_KINDS, BeamModel
 from .splines import basis_eval, basis_matrices
-from .viscoelastic import effective_stiffness
 
 log = logging.getLogger(__name__)
 
@@ -153,11 +152,6 @@ class PatchRuntime:
 PatchSlot = namedtuple("PatchSlot", "patch rt pts")
 
 
-#: translation components each support kind fixes (None: no support); the
-#: other components keep their force rows
-FIXED = {None: [], "clamp": [0, 1, 2], "hinge": [0, 1, 2], "roller_x3": [2]}
-
-
 #: ends of one law stack that one end kernel evaluates: their end ids (2 k
 #: and 2 k + 1 for the start and the end of patch k), stacked points and
 #: outward signs, and the term and point (six rows) of their own slots
@@ -241,8 +235,6 @@ class Simulation:
         for joint in self.model.joints:
             ends = [tuple(e) for e in joint.ends]
             sup = [e for e in ends if e in self._supported]
-            if len(sup) > 1:
-                raise ValueError("a joint may carry at most one support")
             if sup:
                 ends.remove(sup[0])
                 ends.insert(0, sup[0])
@@ -280,10 +272,13 @@ class Simulation:
                                  for (patch, _, _), end in at])
         self._end_R0 = np.array([patch.frames.R0[patch.end_index(end)]
                                  for (patch, _, _), end in at])
-        kind = [getattr(self._supported.get(key), "kind", None) for key in keys]
-        supported = np.array([k is not None for k in kind])
-        clamped = np.array([k == "clamp" for k in kind])
-        fixed = np.array([[a in FIXED[k] for a in range(3)] for k in kind])
+        # what the support of each end holds (None: no support)
+        held = [None if s is None else SUPPORT_KINDS[s.kind]
+                for s in map(self._supported.get, keys)]
+        supported = np.array([k is not None for k in held])
+        clamped = np.array([k is not None and k.rotation for k in held])
+        fixed = np.array([[k is not None and a in k.translations
+                           for a in range(3)] for k in held])
         # translation rows that are spatial force rows: those of joint ends
         # and of supported ends that their support leaves free
         free = ~fixed[lead] & (jointed | supported)[:, None]
@@ -415,8 +410,9 @@ class Simulation:
         for (pk, end), sup in self._supported.items():
             patch, rt, pts = self.runtimes[pk]
             j = pts.start + patch.end_index(end)
-            rt.state.a[j, FIXED[sup.kind]] = 0.0
-            if sup.kind == "clamp":
+            held = SUPPORT_KINDS[sup.kind]
+            rt.state.a[j, held.translations] = 0.0
+            if held.rotation:
                 rt.state.A[j] = 0.0
 
     def set_initial_velocity(self, v0, W0=None):
@@ -431,23 +427,25 @@ class Simulation:
         rhs = np.zeros(self.ndof)
         r = rhs.reshape(-1, 6)
         fm = self._distributed(t_next)
+        sections = []
         for rt in self.stacks:
             law, st = rt.law, rt.state
-            CN_bar, CM_bar = effective_stiffness(law, h)
+            sec = section_state(st, law, h)
+            sections.append(sec)
             n_dist, m_dist = fm[:, rt.patch_of_point]
-            F = residual_force(st, law, CN_bar, n_dist, h)
-            V = residual_moment(st, law, CN_bar, CM_bar, m_dist, h)
+            F = residual_force(st, law, sec, n_dist)
+            V = residual_moment(st, law, sec, m_dist)
             # (point, force/moment rows, displacement/rotation columns,
             # value/,s/,ss stencil, 3, 3)
-            C = np.stack([tangent_blocks_force(st, law, CN_bar, n_dist, h),
-                          tangent_blocks_moment(st, law, CN_bar, CM_bar,
-                                                m_dist, h)], axis=1)
+            C = np.stack([tangent_blocks_force(st, law, sec, n_dist, h),
+                          tangent_blocks_moment(st, law, sec, m_dist, h)],
+                         axis=1)
             for sel, points, phi, _ in rt.interior:
                 values.append(np.einsum("nrcdab,ndk->nrakcb", C[sel],
                                         phi).reshape(-1))
                 r[points] = -np.hstack([F[sel], V[sel]])
 
-        B = self._boundary_rows(h, t_next, rhs)[self._stencil_term]
+        B = self._boundary_rows(sections, t_next, rhs)[self._stencil_term]
         phi = self._stencil_phi
         values.append((B[:, 0] * phi[:, 0] + B[:, 1] * phi[:, 1]).reshape(-1))
         data = np.bincount(self._slot, weights=np.concatenate(values),
@@ -465,9 +463,9 @@ class Simulation:
         A.eliminate_zeros()
         return A, rhs * inv
 
-    def _boundary_rows(self, h, t_next, rhs):
-        """Coefficient blocks (terms, 2, 6, 6) of every end term; fills the
-        boundary entries of ``rhs``.
+    def _boundary_rows(self, sections, t_next, rhs):
+        """Coefficient blocks (terms, 2, 6, 6) of every end term from the
+        section state of every stack; fills the boundary entries of ``rhs``.
 
         ``[term, 0]`` multiplies the value stencil and ``[term, 1]`` the ,s
         stencil of the term's end.  Rows 0:3 of a block are the force (or
@@ -488,23 +486,23 @@ class Simulation:
         loads = np.zeros((2, n, 3))
         for ch, g, history in self._end_loads:
             loads[ch, g] += history(t_next)
-        for rt, (every, nf, nm, fs, ms) in zip(self.stacks, self._end_groups):
-            st, law = rt.state, rt.law
-            CN_bar, CM_bar = effective_stiffness(law, h)
+        for rt, sec, (every, nf, nm, fs, ms) in zip(self.stacks, sections,
+                                                     self._end_groups):
+            st = rt.state
             c[every.ends] = st.c[every.pts]
             R[every.ends] = st.R[every.pts]
             if nf is not None:
                 r[nf.slots, :3], B[nf.terms, :, :3] = neumann_force_row(
-                    st, law, CN_bar, nf.pts, loads[0, nf.ends], nf.sign)
+                    st, sec, nf.pts, loads[0, nf.ends], nf.sign)
             if nm is not None:
                 r[nm.slots, 3:], B[nm.terms, :, 3:] = neumann_moment_row(
-                    st, law, CM_bar, nm.pts, loads[1, nm.ends], nm.sign)
+                    st, sec, nm.pts, loads[1, nm.ends], nm.sign)
             if fs is not None:
                 fm[fs.ends, 0], dfm[fs.ends, 0] = end_force_spatial(
-                    st, law, CN_bar, fs.pts, fs.sign)
+                    st, sec, fs.pts, fs.sign)
             if ms is not None:
                 fm[ms.ends, 1], dfm[ms.ends, 1] = end_moment_spatial(
-                    st, law, CM_bar, ms.pts, ms.sign)
+                    st, sec, ms.pts, ms.sign)
 
         # spatial force rows of the translation components left free
         T, g, a = self._force_rows

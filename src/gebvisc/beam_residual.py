@@ -6,6 +6,12 @@ respect to the incremental displacement and rotation fields and their first
 and second arc-length derivatives.  All quantities are material (pulled back
 by R^T); everything is vectorized over the points of a law stack.
 
+One section pass per stack and assembly, ``section_state``, evaluates what
+all eight kernels read: the kinematics of ``kin``, the Maxwell history sums
+and the effective stresses zF and zM at the step's effective stiffness.  The
+four interior kernels take it whole and the four end kernels gather it at
+their points, so no kernel recomputes strains or histories.
+
 The kernels return their blocks in the layout the system matrix is built
 from, with the structural zeros as zeros of the array:
 
@@ -24,11 +30,13 @@ pins this down to 5e-6 relative.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 
 from . import so3
 from .initial_geometry import InitialFrameField
-from .viscoelastic import SectionLaw, ViscousState
+from .viscoelastic import SectionLaw, ViscousState, effective_stiffness
 
 
 class CollocationState:
@@ -89,7 +97,7 @@ def _rowscale(d: np.ndarray, M: np.ndarray) -> np.ndarray:
 def kin(state: CollocationState):
     """Kinematic quantities at every point: R^T, y = R^T c,_s, and the strain
     measures Gam = y - R0^T c0,_s, Gam,_s, Kap = K - K0 and Kap,_s, read by
-    the interior kernels and by the step begin and commit."""
+    the section pass and by the step begin and commit."""
     RT = np.swapaxes(state.R, -1, -2)
     y = np.einsum("nij,nj->ni", RT, state.c_s)
     Gam_s = (-so3.cross(state.K, y)
@@ -98,51 +106,54 @@ def kin(state: CollocationState):
             state.K_s - state.K0_s)
 
 
-def _end_kin(state: CollocationState, pts: np.ndarray):
-    """(R, R^T, y, Gam) of ``kin`` at the points ``pts``."""
-    R = state.R.take(pts, axis=0)
-    RT = np.swapaxes(R, -1, -2)
-    y = np.einsum("nij,nj->ni", RT, state.c_s.take(pts, axis=0))
-    return R, RT, y, y - state.Gref.take(pts, axis=0)
+#: what every kernel reads of a law stack's section at a step size: R^T and
+#: y of ``kin``, the strain derivatives Gam,_s and Kap,_s, the effective
+#: stresses zF = CN_bar Gam - SbG and zM = CM_bar Kap - SbK with SbG, SbK the
+#: Maxwell history sums, their ,s history sums and the effective diagonals
+SectionState = namedtuple(
+    "SectionState", "RT y Gam_s Kap_s zF zM SbG_s SbK_s CN_bar CM_bar")
 
 
-def residual_force(state: CollocationState, law: SectionLaw, CN_bar: np.ndarray,
-                   n_dist: np.ndarray, h: float) -> np.ndarray:
+def section_state(state: CollocationState, law: SectionLaw,
+                  h: float) -> SectionState:
+    """The section pass: kinematics, history sums and effective stresses of
+    every point of the stack, evaluated once per assembly."""
+    RT, y, Gam, Gam_s, Kap, Kap_s = kin(state)
+    SbG, SbG_s = state.visc.force_history(law)
+    SbK, SbK_s = state.visc.couple_history(law)
+    CN_bar, CM_bar = effective_stiffness(law, h)
+    return SectionState(RT, y, Gam_s, Kap_s, CN_bar * Gam - SbG,
+                        CM_bar * Kap - SbK, SbG_s, SbK_s, CN_bar, CM_bar)
+
+
+def residual_force(state: CollocationState, law: SectionLaw,
+                   sec: SectionState, n_dist: np.ndarray) -> np.ndarray:
     """Material force-balance residual (n, 3); zero at a converged solution.
 
     ``n_dist`` is the spatial distributed force per unit length at the step
     end; the acceleration channel of the state must already be the current
     trapezoidal extrapolation.
     """
-    RT, y, Gam, Gam_s, _, _ = kin(state)
-    SbG, SbG_s = state.visc.force_history(law)
-    zF = CN_bar * Gam - SbG
-    return (so3.cross(state.K, zF) + CN_bar * Gam_s - SbG_s
-            + np.einsum("nij,nj->ni", RT, n_dist - law.mu * state.a))
+    return (so3.cross(state.K, sec.zF) + sec.CN_bar * sec.Gam_s - sec.SbG_s
+            + np.einsum("nij,nj->ni", sec.RT, n_dist - law.mu * state.a))
 
 
-def residual_moment(state: CollocationState, law: SectionLaw, CN_bar: np.ndarray,
-                    CM_bar: np.ndarray, m_dist: np.ndarray, h: float) -> np.ndarray:
+def residual_moment(state: CollocationState, law: SectionLaw,
+                    sec: SectionState, m_dist: np.ndarray) -> np.ndarray:
     """Material moment-balance residual (n, 3); zero at a converged solution."""
-    RT, y, Gam, Gam_s, Kap, Kap_s = kin(state)
-    SbG, _ = state.visc.force_history(law)
-    SbK, SbK_s = state.visc.couple_history(law)
-    zF = CN_bar * Gam - SbG
-    zM = CM_bar * Kap - SbK
     J = law.inertia
-    return (so3.cross(state.K, zM) + CM_bar * Kap_s - SbK_s + so3.cross(y, zF)
-            + np.einsum("nij,nj->ni", RT, m_dist)
+    return (so3.cross(state.K, sec.zM) + sec.CM_bar * sec.Kap_s - sec.SbK_s
+            + so3.cross(sec.y, sec.zF)
+            + np.einsum("nij,nj->ni", sec.RT, m_dist)
             - J * state.A - so3.cross(state.W, J * state.W))
 
 
 def tangent_blocks_force(state: CollocationState, law: SectionLaw,
-                         CN_bar: np.ndarray, n_dist: np.ndarray,
+                         sec: SectionState, n_dist: np.ndarray,
                          h: float) -> np.ndarray:
     """Consistent tangent blocks (n, 2, 3, 3, 3) of the force balance; it has
     no block on the second derivative of the rotation increment."""
-    RT, y, Gam, _, _, _ = kin(state)
-    SbG, _ = state.visc.force_history(law)
-    zF = CN_bar * Gam - SbG
+    RT, y, zF, CN_bar = sec.RT, sec.y, sec.zF, sec.CN_bar
     Kt = so3.skew(state.K)
     yt = so3.skew(y)
     CNyt = _rowscale(CN_bar, yt)
@@ -161,8 +172,8 @@ def tangent_blocks_force(state: CollocationState, law: SectionLaw,
 
 
 def tangent_blocks_moment(state: CollocationState, law: SectionLaw,
-                          CN_bar: np.ndarray, CM_bar: np.ndarray,
-                          m_dist: np.ndarray, h: float) -> np.ndarray:
+                          sec: SectionState, m_dist: np.ndarray,
+                          h: float) -> np.ndarray:
     """Consistent tangent blocks (n, 2, 3, 3, 3) of the moment balance; its
     only block on the displacement increment is the ,s one.
 
@@ -170,17 +181,13 @@ def tangent_blocks_moment(state: CollocationState, law: SectionLaw,
     incremental rotation, which transports the solver increment from the
     step-end tangent space to the one the trapezoidal extrapolation lives in.
     """
-    RT, y, Gam, _, Kap, _ = kin(state)
-    SbG, _ = state.visc.force_history(law)
-    SbK, _ = state.visc.couple_history(law)
-    zF = CN_bar * Gam - SbG
-    zM = CM_bar * Kap - SbK
+    RT, y, CM_bar = sec.RT, sec.y, sec.CM_bar
     Kt = so3.skew(state.K)
     yt = so3.skew(y)
     J = law.inertia
     n = state.n
     CMKt = _rowscale(CM_bar, Kt)
-    G_blk = yt * CN_bar[None, None, :] - so3.skew(zF)
+    G_blk = yt * sec.CN_bar[None, None, :] - so3.skew(sec.zF)
     Tinv = so3.tangent_map_inverse(state.Theta)
     Wt = so3.skew(state.W)
     inertia_blk = ((4.0 / h ** 2) * np.broadcast_to(np.diag(J), (n, 3, 3))
@@ -188,12 +195,12 @@ def tangent_blocks_moment(state: CollocationState, law: SectionLaw,
                                   - so3.skew(J * state.W)))
     blk = np.zeros((n, 2, 3, 3, 3))
     blk[:, 0, 1] = G_blk @ RT
-    blk[:, 1, 0] = (Kt @ CMKt - so3.skew(zM) @ Kt
+    blk[:, 1, 0] = (Kt @ CMKt - so3.skew(sec.zM) @ Kt
                     + _rowscale(CM_bar, so3.skew(state.K_s))
                     + G_blk @ yt
                     + so3.skew(np.einsum("nij,nj->ni", RT, m_dist))
                     - inertia_blk @ Tinv)
-    blk[:, 1, 1] = CMKt + Kt * CM_bar[None, None, :] - so3.skew(zM)
+    blk[:, 1, 1] = CMKt + Kt * CM_bar[None, None, :] - so3.skew(sec.zM)
     blk[:, 1, 2] = np.diag(CM_bar)
     return blk
 
@@ -204,7 +211,8 @@ def tangent_blocks_moment(state: CollocationState, law: SectionLaw,
 # u = 0): an applied end load f satisfies sign * n(end) = f.  Each kernel
 # returns its vector (e, 3) and its (e, 2, 3, 6) blocks.  The 3x3 products use
 # ``@``, which gives the bits of the one-matrix product on each end of the
-# stack.
+# stack.  A Neumann row writes SbG - CN_bar Gam as 0 - zF: the same bits as
+# that difference, a zero included, where -zF would turn +0 into -0.
 # ---------------------------------------------------------------------------
 
 def _end_blocks(theta, theta_s=0.0, eta_s=0.0) -> np.ndarray:
@@ -218,57 +226,52 @@ def _end_blocks(theta, theta_s=0.0, eta_s=0.0) -> np.ndarray:
     return blk
 
 
-def neumann_force_row(state: CollocationState, law: SectionLaw,
-                      CN_bar: np.ndarray, pts: np.ndarray, n_c: np.ndarray,
-                      sign: np.ndarray):
+def neumann_force_row(state: CollocationState, sec: SectionState,
+                      pts: np.ndarray, n_c: np.ndarray, sign: np.ndarray):
     """Material force boundary rows at the points ``pts`` with end loads
     ``n_c`` (e, 3): residuals and blocks."""
-    _, RT, y, Gam = _end_kin(state, pts)
-    SbG, _ = state.visc.force_history(law, pts)
+    RT = np.swapaxes(state.R.take(pts, axis=0), -1, -2)
     rn = (RT @ n_c[:, :, None])[..., 0]
-    return SbG - CN_bar * Gam + sign[:, None] * rn, _end_blocks(
-        CN_bar[:, None] * so3.skew(y) - sign[:, None, None] * so3.skew(rn),
-        eta_s=CN_bar[:, None] * RT)
+    return 0.0 - sec.zF.take(pts, axis=0) + sign[:, None] * rn, _end_blocks(
+        sec.CN_bar[:, None] * so3.skew(sec.y.take(pts, axis=0))
+        - sign[:, None, None] * so3.skew(rn),
+        eta_s=sec.CN_bar[:, None] * RT)
 
 
-def neumann_moment_row(state: CollocationState, law: SectionLaw,
-                       CM_bar: np.ndarray, pts: np.ndarray, m_c: np.ndarray,
-                       sign: np.ndarray):
+def neumann_moment_row(state: CollocationState, sec: SectionState,
+                       pts: np.ndarray, m_c: np.ndarray, sign: np.ndarray):
     """Material moment boundary rows at the points ``pts`` with end couples
     ``m_c`` (e, 3): residuals and blocks."""
-    K = state.K.take(pts, axis=0)
-    Kap = K - state.K0.take(pts, axis=0)
-    SbK, _ = state.visc.couple_history(law, pts)
     RT = np.swapaxes(state.R.take(pts, axis=0), -1, -2)
     rm = (RT @ m_c[:, :, None])[..., 0]
-    return SbK - CM_bar * Kap + sign[:, None] * rm, _end_blocks(
-        CM_bar[:, None] * so3.skew(K) - sign[:, None, None] * so3.skew(rm),
-        theta_s=np.diag(CM_bar))
+    return 0.0 - sec.zM.take(pts, axis=0) + sign[:, None] * rm, _end_blocks(
+        sec.CM_bar[:, None] * so3.skew(state.K.take(pts, axis=0))
+        - sign[:, None, None] * so3.skew(rm),
+        theta_s=np.diag(sec.CM_bar))
 
 
-def end_force_spatial(state: CollocationState, law: SectionLaw,
-                      CN_bar: np.ndarray, pts: np.ndarray, sign: np.ndarray):
+def end_force_spatial(state: CollocationState, sec: SectionState,
+                      pts: np.ndarray, sign: np.ndarray):
     """Spatial end forces sign * R N at the points ``pts`` and their blocks;
     used for joint balance and component-wise mixed supports, where rows live
     in the fixed frame."""
-    R, RT, y, Gam = _end_kin(state, pts)
-    SbG, _ = state.visc.force_history(law, pts)
-    zF = CN_bar * Gam - SbG
+    R = state.R.take(pts, axis=0)
+    zF = sec.zF.take(pts, axis=0)
     s = sign[:, None, None]
     return sign[:, None] * (R @ zF[:, :, None])[..., 0], _end_blocks(
-        s * (R @ (CN_bar[:, None] * so3.skew(y) - so3.skew(zF))),
-        eta_s=s * (R @ (CN_bar[:, None] * RT)))
+        s * (R @ (sec.CN_bar[:, None] * so3.skew(sec.y.take(pts, axis=0))
+                  - so3.skew(zF))),
+        eta_s=s * (R @ (sec.CN_bar[:, None] * np.swapaxes(R, -1, -2))))
 
 
-def end_moment_spatial(state: CollocationState, law: SectionLaw,
-                       CM_bar: np.ndarray, pts: np.ndarray, sign: np.ndarray):
+def end_moment_spatial(state: CollocationState, sec: SectionState,
+                       pts: np.ndarray, sign: np.ndarray):
     """Spatial end couples sign * R M at the points ``pts`` and their
     blocks."""
-    K = state.K.take(pts, axis=0)
-    SbK, _ = state.visc.couple_history(law, pts)
-    zM = CM_bar * (K - state.K0.take(pts, axis=0)) - SbK
     R = state.R.take(pts, axis=0)
+    zM = sec.zM.take(pts, axis=0)
     s = sign[:, None, None]
     return sign[:, None] * (R @ zM[:, :, None])[..., 0], _end_blocks(
-        s * (R @ (CM_bar[:, None] * so3.skew(K) - so3.skew(zM))),
-        theta_s=s * (R @ np.diag(CM_bar)))
+        s * (R @ (sec.CM_bar[:, None] * so3.skew(state.K.take(pts, axis=0))
+                  - so3.skew(zM))),
+        theta_s=s * (R @ np.diag(sec.CM_bar)))

@@ -26,33 +26,49 @@ from .scenarios import SCENARIO_NAMES, build_scenario
 log = logging.getLogger(__name__)
 
 
-def run_scenario(name: str, overrides: dict | None = None, out_dir=None,
-                 snapshot_times=(), settings: NewtonSettings | None = None,
-                 config: dict | None = None):
-    """Run one scenario to its end time; returns (sim, trajectory, params).
+def scenario_setup(name: str, overrides: dict | None = None,
+                   settings: NewtonSettings | None = None,
+                   config: dict | None = None):
+    """Model, Newton settings and parameters (h, T, ...) of a scenario.
 
     Without ``settings`` the scenario 'custom' takes its Newton settings
     from the configuration's ``newton`` section, every other scenario the
     defaults.
+    """
+    if name != "custom":
+        model, params = build_scenario(name, overrides)
+        return model, settings, params
+    if config is None:
+        raise ValueError("scenario 'custom' needs a configuration file")
+    model, extras = model_from_config(config)
+    if settings is None:
+        settings = NewtonSettings.from_config(extras["newton"])
+    params = dict(extras["time"])
+    params.setdefault("h", 1e-3)
+    params.setdefault("T", 1.0)
+    if overrides:
+        params.update({k: v for k, v in overrides.items()
+                       if v is not None and k in ("h", "T")})
+    return model, settings, params
+
+
+def run_scenario(name: str, overrides: dict | None = None, out_dir=None,
+                 snapshot_times=(), settings: NewtonSettings | None = None,
+                 config: dict | None = None):
+    """Run one scenario to its end time; returns (sim, trajectory, params)."""
+    return run_model(name, *scenario_setup(name, overrides, settings, config),
+                     out_dir, snapshot_times)
+
+
+def run_model(name: str, model, settings, params: dict, out_dir=None,
+              snapshot_times=()):
+    """Run the ``scenario_setup`` of scenario ``name`` to its end time;
+    returns (sim, trajectory, params).
 
     On solver failure the history of the committed steps is written to the
     CSV and the exception is re-raised for the caller to turn into an exit
     code.
     """
-    if name == "custom":
-        if config is None:
-            raise ValueError("scenario 'custom' needs a configuration file")
-        model, extras = model_from_config(config)
-        if settings is None:
-            settings = NewtonSettings.from_config(extras["newton"])
-        params = dict(extras["time"])
-        params.setdefault("h", 1e-3)
-        params.setdefault("T", 1.0)
-        if overrides:
-            params.update({k: v for k, v in overrides.items()
-                           if v is not None and k in ("h", "T")})
-    else:
-        model, params = build_scenario(name, overrides)
     sim = Simulation(model, settings)
     h, T = params["h"], params["T"]
     snap = sorted(snapshot_times)
@@ -226,21 +242,6 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    if args.command == "run":
-        out = ensure_dir(args.out)
-        snaps = [float(t) for t in args.snapshots.split(",") if t]
-        config = load_config(args.config) if args.config else None
-        try:
-            sim, traj, params = run_scenario(args.scenario, _overrides_from(args),
-                                             out_dir=out, snapshot_times=snaps,
-                                             config=config)
-        except StepFailure as exc:
-            print(f"solver failure: {exc}", file=sys.stderr)
-            return 1
-        print(f"{args.scenario}: {len(traj.times) - 1} steps, "
-              f"{int(np.sum(traj.iterations))} Newton iterations, "
-              f"{traj.wall_time:.2f} s wall time -> {out}")
-        return 0
     if args.command == "converge":
         out = ensure_dir(args.out)
         study = load_config(args.config)
@@ -249,17 +250,30 @@ def main(argv=None) -> int:
             print(f"degree {p}: pre-plateau slope {info['slope']:.2f}, "
                   f"floor {info['floor']:.2e}")
         return 0
+    # run and validate: a configuration error is reported before any step
+    try:
+        setup = scenario_setup(
+            getattr(args, "scenario", "custom"), _overrides_from(args),
+            config=load_config(args.config) if args.config else None)
+    except (ValueError, KeyError, TypeError) as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return 2
     if args.command == "validate":
-        try:
-            model, extras = model_from_config(load_config(args.config))
-            NewtonSettings.from_config(extras["newton"])
-        except (ValueError, KeyError) as exc:
-            print(f"invalid configuration: {exc}", file=sys.stderr)
-            return 2
+        model = setup[0]
         print(f"ok: {len(model.patches)} patches, {model.n_dofs()} unknowns, "
               f"{len(model.supports)} supports, {len(model.joints)} joints")
         return 0
-    return 2
+    out = ensure_dir(args.out)
+    snaps = [float(t) for t in args.snapshots.split(",") if t]
+    try:
+        sim, traj, params = run_model(args.scenario, *setup, out, snaps)
+    except StepFailure as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return 1
+    print(f"{args.scenario}: {len(traj.times) - 1} steps, "
+          f"{int(np.sum(traj.iterations))} Newton iterations, "
+          f"{traj.wall_time:.2f} s wall time -> {out}")
+    return 0
 
 
 if __name__ == "__main__":

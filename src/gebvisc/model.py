@@ -14,6 +14,7 @@ adjacent to the member ends, which rigidly rotates the end tangents.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,21 +152,27 @@ class Patch:
         return self.frames.c0[self.end_index(end)]
 
 
+#: what each support kind holds: the global translation components it fixes
+#: and whether it fixes the rotation; every other component of the end keeps
+#: its force or moment row
+SupportKind = namedtuple("SupportKind", "translations rotation")
+SUPPORT_KINDS = {"clamp": SupportKind((0, 1, 2), True),
+                 "hinge": SupportKind((0, 1, 2), False),
+                 "roller_x3": SupportKind((2,), False)}
+
+
 @dataclass
 class Support:
-    """Boundary support of one patch end.
-
-    ``kind``: 'clamp' (all six components fixed), 'hinge' (translations fixed,
-    moment free) or 'roller_x3' (global x3 translation fixed, the rest free).
-    ``motion`` optionally prescribes the translation history of the end.
-    """
+    """Boundary support of one patch end: ``kind`` is a key of
+    ``SUPPORT_KINDS``, and ``motion`` optionally prescribes the translation
+    history of the end."""
     patch: int
     end: str
     kind: str
     motion: LoadHistory | None = None
 
     def __post_init__(self):
-        if self.kind not in ("clamp", "hinge", "roller_x3"):
+        if self.kind not in SUPPORT_KINDS:
             raise ValueError(f"unknown support kind '{self.kind}'")
 
 
@@ -247,6 +254,8 @@ class BeamModel:
                 if key in seen_joint:
                     raise ValueError(f"end {key} appears in two joints")
                 seen_joint.add(key)
+            if sum(tuple(e) in seen_support for e in joint.ends) > 1:
+                raise ValueError("a joint may carry at most one support")
         jointed = set(seen_joint)
         for el in self.end_loads:
             key = (el.patch, el.end)

@@ -25,15 +25,6 @@ def write_history_csv(path, traj: Trajectory) -> None:
             fh.write(",".join(row) + "\r\n")
 
 
-def read_history_csv(path):
-    """Header list and data array of a history file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        data = np.array([[float(v) for v in line.strip().split(",")]
-                         for line in fh if line.strip()])
-    return header, data
-
-
 def write_vtk_snapshot(path, sim: Simulation, samples_per_patch: int = 200,
                        title: str = "beam snapshot") -> None:
     """Legacy ASCII VTK polydata: dense centroid polylines per patch with the
@@ -65,20 +56,6 @@ def write_vtk_snapshot(path, sim: Simulation, samples_per_patch: int = 200,
         fh.write("VECTORS displacement double\n")
         for d in disp:
             fh.write(" ".join(FLOAT_FMT % v for v in d) + "\n")
-
-
-def read_vtk_points(path):
-    """Points and displacement vectors of a snapshot written by this module."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    i = next(k for k, l in enumerate(lines) if l.startswith("POINTS"))
-    n = int(lines[i].split()[1])
-    pts = np.array([[float(v) for v in lines[i + 1 + k].split()]
-                    for k in range(n)])
-    j = next(k for k, l in enumerate(lines) if l.startswith("VECTORS"))
-    disp = np.array([[float(v) for v in lines[j + 1 + k].split()]
-                     for k in range(n)])
-    return pts, disp
 
 
 def write_run_metadata(path, scenario: str, params: dict, traj: Trajectory,

@@ -51,10 +51,9 @@ SCENARIO_DEFAULTS = {
 SCENARIO_NAMES = tuple(SCENARIO_DEFAULTS) + ("custom",)
 
 
-def pla_law(diameter: float, elastic: bool = False) -> SectionLaw:
-    law = build_section_law(PLA_E_INF, PLA_NU, PLA_ELEMENTS,
-                            SectionGeometry.circle(diameter), PLA_RHO)
-    return law.elastic_limit() if elastic else law
+def pla_law(diameter: float) -> SectionLaw:
+    return build_section_law(PLA_E_INF, PLA_NU, PLA_ELEMENTS,
+                             SectionGeometry.circle(diameter), PLA_RHO)
 
 
 def _merge(name: str, overrides: dict | None) -> dict:
@@ -125,8 +124,7 @@ def build_spiral(overrides: dict | None = None):
     """Hinged planar spiral under self-weight plus a ramped vertical tip
     force; deforms into a fully three-dimensional motion."""
     c = _merge("spiral", overrides)
-    law = pla_law(2.0 * c["radius"],
-                  elastic=bool(overrides and overrides.get("elastic")))
+    law = _maybe_elastic(pla_law(2.0 * c["radius"]), overrides)
     curve = spiral_curve(c["degree"], c["n"], c["scale"])
     model = BeamModel(
         [Patch(curve, law)],
@@ -142,8 +140,7 @@ def build_spiral(overrides: dict | None = None):
 def build_lattice_scenario(overrides: dict | None = None):
     """Hinged planar lattice, out-of-plane pulse load on the central cell."""
     c = _merge("lattice", overrides)
-    law = pla_law(c["diameter"],
-                  elastic=bool(overrides and overrides.get("elastic")))
+    law = _maybe_elastic(pla_law(c["diameter"]), overrides)
     hist = LoadHistory.raised_sine_pulse([0, 0, c["q3"]], c["omega"],
                                          c["t_load"])
     model = build_lattice(c["psi"], law, cells=c["cells"],
@@ -155,8 +152,7 @@ def build_lattice_scenario(overrides: dict | None = None):
 def build_auxetic_scenario(overrides: dict | None = None):
     """Re-entrant cell structure, vertical rollers below, pulsed top load."""
     c = _merge("auxetic", overrides)
-    law = pla_law(c["diameter"],
-                  elastic=bool(overrides and overrides.get("elastic")))
+    law = _maybe_elastic(pla_law(c["diameter"]), overrides)
     hist = LoadHistory.raised_sine_pulse([0, 0, c["q3"]], c["omega"],
                                          c["t_load"])
     model = build_auxetic(c["psi"], law, nx=c["nx"], ny=c["ny"],

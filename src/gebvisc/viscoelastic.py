@@ -290,18 +290,14 @@ class ViscousState:
         K_s[...] = Kap_s
         return self._rows
 
-    def force_history(self, law: SectionLaw, pts=slice(None)
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        """(sum_a CNv_a beta_Ga, its s-derivative) at the points ``pts``
-        (all by default), each (n, 3)."""
-        S = np.einsum("ak,acnk->cnk", law.CNv, self.beta[:, :2, pts])
+    def force_history(self, law: SectionLaw) -> tuple[np.ndarray, np.ndarray]:
+        """(sum_a CNv_a beta_Ga, its s-derivative), each (n, 3)."""
+        S = np.einsum("ak,acnk->cnk", law.CNv, self.beta[:, :2])
         return S[0], S[1]
 
-    def couple_history(self, law: SectionLaw, pts=slice(None)
-                       ) -> tuple[np.ndarray, np.ndarray]:
-        """(sum_a CMv_a beta_Ka, its s-derivative) at the points ``pts``
-        (all by default), each (n, 3)."""
-        S = np.einsum("ak,acnk->cnk", law.CMv, self.beta[:, 2:, pts])
+    def couple_history(self, law: SectionLaw) -> tuple[np.ndarray, np.ndarray]:
+        """(sum_a CMv_a beta_Ka, its s-derivative), each (n, 3)."""
+        S = np.einsum("ak,acnk->cnk", law.CMv, self.beta[:, 2:])
         return S[0], S[1]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 
 from gebvisc import so3
 from gebvisc.beam_residual import (CollocationState, residual_force,
-                                   residual_moment)
+                                   residual_moment, section_state)
 from gebvisc.initial_geometry import InitialFrameField, bishop_frames
 from gebvisc.integrator import apply_increment
 from gebvisc.splines import (MIN_JACOBIAN, KnotVector, NurbsCurve, greville,
@@ -121,14 +121,24 @@ def apply_end_blocks(blocks, inc, i) -> np.ndarray:
             + blocks[1] @ np.concatenate([inc[1][i], inc[4][i]]))
 
 
-def fd_tangent_blocks_force(state, law, CN_bar, n_dist, h):
+def force_residual(state, law, n_dist, h):
+    """``residual_force`` on the section state of ``state`` at step h."""
+    return residual_force(state, law, section_state(state, law, h), n_dist)
+
+
+def moment_residual(state, law, m_dist, h):
+    """``residual_moment`` on the section state of ``state`` at step h."""
+    return residual_moment(state, law, section_state(state, law, h), m_dist)
+
+
+def fd_tangent_blocks_force(state, law, sec, n_dist, h):
     """Drop-in finite-difference oracle for ``tangent_blocks_force``."""
-    return fd_tangent(residual_force, state, law, CN_bar, n_dist, h)
+    return fd_tangent(force_residual, state, law, n_dist, h)
 
 
-def fd_tangent_blocks_moment(state, law, CN_bar, CM_bar, m_dist, h):
+def fd_tangent_blocks_moment(state, law, sec, m_dist, h):
     """Drop-in finite-difference oracle for ``tangent_blocks_moment``."""
-    return fd_tangent(residual_moment, state, law, CN_bar, CM_bar, m_dist, h)
+    return fd_tangent(moment_residual, state, law, m_dist, h)
 
 
 def linearize_viscous(h: float, taus) -> np.ndarray:
@@ -165,11 +175,11 @@ def patch_end(sim, k: int, end: str):
     return rt.state, pts.start + patch.end_index(end)
 
 
-def one_end(kernel, state, law, bar, i, *args):
-    """A stacked end kernel at the one point ``i``, given the load and the
-    outward sign of that end (a vector and a scalar) and returning its
-    vector and blocks at that end."""
-    out = kernel(state, law, bar, np.array([i]),
+def one_end(kernel, state, law, h, i, *args):
+    """A stacked end kernel on the section state of ``state`` at step h at
+    the one point ``i``, given the load and the outward sign of that end (a
+    vector and a scalar) and returning its vector and blocks at that end."""
+    out = kernel(state, section_state(state, law, h), np.array([i]),
                  *(np.asarray(x, dtype=float)[None] for x in args))
     return tuple(x[0] for x in out)
 
@@ -209,3 +219,27 @@ def arclength_derivatives(c0: NurbsCurve, u: float) -> tuple[float, float]:
         raise ValueError(f"degenerate parameterization at u = {u}")
     J_u = float(np.dot(d[1], d[2]) / J)
     return J, J_u
+
+
+def read_history_csv(path):
+    """Header list and data array of a history file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        data = np.array([[float(v) for v in line.strip().split(",")]
+                         for line in fh if line.strip()])
+    return header, data
+
+
+def read_vtk_points(path):
+    """Points and displacement vectors of a snapshot written by
+    ``write_vtk_snapshot``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    i = next(k for k, l in enumerate(lines) if l.startswith("POINTS"))
+    n = int(lines[i].split()[1])
+    pts = np.array([[float(v) for v in lines[i + 1 + k].split()]
+                    for k in range(n)])
+    j = next(k for k, l in enumerate(lines) if l.startswith("VECTORS"))
+    disp = np.array([[float(v) for v in lines[j + 1 + k].split()]
+                     for k in range(n)])
+    return pts, disp

@@ -19,8 +19,8 @@ from scipy.signal import argrelmax
 from gebvisc import so3
 from gebvisc.assembly import NewtonSettings, Simulation, time_march
 from gebvisc.beam_residual import (kin, neumann_force_row, neumann_moment_row,
-                                   residual_force, residual_moment,
-                                   tangent_blocks_force, tangent_blocks_moment)
+                                   section_state, tangent_blocks_force,
+                                   tangent_blocks_moment)
 from gebvisc.cli import fit_preplateau_slope, run_convergence, run_scenario
 from gebvisc.integrator import apply_increment, begin_step
 from gebvisc.model import (BeamModel, DistributedLoad, EndLoad, Joint,
@@ -29,11 +29,12 @@ from gebvisc.scenarios import pla_law
 from gebvisc.splines import line_curve
 from gebvisc.viscoelastic import (SectionGeometry, ViscousState,
                                   build_section_law, compute_beta,
-                                  effective_stiffness, internal_forces,
+                                  internal_forces,
                                   trapezoidal_coeffs, update_viscous_state)
 
-from helpers import (apply_blocks, apply_end_blocks, one_end, random_state,
-                     relative_error, superpose_rotation, unit_law)
+from helpers import (apply_blocks, apply_end_blocks, force_residual,
+                     moment_residual, one_end, random_state, relative_error,
+                     superpose_rotation, unit_law)
 
 
 def ok(criterion, detail):
@@ -139,7 +140,7 @@ class TestCriterion4:
         eps = 1e-6
         n = 100
         st = random_state(law, n, self.H, rng)
-        CN, CM = effective_stiffness(law, self.H)
+        sec = section_state(st, law, self.H)
         n_dist = rng.normal(size=(n, 3))
         m_dist = rng.normal(size=(n, 3))
         inc = [rng.normal(size=(n, 3)) for _ in range(6)]
@@ -150,26 +151,26 @@ class TestCriterion4:
             return sp
 
         sp, sm = perturbed(1.0), perturbed(-1.0)
-        fd_F = (residual_force(sp, law, CN, n_dist, self.H)
-                - residual_force(sm, law, CN, n_dist, self.H)) / (2 * eps)
-        fd_V = (residual_moment(sp, law, CN, CM, m_dist, self.H)
-                - residual_moment(sm, law, CN, CM, m_dist, self.H)) / (2 * eps)
+        fd_F = (force_residual(sp, law, n_dist, self.H)
+                - force_residual(sm, law, n_dist, self.H)) / (2 * eps)
+        fd_V = (moment_residual(sp, law, m_dist, self.H)
+                - moment_residual(sm, law, m_dist, self.H)) / (2 * eps)
         err_F = relative_error(fd_F, apply_blocks(
-            tangent_blocks_force(st, law, CN, n_dist, self.H), *inc))
+            tangent_blocks_force(st, law, sec, n_dist, self.H), *inc))
         err_V = relative_error(fd_V, apply_blocks(
-            tangent_blocks_moment(st, law, CN, CM, m_dist, self.H), *inc))
+            tangent_blocks_moment(st, law, sec, m_dist, self.H), *inc))
         # boundary rows on the same batch of states
         worst_bc = 0.0
         for i in (0, n - 1):
             sign = -1.0 if i == 0 else 1.0
             n_c = rng.normal(size=3)
             m_c = rng.normal(size=3)
-            rf = one_end(neumann_force_row, st, law, CN, i, n_c, sign)
-            rm = one_end(neumann_moment_row, st, law, CM, i, m_c, sign)
-            fd_f = -(one_end(neumann_force_row, sp, law, CN, i, n_c, sign)[0]
-                     - one_end(neumann_force_row, sm, law, CN, i, n_c, sign)[0]) / (2 * eps)
-            fd_m = -(one_end(neumann_moment_row, sp, law, CM, i, m_c, sign)[0]
-                     - one_end(neumann_moment_row, sm, law, CM, i, m_c, sign)[0]) / (2 * eps)
+            rf = one_end(neumann_force_row, st, law, self.H, i, n_c, sign)
+            rm = one_end(neumann_moment_row, st, law, self.H, i, m_c, sign)
+            fd_f = -(one_end(neumann_force_row, sp, law, self.H, i, n_c, sign)[0]
+                     - one_end(neumann_force_row, sm, law, self.H, i, n_c, sign)[0]) / (2 * eps)
+            fd_m = -(one_end(neumann_moment_row, sp, law, self.H, i, m_c, sign)[0]
+                     - one_end(neumann_moment_row, sm, law, self.H, i, m_c, sign)[0]) / (2 * eps)
             an_f = apply_end_blocks(rf[1], inc, i)
             an_m = apply_end_blocks(rm[1], inc, i)
             worst_bc = max(worst_bc, relative_error(fd_f[None], an_f[None]),
@@ -299,16 +300,14 @@ class TestCriterion7:
         law = unit_law()
         h = 0.02
         st = random_state(law, 10, h, rng)
-        CN, CM = effective_stiffness(law, h)
         n_dist = rng.normal(size=(10, 3))
         m_dist = rng.normal(size=(10, 3))
-        F = residual_force(st, law, CN, n_dist, h)
-        V = residual_moment(st, law, CN, CM, m_dist, h)
+        F = force_residual(st, law, n_dist, h)
+        V = moment_residual(st, law, m_dist, h)
         Q = so3.exp_so3(rng.normal(size=3))
         st_rot = superpose_rotation(st, Q)
-        dF = np.abs(F - residual_force(st_rot, law, CN, n_dist @ Q.T, h)).max()
-        dV = np.abs(V - residual_moment(st_rot, law, CN, CM, m_dist @ Q.T,
-                                        h)).max()
+        dF = np.abs(F - force_residual(st_rot, law, n_dist @ Q.T, h)).max()
+        dV = np.abs(V - moment_residual(st_rot, law, m_dist @ Q.T, h)).max()
         scale = max(np.abs(F).max(), np.abs(V).max())
         assert dF <= 1e-12 * scale
         assert dV <= 1e-12 * scale

@@ -142,14 +142,19 @@ class TestStacking:
         np.testing.assert_allclose(rhs, ref["rhs"], rtol=1e-12,
                                    atol=1e-12 * np.abs(ref["rhs"]).max())
 
-    @pytest.mark.parametrize("model", ["lattice", "two_law"])
-    def test_kernels_run_once_per_law_stack(self, model, monkeypatch):
+    @staticmethod
+    def stacked_sim(model):
         if model == "lattice":
             from gebvisc.scenarios import build_scenario
             sim = Simulation(build_scenario("lattice", {"cells": 3})[0])
             assert len(sim.runtimes) == 24
-        else:
-            sim = Simulation(two_law_model())
+            return sim
+        return Simulation(two_law_model())
+
+    @staticmethod
+    def counter(monkeypatch):
+        """A dict of call counts and a function that counts the calls of
+        ``owner.name`` into it."""
         calls = {}
 
         def counted(owner, name):
@@ -160,6 +165,12 @@ class TestStacking:
                 return fn(*args)
             monkeypatch.setattr(owner, name, wrapper)
 
+        return calls, counted
+
+    @pytest.mark.parametrize("model", ["lattice", "two_law"])
+    def test_kernels_run_once_per_law_stack(self, model, monkeypatch):
+        sim = self.stacked_sim(model)
+        calls, counted = self.counter(monkeypatch)
         counted(sim, "assemble")
         end_kernels = ("neumann_force_row", "neumann_moment_row",
                        "end_force_spatial", "end_moment_spatial")
@@ -188,6 +199,24 @@ class TestStacking:
             assert calls.get(name, 0) <= stacks * calls["assemble"]
         assert calls["apply_increment"] == stacks * sim.total_iterations
         assert calls["begin_step"] == calls["commit_step"] == stacks
+
+    @pytest.mark.parametrize("model", ["lattice", "two_law"])
+    def test_section_evaluated_once_per_law_stack(self, model, monkeypatch):
+        # the kinematics, the Maxwell history sums and the effective
+        # stiffness of a stack are evaluated once per assembly, for its
+        # interior and its end kernels alike
+        from gebvisc import beam_residual
+        from gebvisc.viscoelastic import ViscousState
+        sim = self.stacked_sim(model)
+        calls, counted = self.counter(monkeypatch)
+        for name in ("kin", "effective_stiffness"):
+            counted(beam_residual, name)
+        for name in ("force_history", "couple_history"):
+            counted(ViscousState, name)
+        sim.assemble(5e-3, 5e-3)
+        assert calls == dict.fromkeys(
+            ["kin", "effective_stiffness", "force_history", "couple_history"],
+            len(sim.stacks))
 
 
 class TestRowKinds:
@@ -305,7 +334,7 @@ class TestSystemStructure:
 
     def test_all_zero_row_raises(self, monkeypatch):
         monkeypatch.setattr(
-            assembly, "neumann_force_row", lambda st, law, CN, pts, *a:
+            assembly, "neumann_force_row", lambda st, sec, pts, *a:
             (np.zeros((len(pts), 3)), np.zeros((len(pts), 2, 3, 6))))
         sim = Simulation(pendulum_model(n=10, degree=2))
         with pytest.raises(RuntimeError, match="under-constrained"):
@@ -493,11 +522,9 @@ class TestJoints:
         report = sim.newton(h, h)
         assert report.converged
         from gebvisc.beam_residual import end_force_spatial
-        from gebvisc.viscoelastic import effective_stiffness
-        CN, _ = effective_stiffness(law, h)
         (sa, ja), (sb, jb) = patch_end(sim, 0, "end"), patch_end(sim, 1, "start")
-        fa, _ = one_end(end_force_spatial, sa, law, CN, ja, +1.0)
-        fb, _ = one_end(end_force_spatial, sb, law, CN, jb, -1.0)
+        fa, _ = one_end(end_force_spatial, sa, law, h, ja, +1.0)
+        fb, _ = one_end(end_force_spatial, sb, law, h, jb, -1.0)
         assert np.abs(fa + fb).max() < 1e-8
         # transmitted force equals the applied tip load up to the collocation
         # equilibrium error of the coarse patch

@@ -5,8 +5,7 @@ from gebvisc import so3
 from gebvisc.assembly import Simulation, time_march
 from gebvisc.beam_residual import (CollocationState, kin,
                                    neumann_force_row, neumann_moment_row,
-                                   residual_force,
-                                   residual_moment, tangent_blocks_force,
+                                   section_state, tangent_blocks_force,
                                    tangent_blocks_moment,
                                    end_force_spatial, end_moment_spatial)
 from gebvisc.integrator import apply_increment
@@ -17,9 +16,9 @@ from gebvisc.viscoelastic import (SectionGeometry, build_section_law,
                                   effective_stiffness, internal_forces,
                                   trapezoidal_coeffs)
 
-from helpers import (apply_blocks, apply_end_blocks, one_end, random_state,
-                     relative_error, straight_frames, superpose_rotation,
-                     unit_law)
+from helpers import (apply_blocks, apply_end_blocks, force_residual,
+                     moment_residual, one_end, random_state, relative_error,
+                     straight_frames, superpose_rotation, unit_law)
 
 H = 0.02
 
@@ -32,26 +31,23 @@ class TestResidualTrivial:
     def test_quiescent_state_zero_residual(self):
         law = unit_law()
         st = CollocationState(straight_frames(5), law)
-        CN, CM = bars(law)
         z = np.zeros((5, 3))
-        assert np.abs(residual_force(st, law, CN, z, H)).max() == 0.0
-        assert np.abs(residual_moment(st, law, CN, CM, z, H)).max() == 0.0
+        assert np.abs(force_residual(st, law, z, H)).max() == 0.0
+        assert np.abs(moment_residual(st, law, z, H)).max() == 0.0
 
     def test_uniform_axial_strain_no_forces(self):
         law = unit_law()
         st = CollocationState(straight_frames(5), law)
         st.c_s = st.c_s * 1.01  # homogeneous stretch, all s-derivatives zero
-        CN, CM = bars(law)
         z = np.zeros((5, 3))
-        assert np.abs(residual_force(st, law, CN, z, H)).max() < 1e-14
+        assert np.abs(force_residual(st, law, z, H)).max() < 1e-14
 
     def test_gravity_only(self):
         law = unit_law()
         st = CollocationState(straight_frames(4), law)
         q = np.tile([0.0, 0.0, -9.81], (4, 1))
-        CN, _ = bars(law)
         expect = np.einsum("nji,nj->ni", st.R, q)
-        np.testing.assert_allclose(residual_force(st, law, CN, q, H), expect,
+        np.testing.assert_allclose(force_residual(st, law, q, H), expect,
                                    atol=1e-14)
 
     def test_pure_gyroscopic_term(self):
@@ -59,14 +55,13 @@ class TestResidualTrivial:
         st = CollocationState(straight_frames(3), law)
         rng = np.random.default_rng(5)
         st.W = rng.normal(size=(3, 3))
-        CN, CM = bars(law)
         z = np.zeros((3, 3))
         expect = -np.cross(st.W, law.inertia * st.W)
-        np.testing.assert_allclose(residual_moment(st, law, CN, CM, z, H),
+        np.testing.assert_allclose(moment_residual(st, law, z, H),
                                    expect, atol=1e-14)
         # spin about a principal axis produces no gyroscopic moment
         st.W = np.tile([0.0, 2.0, 0.0], (3, 1))
-        assert np.abs(residual_moment(st, law, CN, CM, z, H)).max() < 1e-14
+        assert np.abs(moment_residual(st, law, z, H)).max() < 1e-14
 
 
 class TestTwoPathOracle:
@@ -83,7 +78,6 @@ class TestTwoPathOracle:
         st.visc.Gam_s = c[:, None, None] * Gam_s[None] + st.visc.beta_G_s
         st.visc.Kap = c[:, None, None] * Kap[None] + st.visc.beta_K
         st.visc.Kap_s = c[:, None, None] * Kap_s[None] + st.visc.beta_K_s
-        CN, CM = bars(law)
         n_dist = rng.normal(size=(n, 3))
         m_dist = rng.normal(size=(n, 3))
 
@@ -100,9 +94,9 @@ class TestTwoPathOracle:
                     + np.einsum("nij,nj->ni", RT, m_dist)
                     - law.inertia * st.A
                     - np.cross(st.W, law.inertia * st.W))
-        assert relative_error(residual_force(st, law, CN, n_dist, H),
+        assert relative_error(force_residual(st, law, n_dist, H),
                               F_oracle) < 1e-12
-        assert relative_error(residual_moment(st, law, CN, CM, m_dist, H),
+        assert relative_error(moment_residual(st, law, m_dist, H),
                               V_oracle) < 1e-12
 
 
@@ -113,7 +107,6 @@ class TestTangentFiniteDifference:
         rng = np.random.default_rng(seed)
         n = n_states
         st = random_state(law, n, H, rng)
-        CN, CM = bars(law)
         n_dist = rng.normal(size=(n, 3))
         m_dist = rng.normal(size=(n, 3))
         inc = [rng.normal(size=(n, 3)) for _ in range(6)]
@@ -124,12 +117,13 @@ class TestTangentFiniteDifference:
             return sp
 
         sp, sm = perturbed(1.0), perturbed(-1.0)
-        fd_F = (residual_force(sp, law, CN, n_dist, H)
-                - residual_force(sm, law, CN, n_dist, H)) / (2 * eps)
-        fd_V = (residual_moment(sp, law, CN, CM, m_dist, H)
-                - residual_moment(sm, law, CN, CM, m_dist, H)) / (2 * eps)
-        bf = tangent_blocks_force(st, law, CN, n_dist, H)
-        bm = tangent_blocks_moment(st, law, CN, CM, m_dist, H)
+        fd_F = (force_residual(sp, law, n_dist, H)
+                - force_residual(sm, law, n_dist, H)) / (2 * eps)
+        fd_V = (moment_residual(sp, law, m_dist, H)
+                - moment_residual(sm, law, m_dist, H)) / (2 * eps)
+        sec = section_state(st, law, H)
+        bf = tangent_blocks_force(st, law, sec, n_dist, H)
+        bm = tangent_blocks_moment(st, law, sec, m_dist, H)
         return (relative_error(fd_F, apply_blocks(bf, *inc)),
                 relative_error(fd_V, apply_blocks(bm, *inc)), bf, bm)
 
@@ -156,17 +150,17 @@ class TestTangentFiniteDifference:
         # and dTheta,s; every other block is exactly zero
         rng = np.random.default_rng(9)
         st = random_state(law, 10, H, rng)
-        CN, CM = bars(law)
+        sec = section_state(st, law, H)
         pts = np.arange(10)
         sign = np.where(pts % 2, 1.0, -1.0)
         loads = rng.normal(size=(10, 3))
         force, moment = {(0, 1), (1, 0)}, {(0, 1), (1, 1)}
-        for kernel, bar, args, coupled in (
-                (neumann_force_row, CN, (loads, sign), force),
-                (neumann_moment_row, CM, (loads, sign), moment),
-                (end_force_spatial, CN, (sign,), force),
-                (end_moment_spatial, CM, (sign,), moment)):
-            _, blk = kernel(st, law, bar, pts, *args)
+        for kernel, args, coupled in (
+                (neumann_force_row, (loads, sign), force),
+                (neumann_moment_row, (loads, sign), moment),
+                (end_force_spatial, (sign,), force),
+                (end_moment_spatial, (sign,), moment)):
+            _, blk = kernel(st, sec, pts, *args)
             assert blk.shape == (10, 2, 3, 6)
             for d in range(2):
                 for c in range(2):
@@ -179,8 +173,9 @@ class TestTangentFiniteDifference:
         st = CollocationState(straight_frames(4), law)
         CN, CM = bars(law)
         z = np.zeros((4, 3))
-        bf = tangent_blocks_force(st, law, CN, z, H)
-        bm = tangent_blocks_moment(st, law, CN, CM, z, H)
+        sec = section_state(st, law, H)
+        bf = tangent_blocks_force(st, law, sec, z, H)
+        bm = tangent_blocks_moment(st, law, sec, z, H)
         R0T = np.swapaxes(st.R0, -1, -2)
         np.testing.assert_allclose(bf[:, 0, 2], CN[None, :, None] * R0T, atol=1e-15)
         np.testing.assert_allclose(bf[:, 0, 0], -(4 / H ** 2) * law.mu * R0T,
@@ -201,15 +196,14 @@ class TestTangentFiniteDifference:
         rng = np.random.default_rng(10)
         law = unit_law()
         st = random_state(law, 8, H, rng)
-        CN, CM = bars(law)
         z = np.zeros((8, 3))
-        bf = tangent_blocks_force(st, law, CN, z, H)
+        bf = tangent_blocks_force(st, law, section_state(st, law, H), z, H)
         st2 = st.copy()
         st2.visc.beta_G[:] = 0.0
         st2.visc.beta_K[:] = 0.0
         st2.visc.beta_G_s[:] = 0.0
         st2.visc.beta_K_s[:] = 0.0
-        bf2 = tangent_blocks_force(st2, law, CN, z, H)
+        bf2 = tangent_blocks_force(st2, law, section_state(st2, law, H), z, H)
         # identical except for the beta-driven skew terms in t / ts
         np.testing.assert_array_equal(bf[:, 0, 0], bf2[:, 0, 0])
         np.testing.assert_array_equal(bf[:, 0, 1], bf2[:, 0, 1])
@@ -223,10 +217,9 @@ class TestBoundaryRows:
     def test_free_end_relaxed_zero(self):
         law = unit_law()
         st = CollocationState(straight_frames(5), law)
-        CN, CM = bars(law)
-        res, _ = one_end(neumann_force_row, st, law, CN, 4, np.zeros(3), +1.0)
+        res, _ = one_end(neumann_force_row, st, law, H, 4, np.zeros(3), +1.0)
         assert np.abs(res).max() == 0.0
-        res, _ = one_end(neumann_moment_row, st, law, CM, 0, np.zeros(3), -1.0)
+        res, _ = one_end(neumann_moment_row, st, law, H, 0, np.zeros(3), -1.0)
         assert np.abs(res).max() == 0.0
 
     def test_elastic_tip_force_algebra(self):
@@ -236,8 +229,7 @@ class TestBoundaryRows:
         i = 4
         Gam = (st.R[i].T @ f) / law.CN0
         st.c_s[i] = st.R[i] @ (st.Gref[i] + Gam)
-        CN, _ = bars(law)
-        res, _ = one_end(neumann_force_row, st, law, CN, i, f, +1.0)
+        res, _ = one_end(neumann_force_row, st, law, H, i, f, +1.0)
         assert np.abs(res).max() < 1e-15
 
     def test_stacked_ends_match_one_end_calls(self):
@@ -262,14 +254,14 @@ class TestBoundaryRows:
                         rt.pts[1].start, rt.pts[0].stop - 1])
         sign = np.array([1.0, -1.0, -1.0, 1.0])
         loads = np.random.default_rng(14).normal(size=(2, 4, 3))
-        CN, CM = effective_stiffness(law, h)
-        for kernel, bar, args in ((neumann_force_row, CN, (loads[0], sign)),
-                                  (neumann_moment_row, CM, (loads[1], sign)),
-                                  (end_force_spatial, CN, (sign,)),
-                                  (end_moment_spatial, CM, (sign,))):
-            out = kernel(st, law, bar, pts, *args)
+        sec = section_state(st, law, h)
+        for kernel, args in ((neumann_force_row, (loads[0], sign)),
+                             (neumann_moment_row, (loads[1], sign)),
+                             (end_force_spatial, (sign,)),
+                             (end_moment_spatial, (sign,))):
+            out = kernel(st, sec, pts, *args)
             for e, i in enumerate(pts):
-                one = one_end(kernel, st, law, bar, i, *(x[e] for x in args))
+                one = one_end(kernel, st, law, h, i, *(x[e] for x in args))
                 pairs = [(x[e], y) for x, y in zip(out, one)]
                 for x, y in pairs:
                     np.testing.assert_array_equal(x, y)
@@ -282,7 +274,6 @@ class TestBoundaryRows:
         worst_f = worst_m = 0.0
         for trial in range(100):
             st = random_state(law, 3, H, rng)
-            CN, CM = bars(law)
             n_c = rng.normal(size=3)
             m_c = rng.normal(size=3)
             sign = 1.0 if trial % 2 == 0 else -1.0
@@ -295,12 +286,12 @@ class TestBoundaryRows:
                 return sp
 
             sp, sm = perturbed(1.0), perturbed(-1.0)
-            rf = one_end(neumann_force_row, st, law, CN, i, n_c, sign)
-            rm = one_end(neumann_moment_row, st, law, CM, i, m_c, sign)
-            fd_f = -(one_end(neumann_force_row, sp, law, CN, i, n_c, sign)[0]
-                     - one_end(neumann_force_row, sm, law, CN, i, n_c, sign)[0]) / (2 * eps)
-            fd_m = -(one_end(neumann_moment_row, sp, law, CM, i, m_c, sign)[0]
-                     - one_end(neumann_moment_row, sm, law, CM, i, m_c, sign)[0]) / (2 * eps)
+            rf = one_end(neumann_force_row, st, law, H, i, n_c, sign)
+            rm = one_end(neumann_moment_row, st, law, H, i, m_c, sign)
+            fd_f = -(one_end(neumann_force_row, sp, law, H, i, n_c, sign)[0]
+                     - one_end(neumann_force_row, sm, law, H, i, n_c, sign)[0]) / (2 * eps)
+            fd_m = -(one_end(neumann_moment_row, sp, law, H, i, m_c, sign)[0]
+                     - one_end(neumann_moment_row, sm, law, H, i, m_c, sign)[0]) / (2 * eps)
             an_f = apply_end_blocks(rf[1], inc, i)
             an_m = apply_end_blocks(rm[1], inc, i)
             worst_f = max(worst_f, relative_error(fd_f[None], an_f[None]))
@@ -314,7 +305,6 @@ class TestBoundaryRows:
         eps = 1e-6
         for _ in range(20):
             st = random_state(law, 3, H, rng)
-            CN, CM = bars(law)
             inc = [rng.normal(size=(3, 3)) for _ in range(6)]
 
             def perturbed(sgn):
@@ -324,14 +314,14 @@ class TestBoundaryRows:
 
             sp, sm = perturbed(1.0), perturbed(-1.0)
             for i, sign in ((0, -1.0), (2, +1.0)):
-                f0, blk = one_end(end_force_spatial, st, law, CN, i, sign)
-                fd = (one_end(end_force_spatial, sp, law, CN, i, sign)[0]
-                      - one_end(end_force_spatial, sm, law, CN, i, sign)[0]) / (2 * eps)
+                f0, blk = one_end(end_force_spatial, st, law, H, i, sign)
+                fd = (one_end(end_force_spatial, sp, law, H, i, sign)[0]
+                      - one_end(end_force_spatial, sm, law, H, i, sign)[0]) / (2 * eps)
                 an = apply_end_blocks(blk, inc, i)
                 assert relative_error(fd[None], an[None]) < 5e-6
-                m0, blk = one_end(end_moment_spatial, st, law, CM, i, sign)
-                fd = (one_end(end_moment_spatial, sp, law, CM, i, sign)[0]
-                      - one_end(end_moment_spatial, sm, law, CM, i, sign)[0]) / (2 * eps)
+                m0, blk = one_end(end_moment_spatial, st, law, H, i, sign)
+                fd = (one_end(end_moment_spatial, sp, law, H, i, sign)[0]
+                      - one_end(end_moment_spatial, sm, law, H, i, sign)[0]) / (2 * eps)
                 an = apply_end_blocks(blk, inc, i)
                 assert relative_error(fd[None], an[None]) < 5e-6
 
@@ -341,15 +331,14 @@ class TestFrameIndifference:
         rng = np.random.default_rng(13)
         law = unit_law()
         st = random_state(law, 10, H, rng)
-        CN, CM = bars(law)
         n_dist = rng.normal(size=(10, 3))
         m_dist = rng.normal(size=(10, 3))
-        F = residual_force(st, law, CN, n_dist, H)
-        V = residual_moment(st, law, CN, CM, m_dist, H)
+        F = force_residual(st, law, n_dist, H)
+        V = moment_residual(st, law, m_dist, H)
         Q = so3.exp_so3(rng.normal(size=3))
         st_rot = superpose_rotation(st, Q)
-        F_rot = residual_force(st_rot, law, CN, n_dist @ Q.T, H)
-        V_rot = residual_moment(st_rot, law, CN, CM, m_dist @ Q.T, H)
+        F_rot = force_residual(st_rot, law, n_dist @ Q.T, H)
+        V_rot = moment_residual(st_rot, law, m_dist @ Q.T, H)
         assert np.abs(F - F_rot).max() < 1e-12 * max(1, np.abs(F).max())
         assert np.abs(V - V_rot).max() < 1e-12 * max(1, np.abs(V).max())
         # strain measures themselves are material

@@ -8,10 +8,11 @@ from gebvisc.assembly import NewtonSettings, Simulation, time_march
 from gebvisc.cli import (fit_preplateau_slope, main, run_convergence,
                          run_scenario)
 from gebvisc.integrator import StepFailure
-from gebvisc.output import (read_history_csv, read_vtk_points,
-                            write_history_csv, write_vtk_snapshot)
+from gebvisc.output import write_history_csv, write_vtk_snapshot
 from gebvisc.scenarios import (PLA_ELEMENTS, PLA_E_INF, PLA_NU, PLA_RHO,
                                SCENARIO_DEFAULTS, build_scenario, pla_law)
+
+from helpers import read_history_csv, read_vtk_points
 
 # published benchmark values the scenario defaults must reproduce
 EXPECTED_DEFAULTS = {
@@ -216,6 +217,24 @@ class TestCliCommands:
         path.write_text(json.dumps(cfg))
         assert main(["validate", "--config", str(path)]) == 2
         assert "invalid configuration" in capsys.readouterr().err
+
+    def test_validate_reports_mistyped_setting(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self.short_config(
+            {"max_iterations": "10"})))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+
+    def test_run_custom_reports_invalid_configuration(self, tmp_path,
+                                                      capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self.short_config({"max_iters": 3})))
+        out = tmp_path / "out"
+        rc = main(["run", "custom", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        # found before any step: no history is written
+        assert not (out / "history.csv").exists()
 
     def test_converge_command(self, tmp_path):
         study = {"scenario": "pendulum", "pairs": [[2, 8], [2, 12], [2, 16]],

@@ -111,6 +111,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             Support(0, "start", "pinned")
 
+    def test_joint_with_two_supports_rejected(self):
+        law = small_law()
+        ps = [Patch(line_curve([0, 0, 0], [1, 0, 0], 2, 4), law),
+              Patch(line_curve([1, 0, 0], [2, 0, 0], 2, 4), law)]
+        with pytest.raises(ValueError, match="at most one support"):
+            BeamModel(ps, supports=[Support(0, "end", "hinge"),
+                                    Support(1, "start", "roller_x3")],
+                      joints=[Joint(ends=[(0, "end"), (1, "start")])])
+
 
 class TestLattice:
     def test_straight_lattice_counts_and_curvature(self):
