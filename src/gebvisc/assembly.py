@@ -4,15 +4,15 @@ Unknowns are the incremental control translations and rotations, six per
 control point, patch-major.  Field equations are collocated at the interior
 Greville points; every patch end owns six boundary rows filled by a support,
 a rigid joint or free-end force/couple conditions.  The system is square by
-construction, its sparsity pattern is fixed when the simulation is built,
-and after row equilibration it is solved by a sparse LU in a fill-reducing
-order kept per nonzero structure.  Patches that share a section law are
-stacked into one collocation state, so the residual and tangent kernels, the
-increment update and the step commit run once per law per Newton iteration,
-whatever the number of patches.  The boundary and joint rows are planned at
-construction as index arrays over the patch ends: each end kernel runs at
-most once per law stack, on all the ends that need it, and the rows are
-written by index assignment, whatever the number of ends and joints.
+construction and its sparsity pattern is fixed when the simulation is built.
+Its values are made in one layout, one value per entry, equilibrated there
+row by row and gathered once into a CSC matrix, which a sparse LU solves in
+a fill-reducing order kept per nonzero structure.  Patches that share a
+section law are stacked into one collocation state, so the residual and
+tangent kernels, the increment update and the step commit run once per law
+per Newton iteration, whatever the number of patches.  The boundary and
+joint rows are planned at construction as index arrays over the patch ends,
+so each end kernel runs at most once per law stack, on all its ends.
 """
 
 from __future__ import annotations
@@ -63,10 +63,10 @@ class NewtonSettings:
     def __post_init__(self):
         if self.tol_increment <= 0 or self.tol_residual <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.max_halvings < 0:
-            raise ValueError("max_halvings must not be negative")
+        for name, least in (("max_iterations", 1), ("max_halvings", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}")
         if self.retry_increment_cap is not None and \
                 self.retry_increment_cap <= 0:
             raise ValueError("retry_increment_cap must be positive or None")
@@ -350,16 +350,17 @@ class Simulation:
         self._rotation_slots = np.concatenate([self._continuity[2], slot[g]])
 
     def _plan_pattern(self):
-        """CSC structure of the whole system and the slot of every value.
+        """CSC structure of the whole system and the value of every entry.
 
-        Values come in the order ``assemble`` produces them: the interior
-        blocks (point, 6, stencil point, 6) stack by stack and degree by
-        degree, then the end blocks (stencil point, 6, 6).  Entries that are
-        zero at a given state stay in the structure and are eliminated after
-        equilibration, so the factorized pattern is the one of the nonzero
-        values.
+        ``assemble`` makes one value per entry: the interior values of each
+        law stack and stencil width (point, force/moment rows,
+        displacement/rotation columns, 3, 3, stencil point), then the end
+        entries in row order, into which the end values (stencil point, 6,
+        6) are summed.  Entries that are zero at a given state stay in the
+        structure and are left out of that state's matrix.
         """
         six = np.arange(6)
+        _, fm, dr, a, b, _ = np.indices((1, 2, 2, 3, 3, 1), sparse=True)
         rows, cols = [], []
 
         def add(r, c):
@@ -369,14 +370,21 @@ class Simulation:
 
         for rt in self.stacks:
             for _, points, _, ctrl in rt.interior:
-                add(6 * points[:, None, None, None] + six[:, None, None],
-                    6 * ctrl[:, None, :, None] + six)
+                add(6 * points[:, None, None, None, None, None] + 3 * fm + a,
+                    6 * ctrl[:, None, None, None, None, :] + 3 * dr + b)
         add(self._term_rows[self._stencil_term][:, None, None] + six[:, None],
             self._stencil_col[:, None, None] + six)
-        keys, self._slot = np.unique(np.concatenate(cols) * self.ndof
-                                     + np.concatenate(rows),
-                                     return_inverse=True)
-        self._nnz = len(keys)
+        entries, self._end_of_value = np.unique(
+            rows[-1] * self.ndof + cols[-1], return_inverse=True)
+        rows[-1], cols[-1] = np.divmod(entries, self.ndof)
+        #: the runs of values in one row (start, row, length), and the value
+        #: of every entry
+        rows = np.concatenate(rows)
+        runs = np.flatnonzero(np.diff(rows, prepend=-1))
+        self._runs = (runs, rows[runs], np.diff(runs, append=len(rows)))
+        keys, value = np.unique(np.concatenate(cols) * self.ndof + rows,
+                                return_inverse=True)
+        self._order = np.argsort(value)
         self._indices = (keys % self.ndof).astype(np.int32)
         self._indptr = np.searchsorted(keys // self.ndof,
                                        np.arange(self.ndof + 1)).astype(np.int32)
@@ -384,9 +392,8 @@ class Simulation:
         if not row_nnz.all():
             empty = np.flatnonzero(row_nnz == 0)
             raise RuntimeError(f"under-constrained system: empty rows {empty[:10]}")
-        # slots in row order, for the row maxima of the equilibration
-        self._row_order = np.argsort(self._indices, kind="stable")
-        self._row_starts = np.concatenate([[0], np.cumsum(row_nnz)[:-1]])
+        #: nonzero values of the last system; value, ``indices``, ``indptr``
+        self._nonzero = (None,)
 
     def _distributed(self, t: float) -> np.ndarray:
         """Distributed (force, moment) per unit length of every patch at
@@ -422,7 +429,8 @@ class Simulation:
     # -- assembly ------------------------------------------------------------
 
     def assemble(self, h: float, t_next: float):
-        """Equilibrated sparse matrix and right-hand side at the current state."""
+        """Equilibrated CSC matrix, without zero entries, and right-hand side
+        at the current state; its ``indices`` and ``indptr`` may be shared."""
         values = []
         rhs = np.zeros(self.ndof)
         r = rhs.reshape(-1, 6)
@@ -441,26 +449,31 @@ class Simulation:
                           tangent_blocks_moment(st, law, sec, m_dist, h)],
                          axis=1)
             for sel, points, phi, _ in rt.interior:
-                values.append(np.einsum("nrcdab,ndk->nrakcb", C[sel],
+                values.append(np.einsum("nrcdab,ndk->nrcabk", C[sel],
                                         phi).reshape(-1))
                 r[points] = -np.hstack([F[sel], V[sel]])
 
         B = self._boundary_rows(sections, t_next, rhs)[self._stencil_term]
         phi = self._stencil_phi
-        values.append((B[:, 0] * phi[:, 0] + B[:, 1] * phi[:, 1]).reshape(-1))
-        data = np.bincount(self._slot, weights=np.concatenate(values),
-                           minlength=self._nnz)
+        values.append(np.bincount(self._end_of_value, weights=(
+            B[:, 0] * phi[:, 0] + B[:, 1] * phi[:, 1]).reshape(-1)))
+        values = np.concatenate(values)
         # row equilibration: rows mix stiffness scales with unit Dirichlet rows
-        scale = np.maximum.reduceat(np.abs(data[self._row_order]),
-                                    self._row_starts)
+        runs, run_rows, run_lengths = self._runs
+        scale = np.zeros(self.ndof)
+        np.maximum.at(scale, run_rows, np.maximum.reduceat(np.abs(values), runs))
         if not scale.all():
             zero = np.flatnonzero(scale == 0.0)
             raise RuntimeError(f"under-constrained system: zero rows {zero[:10]}")
         inv = 1.0 / scale
-        data *= inv[self._indices]
-        A = sp.csc_matrix((data, self._indices.copy(), self._indptr.copy()),
-                          shape=(self.ndof, self.ndof))
-        A.eliminate_zeros()
+        values *= np.repeat(inv[run_rows], run_lengths)
+        nonzero = values != 0.0
+        if not np.array_equal(nonzero, self._nonzero[0]):
+            keep = nonzero[self._order]
+            self._nonzero = (nonzero, self._order[keep], self._indices[keep],
+                             np.r_[0, keep].cumsum(dtype=np.int32)[self._indptr])
+        _, gather, *pattern = self._nonzero
+        A = sp.csc_matrix((values[gather], *pattern), shape=(self.ndof,) * 2)
         return A, rhs * inv
 
     def _boundary_rows(self, sections, t_next, rhs):
@@ -565,11 +578,9 @@ class Simulation:
         Every system, the first of its structure included, is renumbered
         symmetrically in that order and factored with ``NATURAL``, so
         SuperLU skips its ordering phase and the solution does not depend on
-        which systems were solved before.  Per solve of a settled structure
-        (2 vCPUs, one BLAS thread, median of 50) this took 13.2 ms against
-        21.8 ms for a COLAMD order per call on the auxetic network, 3.5
-        against 5.2 ms on the 3x3 lattice, and 0.59 against 0.65 ms (0.95 ms
-        for dense LAPACK) on the 240-unknown pendulum.
+        which systems were solved before.  On a settled structure this took
+        17 ms against 31 ms for a COLAMD order per call on the auxetic network
+        and 3.8 against 4.9 ms on the 3x3 lattice (one BLAS thread).
         """
         if not (np.array_equal(A.indptr, self._lu_indptr)
                 and np.array_equal(A.indices, self._lu_indices)):
@@ -592,11 +603,10 @@ class Simulation:
             pos = spla.splu(A, permc_spec="MMD_ATA").perm_c.astype(np.int32)
             self._lu_orders[key] = pos
         rows = pos[A.indices]
-        cols = np.repeat(pos, np.diff(A.indptr))
-        self._lu_gather = np.lexsort((rows, cols))
-        self._lu_pattern = (rows[self._lu_gather], np.concatenate(
-            [[0], np.cumsum(np.bincount(cols, minlength=self.ndof))]
-        ).astype(np.int32))
+        cols = np.repeat(pos.astype(np.int64), np.diff(A.indptr))
+        self._lu_gather = np.argsort(cols * self.ndof + rows, kind="stable")
+        self._lu_pattern = (rows[self._lu_gather], np.searchsorted(
+            cols[self._lu_gather], np.arange(self.ndof + 1)).astype(np.int32))
         self._lu_indptr, self._lu_indices, self._lu_pos = \
             A.indptr, A.indices, pos
 

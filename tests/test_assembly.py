@@ -87,6 +87,29 @@ def predictor_system(sim, steps, h):
     return sim.assemble(h, sim.t + h)
 
 
+def ring_model():
+    """One closed patch of degree 3 with 5 control points whose two ends
+    meet in one joint, hinged at its start, under its weight.
+
+    The joint's slots hold terms on the stencils of both ends, which share
+    three control points, so end values are summed on shared entries: 18 of
+    those entries get one nonzero value and zeros, which a plain gather of
+    either value would drop.  (With a clamped start none would: its slot
+    holds Dirichlet rows on the value stencil alone.)
+    """
+    kv = KnotVector.open_uniform(3, 5)
+    u = greville(kv)
+    a = 2 * np.pi * u
+    ring = interpolate_curve(
+        u, 0.1 * np.stack([np.cos(a), np.sin(a), np.zeros_like(a)], axis=1),
+        kv)
+    return BeamModel([Patch(ring, pendulum_law())],
+                     supports=[Support(0, "start", "hinge")],
+                     joints=[Joint([(0, "start"), (0, "end")])],
+                     loads=[DistributedLoad(
+                         0, LoadHistory.constant([0, 0, -0.8475]))])
+
+
 def two_law_model():
     """Four patches of two section laws and of degrees 3 and 4, each law
     holding one patch of either degree, with joints between the laws."""
@@ -229,12 +252,46 @@ class TestRowKinds:
     REFERENCE = pathlib.Path(__file__).parent / "data" / "row_kinds_system.npz"
 
     def test_system_matches_recorded(self):
-        A, rhs = row_kinds_system()
-        ref = np.load(self.REFERENCE)
-        np.testing.assert_array_equal(A.indptr, ref["indptr"])
-        np.testing.assert_array_equal(A.indices, ref["indices"])
-        np.testing.assert_allclose(A.data, ref["data"], rtol=1e-12, atol=0)
-        np.testing.assert_allclose(rhs, ref["rhs"], rtol=1e-12, atol=0)
+        assert_system_matches(*row_kinds_system(), self.REFERENCE)
+
+
+class TestRing:
+    # recorded with named_system("ring") at commit 5ff6968, where one
+    # np.bincount summed all values into their entries; the same with and
+    # without OPENBLAS_NUM_THREADS=1
+    REFERENCE = pathlib.Path(__file__).parent / "data" / "ring_system.npz"
+
+    def test_system_matches_recorded(self):
+        _, A, rhs = named_system("ring")
+        assert_system_matches(A, rhs, self.REFERENCE)
+
+
+def assert_system_matches(A, rhs, path):
+    ref = np.load(path)
+    np.testing.assert_array_equal(A.indptr, ref["indptr"])
+    np.testing.assert_array_equal(A.indices, ref["indices"])
+    np.testing.assert_allclose(A.data, ref["data"], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(rhs, ref["rhs"], rtol=1e-12, atol=0)
+
+
+def named_system(name):
+    """(simulation, A, rhs) of one of the systems the solver is checked on:
+    equilibrated at the predictor of an early step."""
+    if name == "row_kinds":
+        return (Simulation(row_kinds_model()), *row_kinds_system())
+    if name == "ring":
+        sim = Simulation(ring_model())
+        return sim, *predictor_system(sim, 2, 1e-3)
+    if name == "two_law":
+        sim = Simulation(two_law_model())
+        return sim, *predictor_system(sim, 3, 1e-3)
+    sim = Simulation(lattice3_model())
+    return sim, *predictor_system(sim, 3, 5e-3)
+
+
+def lattice3_model():
+    from gebvisc.scenarios import build_scenario
+    return build_scenario("lattice", {"cells": 3, "psi": 0.5236})[0]
 
 
 def structure(A):
@@ -256,16 +313,7 @@ def solved_structures(sim):
 class TestSolve:
     @pytest.mark.parametrize("model", ["row_kinds", "two_law", "lattice3"])
     def test_matches_dense_reference(self, model):
-        if model == "row_kinds":
-            sim, (A, rhs) = Simulation(row_kinds_model()), row_kinds_system()
-        elif model == "two_law":
-            sim = Simulation(two_law_model())
-            A, rhs = predictor_system(sim, 3, 1e-3)
-        else:
-            from gebvisc.scenarios import build_scenario
-            sim = Simulation(build_scenario(
-                "lattice", {"cells": 3, "psi": 0.5236})[0])
-            A, rhs = predictor_system(sim, 3, 5e-3)
+        sim, A, rhs = named_system(model)
         ref = dense_solve(A, rhs)
         # both solves are backward stable, so they differ by at most about
         # cond(A) * eps times |x|: up to 3e-8 at the condition number 1.2e8
@@ -298,6 +346,30 @@ class TestSolve:
         assert len(natural) == len(solved) == sim.total_iterations
         assert {spec for spec, _ in natural} == {"NATURAL"}
 
+    @pytest.mark.parametrize("model, steps", [("pendulum", 20),
+                                              ("lattice3", 3)])
+    def test_renumbering_matches_lexsort(self, model, steps):
+        sim = Simulation(pendulum_model() if model == "pendulum"
+                         else lattice3_model())
+        renumbered, renumber = [], sim._renumber
+
+        def checked(A):
+            renumber(A)
+            pos = sim._lu_pos
+            rows = pos[A.indices]
+            cols = np.repeat(pos, np.diff(A.indptr))
+            gather = np.lexsort((rows, cols))
+            np.testing.assert_array_equal(sim._lu_gather, gather)
+            indices, indptr = sim._lu_pattern
+            np.testing.assert_array_equal(indices, rows[gather])
+            np.testing.assert_array_equal(indptr, np.concatenate(
+                [[0], np.cumsum(np.bincount(cols, minlength=sim.ndof))]))
+            renumbered.append(structure(A))
+        sim._renumber = checked
+        time_march(sim, steps * 5e-3, 5e-3)
+        # the pendulum switches structure as entries turn exactly zero
+        assert len(renumbered) >= (2 if model == "pendulum" else 1)
+
     def test_solution_independent_of_earlier_solves(self):
         h = 5e-3
         fresh = Simulation(pendulum_model())
@@ -321,6 +393,13 @@ class TestSystemStructure:
         assert A.shape == (24, 24)
         assert rhs.shape == (24,)
         assert sim.ndof == 24
+
+    @pytest.mark.parametrize("model", ["row_kinds", "two_law", "lattice3",
+                                       "ring"])
+    def test_rows_equilibrated(self, model):
+        _, A, _ = named_system(model)
+        largest = abs(A).max(axis=1).toarray().ravel()
+        np.testing.assert_array_max_ulp(largest, np.ones_like(largest), 1)
 
     def test_bandwidth_of_single_patch(self):
         model = pendulum_model(n=20, degree=4)
@@ -369,7 +448,8 @@ class TestNewton:
     @pytest.mark.parametrize("bad", [
         {"tol_increment": 0.0}, {"tol_residual": -1e-12},
         {"max_iterations": 0}, {"max_halvings": -1},
-        {"retry_increment_cap": 0.0}, {"retry_increment_cap": -0.3}])
+        {"retry_increment_cap": 0.0}, {"retry_increment_cap": -0.3},
+        {"max_iterations": 10.5}, {"max_halvings": 2.5}])
     def test_invalid_settings_rejected(self, bad):
         with pytest.raises(ValueError):
             NewtonSettings(**bad)

@@ -208,7 +208,9 @@ class TestCliCommands:
         assert sim.settings is given
 
     @pytest.mark.parametrize("section", [{"max_iters": 12},
-                                         {"max_iterations": 0}])
+                                         {"max_iterations": 0},
+                                         {"max_iterations": 10.5},
+                                         {"max_halvings": 2.5}])
     def test_invalid_newton_section_rejected(self, tmp_path, capsys, section):
         cfg = self.short_config(section)
         with pytest.raises(ValueError):
@@ -227,14 +229,17 @@ class TestCliCommands:
 
     def test_run_custom_reports_invalid_configuration(self, tmp_path,
                                                       capsys):
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(self.short_config({"max_iters": 3})))
-        out = tmp_path / "out"
-        rc = main(["run", "custom", "--config", str(path), "--out", str(out)])
-        assert rc == 2
-        assert "invalid configuration" in capsys.readouterr().err
-        # found before any step: no history is written
-        assert not (out / "history.csv").exists()
+        for k, section in enumerate([{"max_iters": 3},
+                                     {"max_iterations": 10.5}]):
+            path = tmp_path / f"model{k}.json"
+            path.write_text(json.dumps(self.short_config(section)))
+            out = tmp_path / f"out{k}"
+            rc = main(["run", "custom", "--config", str(path), "--out",
+                       str(out)])
+            assert rc == 2
+            assert "invalid configuration" in capsys.readouterr().err
+            # found before any step: no history is written
+            assert not (out / "history.csv").exists()
 
     def test_converge_command(self, tmp_path):
         study = {"scenario": "pendulum", "pairs": [[2, 8], [2, 12], [2, 16]],
