@@ -11,8 +11,12 @@ a fill-reducing order kept per nonzero structure.  Patches that share a
 section law are stacked into one collocation state, so the residual and
 tangent kernels, the increment update and the step commit run once per law
 per Newton iteration, whatever the number of patches.  The boundary and
-joint rows are planned at construction as index arrays over the patch ends,
-so each end kernel runs at most once per law stack, on all its ends.
+joint rows are planned at construction as index arrays over end ids, two per
+patch, so each end kernel runs at most once per law stack, on all its ends.
+End g's own term is term g, and the terms that joints add follow the own
+terms.  A joint, and a supported end off joints with a free translation,
+form a balance group whose lead's slot equates the applied load with the
+end resultants of its members.
 """
 
 from __future__ import annotations
@@ -153,9 +157,9 @@ PatchSlot = namedtuple("PatchSlot", "patch rt pts")
 
 
 #: ends of one law stack that one end kernel evaluates: their end ids (2 k
-#: and 2 k + 1 for the start and the end of patch k), stacked points and
-#: outward signs, and the term and point (six rows) of their own slots
-EndGroup = namedtuple("EndGroup", "ends pts sign terms slots")
+#: and 2 k + 1 for the start and the end of patch k; also the terms of their
+#: own slots), stacked points and outward signs
+EndGroup = namedtuple("EndGroup", "ends pts sign")
 
 
 class Simulation:
@@ -204,74 +208,71 @@ class Simulation:
                                         c.points[first:first + len(ders[0])])
 
     def _plan_boundary(self):
-        """End terms of the boundary and joint rows, and the index arrays
-        that fill them in one pass.
+        """Index arrays over the end ids that fill the boundary and joint
+        rows in one pass.
 
-        A term couples the six rows of one end's slot with the value and ,s
-        stencils of one end: its own, or in a joint that of the joint's first
-        end.  Joints list their supported end first; its slot holds the
-        balance terms of every end, the other slots their continuity terms.
-        End g is the start (g = 2 k) or the end (g = 2 k + 1) of patch k.
+        End g is the start (g = 2 k) or the end (g = 2 k + 1) of patch k,
+        and owns the six rows of its slot, the point ``_slots[g]``.  A term
+        couples the rows of one end's slot with the value and ,s stencils of
+        one end: term g is end g's slot on its own stencil.  After the own
+        terms come, for every end in a joint that does not lead it, its
+        balance term (the lead's slot on its stencil) and then its
+        continuity term (its slot on the lead's stencil).  A joint is led by
+        its supported end, else by its first end.
+
+        A balance group is a joint, or a supported end off joints whose
+        support leaves a translation free.  In the slot of the group's lead,
+        the force rows of the translations the lead's support leaves free
+        equate the applied force with the spatial end forces of the members,
+        and the moment rows of a joint that is not clamped do the same for
+        couples.
         """
         keys = [(k, end) for k in range(len(self.runtimes))
                 for end in (START, END)]
         gid = {key: g for g, key in enumerate(keys)}
         n = len(keys)
-        terms = []
-
-        def term(slot_end, stencil_end):
-            k, end = slot_end
-            row = self.offsets[k] + 6 * self.runtimes[k].patch.end_index(end)
-            k, end = stencil_end
-            terms.append((row, k, self.runtimes[k].patch.end_index(end)))
-            return len(terms) - 1
-
-        # per end: the term of its own slot and stencil, the term that takes
-        # its spatial force and couple blocks, and the first end of its joint
-        # (itself off joints), whose support fixes translation rows
-        own, force = np.empty(n, dtype=int), np.empty(n, dtype=int)
-        lead = np.arange(n)
-        joint_ends, continuity = [], []
-        for joint in self.model.joints:
-            ends = [tuple(e) for e in joint.ends]
-            sup = [e for e in ends if e in self._supported]
-            if sup:
-                ends.remove(sup[0])
-                ends.insert(0, sup[0])
-            g = [gid[e] for e in ends]
-            force[g] = [term(ends[0], e) for e in ends]
-            own[g[0]] = force[g[0]]
-            for e, gi in zip(ends[1:], g[1:]):
-                own[gi] = term(e, e)
-                continuity.append((own[gi], term(e, ends[0]), gi, g[0]))
-            lead[g] = g[0]
-            joint_ends.append(g)
+        at = [(self.runtimes[k], end) for k, end in keys]
+        index = np.array([patch.end_index(end) for (patch, _, _), end in at])
+        self._slots = self.offsets.repeat(2) // 6 + index
+        # (end, its applied force, couple and motion histories)
+        applied = [(gid[el.patch, el.end], (el.force, el.moment))
+                   for el in self.model.end_loads]
+        applied += [(gid[s.patch, s.end], (None, None, s.motion))
+                    for s in self.model.supports]
+        # the lead of every end's balance group (itself off joints) and the
+        # end's position in its joint
+        lead, rank = np.arange(n), np.zeros(n, dtype=int)
         jointed = np.zeros(n, dtype=bool)
-        jointed[[g for ends in joint_ends for g in ends]] = True
-        for g in np.flatnonzero(~jointed):
-            own[g] = force[g] = term(keys[g], keys[g])
-        self._term_rows = np.array([row for row, _, _ in terms], dtype=int)
+        for joint in self.model.joints:
+            ends = sorted((gid[tuple(e)] for e in joint.ends),
+                          key=lambda g: keys[g] not in self._supported)
+            lead[ends], rank[ends] = ends[0], range(len(ends))
+            jointed[ends] = True
+            applied.append((ends[0], (joint.force, joint.moment)))
+        leading = lead == np.arange(n)
+        follow = np.flatnonzero(~leading)
+        m = len(follow)
+        self._term_rows = 6 * self._slots[
+            np.concatenate([np.arange(n), lead[follow], follow])]
         # one entry per stencil point of every term
         term_of, phi, cols = [], [], []
-        for t, (_, k, i) in enumerate(terms):
-            p = self.runtimes[k].patch
+        for t, g in enumerate(np.concatenate([np.arange(n), follow,
+                                              lead[follow]])):
+            p, i = self.runtimes[g // 2].patch, index[g]
             term_of += [t] * (p.degree + 1)
             phi.append(np.stack([p.phi0[i], p.phi1[i]], axis=-1))
-            cols.append(self.offsets[k] + 6 * p.support_idx[i])
+            cols.append(self.offsets[g // 2] + 6 * p.support_idx[i])
         self._stencil_term = np.array(term_of, dtype=int)
         self._stencil_phi = np.concatenate(phi)[:, :, None, None]
         self._stencil_col = np.concatenate(cols)
 
-        slot = self._term_rows[own] // 6
-        at = [(self.runtimes[k], end) for k, end in keys]
         of_stack = np.array([self.stacks.index(rt) for (_, rt, _), _ in at])
-        pts = np.array([pts.start + patch.end_index(end)
-                        for (patch, _, pts), end in at])
+        pts = np.array([pts.start for (_, _, pts), _ in at]) + index
         sign = np.array([patch.end_sign(end) for (patch, _, _), end in at])
         self._end_c0 = np.array([patch.end_position(end)
                                  for (patch, _, _), end in at])
-        self._end_R0 = np.array([patch.frames.R0[patch.end_index(end)]
-                                 for (patch, _, _), end in at])
+        self._end_R0 = np.array([patch.frames.R0[i]
+                                 for ((patch, _, _), _), i in zip(at, index)])
         # what the support of each end holds (None: no support)
         held = [None if s is None else SUPPORT_KINDS[s.kind]
                 for s in map(self._supported.get, keys)]
@@ -282,72 +283,50 @@ class Simulation:
         # translation rows that are spatial force rows: those of joint ends
         # and of supported ends that their support leaves free
         free = ~fixed[lead] & (jointed | supported)[:, None]
+        member = jointed | free.any(axis=1)
 
         def groups(mask):
             out = []
             for s in range(len(self.stacks)):
                 g = np.flatnonzero(mask & (of_stack == s))
-                out.append(EndGroup(g, pts[g], sign[g], own[g], slot[g])
-                           if len(g) else None)
+                out.append(EndGroup(g, pts[g], sign[g]) if len(g) else None)
             return out
 
         #: per stack, the ends (None: none) of: every end; the Neumann force
         #: rows (free ends); the Neumann moment rows (free, hinged and roller
-        #: ends); the spatial forces (ends with spatial force rows, and every
-        #: joint end for the balance); the spatial couples (joint ends)
+        #: ends); the spatial forces (balance group members); the spatial
+        #: couples (joint ends)
         self._end_groups = list(zip(
             groups(np.ones(n, dtype=bool)), groups(~jointed & ~supported),
-            groups(~jointed & ~clamped), groups(jointed | free.any(axis=1)),
-            groups(jointed)))
-        #: end loads, resolved once: (force or couple, end, history)
-        self._end_loads = [(ch, gid[el.patch, el.end], history)
-                           for el in self.model.end_loads
-                           for ch, history in enumerate((el.force, el.moment))
+            groups(~jointed & ~clamped), groups(member), groups(jointed)))
+        #: (end, force/couple/motion, history) of every end load, joint load
+        #: (on the joint's lead) and support motion
+        self._histories = [(g, ch, history) for g, histories in applied
+                           for ch, history in enumerate(histories)
                            if history is not None]
-        g, a = np.nonzero(free)
-        #: (term, end, component) of every spatial force row, and (point,
-        #: end, component) of those off joints
-        self._force_rows = (force[g], g, a)
-        g, a = g[~jointed[g]], a[~jointed[g]]
-        self._support_force = (slot[g], g, a)
 
-        # joint balance
-        self._joint_loads = [(j, ch, history)
-                             for j, joint in enumerate(self.model.joints)
-                             for ch, history in enumerate((joint.force,
-                                                           joint.moment))
-                             if history is not None]
-        arity = np.full((len(joint_ends), max(map(len, joint_ends), default=0)),
-                        -1)
-        for j, g in enumerate(joint_ends):
-            arity[j, :len(g)] = g
-        #: per arity position: the joints that have an end there, and it
-        self._arity = [(np.flatnonzero(col >= 0), col[col >= 0])
-                       for col in arity.T]
-        first = np.array([g[0] for g in joint_ends], dtype=int)
-        j, a = np.nonzero(free[first])
-        #: (point, joint, component) of the force rows of the balance,
-        #: (point, joint) of its moment rows and (term, end) of their blocks
-        self._balance_force = (slot[first[j]], j, a)
-        j = np.flatnonzero(~clamped[first])
-        self._balance_moment = (slot[first[j]], j)
+        # balance groups; ``force`` is the term of every end's spatial force
+        force = np.arange(n)
+        force[follow] = n + np.arange(m)
+        #: per position in a group, lead first: (lead, member) of the groups
+        #: that have a member there
+        at_rank = (np.flatnonzero(member & (rank == r))
+                   for r in range(rank.max() + 1))
+        self._balance = [(lead[g], g) for g in at_rank if len(g)]
+        g, a = np.nonzero(free)
+        #: (term, end, component) of every spatial force row
+        self._force_rows = (force[g], g, a)
+        #: (lead, component) of the balance force rows, the leads of its
+        #: moment rows and (term, end) of the couple blocks
+        self._balance_force = np.nonzero(free & leading[:, None])
+        self._balance_moment = np.flatnonzero(jointed & leading & ~clamped)
         g = np.flatnonzero(jointed & ~clamped[lead])
         self._couple_blocks = (force[g], g)
-        #: (own term, term on the first end's stencil, point, end, first end)
-        own_c, first_c, g, g0 = np.array(continuity, dtype=int).reshape(-1, 4).T
-        self._continuity = (own_c, first_c, slot[g], g, g0)
-
-        # supports
-        self._motions = [(gid[s.patch, s.end], s.motion)
-                         for s in self.model.supports if s.motion is not None]
-        g, a = np.nonzero(fixed)
-        #: (term, point, end, component) of every fixed translation and
-        #: (term, end) of every clamp
-        self._fixed = (own[g], slot[g], g, a)
-        g = np.flatnonzero(clamped)
-        self._clamped = (own[g], g)
-        #: points of the rotation rows: joint continuity, then clamps
-        self._rotation_slots = np.concatenate([self._continuity[2], slot[g]])
+        #: (end, lead, term on the lead's stencil) of every continuity row
+        self._continuity = (follow, lead[follow], n + m + np.arange(m))
+        #: (end, component) of every fixed translation and the clamped ends
+        self._fixed = np.nonzero(fixed)
+        self._clamped = np.flatnonzero(clamped)
 
     def _plan_pattern(self):
         """CSC structure of the whole system and the value of every entry.
@@ -487,29 +466,33 @@ class Simulation:
         increment of each control point.  The end kernels return their
         blocks (ends, 2, 3, 6) in this [stencil, row, column] layout, so
         they are written into ``B`` as they come.  Each end kernel runs at
-        most once per law stack, on all the ends that need it.
+        most once per law stack, on all the ends that need it.  The six
+        residuals of every end are gathered in one (ends, 6) array and
+        written into the slots once.
         """
         B = np.zeros((len(self._term_rows), 2, 6, 6))
-        r = rhs.reshape(-1, 6)
-        n = len(self._end_c0)
+        n = len(self._slots)
+        E = np.zeros((n, 6))
         c, R = np.empty((n, 3)), np.empty((n, 3, 3))
         # spatial end force and couple (end, force/couple, 3) and their
-        # blocks (end, force/couple, stencil, 3, 6)
-        fm, dfm = np.empty((n, 2, 3)), np.empty((n, 2, 2, 3, 6))
-        loads = np.zeros((2, n, 3))
-        for ch, g, history in self._end_loads:
-            loads[ch, g] += history(t_next)
+        # blocks (end, force/couple, stencil, 3, 6); the couple of a one-end
+        # group is never evaluated, and it subtracts a zero
+        fm, dfm = np.zeros((n, 2, 3)), np.empty((n, 2, 2, 3, 6))
+        # applied force, couple and support motion of every end
+        ext = np.zeros((n, 3, 3))
+        for g, ch, history in self._histories:
+            ext[g, ch] += history(t_next)
         for rt, sec, (every, nf, nm, fs, ms) in zip(self.stacks, sections,
                                                      self._end_groups):
             st = rt.state
             c[every.ends] = st.c[every.pts]
             R[every.ends] = st.R[every.pts]
             if nf is not None:
-                r[nf.slots, :3], B[nf.terms, :, :3] = neumann_force_row(
-                    st, sec, nf.pts, loads[0, nf.ends], nf.sign)
+                E[nf.ends, :3], B[nf.ends, :, :3] = neumann_force_row(
+                    st, sec, nf.pts, ext[nf.ends, 0], nf.sign)
             if nm is not None:
-                r[nm.slots, 3:], B[nm.terms, :, 3:] = neumann_moment_row(
-                    st, sec, nm.pts, loads[1, nm.ends], nm.sign)
+                E[nm.ends, 3:], B[nm.ends, :, 3:] = neumann_moment_row(
+                    st, sec, nm.pts, ext[nm.ends, 1], nm.sign)
             if fs is not None:
                 fm[fs.ends, 0], dfm[fs.ends, 0] = end_force_spatial(
                     st, sec, fs.pts, fs.sign)
@@ -517,54 +500,46 @@ class Simulation:
                 fm[ms.ends, 1], dfm[ms.ends, 1] = end_moment_spatial(
                     st, sec, ms.pts, ms.sign)
 
-        # spatial force rows of the translation components left free
-        T, g, a = self._force_rows
-        if len(g):
+        if self._balance:
+            # balance in the slot of each group's lead: the applied load
+            # less the end resultants, member by member
+            T, g, a = self._force_rows
             B[T, :, a] = dfm[g, 0, :, a]
-            p, g, a = self._support_force
-            r[p, a] = -fm[g, 0, a]
+            T, g = self._couple_blocks
+            B[T, :, 3:] = dfm[g, 1]
+            S = ext[:, :2]  # the end loads are read by now
+            for q, g in self._balance:
+                S[q] -= fm[g]
+            q, a = self._balance_force
+            E[q, a] = S[q, 0, a]
+            q = self._balance_moment
+            E[q, 3:] = S[q, 1]
 
-        own, first, p, g, g0 = self._continuity
-        if self._arity:
-            # balance in the slot of the first end: the applied load less
-            # the end resultants, end by end
-            S = np.zeros((len(self.model.joints), 2, 3))
-            for j, ch, history in self._joint_loads:
-                S[j, ch] = history(t_next)
-            for js, gs in self._arity:
-                S[js] -= fm[gs]
-            q, j, a = self._balance_force
-            r[q, a] = S[j, 0, a]
-            q, j = self._balance_moment
-            r[q, 3:] = S[j, 1]
-            T, e = self._couple_blocks
-            B[T, :, 3:] = dfm[e, 1]
-            # continuity in the slots of the other ends: d_eta_i - d_eta_0 =
-            # c_0 - c_i, R_i dTheta_i - R_0 dTheta_0 = log(Q_0 Q_i^T)
-            B[own, 0, :3, :3] = np.eye(3)
-            B[own, 0, 3:, 3:] = R[g]
-            B[first, 0, :3, :3] = -np.eye(3)
-            B[first, 0, 3:, 3:] = -R[g0]
-            r[p, :3] = c[g0] - c[g]
+        # continuity in the slots of the ends that do not lead their joint:
+        # d_eta_i - d_eta_0 = c_0 - c_i, R_i dTheta_i - R_0 dTheta_0 =
+        # log(Q_0 Q_i^T)
+        g, g0, T = self._continuity
+        if len(g):
+            B[g, 0, :3, :3] = np.eye(3)
+            B[g, 0, 3:, 3:] = R[g]
+            B[T, 0, :3, :3] = -np.eye(3)
+            B[T, 0, 3:, 3:] = -R[g0]
+            E[g, :3] = c[g0] - c[g]
 
         # supports: translations toward the (moving) support position, and a
         # clamp's rotation
-        X = self._end_c0
-        if self._motions:
-            X = X.copy()
-            for e, motion in self._motions:
-                X[e] += motion(t_next)
-        T, p, e, a = self._fixed
-        B[T, 0, a, a] = 1.0
-        r[p, a] = X[e, a] - c[e, a]
-        T, e = self._clamped
-        B[T, 0, 3:, 3:] = np.eye(3)
-        if len(self._rotation_slots):
+        e, a = self._fixed
+        B[e, 0, a, a] = 1.0
+        E[e, a] = self._end_c0[e, a] + ext[e, 2, a] - c[e, a]
+        e = self._clamped
+        B[e, 0, 3:, 3:] = np.eye(3)
+        if len(g) or len(e):
             R0 = self._end_R0
             Q = R @ np.swapaxes(R0, -1, -2)
             rot = np.concatenate([Q[g0] @ np.swapaxes(Q[g], -1, -2),
                                   np.swapaxes(R[e], -1, -2) @ R0[e]])
-            r[self._rotation_slots, 3:] = so3.log_so3(rot)
+            E[np.concatenate([g, e]), 3:] = so3.log_so3(rot)
+        rhs.reshape(-1, 6)[self._slots] = E
         return B
 
     # -- solving ---------------------------------------------------------------

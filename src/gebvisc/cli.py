@@ -255,7 +255,7 @@ def main(argv=None) -> int:
         setup = scenario_setup(
             getattr(args, "scenario", "custom"), _overrides_from(args),
             config=load_config(args.config) if args.config else None)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     if args.command == "validate":

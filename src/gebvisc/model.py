@@ -231,13 +231,21 @@ class BeamModel:
         return {(s.patch, s.end): s for s in self.supports}
 
     def validate(self) -> None:
-        """Structural sanity: coincident joints, no conflicting conditions."""
+        """Structural sanity: valid references, coincident joints, no
+        conflicting conditions."""
         n_patches = len(self.patches)
+        if not n_patches:
+            raise ValueError("model has no patches")
+
+        def end_key(patch, end, what):
+            if not 0 <= patch < n_patches or end not in (START, END):
+                raise ValueError(f"{what} references invalid end "
+                                 f"{(patch, end)}")
+            return patch, end
+
         seen_support = set()
         for s in self.supports:
-            key = (s.patch, s.end)
-            if not 0 <= s.patch < n_patches or s.end not in (START, END):
-                raise ValueError(f"support references invalid end {key}")
+            key = end_key(s.patch, s.end, "support")
             if key in seen_support:
                 raise ValueError(f"duplicate support at {key}")
             seen_support.add(key)
@@ -245,21 +253,20 @@ class BeamModel:
         for joint in self.joints:
             if len(joint.ends) < 2:
                 raise ValueError("joint needs at least two patch ends")
-            pos = [self.patches[p].end_position(e) for p, e in joint.ends]
+            keys = [end_key(*e, "joint") for e in joint.ends]
+            pos = [self.patches[p].end_position(e) for p, e in keys]
             for q in pos[1:]:
                 if np.linalg.norm(q - pos[0]) > JOINT_TOL:
                     raise ValueError("joint ends are not coincident at t = 0")
-            for e in joint.ends:
-                key = tuple(e)
+            for key in keys:
                 if key in seen_joint:
                     raise ValueError(f"end {key} appears in two joints")
                 seen_joint.add(key)
-            if sum(tuple(e) in seen_support for e in joint.ends) > 1:
+            if sum(key in seen_support for key in keys) > 1:
                 raise ValueError("a joint may carry at most one support")
-        jointed = set(seen_joint)
         for el in self.end_loads:
-            key = (el.patch, el.end)
-            if key in jointed:
+            key = end_key(el.patch, el.end, "end load")
+            if key in seen_joint:
                 raise ValueError("end load on a jointed end; attach it to the "
                                  "joint instead")
             if key in seen_support:
@@ -267,6 +274,14 @@ class BeamModel:
         for load in self.loads:
             if not 0 <= load.patch < n_patches:
                 raise ValueError("distributed load references invalid patch")
+        names = set()
+        for probe in self.probes:
+            if not 0 <= probe.patch < n_patches or not 0.0 <= probe.u <= 1.0:
+                raise ValueError(f"probe '{probe.name}' references invalid "
+                                 f"point {(probe.patch, probe.u)}")
+            if probe.name in names:
+                raise ValueError(f"duplicate probe name '{probe.name}'")
+            names.add(probe.name)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import os
 import pathlib
 
 import numpy as np
@@ -244,15 +245,19 @@ class TestStacking:
 
 class TestRowKinds:
     # recorded with row_kinds_system() at commit 8eeffae, where every row was
-    # written entry by entry and the system went through COO and CSR.  The
-    # recorded pattern holds with threaded BLAS only: there the 3x3 products
-    # leave a 1.17e-47 rounding entry at (172, 173) and (173, 172), the
-    # rotation rows of the start of patch 4, which is exactly 0 with
-    # OPENBLAS_NUM_THREADS=1 (nnz 4032 against 4030)
-    REFERENCE = pathlib.Path(__file__).parent / "data" / "row_kinds_system.npz"
+    # written entry by entry and the system went through COO and CSR.  That
+    # pattern holds with threaded BLAS only: there the 3x3 products leave a
+    # 1.17e-47 rounding entry at (172, 173) and (173, 172), the rotation rows
+    # of the start of patch 4, which is exactly 0 with OPENBLAS_NUM_THREADS=1
+    # (nnz 4032 against 4030).  The system of one BLAS thread was recorded
+    # apart at commit 3e8e78f, with OPENBLAS_NUM_THREADS=1.
+    DATA = pathlib.Path(__file__).parent / "data"
 
     def test_system_matches_recorded(self):
-        assert_system_matches(*row_kinds_system(), self.REFERENCE)
+        one_thread = os.environ.get("OPENBLAS_NUM_THREADS") == "1"
+        assert_system_matches(*row_kinds_system(), self.DATA / (
+            "row_kinds_system_1thread.npz" if one_thread
+            else "row_kinds_system.npz"))
 
 
 class TestRing:

@@ -241,6 +241,65 @@ class TestCliCommands:
             # found before any step: no history is written
             assert not (out / "history.csv").exists()
 
+    @staticmethod
+    def chain_config():
+        """Two jointed line patches, hinged at the start, with a tip
+        probe; one step."""
+        line = {"generator": "line", "degree": 2, "n": 5}
+        return {
+            "version": 1,
+            "material": {"E_inf": 5e5, "nu": 0.5, "rho": 1100.0},
+            "section": {"type": "circle", "diameter": 0.01},
+            "patches": [dict(line, params={"start": [0, 0, 0],
+                                           "end": [0, 0.5, 0]}),
+                        dict(line, params={"start": [0, 0.5, 0],
+                                           "end": [0, 1, 0]})],
+            "supports": [{"patch": 0, "end": "start", "type": "hinge"}],
+            "joints": [{"ends": [[0, "end"], [1, "start"]]}],
+            "time": {"h": 5e-3, "T": 5e-3},
+            "output": {"probes": [{"patch": 1, "u": 1.0, "name": "tip"}]},
+        }
+
+    PUSH = {"kind": "constant", "value": [1, 0, 0]}
+
+    @pytest.mark.parametrize("change", [
+        {"patches": [], "supports": [], "joints": [], "output": {}},
+        {"loads": [{"target": {"kind": "end", "patch": 7, "end": "end"},
+                    "history": PUSH}]},
+        {"loads": [{"target": {"kind": "end", "patch": 1, "end": "tip"},
+                    "history": PUSH}]},
+        {"output": {"probes": [{"patch": 9, "u": 1.0, "name": "tip"}]}},
+        {"output": {"probes": [{"patch": 1, "u": 1.5, "name": "tip"}]}},
+        {"output": {"probes": [{"patch": 1, "u": 1.0, "name": "tip"},
+                               {"patch": 0, "u": 0.5, "name": "tip"}]}},
+        {"joints": [{"ends": [[0, "end"], [-1, "start"]]}]},
+        {"joints": [{"ends": [[0, "end"], [5, "start"]]}]},
+    ], ids=["no_patches", "end_load_patch", "end_load_end", "probe_patch",
+            "probe_u", "probe_name", "joint_negative_patch",
+            "joint_patch_out_of_range"])
+    def test_invalid_reference_reported(self, tmp_path, capsys, change):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self.chain_config()))
+        assert main(["validate", "--config", str(path)]) == 0
+        path.write_text(json.dumps(dict(self.chain_config(), **change)))
+        self.assert_invalid_configuration(tmp_path, capsys, path)
+
+    @pytest.mark.parametrize("name", ["missing.json", "."])
+    def test_unreadable_config_reported(self, tmp_path, capsys, name):
+        self.assert_invalid_configuration(tmp_path, capsys, tmp_path / name)
+
+    @staticmethod
+    def assert_invalid_configuration(tmp_path, capsys, path):
+        """``validate`` and ``run custom`` both report the configuration at
+        ``path`` as invalid, and the run writes no history."""
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["run", "custom", "--config", str(path), "--out",
+                     str(out)]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not (out / "history.csv").exists()
+
     def test_converge_command(self, tmp_path):
         study = {"scenario": "pendulum", "pairs": [[2, 8], [2, 12], [2, 16]],
                  "reference": [4, 40], "t_eval": 0.05, "h": 5e-3}

@@ -3,7 +3,8 @@ import pytest
 
 from gebvisc import so3
 from gebvisc.model import (BeamModel, DistributedLoad, EndLoad, Joint,
-                           LoadHistory, Patch, Support, _history_from_config,
+                           LoadHistory, Patch, Probe, Support,
+                           _history_from_config,
                            build_auxetic, build_lattice, model_from_config,
                            spiral_curve, spivak_curve)
 from gebvisc.splines import line_curve
@@ -119,6 +120,37 @@ class TestValidation:
             BeamModel(ps, supports=[Support(0, "end", "hinge"),
                                     Support(1, "start", "roller_x3")],
                       joints=[Joint(ends=[(0, "end"), (1, "start")])])
+
+
+    PUSH = LoadHistory.constant([1, 0, 0])
+
+    # every end reference and probe of a two-patch chain is checked at
+    # construction and a bad one raises ValueError, not an error of the
+    # solver later
+    @pytest.mark.parametrize("change", [
+        dict(patches=[], supports=[], joints=[], probes=[]),
+        dict(end_loads=[EndLoad(7, "end", force=PUSH)]),
+        dict(end_loads=[EndLoad(1, "tip", force=PUSH)]),
+        dict(probes=[Probe(9, 1.0, "tip")]),
+        dict(probes=[Probe(1, 1.5, "tip")]),
+        dict(probes=[Probe(1, 1.0, "tip"), Probe(0, 0.5, "tip")]),
+        dict(joints=[Joint(ends=[(0, "end"), (-1, "start")])]),
+        dict(joints=[Joint(ends=[(0, "end"), (5, "start")])]),
+    ], ids=["no_patches", "end_load_patch", "end_load_end", "probe_patch",
+            "probe_u", "probe_name", "joint_negative_patch",
+            "joint_patch_out_of_range"])
+    def test_invalid_reference_rejected(self, change):
+        law = small_law()
+        parts = dict(
+            patches=[Patch(line_curve([0, 0, 0], [1, 0, 0], 2, 4), law),
+                     Patch(line_curve([1, 0, 0], [2, 0, 0], 2, 4), law)],
+            supports=[Support(0, "start", "clamp")],
+            joints=[Joint(ends=[(0, "end"), (1, "start")])],
+            probes=[Probe(1, 1.0, "tip")])
+        BeamModel(**parts)
+        parts.update(change)
+        with pytest.raises(ValueError):
+            BeamModel(**parts)
 
 
 class TestLattice:
