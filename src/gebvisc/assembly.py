@@ -49,20 +49,18 @@ log = logging.getLogger(__name__)
 class NewtonSettings:
     """Newton-Raphson controls.
 
+    Every step is one plain Newton solve with full, undamped updates.
     Convergence is declared on the increment norm relative to the accumulated
     step increment (with an absolute floor of one), or immediately when the
     equilibrated residual is negligible.  A step fails on iteration
-    exhaustion or when the residual grows three times in a row; the driver
-    then retries with up to ``max_halvings`` step halvings.
+    exhaustion, when the residual grows three times in a row or when an
+    update trips the pi guard; the driver then retries it as two half
+    steps, up to ``max_halvings`` deep.
     """
     max_iterations: int = 25
     tol_increment: float = 1.0e-8
     tol_residual: float = 1.0e-12
     max_halvings: int = 3
-    #: cap on the increment inf-norm used only by the failure-retry path
-    #: (None: no capped retry); the first attempt of every step is always
-    #: plain (undamped) Newton
-    retry_increment_cap: float | None = 0.3
 
     def __post_init__(self):
         if self.tol_increment <= 0 or self.tol_residual <= 0:
@@ -71,9 +69,6 @@ class NewtonSettings:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}")
-        if self.retry_increment_cap is not None and \
-                self.retry_increment_cap <= 0:
-            raise ValueError("retry_increment_cap must be positive or None")
 
     @classmethod
     def from_config(cls, section: dict) -> "NewtonSettings":
@@ -184,7 +179,6 @@ class Simulation:
         self.runtimes = [slots[k] for k in range(len(model.patches))]
         self.t = 0.0
         self.total_iterations = 0
-        self._resume = None
         self._supported = model.supported_ends()
         self._plan_probes()
         self._plan_boundary()
@@ -585,61 +579,36 @@ class Simulation:
         self._lu_indptr, self._lu_indices, self._lu_pos = \
             A.indptr, A.indices, pos
 
-    def newton(self, h: float, t_next: float,
-               increment_cap: float | None = None,
-               resume: tuple | None = None) -> NewtonReport:
-        """Newton-Raphson loop at the current predictor state.
-
-        ``increment_cap`` scales down any update whose inf-norm exceeds it;
-        it is None on the plain first attempt of every step and is only set
-        by the failure-retry path.  The plain attempt keeps the iterate
-        before its first update above ``settings.retry_increment_cap``
-        (iteration index, residual history, divergence counter, update and
-        snapshot); the retry, which would repeat it bit for bit up to there,
-        goes on from it as ``resume``.
-        """
+    def newton(self, h: float, t_next: float) -> NewtonReport:
+        """Newton-Raphson loop at the current predictor state, with full
+        updates.  An iteration is counted before its update, so one that the
+        pi guard of ``apply_increment`` stops with ``StepFailure`` counts."""
         s = self.settings
         report = NewtonReport(converged=False, iterations=0)
-        grow, start, delta = 0, 0, None
-        if resume is not None:
-            start, grow, report.residual_norms, report.increment_norms, \
-                delta, snaps = resume
-            report.iterations = start
-            for rt, snap in zip(self.stacks, snaps):
-                rt.restore(snap)
-        elif increment_cap is None:
-            self._resume = None
-        for it in range(start, s.max_iterations + 1):
-            if delta is None:
-                A, rhs = self.assemble(h, t_next)
-                res_norm = np.abs(rhs).max() if len(rhs) else 0.0
-                report.residual_norms.append(res_norm)
-                if res_norm <= s.tol_residual:
-                    report.converged = True
+        grow = 0
+        for it in range(s.max_iterations + 1):
+            A, rhs = self.assemble(h, t_next)
+            res_norm = np.abs(rhs).max() if len(rhs) else 0.0
+            report.residual_norms.append(res_norm)
+            if res_norm <= s.tol_residual:
+                report.converged = True
+                break
+            if len(report.residual_norms) >= 2 and \
+                    res_norm > report.residual_norms[-2]:
+                grow += 1
+                if grow >= 3:
+                    log.warning("newton diverging at t=%.6g (res %.3e)",
+                                t_next, res_norm)
                     break
-                if len(report.residual_norms) >= 2 and \
-                        res_norm > report.residual_norms[-2]:
-                    grow += 1
-                    if grow >= 3:
-                        log.warning("newton diverging at t=%.6g (res %.3e)",
-                                    t_next, res_norm)
-                        break
-                else:
-                    grow = 0
-                if it == s.max_iterations:
-                    break
-                delta = self._solve(A, rhs)
+            else:
+                grow = 0
+            if it == s.max_iterations:
+                break
+            delta = self._solve(A, rhs)
             inc_norm = np.abs(delta).max()
-            if increment_cap is not None and inc_norm > increment_cap:
-                delta = delta * (increment_cap / inc_norm)
-                inc_norm = increment_cap
-            elif (increment_cap is None and self._resume is None
-                  and s.retry_increment_cap is not None
-                  and inc_norm > s.retry_increment_cap):
-                self._resume = (it, grow, report.residual_norms[:],
-                                report.increment_norms[:], delta,
-                                [rt.snapshot() for rt in self.stacks])
             report.increment_norms.append(inc_norm)
+            report.iterations = it + 1
+            self.total_iterations += 1
             acc = 1.0
             d = delta.reshape(-1, 6)
             for rt in self.stacks:
@@ -649,27 +618,22 @@ class Simulation:
                 rt.ctrl += d[rt.points, :3]
                 acc = max(acc, np.abs(rt.state.eta).max(),
                           np.abs(rt.state.Theta).max())
-            delta = None
-            report.iterations = it + 1
             log.debug("step t=%.6g iter=%d res=%.3e inc=%.3e", t_next, it + 1,
                       report.residual_norms[-1], inc_norm)
             if inc_norm <= s.tol_increment * acc:
                 report.converged = True
                 break
-        self.total_iterations += report.iterations - start
         return report
 
     # -- time marching -----------------------------------------------------------
 
-    def _attempt(self, h: float, increment_cap: float | None,
-                 resume: tuple | None = None) -> None:
+    def _attempt(self, h: float) -> None:
         snaps = [rt.snapshot() for rt in self.stacks]
         t0 = self.t
         try:
-            if resume is None:
-                for rt in self.stacks:
-                    begin_step(rt.state, rt.law, h)
-            report = self.newton(h, t0 + h, increment_cap, resume)
+            for rt in self.stacks:
+                begin_step(rt.state, rt.law, h)
+            report = self.newton(h, t0 + h)
             if not report.converged:
                 raise StepFailure(f"newton did not converge at t={t0 + h:.6g}")
             for rt in self.stacks:
@@ -682,25 +646,13 @@ class Simulation:
             raise
 
     def advance(self, h: float, depth: int = 0) -> None:
-        """One time step: plain Newton first, an increment-capped retry at the
-        same size on failure, then step-halving retries (up to the limit).
-        The capped retry is skipped if the plain attempt never exceeded the
-        cap, since it would repeat it."""
+        """One time step: one plain Newton attempt; a failed attempt is
+        retried as two half steps, up to ``settings.max_halvings`` deep."""
         try:
-            self._attempt(h, None)
+            self._attempt(h)
             return
         except StepFailure:
             pass
-        resume, self._resume = self._resume, None
-        if resume is not None:
-            cap = self.settings.retry_increment_cap
-            log.info("retrying step at t=%.6g with increment cap %.2g from "
-                     "iteration %d", self.t, cap, resume[0])
-            try:
-                self._attempt(h, cap, resume)
-                return
-            except StepFailure:
-                pass
         if depth >= self.settings.max_halvings:
             raise StepFailure(f"step failed at t={self.t:.6g} after "
                               f"{depth} halvings")

@@ -107,23 +107,31 @@ def displacement_field(sim: Simulation, n_probe: int) -> np.ndarray:
     return np.vstack(parts)
 
 
-def run_convergence(study: dict, out_dir=None):
-    """Spatial convergence of a scenario against a fine reference run.
+def convergence_setup(study: dict):
+    """(scenario, pairs, reference, t_eval, h, probe points, overrides) of a
+    convergence study; a malformed study raises before any run.
 
     ``study`` keys: scenario, pairs ([[p, n], ...]), reference ([p, n]),
     t_eval, h, optionally probe_points and scenario overrides under
-    "overrides".  Returns a result dict with per-pair errors and fitted
-    pre-plateau slopes per degree.
+    "overrides".
     """
-    name = study["scenario"]
     pairs = [tuple(pn) for pn in study["pairs"]]
     p_ref, n_ref = study["reference"]
     if any(n >= n_ref and p >= p_ref for p, n in pairs):
         raise ValueError("reference must be strictly finer than every study pair")
-    t_eval = study["t_eval"]
-    h = study["h"]
-    n_probe = int(study.get("probe_points", 101))
-    overrides = dict(study.get("overrides", {}))
+    return (study["scenario"], pairs, (p_ref, n_ref), study["t_eval"],
+            study["h"], int(study.get("probe_points", 101)),
+            dict(study.get("overrides", {})))
+
+
+def run_convergence(study: dict, out_dir=None):
+    """Spatial convergence of a scenario against a fine reference run.
+
+    ``study`` is described in ``convergence_setup``.  Returns a result dict
+    with per-pair errors and fitted pre-plateau slopes per degree.
+    """
+    name, pairs, (p_ref, n_ref), t_eval, h, n_probe, overrides = \
+        convergence_setup(study)
 
     def field(p, n):
         model, params = build_scenario(name, {**overrides, "degree": p,
@@ -242,22 +250,23 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
+    # a configuration error is reported before any output or step
+    try:
+        config = load_config(args.config) if args.config else None
+        if args.command == "converge":
+            convergence_setup(config)
+        else:
+            setup = scenario_setup(getattr(args, "scenario", "custom"),
+                                   _overrides_from(args), config=config)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return 2
     if args.command == "converge":
-        out = ensure_dir(args.out)
-        study = load_config(args.config)
-        result = run_convergence(study, out_dir=out)
+        result = run_convergence(config, out_dir=ensure_dir(args.out))
         for p, info in result["per_degree"].items():
             print(f"degree {p}: pre-plateau slope {info['slope']:.2f}, "
                   f"floor {info['floor']:.2e}")
         return 0
-    # run and validate: a configuration error is reported before any step
-    try:
-        setup = scenario_setup(
-            getattr(args, "scenario", "custom"), _overrides_from(args),
-            config=load_config(args.config) if args.config else None)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
     if args.command == "validate":
         model = setup[0]
         print(f"ok: {len(model.patches)} patches, {model.n_dofs()} unknowns, "

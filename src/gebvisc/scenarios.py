@@ -9,6 +9,8 @@ a plain dict so the CLI can map flags straight onto them.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .model import (BeamModel, DistributedLoad, EndLoad, LoadHistory, Patch,
@@ -56,12 +58,23 @@ def pla_law(diameter: float) -> SectionLaw:
                              SectionGeometry.circle(diameter), PLA_RHO)
 
 
+#: the numbers an override may be, by the type of its default (a flag is none)
+_NUMBER_KINDS = {int: (numbers.Integral, "an integer"),
+                 float: (numbers.Real, "a real number")}
+
+
 def _merge(name: str, overrides: dict | None) -> dict:
     cfg = dict(SCENARIO_DEFAULTS[name])
     if overrides:
         unknown = set(overrides) - set(cfg) - {"elastic"}
         if unknown:
             raise ValueError(f"unknown overrides for '{name}': {sorted(unknown)}")
+        for k, v in overrides.items():
+            kind = _NUMBER_KINDS.get(type(cfg.get(k)))
+            if kind and v is not None and (isinstance(v, bool)
+                                           or not isinstance(v, kind[0])):
+                raise ValueError(f"override '{k}' for '{name}' must be "
+                                 f"{kind[1]}, got {v!r}")
         cfg.update({k: v for k, v in overrides.items() if v is not None})
     return cfg
 

@@ -453,16 +453,14 @@ class TestNewton:
     @pytest.mark.parametrize("bad", [
         {"tol_increment": 0.0}, {"tol_residual": -1e-12},
         {"max_iterations": 0}, {"max_halvings": -1},
-        {"retry_increment_cap": 0.0}, {"retry_increment_cap": -0.3},
         {"max_iterations": 10.5}, {"max_halvings": 2.5}])
     def test_invalid_settings_rejected(self, bad):
         with pytest.raises(ValueError):
             NewtonSettings(**bad)
 
     def test_settings_at_their_limits_accepted(self):
-        s = NewtonSettings(max_iterations=1, max_halvings=0,
-                           retry_increment_cap=None)
-        assert s.retry_increment_cap is None
+        s = NewtonSettings(max_iterations=1, max_halvings=0)
+        assert (s.max_iterations, s.max_halvings) == (1, 0)
 
     def test_zero_iterations_when_converged(self):
         model = pendulum_model(n=10, degree=2)
@@ -474,6 +472,22 @@ class TestNewton:
         report = sim.newton(1e-3, 1e-3)
         assert report.converged
         assert report.iterations == 0
+
+    def test_iteration_stopped_by_pi_guard_counted(self, monkeypatch):
+        calls = []
+        original = assembly.apply_increment
+
+        def apply_increment(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise StepFailure("incremental rotation reached pi")
+            return original(*args)
+
+        monkeypatch.setattr(assembly, "apply_increment", apply_increment)
+        sim = Simulation(pendulum_model(n=10, degree=2))
+        with pytest.raises(StepFailure):
+            sim._attempt(5e-3)
+        assert sim.total_iterations == len(calls) == 2
 
     def test_pendulum_step_iteration_budget(self):
         sim = Simulation(pendulum_model())
@@ -636,8 +650,8 @@ class TestJoints:
 
 
 class TestStepControl:
-    def test_step_halving_on_hard_step(self):
-        # brutal impulsive load on a soft beam: first attempt may fail but the
+    def test_step_halving_on_hard_step(self, monkeypatch):
+        # brutal impulsive load on a soft beam: the full step fails and the
         # halving retry must carry the march through
         law = build_section_law(1e5, 0.3, [(9e5, 0.05)],
                                 SectionGeometry.circle(0.01), 1100.0)
@@ -649,53 +663,10 @@ class TestStepControl:
                                                  [0, 0, -5.0]))],
                           probes=[Probe(0, 1.0, "tip")])
         sim = Simulation(model, NewtonSettings(max_iterations=8))
-        traj = time_march(sim, 0.05, 0.025)
-        assert sim.t == pytest.approx(0.05)
-
-    @staticmethod
-    def hard_step(**settings):
-        law = build_section_law(1e5, 0.3, [(9e5, 0.05)],
-                                SectionGeometry.circle(0.01), 1100.0)
-        curve = line_curve([0, 0, 0], [0, 0.5, 0], degree=3, n=10)
-        model = BeamModel([Patch(curve, law)],
-                          supports=[Support(0, "start", "clamp")],
-                          end_loads=[EndLoad(0, "end",
-                                             force=LoadHistory.constant(
-                                                 [0, 0, -5.0]))])
-        return Simulation(model, NewtonSettings(max_iterations=8, **settings))
-
-    def test_capped_retry_goes_on_from_plain_attempt(self, monkeypatch):
-        assembled = []
-        original = Simulation.assemble
-
-        def assemble(self, *args):
-            assembled.append(self)
-            return original(self, *args)
-
-        monkeypatch.setattr(Simulation, "assemble", assemble)
-        h = 0.025
-        replay = self.hard_step()
-        with pytest.raises(StepFailure):
-            replay._attempt(h, None)
-        # a retry from the step start, which repeats the plain attempt up to
-        # its first update above the cap
-        replay._attempt(h, replay.settings.retry_increment_cap)
-        sim = self.hard_step()
-        sim.advance(h)
-        assert 0 < assembled.count(sim) < assembled.count(replay)
-        assert sim.t == replay.t == h
-        st, ref = sim.stacks[0].state, replay.stacks[0].state
-        for name in st.ARRAYS + ("R", "qTheta"):
-            np.testing.assert_array_equal(getattr(st, name), getattr(ref, name))
-        np.testing.assert_array_equal(st.visc.branch, ref.visc.branch)
-        np.testing.assert_array_equal(sim.stacks[0].ctrl, replay.stacks[0].ctrl)
-
-    def test_capped_retry_skipped_without_capped_update(self, monkeypatch):
-        sim = self.hard_step(retry_increment_cap=1e9)
         attempts = []
         original = Simulation._attempt
-        monkeypatch.setattr(Simulation, "_attempt", lambda self, h, cap, *a: (
-            attempts.append((h, cap)) or original(self, h, cap, *a)))
-        sim.advance(0.025)
-        # a capped retry could only repeat the plain attempt: halve at once
-        assert attempts[:2] == [(0.025, None), (0.0125, None)]
+        monkeypatch.setattr(Simulation, "_attempt", lambda self, h: (
+            attempts.append(h) or original(self, h)))
+        time_march(sim, 0.05, 0.025)
+        assert sim.t == pytest.approx(0.05)
+        assert 0.0125 in attempts

@@ -66,9 +66,14 @@ class TestScenarioDefaults:
         A = np.pi * 0.005 ** 2 / 4
         assert law.CN0[0] == pytest.approx(E0 * A)
 
-    def test_unknown_override_rejected(self):
-        with pytest.raises(ValueError):
-            build_scenario("pendulum", {"cells": 3})
+    @pytest.mark.parametrize("name, overrides", [
+        ("pendulum", {"cells": 3}), ("lattice", {"cells": 3.0}),
+        ("pendulum", {"degree": 3.0}), ("pendulum", {"n": True}),
+        ("pendulum", {"T": "2"})],
+        ids=["unknown", "float_cells", "float_degree", "bool_n", "str_T"])
+    def test_unknown_override_rejected(self, name, overrides):
+        with pytest.raises(ValueError, match=next(iter(overrides))):
+            build_scenario(name, overrides)
 
 
 class TestOutputs:
@@ -197,8 +202,7 @@ class TestCliCommands:
         }
 
     def test_custom_config_newton_section(self):
-        section = {"max_iterations": 12, "tol_increment": 1e-9,
-                   "retry_increment_cap": None}
+        section = {"max_iterations": 12, "tol_increment": 1e-9}
         sim, _, _ = run_scenario("custom", config=self.short_config(section))
         assert sim.settings == NewtonSettings(**section)
         # an explicit settings argument takes precedence over the section
@@ -210,7 +214,8 @@ class TestCliCommands:
     @pytest.mark.parametrize("section", [{"max_iters": 12},
                                          {"max_iterations": 0},
                                          {"max_iterations": 10.5},
-                                         {"max_halvings": 2.5}])
+                                         {"max_halvings": 2.5},
+                                         {"retry_increment_cap": 0.3}])
     def test_invalid_newton_section_rejected(self, tmp_path, capsys, section):
         cfg = self.short_config(section)
         with pytest.raises(ValueError):
@@ -290,8 +295,9 @@ class TestCliCommands:
 
     @staticmethod
     def assert_invalid_configuration(tmp_path, capsys, path):
-        """``validate`` and ``run custom`` both report the configuration at
-        ``path`` as invalid, and the run writes no history."""
+        """``validate``, ``run custom`` and ``converge`` all report the
+        configuration at ``path`` as invalid; the run writes no history and
+        the study makes no output directory."""
         assert main(["validate", "--config", str(path)]) == 2
         assert "invalid configuration" in capsys.readouterr().err
         out = tmp_path / "out"
@@ -299,6 +305,11 @@ class TestCliCommands:
                      str(out)]) == 2
         assert "invalid configuration" in capsys.readouterr().err
         assert not (out / "history.csv").exists()
+        out = tmp_path / "study_out"
+        assert main(["converge", "--config", str(path), "--out",
+                     str(out)]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_converge_command(self, tmp_path):
         study = {"scenario": "pendulum", "pairs": [[2, 8], [2, 12], [2, 16]],
