@@ -453,6 +453,7 @@ class TestNewton:
     @pytest.mark.parametrize("bad", [
         {"tol_increment": 0.0}, {"tol_residual": -1e-12},
         {"max_iterations": 0}, {"max_halvings": -1},
+        {"tol_residual": 0.0}, {"max_halvings": 3.0},
         {"max_iterations": 10.5}, {"max_halvings": 2.5}])
     def test_invalid_settings_rejected(self, bad):
         with pytest.raises(ValueError):
