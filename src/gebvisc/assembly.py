@@ -6,8 +6,9 @@ Greville points; every patch end owns six boundary rows filled by a support,
 a rigid joint or free-end force/couple conditions.  The system is square by
 construction and its sparsity pattern is fixed when the simulation is built.
 Its values are made in one layout, one value per entry, equilibrated there
-row by row and gathered once into a CSC matrix, which a sparse LU solves in
-a fill-reducing order kept per nonzero structure.  Patches that share a
+row by row and gathered once into a CSC matrix.  One LAPACK banded LU over
+the patch blocks and a sparse LU, ordered once, on the Schur complement of
+the jointed ends solve it.  Patches that share a
 section law are stacked into one collocation state, so the residual and
 tangent kernels, the increment update and the step commit run once per law
 per Newton iteration, whatever the number of patches.  The boundary and
@@ -21,7 +22,6 @@ end resultants of its members.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import time as _time
 from collections import namedtuple
@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from . import so3
 from .beam_residual import (CollocationState, end_force_spatial,
@@ -85,7 +86,6 @@ class NewtonReport:
     converged: bool
     iterations: int
     residual_norms: list = field(default_factory=list)
-    increment_norms: list = field(default_factory=list)
 
 
 class PatchRuntime:
@@ -183,9 +183,7 @@ class Simulation:
         self._plan_probes()
         self._plan_boundary()
         self._plan_pattern()
-        #: fill-reducing order per nonzero structure of the solved systems
-        self._lu_orders = {}
-        self._lu_indptr = self._lu_indices = None
+        self._plan_solve()
         self._init_conditions()
 
     # -- construction helpers ------------------------------------------------
@@ -253,9 +251,12 @@ class Simulation:
         for t, g in enumerate(np.concatenate([np.arange(n), follow,
                                               lead[follow]])):
             p, i = self.runtimes[g // 2].patch, index[g]
-            term_of += [t] * (p.degree + 1)
-            phi.append(np.stack([p.phi0[i], p.phi1[i]], axis=-1))
-            cols.append(self.offsets[g // 2] + 6 * p.support_idx[i])
+            # only the stencil points with a nonzero value or slope there
+            f = np.stack([p.phi0[i], p.phi1[i]], axis=-1)
+            on = f.any(axis=1)
+            term_of += [t] * on.sum()
+            phi.append(f[on])
+            cols.append(self.offsets[g // 2] + 6 * p.support_idx[i][on])
         self._stencil_term = np.array(term_of, dtype=int)
         self._stencil_phi = np.concatenate(phi)[:, :, None, None]
         self._stencil_col = np.concatenate(cols)
@@ -278,6 +279,10 @@ class Simulation:
         # and of supported ends that their support leaves free
         free = ~fixed[lead] & (jointed | supported)[:, None]
         member = jointed | free.any(axis=1)
+        #: unknowns of the jointed ends' points, end by end: the separator
+        #: of ``_solve``
+        self._separator = (6 * self._slots[jointed, None]
+                           + np.arange(6)).reshape(-1)
 
         def groups(mask):
             out = []
@@ -358,6 +363,8 @@ class Simulation:
         keys, value = np.unique(np.concatenate(cols) * self.ndof + rows,
                                 return_inverse=True)
         self._order = np.argsort(value)
+        #: column * ndof + row of every entry, ascending
+        self._keys = keys
         self._indices = (keys % self.ndof).astype(np.int32)
         self._indptr = np.searchsorted(keys // self.ndof,
                                        np.arange(self.ndof + 1)).astype(np.int32)
@@ -367,6 +374,113 @@ class Simulation:
             raise RuntimeError(f"under-constrained system: empty rows {empty[:10]}")
         #: nonzero values of the last system; value, ``indices``, ``indptr``
         self._nonzero = (None,)
+
+    def _plan_solve(self):
+        """Block elimination plan of ``_solve``.
+
+        The separator is the six unknowns and the six slot rows of every
+        jointed end.  Every other unknown is in the band, in natural order.
+        A band row couples unknowns of its own patch only, so the band
+        matrix D is block diagonal over patches and its bandwidths are those
+        of the patch stencils.  Every planned entry has one place in the
+        solve's buffer: in D's LAPACK band storage; in the packed right-hand
+        sides of A_ds, where the separator columns of each patch lie side by
+        side and the patches one below the other; or among the separator
+        rows' entries, those of A_ss first.  The Schur complement
+        S = A_ss - A_sd D⁻¹ A_ds has a fixed pattern, since an A_sd entry on
+        the band of patch k fills its row at every separator unknown of k.
+        S is renumbered symmetrically, once, in the MMD_ATA order of the
+        ends that its pattern couples, each end's six unknowns kept together.
+        """
+        ndof, sep = self.ndof, self._separator
+        ns = len(sep)
+        in_sep = np.zeros(ndof, dtype=bool)
+        in_sep[sep] = True
+        band = np.flatnonzero(~in_sep)
+        nb = len(band)
+        # place of every unknown in the band or in the separator
+        at = np.empty(ndof, dtype=np.int32)
+        at[band], at[sep] = np.arange(nb), np.arange(ns)
+        patch = np.repeat(np.arange(len(self.runtimes), dtype=np.int32),
+                          np.diff(self.offsets, append=ndof))
+        # packed column of every separator unknown: its place in its patch
+        pack = np.arange(ns) - np.searchsorted(patch[sep], patch[sep])
+        npack = pack.max() + 1 if ns else 0
+        packed = np.full((len(self.runtimes), npack), ns, dtype=np.int32)
+        packed[patch[sep], pack] = np.arange(ns)
+        #: band unknowns, and the separator unknown (ns: none) of every
+        #: packed column at every band row
+        self._band, self._packed = band, packed[patch[band]]
+
+        rows = self._indices
+        cols = np.repeat(np.arange(ndof, dtype=np.int32), np.diff(self._indptr))
+        rs, cs = in_sep[rows], in_sep[cols]
+        if (patch[rows] != patch[cols])[~rs].any():
+            raise RuntimeError("a band row couples two patches")
+        i, j = at[rows], at[cols]
+        d = i - j
+        dd = ~(rs | cs)
+        kl = int(d.max(initial=0, where=dd))
+        ku = -int(d.min(initial=0, where=dd))
+        ldab = 2 * kl + ku + 1
+        start = (ldab + npack + 1) * nb
+        ss, sd = rs & cs, rs & ~cs
+        nss = np.count_nonzero(ss)
+        #: place in the solve's buffer of every planned entry
+        self._dest = kl + ku + d + ldab * j.astype(np.int64)
+        ds = cs & ~rs
+        self._dest[ds] = ldab * nb + nb * pack[j[ds]] + i[ds]
+        self._dest[ss] = start + np.arange(nss)
+        self._dest[sd] = start + nss + np.arange(np.count_nonzero(sd))
+        self._bands = (kl, ku, ldab, start + np.count_nonzero(rs))
+        #: A's ``indptr`` and ``indices`` of the last solve, the places of
+        #: its entries and its A_sd entries (see ``_solve``)
+        self._gather = (None, None, None, None)
+        self._schur = None
+        if not ns:
+            return
+        # S is planned in 6x6 blocks, one per pair of ends that A_ss or the
+        # fill of A_sd couples; end ne stands for no separator unknown
+        ne = ns // 6
+        fill = self._packed[j[sd]]
+        coupled = np.zeros((ne, ne + 1), dtype=bool)
+        coupled[i[ss] // 6, j[ss] // 6] = True
+        coupled[i[sd, None] // 6, fill // 6] = True
+        # the order depends on the pattern alone; the dominant diagonal only
+        # keeps the factorization that yields it from failing
+        new = np.append(spla.splu(sp.csc_matrix(
+            coupled[:, :ne] + (ne + 1) * np.eye(ne)),
+            permc_spec="MMD_ATA").perm_c, ne)
+        row, col = np.nonzero(coupled[:, :ne])
+        blocks = np.sort(new[col] * ne + new[row])
+        brow, bcol = blocks % ne, blocks // ne
+        per_col = np.bincount(bcol, minlength=ne + 1)
+        first = np.cumsum(per_col) - per_col
+        rank = np.zeros((ne, ne + 1), dtype=np.int64)
+        old = np.argsort(new)
+        rank[old[brow], old[bcol]] = np.arange(len(blocks)) - first[bcol]
+        # renumbered column 6 E + l starts at col0[l, E], then 6 rows per
+        # block of block column E
+        col0 = 36 * first + 6 * np.arange(6)[:, None] * per_col
+        size = 36 * len(blocks)
+
+        def entry(r, c):
+            e = c // 6
+            return np.where(c < ns, col0[c % 6, new[e]] + 6 * rank[r // 6, e]
+                            + r % 6, size)
+
+        k, l, a = np.ogrid[:len(blocks), :6, :6]
+        indices = np.empty(size, dtype=np.int32)
+        indices[col0[l, bcol[k]] + 6 * (k - first[bcol[k]]) + a] = \
+            6 * brow[k] + a
+        #: S's entry (size: none) of every A_ss entry and of every A_sd
+        #: entry (row, band column) at every packed column; S's renumbered
+        #: ``indices`` and ``indptr``; the new place of every separator
+        #: unknown
+        self._schur = (entry(i[ss], j[ss]),
+                       (i[sd], j[sd], entry(i[sd, None], fill)), indices,
+                       np.append(col0.T[:ne], size).astype(np.int32),
+                       (6 * new[:ne, None] + np.arange(6)).reshape(-1))
 
     def _distributed(self, t: float) -> np.ndarray:
         """Distributed (force, moment) per unit length of every patch at
@@ -539,45 +653,73 @@ class Simulation:
     # -- solving ---------------------------------------------------------------
 
     def _solve(self, A, rhs):
-        """Solve A x = rhs by one sparse LU path.
+        """Solve A x = rhs by block elimination onto the jointed ends.
 
-        The column order is a pure function of A's nonzero structure: the
-        first system of each structure is ordered by minimum degree on the
-        structure of AᵀA (``MMD_ATA``), and the order is kept per structure.
-        Every system, the first of its structure included, is renumbered
-        symmetrically in that order and factored with ``NATURAL``, so
-        SuperLU skips its ordering phase and the solution does not depend on
-        which systems were solved before.  On a settled structure this took
-        17 ms against 31 ms for a COLAMD order per call on the auxetic network
-        and 3.8 against 4.9 ms on the 3x3 lattice (one BLAS thread).
+        One LAPACK banded LU (``dgbsv``) factors the band matrix D, block
+        diagonal over patches, and solves it for the band part of rhs and
+        the packed separator columns A_ds at once.  The Schur complement S
+        on the separator is factored by a sparse LU in the order planned at
+        construction, so SuperLU skips its ordering phase.  A model without
+        joints has no separator, and its solve is the banded LU alone.  An
+        entry of A outside the planned pattern raises ``ValueError``.  The
+        solution depends on A and rhs alone.
         """
-        if not (np.array_equal(A.indptr, self._lu_indptr)
-                and np.array_equal(A.indices, self._lu_indices)):
-            self._renumber(A)
-        pos = self._lu_pos
-        P = sp.csc_matrix((A.data[self._lu_gather], *self._lu_pattern),
-                          shape=A.shape)
-        b = np.empty_like(rhs)
-        b[pos] = rhs
-        return spla.splu(P, permc_spec="NATURAL").solve(b)[pos]
+        kl, ku, ldab, size = self._bands
+        band, packed = self._band, self._packed
+        nb, npack = packed.shape
+        indptr, indices, dest, live = self._gather
+        if not (np.array_equal(A.indptr, indptr)
+                and np.array_equal(A.indices, indices)):
+            dest, live = self._places(A)
+            self._gather = (A.indptr, A.indices, dest, live)
+        buf = np.zeros(size)
+        buf[dest] = A.data
+        end = (ldab + npack + 1) * nb
+        X = buf[ldab * nb:end].reshape(npack + 1, nb).T
+        X[:, -1] = rhs[band]
+        _, _, X, info = lapack.dgbsv(kl, ku, buf[:ldab * nb].reshape(nb, ldab).T,
+                                     X, overwrite_ab=1, overwrite_b=1)
+        if info:
+            raise RuntimeError(f"singular band matrix (dgbsv info {info})")
+        Y, xd = X[:, :-1], X[:, -1]
+        x = np.empty_like(rhs)
+        x[band] = xd
+        if self._schur is None:
+            return x
+        # S = A_ss - A_sd D⁻¹ A_ds and its right-hand side b_s - A_sd D⁻¹ b_d
+        sep, (to_ss, _, indices, indptr, pos) = self._separator, self._schur
+        at, r, c, to = live
+        sd = buf[at]
+        S = np.bincount(to, np.concatenate([buf[end:end + len(to_ss)],
+                                            -(sd[:, None] * Y[c]).ravel()]),
+                        minlength=len(indices) + 1)[:-1]
+        b = np.empty(len(sep))
+        b[pos] = rhs[sep] - np.bincount(r, sd * xd[c], minlength=len(sep))
+        P = sp.csc_matrix((S, indices, indptr), shape=(len(sep),) * 2)
+        x[sep] = xs = spla.splu(P, permc_spec="NATURAL").solve(b)[pos]
+        x[band] -= (Y * np.append(xs, 0.0)[packed]).sum(axis=1)
+        return x
 
-    def _renumber(self, A):
-        """Make A's structure the current one: its order (new position of
-        every unknown), the gather of A's values into the renumbered CSC
-        matrix and that matrix's ``indices`` and ``indptr``."""
-        key = hashlib.blake2b(A.indptr.tobytes() + A.indices.tobytes(),
-                              digest_size=16).digest()
-        pos = self._lu_orders.get(key)
-        if pos is None:
-            pos = spla.splu(A, permc_spec="MMD_ATA").perm_c.astype(np.int32)
-            self._lu_orders[key] = pos
-        rows = pos[A.indices]
-        cols = np.repeat(pos.astype(np.int64), np.diff(A.indptr))
-        self._lu_gather = np.argsort(cols * self.ndof + rows, kind="stable")
-        self._lu_pattern = (rows[self._lu_gather], np.searchsorted(
-            cols[self._lu_gather], np.arange(self.ndof + 1)).astype(np.int32))
-        self._lu_indptr, self._lu_indices, self._lu_pos = \
-            A.indptr, A.indices, pos
+    def _places(self, A):
+        """Place in the solve's buffer of every entry of A, and A's A_sd
+        entries: their places, rows, band columns and, after those of every
+        A_ss entry, their S entries at every packed column."""
+        keys = np.repeat(np.arange(self.ndof), np.diff(A.indptr)) * self.ndof \
+            + A.indices
+        at = np.searchsorted(self._keys, keys)
+        at[at == len(self._keys)] = 0
+        off = np.flatnonzero(self._keys[at] != keys)
+        if len(off):
+            row, col = keys[off[0]] % self.ndof, keys[off[0]] // self.ndof
+            raise ValueError(f"entry ({row}, {col}) outside the planned pattern")
+        dest = self._dest[at]
+        if self._schur is None:
+            return dest, None
+        to_ss, (r, c, to_sd) = self._schur[:2]
+        first = self._bands[-1] - len(r)
+        at = dest[dest >= first]
+        k = at - first
+        return dest, (at, r[k], c[k], np.concatenate([to_ss, to_sd[k].ravel()]))
 
     def newton(self, h: float, t_next: float) -> NewtonReport:
         """Newton-Raphson loop at the current predictor state, with full
@@ -606,7 +748,6 @@ class Simulation:
                 break
             delta = self._solve(A, rhs)
             inc_norm = np.abs(delta).max()
-            report.increment_norms.append(inc_norm)
             report.iterations = it + 1
             self.total_iterations += 1
             acc = 1.0

@@ -190,6 +190,21 @@ def dense_solve(A, rhs):
     return np.linalg.solve(A.toarray(), rhs)
 
 
+def mmd_solve(A, rhs):
+    """Sparse LU of an assembled system renumbered symmetrically in the
+    minimum-degree order of AᵀA: the library's solve up to commit 81acb00,
+    bit for bit.  A march's last bits follow the rounding of its solves, so
+    a system recorded after a march with this solve is rebuilt with it."""
+    import scipy.sparse.linalg as spla
+    pos = spla.splu(A, permc_spec="MMD_ATA").perm_c
+    inv = np.argsort(pos)
+    P = A[inv][:, inv].tocsc()
+    P.sort_indices()
+    b = np.empty_like(rhs)
+    b[pos] = rhs
+    return spla.splu(P, permc_spec="NATURAL").solve(b)[pos]
+
+
 def superpose_rotation(state: CollocationState, Q: np.ndarray) -> CollocationState:
     """Rigidly rotate a state (and its initial configuration) by ``Q``.
 
