@@ -8,16 +8,16 @@ construction and its sparsity pattern is fixed when the simulation is built.
 Its values are made in one layout, one value per entry, equilibrated there
 row by row and gathered once into a CSC matrix.  One LAPACK banded LU over
 the patch blocks and a sparse LU, ordered once, on the Schur complement of
-the jointed ends solve it.  Patches that share a
-section law are stacked into one collocation state, so the residual and
-tangent kernels, the increment update and the step commit run once per law
-per Newton iteration, whatever the number of patches.  The boundary and
-joint rows are planned at construction as index arrays over end ids, two per
-patch, so each end kernel runs at most once per law stack, on all its ends.
-End g's own term is term g, and the terms that joints add follow the own
-terms.  A joint, and a supported end off joints with a free translation,
-form a balance group whose lead's slot equates the applied load with the
-end resultants of its members.
+the joint leads solve it; a joint's other ends stay in their patch's band.
+Patches that share a section law are stacked into one collocation state, so
+the residual and tangent kernels, the increment update and the step commit
+run once per law per Newton iteration, whatever the number of patches.  The
+boundary and joint rows are planned at construction as index arrays over end
+ids, two per patch, so each end kernel runs at most once per law stack, on
+all its ends.  End g's own term is term g, and the terms that joints add
+follow the own terms.  A joint, and a supported end off joints with a free
+translation, form a balance group whose lead's slot equates the applied load
+with the end resultants of its members.
 """
 
 from __future__ import annotations
@@ -207,10 +207,14 @@ class Simulation:
         and owns the six rows of its slot, the point ``_slots[g]``.  A term
         couples the rows of one end's slot with the value and ,s stencils of
         one end: term g is end g's slot on its own stencil.  After the own
-        terms come, for every end in a joint that does not lead it, its
-        balance term (the lead's slot on its stencil) and then its
-        continuity term (its slot on the lead's stencil).  A joint is led by
-        its supported end, else by its first end.
+        terms come, for every end in a joint that does not lead it (a
+        follower), its balance term (the lead's slot on its stencil) and
+        then its continuity term (its slot on the lead's stencil).  A joint
+        is led by its supported end, else by its first end.  A term is
+        planned on the stencil points where its blocks can be nonzero: a
+        continuity term on the lead's end control point alone, so that a
+        follower's slot couples its own patch only with the lead's point,
+        the separator of ``_solve``.
 
         A balance group is a joint, or a supported end off joints whose
         support leaves a translation free.  In the slot of the group's lead,
@@ -251,9 +255,10 @@ class Simulation:
         for t, g in enumerate(np.concatenate([np.arange(n), follow,
                                               lead[follow]])):
             p, i = self.runtimes[g // 2].patch, index[g]
-            # only the stencil points with a nonzero value or slope there
+            # only the stencil points with a nonzero value or slope there;
+            # a continuity term on the lead's stencil has no ,s block
             f = np.stack([p.phi0[i], p.phi1[i]], axis=-1)
-            on = f.any(axis=1)
+            on = f[:, 0] != 0 if t >= n + m else f.any(axis=1)
             term_of += [t] * on.sum()
             phi.append(f[on])
             cols.append(self.offsets[g // 2] + 6 * p.support_idx[i][on])
@@ -279,9 +284,9 @@ class Simulation:
         # and of supported ends that their support leaves free
         free = ~fixed[lead] & (jointed | supported)[:, None]
         member = jointed | free.any(axis=1)
-        #: unknowns of the jointed ends' points, end by end: the separator
+        #: unknowns of the joint leads' points, end by end: the separator
         #: of ``_solve``
-        self._separator = (6 * self._slots[jointed, None]
+        self._separator = (6 * self._slots[jointed & leading, None]
                            + np.arange(6)).reshape(-1)
 
         def groups(mask):
@@ -379,16 +384,19 @@ class Simulation:
         """Block elimination plan of ``_solve``.
 
         The separator is the six unknowns and the six slot rows of every
-        jointed end.  Every other unknown is in the band, in natural order.
-        A band row couples unknowns of its own patch only, so the band
-        matrix D is block diagonal over patches and its bandwidths are those
-        of the patch stencils.  Every planned entry has one place in the
-        solve's buffer: in D's LAPACK band storage; in the packed right-hand
-        sides of A_ds, where the separator columns of each patch lie side by
-        side and the patches one below the other; or among the separator
-        rows' entries, those of A_ss first.  The Schur complement
-        S = A_ss - A_sd D⁻¹ A_ds has a fixed pattern, since an A_sd entry on
-        the band of patch k fills its row at every separator unknown of k.
+        joint's lead end.  Every other unknown is in the band, in natural
+        order; so are a follower's unknowns and slot rows.  Off the
+        separator columns a band row couples unknowns of its own patch only,
+        so the band matrix D is block diagonal over patches and its
+        bandwidths are those of the patch stencils.  Every planned entry has
+        one place in the solve's buffer: in D's LAPACK band storage; in the
+        packed right-hand sides of A_ds, where the separator unknowns that
+        band rows of each patch reference (its own leads and its followers'
+        leads, at most 12) lie side by side and the patches one below the
+        other; or among the separator rows' entries, those of A_ss first.
+        The Schur complement S = A_ss - A_sd D⁻¹ A_ds has a fixed pattern,
+        since an A_sd entry on the band of patch k fills its row at every
+        separator unknown packed for k.
         S is renumbered symmetrically, once, in the MMD_ATA order of the
         ends that its pattern couples, each end's six unknowns kept together.
         """
@@ -403,23 +411,28 @@ class Simulation:
         at[band], at[sep] = np.arange(nb), np.arange(ns)
         patch = np.repeat(np.arange(len(self.runtimes), dtype=np.int32),
                           np.diff(self.offsets, append=ndof))
-        # packed column of every separator unknown: its place in its patch
-        pack = np.arange(ns) - np.searchsorted(patch[sep], patch[sep])
-        npack = pack.max() + 1 if ns else 0
+        rows = self._indices
+        cols = np.repeat(np.arange(ndof, dtype=np.int32), np.diff(self._indptr))
+        rs, cs = in_sep[rows], in_sep[cols]
+        dd = ~(rs | cs)
+        if (patch[rows] != patch[cols])[dd].any():
+            raise RuntimeError("a band row couples two patches")
+        i, j = at[rows], at[cols]
+        d = i - j
+        # packed columns: per patch, the separator unknowns that its band
+        # rows reference, side by side
+        ds = cs & ~rs
+        pairs, pair = np.unique(patch[rows[ds]].astype(np.int64) * ns + j[ds],
+                                return_inverse=True)
+        owner, unknown = np.divmod(pairs, ns)
+        pack = np.arange(len(pairs)) - np.searchsorted(owner, owner)
+        npack = pack.max(initial=-1) + 1
         packed = np.full((len(self.runtimes), npack), ns, dtype=np.int32)
-        packed[patch[sep], pack] = np.arange(ns)
+        packed[owner, pack] = unknown
         #: band unknowns, and the separator unknown (ns: none) of every
         #: packed column at every band row
         self._band, self._packed = band, packed[patch[band]]
 
-        rows = self._indices
-        cols = np.repeat(np.arange(ndof, dtype=np.int32), np.diff(self._indptr))
-        rs, cs = in_sep[rows], in_sep[cols]
-        if (patch[rows] != patch[cols])[~rs].any():
-            raise RuntimeError("a band row couples two patches")
-        i, j = at[rows], at[cols]
-        d = i - j
-        dd = ~(rs | cs)
         kl = int(d.max(initial=0, where=dd))
         ku = -int(d.min(initial=0, where=dd))
         ldab = 2 * kl + ku + 1
@@ -428,8 +441,7 @@ class Simulation:
         nss = np.count_nonzero(ss)
         #: place in the solve's buffer of every planned entry
         self._dest = kl + ku + d + ldab * j.astype(np.int64)
-        ds = cs & ~rs
-        self._dest[ds] = ldab * nb + nb * pack[j[ds]] + i[ds]
+        self._dest[ds] = ldab * nb + nb * pack[pair] + i[ds]
         self._dest[ss] = start + np.arange(nss)
         self._dest[sd] = start + nss + np.arange(np.count_nonzero(sd))
         self._bands = (kl, ku, ldab, start + np.count_nonzero(rs))
@@ -474,12 +486,14 @@ class Simulation:
         indices[col0[l, bcol[k]] + 6 * (k - first[bcol[k]]) + a] = \
             6 * brow[k] + a
         #: S's entry (size: none) of every A_ss entry and of every A_sd
-        #: entry (row, band column) at every packed column; S's renumbered
-        #: ``indices`` and ``indptr``; the new place of every separator
+        #: entry (row, band column) at every packed column; S, renumbered,
+        #: whose values each solve sets; the new place of every separator
         #: unknown
         self._schur = (entry(i[ss], j[ss]),
-                       (i[sd], j[sd], entry(i[sd, None], fill)), indices,
-                       np.append(col0.T[:ne], size).astype(np.int32),
+                       (i[sd], j[sd], entry(i[sd, None], fill)),
+                       sp.csc_matrix((np.zeros(size), indices, np.append(
+                           col0.T[:ne], size).astype(np.int32)),
+                           shape=(ns, ns)),
                        (6 * new[:ne, None] + np.arange(6)).reshape(-1))
 
     def _distributed(self, t: float) -> np.ndarray:
@@ -653,16 +667,16 @@ class Simulation:
     # -- solving ---------------------------------------------------------------
 
     def _solve(self, A, rhs):
-        """Solve A x = rhs by block elimination onto the jointed ends.
+        """Solve A x = rhs by block elimination onto the joint leads.
 
         One LAPACK banded LU (``dgbsv``) factors the band matrix D, block
         diagonal over patches, and solves it for the band part of rhs and
         the packed separator columns A_ds at once.  The Schur complement S
-        on the separator is factored by a sparse LU in the order planned at
-        construction, so SuperLU skips its ordering phase.  A model without
-        joints has no separator, and its solve is the banded LU alone.  An
-        entry of A outside the planned pattern raises ``ValueError``.  The
-        solution depends on A and rhs alone.
+        of the joint leads is factored by a sparse LU in the order planned
+        at construction, so SuperLU skips its ordering phase.  A model
+        without joints has no separator, and its solve is the banded LU
+        alone.  An entry of A outside the planned pattern raises
+        ``ValueError``.  The solution depends on A and rhs alone.
         """
         kl, ku, ldab, size = self._bands
         band, packed = self._band, self._packed
@@ -687,17 +701,16 @@ class Simulation:
         if self._schur is None:
             return x
         # S = A_ss - A_sd D⁻¹ A_ds and its right-hand side b_s - A_sd D⁻¹ b_d
-        sep, (to_ss, _, indices, indptr, pos) = self._separator, self._schur
+        sep, (to_ss, _, S, pos) = self._separator, self._schur
         at, r, c, to = live
         sd = buf[at]
-        S = np.bincount(to, np.concatenate([buf[end:end + len(to_ss)],
-                                            -(sd[:, None] * Y[c]).ravel()]),
-                        minlength=len(indices) + 1)[:-1]
+        S.data = np.bincount(to, np.concatenate([
+            buf[end:end + len(to_ss)], -(sd[:, None] * Y[c]).ravel()]),
+            minlength=S.nnz + 1)[:-1]
         b = np.empty(len(sep))
         b[pos] = rhs[sep] - np.bincount(r, sd * xd[c], minlength=len(sep))
-        P = sp.csc_matrix((S, indices, indptr), shape=(len(sep),) * 2)
-        x[sep] = xs = spla.splu(P, permc_spec="NATURAL").solve(b)[pos]
-        x[band] -= (Y * np.append(xs, 0.0)[packed]).sum(axis=1)
+        x[sep] = xs = spla.splu(S, permc_spec="NATURAL").solve(b)[pos]
+        x[band] -= np.einsum("ij,ij->i", Y, np.append(xs, 0.0)[packed])
         return x
 
     def _places(self, A):

@@ -65,8 +65,9 @@ def run_model(name: str, model, settings, params: dict, out_dir=None,
     """Run the ``scenario_setup`` of scenario ``name`` to its end time;
     returns (sim, trajectory, params).
 
-    On solver failure the history of the committed steps is written to the
-    CSV and the exception is re-raised for the caller to turn into an exit
+    On solver failure the history and the metadata of the committed steps
+    are written, the metadata with the failure's message under "failure",
+    and the exception is re-raised for the caller to turn into an exit
     code.
     """
     sim = Simulation(model, settings)
@@ -80,17 +81,18 @@ def run_model(name: str, model, settings, params: dict, out_dir=None,
                 write_vtk_snapshot(os.path.join(
                     out_dir, f"snapshot_t{t_snap:.3f}.vtk"), s)
 
+    def write(traj, extra=None):
+        if out_dir is not None:
+            write_history_csv(os.path.join(out_dir, "history.csv"), traj)
+            write_run_metadata(os.path.join(out_dir, "run.json"), name,
+                               params, traj, extra)
+
     try:
         traj = time_march(sim, T, h, observer=observer)
     except StepFailure as exc:
-        if out_dir is not None:
-            write_history_csv(os.path.join(out_dir, "history.csv"),
-                              exc.trajectory)
+        write(exc.trajectory, {"failure": str(exc)})
         raise
-    if out_dir is not None:
-        write_history_csv(os.path.join(out_dir, "history.csv"), traj)
-        write_run_metadata(os.path.join(out_dir, "run.json"), name, params,
-                           traj)
+    write(traj)
     return sim, traj, params
 
 
@@ -258,6 +260,10 @@ def main(argv=None) -> int:
         else:
             setup = scenario_setup(getattr(args, "scenario", "custom"),
                                    _overrides_from(args), config=config)
+        text = getattr(args, "snapshots", "")
+        snaps = [float(t) for t in text.split(",") if t]
+        if not np.isfinite(snaps).all():
+            raise ValueError(f"snapshot times must be finite: {text}")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
@@ -273,7 +279,6 @@ def main(argv=None) -> int:
               f"{len(model.supports)} supports, {len(model.joints)} joints")
         return 0
     out = ensure_dir(args.out)
-    snaps = [float(t) for t in args.snapshots.split(",") if t]
     try:
         sim, traj, params = run_model(args.scenario, *setup, out, snaps)
     except StepFailure as exc:

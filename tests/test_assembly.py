@@ -324,8 +324,8 @@ def solved_structures(sim):
 
 
 class TestSolve:
-    # the pendulum has no separator (band only); the ring has both ends of
-    # its one patch in the separator
+    # the pendulum has no separator (band only); the ring's one patch has
+    # its start, the joint's lead, in the separator and its end in the band
     @pytest.mark.parametrize("model", ["row_kinds", "two_law", "lattice3",
                                        "pendulum", "ring"])
     def test_matches_dense_reference(self, model):
@@ -339,6 +339,39 @@ class TestSolve:
         # misnumbered row or column gives errors of order one.
         np.testing.assert_allclose(sim._solve(A, rhs), ref, rtol=0,
                                    atol=1e-9 * np.abs(ref).max())
+
+    def test_auxetic_matches_reference(self):
+        # 56 joints, 16 of them led by a roller-supported end; 4,320
+        # unknowns are too many for the dense reference, so the reference
+        # is the whole-system sparse LU, backward stable as well
+        from gebvisc.scenarios import build_scenario
+        sim = Simulation(build_scenario("auxetic")[0])
+        A, rhs = predictor_system(sim, 0, 1.25e-3)
+        ref = mmd_solve(A, rhs)
+        np.testing.assert_allclose(sim._solve(A, rhs), ref, rtol=0,
+                                   atol=1e-9 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("make", [row_kinds_model, two_law_model,
+                                      ring_model, lattice3_model],
+                             ids=["row_kinds", "two_law", "ring", "lattice3"])
+    def test_separator_holds_joint_leads_only(self, make):
+        # a joint is led by its first supported end, else by its first end;
+        # the other ends' unknowns and slot rows stay in their patch's band
+        model = make()
+        sim = Simulation(model)
+        supported = model.supported_ends()
+        leads = []
+        for joint in model.joints:
+            ends = [tuple(e) for e in joint.ends]
+            k, end = next((e for e in ends if e in supported), ends[0])
+            leads.append(sim.offsets[k] // 6
+                         + model.patches[k].end_index(end))
+        assert len(sim._separator) == 6 * len(model.joints)
+        blocks = sim._separator.reshape(-1, 6)
+        points = blocks[:, 0] // 6
+        np.testing.assert_array_equal(blocks, 6 * points[:, None]
+                                      + np.arange(6))
+        assert sorted(points) == sorted(leads)
 
     @pytest.mark.parametrize("model, steps, orders", [("pendulum", 20, 0),
                                                       ("lattice3", 3, 1)])

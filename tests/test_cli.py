@@ -107,6 +107,10 @@ class TestOutputs:
         _, data = read_history_csv(tmp_path / "history.csv")
         assert data.shape == (k + 1, 4)  # initial row plus committed steps
         np.testing.assert_allclose(data[:, 0], h * np.arange(k + 1))
+        meta = json.loads((tmp_path / "run.json").read_text())
+        assert meta["steps"] == k
+        assert meta["newton_iterations_total"] > 0
+        assert meta["failure"] == "forced failure"
 
     def test_vtk_round_trip(self, tmp_path):
         sim, traj, _ = run_scenario("pendulum", {"T": 0.02, "n": 12,
@@ -140,6 +144,15 @@ class TestCliCommands:
         assert (out / "history.csv").exists()
         assert (out / "run.json").exists()
         assert (out / "snapshot_t0.050.vtk").exists()
+
+    @pytest.mark.parametrize("times", ["0.005,abc", "nan", "0.01,inf"],
+                             ids=["not_a_number", "nan", "inf"])
+    def test_invalid_snapshot_times_rejected(self, tmp_path, capsys, times):
+        out = tmp_path / "run"
+        assert main(["run", "pendulum", "--T", "0.05", "--out", str(out),
+                     "--snapshots", times]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_validate_good_and_bad(self, tmp_path, capsys):
         good = {
