@@ -339,8 +339,9 @@ class Simulation:
         law stack and stencil width (point, force/moment rows,
         displacement/rotation columns, 3, 3, stencil point), then the end
         entries in row order, into which the end values (stencil point, 6,
-        6) are summed.  Entries that are zero at a given state stay in the
-        structure and are left out of that state's matrix.
+        6) are summed.  Every assembled matrix has this structure, entries
+        that are zero at its state included, and shares its read-only
+        ``indices`` and ``indptr``.
         """
         six = np.arange(6)
         _, fm, dr, a, b, _ = np.indices((1, 2, 2, 3, 3, 1), sparse=True)
@@ -368,17 +369,15 @@ class Simulation:
         keys, value = np.unique(np.concatenate(cols) * self.ndof + rows,
                                 return_inverse=True)
         self._order = np.argsort(value)
-        #: column * ndof + row of every entry, ascending
-        self._keys = keys
         self._indices = (keys % self.ndof).astype(np.int32)
         self._indptr = np.searchsorted(keys // self.ndof,
                                        np.arange(self.ndof + 1)).astype(np.int32)
+        # every matrix shares them: an in-place edit of one would move the plan
+        self._indices.flags.writeable = self._indptr.flags.writeable = False
         row_nnz = np.bincount(self._indices, minlength=self.ndof)
         if not row_nnz.all():
             empty = np.flatnonzero(row_nnz == 0)
             raise RuntimeError(f"under-constrained system: empty rows {empty[:10]}")
-        #: nonzero values of the last system; value, ``indices``, ``indptr``
-        self._nonzero = (None,)
 
     def _plan_solve(self):
         """Block elimination plan of ``_solve``.
@@ -393,10 +392,11 @@ class Simulation:
         packed right-hand sides of A_ds, where the separator unknowns that
         band rows of each patch reference (its own leads and its followers'
         leads, at most 12) lie side by side and the patches one below the
-        other; or among the separator rows' entries, those of A_ss first.
-        The Schur complement S = A_ss - A_sd D⁻¹ A_ds has a fixed pattern,
-        since an A_sd entry on the band of patch k fills its row at every
-        separator unknown packed for k.
+        other; or among the separator rows' entries, those of A_ss first
+        and those of A_sd at the end of the buffer.  The Schur complement
+        S = A_ss - A_sd D⁻¹ A_ds has a fixed pattern, since an A_sd entry on
+        the band of patch k fills its row at every separator unknown packed
+        for k.
         S is renumbered symmetrically, once, in the MMD_ATA order of the
         ends that its pattern couples, each end's six unknowns kept together.
         """
@@ -445,9 +445,6 @@ class Simulation:
         self._dest[ss] = start + np.arange(nss)
         self._dest[sd] = start + nss + np.arange(np.count_nonzero(sd))
         self._bands = (kl, ku, ldab, start + np.count_nonzero(rs))
-        #: A's ``indptr`` and ``indices`` of the last solve, the places of
-        #: its entries and its A_sd entries (see ``_solve``)
-        self._gather = (None, None, None, None)
         self._schur = None
         if not ns:
             return
@@ -530,8 +527,8 @@ class Simulation:
     # -- assembly ------------------------------------------------------------
 
     def assemble(self, h: float, t_next: float):
-        """Equilibrated CSC matrix, without zero entries, and right-hand side
-        at the current state; its ``indices`` and ``indptr`` may be shared."""
+        """Equilibrated CSC matrix on the planned pattern, zero entries
+        included, and right-hand side at the current state."""
         values = []
         rhs = np.zeros(self.ndof)
         r = rhs.reshape(-1, 6)
@@ -568,13 +565,8 @@ class Simulation:
             raise RuntimeError(f"under-constrained system: zero rows {zero[:10]}")
         inv = 1.0 / scale
         values *= np.repeat(inv[run_rows], run_lengths)
-        nonzero = values != 0.0
-        if not np.array_equal(nonzero, self._nonzero[0]):
-            keep = nonzero[self._order]
-            self._nonzero = (nonzero, self._order[keep], self._indices[keep],
-                             np.r_[0, keep].cumsum(dtype=np.int32)[self._indptr])
-        _, gather, *pattern = self._nonzero
-        A = sp.csc_matrix((values[gather], *pattern), shape=(self.ndof,) * 2)
+        A = sp.csc_matrix((values[self._order], self._indices, self._indptr),
+                          shape=(self.ndof,) * 2)
         return A, rhs * inv
 
     def _boundary_rows(self, sections, t_next, rhs):
@@ -673,21 +665,20 @@ class Simulation:
         diagonal over patches, and solves it for the band part of rhs and
         the packed separator columns A_ds at once.  The Schur complement S
         of the joint leads is factored by a sparse LU in the order planned
-        at construction, so SuperLU skips its ordering phase.  A model
+        at construction, so SuperLU skips its ordering phase; only the A_sd
+        entries that are nonzero at the state enter its update.  A model
         without joints has no separator, and its solve is the banded LU
-        alone.  An entry of A outside the planned pattern raises
+        alone.  A matrix that is not on the planned pattern raises
         ``ValueError``.  The solution depends on A and rhs alone.
         """
+        if not (np.array_equal(A.indptr, self._indptr)
+                and np.array_equal(A.indices, self._indices)):
+            raise ValueError("matrix structure outside the planned pattern")
         kl, ku, ldab, size = self._bands
         band, packed = self._band, self._packed
         nb, npack = packed.shape
-        indptr, indices, dest, live = self._gather
-        if not (np.array_equal(A.indptr, indptr)
-                and np.array_equal(A.indices, indices)):
-            dest, live = self._places(A)
-            self._gather = (A.indptr, A.indices, dest, live)
         buf = np.zeros(size)
-        buf[dest] = A.data
+        buf[self._dest] = A.data
         end = (ldab + npack + 1) * nb
         X = buf[ldab * nb:end].reshape(npack + 1, nb).T
         X[:, -1] = rhs[band]
@@ -701,38 +692,19 @@ class Simulation:
         if self._schur is None:
             return x
         # S = A_ss - A_sd D⁻¹ A_ds and its right-hand side b_s - A_sd D⁻¹ b_d
-        sep, (to_ss, _, S, pos) = self._separator, self._schur
-        at, r, c, to = live
-        sd = buf[at]
-        S.data = np.bincount(to, np.concatenate([
-            buf[end:end + len(to_ss)], -(sd[:, None] * Y[c]).ravel()]),
-            minlength=S.nnz + 1)[:-1]
+        sep, (to_ss, (r, c, to_sd), S, pos) = self._separator, self._schur
+        sd = buf[size - len(r):]
+        live = np.flatnonzero(sd)
+        r, c, sd = r[live], c[live], sd[live]
+        S.data = np.bincount(np.concatenate([to_ss, to_sd[live].ravel()]),
+                             np.concatenate([buf[end:end + len(to_ss)],
+                                             -(sd[:, None] * Y[c]).ravel()]),
+                             minlength=S.nnz + 1)[:-1]
         b = np.empty(len(sep))
         b[pos] = rhs[sep] - np.bincount(r, sd * xd[c], minlength=len(sep))
         x[sep] = xs = spla.splu(S, permc_spec="NATURAL").solve(b)[pos]
         x[band] -= np.einsum("ij,ij->i", Y, np.append(xs, 0.0)[packed])
         return x
-
-    def _places(self, A):
-        """Place in the solve's buffer of every entry of A, and A's A_sd
-        entries: their places, rows, band columns and, after those of every
-        A_ss entry, their S entries at every packed column."""
-        keys = np.repeat(np.arange(self.ndof), np.diff(A.indptr)) * self.ndof \
-            + A.indices
-        at = np.searchsorted(self._keys, keys)
-        at[at == len(self._keys)] = 0
-        off = np.flatnonzero(self._keys[at] != keys)
-        if len(off):
-            row, col = keys[off[0]] % self.ndof, keys[off[0]] // self.ndof
-            raise ValueError(f"entry ({row}, {col}) outside the planned pattern")
-        dest = self._dest[at]
-        if self._schur is None:
-            return dest, None
-        to_ss, (r, c, to_sd) = self._schur[:2]
-        first = self._bands[-1] - len(r)
-        at = dest[dest >= first]
-        k = at - first
-        return dest, (at, r[k], c[k], np.concatenate([to_ss, to_sd[k].ravel()]))
 
     def newton(self, h: float, t_next: float) -> NewtonReport:
         """Newton-Raphson loop at the current predictor state, with full

@@ -267,12 +267,6 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
-    if args.command == "converge":
-        result = run_convergence(config, out_dir=ensure_dir(args.out))
-        for p, info in result["per_degree"].items():
-            print(f"degree {p}: pre-plateau slope {info['slope']:.2f}, "
-                  f"floor {info['floor']:.2e}")
-        return 0
     if args.command == "validate":
         model = setup[0]
         print(f"ok: {len(model.patches)} patches, {model.n_dofs()} unknowns, "
@@ -280,6 +274,12 @@ def main(argv=None) -> int:
         return 0
     out = ensure_dir(args.out)
     try:
+        if args.command == "converge":
+            result = run_convergence(config, out_dir=out)
+            for p, info in result["per_degree"].items():
+                print(f"degree {p}: pre-plateau slope {info['slope']:.2f}, "
+                      f"floor {info['floor']:.2e}")
+            return 0
         sim, traj, params = run_model(args.scenario, *setup, out, snaps)
     except StepFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

@@ -194,8 +194,12 @@ def mmd_solve(A, rhs):
     """Sparse LU of an assembled system renumbered symmetrically in the
     minimum-degree order of AᵀA: the library's solve up to commit 81acb00,
     bit for bit.  A march's last bits follow the rounding of its solves, so
-    a system recorded after a march with this solve is rebuilt with it."""
+    a system recorded after a march with this solve is rebuilt with it.
+    That solve saw A without its zero entries, and the order depends on
+    the pattern, so it works on a copy of A with them dropped."""
     import scipy.sparse.linalg as spla
+    A = A.copy()
+    A.eliminate_zeros()
     pos = spla.splu(A, permc_spec="MMD_ATA").perm_c
     inv = np.argsort(pos)
     P = A[inv][:, inv].tocsc()

@@ -156,6 +156,7 @@ class TestStacking:
         for rt in sim.stacks:
             begin_step(rt.state, rt.law, h)
         A, rhs = sim.assemble(h, sim.t + h)
+        A = recorded_form(sim, A)
         ref = np.load(self.REFERENCE)
         np.testing.assert_array_equal(traj.iterations, ref["iterations"])
         for name in ("tip", "arc"):
@@ -258,7 +259,7 @@ class TestRowKinds:
 
     def test_system_matches_recorded(self):
         one_thread = os.environ.get("OPENBLAS_NUM_THREADS") == "1"
-        assert_system_matches(*row_kinds_system(), self.DATA / (
+        assert_system_matches(*named_system("row_kinds"), self.DATA / (
             "row_kinds_system_1thread.npz" if one_thread
             else "row_kinds_system.npz"))
 
@@ -270,11 +271,21 @@ class TestRing:
     REFERENCE = pathlib.Path(__file__).parent / "data" / "ring_system.npz"
 
     def test_system_matches_recorded(self):
-        _, A, rhs = named_system("ring")
-        assert_system_matches(A, rhs, self.REFERENCE)
+        assert_system_matches(*named_system("ring"), self.REFERENCE)
 
 
-def assert_system_matches(A, rhs, path):
+def recorded_form(sim, A):
+    """A without its zero entries, the form the systems were recorded in,
+    once A is checked to be on the pattern ``sim`` planned."""
+    np.testing.assert_array_equal(A.indptr, sim._indptr)
+    np.testing.assert_array_equal(A.indices, sim._indices)
+    A = A.copy()
+    A.eliminate_zeros()
+    return A
+
+
+def assert_system_matches(sim, A, rhs, path):
+    A = recorded_form(sim, A)
     ref = np.load(path)
     np.testing.assert_array_equal(A.indptr, ref["indptr"])
     np.testing.assert_array_equal(A.indices, ref["indices"])
@@ -378,7 +389,8 @@ class TestSolve:
     def test_order_only_at_construction(self, model, steps, orders,
                                         monkeypatch):
         # the separator's order is computed once from its planned pattern;
-        # a model without joints factors no sparse matrix at all
+        # a model without joints factors no sparse matrix at all.  Every
+        # system of the run has the planned structure, zeros included
         import scipy.sparse.linalg as spla
         specs = []
         original = spla.splu
@@ -395,8 +407,7 @@ class TestSolve:
         solved = solved_structures(sim)
         time_march(sim, steps * 5e-3, 5e-3)
         assert len(solved) == sim.total_iterations > 0
-        # the pendulum switches structure as entries turn exactly zero
-        assert len(set(solved)) >= (2 if model == "pendulum" else 1)
+        assert set(solved) == {sim._indptr.tobytes() + sim._indices.tobytes()}
         assert specs == (["NATURAL"] * len(solved) if orders else [])
 
     def test_entry_outside_plan_raises(self):
@@ -411,11 +422,27 @@ class TestSolve:
         fresh = Simulation(pendulum_model())
         A, rhs = fresh.assemble(h, h)
         used = Simulation(pendulum_model())
-        solved = solved_structures(used)
         time_march(used, 20 * h, h)
-        assert len(set(solved)) > 1 and solved[-1] != structure(A)
-        np.testing.assert_array_equal(Simulation._solve(used, A, rhs),
+        np.testing.assert_array_equal(used._solve(A, rhs),
                                       fresh._solve(A, rhs))
+
+    def test_plan_survives_in_place_edit(self):
+        # every matrix shares the plan's index arrays, so an in-place edit of
+        # its structure must fail rather than move the plan
+        h = 5e-3
+        sim = Simulation(lattice3_model())
+        A, rhs = sim.assemble(h, h)
+        assert (A.data == 0).any()
+        x = sim._solve(A, rhs)
+        expected = A.copy()
+        with pytest.raises(ValueError):
+            A.eliminate_zeros()
+        again, rhs_again = sim.assemble(h, h)
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(again, name),
+                                          getattr(expected, name))
+        np.testing.assert_array_equal(rhs_again, rhs)
+        np.testing.assert_array_equal(sim._solve(again, rhs_again), x)
 
 
 class TestSystemStructure:

@@ -336,6 +336,22 @@ class TestCliCommands:
         assert lines[0].strip() == "degree,n,err_l2"
         assert len(lines) == 4
 
+    def test_converge_reports_solver_failure(self, tmp_path, capsys,
+                                             monkeypatch):
+        def fail(sim, h, depth=0):
+            raise StepFailure("forced failure")
+
+        monkeypatch.setattr(Simulation, "advance", fail)
+        study = {"scenario": "pendulum", "pairs": [[2, 8]],
+                 "reference": [4, 40], "t_eval": 0.05, "h": 5e-3}
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(study))
+        out = tmp_path / "conv"
+        assert main(["converge", "--config", str(path), "--out",
+                     str(out)]) == 1
+        assert "solver failure: forced failure" in capsys.readouterr().err
+        assert not (out / "convergence.csv").exists()
+
 
 class TestConvergenceHelpers:
     def test_slope_fit_on_synthetic_data(self):
