@@ -14,6 +14,8 @@ consecutive fine frames and interpolated to the evaluation points.
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial import polynomial as P
+from numpy.polynomial import polyutils
 
 from . import so3
 from .splines import NurbsCurve
@@ -103,6 +105,29 @@ def _fine_grid(eval_points: np.ndarray, oversample: int,
     return np.array(grid), np.array(idx)
 
 
+def _fit_curvature(s_eval: np.ndarray, s_mid: np.ndarray,
+                   k_mid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Curvature and its arc-length derivative at the arc lengths
+    ``s_eval``, from the samples ``k_mid`` (n, 3) at ``s_mid``.
+
+    Each point gets a cubic least-squares fit of the four samples around
+    it, the three components as columns of one fit, in the scaled variable
+    that maps the four sample positions onto [-1, 1].
+    """
+    K0 = np.empty((len(s_eval), 3))
+    K0_s = np.empty((len(s_eval), 3))
+    for a, se in enumerate(s_eval):
+        j0 = np.searchsorted(s_mid, se)
+        lo = max(0, min(j0 - 2, len(s_mid) - 4))
+        x = s_mid[lo:lo + 4]
+        off, scl = polyutils.mapparms(polyutils.getdomain(x), (-1.0, 1.0))
+        coef = P.polyfit(off + scl * x, k_mid[lo:lo + 4], 3)
+        xe = off + scl * se
+        K0[a] = P.polyval(xe, coef)
+        K0_s[a] = P.polyval(xe, P.polyder(coef, 1, scl))
+    return K0, K0_s
+
+
 def bishop_frames(curve: NurbsCurve, eval_points, initial_director=None,
                   oversample: int = 10, min_total: int = 2000) -> InitialFrameField:
     """Twist-free initial frames and curvature along ``curve``.
@@ -156,19 +181,7 @@ def bishop_frames(curve: NurbsCurve, eval_points, initial_director=None,
     k_mid = so3.log_so3(Rrel) / ds[:, None]
     s_mid = 0.5 * (s[1:] + s[:-1])
 
-    npts = len(eval_points)
-    K0 = np.empty((npts, 3))
-    K0_s = np.empty((npts, 3))
-    for a, i in enumerate(idx):
-        se = s[i]
-        j0 = np.searchsorted(s_mid, se)
-        lo = max(0, min(j0 - 2, len(s_mid) - 4))
-        window = slice(lo, lo + 4)
-        for comp in range(3):
-            poly = np.polynomial.Polynomial.fit(s_mid[window],
-                                                k_mid[window, comp], deg=3)
-            K0[a, comp] = poly(se)
-            K0_s[a, comp] = poly.deriv()(se)
+    K0, K0_s = _fit_curvature(s[idx], s_mid, k_mid)
 
     jac = J[idx]
     x_e, xu_e, xuu_e = x[idx], x_u[idx], x_uu[idx]

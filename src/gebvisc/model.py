@@ -21,7 +21,7 @@ import numpy as np
 
 from .initial_geometry import bishop_frames
 from .so3 import exp_so3
-from .splines import (KnotVector, NurbsCurve, basis_eval, greville,
+from .splines import (KnotVector, NurbsCurve, basis_eval_many, greville,
                       interpolate_curve, line_curve, to_arclength)
 from .viscoelastic import SectionGeometry, SectionLaw, build_section_law
 
@@ -127,19 +127,13 @@ class Patch:
         self.n = n
         # basis support and s-converted derivative stencils per point
         w = curve.weights if curve.is_rational else None
-        self.support_first = np.empty(n, dtype=int)
-        self.phi0 = np.empty((n, p + 1))
-        self.phi1 = np.empty((n, p + 1))
-        self.phi2 = np.empty((n, p + 1))
-        for i, u in enumerate(self.collocation):
-            first, ders = basis_eval(curve.kv, u, 2, w)
-            self.support_first[i] = first
-            J, J_u = self.frames.jac[i], self.frames.jac_u[i]
-            d1, d2 = to_arclength(ders[1], ders[2], J, J_u)
-            self.phi0[i] = ders[0]
-            self.phi1[i] = d1
-            self.phi2[i] = d2
-        self.support_idx = self.support_first[:, None] + np.arange(p + 1)
+        first, ders = basis_eval_many(curve.kv, self.collocation, 2, w)
+        self.support_first = first
+        self.phi0 = ders[0]
+        self.phi1, self.phi2 = to_arclength(ders[1], ders[2],
+                                            self.frames.jac[:, None],
+                                            self.frames.jac_u[:, None])
+        self.support_idx = first[:, None] + np.arange(p + 1)
 
     def end_index(self, end: str) -> int:
         return 0 if end == START else self.n - 1

@@ -67,37 +67,31 @@ class KnotVector:
         return cls(degree, knots)
 
 
-def find_span(kv: KnotVector, u: float) -> int:
-    """Index i with knots[i] <= u < knots[i+1] (last nonempty span at u = u_max)."""
-    p = kv.degree
-    U = kv.knots
-    n = kv.n
-    if u >= U[n]:
-        return n - 1
-    if u <= U[p]:
-        return p
-    return int(np.searchsorted(U, u, side="right") - 1)
+def _bspline_ders(kv: KnotVector, us: np.ndarray,
+                  max_deriv: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero B-spline basis functions and derivatives at every parameter.
 
-
-def _bspline_ders(kv: KnotVector, u: float, max_deriv: int) -> tuple[int, np.ndarray]:
-    """Nonzero B-spline basis functions and derivatives at u.
-
-    Returns ``(first, ders)`` where ``ders[k, j]`` is the k-th derivative of
-    basis function ``first + j`` (j = 0..p).  Standard knot-difference
-    recursion over the triangular table of divided differences.
+    Returns ``(first, ders)`` where ``ders[k, m, j]`` is the k-th derivative
+    of basis function ``first[m] + j`` (j = 0..p) at ``us[m]``.  Algorithm
+    A2.3 of Piegl & Tiller, *The NURBS Book* (1997): the knot-difference
+    recursion over the triangular table of divided differences, each step
+    vectorized over the parameters.
     """
     p = kv.degree
     U = kv.knots
-    i = find_span(kv, u)
+    # span i with U[i] <= u < U[i+1]; the last nonempty one at u = u_max
+    i = np.searchsorted(U, us, side="right") - 1
+    i = np.where(us <= U[p], p, i)
+    i = np.where(us >= U[kv.n], kv.n - 1, i)
     nd = min(max_deriv, p)
 
-    ndu = np.zeros((p + 1, p + 1))
-    left = np.zeros(p + 1)
-    right = np.zeros(p + 1)
+    ndu = np.zeros((p + 1, p + 1, len(us)))
+    left = np.zeros((p + 1, len(us)))
+    right = np.zeros((p + 1, len(us)))
     ndu[0, 0] = 1.0
     for j in range(1, p + 1):
-        left[j] = u - U[i + 1 - j]
-        right[j] = U[i + j] - u
+        left[j] = us - U[i + 1 - j]
+        right[j] = U[i + j] - us
         saved = 0.0
         for r in range(j):
             ndu[j, r] = right[r + 1] + left[j - r]
@@ -106,9 +100,9 @@ def _bspline_ders(kv: KnotVector, u: float, max_deriv: int) -> tuple[int, np.nda
             saved = left[j - r] * temp
         ndu[j, j] = saved
 
-    ders = np.zeros((max_deriv + 1, p + 1))
-    ders[0, :] = ndu[:, p]
-    a = np.zeros((2, p + 1))
+    ders = np.zeros((max_deriv + 1, p + 1, len(us)))
+    ders[0] = ndu[:, p]
+    a = np.zeros((2, p + 1, len(us)))
     for r in range(p + 1):
         s1, s2 = 0, 1
         a[0, 0] = 1.0
@@ -130,14 +124,18 @@ def _bspline_ders(kv: KnotVector, u: float, max_deriv: int) -> tuple[int, np.nda
             s1, s2 = s2, s1
     fac = float(p)
     for k in range(1, nd + 1):
-        ders[k, :] *= fac
+        ders[k] *= fac
         fac *= p - k
-    return i - p, ders
+    # point-major rows of p + 1 contiguous values: a sum over a row then
+    # adds in the same order as for a single point
+    return i - p, np.ascontiguousarray(ders.transpose(0, 2, 1))
 
 
-def basis_eval(kv: KnotVector, u: float, max_deriv: int = 0,
-               weights: np.ndarray | None = None) -> tuple[int, np.ndarray]:
-    """Nonzero basis functions and u-derivatives at ``u`` up to ``max_deriv``.
+def basis_eval_many(kv: KnotVector, us, max_deriv: int = 0,
+                    weights: np.ndarray | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero basis functions and u-derivatives up to ``max_deriv`` at
+    every parameter of the 1-D array ``us``.
 
     With ``weights`` the rational basis is returned (quotient rule, derivatives
     up to order 2); otherwise the plain B-spline basis.
@@ -145,20 +143,25 @@ def basis_eval(kv: KnotVector, u: float, max_deriv: int = 0,
     Returns
     -------
     (first, ders)
-        ``ders[k, j]`` is the k-th derivative of basis ``first + j``.
+        ``ders[k, m, j]`` is the k-th derivative of basis ``first[m] + j``
+        at ``us[m]``.
     """
-    if not kv.u_min <= u <= kv.u_max:
-        raise ValueError(f"parameter {u} outside [{kv.u_min}, {kv.u_max}]")
+    us = np.asarray(us, dtype=float)
+    outside = ~((kv.u_min <= us) & (us <= kv.u_max))
+    if np.any(outside):
+        raise ValueError(f"parameter {us[outside][0]} outside "
+                         f"[{kv.u_min}, {kv.u_max}]")
     if max_deriv > kv.degree:
         raise ValueError("derivative order exceeds degree")
     if weights is None:
-        return _bspline_ders(kv, u, max_deriv)
+        return _bspline_ders(kv, us, max_deriv)
     if max_deriv > 2:
         raise ValueError("rational derivatives implemented up to order 2")
-    first, N = _bspline_ders(kv, u, max_deriv)
-    w = np.asarray(weights, dtype=float)[first:first + kv.degree + 1]
+    first, N = _bspline_ders(kv, us, max_deriv)
+    w = np.asarray(weights, dtype=float)[first[:, None]
+                                         + np.arange(kv.degree + 1)]
     A = N * w  # weighted numerators, same layout as N
-    W = A.sum(axis=1)
+    W = A.sum(axis=-1, keepdims=True)
     R = np.zeros_like(A)
     R[0] = A[0] / W[0]
     if max_deriv >= 1:
@@ -166,6 +169,14 @@ def basis_eval(kv: KnotVector, u: float, max_deriv: int = 0,
     if max_deriv >= 2:
         R[2] = (A[2] - 2.0 * R[1] * W[1] - R[0] * W[2]) / W[0]
     return first, R
+
+
+def basis_eval(kv: KnotVector, u: float, max_deriv: int = 0,
+               weights: np.ndarray | None = None) -> tuple[int, np.ndarray]:
+    """``basis_eval_many`` at the one parameter ``u``: returns ``(first,
+    ders)`` with ``ders[k, j]`` the k-th derivative of basis ``first + j``."""
+    first, ders = basis_eval_many(kv, [u], max_deriv, weights)
+    return int(first[0]), ders[:, 0]
 
 
 def greville(kv: KnotVector) -> np.ndarray:
@@ -179,11 +190,12 @@ def basis_matrices(kv: KnotVector, us, max_deriv: int = 0,
                    weights: np.ndarray | None = None) -> list[np.ndarray]:
     """Dense collocation matrices ``B_k`` with ``B_k[i, j] = d^k R_j (us[i])``."""
     us = np.atleast_1d(np.asarray(us, dtype=float))
+    first, ders = basis_eval_many(kv, us, max_deriv, weights)
+    rows = np.arange(len(us))[:, None]
+    cols = first[:, None] + np.arange(kv.degree + 1)
     mats = [np.zeros((len(us), kv.n)) for _ in range(max_deriv + 1)]
-    for i, u in enumerate(us):
-        first, ders = basis_eval(kv, u, max_deriv, weights)
-        for k in range(max_deriv + 1):
-            mats[k][i, first:first + kv.degree + 1] = ders[k]
+    for B, d in zip(mats, ders):
+        B[rows, cols] = d
     return mats
 
 
@@ -220,35 +232,38 @@ class NurbsCurve:
         mats = basis_matrices(self.kv, us, max_deriv, w)
         return [B @ self.points for B in mats]
 
-    def jacobian(self, u: float) -> float:
-        """Parametric-to-arc-length Jacobian J(u) = ||c,_u||."""
-        J = float(np.linalg.norm(self.eval(u, 1)[1]))
-        if J <= MIN_JACOBIAN:
-            raise ValueError(f"degenerate parameterization at u = {u}")
-        return J
-
     def arc_length(self, a: float | None = None, b: float | None = None,
                    gauss_order: int = 16) -> float:
-        """Curve length by per-span Gauss quadrature of the Jacobian."""
+        """Curve length by per-span Gauss quadrature of the Jacobian
+        ``||c,_u||``."""
         a = self.kv.u_min if a is None else a
         b = self.kv.u_max if b is None else b
         xg, wg = np.polynomial.legendre.leggauss(gauss_order)
         spans = np.unique(np.clip(self.kv.knots, a, b))
-        total = 0.0
-        for lo, hi in zip(spans[:-1], spans[1:]):
-            if hi <= lo:
-                continue
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            us = mid + half * xg
-            total += half * np.dot(wg, [self.jacobian(u) for u in us])
-        return float(total)
+        mid, half = 0.5 * (spans[1:] + spans[:-1]), 0.5 * np.diff(spans)
+        us = (mid[:, None] + half[:, None] * xg).ravel()
+        J = np.linalg.norm(self.eval_many(us, 1)[1], axis=-1)
+        if np.any(J <= MIN_JACOBIAN):
+            raise ValueError("degenerate parameterization at u = "
+                             f"{us[np.argmax(J <= MIN_JACOBIAN)]}")
+        return float(half @ (J.reshape(-1, gauss_order) @ wg))
 
 
-def to_arclength(f_u: np.ndarray, f_uu: np.ndarray, J: float,
-                 J_u: float) -> tuple[np.ndarray, np.ndarray]:
-    """Convert parametric derivatives of any field to arc-length derivatives."""
+def to_arclength(f_u: np.ndarray, f_uu: np.ndarray, J,
+                 J_u) -> tuple[np.ndarray, np.ndarray]:
+    """Convert parametric derivatives of any field to arc-length derivatives.
+
+    ``J`` and ``J_u`` are scalars or arrays that broadcast against the
+    fields.  The powers of ``J`` are taken one value at a time by the C
+    library's ``pow``, as for a scalar: numpy's vectorized power rounds
+    differently on some hosts, and a point's result must not depend on how
+    many points are converted together.
+    """
+    J = np.asarray(J, dtype=float)
+    J2, J3 = (np.reshape([j ** k for j in J.ravel().tolist()], J.shape)
+              for k in (2, 3))
     f_s = f_u / J
-    f_ss = f_uu / J ** 2 - f_u * J_u / J ** 3
+    f_ss = f_uu / J2 - f_u * J_u / J3
     return f_s, f_ss
 
 

@@ -262,3 +262,147 @@ def read_vtk_points(path):
     disp = np.array([[float(v) for v in lines[j + 1 + k].split()]
                      for k in range(n)])
     return pts, disp
+
+
+def find_span(kv: KnotVector, u: float) -> int:
+    """Index i with knots[i] <= u < knots[i+1] (last nonempty span at
+    u = u_max), for one parameter."""
+    p = kv.degree
+    U = kv.knots
+    n = kv.n
+    if u >= U[n]:
+        return n - 1
+    if u <= U[p]:
+        return p
+    return int(np.searchsorted(U, u, side="right") - 1)
+
+
+def bspline_ders(kv: KnotVector, u: float,
+                 max_deriv: int) -> tuple[int, np.ndarray]:
+    """Oracle: nonzero B-spline basis functions and derivatives at one
+    parameter ``u`` by the scalar Piegl-Tiller algorithm A2.3.
+
+    Returns ``(first, ders)`` where ``ders[k, j]`` is the k-th derivative of
+    basis function ``first + j`` (j = 0..p).
+    """
+    p = kv.degree
+    U = kv.knots
+    i = find_span(kv, u)
+    nd = min(max_deriv, p)
+
+    ndu = np.zeros((p + 1, p + 1))
+    left = np.zeros(p + 1)
+    right = np.zeros(p + 1)
+    ndu[0, 0] = 1.0
+    for j in range(1, p + 1):
+        left[j] = u - U[i + 1 - j]
+        right[j] = U[i + j] - u
+        saved = 0.0
+        for r in range(j):
+            ndu[j, r] = right[r + 1] + left[j - r]
+            temp = ndu[r, j - 1] / ndu[j, r]
+            ndu[r, j] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        ndu[j, j] = saved
+
+    ders = np.zeros((max_deriv + 1, p + 1))
+    ders[0, :] = ndu[:, p]
+    a = np.zeros((2, p + 1))
+    for r in range(p + 1):
+        s1, s2 = 0, 1
+        a[0, 0] = 1.0
+        for k in range(1, nd + 1):
+            d = 0.0
+            rk, pk = r - k, p - k
+            if r >= k:
+                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
+                d = a[s2, 0] * ndu[rk, pk]
+            j1 = 1 if rk >= -1 else -rk
+            j2 = k - 1 if r - 1 <= pk else p - r
+            for j in range(j1, j2 + 1):
+                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
+                d += a[s2, j] * ndu[rk + j, pk]
+            if r <= pk:
+                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
+                d += a[s2, k] * ndu[r, pk]
+            ders[k, r] = d
+            s1, s2 = s2, s1
+    fac = float(p)
+    for k in range(1, nd + 1):
+        ders[k, :] *= fac
+        fac *= p - k
+    return i - p, ders
+
+
+def oracle_basis_eval(kv: KnotVector, u: float, max_deriv: int = 0,
+                      weights=None) -> tuple[int, np.ndarray]:
+    """Oracle for ``basis_eval``: ``bspline_ders`` at one parameter, then
+    the rational quotient rule when ``weights`` are given."""
+    first, N = bspline_ders(kv, u, max_deriv)
+    if weights is None:
+        return first, N
+    w = np.asarray(weights, dtype=float)[first:first + kv.degree + 1]
+    A = N * w
+    W = A.sum(axis=1)
+    R = np.zeros_like(A)
+    R[0] = A[0] / W[0]
+    if max_deriv >= 1:
+        R[1] = (A[1] - R[0] * W[1]) / W[0]
+    if max_deriv >= 2:
+        R[2] = (A[2] - 2.0 * R[1] * W[1] - R[0] * W[2]) / W[0]
+    return first, R
+
+
+def oracle_basis_matrices(kv: KnotVector, us, max_deriv: int = 0,
+                          weights=None) -> list[np.ndarray]:
+    """Oracle for ``basis_matrices``: filled one parameter at a time."""
+    us = np.atleast_1d(np.asarray(us, dtype=float))
+    mats = [np.zeros((len(us), kv.n)) for _ in range(max_deriv + 1)]
+    for i, u in enumerate(us):
+        first, ders = oracle_basis_eval(kv, u, max_deriv, weights)
+        for k in range(max_deriv + 1):
+            mats[k][i, first:first + kv.degree + 1] = ders[k]
+    return mats
+
+
+def oracle_fit_curvature(s_eval, s_mid, k_mid):
+    """Oracle for the curvature fits of ``bishop_frames``: one
+    ``Polynomial.fit`` per point and component."""
+    K0 = np.empty((len(s_eval), 3))
+    K0_s = np.empty((len(s_eval), 3))
+    for a, se in enumerate(s_eval):
+        j0 = np.searchsorted(s_mid, se)
+        lo = max(0, min(j0 - 2, len(s_mid) - 4))
+        window = slice(lo, lo + 4)
+        for comp in range(3):
+            poly = np.polynomial.Polynomial.fit(s_mid[window],
+                                                k_mid[window, comp], deg=3)
+            K0[a, comp] = poly(se)
+            K0_s[a, comp] = poly.deriv()(se)
+    return K0, K0_s
+
+
+def oracle_stencils(curve: NurbsCurve, frames: InitialFrameField):
+    """Oracle for the stencils of ``Patch``: (support_first, phi0, phi1,
+    phi2) at the Greville points, one point at a time with the oracle
+    basis and the scalar Jacobians of ``frames``."""
+    us = greville(curve.kv)
+    w = curve.weights if curve.is_rational else None
+    first = np.empty(len(us), dtype=int)
+    phi = np.empty((3, len(us), curve.kv.degree + 1))
+    for i, u in enumerate(us):
+        first[i], ders = oracle_basis_eval(curve.kv, u, 2, w)
+        J, J_u = frames.jac[i], frames.jac_u[i]
+        phi[0, i] = ders[0]
+        phi[1, i] = ders[1] / J
+        phi[2, i] = ders[2] / J ** 2 - ders[1] * J_u / J ** 3
+    return first, phi[0], phi[1], phi[2]
+
+
+def assert_bitwise(actual, expected):
+    """Same shape, dtype and bytes: equal bit for bit, signs of zeros
+    included."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()

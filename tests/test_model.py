@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from gebvisc import so3
+from gebvisc import initial_geometry, so3, splines
 from gebvisc.model import (BeamModel, DistributedLoad, EndLoad, Joint,
                            LoadHistory, Patch, Probe, Support,
-                           _history_from_config,
+                           _history_from_config, _member_curve, _rot_z,
                            build_auxetic, build_lattice, model_from_config,
                            spiral_curve, spivak_curve)
-from gebvisc.splines import line_curve
+from gebvisc.splines import KnotVector, NurbsCurve, line_curve
 from gebvisc.viscoelastic import SectionGeometry, build_section_law
+from helpers import (assert_bitwise, oracle_basis_matrices,
+                     oracle_fit_curvature, oracle_stencils, unit_law)
 
 PLA = [(1.577e8, 0.02), (3.610e7, 0.18), (4.095e8, 17.0), (7.580e8, 117.0),
        (1.200e6, 1000.0), (5.800e6, 1600.0), (5.500e5, 1e4), (1.600e5, 1e5)]
@@ -307,3 +309,47 @@ class TestAnalyticCurves:
     def test_spiral_length(self):
         c = spiral_curve(degree=6, n=250, scale=0.01)
         assert c.arc_length() == pytest.approx(1.5846, abs=2e-4)
+
+
+def lattice_member(i, j, psi, cell_size=0.012):
+    """Horizontal member (i, j) -> (i + 1, j) of ``build_lattice``."""
+    Rz = _rot_z(psi)
+    return _member_curve(np.array([i * cell_size, j * cell_size, 0.0]),
+                         np.array([(i + 1) * cell_size, j * cell_size, 0.0]),
+                         3, 8, Rz, Rz)
+
+
+def rational_arc():
+    """Rational quadratic semicircle of radius 1 with a double knot at 0.5."""
+    kv = KnotVector(2, [0, 0, 0, 0.5, 0.5, 1, 1, 1])
+    w = np.sqrt(0.5)
+    return NurbsCurve(kv, [[1, 0, 0], [1, 1, 0], [0, 1, 0], [-1, 1, 0],
+                           [-1, 0, 0]], weights=[1.0, w, 1.0, w, 1.0])
+
+
+class TestPatchSetup:
+    """A patch set up in batched passes equals a point-by-point set-up."""
+
+    # the spiral and the member (patch 18 of the 5x5 lattice at psi = 0.5236)
+    # have Jacobians whose cubes numpy's vectorized power rounds differently
+    @pytest.mark.parametrize("curve", [
+        lambda: spiral_curve(degree=6, n=100, scale=0.01),
+        lambda: lattice_member(3, 3, 0.5236),
+        rational_arc,
+    ], ids=["spiral_p6", "lattice_member_p3", "rational_arc"])
+    def test_matches_pointwise_setup(self, curve, monkeypatch):
+        curve = curve()
+        patch = Patch(curve, unit_law())
+        with monkeypatch.context() as m:
+            m.setattr(splines, "basis_matrices", oracle_basis_matrices)
+            m.setattr(initial_geometry, "_fit_curvature",
+                      oracle_fit_curvature)
+            frames = Patch(curve, unit_law()).frames
+        for name in ("u", "c0", "c0_s", "c0_ss", "R0", "K0", "K0_s", "jac",
+                     "jac_u"):
+            assert_bitwise(getattr(patch.frames, name), getattr(frames, name))
+        first, phi0, phi1, phi2 = oracle_stencils(curve, frames)
+        assert_bitwise(patch.support_first, first)
+        assert_bitwise(patch.phi0, phi0)
+        assert_bitwise(patch.phi1, phi1)
+        assert_bitwise(patch.phi2, phi2)

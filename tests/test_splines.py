@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from gebvisc.splines import (KnotVector, NurbsCurve, basis_eval,
-                             basis_matrices, greville, interpolate_curve,
-                             line_curve, to_arclength)
-from helpers import arclength_derivatives, interpolate_function
+                             basis_eval_many, basis_matrices, greville,
+                             interpolate_curve, line_curve, to_arclength)
+from helpers import (arclength_derivatives, assert_bitwise,
+                     interpolate_function, oracle_basis_eval,
+                     oracle_basis_matrices)
 
 
 def spivak_point(s):
@@ -74,6 +76,58 @@ class TestBasis:
             basis_eval(kv, 1.5)
 
 
+def knot_vectors(p):
+    """Clamped knot vectors of degree p: uniform, and nonuniform with an
+    interior knot repeated p times and one repeated min(2, p) times."""
+    rng = np.random.default_rng(100 + p)
+    interior = np.sort(np.concatenate([rng.uniform(0.05, 0.95, 5),
+                                       np.full(p, 0.4),
+                                       np.full(min(2, p), 0.7)]))
+    return [KnotVector.open_uniform(p, p + 6),
+            KnotVector(p, np.concatenate([np.zeros(p + 1), interior,
+                                          np.ones(p + 1)]))]
+
+
+class TestBatchedBasis:
+    """The batched basis is the scalar Piegl-Tiller routine bit for bit."""
+
+    @pytest.mark.parametrize("p", range(1, 8))
+    def test_matches_scalar_oracle(self, p):
+        rng = np.random.default_rng(p)
+        for kv in knot_vectors(p):
+            # every knot (0, 1 and the repeated interior ones among them)
+            # and random parameters
+            us = np.concatenate([kv.knots, rng.uniform(0.0, 1.0, 40)])
+            for weights in (None, rng.uniform(0.3, 3.0, kv.n)):
+                for max_deriv in range(min(2, p) + 1):
+                    first, ders = basis_eval_many(kv, us, max_deriv, weights)
+                    for m, u in enumerate(us):
+                        f, d = oracle_basis_eval(kv, u, max_deriv, weights)
+                        assert first[m] == f
+                        assert_bitwise(ders[:, m], d)
+                        one = basis_eval(kv, u, max_deriv, weights)
+                        assert one[0] == f
+                        assert_bitwise(one[1], d)
+
+    @pytest.mark.parametrize("p", [2, 6])
+    def test_basis_matrices_match_oracle(self, p):
+        rng = np.random.default_rng(30 + p)
+        kv = knot_vectors(p)[1]
+        us = np.concatenate([kv.knots, rng.uniform(0.0, 1.0, 60)])
+        for weights in (None, rng.uniform(0.3, 3.0, kv.n)):
+            for B, ref in zip(basis_matrices(kv, us, 2, weights),
+                              oracle_basis_matrices(kv, us, 2, weights)):
+                assert_bitwise(B, ref)
+
+    @pytest.mark.parametrize("bad", [-1e-12, 1.0 + 1e-12, np.nan])
+    def test_basis_matrices_reject_any_entry_outside(self, bad):
+        kv = KnotVector.open_uniform(3, 9)
+        us = np.linspace(0.0, 1.0, 11)
+        us[4] = bad
+        with pytest.raises(ValueError, match="outside"):
+            basis_matrices(kv, us, 1)
+
+
 class TestGreville:
     def test_reference_values(self):
         kv = KnotVector(2, [0, 0, 0, 0.5, 1, 1, 1])
@@ -134,6 +188,11 @@ class TestArcLength:
             assert abs(J - L) < 1e-12
             assert abs(J_u) < 1e-9
         assert abs(c.arc_length() - L) < 1e-12
+
+    def test_degenerate_parameterization_rejected(self):
+        c = NurbsCurve(KnotVector.open_uniform(2, 4), np.ones((4, 3)))
+        with pytest.raises(ValueError, match="degenerate"):
+            c.arc_length()
 
     def test_chain_rule_on_segment(self):
         L = 3.5
