@@ -7,8 +7,8 @@ a rigid joint or free-end force/couple conditions.  The system is square by
 construction and its sparsity pattern is fixed when the simulation is built.
 Its values are made in one layout, one value per entry, equilibrated there
 row by row and gathered once into a CSC matrix.  One LAPACK banded LU over
-the patch blocks and a sparse LU, ordered once, on the Schur complement of
-the joint leads solve it; a joint's other ends stay in their patch's band.
+the patch blocks and a dense LAPACK LU on the Schur complement of the joint
+leads solve it; a joint's other ends stay in their patch's band.
 Patches that share a section law are stacked into one collocation state, so
 the residual and tangent kernels, the increment update and the step commit
 run once per law per Newton iteration, whatever the number of patches.  The
@@ -29,7 +29,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from . import so3
@@ -392,13 +391,11 @@ class Simulation:
         packed right-hand sides of A_ds, where the separator unknowns that
         band rows of each patch reference (its own leads and its followers'
         leads, at most 12) lie side by side and the patches one below the
-        other; or among the separator rows' entries, those of A_ss first
-        and those of A_sd at the end of the buffer.  The Schur complement
-        S = A_ss - A_sd D⁻¹ A_ds has a fixed pattern, since an A_sd entry on
-        the band of patch k fills its row at every separator unknown packed
-        for k.
-        S is renumbered symmetrically, once, in the MMD_ATA order of the
-        ends that its pattern couples, each end's six unknowns kept together.
+        other; for an A_ss entry, in the Schur complement S = A_ss -
+        A_sd D⁻¹ A_ds, small (six unknowns per joint) and stored dense and
+        column-major after them; or, for an A_sd entry, at the end of the
+        buffer.  An A_sd entry on the band of patch k fills its row of S at
+        every separator unknown packed for k; those places are planned too.
         """
         ndof, sep = self.ndof, self._separator
         ns = len(sep)
@@ -407,7 +404,7 @@ class Simulation:
         band = np.flatnonzero(~in_sep)
         nb = len(band)
         # place of every unknown in the band or in the separator
-        at = np.empty(ndof, dtype=np.int32)
+        at = np.empty(ndof, dtype=np.int64)
         at[band], at[sep] = np.arange(nb), np.arange(ns)
         patch = np.repeat(np.arange(len(self.runtimes), dtype=np.int32),
                           np.diff(self.offsets, append=ndof))
@@ -436,62 +433,19 @@ class Simulation:
         kl = int(d.max(initial=0, where=dd))
         ku = -int(d.min(initial=0, where=dd))
         ldab = 2 * kl + ku + 1
-        start = (ldab + npack + 1) * nb
+        start = (ldab + npack + 1) * nb + ns * ns
         ss, sd = rs & cs, rs & ~cs
-        nss = np.count_nonzero(ss)
         #: place in the solve's buffer of every planned entry
-        self._dest = kl + ku + d + ldab * j.astype(np.int64)
+        self._dest = kl + ku + d + ldab * j
         self._dest[ds] = ldab * nb + nb * pack[pair] + i[ds]
-        self._dest[ss] = start + np.arange(nss)
-        self._dest[sd] = start + nss + np.arange(np.count_nonzero(sd))
-        self._bands = (kl, ku, ldab, start + np.count_nonzero(rs))
-        self._schur = None
-        if not ns:
-            return
-        # S is planned in 6x6 blocks, one per pair of ends that A_ss or the
-        # fill of A_sd couples; end ne stands for no separator unknown
-        ne = ns // 6
+        self._dest[ss] = start - ns * ns + i[ss] + ns * j[ss]
+        self._dest[sd] = start + np.arange(np.count_nonzero(sd))
+        self._bands = (kl, ku, ldab, start + np.count_nonzero(sd))
+        #: row, band column and place in S (ns * ns: none) at every packed
+        #: column of every A_sd entry
         fill = self._packed[j[sd]]
-        coupled = np.zeros((ne, ne + 1), dtype=bool)
-        coupled[i[ss] // 6, j[ss] // 6] = True
-        coupled[i[sd, None] // 6, fill // 6] = True
-        # the order depends on the pattern alone; the dominant diagonal only
-        # keeps the factorization that yields it from failing
-        new = np.append(spla.splu(sp.csc_matrix(
-            coupled[:, :ne] + (ne + 1) * np.eye(ne)),
-            permc_spec="MMD_ATA").perm_c, ne)
-        row, col = np.nonzero(coupled[:, :ne])
-        blocks = np.sort(new[col] * ne + new[row])
-        brow, bcol = blocks % ne, blocks // ne
-        per_col = np.bincount(bcol, minlength=ne + 1)
-        first = np.cumsum(per_col) - per_col
-        rank = np.zeros((ne, ne + 1), dtype=np.int64)
-        old = np.argsort(new)
-        rank[old[brow], old[bcol]] = np.arange(len(blocks)) - first[bcol]
-        # renumbered column 6 E + l starts at col0[l, E], then 6 rows per
-        # block of block column E
-        col0 = 36 * first + 6 * np.arange(6)[:, None] * per_col
-        size = 36 * len(blocks)
-
-        def entry(r, c):
-            e = c // 6
-            return np.where(c < ns, col0[c % 6, new[e]] + 6 * rank[r // 6, e]
-                            + r % 6, size)
-
-        k, l, a = np.ogrid[:len(blocks), :6, :6]
-        indices = np.empty(size, dtype=np.int32)
-        indices[col0[l, bcol[k]] + 6 * (k - first[bcol[k]]) + a] = \
-            6 * brow[k] + a
-        #: S's entry (size: none) of every A_ss entry and of every A_sd
-        #: entry (row, band column) at every packed column; S, renumbered,
-        #: whose values each solve sets; the new place of every separator
-        #: unknown
-        self._schur = (entry(i[ss], j[ss]),
-                       (i[sd], j[sd], entry(i[sd, None], fill)),
-                       sp.csc_matrix((np.zeros(size), indices, np.append(
-                           col0.T[:ne], size).astype(np.int32)),
-                           shape=(ns, ns)),
-                       (6 * new[:ne, None] + np.arange(6)).reshape(-1))
+        self._fill = (i[sd], j[sd],
+                      np.where(fill < ns, i[sd, None] + ns * fill, ns * ns))
 
     def _distributed(self, t: float) -> np.ndarray:
         """Distributed (force, moment) per unit length of every patch at
@@ -664,12 +618,13 @@ class Simulation:
         One LAPACK banded LU (``dgbsv``) factors the band matrix D, block
         diagonal over patches, and solves it for the band part of rhs and
         the packed separator columns A_ds at once.  The Schur complement S
-        of the joint leads is factored by a sparse LU in the order planned
-        at construction, so SuperLU skips its ordering phase; only the A_sd
-        entries that are nonzero at the state enter its update.  A model
-        without joints has no separator, and its solve is the banded LU
-        alone.  A matrix that is not on the planned pattern raises
-        ``ValueError``.  The solution depends on A and rhs alone.
+        of the joint leads is formed as one dense column-major array and
+        factored by one LAPACK LU (``dgesv``) with partial pivoting; only
+        the A_sd entries that are nonzero at the state enter its update.  A
+        model without joints has no separator, and its solve is the banded
+        LU alone.  A singular D or S raises ``RuntimeError``, and a matrix
+        that is not on the planned pattern ``ValueError``.  The solution
+        depends on A and rhs alone.
         """
         if not (np.array_equal(A.indptr, self._indptr)
                 and np.array_equal(A.indices, self._indices)):
@@ -689,20 +644,24 @@ class Simulation:
         Y, xd = X[:, :-1], X[:, -1]
         x = np.empty_like(rhs)
         x[band] = xd
-        if self._schur is None:
+        sep, (r, c, to_s) = self._separator, self._fill
+        ns = len(sep)
+        if not ns:
             return x
-        # S = A_ss - A_sd D⁻¹ A_ds and its right-hand side b_s - A_sd D⁻¹ b_d
-        sep, (to_ss, (r, c, to_sd), S, pos) = self._separator, self._schur
+        # S = A_ss - A_sd D⁻¹ A_ds, column-major after the packed columns,
+        # and its right-hand side b_s - A_sd D⁻¹ b_d
         sd = buf[size - len(r):]
         live = np.flatnonzero(sd)
         r, c, sd = r[live], c[live], sd[live]
-        S.data = np.bincount(np.concatenate([to_ss, to_sd[live].ravel()]),
-                             np.concatenate([buf[end:end + len(to_ss)],
-                                             -(sd[:, None] * Y[c]).ravel()]),
-                             minlength=S.nnz + 1)[:-1]
-        b = np.empty(len(sep))
-        b[pos] = rhs[sep] - np.bincount(r, sd * xd[c], minlength=len(sep))
-        x[sep] = xs = spla.splu(S, permc_spec="NATURAL").solve(b)[pos]
+        S = buf[end:end + ns * ns]
+        S -= np.bincount(to_s[live].ravel(), (sd[:, None] * Y[c]).ravel(),
+                         minlength=ns * ns + 1)[:-1]
+        b = rhs[sep] - np.bincount(r, sd * xd[c], minlength=ns)
+        _, _, xs, info = lapack.dgesv(S.reshape(ns, ns).T, b, overwrite_a=1,
+                                      overwrite_b=1)
+        if info:
+            raise RuntimeError(f"singular Schur complement (dgesv info {info})")
+        x[sep] = xs
         x[band] -= np.einsum("ij,ij->i", Y, np.append(xs, 0.0)[packed])
         return x
 

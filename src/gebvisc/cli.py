@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import numbers
 import os
 import sys
 
@@ -33,23 +34,38 @@ def scenario_setup(name: str, overrides: dict | None = None,
 
     Without ``settings`` the scenario 'custom' takes its Newton settings
     from the configuration's ``newton`` section, every other scenario the
-    defaults.
+    defaults.  Only 'custom' takes a configuration, and of the overrides
+    only h and T.  An input that the run would ignore, or an h or T that
+    is not a finite number > 0, raises ``ValueError``.
     """
     if name != "custom":
+        if config is not None:
+            raise ValueError(f"scenario '{name}' takes no configuration file")
         model, params = build_scenario(name, overrides)
+        _require_positive(params, "h", "T")
         return model, settings, params
     if config is None:
         raise ValueError("scenario 'custom' needs a configuration file")
+    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    ignored = set(overrides) - {"h", "T"}
+    if ignored:
+        raise ValueError(f"scenario 'custom' takes its model from the "
+                         f"configuration, not from {sorted(ignored)}")
     model, extras = model_from_config(config)
     if settings is None:
         settings = NewtonSettings.from_config(extras["newton"])
-    params = dict(extras["time"])
-    params.setdefault("h", 1e-3)
-    params.setdefault("T", 1.0)
-    if overrides:
-        params.update({k: v for k, v in overrides.items()
-                       if v is not None and k in ("h", "T")})
+    params = {"h": 1e-3, "T": 1.0, **extras["time"], **overrides}
+    _require_positive(params, "h", "T")
     return model, settings, params
+
+
+def _require_positive(params: dict, *keys):
+    """Raise ``ValueError`` unless every ``params[key]`` is a finite real
+    number > 0."""
+    for k in keys:
+        if not (isinstance(params[k], numbers.Real) and 0 < params[k] < np.inf):
+            raise ValueError(f"{k} must be a finite number > 0, "
+                             f"got {params[k]!r}")
 
 
 def run_scenario(name: str, overrides: dict | None = None, out_dir=None,
@@ -117,6 +133,7 @@ def convergence_setup(study: dict):
     t_eval, h, optionally probe_points and scenario overrides under
     "overrides".
     """
+    _require_positive(study, "t_eval", "h")
     pairs = [tuple(pn) for pn in study["pairs"]]
     p_ref, n_ref = study["reference"]
     if any(n >= n_ref and p >= p_ref for p, n in pairs):
@@ -203,7 +220,8 @@ def _add_override_args(sub):
     sub.add_argument("--T", type=float, help="end time override (s)")
     sub.add_argument("--p", type=int, dest="degree", help="basis degree")
     sub.add_argument("--n", type=int, help="collocation points per patch")
-    sub.add_argument("--elastic", action="store_true",
+    # a flag left off is None, like every other override left off
+    sub.add_argument("--elastic", action="store_true", default=None,
                      help="rate-independent comparison material")
     sub.add_argument("--psi", type=float, help="cell curvature angle (rad)")
     sub.add_argument("--cells", type=int, help="lattice cells per side")
@@ -240,12 +258,8 @@ def make_parser() -> argparse.ArgumentParser:
 def _overrides_from(args) -> dict:
     keys = ("h", "T", "degree", "n", "elastic", "psi", "cells", "nx", "ny",
             "diameter")
-    out = {}
-    for k in keys:
-        v = getattr(args, k, None)
-        if v not in (None, False):
-            out[k] = v
-    return out
+    return {k: getattr(args, k) for k in keys
+            if getattr(args, k, None) is not None}
 
 
 def main(argv=None) -> int:

@@ -29,18 +29,11 @@ def write_vtk_snapshot(path, sim: Simulation, samples_per_patch: int = 200,
                        title: str = "beam snapshot") -> None:
     """Legacy ASCII VTK polydata: dense centroid polylines per patch with the
     displacement vector field attached to the points."""
-    points = []
-    displacements = []
-    lines = []
-    offset = 0
-    for k in range(len(sim.runtimes)):
-        cur, ini = sim.sample_curve(k, samples_per_patch)
-        points.append(cur)
-        displacements.append(cur - ini)
-        lines.append(offset + np.arange(samples_per_patch))
-        offset += samples_per_patch
-    pts = np.vstack(points)
-    disp = np.vstack(displacements)
+    curves = [sim.sample_curve(k, samples_per_patch)
+              for k in range(len(sim.runtimes))]
+    pts = np.vstack([cur for cur, _ in curves])
+    disp = np.vstack([cur - ini for cur, ini in curves])
+    lines = np.arange(len(pts)).reshape(len(curves), samples_per_patch)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write(title + "\n")

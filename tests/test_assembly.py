@@ -384,31 +384,45 @@ class TestSolve:
                                       + np.arange(6))
         assert sorted(points) == sorted(leads)
 
-    @pytest.mark.parametrize("model, steps, orders", [("pendulum", 20, 0),
-                                                      ("lattice3", 3, 1)])
-    def test_order_only_at_construction(self, model, steps, orders,
-                                        monkeypatch):
-        # the separator's order is computed once from its planned pattern;
-        # a model without joints factors no sparse matrix at all.  Every
-        # system of the run has the planned structure, zeros included
+    @pytest.mark.parametrize("model, steps, schur", [("pendulum", 20, False),
+                                                     ("lattice3", 3, True)],
+                             ids=["pendulum", "lattice3"])
+    def test_no_sparse_factorization(self, model, steps, schur, monkeypatch):
+        # no sparse LU, neither at construction nor in the march: a model
+        # with joints factors its Schur complement by one dense LU per
+        # solve, one without none.  Every system of the run has the planned
+        # structure, zeros included
         import scipy.sparse.linalg as spla
-        specs = []
-        original = spla.splu
+        from scipy.linalg import lapack
+        calls = []
 
-        def splu(A, permc_spec=None, **kwargs):
-            specs.append(permc_spec)
-            return original(A, permc_spec=permc_spec, **kwargs)
+        def counted(name, f):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return f(*args, **kwargs)
+            return call
 
-        monkeypatch.setattr(spla, "splu", splu)
+        monkeypatch.setattr(spla, "splu", counted("splu", spla.splu))
+        monkeypatch.setattr(lapack, "dgesv", counted("dgesv", lapack.dgesv))
         sim = Simulation(pendulum_model() if model == "pendulum"
                          else lattice3_model())
-        assert len(specs) == orders and "NATURAL" not in specs
-        specs.clear()
+        assert calls == []
         solved = solved_structures(sim)
         time_march(sim, steps * 5e-3, 5e-3)
         assert len(solved) == sim.total_iterations > 0
         assert set(solved) == {sim._indptr.tobytes() + sim._indices.tobytes()}
-        assert specs == (["NATURAL"] * len(solved) if orders else [])
+        assert calls == ["dgesv"] * len(solved) * schur
+
+    def test_singular_schur_complement_raises(self):
+        # zeroing the separator rows (A_ss and A_sd) leaves D and A_ds as
+        # they are and makes S zero
+        sim, A, rhs = named_system("lattice3")
+        A = A.copy()
+        rows = np.zeros(sim.ndof, dtype=bool)
+        rows[sim._separator] = True
+        A.data[rows[A.indices]] = 0.0
+        with pytest.raises(RuntimeError, match="singular"):
+            sim._solve(A, rhs)
 
     def test_entry_outside_plan_raises(self):
         sim, A, rhs = named_system("pendulum")

@@ -154,6 +154,76 @@ class TestCliCommands:
         assert "invalid configuration" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, time", [
+        (["pendulum", "--h", "0"], None),
+        (["pendulum", "--h", "-0.005"], None),
+        (["pendulum", "--T", "-1"], None), (["pendulum", "--T", "0"], None),
+        (["pendulum", "--h", "nan"], None), (["pendulum", "--T", "inf"], None),
+        (["custom", "--h", "0"], None), (["custom", "--T", "nan"], None),
+        (["custom"], {"h": 0.0, "T": 5e-3}),
+        (["custom"], {"h": 5e-3, "T": -1.0}),
+        (["custom"], {"h": float("inf"), "T": 5e-3}),
+        (["custom"], {"h": "5e-3", "T": 5e-3})],
+        ids=["h_zero", "h_negative", "T_negative", "T_zero", "h_nan", "T_inf",
+             "custom_h_zero", "custom_T_nan", "config_h_zero",
+             "config_T_negative", "config_h_inf", "config_h_text"])
+    def test_invalid_time_rejected(self, tmp_path, capsys, argv, time):
+        # a time step or end time that is not a finite number > 0 is found
+        # before any output, whether a flag or the configuration sets it
+        if argv[0] == "custom":
+            cfg = self.short_config({})
+            cfg["time"] = time or cfg["time"]
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps(cfg))
+            argv = argv + ["--config", str(path)]
+        out = tmp_path / "run"
+        assert main(["run", *argv, "--out", str(out)]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change", [{"h": 0}, {"h": -5e-3},
+                                        {"t_eval": float("nan")},
+                                        {"t_eval": 0.0}],
+                             ids=["h_zero", "h_negative", "t_eval_nan",
+                                  "t_eval_zero"])
+    def test_invalid_study_time_rejected(self, tmp_path, capsys, change):
+        study = {"scenario": "pendulum", "pairs": [[2, 8]],
+                 "reference": [4, 40], "t_eval": 0.05, "h": 5e-3, **change}
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(study))
+        out = tmp_path / "conv"
+        assert main(["converge", "--config", str(path), "--out",
+                     str(out)]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["custom", "--elastic"], ["custom", "--psi", "0.3"],
+        ["custom", "--p", "7"], ["custom", "--n", "0"],
+        ["custom", "--elastic", "--psi", "0.3", "--p", "7"], ["pendulum"]],
+        ids=["custom_elastic", "custom_psi", "custom_degree", "custom_n_zero",
+             "custom_all", "named_with_config"])
+    def test_ignored_option_rejected(self, tmp_path, capsys, argv):
+        # 'custom' takes its model from the configuration and a named
+        # scenario takes no configuration: an option the run would not
+        # apply is an error, not a silent default
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self.short_config({})))
+        out = tmp_path / "run"
+        assert main(["run", *argv, "--config", str(path), "--out",
+                     str(out)]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_custom_time_overrides_applied(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self.short_config({})))
+        out = tmp_path / "run"
+        assert main(["run", "custom", "--config", str(path), "--h", "2.5e-3",
+                     "--T", "1e-2", "--out", str(out)]) == 0
+        _, data = read_history_csv(out / "history.csv")
+        np.testing.assert_allclose(data[:, 0], 2.5e-3 * np.arange(5))
+
     def test_validate_good_and_bad(self, tmp_path, capsys):
         good = {
             "version": 1,
