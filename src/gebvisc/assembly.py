@@ -117,11 +117,12 @@ class PatchRuntime:
         # global control points they act on
         phi = [np.stack([p.phi0, p.phi1, p.phi2], axis=1) for p in members]
         cols = [first[k] + p.support_idx for k, p in zip(patches, members)]
-        indptr = np.cumsum([0] + [c.shape[1] for c in cols for _ in c])
-        self._interp = [sp.csr_matrix(
-            (np.concatenate([f[:, d].ravel() for f in phi]),
-             np.concatenate([c.ravel() for c in cols]), indptr),
-            shape=(len(self.points), first[-1])) for d in range(3)]
+        # the value, ,s and ,ss stencils of every point, one below the other
+        indptr = np.cumsum([0] + [c.shape[1] for c in cols for _ in c] * 3)
+        self._interp = sp.csr_matrix(
+            (np.concatenate([f[:, d].ravel() for d in range(3) for f in phi]),
+             np.concatenate([c.ravel() for c in cols] * 3), indptr),
+            shape=(3 * len(self.points), first[-1]))
         #: interior points by stencil width: (stacked points, global
         #: points, stencils, stencil control points)
         self.interior = []
@@ -143,7 +144,7 @@ class PatchRuntime:
     def interp(self, dctrl: np.ndarray):
         """Increment fields (value, ,s, ,ss) at the stacked points from the
         global control increments ``dctrl`` (control points, 6)."""
-        return tuple(m @ dctrl for m in self._interp)
+        return (self._interp @ dctrl).reshape(3, -1, 6)
 
 
 #: where a patch lives: its law stack ``rt`` and its points ``rt.*[pts]``
@@ -490,16 +491,15 @@ class Simulation:
         sections = []
         for rt in self.stacks:
             law, st = rt.law, rt.state
-            sec = section_state(st, law, h)
+            sec = section_state(st, law, h, *fm[:, rt.patch_of_point])
             sections.append(sec)
-            n_dist, m_dist = fm[:, rt.patch_of_point]
-            F = residual_force(st, law, sec, n_dist)
-            V = residual_moment(st, law, sec, m_dist)
+            F = residual_force(st, law, sec)
+            V = residual_moment(st, law, sec)
             # (point, force/moment rows, displacement/rotation columns,
             # value/,s/,ss stencil, 3, 3)
-            C = np.stack([tangent_blocks_force(st, law, sec, n_dist, h),
-                          tangent_blocks_moment(st, law, sec, m_dist, h)],
-                         axis=1)
+            C = np.concatenate(
+                (tangent_blocks_force(st, law, sec, h)[:, None],
+                 tangent_blocks_moment(st, law, sec, h)[:, None]), axis=1)
             for sel, points, phi, _ in rt.interior:
                 values.append(np.einsum("nrcdab,ndk->nrcabk", C[sel],
                                         phi).reshape(-1))
@@ -766,13 +766,26 @@ class Trajectory:
     wall_time: float
 
 
+def step_count(span: float, h: float) -> int:
+    """Number of steps h in ``span``; ``ValueError`` unless it is a whole
+    number, at least one, to a relative 1e-9."""
+    ratio = span / h if h > 0 else np.nan
+    n = int(round(ratio)) if np.isfinite(ratio) else 0
+    if n < 1 or abs(ratio - n) > 1e-9 * n:
+        raise ValueError(f"a time span of {span!r} is not a whole number "
+                         f"of steps of {h!r}")
+    return n
+
+
 def time_march(sim: Simulation, t_end: float, h: float,
                observer=None) -> Trajectory:
     """March to ``t_end`` in steps of ``h``, sampling probes each step.
 
-    A ``StepFailure`` propagates with the history of the committed steps
+    ``t_end`` must lie a whole number of steps after the current time.  A
+    ``StepFailure`` propagates with the history of the committed steps
     attached as its ``trajectory``.
     """
+    n_steps = step_count(t_end - sim.t, h)
     model = sim.model
     times = [sim.t]
     samples = {p.name: [sim.probe_displacement(p)] for p in model.probes}
@@ -785,7 +798,6 @@ def time_march(sim: Simulation, t_end: float, h: float,
                           {k: np.array(v) for k, v in samples.items()},
                           iters, wall)
 
-    n_steps = int(round((t_end - sim.t) / h))
     for _ in range(n_steps):
         before = sim.total_iterations
         try:

@@ -7,10 +7,13 @@ and second arc-length derivatives.  All quantities are material (pulled back
 by R^T); everything is vectorized over the points of a law stack.
 
 One section pass per stack and assembly, ``section_state``, evaluates what
-all eight kernels read: the kinematics of ``kin``, the Maxwell history sums
-and the effective stresses zF and zM at the step's effective stiffness.  The
-four interior kernels take it whole and the four end kernels gather it at
-their points, so no kernel recomputes strains or histories.
+all eight kernels read: the kinematics of ``kin``, the Maxwell history sums,
+the effective stresses zF and zM at the step's effective stiffness, the
+distributed loads pulled back to the material frame and the skew matrix of
+every vector a kernel crosses with, made by one ``so3.skew`` call on the
+stack of those vectors.  The four interior kernels take it whole and the
+four end kernels gather it at their points, so no kernel recomputes strains,
+histories or skew matrices; only the Neumann rows skew their end loads.
 
 The kernels return their blocks in the layout the system matrix is built
 from, with the structural zeros as zeros of the array:
@@ -106,74 +109,80 @@ def kin(state: CollocationState):
             state.K_s - state.K0_s)
 
 
-#: what every kernel reads of a law stack's section at a step size: R^T and
-#: y of ``kin``, the strain derivatives Gam,_s and Kap,_s, the effective
-#: stresses zF = CN_bar Gam - SbG and zM = CM_bar Kap - SbK with SbG, SbK the
-#: Maxwell history sums, their ,s history sums and the effective diagonals
+#: skew matrices (n, 3, 3) of the vectors the kernels cross with
+Skews = namedtuple("Skews", "K y zF zM K_s W JW RTc_ss Ky rn rm Theta")
+
+#: what every kernel reads of a law stack's section at a step size and
+#: loads: R^T and y of ``kin``, Gam,_s and Kap,_s, the effective stresses
+#: zF = CN_bar Gam - SbG and zM = CM_bar Kap - SbK with SbG, SbK the Maxwell
+#: history sums, their ,s sums, the effective diagonals, the distributed
+#: loads, the material loads rn = R^T (n_dist - mu a) and rm = R^T m_dist,
+#: J W and the ``Skews``
 SectionState = namedtuple(
-    "SectionState", "RT y Gam_s Kap_s zF zM SbG_s SbK_s CN_bar CM_bar")
+    "SectionState", "RT y Gam_s Kap_s zF zM SbG_s SbK_s CN_bar CM_bar "
+                    "n_dist m_dist rn rm JW skew")
 
 
-def section_state(state: CollocationState, law: SectionLaw,
-                  h: float) -> SectionState:
-    """The section pass: kinematics, history sums and effective stresses of
-    every point of the stack, evaluated once per assembly."""
+def section_state(state: CollocationState, law: SectionLaw, h: float,
+                  n_dist: np.ndarray, m_dist: np.ndarray) -> SectionState:
+    """The section pass of the stack under the spatial distributed force
+    and moment ``n_dist`` and ``m_dist`` (n, 3), evaluated once per
+    assembly; one ``so3.skew`` call makes all the ``Skews``."""
     RT, y, Gam, Gam_s, Kap, Kap_s = kin(state)
     SbG, SbG_s = state.visc.force_history(law)
     SbK, SbK_s = state.visc.couple_history(law)
     CN_bar, CM_bar = effective_stiffness(law, h)
-    return SectionState(RT, y, Gam_s, Kap_s, CN_bar * Gam - SbG,
-                        CM_bar * Kap - SbK, SbG_s, SbK_s, CN_bar, CM_bar)
+    zF, zM = CN_bar * Gam - SbG, CM_bar * Kap - SbK
+    JW = law.inertia * state.W
+    rn = np.einsum("nij,nj->ni", RT, n_dist - law.mu * state.a)
+    rm = np.einsum("nij,nj->ni", RT, m_dist)
+    vectors = (state.K, y, zF, zM, state.K_s, state.W, JW,
+               np.einsum("nij,nj->ni", RT, state.c_ss),
+               so3.cross(state.K, y), rn, rm, state.Theta)
+    skews = so3.skew(np.concatenate(vectors).reshape(len(vectors), -1, 3))
+    return SectionState(RT, y, Gam_s, Kap_s, zF, zM, SbG_s, SbK_s, CN_bar,
+                        CM_bar, n_dist, m_dist, rn, rm, JW, Skews(*skews))
 
 
 def residual_force(state: CollocationState, law: SectionLaw,
-                   sec: SectionState, n_dist: np.ndarray) -> np.ndarray:
+                   sec: SectionState) -> np.ndarray:
     """Material force-balance residual (n, 3); zero at a converged solution.
 
-    ``n_dist`` is the spatial distributed force per unit length at the step
-    end; the acceleration channel of the state must already be the current
+    The acceleration channel of the state must already be the current
     trapezoidal extrapolation.
     """
     return (so3.cross(state.K, sec.zF) + sec.CN_bar * sec.Gam_s - sec.SbG_s
-            + np.einsum("nij,nj->ni", sec.RT, n_dist - law.mu * state.a))
+            + sec.rn)
 
 
 def residual_moment(state: CollocationState, law: SectionLaw,
-                    sec: SectionState, m_dist: np.ndarray) -> np.ndarray:
+                    sec: SectionState) -> np.ndarray:
     """Material moment-balance residual (n, 3); zero at a converged solution."""
-    J = law.inertia
     return (so3.cross(state.K, sec.zM) + sec.CM_bar * sec.Kap_s - sec.SbK_s
-            + so3.cross(sec.y, sec.zF)
-            + np.einsum("nij,nj->ni", sec.RT, m_dist)
-            - J * state.A - so3.cross(state.W, J * state.W))
+            + so3.cross(sec.y, sec.zF) + sec.rm
+            - law.inertia * state.A - so3.cross(state.W, sec.JW))
 
 
 def tangent_blocks_force(state: CollocationState, law: SectionLaw,
-                         sec: SectionState, n_dist: np.ndarray,
-                         h: float) -> np.ndarray:
+                         sec: SectionState, h: float) -> np.ndarray:
     """Consistent tangent blocks (n, 2, 3, 3, 3) of the force balance; it has
     no block on the second derivative of the rotation increment."""
-    RT, y, zF, CN_bar = sec.RT, sec.y, sec.zF, sec.CN_bar
-    Kt = so3.skew(state.K)
-    yt = so3.skew(y)
-    CNyt = _rowscale(CN_bar, yt)
+    RT, CN_bar, sk = sec.RT, sec.CN_bar, sec.skew
+    Kt = sk.K
+    CNyt = _rowscale(CN_bar, sk.y)
     CNRT = _rowscale(CN_bar, RT)
     blk = np.zeros((state.n, 2, 3, 3, 3))
     blk[:, 0, 0] = -(4.0 / h ** 2) * law.mu * RT
     blk[:, 0, 1] = Kt @ CNRT - _rowscale(CN_bar, Kt @ RT)
     blk[:, 0, 2] = CNRT
-    blk[:, 1, 0] = (
-        Kt @ CNyt - so3.skew(zF) @ Kt
-        + _rowscale(CN_bar, so3.skew(np.einsum("nij,nj->ni", RT, state.c_ss)))
-        - _rowscale(CN_bar, so3.skew(so3.cross(state.K, y)))
-        + so3.skew(np.einsum("nij,nj->ni", RT, n_dist - law.mu * state.a)))
-    blk[:, 1, 1] = CNyt - so3.skew(zF)
+    blk[:, 1, 0] = (Kt @ CNyt - sk.zF @ Kt + _rowscale(CN_bar, sk.RTc_ss)
+                    - _rowscale(CN_bar, sk.Ky) + sk.rn)
+    blk[:, 1, 1] = CNyt - sk.zF
     return blk
 
 
 def tangent_blocks_moment(state: CollocationState, law: SectionLaw,
-                          sec: SectionState, m_dist: np.ndarray,
-                          h: float) -> np.ndarray:
+                          sec: SectionState, h: float) -> np.ndarray:
     """Consistent tangent blocks (n, 2, 3, 3, 3) of the moment balance; its
     only block on the displacement increment is the ,s one.
 
@@ -181,26 +190,19 @@ def tangent_blocks_moment(state: CollocationState, law: SectionLaw,
     incremental rotation, which transports the solver increment from the
     step-end tangent space to the one the trapezoidal extrapolation lives in.
     """
-    RT, y, CM_bar = sec.RT, sec.y, sec.CM_bar
-    Kt = so3.skew(state.K)
-    yt = so3.skew(y)
+    RT, CM_bar, sk = sec.RT, sec.CM_bar, sec.skew
+    Kt, yt = sk.K, sk.y
     J = law.inertia
-    n = state.n
     CMKt = _rowscale(CM_bar, Kt)
-    G_blk = yt * sec.CN_bar[None, None, :] - so3.skew(sec.zF)
-    Tinv = so3.tangent_map_inverse(state.Theta)
-    Wt = so3.skew(state.W)
-    inertia_blk = ((4.0 / h ** 2) * np.broadcast_to(np.diag(J), (n, 3, 3))
-                   + (2.0 / h) * (Wt * J[None, None, :]
-                                  - so3.skew(J * state.W)))
-    blk = np.zeros((n, 2, 3, 3, 3))
+    G_blk = yt * sec.CN_bar[None, None, :] - sk.zF
+    Tinv = so3.tangent_map_inverse(state.Theta, sk.Theta)
+    inertia_blk = ((4.0 / h ** 2) * np.diag(J)
+                   + (2.0 / h) * (sk.W * J[None, None, :] - sk.JW))
+    blk = np.zeros((state.n, 2, 3, 3, 3))
     blk[:, 0, 1] = G_blk @ RT
-    blk[:, 1, 0] = (Kt @ CMKt - so3.skew(sec.zM) @ Kt
-                    + _rowscale(CM_bar, so3.skew(state.K_s))
-                    + G_blk @ yt
-                    + so3.skew(np.einsum("nij,nj->ni", RT, m_dist))
-                    - inertia_blk @ Tinv)
-    blk[:, 1, 1] = CMKt + Kt * CM_bar[None, None, :] - so3.skew(sec.zM)
+    blk[:, 1, 0] = (Kt @ CMKt - sk.zM @ Kt + _rowscale(CM_bar, sk.K_s)
+                    + G_blk @ yt + sk.rm - inertia_blk @ Tinv)
+    blk[:, 1, 1] = CMKt + Kt * CM_bar[None, None, :] - sk.zM
     blk[:, 1, 2] = np.diag(CM_bar)
     return blk
 
@@ -233,7 +235,7 @@ def neumann_force_row(state: CollocationState, sec: SectionState,
     RT = np.swapaxes(state.R.take(pts, axis=0), -1, -2)
     rn = (RT @ n_c[:, :, None])[..., 0]
     return 0.0 - sec.zF.take(pts, axis=0) + sign[:, None] * rn, _end_blocks(
-        sec.CN_bar[:, None] * so3.skew(sec.y.take(pts, axis=0))
+        sec.CN_bar[:, None] * sec.skew.y.take(pts, axis=0)
         - sign[:, None, None] * so3.skew(rn),
         eta_s=sec.CN_bar[:, None] * RT)
 
@@ -245,7 +247,7 @@ def neumann_moment_row(state: CollocationState, sec: SectionState,
     RT = np.swapaxes(state.R.take(pts, axis=0), -1, -2)
     rm = (RT @ m_c[:, :, None])[..., 0]
     return 0.0 - sec.zM.take(pts, axis=0) + sign[:, None] * rm, _end_blocks(
-        sec.CM_bar[:, None] * so3.skew(state.K.take(pts, axis=0))
+        sec.CM_bar[:, None] * sec.skew.K.take(pts, axis=0)
         - sign[:, None, None] * so3.skew(rm),
         theta_s=np.diag(sec.CM_bar))
 
@@ -259,8 +261,8 @@ def end_force_spatial(state: CollocationState, sec: SectionState,
     zF = sec.zF.take(pts, axis=0)
     s = sign[:, None, None]
     return sign[:, None] * (R @ zF[:, :, None])[..., 0], _end_blocks(
-        s * (R @ (sec.CN_bar[:, None] * so3.skew(sec.y.take(pts, axis=0))
-                  - so3.skew(zF))),
+        s * (R @ (sec.CN_bar[:, None] * sec.skew.y.take(pts, axis=0)
+                  - sec.skew.zF.take(pts, axis=0))),
         eta_s=s * (R @ (sec.CN_bar[:, None] * np.swapaxes(R, -1, -2))))
 
 
@@ -272,6 +274,6 @@ def end_moment_spatial(state: CollocationState, sec: SectionState,
     zM = sec.zM.take(pts, axis=0)
     s = sign[:, None, None]
     return sign[:, None] * (R @ zM[:, :, None])[..., 0], _end_blocks(
-        s * (R @ (sec.CM_bar[:, None] * so3.skew(state.K.take(pts, axis=0))
-                  - so3.skew(zM))),
+        s * (R @ (sec.CM_bar[:, None] * sec.skew.K.take(pts, axis=0)
+                  - sec.skew.zM.take(pts, axis=0))),
         theta_s=s * (R @ np.diag(sec.CM_bar)))

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .assembly import NewtonSettings, Simulation, time_march
+from .assembly import NewtonSettings, Simulation, step_count, time_march
 from .integrator import StepFailure
 from .model import load_config, model_from_config
 from .output import (ensure_dir, write_history_csv, write_run_metadata,
@@ -35,14 +35,15 @@ def scenario_setup(name: str, overrides: dict | None = None,
     Without ``settings`` the scenario 'custom' takes its Newton settings
     from the configuration's ``newton`` section, every other scenario the
     defaults.  Only 'custom' takes a configuration, and of the overrides
-    only h and T.  An input that the run would ignore, or an h or T that
-    is not a finite number > 0, raises ``ValueError``.
+    only h and T.  An input that the run would ignore, an h or T that is
+    not a finite number > 0, or a T that is not a whole number of steps h
+    raises ``ValueError``.
     """
     if name != "custom":
         if config is not None:
             raise ValueError(f"scenario '{name}' takes no configuration file")
         model, params = build_scenario(name, overrides)
-        _require_positive(params, "h", "T")
+        _require_steps(params, "T", "h")
         return model, settings, params
     if config is None:
         raise ValueError("scenario 'custom' needs a configuration file")
@@ -55,17 +56,18 @@ def scenario_setup(name: str, overrides: dict | None = None,
     if settings is None:
         settings = NewtonSettings.from_config(extras["newton"])
     params = {"h": 1e-3, "T": 1.0, **extras["time"], **overrides}
-    _require_positive(params, "h", "T")
+    _require_steps(params, "T", "h")
     return model, settings, params
 
 
-def _require_positive(params: dict, *keys):
-    """Raise ``ValueError`` unless every ``params[key]`` is a finite real
-    number > 0."""
-    for k in keys:
+def _require_steps(params: dict, span: str, h: str):
+    """Raise ``ValueError`` unless ``params[span]`` and ``params[h]`` are
+    finite real numbers > 0 and the span a whole number of steps h."""
+    for k in (span, h):
         if not (isinstance(params[k], numbers.Real) and 0 < params[k] < np.inf):
             raise ValueError(f"{k} must be a finite number > 0, "
                              f"got {params[k]!r}")
+    step_count(params[span], params[h])
 
 
 def run_scenario(name: str, overrides: dict | None = None, out_dir=None,
@@ -133,7 +135,7 @@ def convergence_setup(study: dict):
     t_eval, h, optionally probe_points and scenario overrides under
     "overrides".
     """
-    _require_positive(study, "t_eval", "h")
+    _require_steps(study, "t_eval", "h")
     pairs = [tuple(pn) for pn in study["pairs"]]
     p_ref, n_ref = study["reference"]
     if any(n >= n_ref and p >= p_ref for p, n in pairs):

@@ -46,10 +46,10 @@ def begin_step(state: CollocationState, law: SectionLaw, h: float) -> None:
     state.Theta[:] = 0.0
     state.qTheta[:] = 0.0
     state.qTheta[:, 0] = 1.0
-    state.a = -state.a_star.copy()
-    state.v = -state.v_star.copy()
-    state.A = -state.A_star.copy()
-    state.W = -state.W_star.copy()
+    state.a = -state.a_star
+    state.v = -state.v_star
+    state.A = -state.A_star
+    state.W = -state.W_star
 
 
 def apply_increment(state: CollocationState, de: np.ndarray, de_s: np.ndarray,
@@ -78,19 +78,16 @@ def apply_increment(state: CollocationState, de: np.ndarray, de_s: np.ndarray,
     state.eta += de
 
     if np.any(dt) or np.any(dt_s) or np.any(dt_ss):
-        E = so3.exp_so3(dt)
+        E, T, dT = so3.increment_maps(dt, dt_s)
         ET = np.swapaxes(E, -1, -2)
-        T = so3.tangent_map(dt)
         Tdts = np.einsum("nij,nj->ni", T, dt_s)
         EK = np.einsum("nij,nj->ni", ET, state.K)
-        K_new = EK + Tdts
-        K_s_new = (np.einsum("nij,nj->ni", ET, state.K_s)
-                   + so3.cross(EK, Tdts)
-                   + np.einsum("nij,nj->ni", so3.dtangent_map(dt, dt_s), dt_s)
-                   + np.einsum("nij,nj->ni", T, dt_ss))
+        state.K_s = (np.einsum("nij,nj->ni", ET, state.K_s)
+                     + so3.cross(EK, Tdts)
+                     + np.einsum("nij,nj->ni", dT, dt_s)
+                     + np.einsum("nij,nj->ni", T, dt_ss))
+        state.K = EK + Tdts
         state.R = state.R @ E
-        state.K = K_new
-        state.K_s = K_s_new
 
         # accumulate on the quaternion double cover: the angle stays
         # continuous past pi instead of wrapping, so the singularity is

@@ -27,6 +27,8 @@ _DSERIES_ANGLE = 1.0e-2
 #: log_so3 refuses angles this close to pi (caller must reduce the step).
 PI_MARGIN = 1.0e-6
 
+_EYE = np.eye(3)
+
 
 def skew(a: np.ndarray) -> np.ndarray:
     """Skew-symmetric matrix of the axial vector ``a``: skew(a) @ h = a x h."""
@@ -49,7 +51,7 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out = np.empty(np.broadcast(a, b).shape)
     np.subtract(a1 * b2, a2 * b1, out=out[..., 0])
     np.subtract(a2 * b0, a0 * b2, out=out[..., 1])
     np.subtract(a0 * b1, a1 * b0, out=out[..., 2])
@@ -74,29 +76,54 @@ def axial(A: np.ndarray, tol: float = 1.0e-10) -> np.ndarray:
          A[..., 1, 0] - A[..., 0, 1]], axis=-1) * 0.5
 
 
-def _angle(theta: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(theta, axis=-1)
+def _norm(v: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """Euclidean norm over the last axis, with the bits of np.linalg.norm."""
+    return np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=keepdims))
 
 
-def _coeffs_exp(x: np.ndarray):
-    """sin(x)/x and (1-cos(x))/x^2 with series branches."""
-    small = x < SERIES_ANGLE
+def increment_maps(theta: np.ndarray, w: np.ndarray):
+    """exp(theta), the right tangent map T(theta) and its derivative
+    dT(theta)[w] = d/de T(theta + e*w)|_0, each (..., 3, 3), from one angle,
+    skew pass, theta~^2, sine and cosine.
+
+    T relates a perturbation of the rotation vector to the body-frame
+    increment:  exp(skew(theta + v)) ~ exp(skew(theta)) exp(skew(T v)).
+    Series replace the closed forms below ``SERIES_ANGLE``, and for dT,
+    whose closed form cancels more digits, below ``_DSERIES_ANGLE``.
+    """
+    theta, w = np.asarray(theta, dtype=float), np.asarray(w, dtype=float)
+    x = _norm(theta)
+    small, dsmall = x < SERIES_ANGLE, x < _DSERIES_ANGLE
     xs = np.where(small, 1.0, x)
     x2 = x * x
-    c1 = np.where(small, 1.0 - x2 / 6.0 + x2 * x2 / 120.0, np.sin(xs) / xs)
-    c2 = np.where(small, 0.5 - x2 / 24.0 + x2 * x2 / 720.0,
-                  (1.0 - np.cos(xs)) / (xs * xs))
-    return c1, c2
+    x4 = x2 * x2
+    sx, omc = np.sin(xs), 1.0 - np.cos(xs)
+    xms = xs - sx
+    # a = (1 - cos x)/x^2 and b = (x - sin x)/x^3: series and closed form
+    a_ser, a_cf = 0.5 - x2 / 24.0 + x4 / 720.0, omc / (xs * xs)
+    b_ser = 1.0 / 6.0 - x2 / 120.0 + x4 / 5040.0
+    # sin(x)/x, a, b; dT's own a and b, da/dx / x and db/dx / x
+    c, a, b, da, db, dax, dbx = (v[..., None, None] for v in (
+        np.where(small, 1.0 - x2 / 6.0 + x4 / 120.0, sx / xs),
+        np.where(small, a_ser, a_cf),
+        np.where(small, b_ser, xms / (xs * xs * xs)),
+        np.where(dsmall, a_ser, a_cf),
+        np.where(dsmall, b_ser, xms / (xs ** 3)),
+        np.where(dsmall, -1.0 / 12.0 + x2 / 180.0 - x4 / 6720.0,
+                 (xs * sx - 2.0 * omc) / (xs ** 4)),
+        np.where(dsmall, -1.0 / 60.0 + x2 / 1260.0 - x4 / 60480.0,
+                 (xs * omc - 3.0 * xms) / (xs ** 5))))
+    th, wt = skew(np.concatenate((theta, w)).reshape((2,) + theta.shape))
+    th2 = th @ th
+    tw = np.add.reduce(theta * w, axis=-1)[..., None, None]
+    return (_EYE + c * th + a * th2, _EYE - a * th + b * th2,
+            -dax * tw * th - da * wt + dbx * tw * th2
+            + db * (wt @ th + th @ wt))
 
 
 def exp_so3(theta: np.ndarray) -> np.ndarray:
     """Exponential map: rotation vector (..., 3) -> rotation matrix (..., 3, 3)."""
-    theta = np.asarray(theta, dtype=float)
-    x = _angle(theta)
-    c1, c2 = _coeffs_exp(x)
-    th = skew(theta)
-    th2 = th @ th
-    return np.eye(3) + c1[..., None, None] * th + c2[..., None, None] * th2
+    return increment_maps(theta, np.zeros_like(theta, dtype=float))[0]
 
 
 def log_so3(R: np.ndarray) -> np.ndarray:
@@ -111,30 +138,12 @@ def log_so3(R: np.ndarray) -> np.ndarray:
     return rotvec_from_quat(quat_from_matrix(R))
 
 
-def tangent_map(theta: np.ndarray) -> np.ndarray:
-    """Right tangent map T(theta), shape (..., 3, 3).
-
-    T relates a perturbation of the rotation vector to the body-frame
-    increment:  exp(skew(theta + v)) ~ exp(skew(theta)) exp(skew(T v)).
-    """
+def tangent_map_inverse(theta: np.ndarray, th: np.ndarray | None = None
+                        ) -> np.ndarray:
+    """Inverse right tangent map T^{-1}(theta); requires ||theta|| < 2*pi.
+    ``th`` is skew(theta), where the caller has it."""
     theta = np.asarray(theta, dtype=float)
-    x = _angle(theta)
-    small = x < SERIES_ANGLE
-    xs = np.where(small, 1.0, x)
-    x2 = x * x
-    # a = (1 - cos x)/x^2,  b = (x - sin x)/x^3
-    a = np.where(small, 0.5 - x2 / 24.0 + x2 * x2 / 720.0,
-                 (1.0 - np.cos(xs)) / (xs * xs))
-    b = np.where(small, 1.0 / 6.0 - x2 / 120.0 + x2 * x2 / 5040.0,
-                 (xs - np.sin(xs)) / (xs * xs * xs))
-    th = skew(theta)
-    return np.eye(3) - a[..., None, None] * th + b[..., None, None] * (th @ th)
-
-
-def tangent_map_inverse(theta: np.ndarray) -> np.ndarray:
-    """Inverse right tangent map T^{-1}(theta); requires ||theta|| < 2*pi."""
-    theta = np.asarray(theta, dtype=float)
-    x = _angle(theta)
+    x = _norm(theta)
     if np.any(x >= 2.0 * np.pi - PI_MARGIN):
         raise ValueError("tangent_map_inverse is singular near ||theta|| = 2*pi")
     small = x < SERIES_ANGLE
@@ -144,35 +153,9 @@ def tangent_map_inverse(theta: np.ndarray) -> np.ndarray:
     gamma = 0.5 * xs / np.tan(0.5 * xs)
     e = np.where(small, 1.0 / 12.0 + x2 / 720.0 + x2 * x2 / 30240.0,
                  (1.0 - gamma) / (xs * xs))
-    th = skew(theta)
-    return np.eye(3) + 0.5 * th + e[..., None, None] * (th @ th)
-
-
-def dtangent_map(theta: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Directional derivative of the right tangent map, d/de T(theta + e*w)|_0."""
-    theta = np.asarray(theta, dtype=float)
-    w = np.asarray(w, dtype=float)
-    x = _angle(theta)
-    small = x < _DSERIES_ANGLE
-    xs = np.where(small, 1.0, x)
-    x2 = x * x
-    x4 = x2 * x2
-    sx, cx = np.sin(xs), np.cos(xs)
-    a = np.where(small, 0.5 - x2 / 24.0 + x4 / 720.0, (1.0 - cx) / (xs * xs))
-    b = np.where(small, 1.0 / 6.0 - x2 / 120.0 + x4 / 5040.0,
-                 (xs - sx) / (xs ** 3))
-    # da/dx / x and db/dx / x (regular at x = 0)
-    dax = np.where(small, -1.0 / 12.0 + x2 / 180.0 - x4 / 6720.0,
-                   (xs * sx - 2.0 * (1.0 - cx)) / (xs ** 4))
-    dbx = np.where(small, -1.0 / 60.0 + x2 / 1260.0 - x4 / 60480.0,
-                   (xs * (1.0 - cx) - 3.0 * (xs - sx)) / (xs ** 5))
-    tw = np.sum(theta * w, axis=-1)[..., None, None]
-    th, wt = skew(theta), skew(w)
-    th2 = th @ th
-    return (-dax[..., None, None] * tw * th
-            - a[..., None, None] * wt
-            + dbx[..., None, None] * tw * th2
-            + b[..., None, None] * (wt @ th + th @ wt))
+    if th is None:
+        th = skew(theta)
+    return _EYE + 0.5 * th + e[..., None, None] * (th @ th)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +165,7 @@ def dtangent_map(theta: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def quat_from_rotvec(theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
-    x = _angle(theta)
+    x = _norm(theta)
     small = x < SERIES_ANGLE
     xs = np.where(small, 1.0, x)
     x2 = x * x
@@ -197,27 +180,29 @@ def quat_from_rotvec(theta: np.ndarray) -> np.ndarray:
 def quat_multiply(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     w1, v1 = q1[..., :1], q1[..., 1:]
     w2, v2 = q2[..., :1], q2[..., 1:]
-    w = w1 * w2 - np.sum(v1 * v2, axis=-1, keepdims=True)
+    w = w1 * w2 - np.add.reduce(v1 * v2, axis=-1, keepdims=True)
     v = w1 * v2 + w2 * v1 + cross(v1, v2)
     return np.concatenate([w, v], axis=-1)
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
-    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+    return q / _norm(q, keepdims=True)
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    xx, yy, zz, xy, xz, yz = x * x, y * y, z * z, x * y, x * z, y * z
+    wx, wy, wz = w * x, w * y, w * z
     R = np.empty(q.shape[:-1] + (3, 3))
-    R[..., 0, 0] = 1.0 - 2.0 * (y * y + z * z)
-    R[..., 0, 1] = 2.0 * (x * y - w * z)
-    R[..., 0, 2] = 2.0 * (x * z + w * y)
-    R[..., 1, 0] = 2.0 * (x * y + w * z)
-    R[..., 1, 1] = 1.0 - 2.0 * (x * x + z * z)
-    R[..., 1, 2] = 2.0 * (y * z - w * x)
-    R[..., 2, 0] = 2.0 * (x * z - w * y)
-    R[..., 2, 1] = 2.0 * (y * z + w * x)
-    R[..., 2, 2] = 1.0 - 2.0 * (x * x + y * y)
+    R[..., 0, 0] = 1.0 - 2.0 * (yy + zz)
+    R[..., 0, 1] = 2.0 * (xy - wz)
+    R[..., 0, 2] = 2.0 * (xz + wy)
+    R[..., 1, 0] = 2.0 * (xy + wz)
+    R[..., 1, 1] = 1.0 - 2.0 * (xx + zz)
+    R[..., 1, 2] = 2.0 * (yz - wx)
+    R[..., 2, 0] = 2.0 * (xz - wy)
+    R[..., 2, 1] = 2.0 * (yz + wx)
+    R[..., 2, 2] = 1.0 - 2.0 * (xx + yy)
     return R
 
 
@@ -228,22 +213,21 @@ def quat_from_matrix(R: np.ndarray) -> np.ndarray:
     Rf = R.reshape((-1, 3, 3))
     n = Rf.shape[0]
     q = np.empty((n, 4))
-    tr = np.trace(Rf, axis1=-2, axis2=-1)
+    diag = np.diagonal(Rf, axis1=1, axis2=2)
+    tr = np.add.reduce(diag, axis=1)
     # pick the numerically largest of the four square roots per matrix
-    cand = np.stack([tr, Rf[:, 0, 0], Rf[:, 1, 1], Rf[:, 2, 2]], axis=-1)
-    case = np.argmax(cand, axis=-1)
+    case = np.argmax(np.concatenate((tr[:, None], diag), axis=1), axis=1)
 
-    m = case == 0
-    if m.any():
-        s = 2.0 * np.sqrt(1.0 + tr[m])
-        q[m, 0] = 0.25 * s
-        q[m, 1] = (Rf[m, 2, 1] - Rf[m, 1, 2]) / s
-        q[m, 2] = (Rf[m, 0, 2] - Rf[m, 2, 0]) / s
-        q[m, 3] = (Rf[m, 1, 0] - Rf[m, 0, 1]) / s
-    for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+    m, rest = case == 0, ((1, 2), (2, 0), (0, 1))
+    if m.all():  # the common case: plain slices read what the masks would
+        m, rest = slice(None), ()
+    s = 2.0 * np.sqrt(1.0 + tr[m])
+    q[m, 0] = 0.25 * s
+    q[m, 1] = (Rf[m, 2, 1] - Rf[m, 1, 2]) / s
+    q[m, 2] = (Rf[m, 0, 2] - Rf[m, 2, 0]) / s
+    q[m, 3] = (Rf[m, 1, 0] - Rf[m, 0, 1]) / s
+    for i, (j, k) in enumerate(rest):
         m = case == i + 1
-        if not m.any():
-            continue
         s = 2.0 * np.sqrt(1.0 + Rf[m, i, i] - Rf[m, j, j] - Rf[m, k, k])
         q[m, 0] = (Rf[m, k, j] - Rf[m, j, k]) / s
         q[m, 1 + i] = 0.25 * s
@@ -260,7 +244,7 @@ def rotvec_from_quat(q: np.ndarray) -> np.ndarray:
     q = q * np.where(q[..., :1] < 0.0, -1.0, 1.0)
     w = q[..., 0]
     v = q[..., 1:]
-    s = np.linalg.norm(v, axis=-1)
+    s = _norm(v)
     angle = 2.0 * np.arctan2(s, w)
     if np.any(angle > np.pi - PI_MARGIN):
         raise ValueError("rotation angle too close to pi for a rotation vector")
@@ -283,7 +267,7 @@ def rotvec_from_quat_continuous(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q = np.asarray(q, dtype=float)
     w = q[..., 0]
     v = q[..., 1:]
-    s = np.linalg.norm(v, axis=-1)
+    s = _norm(v)
     angle = 2.0 * np.arctan2(s, w)
     small = s < 1.0e-8
     ss = np.where(small, 1.0, s)

@@ -121,24 +121,33 @@ def apply_end_blocks(blocks, inc, i) -> np.ndarray:
             + blocks[1] @ np.concatenate([inc[1][i], inc[4][i]]))
 
 
+def unloaded_section(state, law, h):
+    """``section_state`` of ``state`` at step h without distributed loads."""
+    return section_state(state, law, h, *np.zeros((2, state.n, 3)))
+
+
 def force_residual(state, law, n_dist, h):
-    """``residual_force`` on the section state of ``state`` at step h."""
-    return residual_force(state, law, section_state(state, law, h), n_dist)
+    """``residual_force`` on the section state of ``state`` at step h under
+    the distributed force ``n_dist``, which is all it reads of the loads."""
+    return residual_force(state, law, section_state(
+        state, law, h, n_dist, np.zeros_like(n_dist)))
 
 
 def moment_residual(state, law, m_dist, h):
-    """``residual_moment`` on the section state of ``state`` at step h."""
-    return residual_moment(state, law, section_state(state, law, h), m_dist)
+    """``residual_moment`` on the section state of ``state`` at step h under
+    the distributed moment ``m_dist``, which is all it reads of the loads."""
+    return residual_moment(state, law, section_state(
+        state, law, h, np.zeros_like(m_dist), m_dist))
 
 
-def fd_tangent_blocks_force(state, law, sec, n_dist, h):
+def fd_tangent_blocks_force(state, law, sec, h):
     """Drop-in finite-difference oracle for ``tangent_blocks_force``."""
-    return fd_tangent(force_residual, state, law, n_dist, h)
+    return fd_tangent(force_residual, state, law, sec.n_dist, h)
 
 
-def fd_tangent_blocks_moment(state, law, sec, m_dist, h):
+def fd_tangent_blocks_moment(state, law, sec, h):
     """Drop-in finite-difference oracle for ``tangent_blocks_moment``."""
-    return fd_tangent(moment_residual, state, law, m_dist, h)
+    return fd_tangent(moment_residual, state, law, sec.m_dist, h)
 
 
 def linearize_viscous(h: float, taus) -> np.ndarray:
@@ -179,7 +188,7 @@ def one_end(kernel, state, law, h, i, *args):
     """A stacked end kernel on the section state of ``state`` at step h at
     the one point ``i``, given the load and the outward sign of that end (a
     vector and a scalar) and returning its vector and blocks at that end."""
-    out = kernel(state, section_state(state, law, h), np.array([i]),
+    out = kernel(state, unloaded_section(state, law, h), np.array([i]),
                  *(np.asarray(x, dtype=float)[None] for x in args))
     return tuple(x[0] for x in out)
 
@@ -406,3 +415,107 @@ def assert_bitwise(actual, expected):
     assert actual.shape == expected.shape
     assert actual.dtype == expected.dtype
     assert actual.tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Bitwise oracles of the rotation maps: the one-map-at-a-time evaluations
+# that ``so3.increment_maps`` shares its angle, skew matrix and sine and
+# cosine among, and ``so3.quat_from_matrix`` with masked gathers on every
+# branch.
+# ---------------------------------------------------------------------------
+
+def _oracle_coeffs_exp(x: np.ndarray):
+    """sin(x)/x and (1-cos(x))/x^2 with series branches."""
+    small = x < so3.SERIES_ANGLE
+    xs = np.where(small, 1.0, x)
+    x2 = x * x
+    c1 = np.where(small, 1.0 - x2 / 6.0 + x2 * x2 / 120.0, np.sin(xs) / xs)
+    c2 = np.where(small, 0.5 - x2 / 24.0 + x2 * x2 / 720.0,
+                  (1.0 - np.cos(xs)) / (xs * xs))
+    return c1, c2
+
+
+def oracle_exp_so3(theta: np.ndarray) -> np.ndarray:
+    """Exponential map, rotation vector (..., 3) -> matrix (..., 3, 3)."""
+    theta = np.asarray(theta, dtype=float)
+    x = np.linalg.norm(theta, axis=-1)
+    c1, c2 = _oracle_coeffs_exp(x)
+    th = so3.skew(theta)
+    th2 = th @ th
+    return np.eye(3) + c1[..., None, None] * th + c2[..., None, None] * th2
+
+
+def oracle_tangent_map(theta: np.ndarray) -> np.ndarray:
+    """Right tangent map T(theta), shape (..., 3, 3)."""
+    theta = np.asarray(theta, dtype=float)
+    x = np.linalg.norm(theta, axis=-1)
+    small = x < so3.SERIES_ANGLE
+    xs = np.where(small, 1.0, x)
+    x2 = x * x
+    # a = (1 - cos x)/x^2,  b = (x - sin x)/x^3
+    a = np.where(small, 0.5 - x2 / 24.0 + x2 * x2 / 720.0,
+                 (1.0 - np.cos(xs)) / (xs * xs))
+    b = np.where(small, 1.0 / 6.0 - x2 / 120.0 + x2 * x2 / 5040.0,
+                 (xs - np.sin(xs)) / (xs * xs * xs))
+    th = so3.skew(theta)
+    return np.eye(3) - a[..., None, None] * th + b[..., None, None] * (th @ th)
+
+
+def oracle_dtangent_map(theta: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Directional derivative of the right tangent map, d/de T(theta + e*w)|_0."""
+    theta = np.asarray(theta, dtype=float)
+    w = np.asarray(w, dtype=float)
+    x = np.linalg.norm(theta, axis=-1)
+    small = x < so3._DSERIES_ANGLE
+    xs = np.where(small, 1.0, x)
+    x2 = x * x
+    x4 = x2 * x2
+    sx, cx = np.sin(xs), np.cos(xs)
+    a = np.where(small, 0.5 - x2 / 24.0 + x4 / 720.0, (1.0 - cx) / (xs * xs))
+    b = np.where(small, 1.0 / 6.0 - x2 / 120.0 + x4 / 5040.0,
+                 (xs - sx) / (xs ** 3))
+    # da/dx / x and db/dx / x (regular at x = 0)
+    dax = np.where(small, -1.0 / 12.0 + x2 / 180.0 - x4 / 6720.0,
+                   (xs * sx - 2.0 * (1.0 - cx)) / (xs ** 4))
+    dbx = np.where(small, -1.0 / 60.0 + x2 / 1260.0 - x4 / 60480.0,
+                   (xs * (1.0 - cx) - 3.0 * (xs - sx)) / (xs ** 5))
+    tw = np.sum(theta * w, axis=-1)[..., None, None]
+    th, wt = so3.skew(theta), so3.skew(w)
+    th2 = th @ th
+    return (-dax[..., None, None] * tw * th
+            - a[..., None, None] * wt
+            + dbx[..., None, None] * tw * th2
+            + b[..., None, None] * (wt @ th + th @ wt))
+
+
+def oracle_quat_from_matrix(R: np.ndarray) -> np.ndarray:
+    """Unit quaternion of a rotation matrix, Shepperd's method."""
+    R = np.asarray(R, dtype=float)
+    batch = R.shape[:-2]
+    Rf = R.reshape((-1, 3, 3))
+    n = Rf.shape[0]
+    q = np.empty((n, 4))
+    tr = np.trace(Rf, axis1=-2, axis2=-1)
+    # pick the numerically largest of the four square roots per matrix
+    cand = np.stack([tr, Rf[:, 0, 0], Rf[:, 1, 1], Rf[:, 2, 2]], axis=-1)
+    case = np.argmax(cand, axis=-1)
+
+    m = case == 0
+    if m.any():
+        s = 2.0 * np.sqrt(1.0 + tr[m])
+        q[m, 0] = 0.25 * s
+        q[m, 1] = (Rf[m, 2, 1] - Rf[m, 1, 2]) / s
+        q[m, 2] = (Rf[m, 0, 2] - Rf[m, 2, 0]) / s
+        q[m, 3] = (Rf[m, 1, 0] - Rf[m, 0, 1]) / s
+    for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+        m = case == i + 1
+        if not m.any():
+            continue
+        s = 2.0 * np.sqrt(1.0 + Rf[m, i, i] - Rf[m, j, j] - Rf[m, k, k])
+        q[m, 0] = (Rf[m, k, j] - Rf[m, j, k]) / s
+        q[m, 1 + i] = 0.25 * s
+        q[m, 1 + j] = (Rf[m, j, i] + Rf[m, i, j]) / s
+        q[m, 1 + k] = (Rf[m, k, i] + Rf[m, i, k]) / s
+    # canonical sign: nonnegative scalar part
+    q *= np.where(q[:, :1] < 0.0, -1.0, 1.0)
+    return so3.quat_normalize(q).reshape(batch + (4,))

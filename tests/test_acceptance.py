@@ -140,9 +140,9 @@ class TestCriterion4:
         eps = 1e-6
         n = 100
         st = random_state(law, n, self.H, rng)
-        sec = section_state(st, law, self.H)
         n_dist = rng.normal(size=(n, 3))
         m_dist = rng.normal(size=(n, 3))
+        sec = section_state(st, law, self.H, n_dist, m_dist)
         inc = [rng.normal(size=(n, 3)) for _ in range(6)]
 
         def perturbed(sgn):
@@ -156,9 +156,9 @@ class TestCriterion4:
         fd_V = (moment_residual(sp, law, m_dist, self.H)
                 - moment_residual(sm, law, m_dist, self.H)) / (2 * eps)
         err_F = relative_error(fd_F, apply_blocks(
-            tangent_blocks_force(st, law, sec, n_dist, self.H), *inc))
+            tangent_blocks_force(st, law, sec, self.H), *inc))
         err_V = relative_error(fd_V, apply_blocks(
-            tangent_blocks_moment(st, law, sec, m_dist, self.H), *inc))
+            tangent_blocks_moment(st, law, sec, self.H), *inc))
         # boundary rows on the same batch of states
         worst_bc = 0.0
         for i in (0, n - 1):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from gebvisc import assembly
-from gebvisc.assembly import NewtonSettings, Simulation, time_march
+from gebvisc.assembly import (NewtonSettings, Simulation, step_count,
+                              time_march)
 from gebvisc.beam_residual import kin
 from gebvisc.integrator import StepFailure, begin_step
 from gebvisc.model import (BeamModel, DistributedLoad, EndLoad, Joint,
@@ -82,7 +83,8 @@ def row_kinds_system(h=1e-3):
 def predictor_system(sim, steps, h):
     """March ``steps`` steps of h and return the equilibrated (A, rhs) at
     the predictor of the next one."""
-    time_march(sim, steps * h, h)
+    if steps:
+        time_march(sim, steps * h, h)
     for rt in sim.stacks:
         begin_step(rt.state, rt.law, h)
     return sim.assemble(h, sim.t + h)
@@ -245,6 +247,17 @@ class TestStacking:
         assert calls == dict.fromkeys(
             ["kin", "effective_stiffness", "force_history", "couple_history"],
             len(sim.stacks))
+
+    @pytest.mark.parametrize("model", ["lattice", "two_law"])
+    def test_skew_calls_per_law_stack(self, model, monkeypatch):
+        # the section pass makes every skew matrix the kernels read in one
+        # call per stack; only the Neumann rows skew their end loads apart
+        from gebvisc import so3
+        sim = self.stacked_sim(model)
+        calls, counted = self.counter(monkeypatch)
+        counted(so3, "skew")
+        sim.assemble(5e-3, 5e-3)
+        assert len(sim.stacks) <= calls["skew"] <= 3 * len(sim.stacks)
 
 
 class TestRowKinds:
@@ -720,6 +733,25 @@ class TestJoints:
         Qa = sa.R[ja] @ sim.runtimes[0].patch.frames.R0[-1].T
         Qb = sb.R[jb] @ sim.runtimes[1].patch.frames.R0[0].T
         assert np.abs(Qa - Qb).max() < 1e-9
+
+
+class TestTimeMarch:
+    @pytest.mark.parametrize("t_end", [0.0124, 0.002, 0.0, -0.01])
+    def test_span_not_whole_steps_rejected(self, t_end):
+        # an end time between steps, before the first step or at the start
+        # is an error, not a march that ends at another time
+        sim = Simulation(pendulum_model(n=8, degree=2, probes=False))
+        with pytest.raises(ValueError, match="whole number of steps"):
+            time_march(sim, t_end, 5e-3)
+        assert sim.t == 0.0 and sim.total_iterations == 0
+
+    def test_rounded_span_accepted(self):
+        # 0.3 / 0.1 is 2.9999999999999996 in floating point
+        assert step_count(0.3, 0.1) == 3
+        assert step_count(10_000 * 2e-4, 2e-4) == 10_000
+        sim = Simulation(pendulum_model(n=8, degree=2, probes=False))
+        time_march(sim, 0.01, 5e-3)
+        assert len(time_march(sim, 0.02, 5e-3).times) == 3
 
 
 class TestStepControl:

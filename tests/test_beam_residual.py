@@ -18,7 +18,8 @@ from gebvisc.viscoelastic import (SectionGeometry, build_section_law,
 
 from helpers import (apply_blocks, apply_end_blocks, force_residual,
                      moment_residual, one_end, random_state, relative_error,
-                     straight_frames, superpose_rotation, unit_law)
+                     straight_frames, superpose_rotation, unit_law,
+                     unloaded_section)
 
 H = 0.02
 
@@ -121,9 +122,9 @@ class TestTangentFiniteDifference:
                 - force_residual(sm, law, n_dist, H)) / (2 * eps)
         fd_V = (moment_residual(sp, law, m_dist, H)
                 - moment_residual(sm, law, m_dist, H)) / (2 * eps)
-        sec = section_state(st, law, H)
-        bf = tangent_blocks_force(st, law, sec, n_dist, H)
-        bm = tangent_blocks_moment(st, law, sec, m_dist, H)
+        sec = section_state(st, law, H, n_dist, m_dist)
+        bf = tangent_blocks_force(st, law, sec, H)
+        bm = tangent_blocks_moment(st, law, sec, H)
         return (relative_error(fd_F, apply_blocks(bf, *inc)),
                 relative_error(fd_V, apply_blocks(bm, *inc)), bf, bm)
 
@@ -150,7 +151,7 @@ class TestTangentFiniteDifference:
         # and dTheta,s; every other block is exactly zero
         rng = np.random.default_rng(9)
         st = random_state(law, 10, H, rng)
-        sec = section_state(st, law, H)
+        sec = unloaded_section(st, law, H)
         pts = np.arange(10)
         sign = np.where(pts % 2, 1.0, -1.0)
         loads = rng.normal(size=(10, 3))
@@ -172,10 +173,9 @@ class TestTangentFiniteDifference:
         law = unit_law()
         st = CollocationState(straight_frames(4), law)
         CN, CM = bars(law)
-        z = np.zeros((4, 3))
-        sec = section_state(st, law, H)
-        bf = tangent_blocks_force(st, law, sec, z, H)
-        bm = tangent_blocks_moment(st, law, sec, z, H)
+        sec = unloaded_section(st, law, H)
+        bf = tangent_blocks_force(st, law, sec, H)
+        bm = tangent_blocks_moment(st, law, sec, H)
         R0T = np.swapaxes(st.R0, -1, -2)
         np.testing.assert_allclose(bf[:, 0, 2], CN[None, :, None] * R0T, atol=1e-15)
         np.testing.assert_allclose(bf[:, 0, 0], -(4 / H ** 2) * law.mu * R0T,
@@ -196,14 +196,13 @@ class TestTangentFiniteDifference:
         rng = np.random.default_rng(10)
         law = unit_law()
         st = random_state(law, 8, H, rng)
-        z = np.zeros((8, 3))
-        bf = tangent_blocks_force(st, law, section_state(st, law, H), z, H)
+        bf = tangent_blocks_force(st, law, unloaded_section(st, law, H), H)
         st2 = st.copy()
         st2.visc.beta_G[:] = 0.0
         st2.visc.beta_K[:] = 0.0
         st2.visc.beta_G_s[:] = 0.0
         st2.visc.beta_K_s[:] = 0.0
-        bf2 = tangent_blocks_force(st2, law, section_state(st2, law, H), z, H)
+        bf2 = tangent_blocks_force(st2, law, unloaded_section(st2, law, H), H)
         # identical except for the beta-driven skew terms in t / ts
         np.testing.assert_array_equal(bf[:, 0, 0], bf2[:, 0, 0])
         np.testing.assert_array_equal(bf[:, 0, 1], bf2[:, 0, 1])
@@ -254,7 +253,7 @@ class TestBoundaryRows:
                         rt.pts[1].start, rt.pts[0].stop - 1])
         sign = np.array([1.0, -1.0, -1.0, 1.0])
         loads = np.random.default_rng(14).normal(size=(2, 4, 3))
-        sec = section_state(st, law, h)
+        sec = unloaded_section(st, law, h)
         for kernel, args in ((neumann_force_row, (loads[0], sign)),
                              (neumann_moment_row, (loads[1], sign)),
                              (end_force_spatial, (sign,)),

@@ -163,13 +163,21 @@ class TestCliCommands:
         (["custom"], {"h": 0.0, "T": 5e-3}),
         (["custom"], {"h": 5e-3, "T": -1.0}),
         (["custom"], {"h": float("inf"), "T": 5e-3}),
-        (["custom"], {"h": "5e-3", "T": 5e-3})],
+        (["custom"], {"h": "5e-3", "T": 5e-3}),
+        (["pendulum", "--T", "0.0124"], None),
+        (["pendulum", "--T", "0.002"], None),
+        (["pendulum", "--h", "0.003", "--T", "0.01"], None),
+        (["custom", "--T", "0.0124"], None),
+        (["custom"], {"h": 5e-3, "T": 0.0124})],
         ids=["h_zero", "h_negative", "T_negative", "T_zero", "h_nan", "T_inf",
              "custom_h_zero", "custom_T_nan", "config_h_zero",
-             "config_T_negative", "config_h_inf", "config_h_text"])
+             "config_T_negative", "config_h_inf", "config_h_text",
+             "T_between_steps", "T_below_h", "h_not_dividing_T",
+             "custom_T_between_steps", "config_T_between_steps"])
     def test_invalid_time_rejected(self, tmp_path, capsys, argv, time):
-        # a time step or end time that is not a finite number > 0 is found
-        # before any output, whether a flag or the configuration sets it
+        # a time step or end time that is not a finite number > 0, or an
+        # end time that is not a whole number of steps, is found before any
+        # output, whether a flag or the configuration sets it
         if argv[0] == "custom":
             cfg = self.short_config({})
             cfg["time"] = time or cfg["time"]
@@ -183,9 +191,11 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("change", [{"h": 0}, {"h": -5e-3},
                                         {"t_eval": float("nan")},
-                                        {"t_eval": 0.0}],
+                                        {"t_eval": 0.0}, {"t_eval": 0.0124},
+                                        {"h": 0.03}],
                              ids=["h_zero", "h_negative", "t_eval_nan",
-                                  "t_eval_zero"])
+                                  "t_eval_zero", "t_eval_between_steps",
+                                  "h_not_dividing_t_eval"])
     def test_invalid_study_time_rejected(self, tmp_path, capsys, change):
         study = {"scenario": "pendulum", "pairs": [[2, 8]],
                  "reference": [4, 40], "t_eval": 0.05, "h": 5e-3, **change}

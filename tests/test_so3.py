@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from gebvisc import so3
-from helpers import compose_rotvec, is_rotation
+from helpers import (assert_bitwise, compose_rotvec, is_rotation,
+                     oracle_dtangent_map, oracle_exp_so3,
+                     oracle_quat_from_matrix, oracle_tangent_map)
 
 
 def random_rotvecs(rng, n, max_angle=np.pi - 0.05):
@@ -10,6 +12,12 @@ def random_rotvecs(rng, n, max_angle=np.pi - 0.05):
     axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
     angle = rng.uniform(0.0, max_angle, size=(n, 1))
     return axis * angle
+
+
+def tangent_map(theta):
+    """T(theta) of ``so3.increment_maps``."""
+    theta = np.asarray(theta, dtype=float)
+    return so3.increment_maps(theta, np.zeros_like(theta))[1]
 
 
 def matrix_exp_series(theta, terms=20):
@@ -128,7 +136,7 @@ class TestExpLog:
 
 class TestTangentMap:
     def test_identity_at_zero(self):
-        np.testing.assert_array_equal(so3.tangent_map(np.zeros(3)), np.eye(3))
+        np.testing.assert_array_equal(tangent_map(np.zeros(3)), np.eye(3))
         np.testing.assert_array_equal(so3.tangent_map_inverse(np.zeros(3)),
                                       np.eye(3))
 
@@ -136,12 +144,12 @@ class TestTangentMap:
         rng = np.random.default_rng(8)
         th = random_rotvecs(rng, 30)
         np.testing.assert_allclose(
-            np.einsum("nij,nj->ni", so3.tangent_map(th), th), th, atol=1e-12)
+            np.einsum("nij,nj->ni", tangent_map(th), th), th, atol=1e-12)
 
     def test_inverse_property(self):
         rng = np.random.default_rng(9)
         th = random_rotvecs(rng, 100, max_angle=2 * np.pi - 0.1)
-        prod = so3.tangent_map(th) @ so3.tangent_map_inverse(th)
+        prod = tangent_map(th) @ so3.tangent_map_inverse(th)
         np.testing.assert_allclose(prod, np.broadcast_to(np.eye(3), prod.shape),
                                    atol=1e-10)
 
@@ -156,7 +164,7 @@ class TestTangentMap:
         th = random_rotvecs(rng, 100, max_angle=np.pi - 0.2)
         v = rng.normal(size=(100, 3))
         fd = (so3.exp_so3(th + eps * v) - so3.exp_so3(th - eps * v)) / (2 * eps)
-        Tv = np.einsum("nij,nj->ni", so3.tangent_map(th), v)
+        Tv = np.einsum("nij,nj->ni", tangent_map(th), v)
         exact = so3.exp_so3(th) @ so3.skew(Tv)
         assert np.abs(fd - exact).max() < 1e-7
 
@@ -166,7 +174,7 @@ class TestTangentMap:
             th = np.array([x, 0.4 * x, -0.2 * x])
             th = th / np.linalg.norm(th) * x
             np.testing.assert_allclose(
-                so3.tangent_map(th) @ so3.tangent_map_inverse(th),
+                tangent_map(th) @ so3.tangent_map_inverse(th),
                 np.eye(3), atol=1e-12)
             np.testing.assert_allclose(so3.exp_so3(th).T @ so3.exp_so3(th),
                                        np.eye(3), atol=1e-15)
@@ -183,12 +191,68 @@ class TestTangentMap:
                                  rng.uniform(0.0, 4e-5, size=10)])
         th = axes * angles[:, None]
         w = rng.normal(size=(60, 3))
-        fd = (so3.tangent_map(th + eps * w) - so3.tangent_map(th - eps * w)) / (2 * eps)
-        exact = so3.dtangent_map(th, w)
+        fd = (tangent_map(th + eps * w) - tangent_map(th - eps * w)) / (2 * eps)
+        exact = so3.increment_maps(th, w)[2]
         assert np.abs(fd - exact).max() < 1e-7
 
 
+class TestIncrementMaps:
+    # on both sides of the series branch points, the points themselves and
+    # one ulp either side of them included
+    ANGLES = [0.0, 5e-5, np.nextafter(so3.SERIES_ANGLE, 0.0), so3.SERIES_ANGLE,
+              np.nextafter(so3.SERIES_ANGLE, 1.0), 5e-3,
+              np.nextafter(so3._DSERIES_ANGLE, 0.0), so3._DSERIES_ANGLE,
+              np.nextafter(so3._DSERIES_ANGLE, 1.0), 0.5, 3.0]
+
+    def test_bitwise_against_one_map_evaluations(self):
+        # the shared angle, skew matrix and sine and cosine give each map
+        # the bits of its own evaluation; along a coordinate axis the angle
+        # is exactly the one listed
+        rng = np.random.default_rng(15)
+        angles = np.array(self.ANGLES)
+        axes = rng.normal(size=(len(angles), 3))
+        axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+        th = np.concatenate([np.eye(3)[k] * angles[:, None] for k in range(3)]
+                            + [axes * angles[:, None]])
+        w = rng.normal(size=th.shape)
+        E, T, dT = so3.increment_maps(th, w)
+        assert_bitwise(E, oracle_exp_so3(th))
+        assert_bitwise(T, oracle_tangent_map(th))
+        assert_bitwise(dT, oracle_dtangent_map(th, w))
+        assert_bitwise(so3.exp_so3(th), oracle_exp_so3(th))
+
+    def test_single_vector(self):
+        th, w = np.array([0.3, -0.2, 0.1]), np.array([1.0, 2.0, -0.5])
+        for got, want in zip(so3.increment_maps(th, w),
+                             (oracle_exp_so3(th), oracle_tangent_map(th),
+                              oracle_dtangent_map(th, w))):
+            assert_bitwise(got, want)
+
+
 class TestQuaternions:
+    def test_trace_branch_batch_bitwise(self):
+        # below pi/2 every matrix takes the trace branch, read through
+        # plain slices; the masked gathers give the same bits, alone and
+        # within a batch that also takes another branch
+        rng = np.random.default_rng(16)
+        R = so3.exp_so3(random_rotvecs(rng, 40, max_angle=0.5 * np.pi))
+        q = so3.quat_from_matrix(R)
+        assert_bitwise(q, oracle_quat_from_matrix(R))
+        mixed = np.concatenate([R, so3.exp_so3([[3.0, 0.0, 0.0]])])
+        qm = so3.quat_from_matrix(mixed)
+        assert_bitwise(qm[:-1], q)
+        assert_bitwise(qm, oracle_quat_from_matrix(mixed))
+
+    def test_mixed_branch_batch_bitwise(self):
+        rng = np.random.default_rng(17)
+        R = so3.exp_so3(random_rotvecs(rng, 200, max_angle=np.pi - 0.01))
+        cand = np.stack([np.trace(R, axis1=-2, axis2=-1), R[:, 0, 0],
+                         R[:, 1, 1], R[:, 2, 2]], axis=-1)
+        assert set(np.argmax(cand, axis=-1)) == {0, 1, 2, 3}
+        assert_bitwise(so3.quat_from_matrix(R), oracle_quat_from_matrix(R))
+        assert_bitwise(so3.quat_from_matrix(R.reshape(10, 20, 3, 3)),
+                       oracle_quat_from_matrix(R).reshape(10, 20, 4))
+
     def test_matrix_round_trip(self):
         rng = np.random.default_rng(12)
         th = random_rotvecs(rng, 200, max_angle=np.pi - 0.01)
