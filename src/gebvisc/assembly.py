@@ -83,7 +83,6 @@ class NewtonSettings:
 @dataclass
 class NewtonReport:
     converged: bool
-    iterations: int
     residual_norms: list = field(default_factory=list)
 
 
@@ -670,7 +669,7 @@ class Simulation:
         updates.  An iteration is counted before its update, so one that the
         pi guard of ``apply_increment`` stops with ``StepFailure`` counts."""
         s = self.settings
-        report = NewtonReport(converged=False, iterations=0)
+        report = NewtonReport(converged=False)
         grow = 0
         for it in range(s.max_iterations + 1):
             A, rhs = self.assemble(h, t_next)
@@ -692,7 +691,6 @@ class Simulation:
                 break
             delta = self._solve(A, rhs)
             inc_norm = np.abs(delta).max()
-            report.iterations = it + 1
             self.total_iterations += 1
             acc = 1.0
             d = delta.reshape(-1, 6)

@@ -98,15 +98,16 @@ def _rowscale(d: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 def kin(state: CollocationState):
-    """Kinematic quantities at every point: R^T, y = R^T c,_s, and the strain
-    measures Gam = y - R0^T c0,_s, Gam,_s, Kap = K - K0 and Kap,_s, read by
-    the section pass and by the step begin and commit."""
+    """Kinematic quantities at every point: R^T, y = R^T c,_s, the strain
+    measures Gam = y - R0^T c0,_s, Gam,_s, Kap = K - K0 and Kap,_s, then
+    K x y and R^T c,_ss, read by the section pass and (the strains) by the
+    step begin and commit."""
     RT = np.swapaxes(state.R, -1, -2)
     y = np.einsum("nij,nj->ni", RT, state.c_s)
-    Gam_s = (-so3.cross(state.K, y)
-             + np.einsum("nij,nj->ni", RT, state.c_ss) - state.Gref_s)
-    return (RT, y, y - state.Gref, Gam_s, state.K - state.K0,
-            state.K_s - state.K0_s)
+    Ky = so3.cross(state.K, y)
+    RTc_ss = np.einsum("nij,nj->ni", RT, state.c_ss)
+    return (RT, y, y - state.Gref, -Ky + RTc_ss - state.Gref_s,
+            state.K - state.K0, state.K_s - state.K0_s, Ky, RTc_ss)
 
 
 #: skew matrices (n, 3, 3) of the vectors the kernels cross with
@@ -115,12 +116,12 @@ Skews = namedtuple("Skews", "K y zF zM K_s W JW RTc_ss Ky rn rm Theta")
 #: what every kernel reads of a law stack's section at a step size and
 #: loads: R^T and y of ``kin``, Gam,_s and Kap,_s, the effective stresses
 #: zF = CN_bar Gam - SbG and zM = CM_bar Kap - SbK with SbG, SbK the Maxwell
-#: history sums, their ,s sums, the effective diagonals, the distributed
-#: loads, the material loads rn = R^T (n_dist - mu a) and rm = R^T m_dist,
+#: history sums, their ,s sums, the effective diagonals, the material loads
+#: rn = R^T (n_dist - mu a) and rm = R^T m_dist of the distributed loads,
 #: J W and the ``Skews``
 SectionState = namedtuple(
     "SectionState", "RT y Gam_s Kap_s zF zM SbG_s SbK_s CN_bar CM_bar "
-                    "n_dist m_dist rn rm JW skew")
+                    "rn rm JW skew")
 
 
 def section_state(state: CollocationState, law: SectionLaw, h: float,
@@ -128,7 +129,7 @@ def section_state(state: CollocationState, law: SectionLaw, h: float,
     """The section pass of the stack under the spatial distributed force
     and moment ``n_dist`` and ``m_dist`` (n, 3), evaluated once per
     assembly; one ``so3.skew`` call makes all the ``Skews``."""
-    RT, y, Gam, Gam_s, Kap, Kap_s = kin(state)
+    RT, y, Gam, Gam_s, Kap, Kap_s, Ky, RTc_ss = kin(state)
     SbG, SbG_s = state.visc.force_history(law)
     SbK, SbK_s = state.visc.couple_history(law)
     CN_bar, CM_bar = effective_stiffness(law, h)
@@ -136,12 +137,11 @@ def section_state(state: CollocationState, law: SectionLaw, h: float,
     JW = law.inertia * state.W
     rn = np.einsum("nij,nj->ni", RT, n_dist - law.mu * state.a)
     rm = np.einsum("nij,nj->ni", RT, m_dist)
-    vectors = (state.K, y, zF, zM, state.K_s, state.W, JW,
-               np.einsum("nij,nj->ni", RT, state.c_ss),
-               so3.cross(state.K, y), rn, rm, state.Theta)
+    vectors = (state.K, y, zF, zM, state.K_s, state.W, JW, RTc_ss, Ky, rn,
+               rm, state.Theta)
     skews = so3.skew(np.concatenate(vectors).reshape(len(vectors), -1, 3))
     return SectionState(RT, y, Gam_s, Kap_s, zF, zM, SbG_s, SbK_s, CN_bar,
-                        CM_bar, n_dist, m_dist, rn, rm, JW, Skews(*skews))
+                        CM_bar, rn, rm, JW, Skews(*skews))
 
 
 def residual_force(state: CollocationState, law: SectionLaw,

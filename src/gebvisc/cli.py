@@ -195,18 +195,17 @@ def run_convergence(study: dict, out_dir=None):
 
 
 def fit_preplateau_slope(ns: np.ndarray, errs: np.ndarray,
-                         plateau_factor: float = 50.0,
                          floor: float | None = None) -> float:
     """Log-log slope of error vs n restricted to points above the plateau.
 
     The plateau floor is the smallest error in the sweep: ``floor`` when the
     caller fits one family of a multi-family sweep, else the smallest of
-    ``errs``.  Points within ``plateau_factor`` of it are excluded from the
+    ``errs``.  Points within a factor of 50 of it are excluded from the
     fit (they sit on the time-error / solver-tolerance floor, not on the
     spatial decay)."""
     if floor is None:
         floor = errs.min()
-    mask = errs > plateau_factor * floor
+    mask = errs > 50.0 * floor
     if mask.sum() < 2:
         mask = np.ones_like(errs, dtype=bool)
     coeff = np.polyfit(np.log(ns[mask]), np.log(errs[mask]), 1)

@@ -75,11 +75,12 @@ class LoadHistory:
 
     def __init__(self, kind: str, value, **params):
         self.kind = kind
+        self._evaluate = _history_kind(kind)[0]
         self.value = np.asarray(value, dtype=float)
         self.params = params
 
     def __call__(self, t: float) -> np.ndarray:
-        return _history_kind(self.kind)[0](self.value, t, **self.params)
+        return self._evaluate(self.value, t, **self.params)
 
     @classmethod
     def constant(cls, value):
@@ -111,17 +112,13 @@ class LoadHistory:
 class Patch:
     """One beam patch: initial curve, section law and collocation data."""
 
-    def __init__(self, curve: NurbsCurve, law: SectionLaw,
-                 oversample: int = 10, min_transport: int | None = None):
+    def __init__(self, curve: NurbsCurve, law: SectionLaw):
         self.curve = curve
         self.law = law
         self.collocation = greville(curve.kv)
         n = len(self.collocation)
-        if min_transport is None:
-            min_transport = max(10 * n, 100)
         self.frames = bishop_frames(curve, self.collocation,
-                                    oversample=oversample,
-                                    min_total=min_transport)
+                                    min_total=max(10 * n, 100))
         p = curve.kv.degree
         self.degree = p
         self.n = n

@@ -25,8 +25,8 @@ def write_history_csv(path, traj: Trajectory) -> None:
             fh.write(",".join(row) + "\r\n")
 
 
-def write_vtk_snapshot(path, sim: Simulation, samples_per_patch: int = 200,
-                       title: str = "beam snapshot") -> None:
+def write_vtk_snapshot(path, sim: Simulation,
+                       samples_per_patch: int = 200) -> None:
     """Legacy ASCII VTK polydata: dense centroid polylines per patch with the
     displacement vector field attached to the points."""
     curves = [sim.sample_curve(k, samples_per_patch)
@@ -36,7 +36,7 @@ def write_vtk_snapshot(path, sim: Simulation, samples_per_patch: int = 200,
     lines = np.arange(len(pts)).reshape(len(curves), samples_per_patch)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(title + "\n")
+        fh.write("beam snapshot\n")
         fh.write("ASCII\nDATASET POLYDATA\n")
         fh.write(f"POINTS {len(pts)} double\n")
         for p in pts:

@@ -58,24 +58,6 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def axial(A: np.ndarray, tol: float = 1.0e-10) -> np.ndarray:
-    """Axial vector of a skew-symmetric matrix.
-
-    Raises
-    ------
-    ValueError
-        If ``A`` deviates from skew symmetry by more than ``tol``.
-    """
-    A = np.asarray(A, dtype=float)
-    asym = np.abs(A + np.swapaxes(A, -1, -2)).max()
-    if asym > tol:
-        raise ValueError(f"matrix is not skew-symmetric (deviation {asym:.3e})")
-    return np.stack(
-        [A[..., 2, 1] - A[..., 1, 2],
-         A[..., 0, 2] - A[..., 2, 0],
-         A[..., 1, 0] - A[..., 0, 1]], axis=-1) * 0.5
-
-
 def _norm(v: np.ndarray, keepdims: bool = False) -> np.ndarray:
     """Euclidean norm over the last axis, with the bits of np.linalg.norm."""
     return np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=keepdims))

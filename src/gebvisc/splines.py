@@ -1,17 +1,15 @@
 """B-spline / NURBS curves: basis evaluation with derivatives, Greville
-abscissae, curve evaluation, arc-length conversion and curve interpolation.
+abscissae, the parametric-to-arc-length chain rule and curve interpolation.
 
 Only what a collocation discretization of a 1D strong form needs: basis values
-and derivatives up to second order at arbitrary parameters in [0, 1], plus the
-parametric-to-arc-length chain rule driven by the initial geometry Jacobian.
+and derivatives up to second order at arbitrary parameters in [0, 1], curves
+evaluated at arrays of them, and the chain rule driven by the initial
+geometry Jacobian.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-#: Jacobians below this are treated as a degenerate parameterization.
-MIN_JACOBIAN = 1.0e-12
 
 
 class KnotVector:
@@ -220,33 +218,11 @@ class NurbsCurve:
     def is_rational(self) -> bool:
         return not np.allclose(self.weights, 1.0)
 
-    def eval(self, u: float, max_deriv: int = 0) -> np.ndarray:
-        """Position and parametric derivatives, shape (max_deriv+1, 3)."""
-        w = self.weights if self.is_rational else None
-        first, R = basis_eval(self.kv, u, max_deriv, w)
-        return R @ self.points[first:first + self.kv.degree + 1]
-
     def eval_many(self, us, max_deriv: int = 0) -> list[np.ndarray]:
         """Evaluate at many parameters; returns [c, c_u, ...] arrays (len(us), 3)."""
         w = self.weights if self.is_rational else None
         mats = basis_matrices(self.kv, us, max_deriv, w)
         return [B @ self.points for B in mats]
-
-    def arc_length(self, a: float | None = None, b: float | None = None,
-                   gauss_order: int = 16) -> float:
-        """Curve length by per-span Gauss quadrature of the Jacobian
-        ``||c,_u||``."""
-        a = self.kv.u_min if a is None else a
-        b = self.kv.u_max if b is None else b
-        xg, wg = np.polynomial.legendre.leggauss(gauss_order)
-        spans = np.unique(np.clip(self.kv.knots, a, b))
-        mid, half = 0.5 * (spans[1:] + spans[:-1]), 0.5 * np.diff(spans)
-        us = (mid[:, None] + half[:, None] * xg).ravel()
-        J = np.linalg.norm(self.eval_many(us, 1)[1], axis=-1)
-        if np.any(J <= MIN_JACOBIAN):
-            raise ValueError("degenerate parameterization at u = "
-                             f"{us[np.argmax(J <= MIN_JACOBIAN)]}")
-        return float(half @ (J.reshape(-1, gauss_order) @ wg))
 
 
 def to_arclength(f_u: np.ndarray, f_uu: np.ndarray, J,

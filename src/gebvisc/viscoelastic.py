@@ -184,11 +184,8 @@ def step_coefficients(law: SectionLaw, h: float):
     cached = law._cache.get(h)
     if cached is None:
         c, d = trapezoidal_coeffs(law.taus, h)
-        if law.n_elements:
-            CN_bar = law.CN0 - (c[:, None] * law.CNv).sum(axis=0)
-            CM_bar = law.CM0 - (c[:, None] * law.CMv).sum(axis=0)
-        else:
-            CN_bar, CM_bar = law.CN0.copy(), law.CM0.copy()
+        CN_bar = law.CN0 - (c[:, None] * law.CNv).sum(axis=0)
+        CM_bar = law.CM0 - (c[:, None] * law.CMv).sum(axis=0)
         cached = _store(law, h, (c[:, None, None, None], d[:, None, None, None],
                                  CN_bar, CM_bar))
     return cached
@@ -332,8 +329,7 @@ def update_viscous_state(law: SectionLaw, state: ViscousState, Gam: np.ndarray,
 
 
 def internal_forces(law: SectionLaw, Gam: np.ndarray, Kap: np.ndarray,
-                    state: ViscousState | None = None
-                    ) -> tuple[np.ndarray, np.ndarray]:
+                    state: ViscousState) -> tuple[np.ndarray, np.ndarray]:
     """Material internal force and couple resultants N, M (n, 3).
 
     The long-term spring acts on the total strain; each branch contributes in
@@ -341,22 +337,15 @@ def internal_forces(law: SectionLaw, Gam: np.ndarray, Kap: np.ndarray,
     form: expanding it would cancel digits when the long-term modulus is
     small against the branch moduli).
     """
-    if state is not None and state.m:
-        # the long-term spring is the last row, so the sum adds it last, to
-        # the branch sum, as in CN_inf * Gam + sum_a CNv_a (Gam - Gam_a);
-        # the ,s channels hold finite leftovers and are multiplied by 0
-        work = state._work
-        S, _, K, _ = state._channels
-        S[...] = Gam
-        K[...] = Kap
-        elastic = state._rows
-        np.subtract(elastic, state.branch, elastic)
-        np.multiply(work, _point_moduli(law, state.n), work)
-        NM = np.add.reduce(work, axis=0)
-        return NM[0], NM[2]
-    N = law.CN_inf * Gam
-    M = law.CM_inf * Kap
-    if law.n_elements:
-        N = N + (law.CNv.sum(axis=0)) * Gam
-        M = M + (law.CMv.sum(axis=0)) * Kap
-    return N, M
+    # the long-term spring is the last row, so the sum adds it last, to the
+    # branch sum, as in CN_inf * Gam + sum_a CNv_a (Gam - Gam_a); the ,s
+    # channels hold finite leftovers and are multiplied by 0
+    work = state._work
+    S, _, K, _ = state._channels
+    S[...] = Gam
+    K[...] = Kap
+    elastic = state._rows
+    np.subtract(elastic, state.branch, elastic)
+    np.multiply(work, _point_moduli(law, state.n), work)
+    NM = np.add.reduce(work, axis=0)
+    return NM[0], NM[2]

@@ -7,7 +7,7 @@ from gebvisc.beam_residual import (CollocationState, residual_force,
                                    residual_moment, section_state)
 from gebvisc.initial_geometry import InitialFrameField, bishop_frames
 from gebvisc.integrator import apply_increment
-from gebvisc.splines import (MIN_JACOBIAN, KnotVector, NurbsCurve, greville,
+from gebvisc.splines import (KnotVector, NurbsCurve, greville,
                              interpolate_curve)
 from gebvisc.viscoelastic import (SectionGeometry, build_section_law,
                                   trapezoidal_coeffs)
@@ -141,13 +141,18 @@ def moment_residual(state, law, m_dist, h):
 
 
 def fd_tangent_blocks_force(state, law, sec, h):
-    """Drop-in finite-difference oracle for ``tangent_blocks_force``."""
-    return fd_tangent(force_residual, state, law, sec.n_dist, h)
+    """Drop-in finite-difference oracle for ``tangent_blocks_force``; the
+    distributed force is recovered from the section's material load
+    rn = R^T (n_dist - mu a)."""
+    n_dist = np.einsum("nij,nj->ni", state.R, sec.rn) + law.mu * state.a
+    return fd_tangent(force_residual, state, law, n_dist, h)
 
 
 def fd_tangent_blocks_moment(state, law, sec, h):
-    """Drop-in finite-difference oracle for ``tangent_blocks_moment``."""
-    return fd_tangent(moment_residual, state, law, sec.m_dist, h)
+    """Drop-in finite-difference oracle for ``tangent_blocks_moment``; the
+    distributed moment is recovered from the material load rm = R^T m_dist."""
+    m_dist = np.einsum("nij,nj->ni", state.R, sec.rm)
+    return fd_tangent(moment_residual, state, law, m_dist, h)
 
 
 def linearize_viscous(h: float, taus) -> np.ndarray:
@@ -239,14 +244,35 @@ def is_rotation(R: np.ndarray, tol: float = 1.0e-12) -> bool:
     return bool(ortho <= tol and det <= tol)
 
 
+def curve_point(curve: NurbsCurve, u: float, max_deriv: int = 0) -> np.ndarray:
+    """Position and parametric derivatives of ``curve`` at the one parameter
+    ``u``, shape (max_deriv + 1, 3)."""
+    return np.concatenate(curve.eval_many([u], max_deriv))
+
+
 def arclength_derivatives(c0: NurbsCurve, u: float) -> tuple[float, float]:
     """Jacobian J(u) = ||c0,_u|| and its parametric derivative J,_u."""
-    d = c0.eval(u, 2)
+    d = curve_point(c0, u, 2)
     J = float(np.linalg.norm(d[1]))
-    if J <= MIN_JACOBIAN:
-        raise ValueError(f"degenerate parameterization at u = {u}")
     J_u = float(np.dot(d[1], d[2]) / J)
     return J, J_u
+
+
+def arc_length(curve: NurbsCurve, gauss_order: int = 16) -> float:
+    """Curve length by per-span Gauss quadrature of the Jacobian ``||c,_u||``."""
+    xg, wg = np.polynomial.legendre.leggauss(gauss_order)
+    spans = np.unique(curve.kv.knots)
+    mid, half = 0.5 * (spans[1:] + spans[:-1]), 0.5 * np.diff(spans)
+    us = (mid[:, None] + half[:, None] * xg).ravel()
+    J = np.linalg.norm(curve.eval_many(us, 1)[1], axis=-1)
+    return float(half @ (J.reshape(-1, gauss_order) @ wg))
+
+
+def axial(A: np.ndarray, tol: float) -> np.ndarray:
+    """Axial vector of a matrix that is skew-symmetric within ``tol``."""
+    assert np.abs(A + np.swapaxes(A, -1, -2)).max() <= tol
+    return np.stack([A[..., 2, 1] - A[..., 1, 2], A[..., 0, 2] - A[..., 2, 0],
+                     A[..., 1, 0] - A[..., 0, 1]], axis=-1) * 0.5
 
 
 def read_history_csv(path):

@@ -7,8 +7,9 @@ from gebvisc.integrator import (StepFailure, apply_increment, begin_step,
                                 commit_step, initialize_accelerations)
 from gebvisc.viscoelastic import internal_forces, trapezoidal_coeffs
 
-from helpers import (force_residual, moment_residual, oracle_tangent_map,
-                     random_state, straight_frames, unit_law)
+from helpers import (axial, force_residual, moment_residual,
+                     oracle_tangent_map, random_state, straight_frames,
+                     unit_law)
 
 H = 0.01
 
@@ -150,9 +151,9 @@ class TestApplyIncrement:
 
         for i, s in enumerate(s_pts):
             dR = (R_new(s + ds_fd) - R_new(s - ds_fd)) / (2 * ds_fd)
-            K_oracle = so3.axial(R_new(s).T @ dR, tol=1e-6)
+            K_oracle = axial(R_new(s).T @ dR, tol=1e-6)
             assert np.abs(st.K[i] - K_oracle).max() < 1e-8
-            Kn = lambda t: so3.axial(
+            Kn = lambda t: axial(
                 R_new(t).T @ (R_new(t + ds_fd) - R_new(t - ds_fd)) / (2 * ds_fd),
                 tol=1e-5)
             Ks_oracle = (Kn(s + ds_fd) - Kn(s - ds_fd)) / (2 * ds_fd)

@@ -9,7 +9,7 @@ from gebvisc.model import (BeamModel, DistributedLoad, EndLoad, Joint,
                            spiral_curve, spivak_curve)
 from gebvisc.splines import KnotVector, NurbsCurve, line_curve
 from gebvisc.viscoelastic import SectionGeometry, build_section_law
-from helpers import (assert_bitwise, oracle_basis_matrices,
+from helpers import (arc_length, assert_bitwise, oracle_basis_matrices,
                      oracle_fit_curvature, oracle_stencils, unit_law)
 
 PLA = [(1.577e8, 0.02), (3.610e7, 0.18), (4.095e8, 17.0), (7.580e8, 117.0),
@@ -85,6 +85,10 @@ class TestLoadHistory:
             LoadHistory("step", [0, 0, 1.0])(0.0)
         with pytest.raises(ValueError, match="unknown load history kind"):
             _history_from_config({"kind": "step", "value": [0, 0, 1.0]})
+
+    def test_unknown_kind_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown load history kind"):
+            LoadHistory("bogus", [0, 0, 1.0])
 
 
 class TestValidation:
@@ -170,7 +174,7 @@ class TestLattice:
         lengths = []
         for psi in (0.0, np.pi / 6, np.pi / 3):
             model = build_lattice(psi, law, cells=3)
-            lengths.append(model.patches[0].curve.arc_length())
+            lengths.append(arc_length(model.patches[0].curve))
         assert lengths[0] < lengths[1] < lengths[2]
         assert lengths[0] == pytest.approx(0.012, rel=1e-9)
 
@@ -301,14 +305,13 @@ class TestConfig:
 class TestAnalyticCurves:
     def test_spivak_endpoints(self):
         c = spivak_curve(degree=4, n=40)
-        np.testing.assert_allclose(c.eval(0.0)[0],
-                                   [-2.0, 0.0, np.exp(-0.25)], atol=1e-12)
-        np.testing.assert_allclose(c.eval(1.0)[0],
-                                   [3.0, np.exp(-1.0 / 9.0), 0.0], atol=1e-12)
+        np.testing.assert_allclose(c.eval_many([0.0, 1.0])[0],
+                                   [[-2.0, 0.0, np.exp(-0.25)],
+                                    [3.0, np.exp(-1.0 / 9.0), 0.0]], atol=1e-12)
 
     def test_spiral_length(self):
         c = spiral_curve(degree=6, n=250, scale=0.01)
-        assert c.arc_length() == pytest.approx(1.5846, abs=2e-4)
+        assert arc_length(c) == pytest.approx(1.5846, abs=2e-4)
 
 
 def lattice_member(i, j, psi, cell_size=0.012):

@@ -28,3 +28,32 @@ def unused_imports(path: pathlib.Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+#: definitions that only callers outside the package use: public entry points
+PUBLIC = {"run_scenario", "set_initial_velocity"}
+
+
+def unreferenced_definitions() -> list[str]:
+    """Functions, classes and methods of the package that no module of it
+    refers to by name, attribute or string constant (the load history
+    kinds are dispatched by name)."""
+    defined, used = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    return [f"{where} {name}" for name, where in defined.items()
+            if name not in used and name not in PUBLIC
+            and not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_every_definition_is_used():
+    assert unreferenced_definitions() == []

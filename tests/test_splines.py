@@ -4,7 +4,7 @@ import pytest
 from gebvisc.splines import (KnotVector, NurbsCurve, basis_eval,
                              basis_eval_many, basis_matrices, greville,
                              interpolate_curve, line_curve, to_arclength)
-from helpers import (arclength_derivatives, assert_bitwise,
+from helpers import (arclength_derivatives, assert_bitwise, curve_point,
                      interpolate_function, oracle_basis_eval,
                      oracle_basis_matrices)
 
@@ -154,16 +154,15 @@ class TestCurve:
     def test_straight_segment_midpoint(self):
         c = NurbsCurve(KnotVector(1, [0, 0, 1, 1]),
                        [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        np.testing.assert_allclose(c.eval(0.5)[0], [1.0, 0.0, 0.0])
+        np.testing.assert_allclose(c.eval_many([0.5])[0], [[1.0, 0.0, 0.0]])
 
     def test_rational_circle_arc(self):
         # quarter circle of radius 1 as a quadratic rational segment
         kv = KnotVector(2, [0, 0, 0, 1, 1, 1])
         c = NurbsCurve(kv, [[1, 0, 0], [1, 1, 0], [0, 1, 0]],
                        weights=[1.0, np.sqrt(0.5), 1.0])
-        for u in np.linspace(0.0, 1.0, 50):
-            r = np.linalg.norm(c.eval(u)[0])
-            assert abs(r - 1.0) < 1e-12
+        r = np.linalg.norm(c.eval_many(np.linspace(0.0, 1.0, 50))[0], axis=1)
+        assert np.abs(r - 1.0).max() < 1e-12
 
     def test_derivatives_vs_finite_difference(self):
         rng = np.random.default_rng(23)
@@ -172,9 +171,10 @@ class TestCurve:
                        weights=rng.uniform(0.5, 2.0, size=9))
         h = 1e-6
         for u in rng.uniform(0.01, 0.99, 20):
-            d = c.eval(u, 2)
-            fd1 = (c.eval(u + h)[0] - c.eval(u - h)[0]) / (2 * h)
-            fd2 = (c.eval(u + h)[0] - 2 * d[0] + c.eval(u - h)[0]) / h ** 2
+            d = curve_point(c, u, 2)
+            cp, cm = curve_point(c, u + h)[0], curve_point(c, u - h)[0]
+            fd1 = (cp - cm) / (2 * h)
+            fd2 = (cp - 2 * d[0] + cm) / h ** 2
             assert np.abs(d[1] - fd1).max() < 1e-6
             assert np.abs(d[2] - fd2).max() < 1e-3
 
@@ -187,12 +187,6 @@ class TestArcLength:
             J, J_u = arclength_derivatives(c, u)
             assert abs(J - L) < 1e-12
             assert abs(J_u) < 1e-9
-        assert abs(c.arc_length() - L) < 1e-12
-
-    def test_degenerate_parameterization_rejected(self):
-        c = NurbsCurve(KnotVector.open_uniform(2, 4), np.ones((4, 3)))
-        with pytest.raises(ValueError, match="degenerate"):
-            c.arc_length()
 
     def test_chain_rule_on_segment(self):
         L = 3.5
@@ -209,7 +203,7 @@ class TestArcLength:
                                  degree=6, n=200)
         for u in np.linspace(0.05, 0.95, 40):
             t = t0 + (t1 - t0) * u
-            d = c.eval(u, 2)
+            d = curve_point(c, u, 2)
             J, J_u = arclength_derivatives(c, u)
             c_s, c_ss = to_arclength(d[1], d[2], J, J_u)
             sig = np.hypot(1.0, t)
@@ -227,21 +221,21 @@ class TestInterpolation:
     def test_two_point_linear(self):
         kv = KnotVector(1, [0, 0, 1, 1])
         c = interpolate_curve([0.0, 1.0], [[0, 0, 0], [1, 2, 3]], kv)
-        np.testing.assert_allclose(c.eval(0.5)[0], [0.5, 1.0, 1.5])
+        np.testing.assert_allclose(c.eval_many([0.5])[0], [[0.5, 1.0, 1.5]])
 
     def test_cubic_polynomial_reproduction(self):
         def poly(u):
             return np.array([u ** 3 - u, 2 * u ** 2 + 0.5, 3 * u ** 3])
         c = interpolate_function(poly, degree=3, n=12)
-        for u in np.linspace(0, 1, 101):
-            assert np.abs(c.eval(u)[0] - poly(u)).max() < 1e-10
+        us = np.linspace(0, 1, 101)
+        assert np.abs(c.eval_many(us)[0] - poly(us).T).max() < 1e-10
 
     def test_projector_property(self):
         rng = np.random.default_rng(24)
         kv = KnotVector.open_uniform(4, 10)
         orig = NurbsCurve(kv, rng.normal(size=(10, 3)))
         g = greville(kv)
-        again = interpolate_curve(g, np.array([orig.eval(u)[0] for u in g]), kv)
+        again = interpolate_curve(g, orig.eval_many(g)[0], kv)
         np.testing.assert_allclose(again.points, orig.points, atol=1e-10)
 
     def test_spivak_interpolation_error(self):
@@ -251,7 +245,7 @@ class TestInterpolation:
             return spivak_point(-2.0 + 5.0 * u)
         c = interpolate_function(fn, degree=6, n=150)
         us = np.linspace(0.0, 1.0, 3001)
-        err = max(np.abs(c.eval(u)[0] - fn(u)).max() for u in us)
+        err = np.abs(c.eval_many(us)[0] - [fn(u) for u in us]).max()
         assert err < 1e-6
 
     def test_wrong_parameters_rejected(self):

@@ -5,7 +5,7 @@ from gebvisc.viscoelastic import (MaxwellElement, SectionGeometry, ViscousState,
                                   build_section_law, compute_beta,
                                   effective_stiffness, internal_forces,
                                   trapezoidal_coeffs, update_viscous_state)
-from helpers import linearize_viscous
+from helpers import assert_bitwise, linearize_viscous
 
 PLA_ELEMENTS = [
     (1.577e8, 0.02), (3.610e7, 0.18), (4.095e8, 17.0), (7.580e8, 117.0),
@@ -193,6 +193,22 @@ class TestInternalForces:
         N, M = internal_forces(law, G, K, ViscousState(8, 1))
         np.testing.assert_allclose(N, law.CN0 * G, rtol=1e-14)
         np.testing.assert_allclose(M, law.CM0 * K, rtol=1e-14)
+
+    def test_elastic_limit_bitwise(self):
+        # the law without branches takes the Maxwell path too, and it gives
+        # the bits of the plain long-term spring; the branch sum starts from
+        # +0.0, so a -0.0 strain gives a +0.0 resultant, as with branches
+        law = pla_law().elastic_limit()
+        rng = np.random.default_rng(5)
+        G, K = rng.normal(size=(2, 7, 3))
+        G[0], K[0] = 0.0, -0.0
+        N, M = internal_forces(law, G, K, ViscousState(0, 7))
+        assert_bitwise(N, 0.0 + law.CN_inf * G)
+        assert_bitwise(M, 0.0 + law.CM_inf * K)
+        for h in (1e-3, 0.5):
+            CN, CM = effective_stiffness(law, h)
+            assert_bitwise(CN, law.CN0)
+            assert_bitwise(CM, law.CM0)
 
     def test_relaxation_matches_prony_series(self):
         law = pla_law()
