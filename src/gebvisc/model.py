@@ -31,6 +31,14 @@ JOINT_TOL = 1.0e-9
 START, END = "start", "end"
 
 
+def _constant(value, t):
+    return value
+
+
+def _impulse_hold_release(value, t, t_off):
+    return value if t <= t_off else 0.0 * value
+
+
 def _sine_ramp_hold(value, t, t_ramp):
     return value * np.sin(0.5 * np.pi * t / t_ramp) if t <= t_ramp else value
 
@@ -50,12 +58,11 @@ def _table(value, t, times, values):
 
 #: per load history kind: its evaluator ``f(value, t, **params)`` and the
 #: keys of its configuration entries, in the order of the arguments of the
-#: ``LoadHistory`` constructor of the same name
+#: ``LoadHistory`` constructor of the same name; the evaluators are module
+#: functions, so that a history that holds one can be pickled
 HISTORY_KINDS = {
-    "constant": (lambda value, t: value, ("value",)),
-    "impulse_hold_release": (
-        lambda value, t, t_off: value if t <= t_off else 0.0 * value,
-        ("value", "t_off")),
+    "constant": (_constant, ("value",)),
+    "impulse_hold_release": (_impulse_hold_release, ("value", "t_off")),
     "sine_ramp_hold": (_sine_ramp_hold, ("value", "t_ramp")),
     "raised_sine_pulse": (_raised_sine_pulse, ("peak", "omega", "t_end")),
     "table": (_table, ("times", "values")),

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -77,8 +79,10 @@ class TestLoadHistory:
     def test_config_matches_constructor(self, cfg, built):
         hist = _history_from_config(cfg)
         assert hist.kind == cfg["kind"]
+        copy = pickle.loads(pickle.dumps(hist))
         for t in (0.0, 0.25, 0.5, 0.75, 2.5):
             np.testing.assert_array_equal(hist(t), built(t))
+            np.testing.assert_array_equal(copy(t), built(t))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown load history kind"):
