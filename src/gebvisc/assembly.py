@@ -150,6 +150,12 @@ class PatchRuntime:
 PatchSlot = namedtuple("PatchSlot", "patch rt pts")
 
 
+#: one residual evaluation: the section state of every law stack, the blocks
+#: (terms, 2, 6, 6) of the boundary and joint rows, the unequilibrated
+#: right-hand side and the inverse row scales that ``assemble`` fills in
+ResidualPass = namedtuple("ResidualPass", "sections blocks rhs inv")
+
+
 #: ends of one law stack that one end kernel evaluates: their end ids (2 k
 #: and 2 k + 1 for the start and the end of patch k; also the terms of their
 #: own slots), stacked points and outward signs
@@ -480,10 +486,9 @@ class Simulation:
 
     # -- assembly ------------------------------------------------------------
 
-    def assemble(self, h: float, t_next: float):
-        """Equilibrated CSC matrix on the planned pattern, zero entries
-        included, and right-hand side at the current state."""
-        values = []
+    def _residual(self, h: float, t_next: float) -> ResidualPass:
+        """The residual pass at the current state: the section state and
+        residual kernels of every stack and the boundary and joint rows."""
         rhs = np.zeros(self.ndof)
         r = rhs.reshape(-1, 6)
         fm = self._distributed(t_next)
@@ -492,19 +497,32 @@ class Simulation:
             law, st = rt.law, rt.state
             sec = section_state(st, law, h, *fm[:, rt.patch_of_point])
             sections.append(sec)
-            F = residual_force(st, law, sec)
+            F = residual_force(st, sec)
             V = residual_moment(st, law, sec)
+            for sel, points, _, _ in rt.interior:
+                r[points] = -np.hstack([F[sel], V[sel]])
+        return ResidualPass(sections, self._boundary_rows(sections, t_next, rhs),
+                            rhs, np.empty(self.ndof))
+
+    def assemble(self, h: float, t_next: float, res=None):
+        """Equilibrated CSC matrix on the planned pattern, zero entries
+        included, and right-hand side at the current state, finished from
+        its residual pass ``res`` (made here if None)."""
+        if res is None:
+            res = self._residual(h, t_next)
+        values = []
+        for rt, sec in zip(self.stacks, res.sections):
+            law, st = rt.law, rt.state
             # (point, force/moment rows, displacement/rotation columns,
             # value/,s/,ss stencil, 3, 3)
             C = np.concatenate(
                 (tangent_blocks_force(st, law, sec, h)[:, None],
                  tangent_blocks_moment(st, law, sec, h)[:, None]), axis=1)
-            for sel, points, phi, _ in rt.interior:
+            for sel, _, phi, _ in rt.interior:
                 values.append(np.einsum("nrcdab,ndk->nrcabk", C[sel],
                                         phi).reshape(-1))
-                r[points] = -np.hstack([F[sel], V[sel]])
 
-        B = self._boundary_rows(sections, t_next, rhs)[self._stencil_term]
+        B = res.blocks[self._stencil_term]
         phi = self._stencil_phi
         values.append(np.bincount(self._end_of_value, weights=(
             B[:, 0] * phi[:, 0] + B[:, 1] * phi[:, 1]).reshape(-1)))
@@ -516,11 +534,11 @@ class Simulation:
         if not scale.all():
             zero = np.flatnonzero(scale == 0.0)
             raise RuntimeError(f"under-constrained system: zero rows {zero[:10]}")
-        inv = 1.0 / scale
+        inv = np.divide(1.0, scale, out=res.inv)
         values *= np.repeat(inv[run_rows], run_lengths)
         A = sp.csc_matrix((values[self._order], self._indices, self._indptr),
                           shape=(self.ndof,) * 2)
-        return A, rhs * inv
+        return A, res.rhs * inv
 
     def _boundary_rows(self, sections, t_next, rhs):
         """Coefficient blocks (terms, 2, 6, 6) of every end term from the
@@ -667,12 +685,27 @@ class Simulation:
     def newton(self, h: float, t_next: float) -> NewtonReport:
         """Newton-Raphson loop at the current predictor state, with full
         updates.  An iteration is counted before its update, so one that the
-        pi guard of ``apply_increment`` stops with ``StepFailure`` counts."""
+        pi guard of ``apply_increment`` stops with ``StepFailure`` counts.
+
+        After an update the residual is first equilibrated with the row
+        scales of the system just solved; within half the tolerance it has
+        converged and no system is built.  The exact test on the new
+        system's scales would agree unless a row scale halved.
+        """
         s = self.settings
         report = NewtonReport(converged=False)
         grow = 0
+        inv = None
         for it in range(s.max_iterations + 1):
-            A, rhs = self.assemble(h, t_next)
+            res = self._residual(h, t_next)
+            if inv is not None:
+                res_norm = np.abs(res.rhs * inv).max()
+                if res_norm <= 0.5 * s.tol_residual:
+                    report.residual_norms.append(res_norm)
+                    report.converged = True
+                    break
+            A, rhs = self.assemble(h, t_next, res)
+            inv = res.inv
             res_norm = np.abs(rhs).max() if len(rhs) else 0.0
             report.residual_norms.append(res_norm)
             if res_norm <= s.tol_residual:

@@ -144,7 +144,7 @@ def section_state(state: CollocationState, law: SectionLaw, h: float,
                         CM_bar, rn, rm, JW, Skews(*skews))
 
 
-def residual_force(state: CollocationState, law: SectionLaw,
+def residual_force(state: CollocationState,
                    sec: SectionState) -> np.ndarray:
     """Material force-balance residual (n, 3); zero at a converged solution.
 

@@ -200,21 +200,30 @@ def quat_from_matrix(R: np.ndarray) -> np.ndarray:
     # pick the numerically largest of the four square roots per matrix
     case = np.argmax(np.concatenate((tr[:, None], diag), axis=1), axis=1)
 
-    m, rest = case == 0, ((1, 2), (2, 0), (0, 1))
-    if m.all():  # the common case: plain slices read what the masks would
-        m, rest = slice(None), ()
-    s = 2.0 * np.sqrt(1.0 + tr[m])
-    q[m, 0] = 0.25 * s
-    q[m, 1] = (Rf[m, 2, 1] - Rf[m, 1, 2]) / s
-    q[m, 2] = (Rf[m, 0, 2] - Rf[m, 2, 0]) / s
-    q[m, 3] = (Rf[m, 1, 0] - Rf[m, 0, 1]) / s
-    for i, (j, k) in enumerate(rest):
-        m = case == i + 1
-        s = 2.0 * np.sqrt(1.0 + Rf[m, i, i] - Rf[m, j, j] - Rf[m, k, k])
-        q[m, 0] = (Rf[m, k, j] - Rf[m, j, k]) / s
-        q[m, 1 + i] = 0.25 * s
-        q[m, 1 + j] = (Rf[m, j, i] + Rf[m, i, j]) / s
-        q[m, 1 + k] = (Rf[m, k, i] + Rf[m, i, k]) / s
+    # each branch present on its own matrices: one gather, one scatter, or
+    # plain slices when one branch takes every matrix
+    for c in range(4):
+        at = np.flatnonzero(case == c)
+        if not len(at):
+            continue
+        if len(at) == n:
+            at = slice(None)
+        M = Rf[at]
+        qc = np.empty((len(M), 4))
+        if c == 0:
+            s = 2.0 * np.sqrt(1.0 + tr[at])
+            qc[:, 0] = 0.25 * s
+            qc[:, 1] = (M[:, 2, 1] - M[:, 1, 2]) / s
+            qc[:, 2] = (M[:, 0, 2] - M[:, 2, 0]) / s
+            qc[:, 3] = (M[:, 1, 0] - M[:, 0, 1]) / s
+        else:
+            i, j, k = c - 1, c % 3, (c + 1) % 3
+            s = 2.0 * np.sqrt(1.0 + M[:, i, i] - M[:, j, j] - M[:, k, k])
+            qc[:, 0] = (M[:, k, j] - M[:, j, k]) / s
+            qc[:, 1 + i] = 0.25 * s
+            qc[:, 1 + j] = (M[:, j, i] + M[:, i, j]) / s
+            qc[:, 1 + k] = (M[:, k, i] + M[:, i, k]) / s
+        q[at] = qc
     # canonical sign: nonnegative scalar part
     q *= np.where(q[:, :1] < 0.0, -1.0, 1.0)
     return quat_normalize(q).reshape(batch + (4,))

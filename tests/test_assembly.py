@@ -13,8 +13,9 @@ from gebvisc.model import (BeamModel, DistributedLoad, EndLoad, Joint,
                            LoadHistory, Patch, Probe, Support)
 from gebvisc.splines import KnotVector, greville, interpolate_curve, line_curve
 from gebvisc.viscoelastic import SectionGeometry, build_section_law
-from helpers import (dense_solve, fd_tangent_blocks_force,
-                     fd_tangent_blocks_moment, mmd_solve, one_end, patch_end)
+from helpers import (assembling_newton, assert_bitwise, dense_solve,
+                     fd_tangent_blocks_force, fd_tangent_blocks_moment,
+                     mmd_solve, one_end, patch_end)
 
 
 def pendulum_law():
@@ -224,9 +225,15 @@ class TestStacking:
         calls.clear()
         sim.advance(h)
         assert sim.total_iterations > 0
+        # a converged check evaluates the residual and end kernels without
+        # an assembly: those run at most once per stack per residual
+        # evaluation, the tangent kernels once per stack per assembly
+        evaluations, rest = divmod(calls["residual_force"], stacks)
+        assert rest == 0 and calls["residual_moment"] == calls["residual_force"]
         assert calls["tangent_blocks_force"] == stacks * calls["assemble"]
+        assert calls["tangent_blocks_moment"] == stacks * calls["assemble"]
         for name in end_kernels:
-            assert calls.get(name, 0) <= stacks * calls["assemble"]
+            assert calls.get(name, 0) <= stacks * evaluations
         assert calls["apply_increment"] == stacks * sim.total_iterations
         assert calls["begin_step"] == calls["commit_step"] == stacks
 
@@ -574,6 +581,26 @@ class TestNewton:
         with pytest.raises(StepFailure):
             sim._attempt(5e-3)
         assert sim.total_iterations == len(calls) == 2
+
+    def test_converged_check_builds_no_system(self, monkeypatch):
+        # after an update the residual is judged on the row scales of the
+        # system just solved, so a converged check builds no system; the
+        # march is bit for bit that of a loop that assembles every time
+        h, steps = 5e-3, 20
+        oracle = Simulation(pendulum_model())
+        oracle.newton = assembling_newton(oracle)
+        expected = time_march(oracle, steps * h, h)
+        sim = Simulation(pendulum_model())
+        calls, counted = TestStacking.counter(monkeypatch)
+        counted(sim, "assemble")
+        for name in ("residual_force", "tangent_blocks_force"):
+            counted(assembly, name)
+        traj = time_march(sim, steps * h, h)
+        assert calls["tangent_blocks_force"] == \
+            len(sim.stacks) * calls["assemble"]
+        assert calls["tangent_blocks_force"] < calls["residual_force"]
+        assert traj.iterations == expected.iterations
+        assert_bitwise(traj.probes["tip"], expected.probes["tip"])
 
     def test_pendulum_step_iteration_budget(self):
         sim = Simulation(pendulum_model())

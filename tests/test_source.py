@@ -57,3 +57,39 @@ def unreferenced_definitions() -> list[str]:
 
 def test_every_definition_is_used():
     assert unreferenced_definitions() == []
+
+
+def history_evaluators() -> set[str]:
+    """Names of the load history evaluators: their shared signature
+    ``f(value, t, **params)`` is the interface ``LoadHistory`` calls."""
+    from gebvisc.model import HISTORY_KINDS
+    return {fn.__name__ for fn, _ in HISTORY_KINDS.values()}
+
+
+def unread_parameters() -> list[str]:
+    """Parameters of the package's functions and methods that their body
+    never reads, save ``self`` and ``cls`` and the shared ``value`` and
+    ``t`` of the load history evaluators."""
+    evaluators = history_evaluators()
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                      + [a.vararg, a.kwarg] if p is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for part in body for n in ast.walk(part)
+                    if isinstance(n, ast.Name)}
+            name = getattr(node, "name", "<lambda>")
+            exempt = {"self", "cls"} | ({"value", "t"} if name in evaluators
+                                        else set())
+            out += [f"{path.name}:{node.lineno} {name}({p})" for p in params
+                    if p not in read and p not in exempt]
+    return out
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == []
