@@ -6,8 +6,8 @@ Greville points; every patch end owns six boundary rows filled by a support,
 a rigid joint or free-end force/couple conditions.  The system is square by
 construction and its sparsity pattern is fixed when the simulation is built.
 Its values are made in one layout, one value per entry, equilibrated there
-row by row and gathered once into a CSC matrix.  One LAPACK banded LU over
-the patch blocks and a dense LAPACK LU on the Schur complement of the joint
+row by row and handed on as a COO matrix.  One LAPACK banded LU over the
+patch blocks and a dense LAPACK LU on the Schur complement of the joint
 leads solve it; a joint's other ends stay in their patch's band.
 Patches that share a section law are stacked into one collocation state, so
 the residual and tangent kernels, the increment update and the step commit
@@ -338,15 +338,15 @@ class Simulation:
         self._clamped = np.flatnonzero(clamped)
 
     def _plan_pattern(self):
-        """CSC structure of the whole system and the value of every entry.
+        """Row and column of every value of the whole system.
 
         ``assemble`` makes one value per entry: the interior values of each
         law stack and stencil width (point, force/moment rows,
         displacement/rotation columns, 3, 3, stencil point), then the end
         entries in row order, into which the end values (stencil point, 6,
-        6) are summed.  Every assembled matrix has this structure, entries
-        that are zero at its state included, and shares its read-only
-        ``indices`` and ``indptr``.
+        6) are summed.  Every assembled matrix is a COO matrix on this
+        pattern, entries that are zero at its state included, and shares
+        its read-only ``_rows`` and ``_cols``.
         """
         six = np.arange(6)
         _, fm, dr, a, b, _ = np.indices((1, 2, 2, 3, 3, 1), sparse=True)
@@ -366,22 +366,16 @@ class Simulation:
         entries, self._end_of_value = np.unique(
             rows[-1] * self.ndof + cols[-1], return_inverse=True)
         rows[-1], cols[-1] = np.divmod(entries, self.ndof)
-        #: the runs of values in one row (start, row, length), and the value
-        #: of every entry
         rows = np.concatenate(rows)
+        #: the runs of values in one row (start, row, length)
         runs = np.flatnonzero(np.diff(rows, prepend=-1))
         self._runs = (runs, rows[runs], np.diff(runs, append=len(rows)))
-        keys, value = np.unique(np.concatenate(cols) * self.ndof + rows,
-                                return_inverse=True)
-        self._order = np.argsort(value)
-        self._indices = (keys % self.ndof).astype(np.int32)
-        self._indptr = np.searchsorted(keys // self.ndof,
-                                       np.arange(self.ndof + 1)).astype(np.int32)
+        self._rows, self._cols = (x.astype(np.int32)
+                                  for x in (rows, np.concatenate(cols)))
         # every matrix shares them: an in-place edit of one would move the plan
-        self._indices.flags.writeable = self._indptr.flags.writeable = False
-        row_nnz = np.bincount(self._indices, minlength=self.ndof)
-        if not row_nnz.all():
-            empty = np.flatnonzero(row_nnz == 0)
+        self._rows.flags.writeable = self._cols.flags.writeable = False
+        empty = np.flatnonzero(np.bincount(rows, minlength=self.ndof) == 0)
+        if len(empty):
             raise RuntimeError(f"under-constrained system: empty rows {empty[:10]}")
 
     def _plan_solve(self):
@@ -414,8 +408,7 @@ class Simulation:
         at[band], at[sep] = np.arange(nb), np.arange(ns)
         patch = np.repeat(np.arange(len(self.runtimes), dtype=np.int32),
                           np.diff(self.offsets, append=ndof))
-        rows = self._indices
-        cols = np.repeat(np.arange(ndof, dtype=np.int32), np.diff(self._indptr))
+        rows, cols = self._rows, self._cols
         rs, cs = in_sep[rows], in_sep[cols]
         dd = ~(rs | cs)
         if (patch[rows] != patch[cols])[dd].any():
@@ -441,7 +434,7 @@ class Simulation:
         ldab = 2 * kl + ku + 1
         start = (ldab + npack + 1) * nb + ns * ns
         ss, sd = rs & cs, rs & ~cs
-        #: place in the solve's buffer of every planned entry
+        #: place in the solve's buffer of every value
         self._dest = kl + ku + d + ldab * j
         self._dest[ds] = ldab * nb + nb * pack[pair] + i[ds]
         self._dest[ss] = start - ns * ns + i[ss] + ns * j[ss]
@@ -505,9 +498,9 @@ class Simulation:
                             rhs, np.empty(self.ndof))
 
     def assemble(self, h: float, t_next: float, res=None):
-        """Equilibrated CSC matrix on the planned pattern, zero entries
-        included, and right-hand side at the current state, finished from
-        its residual pass ``res`` (made here if None)."""
+        """Equilibrated COO matrix on the planned ``_rows`` and ``_cols``,
+        zero entries included, and right-hand side at the current state,
+        finished from its residual pass ``res`` (made here if None)."""
         if res is None:
             res = self._residual(h, t_next)
         values = []
@@ -536,7 +529,7 @@ class Simulation:
             raise RuntimeError(f"under-constrained system: zero rows {zero[:10]}")
         inv = np.divide(1.0, scale, out=res.inv)
         values *= np.repeat(inv[run_rows], run_lengths)
-        A = sp.csc_matrix((values[self._order], self._indices, self._indptr),
+        A = sp.coo_matrix((values, (self._rows, self._cols)),
                           shape=(self.ndof,) * 2)
         return A, res.rhs * inv
 
@@ -639,12 +632,13 @@ class Simulation:
         factored by one LAPACK LU (``dgesv``) with partial pivoting; only
         the A_sd entries that are nonzero at the state enter its update.  A
         model without joints has no separator, and its solve is the banded
-        LU alone.  A singular D or S raises ``RuntimeError``, and a matrix
-        that is not on the planned pattern ``ValueError``.  The solution
-        depends on A and rhs alone.
+        LU alone.  A must be COO on the planned pattern, as ``assemble``
+        makes it (else ``ValueError``); a singular D or S raises
+        ``RuntimeError``.  The solution depends on A and rhs alone.
         """
-        if not (np.array_equal(A.indptr, self._indptr)
-                and np.array_equal(A.indices, self._indices)):
+        if A.format != "coo" or not all(
+                a is b or np.array_equal(a, b)
+                for a, b in zip((A.row, A.col), (self._rows, self._cols))):
             raise ValueError("matrix structure outside the planned pattern")
         kl, ku, ldab, size = self._bands
         band, packed = self._band, self._packed
@@ -706,7 +700,7 @@ class Simulation:
                     break
             A, rhs = self.assemble(h, t_next, res)
             inv = res.inv
-            res_norm = np.abs(rhs).max() if len(rhs) else 0.0
+            res_norm = np.abs(rhs).max()
             report.residual_norms.append(res_norm)
             if res_norm <= s.tol_residual:
                 report.converged = True

@@ -83,6 +83,9 @@ def run_model(name: str, model, settings, params: dict, out_dir=None,
     """Run the ``scenario_setup`` of scenario ``name`` to its end time;
     returns (sim, trajectory, params).
 
+    A snapshot is taken at the first state, the initial one included,
+    within h/2 of its time.
+
     On solver failure the history and the metadata of the committed steps
     are written, the metadata with the failure's message under "failure",
     and the exception is re-raised for the caller to turn into an exit
@@ -105,6 +108,7 @@ def run_model(name: str, model, settings, params: dict, out_dir=None,
             write_run_metadata(os.path.join(out_dir, "run.json"), name,
                                params, traj, extra)
 
+    observer(sim)
     try:
         traj = time_march(sim, T, h, observer=observer)
     except StepFailure as exc:
@@ -132,17 +136,19 @@ def convergence_setup(study: dict):
     convergence study; a malformed study raises before any run.
 
     ``study`` keys: scenario, pairs ([[p, n], ...]), reference ([p, n]),
-    t_eval, h, optionally probe_points and scenario overrides under
-    "overrides".
+    t_eval, h, optionally probe_points (an integer >= 2) and scenario
+    overrides under "overrides".
     """
     _require_steps(study, "t_eval", "h")
+    n_probe = study.get("probe_points", 101)
+    if not isinstance(n_probe, numbers.Integral) or n_probe < 2:
+        raise ValueError(f"probe_points must be an integer >= 2: {n_probe!r}")
     pairs = [tuple(pn) for pn in study["pairs"]]
     p_ref, n_ref = study["reference"]
     if any(n >= n_ref and p >= p_ref for p, n in pairs):
         raise ValueError("reference must be strictly finer than every study pair")
     return (study["scenario"], pairs, (p_ref, n_ref), study["t_eval"],
-            study["h"], int(study.get("probe_points", 101)),
-            dict(study.get("overrides", {})))
+            study["h"], n_probe, dict(study.get("overrides", {})))
 
 
 def run_convergence(study: dict, out_dir=None):
@@ -277,8 +283,8 @@ def main(argv=None) -> int:
                                    _overrides_from(args), config=config)
         text = getattr(args, "snapshots", "")
         snaps = [float(t) for t in text.split(",") if t]
-        if not np.isfinite(snaps).all():
-            raise ValueError(f"snapshot times must be finite: {text}")
+        if any(not 0 <= t <= setup[2]["T"] + setup[2]["h"] / 2 for t in snaps):
+            raise ValueError(f"snapshot times must lie in [0, T]: {text}")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2

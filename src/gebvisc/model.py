@@ -127,12 +127,10 @@ class Patch:
         self.frames = bishop_frames(curve, self.collocation,
                                     min_total=max(10 * n, 100))
         p = curve.kv.degree
-        self.degree = p
         self.n = n
         # basis support and s-converted derivative stencils per point
         w = curve.weights if curve.is_rational else None
         first, ders = basis_eval_many(curve.kv, self.collocation, 2, w)
-        self.support_first = first
         self.phi0 = ders[0]
         self.phi1, self.phi2 = to_arclength(ders[1], ders[2],
                                             self.frames.jac[:, None],

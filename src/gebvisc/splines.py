@@ -216,7 +216,7 @@ class NurbsCurve:
 
     @property
     def is_rational(self) -> bool:
-        return not np.allclose(self.weights, 1.0)
+        return bool(np.any(self.weights != 1.0))
 
     def eval_many(self, us, max_deriv: int = 0) -> list[np.ndarray]:
         """Evaluate at many parameters; returns [c, c_u, ...] arrays (len(us), 3)."""

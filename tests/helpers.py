@@ -210,9 +210,9 @@ def mmd_solve(A, rhs):
     bit for bit.  A march's last bits follow the rounding of its solves, so
     a system recorded after a march with this solve is rebuilt with it.
     That solve saw A without its zero entries, and the order depends on
-    the pattern, so it works on a copy of A with them dropped."""
+    the pattern, so it works on a CSC copy of A with them dropped."""
     import scipy.sparse.linalg as spla
-    A = A.copy()
+    A = A.tocsc()
     A.eliminate_zeros()
     pos = spla.splu(A, permc_spec="MMD_ATA").perm_c
     inv = np.argsort(pos)

@@ -295,11 +295,13 @@ class TestRing:
 
 
 def recorded_form(sim, A):
-    """A without its zero entries, the form the systems were recorded in,
-    once A is checked to be on the pattern ``sim`` planned."""
-    np.testing.assert_array_equal(A.indptr, sim._indptr)
-    np.testing.assert_array_equal(A.indices, sim._indices)
-    A = A.copy()
+    """A in CSC form without its zero entries, the form the systems were
+    recorded in, once A is checked to be COO on the pattern ``sim``
+    planned."""
+    assert A.format == "coo"
+    np.testing.assert_array_equal(A.row, sim._rows)
+    np.testing.assert_array_equal(A.col, sim._cols)
+    A = A.tocsc()
     A.eliminate_zeros()
     return A
 
@@ -339,7 +341,7 @@ def lattice3_model():
 
 
 def structure(A):
-    return A.indptr.tobytes() + A.indices.tobytes()
+    return A.format.encode() + A.row.tobytes() + A.col.tobytes()
 
 
 def solved_structures(sim):
@@ -430,7 +432,8 @@ class TestSolve:
         solved = solved_structures(sim)
         time_march(sim, steps * 5e-3, 5e-3)
         assert len(solved) == sim.total_iterations > 0
-        assert set(solved) == {sim._indptr.tobytes() + sim._indices.tobytes()}
+        assert set(solved) == {b"coo" + sim._rows.tobytes()
+                               + sim._cols.tobytes()}
         assert calls == ["dgesv"] * len(solved) * schur
 
     def test_singular_schur_complement_raises(self):
@@ -440,16 +443,18 @@ class TestSolve:
         A = A.copy()
         rows = np.zeros(sim.ndof, dtype=bool)
         rows[sim._separator] = True
-        A.data[rows[A.indices]] = 0.0
+        A.data[rows[A.row]] = 0.0
         with pytest.raises(RuntimeError, match="singular"):
             sim._solve(A, rhs)
 
     def test_entry_outside_plan_raises(self):
+        # an extra entry, or the planned entries in another order or format
         sim, A, rhs = named_system("pendulum")
         far = A.tolil()
         far[0, sim.ndof - 1] = 1.0
-        with pytest.raises(ValueError, match="outside the planned pattern"):
-            sim._solve(far.tocsc(), rhs)
+        for other in (far.tocoo(), A.tocsc(), A.tocsr().tocoo()):
+            with pytest.raises(ValueError, match="outside the planned pattern"):
+                sim._solve(other, rhs)
 
     def test_solution_independent_of_earlier_solves(self):
         h = 5e-3
@@ -461,18 +466,22 @@ class TestSolve:
                                       fresh._solve(A, rhs))
 
     def test_plan_survives_in_place_edit(self):
-        # every matrix shares the plan's index arrays, so an in-place edit of
-        # its structure must fail rather than move the plan
+        # every matrix shares the plan's index arrays, so writing to them
+        # must fail, and an edit of a matrix's structure must leave the plan
         h = 5e-3
         sim = Simulation(lattice3_model())
         A, rhs = sim.assemble(h, h)
         assert (A.data == 0).any()
         x = sim._solve(A, rhs)
         expected = A.copy()
+        rows = sim._rows.copy()
         with pytest.raises(ValueError):
-            A.eliminate_zeros()
+            A.row[0] = 1
+        A.eliminate_zeros()
+        assert A.nnz < expected.nnz
+        np.testing.assert_array_equal(sim._rows, rows)
         again, rhs_again = sim.assemble(h, h)
-        for name in ("indptr", "indices", "data"):
+        for name in ("row", "col", "data"):
             np.testing.assert_array_equal(getattr(again, name),
                                           getattr(expected, name))
         np.testing.assert_array_equal(rhs_again, rhs)

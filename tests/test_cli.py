@@ -145,9 +145,28 @@ class TestCliCommands:
         assert (out / "run.json").exists()
         assert (out / "snapshot_t0.050.vtk").exists()
 
-    @pytest.mark.parametrize("times", ["0.005,abc", "nan", "0.01,inf"],
-                             ids=["not_a_number", "nan", "inf"])
+    def test_initial_and_final_snapshots(self, tmp_path):
+        # t = 0 is the initial state, before any step; a time within h/2
+        # of T is the end state
+        out = tmp_path / "run"
+        assert main(["run", "pendulum", "--T", "0.02", "--n", "12", "--p",
+                     "3", "--out", str(out), "--snapshots", "0,0.022"]) == 0
+        sim = Simulation(build_scenario("pendulum", {"n": 12,
+                                                     "degree": 3})[0])
+        cur, ini = sim.sample_curve(0, 200)
+        pts, disp = read_vtk_points(out / "snapshot_t0.000.vtk")
+        assert np.abs(disp).max() == 0.0
+        np.testing.assert_allclose(pts, ini, rtol=1e-9, atol=1e-12)
+        _, disp = read_vtk_points(out / "snapshot_t0.022.vtk")
+        assert np.abs(disp).max() > 0.0
+
+    @pytest.mark.parametrize("times", ["0.005,abc", "nan", "0.01,inf", "-1",
+                                       "-0.001", "0.0526", "5"],
+                             ids=["not_a_number", "nan", "inf", "negative",
+                                  "just_below_zero", "beyond_end",
+                                  "far_beyond_end"])
     def test_invalid_snapshot_times_rejected(self, tmp_path, capsys, times):
+        # a time that no state of the run lies within h/2 of is rejected
         out = tmp_path / "run"
         assert main(["run", "pendulum", "--T", "0.05", "--out", str(out),
                      "--snapshots", times]) == 2
@@ -402,6 +421,22 @@ class TestCliCommands:
         assert main(["converge", "--config", str(path), "--out",
                      str(out)]) == 2
         assert "invalid configuration" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_probe", [0, 1, 2.5, "101"],
+                             ids=["zero", "one", "fraction", "text"])
+    def test_invalid_probe_points_rejected(self, tmp_path, capsys, n_probe):
+        # fewer than two probe points make every error nan; found before
+        # any run or output
+        study = {"scenario": "pendulum", "pairs": [[2, 8]],
+                 "reference": [4, 40], "t_eval": 0.05, "h": 5e-3,
+                 "probe_points": n_probe}
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(study))
+        out = tmp_path / "conv"
+        assert main(["converge", "--config", str(path), "--out",
+                     str(out)]) == 2
+        assert "probe_points" in capsys.readouterr().err
         assert not out.exists()
 
     def test_converge_command(self, tmp_path):

@@ -356,7 +356,7 @@ class TestPatchSetup:
                      "jac_u"):
             assert_bitwise(getattr(patch.frames, name), getattr(frames, name))
         first, phi0, phi1, phi2 = oracle_stencils(curve, frames)
-        assert_bitwise(patch.support_first, first)
+        assert_bitwise(patch.support_idx[:, 0], first)
         assert_bitwise(patch.phi0, phi0)
         assert_bitwise(patch.phi1, phi1)
         assert_bitwise(patch.phi2, phi2)

@@ -93,3 +93,27 @@ def unread_parameters() -> list[str]:
 
 def test_every_parameter_is_read():
     assert unread_parameters() == []
+
+
+def unread_attributes() -> list[str]:
+    """Attributes that the package's methods store on ``self`` and that no
+    module of it reads by name: as an attribute of any object, or as a
+    string constant (``getattr``)."""
+    stored, read = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                if (isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "self"):
+                    stored.setdefault(node.attr, f"{path.name}:{node.lineno}")
+                else:
+                    read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return [f"{where} self.{name}" for name, where in stored.items()
+            if name not in read]
+
+
+def test_every_attribute_is_read():
+    assert unread_attributes() == []

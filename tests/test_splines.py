@@ -164,6 +164,23 @@ class TestCurve:
         r = np.linalg.norm(c.eval_many(np.linspace(0.0, 1.0, 50))[0], axis=1)
         assert np.abs(r - 1.0).max() < 1e-12
 
+    def test_weights_near_one_are_rational(self):
+        # a weight 5e-6 off one moves the curve by about 3e-6: the curve
+        # must evaluate on the rational basis, not the plain one
+        kv = KnotVector.open_uniform(3, 6)
+        rng = np.random.default_rng(5)
+        w = np.ones(6)
+        w[2] += 5e-6
+        c = NurbsCurve(kv, rng.normal(size=(6, 3)), weights=w)
+        assert c.is_rational
+        assert not NurbsCurve(kv, c.points).is_rational
+        us = np.linspace(0.0, 1.0, 41)
+        first, ders = basis_eval_many(kv, us, 0, w)
+        expected = np.einsum("mj,mjd->md", ders[0], c.points[
+            first[:, None] + np.arange(4)])
+        np.testing.assert_allclose(c.eval_many(us)[0], expected, rtol=0,
+                                   atol=1e-13)
+
     def test_derivatives_vs_finite_difference(self):
         rng = np.random.default_rng(23)
         kv = KnotVector.open_uniform(4, 9)
