@@ -6,18 +6,18 @@ Greville points; every patch end owns six boundary rows filled by a support,
 a rigid joint or free-end force/couple conditions.  The system is square by
 construction and its sparsity pattern is fixed when the simulation is built.
 Its values are made in one layout, one value per entry, equilibrated there
-row by row and handed on as a COO matrix.  One LAPACK banded LU over the
-patch blocks and a dense LAPACK LU on the Schur complement of the joint
-leads solve it; a joint's other ends stay in their patch's band.
+row by row and handed to the solver as that value vector.  One LAPACK banded
+LU over the patch blocks and a dense LAPACK LU on the Schur complement of
+the joint leads solve it; a joint's other ends stay in their patch's band.
 Patches that share a section law are stacked into one collocation state, so
 the residual and tangent kernels, the increment update and the step commit
 run once per law per Newton iteration, whatever the number of patches.  The
 boundary and joint rows are planned at construction as index arrays over end
 ids, two per patch, so each end kernel runs at most once per law stack, on
-all its ends.  End g's own term is term g, and the terms that joints add
-follow the own terms.  A joint, and a supported end off joints with a free
-translation, form a balance group whose lead's slot equates the applied load
-with the end resultants of its members.
+all its ends, and their values on the sub-blocks that each row writes.  A
+joint, and a supported end off joints with a free translation, form a
+balance group whose lead's slot equates the applied load with the end
+resultants of its members.
 """
 
 from __future__ import annotations
@@ -150,10 +150,11 @@ class PatchRuntime:
 PatchSlot = namedtuple("PatchSlot", "patch rt pts")
 
 
-#: one residual evaluation: the section state of every law stack, the blocks
-#: (terms, 2, 6, 6) of the boundary and joint rows, the unequilibrated
-#: right-hand side and the inverse row scales that ``assemble`` fills in
-ResidualPass = namedtuple("ResidualPass", "sections blocks rhs inv")
+#: one residual evaluation: the section state of every law stack, the
+#: (ends, kernel, maker of their blocks) of every end kernel call, the
+#: rotations of the ends, the unequilibrated right-hand side and the inverse
+#: row scales that ``_system`` fills in
+ResidualPass = namedtuple("ResidualPass", "sections blocks R rhs inv")
 
 
 #: ends of one law stack that one end kernel evaluates: their end ids (2 k
@@ -186,8 +187,7 @@ class Simulation:
         self.total_iterations = 0
         self._supported = model.supported_ends()
         self._plan_probes()
-        self._plan_boundary()
-        self._plan_pattern()
+        self._plan_pattern(self._plan_boundary())
         self._plan_solve()
         self._init_conditions()
 
@@ -206,20 +206,19 @@ class Simulation:
 
     def _plan_boundary(self):
         """Index arrays over the end ids that fill the boundary and joint
-        rows in one pass.
+        rows in one pass; returns the (rows, columns) of the end entries.
 
         End g is the start (g = 2 k) or the end (g = 2 k + 1) of patch k,
-        and owns the six rows of its slot, the point ``_slots[g]``.  A term
-        couples the rows of one end's slot with the value and ,s stencils of
-        one end: term g is end g's slot on its own stencil.  After the own
-        terms come, for every end in a joint that does not lead it (a
-        follower), its balance term (the lead's slot on its stencil) and
-        then its continuity term (its slot on the lead's stencil).  A joint
-        is led by its supported end, else by its first end.  A term is
-        planned on the stencil points where its blocks can be nonzero: a
-        continuity term on the lead's end control point alone, so that a
-        follower's slot couples its own patch only with the lead's point,
-        the separator of ``_solve``.
+        and owns the six rows of its slot, the point ``_slots[g]``.  An end
+        value lies in the slot of one end, on a point of the value and ,s
+        stencils of one end where either is nonzero: an end's rows on its
+        own stencil, except for an end in a joint that it does not lead (a
+        follower), whose spatial force and couple go to the lead's slot and
+        whose continuity rows also lie on the lead's stencil.  The latter
+        are nonzero on the lead's end control point alone, so a follower's
+        slot couples its own patch only with the lead's point, the separator
+        of ``_solve``.  A joint is led by its supported end, else by its
+        first end.
 
         A balance group is a joint, or a supported end off joints whose
         support leaves a translation free.  In the slot of the group's lead,
@@ -253,23 +252,16 @@ class Simulation:
         leading = lead == np.arange(n)
         follow = np.flatnonzero(~leading)
         m = len(follow)
-        self._term_rows = 6 * self._slots[
-            np.concatenate([np.arange(n), lead[follow], follow])]
-        # one entry per stencil point of every term
-        term_of, phi, cols = [], [], []
-        for t, g in enumerate(np.concatenate([np.arange(n), follow,
-                                              lead[follow]])):
+        # the end of every stencil point of every end where the value or the
+        # slope is nonzero, its value and slope and its first unknown
+        end_of, phi, cols = [], [], []
+        for g in range(n):
             p, i = self.runtimes[g // 2].patch, index[g]
-            # only the stencil points with a nonzero value or slope there;
-            # a continuity term on the lead's stencil has no ,s block
             f = np.stack([p.phi0[i], p.phi1[i]], axis=-1)
-            on = f[:, 0] != 0 if t >= n + m else f.any(axis=1)
-            term_of += [t] * on.sum()
+            on = f.any(axis=1)
+            end_of += [g] * on.sum()
             phi.append(f[on])
             cols.append(self.offsets[g // 2] + 6 * p.support_idx[i][on])
-        self._stencil_term = np.array(term_of, dtype=int)
-        self._stencil_phi = np.concatenate(phi)[:, :, None, None]
-        self._stencil_col = np.concatenate(cols)
 
         of_stack = np.array([self.stacks.index(rt) for (_, rt, _), _ in at])
         pts = np.array([pts.start for (_, _, pts), _ in at]) + index
@@ -314,41 +306,85 @@ class Simulation:
                            for ch, history in enumerate(histories)
                            if history is not None]
 
-        # balance groups; ``force`` is the term of every end's spatial force
-        force = np.arange(n)
-        force[follow] = n + np.arange(m)
         #: per position in a group, lead first: (lead, member) of the groups
         #: that have a member there
         at_rank = (np.flatnonzero(member & (rank == r))
                    for r in range(rank.max() + 1))
         self._balance = [(lead[g], g) for g in at_rank if len(g)]
-        g, a = np.nonzero(free)
-        #: (term, end, component) of every spatial force row
-        self._force_rows = (force[g], g, a)
-        #: (lead, component) of the balance force rows, the leads of its
-        #: moment rows and (term, end) of the couple blocks
+        #: (lead, component) of the balance force rows and the leads of its
+        #: moment rows
         self._balance_force = np.nonzero(free & leading[:, None])
         self._balance_moment = np.flatnonzero(jointed & leading & ~clamped)
-        g = np.flatnonzero(jointed & ~clamped[lead])
-        self._couple_blocks = (force[g], g)
-        #: (end, lead, term on the lead's stencil) of every continuity row
-        self._continuity = (follow, lead[follow], n + m + np.arange(m))
+        #: (end, lead) of every continuity row
+        self._continuity = (follow, lead[follow])
         #: (end, component) of every fixed translation and the clamped ends
         self._fixed = np.nonzero(fixed)
         self._clamped = np.flatnonzero(clamped)
 
-    def _plan_pattern(self):
+        # The end values, planned on the sub-blocks that their sources write.
+        # An end kernel writes rows (end, kernel, component) of its blocks:
+        # the Neumann rows in their own slot, the spatial forces and couples
+        # in their lead's; the force kernels force rows 0:3, the moment
+        # kernels moment rows 3:6.  A continuity row writes R of its end on
+        # its stencil and -R of its lead on the lead's, and unit diagonals
+        # there, as do a support's fixed translations and a clamp; these
+        # only where the value is nonzero.
+        end_of, phi = np.array(end_of), np.concatenate(phi)
+        cols, eye, rows = np.concatenate(cols), np.arange(3), 6 * self._slots
+        each = np.ones(3, dtype=bool)
+
+        def on_stencil(ends, value):
+            # (source, point) on the stencils of the sources' ends
+            return np.nonzero((ends[:, None] == end_of)
+                              & ((phi[:, 0] != 0) | (not value)))
+
+        kernel_rows = [np.nonzero(x & each) for x in (
+            (~jointed & ~supported)[:, None], (~jointed & ~clamped)[:, None],
+            free, (jointed & ~clamped[lead])[:, None])]
+        kind = np.repeat(np.arange(4), [len(g) for g, _ in kernel_rows])
+        g, a = (np.concatenate(x) for x in zip(*kernel_rows))
+        i, p = on_stencil(g, False)
+        g, kind, a = g[i], kind[i], a[i]
+        #: per kernel row value: its blocks' row in ``_system`` and stencil
+        self._end_rows = (g, kind, slice(None), a)
+        self._end_phi = phi[p, :, None]
+        slot = np.where(kind < 2, g, lead[g])
+        planned = [((rows[slot] + a + 3 * (kind % 2))[:, None],
+                    cols[p, None] + np.arange(6))]
+
+        slot, g = np.tile(follow, 2), np.concatenate([follow, lead[follow]])
+        unit = np.repeat([1.0, -1.0], m)
+        i, p = on_stencil(g, True)
+        #: per R block: its end and signed value stencil
+        self._end_R = (g[i], (unit[i] * phi[p, 0])[:, None, None])
+        planned.append((rows[slot[i], None, None] + 3 + eye[:, None],
+                        cols[p, None, None] + 3 + eye))
+
+        e, d = np.nonzero(clamped[:, None] & each)
+        f, c = np.nonzero(~leading[:, None] & each)
+        slot, d = (np.concatenate(x) for x in zip(
+            self._fixed, (e, d + 3), (f, c), (f, c)))
+        unit = np.repeat([1.0, -1.0], [len(d) - 3 * m, 3 * m])
+        i, p = on_stencil(np.concatenate([self._fixed[0], e, f, lead[f]]),
+                          True)
+        #: the values of the unit diagonals
+        self._end_unit = unit[i] * phi[p, 0]
+        planned.append((rows[slot[i]] + d[i], cols[p] + d[i]))
+        r, c = (np.concatenate([x.reshape(-1) for x in y]) for y in zip(
+            *(np.broadcast_arrays(*rc) for rc in planned)))
+        entries, self._end_of_value = np.unique(r * self.ndof + c,
+                                                return_inverse=True)
+        return np.divmod(entries, self.ndof)
+
+    def _plan_pattern(self, end):
         """Row and column of every value of the whole system.
 
-        ``assemble`` makes one value per entry: the interior values of each
+        ``_system`` makes one value per entry: the interior values of each
         law stack and stencil width (point, force/moment rows,
         displacement/rotation columns, 3, 3, stencil point), then the end
-        entries in row order, into which the end values (stencil point, 6,
-        6) are summed.  Every assembled matrix is a COO matrix on this
-        pattern, entries that are zero at its state included, and shares
-        its read-only ``_rows`` and ``_cols``.
+        entries ``end`` in row order, into which the end values are summed.
+        Entries that are zero at a state are values too.
         """
-        six = np.arange(6)
         _, fm, dr, a, b, _ = np.indices((1, 2, 2, 3, 3, 1), sparse=True)
         rows, cols = [], []
 
@@ -361,11 +397,7 @@ class Simulation:
             for _, points, _, ctrl in rt.interior:
                 add(6 * points[:, None, None, None, None, None] + 3 * fm + a,
                     6 * ctrl[:, None, None, None, None, :] + 3 * dr + b)
-        add(self._term_rows[self._stencil_term][:, None, None] + six[:, None],
-            self._stencil_col[:, None, None] + six)
-        entries, self._end_of_value = np.unique(
-            rows[-1] * self.ndof + cols[-1], return_inverse=True)
-        rows[-1], cols[-1] = np.divmod(entries, self.ndof)
+        add(*end)
         rows = np.concatenate(rows)
         #: the runs of values in one row (start, row, length)
         runs = np.flatnonzero(np.diff(rows, prepend=-1))
@@ -481,7 +513,8 @@ class Simulation:
 
     def _residual(self, h: float, t_next: float) -> ResidualPass:
         """The residual pass at the current state: the section state and
-        residual kernels of every stack and the boundary and joint rows."""
+        residual kernels of every stack and the boundary and joint rows;
+        nothing of the tangent."""
         rhs = np.zeros(self.ndof)
         r = rhs.reshape(-1, 6)
         fm = self._distributed(t_next)
@@ -494,15 +527,13 @@ class Simulation:
             V = residual_moment(st, law, sec)
             for sel, points, _, _ in rt.interior:
                 r[points] = -np.hstack([F[sel], V[sel]])
-        return ResidualPass(sections, self._boundary_rows(sections, t_next, rhs),
-                            rhs, np.empty(self.ndof))
+        blocks, R = self._boundary_rows(sections, t_next, rhs)
+        return ResidualPass(sections, blocks, R, rhs, np.empty(self.ndof))
 
-    def assemble(self, h: float, t_next: float, res=None):
-        """Equilibrated COO matrix on the planned ``_rows`` and ``_cols``,
-        zero entries included, and right-hand side at the current state,
-        finished from its residual pass ``res`` (made here if None)."""
-        if res is None:
-            res = self._residual(h, t_next)
+    def _system(self, h: float, res: ResidualPass):
+        """Equilibrated values of the system at the current state, one per
+        planned entry in the order of ``_rows`` and ``_cols``, and its
+        right-hand side, finished from the residual pass ``res``."""
         values = []
         for rt, sec in zip(self.stacks, res.sections):
             law, st = rt.law, rt.state
@@ -514,11 +545,15 @@ class Simulation:
             for sel, _, phi, _ in rt.interior:
                 values.append(np.einsum("nrcdab,ndk->nrcabk", C[sel],
                                         phi).reshape(-1))
-
-        B = res.blocks[self._stencil_term]
-        phi = self._stencil_phi
-        values.append(np.bincount(self._end_of_value, weights=(
-            B[:, 0] * phi[:, 0] + B[:, 1] * phi[:, 1]).reshape(-1)))
+        # the blocks of every end kernel (end, kernel, stencil, 3, 6)
+        blk = np.empty((len(self._slots), 4, 2, 3, 6))
+        for ends, k, make in res.blocks:
+            blk[ends, k] = make()
+        B, phi = blk[self._end_rows], self._end_phi
+        g, phi_R = self._end_R
+        values.append(np.bincount(self._end_of_value, weights=np.concatenate((
+            (B[:, 0] * phi[:, 0] + B[:, 1] * phi[:, 1]).reshape(-1),
+            (res.R[g] * phi_R).reshape(-1), self._end_unit))))
         values = np.concatenate(values)
         # row equilibration: rows mix stiffness scales with unit Dirichlet rows
         runs, run_rows, run_lengths = self._runs
@@ -529,62 +564,51 @@ class Simulation:
             raise RuntimeError(f"under-constrained system: zero rows {zero[:10]}")
         inv = np.divide(1.0, scale, out=res.inv)
         values *= np.repeat(inv[run_rows], run_lengths)
-        A = sp.coo_matrix((values, (self._rows, self._cols)),
-                          shape=(self.ndof,) * 2)
-        return A, res.rhs * inv
+        return values, res.rhs * inv
+
+    def assemble(self, h: float, t_next: float, res=None):
+        """The system of ``_system`` at the residual pass ``res`` (made here
+        if None) as a COO matrix on the planned ``_rows`` and ``_cols``,
+        zero entries included, and its right-hand side."""
+        values, rhs = self._system(
+            h, self._residual(h, t_next) if res is None else res)
+        return sp.coo_matrix((values, (self._rows, self._cols)),
+                             shape=(self.ndof,) * 2), rhs
 
     def _boundary_rows(self, sections, t_next, rhs):
-        """Coefficient blocks (terms, 2, 6, 6) of every end term from the
-        section state of every stack; fills the boundary entries of ``rhs``.
-
-        ``[term, 0]`` multiplies the value stencil and ``[term, 1]`` the ,s
-        stencil of the term's end.  Rows 0:3 of a block are the force (or
-        translation) rows of its slot and rows 3:6 the moment (or rotation)
-        rows; columns 0:3 act on the displacement and 3:6 on the rotation
-        increment of each control point.  The end kernels return their
-        blocks (ends, 2, 3, 6) in this [stencil, row, column] layout, so
-        they are written into ``B`` as they come.  Each end kernel runs at
-        most once per law stack, on all the ends that need it.  The six
-        residuals of every end are gathered in one (ends, 6) array and
-        written into the slots once.
+        """Fills the boundary entries of ``rhs`` from the section state of
+        every stack; returns what ``_system`` makes the end values from: the
+        (ends, kernel, maker of their blocks) of every end kernel call and
+        the rotation of every end.  Each end kernel runs at most once per
+        law stack, on all the ends that need it.
         """
-        B = np.zeros((len(self._term_rows), 2, 6, 6))
         n = len(self._slots)
-        E = np.zeros((n, 6))
         c, R = np.empty((n, 3)), np.empty((n, 3, 3))
-        # spatial end force and couple (end, force/couple, 3) and their
-        # blocks (end, force/couple, stencil, 3, 6); the couple of a one-end
-        # group is never evaluated, and it subtracts a zero
-        fm, dfm = np.zeros((n, 2, 3)), np.empty((n, 2, 2, 3, 6))
-        # applied force, couple and support motion of every end
         ext = np.zeros((n, 3, 3))
         for g, ch, history in self._histories:
             ext[g, ch] += history(t_next)
-        for rt, sec, (every, nf, nm, fs, ms) in zip(self.stacks, sections,
-                                                     self._end_groups):
+        # the vector of every end kernel (end, kernel, 3); the couple of a
+        # one-end group is never evaluated, and it subtracts a zero
+        vec, blocks = np.zeros((n, 4, 3)), []
+        for rt, sec, (every, *groups) in zip(self.stacks, sections,
+                                             self._end_groups):
             st = rt.state
             c[every.ends] = st.c[every.pts]
             R[every.ends] = st.R[every.pts]
-            if nf is not None:
-                E[nf.ends, :3], B[nf.ends, :, :3] = neumann_force_row(
-                    st, sec, nf.pts, ext[nf.ends, 0], nf.sign)
-            if nm is not None:
-                E[nm.ends, 3:], B[nm.ends, :, 3:] = neumann_moment_row(
-                    st, sec, nm.pts, ext[nm.ends, 1], nm.sign)
-            if fs is not None:
-                fm[fs.ends, 0], dfm[fs.ends, 0] = end_force_spatial(
-                    st, sec, fs.pts, fs.sign)
-            if ms is not None:
-                fm[ms.ends, 1], dfm[ms.ends, 1] = end_moment_spatial(
-                    st, sec, ms.pts, ms.sign)
-
+            for k, grp in enumerate(groups):
+                if grp is not None:
+                    # the Neumann rows take their applied force or couple
+                    load = (ext[grp.ends, k],) if k < 2 else ()
+                    vec[grp.ends, k], make = (
+                        neumann_force_row, neumann_moment_row,
+                        end_force_spatial, end_moment_spatial)[k](
+                            st, sec, grp.pts, *load, grp.sign)
+                    blocks.append((grp.ends, k, make))
+        # the Neumann rows, and the spatial end force and couple
+        E, fm = vec[:, :2].reshape(n, 6), vec[:, 2:]
         if self._balance:
             # balance in the slot of each group's lead: the applied load
             # less the end resultants, member by member
-            T, g, a = self._force_rows
-            B[T, :, a] = dfm[g, 0, :, a]
-            T, g = self._couple_blocks
-            B[T, :, 3:] = dfm[g, 1]
             S = ext[:, :2]  # the end loads are read by now
             for q, g in self._balance:
                 S[q] -= fm[g]
@@ -596,21 +620,13 @@ class Simulation:
         # continuity in the slots of the ends that do not lead their joint:
         # d_eta_i - d_eta_0 = c_0 - c_i, R_i dTheta_i - R_0 dTheta_0 =
         # log(Q_0 Q_i^T)
-        g, g0, T = self._continuity
-        if len(g):
-            B[g, 0, :3, :3] = np.eye(3)
-            B[g, 0, 3:, 3:] = R[g]
-            B[T, 0, :3, :3] = -np.eye(3)
-            B[T, 0, 3:, 3:] = -R[g0]
-            E[g, :3] = c[g0] - c[g]
-
+        g, g0 = self._continuity
+        E[g, :3] = c[g0] - c[g]
         # supports: translations toward the (moving) support position, and a
         # clamp's rotation
         e, a = self._fixed
-        B[e, 0, a, a] = 1.0
         E[e, a] = self._end_c0[e, a] + ext[e, 2, a] - c[e, a]
         e = self._clamped
-        B[e, 0, 3:, 3:] = np.eye(3)
         if len(g) or len(e):
             R0 = self._end_R0
             Q = R @ np.swapaxes(R0, -1, -2)
@@ -618,12 +634,13 @@ class Simulation:
                                   np.swapaxes(R[e], -1, -2) @ R0[e]])
             E[np.concatenate([g, e]), 3:] = so3.log_so3(rot)
         rhs.reshape(-1, 6)[self._slots] = E
-        return B
+        return blocks, R
 
     # -- solving ---------------------------------------------------------------
 
-    def _solve(self, A, rhs):
-        """Solve A x = rhs by block elimination onto the joint leads.
+    def _solve(self, values, rhs):
+        """Solve A x = rhs by block elimination onto the joint leads, for
+        the system A whose planned entries hold ``values``.
 
         One LAPACK banded LU (``dgbsv``) factors the band matrix D, block
         diagonal over patches, and solves it for the band part of rhs and
@@ -632,19 +649,17 @@ class Simulation:
         factored by one LAPACK LU (``dgesv``) with partial pivoting; only
         the A_sd entries that are nonzero at the state enter its update.  A
         model without joints has no separator, and its solve is the banded
-        LU alone.  A must be COO on the planned pattern, as ``assemble``
-        makes it (else ``ValueError``); a singular D or S raises
-        ``RuntimeError``.  The solution depends on A and rhs alone.
+        LU alone.  ``values`` holds one value per planned entry (else
+        ``ValueError``); a singular D or S raises ``RuntimeError``.
         """
-        if A.format != "coo" or not all(
-                a is b or np.array_equal(a, b)
-                for a, b in zip((A.row, A.col), (self._rows, self._cols))):
-            raise ValueError("matrix structure outside the planned pattern")
+        if np.shape(values) != self._rows.shape:
+            raise ValueError(f"{np.shape(values)} values for the "
+                             f"{len(self._rows)} planned entries")
         kl, ku, ldab, size = self._bands
         band, packed = self._band, self._packed
         nb, npack = packed.shape
         buf = np.zeros(size)
-        buf[self._dest] = A.data
+        buf[self._dest] = values
         end = (ldab + npack + 1) * nb
         X = buf[ldab * nb:end].reshape(npack + 1, nb).T
         X[:, -1] = rhs[band]
@@ -680,6 +695,7 @@ class Simulation:
         """Newton-Raphson loop at the current predictor state, with full
         updates.  An iteration is counted before its update, so one that the
         pi guard of ``apply_increment`` stops with ``StepFailure`` counts.
+        Each system goes from ``_system`` to ``_solve`` as its value vector.
 
         After an update the residual is first equilibrated with the row
         scales of the system just solved; within half the tolerance it has
@@ -698,7 +714,7 @@ class Simulation:
                     report.residual_norms.append(res_norm)
                     report.converged = True
                     break
-            A, rhs = self.assemble(h, t_next, res)
+            values, rhs = self._system(h, res)
             inv = res.inv
             res_norm = np.abs(rhs).max()
             report.residual_norms.append(res_norm)
@@ -716,7 +732,7 @@ class Simulation:
                 grow = 0
             if it == s.max_iterations:
                 break
-            delta = self._solve(A, rhs)
+            delta = self._solve(values, rhs)
             inc_norm = np.abs(delta).max()
             self.total_iterations += 1
             acc = 1.0

@@ -6,14 +6,15 @@ respect to the incremental displacement and rotation fields and their first
 and second arc-length derivatives.  All quantities are material (pulled back
 by R^T); everything is vectorized over the points of a law stack.
 
-One section pass per stack and assembly, ``section_state``, evaluates what
-all eight kernels read: the kinematics of ``kin``, the Maxwell history sums,
-the effective stresses zF and zM at the step's effective stiffness, the
-distributed loads pulled back to the material frame and the skew matrix of
-every vector a kernel crosses with, made by one ``so3.skew`` call on the
-stack of those vectors.  The four interior kernels take it whole and the
-four end kernels gather it at their points, so no kernel recomputes strains,
-histories or skew matrices; only the Neumann rows skew their end loads.
+One section pass per stack and residual pass, ``section_state``, evaluates
+what all the kernels read: the kinematics of ``kin``, the Maxwell history
+sums, the effective stresses zF and zM at the step's effective stiffness,
+the distributed loads pulled back to the material frame and, on first use
+by a tangent kernel, the skew matrix of every vector a kernel crosses with,
+made by one ``so3.skew`` call on the stack of those vectors.  The interior
+kernels take it whole and the end kernels gather it at their points, so no
+kernel recomputes strains, histories or skew matrices; only the Neumann
+blocks skew their end loads.
 
 The kernels return their blocks in the layout the system matrix is built
 from, with the structural zeros as zeros of the array:
@@ -33,6 +34,7 @@ pins this down to 5e-6 relative.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 
 import numpy as np
@@ -118,17 +120,17 @@ Skews = namedtuple("Skews", "K y zF zM K_s W JW RTc_ss Ky rn rm Theta")
 #: zF = CN_bar Gam - SbG and zM = CM_bar Kap - SbK with SbG, SbK the Maxwell
 #: history sums, their ,s sums, the effective diagonals, the material loads
 #: rn = R^T (n_dist - mu a) and rm = R^T m_dist of the distributed loads,
-#: J W and the ``Skews``
+#: J W and a function that makes the ``Skews`` on its first call
 SectionState = namedtuple(
     "SectionState", "RT y Gam_s Kap_s zF zM SbG_s SbK_s CN_bar CM_bar "
-                    "rn rm JW skew")
+                    "rn rm JW skews")
 
 
 def section_state(state: CollocationState, law: SectionLaw, h: float,
                   n_dist: np.ndarray, m_dist: np.ndarray) -> SectionState:
     """The section pass of the stack under the spatial distributed force
     and moment ``n_dist`` and ``m_dist`` (n, 3), evaluated once per
-    assembly; one ``so3.skew`` call makes all the ``Skews``."""
+    residual pass."""
     RT, y, Gam, Gam_s, Kap, Kap_s, Ky, RTc_ss = kin(state)
     SbG, SbG_s = state.visc.force_history(law)
     SbK, SbK_s = state.visc.couple_history(law)
@@ -139,9 +141,10 @@ def section_state(state: CollocationState, law: SectionLaw, h: float,
     rm = np.einsum("nij,nj->ni", RT, m_dist)
     vectors = (state.K, y, zF, zM, state.K_s, state.W, JW, RTc_ss, Ky, rn,
                rm, state.Theta)
-    skews = so3.skew(np.concatenate(vectors).reshape(len(vectors), -1, 3))
+    skews = functools.cache(lambda: Skews(*so3.skew(
+        np.concatenate(vectors).reshape(len(vectors), -1, 3))))
     return SectionState(RT, y, Gam_s, Kap_s, zF, zM, SbG_s, SbK_s, CN_bar,
-                        CM_bar, rn, rm, JW, Skews(*skews))
+                        CM_bar, rn, rm, JW, skews)
 
 
 def residual_force(state: CollocationState,
@@ -167,7 +170,7 @@ def tangent_blocks_force(state: CollocationState, law: SectionLaw,
                          sec: SectionState, h: float) -> np.ndarray:
     """Consistent tangent blocks (n, 2, 3, 3, 3) of the force balance; it has
     no block on the second derivative of the rotation increment."""
-    RT, CN_bar, sk = sec.RT, sec.CN_bar, sec.skew
+    RT, CN_bar, sk = sec.RT, sec.CN_bar, sec.skews()
     Kt = sk.K
     CNyt = _rowscale(CN_bar, sk.y)
     CNRT = _rowscale(CN_bar, RT)
@@ -190,7 +193,7 @@ def tangent_blocks_moment(state: CollocationState, law: SectionLaw,
     incremental rotation, which transports the solver increment from the
     step-end tangent space to the one the trapezoidal extrapolation lives in.
     """
-    RT, CM_bar, sk = sec.RT, sec.CM_bar, sec.skew
+    RT, CM_bar, sk = sec.RT, sec.CM_bar, sec.skews()
     Kt, yt = sk.K, sk.y
     J = law.inertia
     CMKt = _rowscale(CM_bar, Kt)
@@ -211,7 +214,9 @@ def tangent_blocks_moment(state: CollocationState, law: SectionLaw,
 # Boundary rows, stacked over a set of ends given as an index array ``pts`` of
 # points.  ``sign`` (e,) is the outward normal of each end (+1 at u = 1, -1 at
 # u = 0): an applied end load f satisfies sign * n(end) = f.  Each kernel
-# returns its vector (e, 3) and its (e, 2, 3, 6) blocks.  The 3x3 products use
+# returns its vector (e, 3) and a function that makes its (e, 2, 3, 6)
+# blocks, so a pass that makes residuals alone makes no blocks and no skew
+# matrices of the section.  The 3x3 products use
 # ``@``, which gives the bits of the one-matrix product on each end of the
 # stack.  A Neumann row writes SbG - CN_bar Gam as 0 - zF: the same bits as
 # that difference, a zero included, where -zF would turn +0 into -0.
@@ -231,49 +236,49 @@ def _end_blocks(theta, theta_s=0.0, eta_s=0.0) -> np.ndarray:
 def neumann_force_row(state: CollocationState, sec: SectionState,
                       pts: np.ndarray, n_c: np.ndarray, sign: np.ndarray):
     """Material force boundary rows at the points ``pts`` with end loads
-    ``n_c`` (e, 3): residuals and blocks."""
+    ``n_c`` (e, 3): residuals and the maker of their blocks."""
     RT = np.swapaxes(state.R.take(pts, axis=0), -1, -2)
     rn = (RT @ n_c[:, :, None])[..., 0]
-    return 0.0 - sec.zF.take(pts, axis=0) + sign[:, None] * rn, _end_blocks(
-        sec.CN_bar[:, None] * sec.skew.y.take(pts, axis=0)
-        - sign[:, None, None] * so3.skew(rn),
-        eta_s=sec.CN_bar[:, None] * RT)
+    return 0.0 - sec.zF.take(pts, axis=0) + sign[:, None] * rn, lambda: (
+        _end_blocks(sec.CN_bar[:, None] * sec.skews().y.take(pts, axis=0)
+                    - sign[:, None, None] * so3.skew(rn),
+                    eta_s=sec.CN_bar[:, None] * RT))
 
 
 def neumann_moment_row(state: CollocationState, sec: SectionState,
                        pts: np.ndarray, m_c: np.ndarray, sign: np.ndarray):
     """Material moment boundary rows at the points ``pts`` with end couples
-    ``m_c`` (e, 3): residuals and blocks."""
+    ``m_c`` (e, 3): residuals and the maker of their blocks."""
     RT = np.swapaxes(state.R.take(pts, axis=0), -1, -2)
     rm = (RT @ m_c[:, :, None])[..., 0]
-    return 0.0 - sec.zM.take(pts, axis=0) + sign[:, None] * rm, _end_blocks(
-        sec.CM_bar[:, None] * sec.skew.K.take(pts, axis=0)
-        - sign[:, None, None] * so3.skew(rm),
-        theta_s=np.diag(sec.CM_bar))
+    return 0.0 - sec.zM.take(pts, axis=0) + sign[:, None] * rm, lambda: (
+        _end_blocks(sec.CM_bar[:, None] * sec.skews().K.take(pts, axis=0)
+                    - sign[:, None, None] * so3.skew(rm),
+                    theta_s=np.diag(sec.CM_bar)))
 
 
 def end_force_spatial(state: CollocationState, sec: SectionState,
                       pts: np.ndarray, sign: np.ndarray):
-    """Spatial end forces sign * R N at the points ``pts`` and their blocks;
-    used for joint balance and component-wise mixed supports, where rows live
-    in the fixed frame."""
+    """Spatial end forces sign * R N at the points ``pts`` and the maker of
+    their blocks; used for joint balance and component-wise mixed supports,
+    where rows live in the fixed frame."""
     R = state.R.take(pts, axis=0)
     zF = sec.zF.take(pts, axis=0)
     s = sign[:, None, None]
-    return sign[:, None] * (R @ zF[:, :, None])[..., 0], _end_blocks(
-        s * (R @ (sec.CN_bar[:, None] * sec.skew.y.take(pts, axis=0)
-                  - sec.skew.zF.take(pts, axis=0))),
+    return sign[:, None] * (R @ zF[:, :, None])[..., 0], lambda: _end_blocks(
+        s * (R @ (sec.CN_bar[:, None] * sec.skews().y.take(pts, axis=0)
+                  - sec.skews().zF.take(pts, axis=0))),
         eta_s=s * (R @ (sec.CN_bar[:, None] * np.swapaxes(R, -1, -2))))
 
 
 def end_moment_spatial(state: CollocationState, sec: SectionState,
                        pts: np.ndarray, sign: np.ndarray):
-    """Spatial end couples sign * R M at the points ``pts`` and their
-    blocks."""
+    """Spatial end couples sign * R M at the points ``pts`` and the maker of
+    their blocks."""
     R = state.R.take(pts, axis=0)
     zM = sec.zM.take(pts, axis=0)
     s = sign[:, None, None]
-    return sign[:, None] * (R @ zM[:, :, None])[..., 0], _end_blocks(
-        s * (R @ (sec.CM_bar[:, None] * sec.skew.K.take(pts, axis=0)
-                  - sec.skew.zM.take(pts, axis=0))),
+    return sign[:, None] * (R @ zM[:, :, None])[..., 0], lambda: _end_blocks(
+        s * (R @ (sec.CM_bar[:, None] * sec.skews().K.take(pts, axis=0)
+                  - sec.skews().zM.take(pts, axis=0))),
         theta_s=s * (R @ np.diag(sec.CM_bar)))

@@ -78,19 +78,28 @@ def run_scenario(name: str, overrides: dict | None = None, out_dir=None,
                      out_dir, snapshot_times)
 
 
+def check_snapshot_times(times, params: dict):
+    """Raise ``ValueError`` unless every snapshot time lies in [0, T + h/2]
+    of the scenario ``params``."""
+    if any(not 0 <= t <= params["T"] + params["h"] / 2 for t in times):
+        raise ValueError(f"snapshot times must lie in [0, T]: {list(times)}")
+
+
 def run_model(name: str, model, settings, params: dict, out_dir=None,
               snapshot_times=()):
     """Run the ``scenario_setup`` of scenario ``name`` to its end time;
     returns (sim, trajectory, params).
 
     A snapshot is taken at the first state, the initial one included,
-    within h/2 of its time.
+    within h/2 of its time; a time that no state lies within h/2 of
+    raises ``ValueError`` before any step or file.
 
     On solver failure the history and the metadata of the committed steps
     are written, the metadata with the failure's message under "failure",
     and the exception is re-raised for the caller to turn into an exit
     code.
     """
+    check_snapshot_times(snapshot_times, params)
     sim = Simulation(model, settings)
     h, T = params["h"], params["T"]
     snap = sorted(snapshot_times)
@@ -281,10 +290,10 @@ def main(argv=None) -> int:
         else:
             setup = scenario_setup(getattr(args, "scenario", "custom"),
                                    _overrides_from(args), config=config)
-        text = getattr(args, "snapshots", "")
-        snaps = [float(t) for t in text.split(",") if t]
-        if any(not 0 <= t <= setup[2]["T"] + setup[2]["h"] / 2 for t in snaps):
-            raise ValueError(f"snapshot times must lie in [0, T]: {text}")
+        snaps = [float(t) for t in getattr(args, "snapshots", "").split(",")
+                 if t]
+        if snaps:
+            check_snapshot_times(snaps, setup[2])
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2

@@ -77,7 +77,7 @@ def apply_increment(state: CollocationState, de: np.ndarray, de_s: np.ndarray,
     state.c_ss += de_ss
     state.eta += de
 
-    if np.any(dt) or np.any(dt_s) or np.any(dt_ss):
+    if dt.any() or dt_s.any() or dt_ss.any():
         E, T, dT = so3.increment_maps(dt, dt_s)
         ET = np.swapaxes(E, -1, -2)
         Tdts = np.einsum("nij,nj->ni", T, dt_s)

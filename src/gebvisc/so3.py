@@ -9,6 +9,10 @@ The tangent map convention is the *right* one, fixed by the defining property
     d/de exp(skew(theta + e*v)) |_{e=0} = exp(skew(theta)) @ skew(T(theta) @ v)
 
 which is verified against finite differences in the test suite.
+
+Maps with a series branch evaluate only the branch that every point of a
+uniform batch takes, and both, picked by ``np.where``, for a mixed batch;
+every point gets the same bits either way.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ _DSERIES_ANGLE = 1.0e-2
 PI_MARGIN = 1.0e-6
 
 _EYE = np.eye(3)
+#: the next and the previous axis of each axis, for ``cross``
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 def skew(a: np.ndarray) -> np.ndarray:
@@ -44,23 +50,35 @@ def skew(a: np.ndarray) -> np.ndarray:
 
 
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b over the last axis, broadcast like ``np.cross``.
+    """a x b over the last axis of two arrays, broadcast like ``np.cross``.
 
     The same products and differences as ``np.cross``, so the same bits,
     without its fixed cost of some 20 us per call.
     """
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    out = np.empty(np.broadcast(a, b).shape)
-    np.subtract(a1 * b2, a2 * b1, out=out[..., 0])
-    np.subtract(a2 * b0, a0 * b2, out=out[..., 1])
-    np.subtract(a0 * b1, a1 * b0, out=out[..., 2])
-    return out
+    return (a.take(_NEXT, -1) * b.take(_PREV, -1)
+            - a.take(_PREV, -1) * b.take(_NEXT, -1))
 
 
 def _norm(v: np.ndarray, keepdims: bool = False) -> np.ndarray:
     """Euclidean norm over the last axis, with the bits of np.linalg.norm."""
     return np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=keepdims))
+
+
+def _sides(x: np.ndarray, small: np.ndarray):
+    """Whether a batch of angles ``x`` has points in its series region
+    ``small`` and points outside (an empty batch counts as outside), and
+    ``x`` with the series points set to one, for the closed forms."""
+    n = np.count_nonzero(small)
+    return n > 0, n < small.size or not n, \
+        np.where(small, 1.0, x) if 0 < n < small.size else x
+
+
+def _pick(small, series, closed):
+    """np.where(small, s, c) over the coefficients s of ``series`` and c
+    of ``closed``; either is empty where no point of the batch takes it."""
+    if not (series and closed):
+        return series or closed
+    return [np.where(small, s, c) for s, c in zip(series, closed)]
 
 
 def increment_maps(theta: np.ndarray, w: np.ndarray):
@@ -76,25 +94,27 @@ def increment_maps(theta: np.ndarray, w: np.ndarray):
     theta, w = np.asarray(theta, dtype=float), np.asarray(w, dtype=float)
     x = _norm(theta)
     small, dsmall = x < SERIES_ANGLE, x < _DSERIES_ANGLE
-    xs = np.where(small, 1.0, x)
-    x2 = x * x
-    x4 = x2 * x2
-    sx, omc = np.sin(xs), 1.0 - np.cos(xs)
-    xms = xs - sx
-    # a = (1 - cos x)/x^2 and b = (x - sin x)/x^3: series and closed form
-    a_ser, a_cf = 0.5 - x2 / 24.0 + x4 / 720.0, omc / (xs * xs)
-    b_ser = 1.0 / 6.0 - x2 / 120.0 + x4 / 5040.0
-    # sin(x)/x, a, b; dT's own a and b, da/dx / x and db/dx / x
+    (below, above, xs), (dbelow, dabove, _) = (_sides(x, small),
+                                               _sides(x, dsmall))
+    # sin(x)/x, a = (1 - cos x)/x^2, b = (x - sin x)/x^3; dT's own a and b,
+    # da/dx / x and db/dx / x: series and closed forms, where taken
+    ser = dser = cf = dcf = ()
+    if dbelow:
+        x2 = x * x
+        x4 = x2 * x2
+        dser = (0.5 - x2 / 24.0 + x4 / 720.0,
+                1.0 / 6.0 - x2 / 120.0 + x4 / 5040.0,
+                -1.0 / 12.0 + x2 / 180.0 - x4 / 6720.0,
+                -1.0 / 60.0 + x2 / 1260.0 - x4 / 60480.0)
+        ser = (1.0 - x2 / 6.0 + x4 / 120.0, *dser[:2]) if below else ()
+    if above:
+        sx, omc = np.sin(xs), 1.0 - np.cos(xs)
+        xms = xs - sx
+        cf = (sx / xs, omc / (xs * xs), xms / (xs * xs * xs))
+        dcf = (cf[1], xms / (xs ** 3), (xs * sx - 2.0 * omc) / (xs ** 4),
+               (xs * omc - 3.0 * xms) / (xs ** 5)) if dabove else ()
     c, a, b, da, db, dax, dbx = (v[..., None, None] for v in (
-        np.where(small, 1.0 - x2 / 6.0 + x4 / 120.0, sx / xs),
-        np.where(small, a_ser, a_cf),
-        np.where(small, b_ser, xms / (xs * xs * xs)),
-        np.where(dsmall, a_ser, a_cf),
-        np.where(dsmall, b_ser, xms / (xs ** 3)),
-        np.where(dsmall, -1.0 / 12.0 + x2 / 180.0 - x4 / 6720.0,
-                 (xs * sx - 2.0 * omc) / (xs ** 4)),
-        np.where(dsmall, -1.0 / 60.0 + x2 / 1260.0 - x4 / 60480.0,
-                 (xs * omc - 3.0 * xms) / (xs ** 5))))
+        *_pick(small, ser, cf), *_pick(dsmall, dser, dcf)))
     th, wt = skew(np.concatenate((theta, w)).reshape((2,) + theta.shape))
     th2 = th @ th
     tw = np.add.reduce(theta * w, axis=-1)[..., None, None]
@@ -129,12 +149,11 @@ def tangent_map_inverse(theta: np.ndarray, th: np.ndarray | None = None
     if np.any(x >= 2.0 * np.pi - PI_MARGIN):
         raise ValueError("tangent_map_inverse is singular near ||theta|| = 2*pi")
     small = x < SERIES_ANGLE
-    xs = np.where(small, 1.0, x)
+    below, above, xs = _sides(x, small)
     x2 = x * x
     # e = (1 - (x/2) cot(x/2)) / x^2
-    gamma = 0.5 * xs / np.tan(0.5 * xs)
-    e = np.where(small, 1.0 / 12.0 + x2 / 720.0 + x2 * x2 / 30240.0,
-                 (1.0 - gamma) / (xs * xs))
+    e, = _pick(small, below and (1.0 / 12.0 + x2 / 720.0 + x2 * x2 / 30240.0,),
+               above and ((1.0 - 0.5 * xs / np.tan(0.5 * xs)) / (xs * xs),))
     if th is None:
         th = skew(theta)
     return _EYE + 0.5 * th + e[..., None, None] * (th @ th)
@@ -149,10 +168,10 @@ def quat_from_rotvec(theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     x = _norm(theta)
     small = x < SERIES_ANGLE
-    xs = np.where(small, 1.0, x)
+    below, above, xs = _sides(x, small)
     x2 = x * x
-    half_sinc = np.where(small, 0.5 - x2 / 48.0 + x2 * x2 / 3840.0,
-                         np.sin(0.5 * xs) / xs)
+    half_sinc, = _pick(small, below and (0.5 - x2 / 48.0 + x2 * x2 / 3840.0,),
+                       above and (np.sin(0.5 * xs) / xs,))
     q = np.empty(theta.shape[:-1] + (4,))
     q[..., 0] = np.cos(0.5 * x)
     q[..., 1:] = half_sinc[..., None] * theta
@@ -232,19 +251,11 @@ def quat_from_matrix(R: np.ndarray) -> np.ndarray:
 def rotvec_from_quat(q: np.ndarray) -> np.ndarray:
     """Rotation vector of a unit quaternion, angle restricted to [0, pi)."""
     q = np.asarray(q, dtype=float)
-    q = q * np.where(q[..., :1] < 0.0, -1.0, 1.0)
-    w = q[..., 0]
-    v = q[..., 1:]
-    s = _norm(v)
-    angle = 2.0 * np.arctan2(s, w)
+    theta, angle = rotvec_from_quat_continuous(
+        q * np.where(q[..., :1] < 0.0, -1.0, 1.0))
     if np.any(angle > np.pi - PI_MARGIN):
         raise ValueError("rotation angle too close to pi for a rotation vector")
-    small = s < 1.0e-8
-    ss = np.where(small, 1.0, s)
-    ws = np.where(small, 1.0, w)
-    f = np.where(small, 2.0 / ws * (1.0 - s * s / (3.0 * ws * ws)),
-                 angle / ss)
-    return f[..., None] * v
+    return theta
 
 
 def rotvec_from_quat_continuous(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -261,7 +272,9 @@ def rotvec_from_quat_continuous(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s = _norm(v)
     angle = 2.0 * np.arctan2(s, w)
     small = s < 1.0e-8
-    ss = np.where(small, 1.0, s)
-    ws = np.where(np.abs(w) < 1.0e-12, 1.0, w)
-    f = np.where(small, 2.0 / ws * (1.0 - s * s / (3.0 * ws * ws)), angle / ss)
+    below, above, ss = _sides(s, small)
+    if below:
+        ws = np.where(np.abs(w) < 1.0e-12, 1.0, w)
+    f, = _pick(small, below and (2.0 / ws * (1.0 - s * s / (3.0 * ws * ws)),),
+               above and (angle / ss,))
     return f[..., None] * v, angle

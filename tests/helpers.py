@@ -1,6 +1,7 @@
 """Shared test fixtures: synthetic states, laws and analytic frame fields."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from gebvisc import so3
 from gebvisc.beam_residual import (CollocationState, residual_force,
@@ -189,13 +190,30 @@ def patch_end(sim, k: int, end: str):
     return rt.state, pts.start + patch.end_index(end)
 
 
+def end_row(kernel, state, sec, pts, *args):
+    """An end kernel's vector and its blocks at the points ``pts``."""
+    vec, make = kernel(state, sec, pts, *args)
+    return vec, make()
+
+
 def one_end(kernel, state, law, h, i, *args):
     """A stacked end kernel on the section state of ``state`` at step h at
     the one point ``i``, given the load and the outward sign of that end (a
     vector and a scalar) and returning its vector and blocks at that end."""
-    out = kernel(state, unloaded_section(state, law, h), np.array([i]),
-                 *(np.asarray(x, dtype=float)[None] for x in args))
+    out = end_row(kernel, state, unloaded_section(state, law, h),
+                  np.array([i]),
+                  *(np.asarray(x, dtype=float)[None] for x in args))
     return tuple(x[0] for x in out)
+
+
+def value_solve(sim, solve):
+    """A stand-in for ``sim._solve`` that solves the system of a planned
+    value vector by ``solve(A, rhs)``, with A the COO matrix on the plan
+    that ``sim.assemble`` returns."""
+    def solve_values(values, rhs):
+        return solve(sp.coo_matrix((values, (sim._rows, sim._cols)),
+                                   shape=(sim.ndof,) * 2), rhs)
+    return solve_values
 
 
 def dense_solve(A, rhs):
@@ -249,7 +267,7 @@ def assembling_newton(sim):
                 grow = 0
             if it == s.max_iterations:
                 break
-            delta = sim._solve(A, rhs)
+            delta = sim._solve(A.data, rhs)
             inc_norm = np.abs(delta).max()
             sim.total_iterations += 1
             acc = 1.0
@@ -591,3 +609,43 @@ def oracle_quat_from_matrix(R: np.ndarray) -> np.ndarray:
     # canonical sign: nonnegative scalar part
     q *= np.where(q[:, :1] < 0.0, -1.0, 1.0)
     return so3.quat_normalize(q).reshape(batch + (4,))
+
+
+def oracle_tangent_map_inverse(theta: np.ndarray) -> np.ndarray:
+    """Inverse right tangent map, both branches evaluated at every point."""
+    theta = np.asarray(theta, dtype=float)
+    x = np.linalg.norm(theta, axis=-1)
+    small = x < so3.SERIES_ANGLE
+    xs = np.where(small, 1.0, x)
+    x2 = x * x
+    gamma = 0.5 * xs / np.tan(0.5 * xs)
+    e = np.where(small, 1.0 / 12.0 + x2 / 720.0 + x2 * x2 / 30240.0,
+                 (1.0 - gamma) / (xs * xs))
+    th = so3.skew(theta)
+    return np.eye(3) + 0.5 * th + e[..., None, None] * (th @ th)
+
+
+def oracle_quat_from_rotvec(theta: np.ndarray) -> np.ndarray:
+    """Unit quaternion of a rotation vector, both branches evaluated."""
+    theta = np.asarray(theta, dtype=float)
+    x = np.linalg.norm(theta, axis=-1)
+    small = x < so3.SERIES_ANGLE
+    xs = np.where(small, 1.0, x)
+    x2 = x * x
+    half_sinc = np.where(small, 0.5 - x2 / 48.0 + x2 * x2 / 3840.0,
+                         np.sin(0.5 * xs) / xs)
+    return np.concatenate([np.cos(0.5 * x)[..., None],
+                           half_sinc[..., None] * theta], axis=-1)
+
+
+def oracle_rotvec_from_quat_continuous(q: np.ndarray):
+    """Rotation vector and angle of a unit quaternion without sign
+    wrapping, both branches evaluated."""
+    w, v = q[..., 0], q[..., 1:]
+    s = np.linalg.norm(v, axis=-1)
+    angle = 2.0 * np.arctan2(s, w)
+    small = s < 1.0e-8
+    ss = np.where(small, 1.0, s)
+    ws = np.where(np.abs(w) < 1.0e-12, 1.0, w)
+    f = np.where(small, 2.0 / ws * (1.0 - s * s / (3.0 * ws * ws)), angle / ss)
+    return f[..., None] * v, angle

@@ -16,7 +16,7 @@ from gebvisc.viscoelastic import (SectionGeometry, build_section_law,
                                   effective_stiffness, internal_forces,
                                   trapezoidal_coeffs)
 
-from helpers import (apply_blocks, apply_end_blocks, force_residual,
+from helpers import (apply_blocks, apply_end_blocks, end_row, force_residual,
                      moment_residual, one_end, random_state, relative_error,
                      straight_frames, superpose_rotation, unit_law,
                      unloaded_section)
@@ -161,7 +161,7 @@ class TestTangentFiniteDifference:
                 (neumann_moment_row, (loads, sign), moment),
                 (end_force_spatial, (sign,), force),
                 (end_moment_spatial, (sign,), moment)):
-            _, blk = kernel(st, sec, pts, *args)
+            _, blk = end_row(kernel, st, sec, pts, *args)
             assert blk.shape == (10, 2, 3, 6)
             for d in range(2):
                 for c in range(2):
@@ -258,7 +258,7 @@ class TestBoundaryRows:
                              (neumann_moment_row, (loads[1], sign)),
                              (end_force_spatial, (sign,)),
                              (end_moment_spatial, (sign,))):
-            out = kernel(st, sec, pts, *args)
+            out = end_row(kernel, st, sec, pts, *args)
             for e, i in enumerate(pts):
                 one = one_end(kernel, st, law, h, i, *(x[e] for x in args))
                 pairs = [(x[e], y) for x, y in zip(out, one)]

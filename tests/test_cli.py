@@ -173,6 +173,18 @@ class TestCliCommands:
         assert "invalid configuration" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("times", [[5.0], [0.0, -1.0], [float("nan")]],
+                             ids=["beyond_end", "negative", "nan"])
+    def test_library_rejects_snapshot_times(self, tmp_path, times):
+        # a library caller gets the check of the command line, before any
+        # step or file
+        out = tmp_path / "run"
+        out.mkdir()
+        with pytest.raises(ValueError, match="snapshot times"):
+            run_scenario("pendulum", {"T": 0.02}, str(out),
+                         snapshot_times=times)
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("argv, time", [
         (["pendulum", "--h", "0"], None),
         (["pendulum", "--h", "-0.005"], None),

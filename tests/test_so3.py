@@ -4,7 +4,9 @@ import pytest
 from gebvisc import so3
 from helpers import (assert_bitwise, axial, compose_rotvec, is_rotation,
                      oracle_dtangent_map, oracle_exp_so3,
-                     oracle_quat_from_matrix, oracle_tangent_map)
+                     oracle_quat_from_matrix, oracle_quat_from_rotvec,
+                     oracle_rotvec_from_quat_continuous, oracle_tangent_map,
+                     oracle_tangent_map_inverse)
 
 
 def random_rotvecs(rng, n, max_angle=np.pi - 0.05):
@@ -219,6 +221,68 @@ class TestIncrementMaps:
                              (oracle_exp_so3(th), oracle_tangent_map(th),
                               oracle_dtangent_map(th, w))):
             assert_bitwise(got, want)
+
+
+class TestUniformBranches:
+    # a batch whose points all lie on one side of a series threshold
+    # evaluates that side alone; every point keeps the bits it has in a
+    # batch that takes both sides (np.where), and those of the oracles
+    ANGLES = np.array(TestIncrementMaps.ANGLES)
+    SIDES = {"series": ANGLES < so3.SERIES_ANGLE,
+             "between": (ANGLES >= so3.SERIES_ANGLE)
+             & (ANGLES < so3._DSERIES_ANGLE),
+             "closed": ANGLES >= so3._DSERIES_ANGLE,
+             "mixed": np.ones(len(ANGLES), dtype=bool)}
+
+    @staticmethod
+    def rotvecs(angles):
+        # along a coordinate axis the angle is exactly the one listed
+        return np.concatenate([np.eye(3)[k] * angles[:, None]
+                               for k in range(3)])
+
+    @pytest.mark.parametrize("side", ["series", "between", "closed", "mixed"])
+    def test_increment_maps(self, side):
+        th_all = self.rotvecs(self.ANGLES)
+        w_all = np.random.default_rng(18).normal(size=th_all.shape)
+        mask = np.tile(self.SIDES[side], 3)
+        got = so3.increment_maps(th_all[mask], w_all[mask])
+        full = so3.increment_maps(th_all, w_all)
+        want = (oracle_exp_so3(th_all[mask]),
+                oracle_tangent_map(th_all[mask]),
+                oracle_dtangent_map(th_all[mask], w_all[mask]))
+        for g, f, o in zip(got, full, want):
+            assert_bitwise(g, f[mask])
+            assert_bitwise(g, o)
+
+    @pytest.mark.parametrize("side", ["series", "between", "closed", "mixed"])
+    @pytest.mark.parametrize("f, oracle", [
+        (so3.tangent_map_inverse, oracle_tangent_map_inverse),
+        (so3.quat_from_rotvec, oracle_quat_from_rotvec)],
+        ids=["tangent_map_inverse", "quat_from_rotvec"])
+    def test_rotvec_maps(self, f, oracle, side):
+        th_all = self.rotvecs(self.ANGLES)
+        mask = np.tile(self.SIDES[side], 3)
+        assert_bitwise(f(th_all[mask]), f(th_all)[mask])
+        assert_bitwise(f(th_all[mask]), oracle(th_all[mask]))
+
+    @pytest.mark.parametrize("side", ["series", "closed", "mixed"])
+    def test_rotvec_from_quat_continuous(self, side):
+        # its series threshold is on the norm of the vector part
+        s = np.array([0.0, 5e-9, np.nextafter(1e-8, 0.0), 1e-8,
+                      np.nextafter(1e-8, 1.0), 1e-3, 0.5, 0.999])
+        sides = {"series": s < 1e-8, "closed": s >= 1e-8,
+                 "mixed": np.ones(len(s), dtype=bool)}
+        v = np.concatenate([np.eye(3)[k] * s[:, None] for k in range(3)])
+        # the scalar part of either sign, as Newton's accumulation makes it
+        w = np.sqrt(1.0 - s * s) * np.where(np.arange(len(s)) % 2, -1.0, 1.0)
+        q_all = np.concatenate([np.tile(w, 3)[:, None], v], axis=-1)
+        mask = np.tile(sides[side], 3)
+        got = so3.rotvec_from_quat_continuous(q_all[mask])
+        full = so3.rotvec_from_quat_continuous(q_all)
+        want = oracle_rotvec_from_quat_continuous(q_all[mask])
+        for g, f, o in zip(got, full, want):
+            assert_bitwise(g, f[mask])
+            assert_bitwise(g, o)
 
 
 class TestQuaternions:

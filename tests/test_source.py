@@ -30,8 +30,9 @@ def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
 
-#: definitions that only callers outside the package use: public entry points
-PUBLIC = {"run_scenario", "set_initial_velocity"}
+#: definitions that only callers outside the package use: public entry
+#: points, and the system as a sparse matrix for inspection
+PUBLIC = {"run_scenario", "set_initial_velocity", "assemble"}
 
 
 def unreferenced_definitions() -> list[str]:
