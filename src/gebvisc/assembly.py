@@ -63,11 +63,12 @@ class NewtonSettings:
     max_halvings: int = 3
 
     def __post_init__(self):
-        if self.tol_increment <= 0 or self.tol_residual <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.tol_increment < np.inf and 0 < self.tol_residual < np.inf):
+            raise ValueError("tolerances must be finite and positive")
         for name, least in (("max_iterations", 1), ("max_halvings", 0)):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < least:
+            if (not isinstance(value, (int, np.integer))
+                    or isinstance(value, bool) or value < least):
                 raise ValueError(f"{name} must be an integer >= {least}")
 
     @classmethod

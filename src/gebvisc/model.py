@@ -6,9 +6,12 @@ and load histories.  Joints tie patch ends together rigidly: the spatial
 translation and rotation increments of all incident ends are equated and a
 massless balance of the spatial end resultants closes the row budget.
 
-Generators build the straight/curved lattice and the re-entrant cell
-structure; member curvature is controlled by rotating the control points
-adjacent to the member ends, which rigidly rotates the end tangents.
+The generators of the straight/curved lattice and of the re-entrant cell
+structure list their members and hand them to one network builder,
+``_network``, which makes the patches, the joints at shared nodes, the
+supports, the loads and the probe.  Member curvature is controlled by
+rotating the control points adjacent to the member ends, which rigidly
+rotates the end tangents.
 """
 
 from __future__ import annotations
@@ -50,10 +53,7 @@ def _raised_sine_pulse(value, t, omega, t_end):
 
 
 def _table(value, t, times, values):
-    out = np.empty(3)
-    for k in range(3):
-        out[k] = np.interp(t, times, np.asarray(values)[:, k])
-    return out
+    return np.array([np.interp(t, times, values[:, k]) for k in range(3)])
 
 
 #: per load history kind: its evaluator ``f(value, t, **params)`` and the
@@ -78,13 +78,18 @@ def _history_kind(kind: str):
 
 
 class LoadHistory:
-    """Piecewise-defined vector load history, evaluable at any t >= 0."""
+    """Piecewise-defined vector load history, evaluable at any t >= 0; its
+    value is a 3-vector, and it and the parameters must be finite."""
 
     def __init__(self, kind: str, value, **params):
         self.kind = kind
         self._evaluate = _history_kind(kind)[0]
         self.value = np.asarray(value, dtype=float)
         self.params = params
+        if self.value.shape != (3,) or not all(
+                np.isfinite(x).all() for x in (self.value, *params.values())):
+            raise ValueError(f"load history '{kind}' needs a 3-vector value "
+                             "and finite numbers")
 
     def __call__(self, t: float) -> np.ndarray:
         return self._evaluate(self.value, t, **self.params)
@@ -112,8 +117,15 @@ class LoadHistory:
 
     @classmethod
     def table(cls, times, values):
-        return cls("table", np.zeros(3), times=np.asarray(times, dtype=float),
-                   values=np.asarray(values, dtype=float))
+        """Linear interpolation of ``values`` (one row of 3 per time) over
+        strictly increasing ``times``, held constant outside them."""
+        times = np.asarray(times, dtype=float)
+        values = np.asarray(values, dtype=float)
+        if (times.ndim != 1 or not times.size or values.shape != (times.size, 3)
+                or np.any(np.diff(times) <= 0.0)):
+            raise ValueError("a table needs strictly increasing times and "
+                             "values shaped (len(times), 3)")
+        return cls("table", np.zeros(3), times=times, values=values)
 
 
 class Patch:
@@ -316,7 +328,7 @@ def spiral_curve(degree: int = 6, n: int = 250,
 
 
 # ---------------------------------------------------------------------------
-# Lattice generator: square grid with rigidly rotated crosses
+# Beam networks: the lattice and the re-entrant cell structure
 # ---------------------------------------------------------------------------
 
 def _rot_z(psi: float) -> np.ndarray:
@@ -335,6 +347,34 @@ def _member_curve(a: np.ndarray, b: np.ndarray, degree: int, n: int,
     if rot_b is not None:
         pts[-2] = b + rot_b @ (pts[-2] - b)
     return NurbsCurve(c.kv, pts, c.weights)
+
+
+def _network(members, law: SectionLaw, cell_size: float, degree: int,
+             n_ctrl: int, support: str, supported, loaded, load, probe: int
+             ) -> BeamModel:
+    """Beam network of ``members`` (a, b, rotation about a, rotation about
+    b), one ``_member_curve`` patch each in list order.
+
+    A node is keyed by its coordinates rounded to 1e-6 of ``cell_size``.
+    Every node with two or more member ends is a rigid joint (nodes in key
+    order, ends in patch order); a node whose key satisfies ``supported``
+    gets a ``support`` on its first end.  ``load`` (if given) acts on the
+    ``loaded`` patches, and the probe 'node' sits on the end of ``probe``.
+    """
+    patches, ends_at = [], {}
+    for p, (a, b, rot_a, rot_b) in enumerate(members):
+        patches.append(Patch(_member_curve(a, b, degree, n_ctrl, rot_a, rot_b),
+                             law))
+        for x, end in ((a, START), (b, END)):
+            key = tuple(np.round(x / cell_size * 1e6).astype(int))
+            ends_at.setdefault(key, []).append((p, end))
+    joints = [Joint(ends=ends_at[key]) for key in sorted(ends_at)
+              if len(ends_at[key]) >= 2]
+    supports = [Support(*ends_at[key][0], kind=support)
+                for key in sorted(ends_at) if supported(key)]
+    loads = [DistributedLoad(p, load) for p in loaded] if load is not None else []
+    return BeamModel(patches, supports=supports, joints=joints, loads=loads,
+                     probes=[Probe(probe, 1.0, "node")])
 
 
 def build_lattice(psi: float, law: SectionLaw, cells: int = 5,
@@ -356,55 +396,19 @@ def build_lattice(psi: float, law: SectionLaw, cells: int = 5,
     def vertex(i, j):
         return np.array([i * cell_size, j * cell_size, 0.0])
 
-    patches = []
-    members = {}  # (vi, vj) grid pairs -> patch index
-
-    def add_member(va, vb):
-        a, b = vertex(*va), vertex(*vb)
-        curve = _member_curve(a, b, degree, n_ctrl, Rz, Rz)
-        members[(va, vb)] = len(patches)
-        patches.append(Patch(curve, law))
-
-    for j in range(nv):
-        for i in range(cells):
-            add_member((i, j), (i + 1, j))
-    for i in range(nv):
-        for j in range(cells):
-            add_member((i, j), (i, j + 1))
-
-    # joints at every vertex; hinge supports at the boundary vertices
-    incidences = {}
-    for (va, vb), p in members.items():
-        incidences.setdefault(va, []).append((p, START))
-        incidences.setdefault(vb, []).append((p, END))
-    joints = []
-    supports = []
-    for v in sorted(incidences):
-        ends = incidences[v]
-        joints.append(Joint(ends=ends))
-        if v[0] in (0, cells) or v[1] in (0, cells):
-            supports.append(Support(*ends[0], kind="hinge"))
-
-    loads = []
-    if load is not None:
-        c = cells // 2
-        targets = [members[((c, c), (c + 1, c))],
-                   members[((c, c + 1), (c + 1, c + 1))],
-                   members[((c, c), (c, c + 1))],
-                   members[((c + 1, c), (c + 1, c + 1))]]
-        loads = [DistributedLoad(p, load) for p in targets]
-
+    # horizontal members (i, j) -> (i + 1, j) row by row, then vertical ones
+    members = ([(vertex(i, j), vertex(i + 1, j), Rz, Rz)
+                for j in range(nv) for i in range(cells)]
+               + [(vertex(i, j), vertex(i, j + 1), Rz, Rz)
+                  for i in range(nv) for j in range(cells)])
     c = cells // 2
-    probe_vertex = (c + 1, c + 1)
-    probe_patch = members[((c, c + 1), (c + 1, c + 1))]
-    probes = [Probe(probe_patch, 1.0, "node")]
-    return BeamModel(patches, supports=supports, joints=joints, loads=loads,
-                     probes=probes)
+    h = c * cells + c  # lower member of the central cell
+    v = nv * cells + c * cells + c  # its left member
+    rim = (0, cells * 10 ** 6)  # node keys count 1e-6 cells
+    return _network(members, law, cell_size, degree, n_ctrl, "hinge",
+                    lambda key: key[0] in rim or key[1] in rim,
+                    [h, h + cells, v, v + cells], load, h + cells)
 
-
-# ---------------------------------------------------------------------------
-# Re-entrant (auxetic) cell structure generator
-# ---------------------------------------------------------------------------
 
 def build_auxetic(psi: float, law: SectionLaw, nx: int = 5, ny: int = 1,
                   cell_size: float = 0.012, degree: int = 3, n_ctrl: int = 6,
@@ -444,98 +448,41 @@ def build_auxetic(psi: float, law: SectionLaw, nx: int = 5, ny: int = 1,
         raise ValueError("psi must lie in [0, pi/4]")
     a = cell_size
     half = 0.5 * a
-    patches = []
-    ends_at = {}  # node (rounded tuple) -> [(patch, end)]
-
-    def node_key(x):
-        return tuple(np.round(np.asarray(x) / a * 1e6).astype(int))
-
-    def add(curve):
-        patches.append(Patch(curve, law))
-        return len(patches) - 1
-
-    def register(p, x_start, x_end):
-        ends_at.setdefault(node_key(x_start), []).append((p, START))
-        ends_at.setdefault(node_key(x_end), []).append((p, END))
-
-    def add_line(x0, x1):
-        p = add(line_curve(x0, x1, degree, n_ctrl))
-        register(p, x0, x1)
-        return p
-
-    def add_diagonal(x0, x1, normal):
-        rot = exp_so3(psi * np.asarray(normal)) if psi != 0.0 else None
-        rot_b = None if rot is None else rot.T
-        p = add(_member_curve(np.asarray(x0, dtype=float),
-                              np.asarray(x1, dtype=float), degree, n_ctrl,
-                              rot, rot_b))
-        register(p, x0, x1)
-        return p
-
-    # corner columns, split at mid height
-    for i in range(nx + 1):
+    members = []
+    for i in range(nx + 1):  # corner columns, split at mid height
         for j in range(ny + 1):
             base = np.array([i * a, j * a, 0.0])
-            add_line(base, base + [0, 0, half])
-            add_line(base + [0, 0, half], base + [0, 0, a])
+            members += [(base, base + [0, 0, half], None, None),
+                        (base + [0, 0, half], base + [0, 0, a], None, None)]
+
+    def diagonal(x0, x1, normal):
+        rot = exp_so3(psi * normal) if psi != 0.0 else None
+        return x0, x1, rot, None if rot is None else rot.T
 
     # faces on every plan edge
-    top_beams = []
-    edges = []
-    for j in range(ny + 1):
-        for i in range(nx):
-            edges.append(((i, j), (i + 1, j)))
-    for i in range(nx + 1):
-        for j in range(ny):
-            edges.append(((i, j), (i, j + 1)))
+    edges = ([((i, j), (i + 1, j)) for j in range(ny + 1) for i in range(nx)]
+             + [((i, j), (i, j + 1)) for i in range(nx + 1) for j in range(ny)])
+    top = []
     for (ia, ja), (ib, jb) in edges:
         pa = np.array([ia * a, ja * a, 0.0])
         pb = np.array([ib * a, jb * a, 0.0])
-        d = (pb - pa) / np.linalg.norm(pb - pa)
-        normal = np.cross(d, [0.0, 0.0, 1.0])
+        normal = np.cross((pb - pa) / np.linalg.norm(pb - pa), [0.0, 0.0, 1.0])
         B = 0.5 * (pa + pb)
         T = B + [0.0, 0.0, a]
-        hub_a = pa + [0, 0, half]
-        hub_b = pb + [0, 0, half]
-        add_diagonal(B, hub_a, normal)
-        add_diagonal(B, hub_b, normal)
-        add_diagonal(T, hub_a, -normal)
-        add_diagonal(T, hub_b, -normal)
-        top_beams.append(add_line(pa + [0, 0, a], T))
-        top_beams.append(add_line(T, pb + [0, 0, a]))
-
-    joints = []
-    supports = []
-    for key in sorted(ends_at):
-        ends = ends_at[key]
-        at_bottom = key[2] == 0
-        if len(ends) >= 2:
-            joints.append(Joint(ends=ends))
-        if at_bottom:
-            supports.append(Support(*ends[0], kind="roller_x3"))
-
-    loads = []
-    if load is not None:
-        loads = [DistributedLoad(p, load) for p in top_beams]
+        for x, n in ((B, normal), (T, -normal)):
+            members += [diagonal(x, pa + [0, 0, half], n),
+                        diagonal(x, pb + [0, 0, half], n)]
+        top += [len(members), len(members) + 1]
+        members += [(pa + [0, 0, a], T, None, None),
+                    (T, pb + [0, 0, a], None, None)]
 
     # probe: top-center node nearest the plan centroid (ties: lexicographic)
     center = np.array([0.5 * nx * a, 0.5 * ny * a])
-    best = None
-    for (ia, ja), (ib, jb) in edges:
-        T = 0.5 * (np.array([ia, ja]) + np.array([ib, jb])) * a
-        d = np.linalg.norm(T - center)
-        cand = (round(d / a, 9), T[0], T[1])
-        if best is None or cand < best[0]:
-            best = (cand, T)
-    probe_T = np.array([best[1][0], best[1][1], a])
-    probe_patch = None
-    for p in top_beams:
-        if np.linalg.norm(patches[p].end_position(END) - probe_T) < JOINT_TOL:
-            probe_patch = p
-            break
-    probes = [Probe(probe_patch, 1.0, "node")] if probe_patch is not None else []
-    return BeamModel(patches, supports=supports, joints=joints, loads=loads,
-                     probes=probes)
+    mids = [0.5 * (np.array(P) + np.array(Q)) * a for P, Q in edges]
+    near = min(range(len(edges)), key=lambda k: (
+        round(np.linalg.norm(mids[k] - center) / a, 9), *mids[k]))
+    return _network(members, law, cell_size, degree, n_ctrl, "roller_x3",
+                    lambda key: key[2] == 0, top, load, top[2 * near])
 
 
 # ---------------------------------------------------------------------------

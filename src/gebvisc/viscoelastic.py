@@ -29,8 +29,8 @@ class MaxwellElement:
     tau: float
 
     def __post_init__(self):
-        if self.E <= 0.0 or self.tau <= 0.0:
-            raise ValueError("Maxwell element needs E > 0 and tau > 0")
+        if not (0.0 < self.E < np.inf and 0.0 < self.tau < np.inf):
+            raise ValueError("Maxwell element needs finite E > 0 and tau > 0")
 
     def shear_modulus(self, nu: float) -> float:
         return self.E / (2.0 * (1.0 + nu))
@@ -48,8 +48,9 @@ class SectionGeometry:
 
     def __post_init__(self):
         for name in ("A", "A2", "A3", "Jt", "J2", "J3"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"section property {name} must be positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"section property {name} must be finite "
+                                 "and positive")
 
     @classmethod
     def circle(cls, diameter: float) -> "SectionGeometry":
@@ -96,8 +97,8 @@ class SectionLaw:
     _cache: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.E_inf <= 0.0 or self.rho <= 0.0:
-            raise ValueError("E_inf and rho must be positive")
+        if not (0.0 < self.E_inf < np.inf and 0.0 < self.rho < np.inf):
+            raise ValueError("E_inf and rho must be finite and positive")
         if not -1.0 < self.nu <= 0.5:
             raise ValueError("Poisson's ratio outside (-1, 0.5]")
         g = self.geometry

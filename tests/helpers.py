@@ -8,6 +8,8 @@ from gebvisc.beam_residual import (CollocationState, residual_force,
                                    residual_moment, section_state)
 from gebvisc.initial_geometry import InitialFrameField, bishop_frames
 from gebvisc.integrator import apply_increment
+from gebvisc.model import (BeamModel, DistributedLoad, EndLoad, Joint,
+                           LoadHistory, Patch, Support)
 from gebvisc.splines import (KnotVector, NurbsCurve, greville,
                              interpolate_curve)
 from gebvisc.viscoelastic import (SectionGeometry, build_section_law,
@@ -298,6 +300,52 @@ def superpose_rotation(state: CollocationState, Q: np.ndarray) -> CollocationSta
         setattr(out, name, getattr(state, name) @ Q.T)
     out.R0 = Q @ state.R0
     return out
+
+
+def rotated_model(model: BeamModel, Q: np.ndarray) -> BeamModel:
+    """``model`` rigidly rotated by ``Q``: its control points, the values of
+    its distributed, end and joint load histories and its support motions.
+
+    The support kinds are kept, so the rotated model is the same physical
+    system only where they are frame-indifferent (hinges and clamps; a
+    ``roller_x3`` support only allows rotations about x3)."""
+    def turn(history):
+        if history is None:
+            return None
+        params = dict(history.params)
+        if history.kind == "table":
+            params["values"] = params["values"] @ Q.T
+        return LoadHistory(history.kind, Q @ history.value, **params)
+
+    return BeamModel(
+        [Patch(NurbsCurve(p.curve.kv, p.curve.points @ Q.T,
+                          p.curve.weights), p.law) for p in model.patches],
+        supports=[Support(s.patch, s.end, s.kind, turn(s.motion))
+                  for s in model.supports],
+        joints=[Joint(list(j.ends), turn(j.force), turn(j.moment))
+                for j in model.joints],
+        loads=[DistributedLoad(d.patch, turn(d.force), turn(d.moment))
+               for d in model.loads],
+        end_loads=[EndLoad(e.patch, e.end, turn(e.force), turn(e.moment))
+                   for e in model.end_loads],
+        probes=model.probes)
+
+
+def joint_mismatch(sim) -> tuple[float, float]:
+    """Largest distance between the end control points of a joint's ends,
+    and largest entry of the difference of their R R0^T, over every joint
+    of a simulation."""
+    dx = dR = 0.0
+    for joint in sim.model.joints:
+        x, Q = [], []
+        for k, end in joint.ends:
+            patch, rt, pts = sim.runtimes[k]
+            i = patch.end_index(end)
+            x.append(rt.ctrl[pts.start + i])
+            Q.append(rt.state.R[pts.start + i] @ patch.frames.R0[i].T)
+        dx = max(dx, np.linalg.norm(np.array(x) - x[0], axis=-1).max())
+        dR = max(dR, np.abs(np.array(Q) - Q[0]).max())
+    return dx, dR
 
 
 def is_rotation(R: np.ndarray, tol: float = 1.0e-12) -> bool:

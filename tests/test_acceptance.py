@@ -25,7 +25,7 @@ from gebvisc.cli import fit_preplateau_slope, run_convergence, run_scenario
 from gebvisc.integrator import apply_increment, begin_step
 from gebvisc.model import (BeamModel, DistributedLoad, EndLoad, Joint,
                            LoadHistory, Patch, Probe, Support)
-from gebvisc.scenarios import pla_law
+from gebvisc.scenarios import build_scenario, pla_law
 from gebvisc.splines import line_curve
 from gebvisc.viscoelastic import (SectionGeometry, ViscousState,
                                   build_section_law, compute_beta,
@@ -33,8 +33,9 @@ from gebvisc.viscoelastic import (SectionGeometry, ViscousState,
                                   trapezoidal_coeffs, update_viscous_state)
 
 from helpers import (apply_blocks, apply_end_blocks, force_residual,
-                     moment_residual, one_end, random_state, relative_error,
-                     superpose_rotation, unit_law)
+                     joint_mismatch, moment_residual, one_end, random_state,
+                     relative_error, rotated_model, superpose_rotation,
+                     unit_law)
 
 
 def ok(criterion, detail):
@@ -50,6 +51,19 @@ def pendulum_runs():
     _, visco, _ = run_scenario("pendulum", {})
     _, elastic, _ = run_scenario("pendulum", {"elastic": True})
     return visco, elastic
+
+
+@pytest.fixture(scope="module")
+def lattice3_run():
+    """The bench's lattice3 march (cells 3, psi 0.5236, T = 0.5, 100
+    steps): its model, parameters, trajectory and the joint mismatch after
+    every committed step."""
+    model, c = build_scenario("lattice", {"cells": 3, "psi": 0.5236,
+                                          "T": 0.5})
+    mismatch = []
+    traj = time_march(Simulation(model), c["T"], c["h"],
+                      observer=lambda sim: mismatch.append(joint_mismatch(sim)))
+    return model, c, traj, np.array(mismatch)
 
 
 @pytest.fixture(scope="module")
@@ -349,6 +363,43 @@ class TestCriterion7:
         diff = np.abs(ua - ub).max()
         assert diff < 1e-6
         ok("7-joint", f"collinear pair vs single patch: {diff:.1e}")
+
+
+class TestMarchInvariants:
+    """Physics invariants of whole marches."""
+    #: a generic rigid rotation; every support of the marched models is a
+    #: hinge, which any rotation maps onto itself
+    Q = so3.exp_so3(np.array([0.3, -0.5, 0.7]))
+
+    def test_joint_continuity_every_step(self, lattice3_run):
+        _, _, traj, mismatch = lattice3_run
+        assert len(mismatch) == len(traj.times) - 1 == 100
+        dx, dR = mismatch.max(axis=0)
+        # measured: positions exactly equal, R R0^T within 1.2e-15
+        assert dx <= 1e-12 and dR <= 1e-12
+        ok("7-joints", f"lattice3, 100 steps: end points {dx:.1e} m, "
+           f"R R0^T {dR:.1e}")
+
+    @pytest.mark.parametrize("name, bound", [
+        # measured: 3.5e-10 and 2.7e-12 of max|u|; bounds about ten times
+        # that.  Newton totals are not compared: they may differ under
+        # rotation (max-abs row scaling and the inf-norm increment test
+        # depend on the frame).
+        ("pendulum", 4e-9), ("lattice3", 3e-11)])
+    def test_rotated_march_rotates_probes(self, name, bound, pendulum_runs,
+                                          lattice3_run):
+        if name == "pendulum":
+            (model, c), traj = build_scenario("pendulum", {}), pendulum_runs[0]
+        else:
+            model, c, traj, _ = lattice3_run
+        rotated = time_march(Simulation(rotated_model(model, self.Q)),
+                             c["T"], c["h"])
+        for key, u in traj.probes.items():
+            err = (np.abs(rotated.probes[key] - u @ self.Q.T).max()
+                   / np.abs(u).max())
+            assert err <= bound
+        ok("7-frame-march", f"{name}: rotated probes within {err:.1e} of "
+           f"max|u|")
 
 
 class TestCriterion8:

@@ -568,7 +568,10 @@ class TestNewton:
         {"tol_increment": 0.0}, {"tol_residual": -1e-12},
         {"max_iterations": 0}, {"max_halvings": -1},
         {"tol_residual": 0.0}, {"max_halvings": 3.0},
-        {"max_iterations": 10.5}, {"max_halvings": 2.5}])
+        {"max_iterations": 10.5}, {"max_halvings": 2.5},
+        {"tol_residual": np.inf}, {"tol_increment": np.nan},
+        {"tol_increment": np.inf}, {"tol_residual": np.nan},
+        {"max_iterations": True}, {"max_halvings": False}])
     def test_invalid_settings_rejected(self, bad):
         with pytest.raises(ValueError):
             NewtonSettings(**bad)

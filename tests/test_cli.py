@@ -339,7 +339,10 @@ class TestCliCommands:
                                          {"max_iterations": 0},
                                          {"max_iterations": 10.5},
                                          {"max_halvings": 2.5},
-                                         {"retry_increment_cap": 0.3}])
+                                         {"retry_increment_cap": 0.3},
+                                         {"tol_residual": np.inf},
+                                         {"tol_increment": np.nan},
+                                         {"max_iterations": True}])
     def test_invalid_newton_section_rejected(self, tmp_path, capsys, section):
         cfg = self.short_config(section)
         with pytest.raises(ValueError):
@@ -369,6 +372,38 @@ class TestCliCommands:
             assert "invalid configuration" in capsys.readouterr().err
             # found before any step: no history is written
             assert not (out / "history.csv").exists()
+
+    TABLE = {"kind": "table", "times": [0.0, 1.0],
+             "values": [[0, 0, 0], [0, 0, -1.0]]}
+
+    @pytest.mark.parametrize("change", [
+        {"material": {"E_inf": np.nan}}, {"material": {"rho": np.inf}},
+        {"section": {"diameter": np.nan}},
+        {"material": {"elements": [{"E": 4.5e6, "tau": np.nan}]}},
+        {"history": dict(TABLE, values=[[0, 0, 0]])},
+        {"history": dict(TABLE, values=[[0, 0], [0, -1.0]])},
+        {"history": dict(TABLE, times=[1.0, 0.0])},
+        {"history": dict(TABLE, values=[[0, 0, 0], [0, 0, np.inf]])},
+        {"history": {"kind": "constant", "value": [0, -1.0]}},
+    ], ids=["E_inf_nan", "rho_inf", "diameter_nan", "tau_nan",
+            "table_length", "table_columns", "table_times", "table_inf",
+            "value_short"])
+    def test_invalid_numbers_reported(self, tmp_path, capsys, change):
+        # found before any step: exit 2 and no output directory
+        cfg = self.short_config({})
+        for key in ("material", "section"):
+            cfg[key] = dict(cfg[key], **change.get(key, {}))
+        if "history" in change:
+            cfg["loads"][0]["history"] = change["history"]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["run", "custom", "--config", str(path), "--out",
+                     str(out)]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not out.exists()
 
     @staticmethod
     def chain_config():

@@ -1,3 +1,5 @@
+import json
+import pathlib
 import pickle
 
 import numpy as np
@@ -83,6 +85,23 @@ class TestLoadHistory:
         for t in (0.0, 0.25, 0.5, 0.75, 2.5):
             np.testing.assert_array_equal(hist(t), built(t))
             np.testing.assert_array_equal(copy(t), built(t))
+
+    @pytest.mark.parametrize("make", [
+        lambda: LoadHistory.constant([0, 0, np.nan]),
+        lambda: LoadHistory.constant([0, -1.0]),
+        lambda: LoadHistory.impulse_hold_release([0, 0, 1.0], np.inf),
+        lambda: LoadHistory.raised_sine_pulse([0, 0, 1.0], np.nan, 1.0),
+        lambda: LoadHistory.table([0.0, np.nan], [[0, 0, 0], [0, 0, 1.0]]),
+        lambda: LoadHistory.table([0.0, 1.0], [[0, 0, 0]]),
+        lambda: LoadHistory.table([0.0, 1.0], [[0, 0], [0, 1.0]]),
+        lambda: LoadHistory.table([0.0, 0.0], [[0, 0, 0], [0, 0, 1.0]]),
+        lambda: LoadHistory.table([], np.zeros((0, 3)))],
+        ids=["value_nan", "value_short", "param_inf", "param_nan", "times_nan",
+             "table_length", "table_columns", "times_repeated",
+             "table_empty"])
+    def test_invalid_numbers_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown load history kind"):
@@ -275,6 +294,31 @@ class TestAuxetic:
     def test_psi_range_checked(self):
         with pytest.raises(ValueError):
             build_auxetic(0.9, pla_law(0.25e-3))
+
+
+class TestNetworkTopology:
+    """Patch count, joints (ends in order), supports, loaded patches and
+    probe of small generated networks, recorded from the generators."""
+    RECORDED = json.loads((pathlib.Path(__file__).parent / "data"
+                           / "generator_topology.json").read_text())
+
+    @pytest.mark.parametrize("psi", [0.0, np.pi / 6],
+                             ids=["straight", "curved"])
+    @pytest.mark.parametrize("name, build, dims", [
+        ("lattice 2", build_lattice, {"cells": 2}),
+        ("auxetic 1x1", build_auxetic, {"nx": 1, "ny": 1}),
+        ("auxetic 2x1", build_auxetic, {"nx": 2, "ny": 1})],
+        ids=["lattice2", "auxetic1x1", "auxetic2x1"])
+    def test_matches_recorded(self, name, build, dims, psi):
+        model = build(psi, small_law(), **dims,
+                      load=LoadHistory.constant([0, 0, -1.0]))
+        topology = {
+            "patches": len(model.patches),
+            "joints": [[[p, end] for p, end in j.ends] for j in model.joints],
+            "supports": [[s.patch, s.end, s.kind] for s in model.supports],
+            "loads": [load.patch for load in model.loads],
+            "probes": [[p.patch, p.u, p.name] for p in model.probes]}
+        assert topology == self.RECORDED[name]
 
 
 class TestConfig:

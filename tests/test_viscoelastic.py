@@ -77,6 +77,20 @@ class TestSectionLaw:
         with pytest.raises(ValueError):
             SectionGeometry(A=0.0, A2=1, A3=1, Jt=1, J2=1, J3=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_finite_numbers_enforced(self, bad):
+        geo = SectionGeometry.circle(0.01)
+        for make in (lambda: build_section_law(bad, 0.3, [], geo, 1.0),
+                     lambda: build_section_law(1e6, 0.3, [], geo, bad),
+                     lambda: build_section_law(1e6, bad, [], geo, 1.0),
+                     lambda: MaxwellElement(bad, 0.1),
+                     lambda: MaxwellElement(1e6, bad),
+                     lambda: SectionGeometry.circle(bad),
+                     lambda: SectionGeometry(A=1, A2=1, A3=1, Jt=bad, J2=1,
+                                             J3=1)):
+            with pytest.raises(ValueError):
+                make()
+
     def test_elastic_limit(self):
         law = pla_law()
         el = law.elastic_limit()
