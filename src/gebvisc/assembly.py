@@ -124,15 +124,16 @@ class PatchRuntime:
              np.concatenate([c.ravel() for c in cols] * 3), indptr),
             shape=(3 * len(self.points), first[-1]))
         #: interior points by stencil width: (stacked points, global
-        #: points, stencils, stencil control points)
+        #: points, stencils (value/,s/,ss, stencil point, point), stencil
+        #: control points)
         self.interior = []
         for width in sorted({c.shape[1] for c in cols}):
             js = [j for j, c in enumerate(cols) if c.shape[1] == width]
             sel = np.concatenate([np.arange(start[j] + 1, start[j + 1] - 1)
                                   for j in js])
-            self.interior.append((sel, self.points[sel],
-                                  np.concatenate([phi[j][1:-1] for j in js]),
-                                  np.concatenate([cols[j][1:-1] for j in js])))
+            self.interior.append((sel, self.points[sel], np.ascontiguousarray(
+                np.concatenate([phi[j][1:-1] for j in js]).transpose(1, 2, 0)),
+                np.concatenate([cols[j][1:-1] for j in js])))
 
     def snapshot(self):
         return (self.state.copy(), self.ctrl.copy())
@@ -381,12 +382,12 @@ class Simulation:
         """Row and column of every value of the whole system.
 
         ``_system`` makes one value per entry: the interior values of each
-        law stack and stencil width (point, force/moment rows,
-        displacement/rotation columns, 3, 3, stencil point), then the end
-        entries ``end`` in row order, into which the end values are summed.
-        Entries that are zero at a state are values too.
+        law stack and stencil width (force/moment rows, displacement/rotation
+        columns, 3, 3, stencil point, point), then the end entries ``end``
+        in row order, into which the end values are summed; these lie on no
+        interior row.  Entries that are zero at a state are values too.
         """
-        _, fm, dr, a, b, _ = np.indices((1, 2, 2, 3, 3, 1), sparse=True)
+        fm, dr, a, b, _, _ = np.indices((2, 2, 3, 3, 1, 1), sparse=True)
         rows, cols = [], []
 
         def add(r, c):
@@ -396,13 +397,13 @@ class Simulation:
 
         for rt in self.stacks:
             for _, points, _, ctrl in rt.interior:
-                add(6 * points[:, None, None, None, None, None] + 3 * fm + a,
-                    6 * ctrl[:, None, None, None, None, :] + 3 * dr + b)
+                add(6 * points + 3 * fm + a, 6 * ctrl.T + 3 * dr + b)
+        if np.isin(end[0], np.concatenate(rows)).any():
+            raise RuntimeError("an end entry lies on an interior row")
         add(*end)
         rows = np.concatenate(rows)
-        #: the runs of values in one row (start, row, length)
-        runs = np.flatnonzero(np.diff(rows, prepend=-1))
-        self._runs = (runs, rows[runs], np.diff(runs, append=len(rows)))
+        #: the rows of the end values (row, first value, length)
+        self._runs = np.unique(end[0], return_index=True, return_counts=True)
         self._rows, self._cols = (x.astype(np.int32)
                                   for x in (rows, np.concatenate(cols)))
         # every matrix shares them: an in-place edit of one would move the plan
@@ -534,38 +535,43 @@ class Simulation:
     def _system(self, h: float, res: ResidualPass):
         """Equilibrated values of the system at the current state, one per
         planned entry in the order of ``_rows`` and ``_cols``, and its
-        right-hand side, finished from the residual pass ``res``."""
-        values = []
+        right-hand side, finished from the residual pass ``res``.  Interior
+        values are contracted and scaled with the point index innermost."""
+        # row equilibration: rows mix stiffness scales with unit Dirichlet rows
+        blocks, scale = [], np.zeros(self.ndof)
         for rt, sec in zip(self.stacks, res.sections):
             law, st = rt.law, rt.state
-            # (point, force/moment rows, displacement/rotation columns,
-            # value/,s/,ss stencil, 3, 3)
-            C = np.concatenate(
-                (tangent_blocks_force(st, law, sec, h)[:, None],
-                 tangent_blocks_moment(st, law, sec, h)[:, None]), axis=1)
-            for sel, _, phi, _ in rt.interior:
-                values.append(np.einsum("nrcdab,ndk->nrcabk", C[sel],
-                                        phi).reshape(-1))
+            # (force/moment rows, displacement/rotation columns,
+            # value/,s/,ss stencil, 3, 3, point)
+            C = np.concatenate((tangent_blocks_force(st, law, sec, h),
+                                tangent_blocks_moment(st, law, sec, h)),
+                               axis=1).reshape(st.n, -1).T
+            for sel, points, phi, _ in rt.interior:
+                V = np.einsum("rcdabn,dkn->rcabkn", C.take(sel, axis=1)
+                              .reshape(2, 2, 3, 3, 3, -1), phi)
+                scale.reshape(-1, 6)[points] = np.abs(V).max(
+                    axis=(1, 3, 4)).reshape(6, -1).T
+                blocks.append((points, V))
         # the blocks of every end kernel (end, kernel, stencil, 3, 6)
         blk = np.empty((len(self._slots), 4, 2, 3, 6))
         for ends, k, make in res.blocks:
             blk[ends, k] = make()
         B, phi = blk[self._end_rows], self._end_phi
         g, phi_R = self._end_R
-        values.append(np.bincount(self._end_of_value, weights=np.concatenate((
+        end = np.bincount(self._end_of_value, weights=np.concatenate((
             (B[:, 0] * phi[:, 0] + B[:, 1] * phi[:, 1]).reshape(-1),
-            (res.R[g] * phi_R).reshape(-1), self._end_unit))))
-        values = np.concatenate(values)
-        # row equilibration: rows mix stiffness scales with unit Dirichlet rows
-        runs, run_rows, run_lengths = self._runs
-        scale = np.zeros(self.ndof)
-        np.maximum.at(scale, run_rows, np.maximum.reduceat(np.abs(values), runs))
+            (res.R[g] * phi_R).reshape(-1), self._end_unit)))
+        run_rows, runs, run_lengths = self._runs
+        scale[run_rows] = np.maximum.reduceat(np.abs(end), runs)
         if not scale.all():
             zero = np.flatnonzero(scale == 0.0)
             raise RuntimeError(f"under-constrained system: zero rows {zero[:10]}")
         inv = np.divide(1.0, scale, out=res.inv)
-        values *= np.repeat(inv[run_rows], run_lengths)
-        return values, res.rhs * inv
+        for points, V in blocks:
+            V *= inv.reshape(-1, 6)[points].T.reshape(2, 1, 3, 1, 1, -1)
+        end *= np.repeat(inv[run_rows], run_lengths)
+        return (np.concatenate([V.reshape(-1) for _, V in blocks] + [end]),
+                res.rhs * inv)
 
     def assemble(self, h: float, t_next: float, res=None):
         """The system of ``_system`` at the residual pass ``res`` (made here

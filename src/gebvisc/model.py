@@ -85,6 +85,14 @@ class LoadHistory:
         self.kind = kind
         self._evaluate = _history_kind(kind)[0]
         self.value = np.asarray(value, dtype=float)
+        if kind == "table":
+            times, values = (np.asarray(params.get(k, ()), dtype=float)
+                             for k in ("times", "values"))
+            if (times.ndim != 1 or not times.size or values.shape != (
+                    times.size, 3) or np.any(np.diff(times) <= 0.0)):
+                raise ValueError("a table needs strictly increasing times and "
+                                 "values shaped (len(times), 3)")
+            params.update(times=times, values=values)
         self.params = params
         if self.value.shape != (3,) or not all(
                 np.isfinite(x).all() for x in (self.value, *params.values())):
@@ -119,12 +127,6 @@ class LoadHistory:
     def table(cls, times, values):
         """Linear interpolation of ``values`` (one row of 3 per time) over
         strictly increasing ``times``, held constant outside them."""
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if (times.ndim != 1 or not times.size or values.shape != (times.size, 3)
-                or np.any(np.diff(times) <= 0.0)):
-            raise ValueError("a table needs strictly increasing times and "
-                             "values shaped (len(times), 3)")
         return cls("table", np.zeros(3), times=times, values=values)
 
 

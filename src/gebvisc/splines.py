@@ -29,6 +29,8 @@ class KnotVector:
         p = self.degree
         if p < 1:
             raise ValueError("degree must be >= 1")
+        if not np.isfinite(self.knots).all():
+            raise ValueError("knots must be finite")
         if np.any(np.diff(self.knots) < 0.0):
             raise ValueError("knots must be nondecreasing")
         if len(self.knots) < 2 * (p + 1):
@@ -203,16 +205,16 @@ class NurbsCurve:
     def __init__(self, kv: KnotVector, points, weights=None):
         self.kv = kv
         self.points = np.asarray(points, dtype=float)
-        if self.points.shape != (kv.n, 3):
-            raise ValueError(f"expected {kv.n} control points of dimension 3")
+        if self.points.shape != (kv.n, 3) or not np.isfinite(self.points).all():
+            raise ValueError(f"expected {kv.n} finite control points in 3D")
         if weights is None:
             self.weights = np.ones(kv.n)
         else:
             self.weights = np.asarray(weights, dtype=float)
             if self.weights.shape != (kv.n,):
                 raise ValueError("one weight per control point required")
-            if np.any(self.weights <= 0.0):
-                raise ValueError("weights must be positive")
+            if not np.all(np.isfinite(self.weights) & (self.weights > 0.0)):
+                raise ValueError("weights must be finite and positive")
 
     @property
     def is_rational(self) -> bool:

@@ -5,7 +5,9 @@ import scipy.sparse as sp
 
 from gebvisc import so3
 from gebvisc.beam_residual import (CollocationState, residual_force,
-                                   residual_moment, section_state)
+                                   residual_moment, section_state,
+                                   tangent_blocks_force,
+                                   tangent_blocks_moment)
 from gebvisc.initial_geometry import InitialFrameField, bishop_frames
 from gebvisc.integrator import apply_increment
 from gebvisc.model import (BeamModel, DistributedLoad, EndLoad, Joint,
@@ -553,6 +555,53 @@ def assert_bitwise(actual, expected):
     assert actual.shape == expected.shape
     assert actual.dtype == expected.dtype
     assert actual.tobytes() == expected.tobytes()
+
+
+def oracle_system(sim, h, res):
+    """(rows, columns, values, right-hand side) of ``sim._system(h, res)``
+    made one interior point at a time: the (force/moment rows,
+    displacement/rotation columns, 3, 3, stencil point) values of each point
+    from its own einsum over the value, ,s and ,ss stencils of its patch,
+    then the end values in the order of ``sim``'s plan, then each row scaled
+    by the inverse of its largest magnitude, the runs of one row's values
+    reduced first.  ``res`` is left as it is."""
+    rows, cols, values = [], [], []
+    _, fm, dr, a, b, _ = np.indices((1, 2, 2, 3, 3, 1), sparse=True)
+    for rt, sec in zip(sim.stacks, res.sections):
+        st, law = rt.state, rt.law
+        C = np.concatenate((tangent_blocks_force(st, law, sec, h)[:, None],
+                            tangent_blocks_moment(st, law, sec, h)[:, None]),
+                           axis=1)
+        for k, pts in zip(rt.patches, rt.pts):
+            p, first = sim.model.patches[k], sim.offsets[k] // 6
+            phi = np.stack([p.phi0, p.phi1, p.phi2], axis=1)
+            for i in range(1, p.n - 1):
+                values.append(np.einsum("rcdab,dk->rcabk", C[pts.start + i],
+                                        phi[i]).reshape(-1))
+                r, c = np.broadcast_arrays(
+                    6 * (first + i) + 3 * fm + a,
+                    6 * (first + p.support_idx[i]) + 3 * dr + b)
+                rows.append(r.reshape(-1))
+                cols.append(c.reshape(-1))
+    blk = np.empty((len(sim._slots), 4, 2, 3, 6))
+    for ends, k, make in res.blocks:
+        blk[ends, k] = make()
+    B, phi = blk[sim._end_rows], sim._end_phi
+    g, phi_R = sim._end_R
+    end = np.bincount(sim._end_of_value, weights=np.concatenate((
+        (B[:, 0] * phi[:, 0] + B[:, 1] * phi[:, 1]).reshape(-1),
+        (res.R[g] * phi_R).reshape(-1), sim._end_unit)))
+    # the end entries are planned after every interior one
+    values.append(end)
+    rows.append(sim._rows[-len(end):])
+    cols.append(sim._cols[-len(end):])
+    rows, cols, values = (np.concatenate(x) for x in (rows, cols, values))
+    runs = np.flatnonzero(np.diff(rows, prepend=-1))
+    scale = np.zeros(sim.ndof)
+    np.maximum.at(scale, rows[runs],
+                  np.maximum.reduceat(np.abs(values), runs))
+    inv = 1.0 / scale
+    return rows, cols, values * inv[rows], res.rhs * inv
 
 
 # ---------------------------------------------------------------------------

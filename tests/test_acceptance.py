@@ -368,7 +368,7 @@ class TestCriterion7:
 class TestMarchInvariants:
     """Physics invariants of whole marches."""
     #: a generic rigid rotation; every support of the marched models is a
-    #: hinge, which any rotation maps onto itself
+    #: hinge or a clamp, which any rotation maps onto itself
     Q = so3.exp_so3(np.array([0.3, -0.5, 0.7]))
 
     def test_joint_continuity_every_step(self, lattice3_run):
@@ -382,19 +382,27 @@ class TestMarchInvariants:
 
     @pytest.mark.parametrize("name, bound", [
         # measured: 3.5e-10 and 2.7e-12 of max|u|; bounds about ten times
-        # that.  Newton totals are not compared: they may differ under
-        # rotation (max-abs row scaling and the inf-norm increment test
-        # depend on the frame).
-        ("pendulum", 4e-9), ("lattice3", 3e-11)])
-    def test_rotated_march_rotates_probes(self, name, bound, pendulum_runs,
-                                          lattice3_run):
+        # that.  The spivak beam's first 500 steps (T = 0.5): 4.4e-10 with
+        # threaded BLAS and 1.1e-9 with one BLAS thread, 2.8e-9 in an
+        # earlier measurement; the bound is about ten times the largest.
+        # Newton totals are not compared: they may differ under rotation
+        # (max-abs row scaling and the inf-norm increment test depend on
+        # the frame).
+        ("pendulum", 4e-9), ("lattice3", 3e-11), ("spivak", 3e-8)])
+    def test_rotated_march_rotates_probes(self, name, bound, request):
         if name == "pendulum":
-            (model, c), traj = build_scenario("pendulum", {}), pendulum_runs[0]
+            model, c = build_scenario("pendulum", {})
+            traj = request.getfixturevalue("pendulum_runs")[0]
+        elif name == "lattice3":
+            model, c, traj, _ = request.getfixturevalue("lattice3_run")
         else:
-            model, c, traj, _ = lattice3_run
+            # the rotated march covers the first 500 of the fixture's steps
+            model, c = build_scenario("spivak", {"T": 0.5})
+            traj = request.getfixturevalue("spivak_run")
         rotated = time_march(Simulation(rotated_model(model, self.Q)),
                              c["T"], c["h"])
         for key, u in traj.probes.items():
+            u = u[:len(rotated.times)]
             err = (np.abs(rotated.probes[key] - u @ self.Q.T).max()
                    / np.abs(u).max())
             assert err <= bound

@@ -15,7 +15,8 @@ from gebvisc.splines import KnotVector, greville, interpolate_curve, line_curve
 from gebvisc.viscoelastic import SectionGeometry, build_section_law
 from helpers import (assembling_newton, assert_bitwise, dense_solve,
                      fd_tangent_blocks_force, fd_tangent_blocks_moment,
-                     mmd_solve, one_end, patch_end, value_solve)
+                     mmd_solve, one_end, oracle_system, patch_end,
+                     value_solve)
 
 
 def pendulum_law():
@@ -518,6 +519,35 @@ class TestSystemStructure:
         _, A, _ = named_system(model)
         largest = abs(A).max(axis=1).toarray().ravel()
         np.testing.assert_array_max_ulp(largest, np.ones_like(largest), 1)
+
+    @pytest.mark.parametrize("make, h", [(pendulum_model, 5e-3),
+                                         (lattice3_model, 5e-3),
+                                         (two_law_model, 1e-3)],
+                             ids=["pendulum", "lattice3", "two_law"])
+    def test_values_match_oracle(self, make, h):
+        # every planned entry gets the bits of the point-by-point contraction
+        # and equilibration, at the predictor after three steps; the two
+        # laws' stacks each mix the stencil widths of degrees 3 and 4
+        sim = Simulation(make())
+        time_march(sim, 3 * h, h)
+        for rt in sim.stacks:
+            begin_step(rt.state, rt.law, h)
+        res = sim._residual(h, sim.t + h)
+        rows, cols, expected, expected_rhs = oracle_system(sim, h, res)
+        values, rhs = sim._system(h, res)
+        key = sim._rows.astype(np.int64) * sim.ndof + sim._cols
+        expected_key = rows.astype(np.int64) * sim.ndof + cols
+        order, expected_order = np.argsort(key), np.argsort(expected_key)
+        assert (np.diff(key[order]) > 0).all()
+        assert_bitwise(key[order], expected_key[expected_order])
+        assert_bitwise(values[order], expected[expected_order])
+        assert_bitwise(rhs, expected_rhs)
+
+    def test_end_entry_on_interior_row_raises(self):
+        # an interior row's scale is the largest value of its block alone
+        sim = Simulation(pendulum_model())
+        with pytest.raises(RuntimeError, match="interior row"):
+            sim._plan_pattern((np.array([6]), np.array([0])))
 
     def test_bandwidth_of_single_patch(self):
         model = pendulum_model(n=20, degree=4)

@@ -375,6 +375,10 @@ class TestCliCommands:
 
     TABLE = {"kind": "table", "times": [0.0, 1.0],
              "values": [[0, 0, 0], [0, 0, -1.0]]}
+    #: a straight explicit patch of degree 2 along x2
+    NURBS = {"degree": 2, "knots": [0, 0, 0, 0.5, 1, 1, 1],
+             "control_points": [[0, 0, 0], [0, 0.25, 0], [0, 0.75, 0],
+                                [0, 1, 0]]}
 
     @pytest.mark.parametrize("change", [
         {"material": {"E_inf": np.nan}}, {"material": {"rho": np.inf}},
@@ -385,24 +389,35 @@ class TestCliCommands:
         {"history": dict(TABLE, times=[1.0, 0.0])},
         {"history": dict(TABLE, values=[[0, 0, 0], [0, 0, np.inf]])},
         {"history": {"kind": "constant", "value": [0, -1.0]}},
+        {"patch": {"generator": "line", "degree": 2, "n": 6,
+                   "params": {"start": [0, 0, 0], "end": [0, np.nan, 0]}},
+         "names": "finite control points"},
+        {"patch": dict(NURBS, knots=[0, 0, 0, np.nan, 1, 1, 1]),
+         "names": "knots must be finite"},
+        {"patch": dict(NURBS, weights=[1, np.inf, 1, 1]),
+         "names": "weights must be finite"},
     ], ids=["E_inf_nan", "rho_inf", "diameter_nan", "tau_nan",
             "table_length", "table_columns", "table_times", "table_inf",
-            "value_short"])
-    def test_invalid_numbers_reported(self, tmp_path, capsys, change):
-        # found before any step: exit 2 and no output directory
+            "value_short", "end_nan", "knot_nan", "weight_inf"])
+    def test_invalid_numbers_reported(self, tmp_path, capfd, change):
+        # found before any step: exit 2, one line on stderr that names the
+        # input (no library prints its own) and no output directory
         cfg = self.short_config({})
         for key in ("material", "section"):
             cfg[key] = dict(cfg[key], **change.get(key, {}))
         if "history" in change:
             cfg["loads"][0]["history"] = change["history"]
+        if "patch" in change:
+            cfg["patches"][0] = change["patch"]
         path = tmp_path / "model.json"
         path.write_text(json.dumps(cfg))
-        assert main(["validate", "--config", str(path)]) == 2
-        assert "invalid configuration" in capsys.readouterr().err
         out = tmp_path / "out"
-        assert main(["run", "custom", "--config", str(path), "--out",
-                     str(out)]) == 2
-        assert "invalid configuration" in capsys.readouterr().err
+        for args in (["validate"], ["run", "custom", "--out", str(out)]):
+            assert main(args + ["--config", str(path)]) == 2
+            err = capfd.readouterr().err
+            assert err.startswith("invalid configuration: ")
+            assert err.count("\n") == 1
+            assert change.get("names", "") in err
         assert not out.exists()
 
     @staticmethod

@@ -95,10 +95,17 @@ class TestLoadHistory:
         lambda: LoadHistory.table([0.0, 1.0], [[0, 0, 0]]),
         lambda: LoadHistory.table([0.0, 1.0], [[0, 0], [0, 1.0]]),
         lambda: LoadHistory.table([0.0, 0.0], [[0, 0, 0], [0, 0, 1.0]]),
-        lambda: LoadHistory.table([], np.zeros((0, 3)))],
+        lambda: LoadHistory.table([], np.zeros((0, 3))),
+        # built directly, a table passes the same checks
+        lambda: LoadHistory("table", np.zeros(3), times=np.array([1.0, 0.0]),
+                            values=np.zeros((2, 3))),
+        lambda: LoadHistory("table", np.zeros(3), times=[0.0, 1.0],
+                            values=np.zeros((2, 2))),
+        lambda: LoadHistory("table", np.zeros(3))],
         ids=["value_nan", "value_short", "param_inf", "param_nan", "times_nan",
              "table_length", "table_columns", "times_repeated",
-             "table_empty"])
+             "table_empty", "direct_times_decreasing", "direct_table_columns",
+             "direct_table_missing"])
     def test_invalid_numbers_rejected(self, make):
         with pytest.raises(ValueError):
             make()
