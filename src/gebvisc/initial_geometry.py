@@ -9,13 +9,19 @@ Transport uses the double-reflection method on a fine parameter grid that
 contains the requested evaluation points, so frames at those points are exact
 grid values.  The initial curvature is recovered from rotation logarithms of
 consecutive fine frames and interpolated to the evaluation points.
+
+The grid, the transport and the curvature fits run as array passes that keep
+the IEEE operations of their one-point forms, bit for bit.  Every row dot
+product goes through ``@``, one row pair each (stacked (n, 1, 3) @ (n, 3, 1)
+gives the same BLAS ``ddot``): ``np.einsum``, ``(a * b).sum`` and Python
+floats round differently on some hosts.  ``c0_ss`` keeps numpy's ``jac ** 2``
+and ``** 3``, whose SIMD power can differ from the C ``pow``; the recorded
+tests pin those bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.polynomial import polynomial as P
-from numpy.polynomial import polyutils
 
 from . import so3
 from .splines import NurbsCurve
@@ -61,48 +67,56 @@ def default_director(tangent: np.ndarray) -> np.ndarray:
     return d / nd
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows, each one ``@`` of a row pair."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def _transport_double_reflection(points: np.ndarray, tangents: np.ndarray,
                                  d0: np.ndarray) -> np.ndarray:
-    """Parallel-transport the director d0 along the sampled curve."""
-    n = len(points)
-    d = np.empty((n, 3))
-    d[0] = d0
-    for i in range(n - 1):
-        r1 = points[i + 1] - points[i]
-        c1 = r1 @ r1
-        if c1 < MIN_TANGENT ** 2:
-            d[i + 1] = d[i]
-            continue
-        dL = d[i] - (2.0 / c1) * (r1 @ d[i]) * r1
-        tL = tangents[i] - (2.0 / c1) * (r1 @ tangents[i]) * r1
-        r2 = tangents[i + 1] - tL
-        c2 = r2 @ r2
-        if c2 < MIN_TANGENT ** 2:
-            d[i + 1] = dL
-        else:
-            d[i + 1] = dL - (2.0 / c2) * (r2 @ dL) * r2
+    """Parallel-transport the director d0 along the sampled curve: every
+    step at once but the two dots and updates that act on the director (a
+    step with c1 or c2 below MIN_TANGENT**2 never reads its inf or NaN)."""
+    r1 = points[1:] - points[:-1]
+    c1 = _row_dots(r1, r1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w1 = 2.0 / c1
+        tL = tangents[:-1] - (w1 * _row_dots(r1, tangents[:-1]))[:, None] * r1
+        r2 = tangents[1:] - tL
+        c2 = _row_dots(r2, r2)
+        w2 = 2.0 / c2
+    skip1 = (c1 < MIN_TANGENT ** 2).tolist()
+    skip2 = (c2 < MIN_TANGENT ** 2).tolist()
+    d = np.empty((len(points), 3))
+    d[0] = di = d0
+    for i, (a, b) in enumerate(zip(r1, r2)):
+        if not skip1[i]:
+            di = di - (w1[i] * (a @ di)) * a
+            if not skip2[i]:
+                di = di - (w2[i] * (b @ di)) * b
+        d[i + 1] = di
     return d
 
 
-def _fine_grid(eval_points: np.ndarray, oversample: int,
+def _fine_grid(g: np.ndarray, oversample: int,
                min_total: int) -> tuple[np.ndarray, np.ndarray]:
-    """Refine each gap between evaluation points uniformly.
+    """Refine each gap between the evaluation points ``g`` uniformly.
 
     Returns the grid and the indices of the evaluation points in it.  Making
     the evaluation points exact grid members avoids tiny transport intervals.
+    Gap [a, b] in k steps holds ``linspace(a, b, k + 1)[1:]``: j * ((b - a)
+    / k) + a for j < k, and b itself.
     """
-    g = np.asarray(eval_points, dtype=float)
-    if np.any(np.diff(g) <= 0.0):
-        raise ValueError("evaluation points must be strictly increasing")
     target = max(min_total, oversample * max(len(g) - 1, 1))
     du = (g[-1] - g[0]) / target
-    grid = [g[0]]
-    idx = [0]
-    for a, b in zip(g[:-1], g[1:]):
-        k = max(2, int(np.ceil((b - a) / du)))
-        grid.extend(np.linspace(a, b, k + 1)[1:])
-        idx.append(len(grid) - 1)
-    return np.array(grid), np.array(idx)
+    gap = np.diff(g)
+    k = np.maximum(2, np.ceil(gap / du).astype(int))
+    idx = np.concatenate([[0], np.cumsum(k)])
+    gaps = np.repeat(np.arange(len(gap)), k)
+    j = np.arange(1, idx[-1] + 1) - idx[gaps]
+    grid = np.concatenate([g[:1], j * (gap / k)[gaps] + g[gaps]])
+    grid[idx[1:]] = g[1:]
+    return grid, idx
 
 
 def _fit_curvature(s_eval: np.ndarray, s_mid: np.ndarray,
@@ -112,19 +126,30 @@ def _fit_curvature(s_eval: np.ndarray, s_mid: np.ndarray,
 
     Each point gets a cubic least-squares fit of the four samples around
     it, the three components as columns of one fit, in the scaled variable
-    that maps the four sample positions onto [-1, 1].
+    that maps the four sample positions onto [-1, 1].  All points at once but
+    the ``lstsq``, in the steps of numpy's ``polyfit``, ``polyval`` and
+    ``polyder``.
     """
-    K0 = np.empty((len(s_eval), 3))
-    K0_s = np.empty((len(s_eval), 3))
-    for a, se in enumerate(s_eval):
-        j0 = np.searchsorted(s_mid, se)
-        lo = max(0, min(j0 - 2, len(s_mid) - 4))
-        x = s_mid[lo:lo + 4]
-        off, scl = polyutils.mapparms(polyutils.getdomain(x), (-1.0, 1.0))
-        coef = P.polyfit(off + scl * x, k_mid[lo:lo + 4], 3)
-        xe = off + scl * se
-        K0[a] = P.polyval(xe, coef)
-        K0_s[a] = P.polyval(xe, P.polyder(coef, 1, scl))
+    lo = np.clip(np.searchsorted(s_mid, s_eval) - 2, 0, len(s_mid) - 4)
+    win = lo[:, None] + np.arange(4)
+    x = s_mid[win]
+    x0, x1 = x.min(axis=1, keepdims=True), x.max(axis=1, keepdims=True)
+    off, scl = (-x1 - x0) / (x1 - x0), 2.0 / (x1 - x0)
+    xs = off + scl * x
+    # polyfit's lhs, the transposed polyvander: powers by samples
+    V = np.stack([xs * 0 + 1, xs, xs * xs, xs * xs * xs], axis=1)
+    norm = np.sqrt(np.square(V).sum(axis=-1))
+    A = np.swapaxes(V, 1, 2) / norm[:, None, :]
+    coef = np.stack([np.linalg.lstsq(a, y, 4 * np.finfo(float).eps)[0]
+                     for a, y in zip(A, k_mid[win])])
+    coef /= norm[:, :, None]
+    der = coef[:, 1:] * scl[:, :, None] * np.arange(1.0, 4.0)[:, None]
+    xe = off + scl * s_eval[:, None]
+    K0, K0_s = coef[:, 3] + xe * 0, der[:, 2] + xe * 0
+    for j in (2, 1, 0):
+        K0 = coef[:, j] + K0 * xe
+    for j in (1, 0):
+        K0_s = der[:, j] + K0_s * xe
     return K0, K0_s
 
 
@@ -146,10 +171,13 @@ def bishop_frames(curve: NurbsCurve, eval_points, initial_director=None,
         evaluation gap and ``min_total`` overall.
     """
     eval_points = np.asarray(eval_points, dtype=float)
+    if not np.isfinite(eval_points).all() or np.any(np.diff(eval_points) <= 0):
+        raise ValueError("eval_points must be finite and strictly increasing")
+    if initial_director is not None and not np.isfinite(initial_director).all():
+        raise ValueError("initial_director must be finite")
     grid, idx = _fine_grid(eval_points, oversample, min_total)
 
-    ders = curve.eval_many(grid, 2)
-    x, x_u, x_uu = ders
+    x, x_u, x_uu = curve.eval_many(grid, 2)
     J = np.linalg.norm(x_u, axis=-1)
     if np.any(J < MIN_TANGENT):
         raise ValueError("degenerate tangent on the transport grid")
@@ -177,8 +205,7 @@ def bishop_frames(curve: NurbsCurve, eval_points, initial_director=None,
 
     # curvature samples at interval midpoints: K = log(R_i^T R_{i+1}) / ds
     Rrel = np.swapaxes(R[:-1], -1, -2) @ R[1:]
-    ds = np.diff(s)
-    k_mid = so3.log_so3(Rrel) / ds[:, None]
+    k_mid = so3.log_so3(Rrel) / np.diff(s)[:, None]
     s_mid = 0.5 * (s[1:] + s[:-1])
 
     K0, K0_s = _fit_curvature(s[idx], s_mid, k_mid)

@@ -10,6 +10,7 @@ geometry Jacobian.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class KnotVector:
@@ -180,10 +181,10 @@ def basis_eval(kv: KnotVector, u: float, max_deriv: int = 0,
 
 
 def greville(kv: KnotVector) -> np.ndarray:
-    """Greville abscissae (knot averages), one collocation point per basis."""
+    """Greville abscissae (knot averages), one collocation point per basis:
+    the sum of each window of p knots, divided by p."""
     p = kv.degree
-    U = kv.knots
-    return np.array([U[i + 1:i + p + 1].mean() for i in range(kv.n)])
+    return sliding_window_view(kv.knots[1:kv.n + p], p).sum(axis=1) / p
 
 
 def basis_matrices(kv: KnotVector, us, max_deriv: int = 0,

@@ -8,7 +8,8 @@ from gebvisc.beam_residual import (CollocationState, residual_force,
                                    residual_moment, section_state,
                                    tangent_blocks_force,
                                    tangent_blocks_moment)
-from gebvisc.initial_geometry import InitialFrameField, bishop_frames
+from gebvisc.initial_geometry import (MIN_TANGENT, InitialFrameField,
+                                      bishop_frames)
 from gebvisc.integrator import apply_increment
 from gebvisc.model import (BeamModel, DistributedLoad, EndLoad, Joint,
                            LoadHistory, Patch, Support)
@@ -512,6 +513,53 @@ def oracle_basis_matrices(kv: KnotVector, us, max_deriv: int = 0,
         for k in range(max_deriv + 1):
             mats[k][i, first:first + kv.degree + 1] = ders[k]
     return mats
+
+
+def oracle_greville(kv: KnotVector) -> np.ndarray:
+    """Oracle for ``greville``: one knot-window mean per basis function."""
+    p = kv.degree
+    U = kv.knots
+    return np.array([U[i + 1:i + p + 1].mean() for i in range(kv.n)])
+
+
+def oracle_transport(points, tangents, d0):
+    """Oracle for the director transport of ``bishop_frames``: the double
+    reflection one grid step at a time."""
+    n = len(points)
+    d = np.empty((n, 3))
+    d[0] = d0
+    for i in range(n - 1):
+        r1 = points[i + 1] - points[i]
+        c1 = r1 @ r1
+        if c1 < MIN_TANGENT ** 2:
+            d[i + 1] = d[i]
+            continue
+        dL = d[i] - (2.0 / c1) * (r1 @ d[i]) * r1
+        tL = tangents[i] - (2.0 / c1) * (r1 @ tangents[i]) * r1
+        r2 = tangents[i + 1] - tL
+        c2 = r2 @ r2
+        if c2 < MIN_TANGENT ** 2:
+            d[i + 1] = dL
+        else:
+            d[i + 1] = dL - (2.0 / c2) * (r2 @ dL) * r2
+    return d
+
+
+def oracle_fine_grid(eval_points, oversample, min_total):
+    """Oracle for the transport grid of ``bishop_frames``: one ``linspace``
+    per gap between evaluation points."""
+    g = np.asarray(eval_points, dtype=float)
+    if np.any(np.diff(g) <= 0.0):
+        raise ValueError("evaluation points must be strictly increasing")
+    target = max(min_total, oversample * max(len(g) - 1, 1))
+    du = (g[-1] - g[0]) / target
+    grid = [g[0]]
+    idx = [0]
+    for a, b in zip(g[:-1], g[1:]):
+        k = max(2, int(np.ceil((b - a) / du)))
+        grid.extend(np.linspace(a, b, k + 1)[1:])
+        idx.append(len(grid) - 1)
+    return np.array(grid), np.array(idx)
 
 
 def oracle_fit_curvature(s_eval, s_mid, k_mid):

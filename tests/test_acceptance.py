@@ -409,6 +409,32 @@ class TestMarchInvariants:
         ok("7-frame-march", f"{name}: rotated probes within {err:.1e} of "
            f"max|u|")
 
+    def test_rotated_auxetic_first_steps(self):
+        # roller_x3 supports hold x3 only, so the auxetic is rotated about x3.
+        # Its path turns unstable from step 15; over the first 12 steps the
+        # probes measured 1.7e-8 of max|u| at this angle (7.5e-9 at 0.3 and
+        # 2.1 rad; one BLAS thread and threaded alike), the end points of
+        # every joint equal and their R R0^T within 1.7e-15.  The bound is
+        # about ten times the probe measurement.
+        Q = so3.exp_so3(np.array([0.0, 0.0, 0.9]))
+        model, c = build_scenario("auxetic", {"T": 0.015})  # h = 1.25e-3
+        probes, mismatch = [], []
+
+        def observe(sim):
+            mismatch.append(joint_mismatch(sim))
+
+        for m in (model, rotated_model(model, Q)):
+            traj = time_march(Simulation(m), c["T"], c["h"], observe)
+            assert len(traj.times) - 1 == 12
+            probes.append(traj.probes["node"])
+        u, rotated = probes
+        err = np.abs(rotated - u @ Q.T).max() / np.abs(u).max()
+        assert err <= 2e-7
+        dx, dR = np.max(mismatch, axis=0)
+        assert len(mismatch) == 24 and dx <= 1e-12 and dR <= 1e-12
+        ok("7-frame-auxetic", f"12 steps rotated about x3: probes within "
+           f"{err:.1e} of max|u|; joints {dx:.1e} m, R R0^T {dR:.1e}")
+
 
 class TestCriterion8:
     def test_pendulum_completes(self, pendulum_runs):

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from gebvisc import so3
-from gebvisc.initial_geometry import bishop_frames
+from gebvisc import initial_geometry, so3
+from gebvisc.initial_geometry import (MIN_TANGENT, _fine_grid,
+                                      _fit_curvature,
+                                      _transport_double_reflection,
+                                      bishop_frames, default_director)
 from gebvisc.splines import KnotVector, NurbsCurve, greville, line_curve
-from helpers import initial_curvature, interpolate_function, is_rotation
+from helpers import (assert_bitwise, initial_curvature, interpolate_function,
+                     is_rotation, oracle_fine_grid, oracle_fit_curvature,
+                     oracle_transport)
 
 
 def circle_curve(radius, n=40, degree=5, turns=0.7):
@@ -134,3 +139,115 @@ class TestInvariants:
         pts = np.linspace(0, 1, 7)
         K0 = initial_curvature(c, pts, min_total=5000)
         assert np.abs(np.linalg.norm(K0, axis=-1) - 0.5).max() < 1e-5
+
+
+def random_walk(rng, n=60):
+    """Sampled points and unit tangents of no particular curve."""
+    tangents = rng.normal(size=(n, 3))
+    tangents /= np.linalg.norm(tangents, axis=-1, keepdims=True)
+    return np.cumsum(rng.normal(size=(n, 3)), axis=0), tangents
+
+
+class TestTransport:
+    """The transport in array passes equals the step-by-step double
+    reflection bit for bit, on both of its degenerate branches too."""
+
+    def test_coincident_points_keep_the_director(self):
+        points, tangents = random_walk(np.random.default_rng(7))
+        points[10] = points[9]                      # c1 = 0
+        points[20] = points[19] + 1e-13             # c1 = 3e-26
+        step = points[20] - points[19]
+        assert 0.0 < step @ step < MIN_TANGENT ** 2
+        d0 = default_director(tangents[0])
+        d = _transport_double_reflection(points, tangents, d0)
+        assert_bitwise(d, oracle_transport(points, tangents, d0))
+        assert_bitwise(d[10], d[9])
+        assert_bitwise(d[20], d[19])
+
+    def test_reflected_tangent_skips_the_second_reflection(self):
+        points, tangents = random_walk(np.random.default_rng(8))
+        for i, offset in ((10, 0.0), (20, 1e-13)):  # c2 = 0 and c2 = 1e-26
+            r1 = points[i + 1] - points[i]
+            tangents[i + 1] = (tangents[i] - (2.0 / (r1 @ r1))
+                               * (r1 @ tangents[i]) * r1)
+            tangents[i + 1, 0] += offset
+        d0 = default_director(tangents[0])
+        d = _transport_double_reflection(points, tangents, d0)
+        assert_bitwise(d, oracle_transport(points, tangents, d0))
+        for i in (10, 20):
+            r1 = points[i + 1] - points[i]
+            assert_bitwise(d[i + 1],
+                           d[i] - (2.0 / (r1 @ r1)) * (r1 @ d[i]) * r1)
+
+
+class TestCurvatureFit:
+    def test_matches_one_fit_per_point(self):
+        # with -0.0 samples, which polyfit turns into +0.0 before its lstsq
+        rng = np.random.default_rng(9)
+        s_mid = np.cumsum(rng.exponential(size=40))
+        k_mid = rng.normal(size=(40, 3))
+        k_mid[:, 2] = -0.0
+        k_mid[::3, 1] = -0.0
+        s_eval = np.sort(rng.uniform(s_mid[0] - 1.0, s_mid[-1] + 1.0, 25))
+        K0, K0_s = _fit_curvature(s_eval, s_mid, k_mid)
+        expected = oracle_fit_curvature(s_eval, s_mid, k_mid)
+        assert_bitwise(K0, expected[0])
+        assert_bitwise(K0_s, expected[1])
+
+
+class TestFineGrid:
+    """The grid in one pass equals one ``linspace`` per gap bit for bit."""
+
+    RESOLUTIONS = [(10, 2000), (10, 100), (3, 7)]
+
+    @pytest.mark.parametrize("p", range(1, 8))
+    def test_greville_points(self, p):
+        for n in (p + 1, 3 * p + 5, 150):
+            g = greville(KnotVector.open_uniform(p, n))
+            for oversample, min_total in self.RESOLUTIONS + [(10, 10 * n)]:
+                grid, idx = _fine_grid(g, oversample, min_total)
+                expected = oracle_fine_grid(g, oversample, min_total)
+                assert_bitwise(grid, expected[0])
+                assert_bitwise(idx, expected[1])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_increasing_points(self, seed):
+        rng = np.random.default_rng(seed)
+        g = np.cumsum(rng.exponential(size=rng.integers(2, 80)) ** 3) - 0.3
+        for oversample, min_total in self.RESOLUTIONS:
+            grid, idx = _fine_grid(g, oversample, min_total)
+            expected = oracle_fine_grid(g, oversample, min_total)
+            assert_bitwise(grid, expected[0])
+            assert_bitwise(idx, expected[1])
+
+
+class TestArguments:
+    """Bad arguments are rejected by name before any work starts."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the transport grid was built")
+        monkeypatch.setattr(initial_geometry, "_fine_grid", fail)
+
+    @pytest.mark.parametrize("points", [
+        [0.0, np.nan, 1.0], [0.0, 0.5, np.inf], [-np.inf, 0.5, 1.0],
+    ], ids=["nan", "inf", "minus_inf"])
+    def test_non_finite_eval_points(self, points, no_work):
+        with pytest.raises(ValueError, match="eval_points"):
+            bishop_frames(line_curve([0, 0, 0], [1, 0, 0], 2, 5), points)
+
+    @pytest.mark.parametrize("points", [
+        [0.0, 0.5, 0.5, 1.0], [0.0, 0.7, 0.4, 1.0],
+    ], ids=["repeated", "decreasing"])
+    def test_eval_points_not_increasing(self, points, no_work):
+        with pytest.raises(ValueError, match="eval_points"):
+            bishop_frames(line_curve([0, 0, 0], [1, 0, 0], 2, 5), points)
+
+    @pytest.mark.parametrize("director", [
+        [np.nan, 1.0, 0.0], [0.0, np.inf, 0.0], [0.0, 1.0, -np.inf],
+    ], ids=["nan", "inf", "minus_inf"])
+    def test_non_finite_director(self, director, no_work):
+        with pytest.raises(ValueError, match="initial_director"):
+            bishop_frames(line_curve([0, 0, 0], [1, 0, 0], 2, 5),
+                          [0.0, 0.5, 1.0], initial_director=director)

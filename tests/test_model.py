@@ -14,7 +14,8 @@ from gebvisc.model import (BeamModel, DistributedLoad, EndLoad, Joint,
 from gebvisc.splines import KnotVector, NurbsCurve, line_curve
 from gebvisc.viscoelastic import SectionGeometry, build_section_law
 from helpers import (arc_length, assert_bitwise, oracle_basis_matrices,
-                     oracle_fit_curvature, oracle_stencils, unit_law)
+                     oracle_fine_grid, oracle_fit_curvature, oracle_stencils,
+                     oracle_transport, unit_law)
 
 PLA = [(1.577e8, 0.02), (3.610e7, 0.18), (4.095e8, 17.0), (7.580e8, 117.0),
        (1.200e6, 1000.0), (5.800e6, 1600.0), (5.500e5, 1e4), (1.600e5, 1e5)]
@@ -389,17 +390,25 @@ class TestPatchSetup:
     """A patch set up in batched passes equals a point-by-point set-up."""
 
     # the spiral and the member (patch 18 of the 5x5 lattice at psi = 0.5236)
-    # have Jacobians whose cubes numpy's vectorized power rounds differently
+    # have Jacobians whose cubes numpy's vectorized power rounds differently;
+    # the spivak curve passes through its flat point, and the auxetic
+    # diagonal (patch 8 of the 1x1 auxetic) runs out of the x1-x2 plane
     @pytest.mark.parametrize("curve", [
         lambda: spiral_curve(degree=6, n=100, scale=0.01),
         lambda: lattice_member(3, 3, 0.5236),
         rational_arc,
-    ], ids=["spiral_p6", "lattice_member_p3", "rational_arc"])
+        lambda: spivak_curve(degree=6, n=150),
+        lambda: build_auxetic(0.0, unit_law(), nx=1, ny=1).patches[8].curve,
+    ], ids=["spiral_p6", "lattice_member_p3", "rational_arc", "spivak_p6",
+            "auxetic_member_p3"])
     def test_matches_pointwise_setup(self, curve, monkeypatch):
         curve = curve()
         patch = Patch(curve, unit_law())
         with monkeypatch.context() as m:
             m.setattr(splines, "basis_matrices", oracle_basis_matrices)
+            m.setattr(initial_geometry, "_fine_grid", oracle_fine_grid)
+            m.setattr(initial_geometry, "_transport_double_reflection",
+                      oracle_transport)
             m.setattr(initial_geometry, "_fit_curvature",
                       oracle_fit_curvature)
             frames = Patch(curve, unit_law()).frames

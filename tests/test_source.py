@@ -30,6 +30,62 @@ def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
 
+def private_numpy_uses(path: pathlib.Path) -> list[str]:
+    """Imports of private numpy modules, and attribute paths into them: a
+    dotted path below ``numpy`` with a segment that starts with ``_``, such
+    as ``numpy.linalg._umath_linalg``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    paths, aliases = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                paths.append((node.lineno, alias.name))
+                aliases[alias.asname or alias.name.split(".")[0]] = (
+                    alias.name if alias.asname else alias.name.split(".")[0])
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                full = f"{node.module}.{alias.name}"
+                paths.append((node.lineno, full))
+                aliases[alias.asname or alias.name] = full
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            attrs, base = [], node
+            while isinstance(base, ast.Attribute):
+                attrs.append(base.attr)
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in aliases:
+                paths.append((node.lineno, ".".join([aliases[base.id]]
+                                                    + attrs[::-1])))
+    return sorted({f"{path.name}:{line} {dotted}" for line, dotted in paths
+                   if dotted.split(".")[0] == "numpy"
+                   and any(seg.startswith("_") and not seg.startswith("__")
+                           for seg in dotted.split(".")[1:])})
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_numpy(path):
+    assert private_numpy_uses(path) == []
+
+
+def test_private_numpy_uses_are_found(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import numpy as np\n"
+                    "from numpy.linalg import _umath_linalg\n"
+                    "import numpy._core.multiarray\n"
+                    "from numpy import linalg as la\n"
+                    "from numpy.lib.stride_tricks import sliding_window_view\n"
+                    "x = np.linalg._umath_linalg.lstsq\n"
+                    "y = la._linalg.lstsq\n"
+                    "z = np.linalg.lstsq, np.__version__\n", encoding="utf-8")
+    assert private_numpy_uses(path) == [
+        "mod.py:2 numpy.linalg._umath_linalg",
+        "mod.py:3 numpy._core.multiarray",
+        "mod.py:6 numpy.linalg._umath_linalg",
+        "mod.py:6 numpy.linalg._umath_linalg.lstsq",
+        "mod.py:7 numpy.linalg._linalg",
+        "mod.py:7 numpy.linalg._linalg.lstsq"]
+
+
 #: definitions that only callers outside the package use: public entry
 #: points, and the system as a sparse matrix for inspection
 PUBLIC = {"run_scenario", "set_initial_velocity", "assemble"}

@@ -6,7 +6,7 @@ from gebvisc.splines import (KnotVector, NurbsCurve, basis_eval,
                              interpolate_curve, line_curve, to_arclength)
 from helpers import (arclength_derivatives, assert_bitwise, curve_point,
                      interpolate_function, oracle_basis_eval,
-                     oracle_basis_matrices)
+                     oracle_basis_matrices, oracle_greville)
 
 
 def spivak_point(s):
@@ -148,6 +148,17 @@ class TestGreville:
         kv = KnotVector.open_uniform(3, 11)
         for i, u in enumerate(greville(kv)):
             assert kv.knots[i] <= u <= kv.knots[i + kv.degree + 1]
+
+    @pytest.mark.parametrize("p", range(1, 11))
+    def test_matches_knot_window_means(self, p):
+        rng = np.random.default_rng(p)
+        kvs = [KnotVector.open_uniform(p, n) for n in (p + 1, p + 2, 40)]
+        for n in (p + 2, 9 + p, 60):
+            inner = np.sort(rng.random(n - p - 1))
+            kvs.append(KnotVector(p, np.r_[np.zeros(p + 1), inner,
+                                           np.ones(p + 1)]))
+        for kv in kvs:
+            assert_bitwise(greville(kv), oracle_greville(kv))
 
 
 class TestCurve:
