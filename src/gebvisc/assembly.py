@@ -573,12 +573,11 @@ class Simulation:
         return (np.concatenate([V.reshape(-1) for _, V in blocks] + [end]),
                 res.rhs * inv)
 
-    def assemble(self, h: float, t_next: float, res=None):
-        """The system of ``_system`` at the residual pass ``res`` (made here
-        if None) as a COO matrix on the planned ``_rows`` and ``_cols``,
-        zero entries included, and its right-hand side."""
-        values, rhs = self._system(
-            h, self._residual(h, t_next) if res is None else res)
+    def assemble(self, h: float, t_next: float):
+        """The system of ``_system`` at a new residual pass as a COO matrix
+        on the planned ``_rows`` and ``_cols``, zero entries included, and
+        its right-hand side."""
+        values, rhs = self._system(h, self._residual(h, t_next))
         return sp.coo_matrix((values, (self._rows, self._cols)),
                              shape=(self.ndof,) * 2), rhs
 

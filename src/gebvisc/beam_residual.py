@@ -100,16 +100,18 @@ def _rowscale(d: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 def kin(state: CollocationState):
-    """Kinematic quantities at every point: R^T, y = R^T c,_s, the strain
-    measures Gam = y - R0^T c0,_s, Gam,_s, Kap = K - K0 and Kap,_s, then
-    K x y and R^T c,_ss, read by the section pass and (the strains) by the
-    step begin and commit."""
+    """Kinematic quantities at every point: R^T, y = R^T c,_s, the total
+    strains stacked (4, n, 3) in the channel order of ``ViscousState``:
+    Gam = y - R0^T c0,_s, Gam,_s, Kap = K - K0 and Kap,_s, then K x y and
+    R^T c,_ss, read by the section pass and (the strains) by the step begin
+    and commit."""
     RT = np.swapaxes(state.R, -1, -2)
     y = np.einsum("nij,nj->ni", RT, state.c_s)
     Ky = so3.cross(state.K, y)
     RTc_ss = np.einsum("nij,nj->ni", RT, state.c_ss)
-    return (RT, y, y - state.Gref, -Ky + RTc_ss - state.Gref_s,
-            state.K - state.K0, state.K_s - state.K0_s, Ky, RTc_ss)
+    strains = np.array((y - state.Gref, -Ky + RTc_ss - state.Gref_s,
+                        state.K - state.K0, state.K_s - state.K0_s))
+    return RT, y, strains, Ky, RTc_ss
 
 
 #: skew matrices (n, 3, 3) of the vectors the kernels cross with
@@ -131,7 +133,8 @@ def section_state(state: CollocationState, law: SectionLaw, h: float,
     """The section pass of the stack under the spatial distributed force
     and moment ``n_dist`` and ``m_dist`` (n, 3), evaluated once per
     residual pass."""
-    RT, y, Gam, Gam_s, Kap, Kap_s, Ky, RTc_ss = kin(state)
+    RT, y, strains, Ky, RTc_ss = kin(state)
+    Gam, Gam_s, Kap, Kap_s = strains
     SbG, SbG_s = state.visc.force_history(law)
     SbK, SbK_s = state.visc.couple_history(law)
     CN_bar, CM_bar = effective_stiffness(law, h)

@@ -37,7 +37,7 @@ def begin_step(state: CollocationState, law: SectionLaw, h: float) -> None:
     """
     if h <= 0.0:
         raise ValueError("time step must be positive")
-    compute_beta(law, state.visc, *kin(state)[2:6], h)
+    compute_beta(law, state.visc, kin(state)[2], h)
     state.a_star = (4.0 / h) * state.v + state.a
     state.v_star = state.v.copy()
     state.A_star = (4.0 / h) * state.W + state.A
@@ -107,7 +107,7 @@ def apply_increment(state: CollocationState, de: np.ndarray, de_s: np.ndarray,
 
 def commit_step(state: CollocationState, law: SectionLaw, h: float) -> None:
     """Finalize a converged step: advance branch strains, tidy rotations."""
-    update_viscous_state(law, state.visc, *kin(state)[2:6], h)
+    update_viscous_state(law, state.visc, kin(state)[2], h)
     # re-orthonormalize against float drift; a no-op up to rounding
     state.R = so3.quat_to_matrix(so3.quat_from_matrix(state.R))
 
@@ -119,12 +119,8 @@ def initialize_accelerations(state: CollocationState, law: SectionLaw,
     Uses the continuous-time constitutive law (no step size involved); any
     support constraints are applied afterwards by the model layer.
     """
-    RT, y, Gam, Gam_s, Kap, Kap_s = kin(state)[:6]
-    N, M = internal_forces(law, Gam, Kap, state.visc)
-    N_s = law.CN_inf * Gam_s + (law.CNv[:, None, :]
-                                * (Gam_s[None] - state.visc.Gam_s)).sum(axis=0)
-    M_s = law.CM_inf * Kap_s + (law.CMv[:, None, :]
-                                * (Kap_s[None] - state.visc.Kap_s)).sum(axis=0)
+    RT, y, strains = kin(state)[:3]
+    N, N_s, M, M_s = internal_forces(law, strains, state.visc)
     f = so3.cross(state.K, N) + N_s + np.einsum("nij,nj->ni", RT, n_dist)
     state.a = np.einsum("nij,nj->ni", state.R, f) / law.mu
     rhs_m = (so3.cross(state.K, M) + M_s + so3.cross(y, N)

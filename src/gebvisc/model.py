@@ -24,8 +24,8 @@ import numpy as np
 
 from .initial_geometry import bishop_frames
 from .so3 import exp_so3
-from .splines import (KnotVector, NurbsCurve, basis_eval_many, greville,
-                      interpolate_curve, line_curve, to_arclength)
+from .splines import (KnotVector, NurbsCurve, basis_eval_many, check_integer,
+                      greville, interpolate_curve, line_curve, to_arclength)
 from .viscoelastic import SectionGeometry, SectionLaw, build_section_law
 
 #: joint ends must coincide within this distance at t = 0 (meters)
@@ -248,6 +248,7 @@ class BeamModel:
             raise ValueError("model has no patches")
 
         def end_key(patch, end, what):
+            check_integer(patch, f"{what} patch")
             if not 0 <= patch < n_patches or end not in (START, END):
                 raise ValueError(f"{what} references invalid end "
                                  f"{(patch, end)}")
@@ -282,10 +283,12 @@ class BeamModel:
             if key in seen_support:
                 raise ValueError("end load on a supported end")
         for load in self.loads:
+            check_integer(load.patch, "distributed load patch")
             if not 0 <= load.patch < n_patches:
                 raise ValueError("distributed load references invalid patch")
         names = set()
         for probe in self.probes:
+            check_integer(probe.patch, f"probe '{probe.name}' patch")
             if not 0 <= probe.patch < n_patches or not 0.0 <= probe.u <= 1.0:
                 raise ValueError(f"probe '{probe.name}' references invalid "
                                  f"point {(probe.patch, probe.u)}")

@@ -13,6 +13,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 
+def check_integer(value, name: str) -> int:
+    """``value`` as an int; a bool or any other non-integer raises
+    ``ValueError`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
 class KnotVector:
     """Open (clamped) knot vector on [0, 1].
 
@@ -25,7 +33,7 @@ class KnotVector:
     """
 
     def __init__(self, degree: int, knots):
-        self.degree = int(degree)
+        self.degree = check_integer(degree, "degree")
         self.knots = np.asarray(knots, dtype=float)
         p = self.degree
         if p < 1:
@@ -61,7 +69,7 @@ class KnotVector:
     @classmethod
     def open_uniform(cls, degree: int, n: int) -> "KnotVector":
         """Clamped knot vector with n basis functions and uniform interior knots."""
-        if n < degree + 1:
+        if check_integer(n, "n") < check_integer(degree, "degree") + 1:
             raise ValueError("need at least degree+1 control points")
         interior = np.linspace(0.0, 1.0, n - degree + 1)[1:-1]
         knots = np.concatenate([np.zeros(degree + 1), interior, np.ones(degree + 1)])

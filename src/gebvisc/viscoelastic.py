@@ -11,8 +11,12 @@ discretization turns each branch update into two scalar coefficients
 so the branch strain at the end of a step is ``c_a * strain + beta`` with the
 history term ``beta = c_a * strain_old + d_a * branch_old`` known at step
 start.  All constitutive matrices are diagonal and stored as length-3 vectors.
-The four strain channels share these recursions, so the branch strains and
-history terms of all of them are advanced as two stacked arrays.
+
+The total strains travel as one stacked (4, n, 3) array of the four channels
+(Gam, Gam,s, Kap, Kap,s) at n points, the trailing axis the material
+component.  The channels share these recursions, so the branch strains and
+history terms of all of them are advanced as two stacked (m, 4, n, 3) arrays,
+and the resultants (N, N,s, M, M,s) come out stacked in the same order.
 """
 
 from __future__ import annotations
@@ -36,6 +40,12 @@ class MaxwellElement:
         return self.E / (2.0 * (1.0 + nu))
 
 
+def _check_size(size: float, name: str) -> None:
+    if not 0.0 < size < np.inf:
+        raise ValueError(f"section {name} must be finite and positive, "
+                         f"not {size!r}")
+
+
 @dataclass(frozen=True)
 class SectionGeometry:
     """Cross-section integrals: area, shear areas and second moments (m^2, m^4)."""
@@ -54,6 +64,7 @@ class SectionGeometry:
 
     @classmethod
     def circle(cls, diameter: float) -> "SectionGeometry":
+        _check_size(diameter, "diameter")
         A = np.pi * diameter ** 2 / 4.0
         I = np.pi * diameter ** 4 / 64.0
         return cls(A=A, A2=A, A3=A, Jt=2.0 * I, J2=I, J3=I)
@@ -61,6 +72,7 @@ class SectionGeometry:
     @classmethod
     def square(cls, side: float) -> "SectionGeometry":
         # torsion constant defaults to the polar moment J2 + J3
+        _check_size(side, "side")
         A = side ** 2
         I = side ** 4 / 12.0
         return cls(A=A, A2=A, A3=A, Jt=2.0 * I, J2=I, J3=I)
@@ -89,9 +101,9 @@ class SectionLaw:
     CM0: np.ndarray = field(init=False)
     mu: float = field(init=False)
     inertia: np.ndarray = field(init=False)
-    #: CNv of each branch, then CN_inf, on the Gam channel and CMv, then
-    #: CM_inf, on the Kap channel of the four strain channels (the ,s
-    #: channels get 0), shaped (m + 1, 4, 1, 3) to broadcast over points
+    #: CNv of each branch, then CN_inf, on the Gam and Gam,s channels and
+    #: CMv, then CM_inf, on the Kap and Kap,s channels of the four strain
+    #: channels, shaped (m + 1, 4, 1, 3) to broadcast over points
     CNM: np.ndarray = field(init=False, repr=False)
     #: read-only arrays derived from the law, see ``_store``
     _cache: dict = field(init=False, repr=False, compare=False)
@@ -125,8 +137,8 @@ class SectionLaw:
         object.__setattr__(self, "inertia", self.rho * np.array(
             [g.J2 + g.J3, g.J2, g.J3]))
         CNM = np.zeros((m + 1, 4, 1, 3))
-        CNM[:, 0, 0] = np.vstack((CNv, self.CN_inf))
-        CNM[:, 2, 0] = np.vstack((CMv, self.CM_inf))
+        CNM[:, :2, 0] = np.vstack((CNv, self.CN_inf))[:, None]
+        CNM[:, 2:, 0] = np.vstack((CMv, self.CM_inf))[:, None]
         object.__setattr__(self, "CNM", CNM)
         object.__setattr__(self, "_cache", {})
 
@@ -174,28 +186,21 @@ def _store(law: SectionLaw, key, arrays: tuple) -> tuple:
     return arrays
 
 
-def step_coefficients(law: SectionLaw, h: float):
-    """(c, d, CN_bar, CM_bar) of ``law`` for a step of size ``h``.
-
-    ``c``/``d`` are the trapezoidal coefficients shaped (m, 1, 1, 1) to
-    broadcast over the stacked (m, 4, n, 3) viscous arrays; ``CN_bar`` and
-    ``CM_bar`` are the effective diagonals of the time-discretized law.
-    The arrays are cached on the law and read-only.
-    """
+def effective_stiffness(law: SectionLaw, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Effective diagonals (CN_bar, CM_bar) of the law time-discretized with
+    steps of size ``h`` (cached on the law, read-only)."""
     cached = law._cache.get(h)
     if cached is None:
-        c, d = trapezoidal_coeffs(law.taus, h)
-        CN_bar = law.CN0 - (c[:, None] * law.CNv).sum(axis=0)
-        CM_bar = law.CM0 - (c[:, None] * law.CMv).sum(axis=0)
-        cached = _store(law, h, (c[:, None, None, None], d[:, None, None, None],
-                                 CN_bar, CM_bar))
+        c = trapezoidal_coeffs(law.taus, h)[0][:, None]
+        cached = _store(law, h, (law.CN0 - (c * law.CNv).sum(axis=0),
+                                 law.CM0 - (c * law.CMv).sum(axis=0)))
     return cached
 
 
 def _point_coefficients(law: SectionLaw, h: float, n: int
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """(c, d) of ``step_coefficients`` spelled out to the full (m, 4, n, 3)
-    shape of the viscous arrays of n points (cached, read-only).
+    """The trapezoidal coefficients (c, d) spelled out to the full
+    (m, 4, n, 3) shape of the viscous arrays of n points (cached, read-only).
 
     The history updates then multiply arrays of one shape, which numpy does
     without setting up a broadcast; on arrays of a few points that set-up
@@ -203,37 +208,11 @@ def _point_coefficients(law: SectionLaw, h: float, n: int
     """
     cached = law._cache.get((h, n))
     if cached is None:
-        c, d = step_coefficients(law, h)[:2]
         shape = (law.n_elements, 4, n, 3)
-        cached = _store(law, (h, n), (np.broadcast_to(c, shape).copy(),
-                                      np.broadcast_to(d, shape).copy()))
+        cached = _store(law, (h, n), tuple(
+            np.broadcast_to(x[:, None, None, None], shape).copy()
+            for x in trapezoidal_coeffs(law.taus, h)))
     return cached
-
-
-def _point_moduli(law: SectionLaw, n: int) -> np.ndarray:
-    """``law.CNM`` spelled out to (m + 1, 4, n, 3), for the same reason."""
-    cached = law._cache.get(("moduli", n))
-    if cached is None:
-        cached = _store(law, ("moduli", n), (np.broadcast_to(
-            law.CNM, (law.n_elements + 1, 4, n, 3)).copy(),))
-    return cached[0]
-
-
-def effective_stiffness(law: SectionLaw, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Effective diagonals (CN_bar, CM_bar) of the time-discretized law
-    (shared, read-only arrays)."""
-    return step_coefficients(law, h)[2:]
-
-
-def _channel(stack: str, k: int) -> property:
-    """(m, n, 3) view of channel ``k`` of the stacked array ``stack``."""
-    def get(self):
-        return getattr(self, stack)[:, k]
-
-    def set(self, value):
-        getattr(self, stack)[:, k] = value
-
-    return property(get, set)
 
 
 class ViscousState:
@@ -241,52 +220,24 @@ class ViscousState:
 
     ``branch`` and ``beta`` are stacked (m, 4, n, 3) for m branches, the four
     strain channels (Gam, Gam,s, Kap, Kap,s) and n points; the trailing axis
-    is the material component.  ``*_s`` channels hold arc-length derivatives
+    is the material component.  The ,s channels hold arc-length derivatives
     and are advanced with the same scalar recursions (the coefficients do not
-    depend on s).  The names in ``FIELDS`` are (m, n, 3) views of one channel
-    each; assigning to them writes into the stacked arrays.
+    depend on s).
     """
-
-    FIELDS = ("Gam", "Gam_s", "Kap", "Kap_s",
-              "beta_G", "beta_G_s", "beta_K", "beta_K_s")
-
-    Gam = _channel("branch", 0)
-    Gam_s = _channel("branch", 1)
-    Kap = _channel("branch", 2)
-    Kap_s = _channel("branch", 3)
-    beta_G = _channel("beta", 0)
-    beta_G_s = _channel("beta", 1)
-    beta_K = _channel("beta", 2)
-    beta_K_s = _channel("beta", 3)
 
     def __init__(self, n_elements: int, n_points: int):
         self.m = n_elements
         self.n = n_points
         self.branch = np.zeros((n_elements, 4, n_points, 3))
         self.beta = np.zeros((n_elements, 4, n_points, 3))
-        # scratch (m + 1, 4, n, 3): the total strains once for every branch
-        # and once more for the long-term spring, as (m + 1, n, 3) channel
-        # views; zeroed so that the ,s channels, which ``internal_forces``
-        # does not load, are finite from the start
-        self._work = np.zeros((n_elements + 1, 4, n_points, 3))
-        self._rows = self._work[:-1]
-        self._channels = tuple(self._work[:, k] for k in range(4))
+        # scratch (m + 1, 4, n, 3) of ``compute_beta`` and ``internal_forces``
+        self._work = np.empty((n_elements + 1, 4, n_points, 3))
 
     def copy(self) -> "ViscousState":
         out = ViscousState(self.m, self.n)
         out.branch[...] = self.branch
         out.beta[...] = self.beta
         return out
-
-    def load_strains(self, Gam, Gam_s, Kap, Kap_s) -> np.ndarray:
-        """The four total strains (n, 3) repeated for every branch, as the
-        first m rows of the (m + 1, 4, n, 3) scratch array."""
-        S, S_s, K, K_s = self._channels
-        S[...] = Gam
-        S_s[...] = Gam_s
-        K[...] = Kap
-        K_s[...] = Kap_s
-        return self._rows
 
     def force_history(self, law: SectionLaw) -> tuple[np.ndarray, np.ndarray]:
         """(sum_a CNv_a beta_Ga, its s-derivative), each (n, 3)."""
@@ -299,39 +250,36 @@ class ViscousState:
         return S[0], S[1]
 
 
-def compute_beta(law: SectionLaw, state: ViscousState, Gam: np.ndarray,
-                 Gam_s: np.ndarray, Kap: np.ndarray, Kap_s: np.ndarray,
+def compute_beta(law: SectionLaw, state: ViscousState, strains: np.ndarray,
                  h: float) -> None:
     """Refresh the history terms of ``state`` for a step of size ``h``.
 
-    ``Gam``/``Kap`` are the total strain measures (n, 3) at the step start;
+    ``strains`` are the stacked total strains (4, n, 3) at the step start;
     the state's branch strains must correspond to the same instant.
     """
     c, d = _point_coefficients(law, h, state.n)
-    S = state.load_strains(Gam, Gam_s, Kap, Kap_s)
-    beta = state.beta
-    np.multiply(c, S, S)
-    np.multiply(d, state.branch, beta)
+    S = np.multiply(c, strains, state._work[:-1])
+    beta = np.multiply(d, state.branch, state.beta)
     np.add(beta, S, beta)
 
 
-def update_viscous_state(law: SectionLaw, state: ViscousState, Gam: np.ndarray,
-                         Gam_s: np.ndarray, Kap: np.ndarray, Kap_s: np.ndarray,
-                         h: float) -> None:
+def update_viscous_state(law: SectionLaw, state: ViscousState,
+                         strains: np.ndarray, h: float) -> None:
     """Advance the branch strains to the step end using the stored betas.
 
-    ``Gam``/``Kap`` are the converged total strain measures (n, 3) at the step
-    end; the betas in ``state`` must have been computed at the step start.
+    ``strains`` are the converged stacked total strains (4, n, 3) at the
+    step end; the betas in ``state`` must have been computed at the step
+    start.
     """
-    S = state.load_strains(Gam, Gam_s, Kap, Kap_s)
-    branch = state.branch
-    np.multiply(_point_coefficients(law, h, state.n)[0], S, branch)
+    branch = np.multiply(_point_coefficients(law, h, state.n)[0], strains,
+                         state.branch)
     np.add(branch, state.beta, branch)
 
 
-def internal_forces(law: SectionLaw, Gam: np.ndarray, Kap: np.ndarray,
-                    state: ViscousState) -> tuple[np.ndarray, np.ndarray]:
-    """Material internal force and couple resultants N, M (n, 3).
+def internal_forces(law: SectionLaw, strains: np.ndarray,
+                    state: ViscousState) -> np.ndarray:
+    """Material resultants (N, N,s, M, M,s), stacked (4, n, 3), of the
+    stacked total strains ``strains`` (4, n, 3).
 
     The long-term spring acts on the total strain; each branch contributes in
     proportion to the elastic part ``strain - branch strain`` (summed in that
@@ -339,14 +287,9 @@ def internal_forces(law: SectionLaw, Gam: np.ndarray, Kap: np.ndarray,
     small against the branch moduli).
     """
     # the long-term spring is the last row, so the sum adds it last, to the
-    # branch sum, as in CN_inf * Gam + sum_a CNv_a (Gam - Gam_a); the ,s
-    # channels hold finite leftovers and are multiplied by 0
+    # branch sum, as in CN_inf * Gam + sum_a CNv_a (Gam - Gam_a)
     work = state._work
-    S, _, K, _ = state._channels
-    S[...] = Gam
-    K[...] = Kap
-    elastic = state._rows
-    np.subtract(elastic, state.branch, elastic)
-    np.multiply(work, _point_moduli(law, state.n), work)
-    NM = np.add.reduce(work, axis=0)
-    return NM[0], NM[2]
+    np.subtract(strains, state.branch, work[:-1])
+    work[-1] = strains
+    np.multiply(work, law.CNM, work)
+    return np.add.reduce(work, axis=0)

@@ -57,9 +57,11 @@ def random_state(law, n, h, rng, theta_scale=0.5):
     st.R = so3.exp_so3(th)
     st.K = rng.normal(size=(n, 3))
     st.K_s = rng.normal(size=(n, 3))
-    # random viscous history
-    for name in st.visc.FIELDS:
-        setattr(st.visc, name, rng.normal(size=(law.n_elements, n, 3)) * 0.2)
+    # random viscous history: the branch strains, then the history terms,
+    # one strain channel at a time
+    for stack in (st.visc.branch, st.visc.beta):
+        for k in range(4):
+            stack[:, k] = rng.normal(size=(law.n_elements, n, 3)) * 0.2
     # accumulated increments and starred channels; kinematics follow from them
     st.eta = rng.normal(size=(n, 3)) * 0.1
     Th = rng.normal(size=(n, 3))

@@ -733,8 +733,8 @@ class TestExactness:
         expect = np.outer(traj.times, v0)
         assert np.abs(traj.probes["mid"] - expect).max() < 1e-12
         for rt in sim.stacks:
-            assert np.abs(kin(rt.state)[2]).max() < 1e-12
-            assert np.abs(kin(rt.state)[4]).max() < 1e-12
+            assert np.abs(kin(rt.state)[2][0]).max() < 1e-12
+            assert np.abs(kin(rt.state)[2][2]).max() < 1e-12
 
     def test_quiescent_persistence(self):
         law = pendulum_law()

@@ -74,19 +74,19 @@ class TestTwoPathOracle:
         n = 12
         st = random_state(law, n, H, rng)
         c, _ = trapezoidal_coeffs(law.taus, H)
-        _, _, Gam, Gam_s, Kap, Kap_s = kin(st)[:6]
-        st.visc.Gam = c[:, None, None] * Gam[None] + st.visc.beta_G
-        st.visc.Gam_s = c[:, None, None] * Gam_s[None] + st.visc.beta_G_s
-        st.visc.Kap = c[:, None, None] * Kap[None] + st.visc.beta_K
-        st.visc.Kap_s = c[:, None, None] * Kap_s[None] + st.visc.beta_K_s
+        strains = kin(st)[2]
+        _, Gam_s, _, Kap_s = strains
+        st.visc.branch[:] = c[:, None, None, None] * strains + st.visc.beta
         n_dist = rng.normal(size=(n, 3))
         m_dist = rng.normal(size=(n, 3))
 
-        N, M = internal_forces(law, Gam, Kap, st.visc)
+        N, _, M, _ = internal_forces(law, strains, st.visc)
         N_s = (law.CN_inf * Gam_s
-               + (law.CNv[:, None, :] * (Gam_s[None] - st.visc.Gam_s)).sum(0))
+               + (law.CNv[:, None, :]
+                  * (Gam_s[None] - st.visc.branch[:, 1])).sum(0))
         M_s = (law.CM_inf * Kap_s
-               + (law.CMv[:, None, :] * (Kap_s[None] - st.visc.Kap_s)).sum(0))
+               + (law.CMv[:, None, :]
+                  * (Kap_s[None] - st.visc.branch[:, 3])).sum(0))
         RT = np.swapaxes(st.R, -1, -2)
         y = np.einsum("nij,nj->ni", RT, st.c_s)
         F_oracle = (np.cross(st.K, N) + N_s
@@ -198,16 +198,13 @@ class TestTangentFiniteDifference:
         st = random_state(law, 8, H, rng)
         bf = tangent_blocks_force(st, law, unloaded_section(st, law, H), H)
         st2 = st.copy()
-        st2.visc.beta_G[:] = 0.0
-        st2.visc.beta_K[:] = 0.0
-        st2.visc.beta_G_s[:] = 0.0
-        st2.visc.beta_K_s[:] = 0.0
+        st2.visc.beta[:] = 0.0
         bf2 = tangent_blocks_force(st2, law, unloaded_section(st2, law, H), H)
         # identical except for the beta-driven skew terms in t / ts
         np.testing.assert_array_equal(bf[:, 0, 0], bf2[:, 0, 0])
         np.testing.assert_array_equal(bf[:, 0, 1], bf2[:, 0, 1])
         np.testing.assert_array_equal(bf[:, 0, 2], bf2[:, 0, 2])
-        SbG = (law.CNv[:, None, :] * st.visc.beta_G).sum(0)
+        SbG = (law.CNv[:, None, :] * st.visc.beta[:, 0]).sum(0)
         np.testing.assert_allclose(bf[:, 1, 1] - bf2[:, 1, 1], so3.skew(SbG),
                                    atol=1e-12)
 
@@ -341,7 +338,7 @@ class TestFrameIndifference:
         assert np.abs(F - F_rot).max() < 1e-12 * max(1, np.abs(F).max())
         assert np.abs(V - V_rot).max() < 1e-12 * max(1, np.abs(V).max())
         # strain measures themselves are material
-        _, _, Gam, _, Kap, _ = kin(st)[:6]
-        _, _, Gam_rot, _, Kap_rot, _ = kin(st_rot)[:6]
+        Gam, _, Kap, _ = kin(st)[2]
+        Gam_rot, _, Kap_rot, _ = kin(st_rot)[2]
         assert np.abs(Gam - Gam_rot).max() < 1e-13
         assert np.abs(Kap - Kap_rot).max() == 0.0

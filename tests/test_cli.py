@@ -238,6 +238,15 @@ class TestCliCommands:
         assert "invalid configuration" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scenario", ["pendulum", "lattice"])
+    def test_negative_diameter_rejected(self, tmp_path, capsys, scenario):
+        out = tmp_path / "run"
+        assert main(["run", scenario, "--diameter", "-0.01", "--out",
+                     str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and "diameter" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["custom", "--elastic"], ["custom", "--psi", "0.3"],
         ["custom", "--p", "7"], ["custom", "--n", "0"],
@@ -396,9 +405,28 @@ class TestCliCommands:
          "names": "knots must be finite"},
         {"patch": dict(NURBS, weights=[1, np.inf, 1, 1]),
          "names": "weights must be finite"},
+        {"section": {"diameter": -0.01}, "names": "diameter"},
+        {"section": {"type": "square", "side": -0.01}, "names": "side"},
+        {"supports": [{"patch": 0.0, "end": "start", "type": "hinge"}],
+         "names": "support patch must be an integer"},
+        {"supports": [{"patch": False, "end": "start", "type": "hinge"}],
+         "names": "support patch must be an integer"},
+        {"loads": [{"target": {"kind": "distributed", "patch": 0.0},
+                    "history": {"kind": "constant", "value": [0, 0, -1.0]}}],
+         "names": "distributed load patch must be an integer"},
+        {"output": {"probes": [{"patch": 0.0, "u": 1.0, "name": "tip"}]},
+         "names": "probe 'tip' patch must be an integer"},
+        {"patch": dict(NURBS, degree=2.7),
+         "names": "degree must be an integer"},
+        {"patch": {"generator": "line", "degree": 2, "n": 8.5,
+                   "params": {"start": [0, 0, 0], "end": [0, 1, 0]}},
+         "names": "n must be an integer"},
     ], ids=["E_inf_nan", "rho_inf", "diameter_nan", "tau_nan",
             "table_length", "table_columns", "table_times", "table_inf",
-            "value_short", "end_nan", "knot_nan", "weight_inf"])
+            "value_short", "end_nan", "knot_nan", "weight_inf",
+            "diameter_negative", "side_negative", "support_patch_float",
+            "support_patch_bool", "load_patch_float", "probe_patch_float",
+            "degree_float", "n_float"])
     def test_invalid_numbers_reported(self, tmp_path, capfd, change):
         # found before any step: exit 2, one line on stderr that names the
         # input (no library prints its own) and no output directory
@@ -409,6 +437,9 @@ class TestCliCommands:
             cfg["loads"][0]["history"] = change["history"]
         if "patch" in change:
             cfg["patches"][0] = change["patch"]
+        for key in ("supports", "loads", "output"):
+            if key in change:
+                cfg[key] = change[key]
         path = tmp_path / "model.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / "out"

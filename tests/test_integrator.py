@@ -92,9 +92,9 @@ class TestApplyIncrement:
         apply_increment(st, de, de_s, z, z, z, z, H)
         np.testing.assert_array_equal(st.R, before.R)
         np.testing.assert_array_equal(st.K, before.K)
-        np.testing.assert_array_equal(kin(st)[4], kin(before)[4])
+        np.testing.assert_array_equal(kin(st)[2][2], kin(before)[2][2])
         # translational strain changes only through R^T de,_s
-        dG = kin(st)[2] - kin(before)[2]
+        dG = kin(st)[2][0] - kin(before)[2][0]
         expect = np.einsum("nji,nj->ni", before.R, de_s)
         np.testing.assert_allclose(dG, expect, atol=1e-14)
 
@@ -177,14 +177,14 @@ class TestCommit:
         tau = 0.5
         st = CollocationState(straight_frames(2), law)
         st.c_s *= 1.01  # held stretch
-        gam = kin(st)[2]
+        gam = kin(st)[2][0]
         c, d = trapezoidal_coeffs(law.taus, H)
         ratios = []
         prev = None
         for _ in range(6):
             begin_step(st, law, H)
             commit_step(st, law, H)
-            dev = np.abs(st.visc.Gam[0] - gam).max()
+            dev = np.abs(st.visc.branch[0, 0] - gam).max()
             if prev is not None:
                 ratios.append(dev / prev)
             prev = dev
@@ -198,11 +198,10 @@ class TestCommit:
         for _ in range(50):
             begin_step(st, law, H)
             commit_step(st, law, H)
-            N_hist.append(internal_forces(law, kin(st)[2], kin(st)[4],
-                                          st.visc)[0][0, 0])
+            N_hist.append(internal_forces(law, kin(st)[2], st.visc)[0, 0, 0])
         assert np.all(np.diff(N_hist) < 0.0)
         # approaches the long-term value from above
-        assert N_hist[-1] > law.CN_inf[0] * kin(st)[2][0, 0]
+        assert N_hist[-1] > law.CN_inf[0] * kin(st)[2][0, 0, 0]
 
 
 class TestInitialAccelerations:
@@ -220,17 +219,16 @@ class TestInitialAccelerations:
         law = unit_law()
         st = random_state(law, 6, H, rng)
         # consistent branch strains for the continuous law
-        st.visc.Gam_s[:] = 0.3 * kin(st)[3][None]
-        st.visc.Kap_s[:] = 0.3 * kin(st)[5][None]
+        st.visc.branch[:, 1] = 0.3 * kin(st)[2][1][None]
+        st.visc.branch[:, 3] = 0.3 * kin(st)[2][3][None]
         n_dist = rng.normal(size=(6, 3))
         m_dist = rng.normal(size=(6, 3))
         initialize_accelerations(st, law, n_dist, m_dist)
-        Gam, Kap = kin(st)[2], kin(st)[4]
-        N, M = internal_forces(law, Gam, Kap, st.visc)
+        N = internal_forces(law, kin(st)[2], st.visc)[0]
         RT = np.swapaxes(st.R, -1, -2)
-        N_s = (law.CN_inf * kin(st)[3]
+        N_s = (law.CN_inf * kin(st)[2][1]
                + (law.CNv[:, None, :]
-                  * (kin(st)[3][None] - st.visc.Gam_s)).sum(0))
+                  * (kin(st)[2][1][None] - st.visc.branch[:, 1])).sum(0))
         f = np.cross(st.K, N) + N_s + np.einsum("nij,nj->ni", RT, n_dist)
         lhs = law.mu * np.einsum("nij,nj->ni", RT, st.a)
         np.testing.assert_allclose(lhs, f, atol=1e-10)

@@ -173,9 +173,17 @@ class TestValidation:
         dict(probes=[Probe(1, 1.0, "tip"), Probe(0, 0.5, "tip")]),
         dict(joints=[Joint(ends=[(0, "end"), (-1, "start")])]),
         dict(joints=[Joint(ends=[(0, "end"), (5, "start")])]),
+        dict(supports=[Support(0.0, "start", "clamp")]),
+        dict(supports=[Support(True, "start", "clamp")]),
+        dict(joints=[Joint(ends=[(0, "end"), (1.0, "start")])]),
+        dict(end_loads=[EndLoad(True, "end", force=PUSH)]),
+        dict(loads=[DistributedLoad(0.0, PUSH)]),
+        dict(probes=[Probe(np.float64(1.0), 1.0, "tip")]),
     ], ids=["no_patches", "end_load_patch", "end_load_end", "probe_patch",
             "probe_u", "probe_name", "joint_negative_patch",
-            "joint_patch_out_of_range"])
+            "joint_patch_out_of_range", "support_patch_float",
+            "support_patch_bool", "joint_patch_float", "end_load_patch_bool",
+            "load_patch_float", "probe_patch_float"])
     def test_invalid_reference_rejected(self, change):
         law = small_law()
         parts = dict(

@@ -174,3 +174,61 @@ def unread_attributes() -> list[str]:
 
 def test_every_attribute_is_read():
     assert unread_attributes() == []
+
+
+def unread_class_assignments(paths) -> list[str]:
+    """Names that a plain assignment in a class body of the modules at
+    ``paths`` binds and that none of them reads: as an attribute of any
+    object, or as a string constant (``getattr``).  String constants inside
+    such class-body assignments do not count as reads, so a table of names
+    that nothing reads does not keep the names it lists."""
+    trees = [(path, ast.parse(path.read_text(encoding="utf-8")))
+             for path in paths]
+    bound, tables = {}, set()
+    for path, tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign):
+                    tables.update(map(id, ast.walk(stmt.value)))
+                    for target in stmt.targets:
+                        if isinstance(target, ast.Name):
+                            bound.setdefault(target.id,
+                                             f"{path.name}:{stmt.lineno}")
+    read = set()
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and not isinstance(node.ctx, ast.Store)):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str) and id(node) not in tables):
+                read.add(node.value)
+    return [f"{where} {name}" for name, where in bound.items()
+            if name not in read
+            and not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_every_class_assignment_is_read():
+    assert unread_class_assignments(sorted(SRC.glob("*.py"))) == []
+
+
+def test_unread_class_assignments_are_found(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("class A:\n"
+                    "    NAMES = ('x', 'y')\n"
+                    "    x = property(lambda self: 1)\n"
+                    "    y = 2\n"
+                    "    z: int = 3\n"
+                    "    KEYS = ('k',)\n"
+                    "    k = 4\n"
+                    "    __slots__ = ()\n"
+                    "\n"
+                    "\n"
+                    "def f(a):\n"
+                    "    a.y = 5\n"
+                    "    return a.x, getattr(a, 'k'), A.KEYS\n",
+                    encoding="utf-8")
+    assert unread_class_assignments([path]) == ["mod.py:2 NAMES",
+                                                "mod.py:4 y"]

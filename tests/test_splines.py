@@ -32,6 +32,17 @@ class TestKnotVector:
         with pytest.raises(ValueError):
             KnotVector(2, [0, 0, 0, 0.5, 0.5, 0.5, 1, 1, 1])  # multiplicity 3 > p
 
+    @pytest.mark.parametrize("make,name", [
+        (lambda: KnotVector(2.7, [0, 0, 0, 0.5, 1, 1, 1]), "degree"),
+        (lambda: KnotVector(True, [0, 0, 1, 1]), "degree"),
+        (lambda: KnotVector.open_uniform(2.0, 8), "degree"),
+        (lambda: KnotVector.open_uniform(2, 8.5), "n")],
+        ids=["degree_float", "degree_bool", "uniform_degree_float",
+             "uniform_n_float"])
+    def test_non_integer_sizes_rejected(self, make, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            make()
+
     def test_counts(self):
         kv = KnotVector.open_uniform(4, 13)
         assert kv.n == 13

@@ -27,14 +27,13 @@ def pla_law():
 def relax_steps(law, gamma, h, n_steps):
     """March a held strain with the scalar recursions; returns N(t) history."""
     st = ViscousState(law.n_elements, 1)
-    G = np.full((1, 3), 0.0)
-    G[0, 0] = gamma
-    Z = np.zeros((1, 3))
+    S = np.zeros((4, 1, 3))
+    S[0, 0, 0] = gamma
     Ns = []
     for _ in range(n_steps):
-        compute_beta(law, st, G, Z, Z, Z, h)
-        update_viscous_state(law, st, G, Z, Z, Z, h)
-        Ns.append(internal_forces(law, G, Z, st)[0][0, 0])
+        compute_beta(law, st, S, h)
+        update_viscous_state(law, st, S, h)
+        Ns.append(internal_forces(law, S, st)[0, 0, 0])
     return np.array(Ns)
 
 
@@ -91,6 +90,14 @@ class TestSectionLaw:
             with pytest.raises(ValueError):
                 make()
 
+    @pytest.mark.parametrize("make", [SectionGeometry.circle,
+                                      SectionGeometry.square],
+                             ids=["circle", "square"])
+    def test_negative_size_rejected(self, make):
+        # its square and fourth power would give a valid section
+        with pytest.raises(ValueError, match="finite and positive"):
+            make(-0.01)
+
     def test_elastic_limit(self):
         law = pla_law()
         el = law.elastic_limit()
@@ -131,20 +138,19 @@ class TestBeta:
     def test_zero_history(self):
         law = pendulum_law()
         st = ViscousState(1, 4)
-        Z = np.zeros((4, 3))
-        compute_beta(law, st, Z, Z, Z, Z, 1e-3)
-        assert np.abs(st.beta_G).max() == 0.0
-        assert np.abs(st.beta_K_s).max() == 0.0
+        compute_beta(law, st, np.zeros((4, 4, 3)), 1e-3)
+        assert np.abs(st.beta[:, 0]).max() == 0.0
+        assert np.abs(st.beta[:, 3]).max() == 0.0
 
     def test_relaxed_state_value(self):
         law = pendulum_law()
         tau, h, gamma = 0.1, 0.02, 0.3
         st = ViscousState(1, 1)
-        G = np.full((1, 3), gamma)
-        st.Gam[:] = gamma
-        Z = np.zeros((1, 3))
-        compute_beta(law, st, G, Z, Z, Z, h)
-        np.testing.assert_allclose(st.beta_G[0, 0],
+        S = np.zeros((4, 1, 3))
+        S[0] = gamma
+        st.branch[:, 0] = gamma
+        compute_beta(law, st, S, h)
+        np.testing.assert_allclose(st.beta[0, 0, 0],
                                    gamma * 2 * tau / (2 * tau + h), rtol=1e-14)
 
     def test_coefficient_vanishes_at_h_two_tau(self):
@@ -157,54 +163,56 @@ class TestUpdate:
     def test_zero_stays_zero(self):
         law = pendulum_law()
         st = ViscousState(1, 3)
-        Z = np.zeros((3, 3))
-        compute_beta(law, st, Z, Z, Z, Z, 1e-3)
-        update_viscous_state(law, st, Z, Z, Z, Z, 1e-3)
-        for name in ViscousState.FIELDS:
-            assert np.abs(getattr(st, name)).max() == 0.0
+        Z = np.zeros((4, 3, 3))
+        compute_beta(law, st, Z, 1e-3)
+        update_viscous_state(law, st, Z, 1e-3)
+        for stack in (st.branch, st.beta):
+            assert np.abs(stack).max() == 0.0
 
     def test_relaxed_fixed_point_exact(self):
         law = pla_law()
         gamma = 0.123
         st = ViscousState(law.n_elements, 2)
-        st.Gam[:] = gamma
-        G = np.full((2, 3), gamma)
-        Z = np.zeros((2, 3))
+        st.branch[:, 0] = gamma
+        S = np.zeros((4, 2, 3))
+        S[0] = gamma
         for _ in range(5):
-            compute_beta(law, st, G, Z, Z, Z, 0.05)
-            update_viscous_state(law, st, G, Z, Z, Z, 0.05)
-        np.testing.assert_allclose(st.Gam, gamma, rtol=0, atol=1e-15)
+            compute_beta(law, st, S, 0.05)
+            update_viscous_state(law, st, S, 0.05)
+        np.testing.assert_allclose(st.branch[:, 0], gamma, rtol=0, atol=1e-15)
 
     def test_step_strain_tracks_exponential(self):
         law = pendulum_law()
         tau, gamma = 0.1, 1.0
         h = tau / 100.0
         st = ViscousState(1, 1)
-        G = np.array([[gamma, 0.0, 0.0]])
-        Z = np.zeros((1, 3))
+        S = np.zeros((4, 1, 3))
+        S[0, 0, 0] = gamma
         t = 0.0
         max_err = 0.0
         for _ in range(500):
-            compute_beta(law, st, G, Z, Z, Z, h)
-            update_viscous_state(law, st, G, Z, Z, Z, h)
+            compute_beta(law, st, S, h)
+            update_viscous_state(law, st, S, h)
             t += h
             exact = gamma * (1.0 - np.exp(-t / tau))
-            max_err = max(max_err, abs(st.Gam[0, 0, 0] - exact))
+            max_err = max(max_err, abs(st.branch[0, 0, 0, 0] - exact))
         assert max_err < 1e-4 * gamma
 
 
 class TestInternalForces:
     def test_zero_state(self):
         law = pla_law()
-        Z = np.zeros((2, 3))
-        N, M = internal_forces(law, Z, Z, ViscousState(8, 2))
+        N, _, M, _ = internal_forces(law, np.zeros((4, 2, 3)),
+                                     ViscousState(8, 2))
         assert np.abs(N).max() == 0.0 and np.abs(M).max() == 0.0
 
     def test_instantaneous_loading(self):
         law = pla_law()
         G = np.array([[1e-3, 2e-3, -1e-3]])
         K = np.array([[0.5, -0.2, 0.1]])
-        N, M = internal_forces(law, G, K, ViscousState(8, 1))
+        Z = np.zeros((1, 3))
+        N, _, M, _ = internal_forces(law, np.array((G, Z, K, Z)),
+                                     ViscousState(8, 1))
         np.testing.assert_allclose(N, law.CN0 * G, rtol=1e-14)
         np.testing.assert_allclose(M, law.CM0 * K, rtol=1e-14)
 
@@ -216,7 +224,9 @@ class TestInternalForces:
         rng = np.random.default_rng(5)
         G, K = rng.normal(size=(2, 7, 3))
         G[0], K[0] = 0.0, -0.0
-        N, M = internal_forces(law, G, K, ViscousState(0, 7))
+        Z = np.zeros((7, 3))
+        N, _, M, _ = internal_forces(law, np.array((G, Z, K, Z)),
+                                     ViscousState(0, 7))
         assert_bitwise(N, 0.0 + law.CN_inf * G)
         assert_bitwise(M, 0.0 + law.CM_inf * K)
         for h in (1e-3, 0.5):
@@ -251,16 +261,15 @@ class TestConsistency:
                                 SectionGeometry.circle(0.01), 1000.0)
         def run(h):
             st = ViscousState(1, 1)
-            Z = np.zeros((1, 3))
             n = int(round(T / h))
-            g_old = np.zeros((1, 3))
+            g_old = np.zeros((4, 1, 3))
             for k in range(n):
-                g_new = np.zeros((1, 3))
-                g_new[0, 0] = np.sin(w * (k + 1) * h)
-                compute_beta(law, st, g_old, Z, Z, Z, h)
-                update_viscous_state(law, st, g_new, Z, Z, Z, h)
+                g_new = np.zeros((4, 1, 3))
+                g_new[0, 0, 0] = np.sin(w * (k + 1) * h)
+                compute_beta(law, st, g_old, h)
+                update_viscous_state(law, st, g_new, h)
                 g_old = g_new
-            return st.Gam[0, 0, 0]
+            return st.branch[0, 0, 0, 0]
         exact = (np.sin(w * T) - w * tau * np.cos(w * T)
                  + w * tau * np.exp(-T / tau)) / (1 + (w * tau) ** 2)
         errs = [abs(run(h) - exact) for h in (0.01, 0.005, 0.0025)]
@@ -277,78 +286,119 @@ class TestConsistency:
         h = 0.01
         for k in range(20):
             amp = np.sin(0.7 * (k + 1))
-            G = np.zeros((len(s), 3))
-            G_s = np.zeros((len(s), 3))
-            G[:, 0] = amp * np.sin(2 * np.pi * s)
-            G_s[:, 0] = amp * 2 * np.pi * np.cos(2 * np.pi * s)
-            Z = np.zeros((len(s), 3))
-            compute_beta(law, st, G, G_s, Z, Z, h)
-            update_viscous_state(law, st, G, G_s, Z, Z, h)
-        fd = np.gradient(st.Gam[0, :, 0], ds)
+            S = np.zeros((4, len(s), 3))
+            S[0, :, 0] = amp * np.sin(2 * np.pi * s)
+            S[1, :, 0] = amp * 2 * np.pi * np.cos(2 * np.pi * s)
+            compute_beta(law, st, S, h)
+            update_viscous_state(law, st, S, h)
+        fd = np.gradient(st.branch[0, 0, :, 0], ds)
         interior = slice(2, -2)
-        assert np.abs(fd[interior] - st.Gam_s[0, interior, 0]).max() < 5e-3
+        assert np.abs(fd[interior] - st.branch[0, 1, interior, 0]).max() < 5e-3
 
 
 class TestStackedLayout:
-    """The stacked (m, 4, n, 3) history arrays against the per-channel
-    recursions written out one channel at a time; the arithmetic is the
-    same, so the results must agree bit for bit."""
+    """The stacked (m, 4, n, 3) history arrays and the stacked (4, n, 3)
+    resultants against the per-channel recursions written out one channel
+    at a time; the arithmetic is the same, so the results must agree bit
+    for bit."""
 
     @staticmethod
-    def reference_step(law, fields, start, end, h):
+    def reference_step(law, branch, beta, start, end, h):
+        """The history terms and branch strains of one step, channel by
+        channel, and the resultants N, N,s, M and M,s at its end, each as
+        the long-term spring plus the sum of the branch elastic parts."""
         c, d = trapezoidal_coeffs(law.taus, h)
         c = c[:, None, None]
         d = d[:, None, None]
-        out = {}
-        for name, beta, k in (("Gam", "beta_G", 0), ("Gam_s", "beta_G_s", 1),
-                              ("Kap", "beta_K", 2), ("Kap_s", "beta_K_s", 3)):
-            out[beta] = c * start[k][None] + d * fields[name]
-            out[name] = c * end[k][None] + out[beta]
-        N = law.CN_inf * end[0] + (law.CNv[:, None, :]
-                                   * (end[0][None] - out["Gam"])).sum(axis=0)
-        M = law.CM_inf * end[2] + (law.CMv[:, None, :]
-                                   * (end[2][None] - out["Kap"])).sum(axis=0)
-        return out, N, M
+        beta_ref, branch_ref = np.empty_like(beta), np.empty_like(branch)
+        for k in range(4):
+            beta_ref[:, k] = c * start[k][None] + d * branch[:, k]
+            branch_ref[:, k] = c * end[k][None] + beta_ref[:, k]
+        moduli = [(law.CN_inf, law.CNv)] * 2 + [(law.CM_inf, law.CMv)] * 2
+        forces = [C_inf * end[k] + (Cv[:, None, :]
+                                    * (end[k][None] - branch_ref[:, k])).sum(0)
+                  for k, (C_inf, Cv) in enumerate(moduli)]
+        return beta_ref, branch_ref, forces
 
-    @pytest.mark.parametrize("m,n", [(1, 1), (8, 1), (3, 7), (8, 40)])
-    def test_matches_per_channel_reference(self, m, n):
-        rng = np.random.default_rng(10 * m + n)
-        law = build_section_law(
+    @staticmethod
+    def random_law(m, rng):
+        return build_section_law(
             2.8e5, 0.4, [(10 ** rng.uniform(5, 9), 10 ** rng.uniform(-2, 3))
                          for _ in range(m)], SectionGeometry.circle(0.005),
             1250.0)
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (8, 1), (3, 7), (8, 40), (0, 5)])
+    def test_matches_per_channel_reference(self, m, n):
+        rng = np.random.default_rng(10 * m + n)
+        law = self.random_law(m, rng)
         st = ViscousState(m, n)
-        fields = {}
-        for name in ViscousState.FIELDS:
-            fields[name] = rng.normal(size=(m, n, 3))
-            setattr(st, name, fields[name])
-        start = [rng.normal(size=(n, 3)) for _ in range(4)]
-        end = [rng.normal(size=(n, 3)) for _ in range(4)]
+        for stack in (st.branch, st.beta):
+            for k in range(4):
+                stack[:, k] = rng.normal(size=(m, n, 3))
+        branch, beta = st.branch.copy(), st.beta.copy()
+        start = np.array([rng.normal(size=(n, 3)) for _ in range(4)])
+        end = np.array([rng.normal(size=(n, 3)) for _ in range(4)])
         h = 2.5e-3
-        ref, N_ref, M_ref = self.reference_step(law, fields, start, end, h)
-        compute_beta(law, st, *start, h)
-        update_viscous_state(law, st, *end, h)
-        N, M = internal_forces(law, end[0], end[2], st)
-        for name in ViscousState.FIELDS:
-            assert np.array_equal(getattr(st, name), ref[name]), name
-        assert np.array_equal(N, N_ref)
-        assert np.array_equal(M, M_ref)
+        beta_ref, branch_ref, forces = self.reference_step(
+            law, branch, beta, start, end, h)
+        compute_beta(law, st, start, h)
+        update_viscous_state(law, st, end, h)
+        NM = internal_forces(law, end, st)
+        assert np.array_equal(st.beta, beta_ref)
+        assert np.array_equal(st.branch, branch_ref)
+        assert np.array_equal(NM[0], forces[0])
+        assert np.array_equal(NM[2], forces[2])
+        # N,s and M,s as the s-derivative of the same sums
+        assert_bitwise(NM[1], forces[1])
+        assert_bitwise(NM[3], forces[3])
         SbG, SbG_s = st.force_history(law)
-        assert np.array_equal(SbG, (law.CNv[:, None, :] * ref["beta_G"]).sum(0))
+        assert np.array_equal(SbG, (law.CNv[:, None, :] * beta_ref[:, 0]).sum(0))
         assert np.array_equal(SbG_s,
-                              (law.CNv[:, None, :] * ref["beta_G_s"]).sum(0))
+                              (law.CNv[:, None, :] * beta_ref[:, 1]).sum(0))
         SbK, SbK_s = st.couple_history(law)
-        assert np.array_equal(SbK, (law.CMv[:, None, :] * ref["beta_K"]).sum(0))
+        assert np.array_equal(SbK, (law.CMv[:, None, :] * beta_ref[:, 2]).sum(0))
         assert np.array_equal(SbK_s,
-                              (law.CMv[:, None, :] * ref["beta_K_s"]).sum(0))
+                              (law.CMv[:, None, :] * beta_ref[:, 3]).sum(0))
+
+    @staticmethod
+    def two_channel_forces(law, strains, branch):
+        """N and M formed the way they were while only the Gam and Kap
+        channels carried moduli: the strains in every row of a zeroed
+        (m + 1, 4, n, 3) scratch, the branch strains taken off the first m
+        rows, times the moduli with zeros on the ,s channels, summed over
+        the rows."""
+        m, _, n, _ = branch.shape
+        CNM = np.zeros((m + 1, 4, 1, 3))
+        CNM[:, 0, 0] = np.vstack((law.CNv, law.CN_inf))
+        CNM[:, 2, 0] = np.vstack((law.CMv, law.CM_inf))
+        work = np.zeros((m + 1, 4, n, 3))
+        work[:, 0] = strains[0]
+        work[:, 2] = strains[2]
+        np.subtract(work[:-1], branch, work[:-1])
+        np.multiply(work, np.broadcast_to(CNM, work.shape), work)
+        NM = np.add.reduce(work, axis=0)
+        return NM[0], NM[2]
+
+    @pytest.mark.parametrize("m,n", [(0, 3), (1, 1), (2, 6), (8, 25)])
+    def test_force_and_couple_match_two_channel_form(self, m, n):
+        rng = np.random.default_rng(100 + 10 * m + n)
+        law = self.random_law(m, rng)
+        st = ViscousState(m, n)
+        st.branch[...] = rng.normal(size=st.branch.shape)
+        strains = rng.normal(size=(4, n, 3))
+        strains[:, 0] = 0.0, -0.0, 0.0
+        N_ref, M_ref = self.two_channel_forces(law, strains, st.branch)
+        NM = internal_forces(law, strains, st)
+        assert_bitwise(NM[0], N_ref)
+        assert_bitwise(NM[2], M_ref)
 
     def test_copy_is_independent(self):
         law = pendulum_law()
         st = ViscousState(law.n_elements, 3)
-        st.Gam = np.ones((1, 3, 3))
+        st.branch[:, 0] = np.ones((1, 3, 3))
         cp = st.copy()
-        cp.Gam[:] = 2.0
-        cp.beta_K_s[:] = 5.0
-        assert np.all(st.Gam == 1.0)
-        assert np.all(st.beta_K_s == 0.0)
+        cp.branch[:, 0] = 2.0
+        cp.beta[:, 3] = 5.0
+        assert np.all(st.branch[:, 0] == 1.0)
+        assert np.all(st.beta[:, 3] == 0.0)
         assert np.all(cp.branch[:, 0] == 2.0)
