@@ -40,7 +40,7 @@ from .beam_residual import (CollocationState, end_force_spatial,
 from .initial_geometry import InitialFrameField
 from .integrator import (StepFailure, apply_increment, begin_step, commit_step,
                          initialize_accelerations)
-from .model import END, START, SUPPORT_KINDS, BeamModel
+from .model import END, START, SUPPORT_KINDS, BeamModel, check_keys
 from .splines import basis_eval, basis_matrices
 
 log = logging.getLogger(__name__)
@@ -75,9 +75,7 @@ class NewtonSettings:
     def from_config(cls, section: dict) -> "NewtonSettings":
         """Settings from the ``newton`` section of a model configuration;
         keys left out keep their defaults."""
-        unknown = set(section) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown newton settings: {sorted(unknown)}")
+        check_keys(section, [f.name for f in fields(cls)], "newton settings")
         return cls(**section)
 
 

@@ -8,7 +8,8 @@ by R^T); everything is vectorized over the points of a law stack.
 
 One section pass per stack and residual pass, ``section_state``, evaluates
 what all the kernels read: the kinematics of ``kin``, the Maxwell history
-sums, the effective stresses zF and zM at the step's effective stiffness,
+sums and the products of the step's effective stiffness with the strains,
+both stacked (4, n, 3) over the channels, the effective stresses zF and zM,
 the distributed loads pulled back to the material frame and, on first use
 by a tangent kernel, the skew matrix of every vector a kernel crosses with,
 made by one ``so3.skew`` call on the stack of those vectors.  The interior
@@ -67,8 +68,7 @@ class CollocationState:
         self.R = frames.R0.copy()
         self.K = frames.K0.copy()
         self.K_s = frames.K0_s.copy()
-        for name in ("v", "a", "W", "A", "eta", "Theta",
-                     "a_star", "v_star", "A_star", "W_star"):
+        for name in self.ARRAYS[5:]:
             setattr(self, name, np.zeros((n, 3)))
         self.qTheta = np.zeros((n, 4))
         self.qTheta[:, 0] = 1.0
@@ -94,11 +94,6 @@ class CollocationState:
         return out
 
 
-def _rowscale(d: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """diag(d) @ M for a length-3 diagonal and (n, 3, 3) matrices."""
-    return d[None, :, None] * M
-
-
 def kin(state: CollocationState):
     """Kinematic quantities at every point: R^T, y = R^T c,_s, the total
     strains stacked (4, n, 3) in the channel order of ``ViscousState``:
@@ -118,27 +113,25 @@ def kin(state: CollocationState):
 Skews = namedtuple("Skews", "K y zF zM K_s W JW RTc_ss Ky rn rm Theta")
 
 #: what every kernel reads of a law stack's section at a step size and
-#: loads: R^T and y of ``kin``, Gam,_s and Kap,_s, the effective stresses
-#: zF = CN_bar Gam - SbG and zM = CM_bar Kap - SbK with SbG, SbK the Maxwell
-#: history sums, their ,s sums, the effective diagonals, the material loads
-#: rn = R^T (n_dist - mu a) and rm = R^T m_dist of the distributed loads,
-#: J W and a function that makes the ``Skews`` on its first call
+#: loads: R^T and y of ``kin``, CS = Cbar * strains and the Maxwell history
+#: sums Sb, both stacked (4, n, 3), the effective stresses zF = CS[0] - Sb[0]
+#: and zM = CS[2] - Sb[2], the rows CN_bar and CM_bar of Cbar, the material
+#: loads rn = R^T (n_dist - mu a) and rm = R^T m_dist, J W and a function
+#: that makes the ``Skews`` on its first call
 SectionState = namedtuple(
-    "SectionState", "RT y Gam_s Kap_s zF zM SbG_s SbK_s CN_bar CM_bar "
-                    "rn rm JW skews")
+    "SectionState", "RT y CS Sb zF zM CN_bar CM_bar rn rm JW skews")
 
 
 def section_state(state: CollocationState, law: SectionLaw, h: float,
                   n_dist: np.ndarray, m_dist: np.ndarray) -> SectionState:
     """The section pass of the stack under the spatial distributed force
     and moment ``n_dist`` and ``m_dist`` (n, 3), evaluated once per
-    residual pass."""
+    residual pass; Cbar (4, 1, 3), CS and Sb are stacked like the strains."""
     RT, y, strains, Ky, RTc_ss = kin(state)
-    Gam, Gam_s, Kap, Kap_s = strains
-    SbG, SbG_s = state.visc.force_history(law)
-    SbK, SbK_s = state.visc.couple_history(law)
-    CN_bar, CM_bar = effective_stiffness(law, h)
-    zF, zM = CN_bar * Gam - SbG, CM_bar * Kap - SbK
+    Cbar = effective_stiffness(law, h)
+    CS = Cbar * strains
+    Sb = state.visc.history(law)
+    zF, zM = CS[::2] - Sb[::2]
     JW = law.inertia * state.W
     rn = np.einsum("nij,nj->ni", RT, n_dist - law.mu * state.a)
     rm = np.einsum("nij,nj->ni", RT, m_dist)
@@ -146,8 +139,8 @@ def section_state(state: CollocationState, law: SectionLaw, h: float,
                rm, state.Theta)
     skews = functools.cache(lambda: Skews(*so3.skew(
         np.concatenate(vectors).reshape(len(vectors), -1, 3))))
-    return SectionState(RT, y, Gam_s, Kap_s, zF, zM, SbG_s, SbK_s, CN_bar,
-                        CM_bar, rn, rm, JW, skews)
+    return SectionState(RT, y, CS, Sb, zF, zM, Cbar[0, 0], Cbar[2, 0], rn, rm,
+                        JW, skews)
 
 
 def residual_force(state: CollocationState,
@@ -157,14 +150,13 @@ def residual_force(state: CollocationState,
     The acceleration channel of the state must already be the current
     trapezoidal extrapolation.
     """
-    return (so3.cross(state.K, sec.zF) + sec.CN_bar * sec.Gam_s - sec.SbG_s
-            + sec.rn)
+    return so3.cross(state.K, sec.zF) + sec.CS[1] - sec.Sb[1] + sec.rn
 
 
 def residual_moment(state: CollocationState, law: SectionLaw,
                     sec: SectionState) -> np.ndarray:
     """Material moment-balance residual (n, 3); zero at a converged solution."""
-    return (so3.cross(state.K, sec.zM) + sec.CM_bar * sec.Kap_s - sec.SbK_s
+    return (so3.cross(state.K, sec.zM) + sec.CS[3] - sec.Sb[3]
             + so3.cross(sec.y, sec.zF) + sec.rm
             - law.inertia * state.A - so3.cross(state.W, sec.JW))
 
@@ -173,16 +165,15 @@ def tangent_blocks_force(state: CollocationState, law: SectionLaw,
                          sec: SectionState, h: float) -> np.ndarray:
     """Consistent tangent blocks (n, 2, 3, 3, 3) of the force balance; it has
     no block on the second derivative of the rotation increment."""
-    RT, CN_bar, sk = sec.RT, sec.CN_bar, sec.skews()
+    RT, CN, sk = sec.RT, sec.CN_bar[:, None], sec.skews()
     Kt = sk.K
-    CNyt = _rowscale(CN_bar, sk.y)
-    CNRT = _rowscale(CN_bar, RT)
+    CNyt, CNRT = CN * sk.y, CN * RT
     blk = np.zeros((state.n, 2, 3, 3, 3))
     blk[:, 0, 0] = -(4.0 / h ** 2) * law.mu * RT
-    blk[:, 0, 1] = Kt @ CNRT - _rowscale(CN_bar, Kt @ RT)
+    blk[:, 0, 1] = Kt @ CNRT - CN * (Kt @ RT)
     blk[:, 0, 2] = CNRT
-    blk[:, 1, 0] = (Kt @ CNyt - sk.zF @ Kt + _rowscale(CN_bar, sk.RTc_ss)
-                    - _rowscale(CN_bar, sk.Ky) + sk.rn)
+    blk[:, 1, 0] = (Kt @ CNyt - sk.zF @ Kt + CN * sk.RTc_ss - CN * sk.Ky
+                    + sk.rn)
     blk[:, 1, 1] = CNyt - sk.zF
     return blk
 
@@ -196,20 +187,19 @@ def tangent_blocks_moment(state: CollocationState, law: SectionLaw,
     incremental rotation, which transports the solver increment from the
     step-end tangent space to the one the trapezoidal extrapolation lives in.
     """
-    RT, CM_bar, sk = sec.RT, sec.CM_bar, sec.skews()
-    Kt, yt = sk.K, sk.y
-    J = law.inertia
-    CMKt = _rowscale(CM_bar, Kt)
-    G_blk = yt * sec.CN_bar[None, None, :] - sk.zF
+    RT, CM, sk = sec.RT, sec.CM_bar[:, None], sec.skews()
+    Kt, yt, J = sk.K, sk.y, law.inertia
+    CMKt = CM * Kt
+    G_blk = yt * sec.CN_bar - sk.zF
     Tinv = so3.tangent_map_inverse(state.Theta, sk.Theta)
     inertia_blk = ((4.0 / h ** 2) * np.diag(J)
-                   + (2.0 / h) * (sk.W * J[None, None, :] - sk.JW))
+                   + (2.0 / h) * (sk.W * J - sk.JW))
     blk = np.zeros((state.n, 2, 3, 3, 3))
     blk[:, 0, 1] = G_blk @ RT
-    blk[:, 1, 0] = (Kt @ CMKt - sk.zM @ Kt + _rowscale(CM_bar, sk.K_s)
+    blk[:, 1, 0] = (Kt @ CMKt - sk.zM @ Kt + CM * sk.K_s
                     + G_blk @ yt + sk.rm - inertia_blk @ Tinv)
-    blk[:, 1, 1] = CMKt + Kt * CM_bar[None, None, :] - sk.zM
-    blk[:, 1, 2] = np.diag(CM_bar)
+    blk[:, 1, 1] = CMKt + Kt * sec.CM_bar - sk.zM
+    blk[:, 1, 2] = np.diag(sec.CM_bar)
     return blk
 
 
@@ -221,7 +211,7 @@ def tangent_blocks_moment(state: CollocationState, law: SectionLaw,
 # blocks, so a pass that makes residuals alone makes no blocks and no skew
 # matrices of the section.  The 3x3 products use
 # ``@``, which gives the bits of the one-matrix product on each end of the
-# stack.  A Neumann row writes SbG - CN_bar Gam as 0 - zF: the same bits as
+# stack.  A Neumann row writes Sb[0] - CS[0] as 0 - zF: the same bits as
 # that difference, a zero included, where -zF would turn +0 into -0.
 # ---------------------------------------------------------------------------
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .assembly import NewtonSettings, Simulation, step_count, time_march
 from .integrator import StepFailure
-from .model import load_config, model_from_config
+from .model import check_keys, load_config, model_from_config
 from .output import (ensure_dir, write_history_csv, write_run_metadata,
                      write_vtk_snapshot)
 from .scenarios import SCENARIO_NAMES, build_scenario
@@ -48,10 +48,8 @@ def scenario_setup(name: str, overrides: dict | None = None,
     if config is None:
         raise ValueError("scenario 'custom' needs a configuration file")
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
-    ignored = set(overrides) - {"h", "T"}
-    if ignored:
-        raise ValueError(f"scenario 'custom' takes its model from the "
-                         f"configuration, not from {sorted(ignored)}")
+    check_keys(overrides, ("h", "T"), "options of scenario 'custom', which "
+               "takes its model from the configuration")
     model, extras = model_from_config(config)
     if settings is None:
         settings = NewtonSettings.from_config(extras["newton"])
@@ -133,11 +131,8 @@ def run_model(name: str, model, settings, params: dict, out_dir=None,
 
 def displacement_field(sim: Simulation, n_probe: int) -> np.ndarray:
     """Displacement sampled on a fixed parametric grid over all patches."""
-    parts = []
-    for k in range(len(sim.runtimes)):
-        cur, ini = sim.sample_curve(k, n_probe)
-        parts.append(cur - ini)
-    return np.vstack(parts)
+    return np.vstack([np.subtract(*sim.sample_curve(k, n_probe))
+                      for k in range(len(sim.runtimes))])
 
 
 def convergence_setup(study: dict):

@@ -17,6 +17,7 @@ rotates the end tangents.
 from __future__ import annotations
 
 import json
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -289,7 +290,9 @@ class BeamModel:
         names = set()
         for probe in self.probes:
             check_integer(probe.patch, f"probe '{probe.name}' patch")
-            if not 0 <= probe.patch < n_patches or not 0.0 <= probe.u <= 1.0:
+            if (isinstance(probe.u, bool) or not isinstance(probe.u, numbers.Real)
+                    or not 0 <= probe.patch < n_patches
+                    or not 0.0 <= probe.u <= 1.0):
                 raise ValueError(f"probe '{probe.name}' references invalid "
                                  f"point {(probe.patch, probe.u)}")
             if probe.name in names:
@@ -497,12 +500,21 @@ def build_auxetic(psi: float, law: SectionLaw, nx: int = 5, ny: int = 1,
 CONFIG_VERSION = 1
 
 
+def check_keys(section: dict, allowed, what: str) -> None:
+    """Raise ``ValueError`` naming the keys of ``section`` not in ``allowed``."""
+    unknown = set(section) - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown {what}: {sorted(unknown)}")
+
+
 def _section_from_config(cfg: dict) -> SectionGeometry:
     kind = cfg.get("type", "custom")
     if kind == "circle":
         return SectionGeometry.circle(cfg["diameter"])
     if kind == "square":
         return SectionGeometry.square(cfg["side"])
+    if kind != "custom":
+        raise ValueError(f"unknown section type {kind!r}")
     return SectionGeometry(A=cfg["A"], A2=cfg.get("A2", cfg["A"]),
                            A3=cfg.get("A3", cfg["A"]), Jt=cfg["Jt"],
                            J2=cfg["J2"], J3=cfg["J3"])
@@ -516,17 +528,23 @@ def _law_from_config(cfg: dict) -> SectionLaw:
 
 
 def _history_from_config(cfg: dict) -> LoadHistory:
-    kind = cfg["kind"]
-    _, keys = _history_kind(kind)
-    return getattr(LoadHistory, kind)(*(cfg[key] for key in keys))
+    _, keys = _history_kind(cfg["kind"])
+    return getattr(LoadHistory, cfg["kind"])(*(cfg[key] for key in keys))
 
 
 def model_from_config(cfg: dict) -> tuple[BeamModel, dict]:
     """Build a model from a configuration dictionary.
 
-    Returns the model and the ``time`` and ``newton`` sections (empty when
-    left out) for the caller.
+    Its top-level sections are version, material, section (of type circle,
+    square or custom, the default), patches, supports, joints, loads, time
+    (the keys h and T), newton and output; any other key raises
+    ``ValueError``.  Returns the model and the ``time`` and ``newton``
+    sections (empty when left out) for the caller.
     """
+    check_keys(cfg, ("version", "material", "section", "patches", "supports",
+                     "joints", "loads", "time", "newton", "output"),
+               "configuration sections")
+    check_keys(cfg.get("time", {}), ("h", "T"), "time settings")
     version = cfg.get("version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise ValueError(f"unsupported config version {version}")
@@ -558,8 +576,7 @@ def model_from_config(cfg: dict) -> tuple[BeamModel, dict]:
                     force=_history_from_config(j["force"]) if "force" in j else None,
                     moment=_history_from_config(j["moment"]) if "moment" in j else None)
               for j in cfg.get("joints", [])]
-    loads = []
-    end_loads = []
+    loads, end_loads = [], []
     for lc in cfg.get("loads", []):
         target = lc["target"]
         hist = _history_from_config(lc["history"])
@@ -573,8 +590,7 @@ def model_from_config(cfg: dict) -> tuple[BeamModel, dict]:
               for k, p in enumerate(cfg.get("output", {}).get("probes", []))]
     model = BeamModel(patches, supports=supports, joints=joints, loads=loads,
                       end_loads=end_loads, probes=probes)
-    extras = {key: cfg.get(key, {}) for key in ("time", "newton")}
-    return model, extras
+    return model, {key: cfg.get(key, {}) for key in ("time", "newton")}
 
 
 def load_config(path) -> dict:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .model import (BeamModel, DistributedLoad, EndLoad, LoadHistory, Patch,
                     Probe, Support, build_auxetic, build_lattice,
-                    spiral_curve, spivak_curve)
+                    check_keys, spiral_curve, spivak_curve)
 from .splines import line_curve
 from .viscoelastic import SectionGeometry, SectionLaw, build_section_law
 
@@ -66,9 +66,7 @@ _NUMBER_KINDS = {int: (numbers.Integral, "an integer"),
 def _merge(name: str, overrides: dict | None) -> dict:
     cfg = dict(SCENARIO_DEFAULTS[name])
     if overrides:
-        unknown = set(overrides) - set(cfg) - {"elastic"}
-        if unknown:
-            raise ValueError(f"unknown overrides for '{name}': {sorted(unknown)}")
+        check_keys(overrides, [*cfg, "elastic"], f"overrides for '{name}'")
         for k, v in overrides.items():
             kind = _NUMBER_KINDS.get(type(cfg.get(k)))
             if kind and v is not None and (isinstance(v, bool)

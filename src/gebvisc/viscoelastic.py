@@ -15,8 +15,10 @@ start.  All constitutive matrices are diagonal and stored as length-3 vectors.
 The total strains travel as one stacked (4, n, 3) array of the four channels
 (Gam, Gam,s, Kap, Kap,s) at n points, the trailing axis the material
 component.  The channels share these recursions, so the branch strains and
-history terms of all of them are advanced as two stacked (m, 4, n, 3) arrays,
-and the resultants (N, N,s, M, M,s) come out stacked in the same order.
+history terms of all of them are advanced as two stacked (m, 4, n, 3) arrays.
+One moduli table ``SectionLaw.CNM`` (m + 1, 4, 1, 3) serves all four channels,
+so the history sums, the effective stiffness (4, 1, 3) of a step and the
+resultants (N, N,s, M, M,s) come out stacked in the same order.
 """
 
 from __future__ import annotations
@@ -35,9 +37,6 @@ class MaxwellElement:
     def __post_init__(self):
         if not (0.0 < self.E < np.inf and 0.0 < self.tau < np.inf):
             raise ValueError("Maxwell element needs finite E > 0 and tau > 0")
-
-    def shear_modulus(self, nu: float) -> float:
-        return self.E / (2.0 * (1.0 + nu))
 
 
 def _check_size(size: float, name: str) -> None:
@@ -84,27 +83,27 @@ class SectionLaw:
 
     Diagonals follow the material component ordering (axial/torsion first):
     ``CN_* = (E*A, G*A2, G*A3)`` for forces and ``CM_* = (G*Jt, E*J2, E*J3)``
-    for couples.  ``inertia`` is the rotary inertia diagonal
+    for couples.  ``CNM`` (m + 1, 4, 1, 3) holds CNv of each branch, then
+    CN_inf, on the Gam and Gam,s channels and CMv, then CM_inf, on Kap and
+    Kap,s.  ``inertia`` is the rotary inertia diagonal
     ``rho * (J2+J3, J2, J3)`` and ``mu = rho * A`` the mass per unit length.
+    A law compares and hashes on its inputs alone.
     """
     E_inf: float
     nu: float
     rho: float
     geometry: SectionGeometry
     elements: tuple[MaxwellElement, ...]
-    CN_inf: np.ndarray = field(init=False)
-    CM_inf: np.ndarray = field(init=False)
-    CNv: np.ndarray = field(init=False)
-    CMv: np.ndarray = field(init=False)
-    taus: np.ndarray = field(init=False)
-    CN0: np.ndarray = field(init=False)
-    CM0: np.ndarray = field(init=False)
-    mu: float = field(init=False)
-    inertia: np.ndarray = field(init=False)
-    #: CNv of each branch, then CN_inf, on the Gam and Gam,s channels and
-    #: CMv, then CM_inf, on the Kap and Kap,s channels of the four strain
-    #: channels, shaped (m + 1, 4, 1, 3) to broadcast over points
-    CNM: np.ndarray = field(init=False, repr=False)
+    CN_inf: np.ndarray = field(init=False, compare=False)
+    CM_inf: np.ndarray = field(init=False, compare=False)
+    CNv: np.ndarray = field(init=False, compare=False)
+    CMv: np.ndarray = field(init=False, compare=False)
+    taus: np.ndarray = field(init=False, compare=False)
+    CN0: np.ndarray = field(init=False, compare=False)
+    CM0: np.ndarray = field(init=False, compare=False)
+    mu: float = field(init=False, compare=False)
+    inertia: np.ndarray = field(init=False, compare=False)
+    CNM: np.ndarray = field(init=False, repr=False, compare=False)
     #: read-only arrays derived from the law, see ``_store``
     _cache: dict = field(init=False, repr=False, compare=False)
 
@@ -114,33 +113,21 @@ class SectionLaw:
         if not -1.0 < self.nu <= 0.5:
             raise ValueError("Poisson's ratio outside (-1, 0.5]")
         g = self.geometry
-        G_inf = self.E_inf / (2.0 * (1.0 + self.nu))
-        object.__setattr__(self, "CN_inf", np.array(
-            [self.E_inf * g.A, G_inf * g.A2, G_inf * g.A3]))
-        object.__setattr__(self, "CM_inf", np.array(
-            [G_inf * g.Jt, self.E_inf * g.J2, self.E_inf * g.J3]))
-        m = len(self.elements)
-        CNv = np.zeros((m, 3))
-        CMv = np.zeros((m, 3))
-        taus = np.zeros(m)
-        for a, el in enumerate(self.elements):
-            G = el.shear_modulus(self.nu)
-            CNv[a] = (el.E * g.A, G * g.A2, G * g.A3)
-            CMv[a] = (G * g.Jt, el.E * g.J2, el.E * g.J3)
-            taus[a] = el.tau
-        object.__setattr__(self, "CNv", CNv)
-        object.__setattr__(self, "CMv", CMv)
-        object.__setattr__(self, "taus", taus)
-        object.__setattr__(self, "CN0", self.CN_inf + CNv.sum(axis=0))
-        object.__setattr__(self, "CM0", self.CM_inf + CMv.sum(axis=0))
-        object.__setattr__(self, "mu", self.rho * g.A)
-        object.__setattr__(self, "inertia", self.rho * np.array(
-            [g.J2 + g.J3, g.J2, g.J3]))
-        CNM = np.zeros((m + 1, 4, 1, 3))
-        CNM[:, :2, 0] = np.vstack((CNv, self.CN_inf))[:, None]
-        CNM[:, 2:, 0] = np.vstack((CMv, self.CM_inf))[:, None]
-        object.__setattr__(self, "CNM", CNM)
-        object.__setattr__(self, "_cache", {})
+        E = np.array([el.E for el in self.elements] + [self.E_inf])
+        G = E / (2.0 * (1.0 + self.nu))
+        CN = np.stack([E * g.A, G * g.A2, G * g.A3], axis=1)
+        CM = np.stack([G * g.Jt, E * g.J2, E * g.J3], axis=1)
+        for name, value in (
+                ("CN_inf", CN[-1]), ("CM_inf", CM[-1]), ("CNv", CN[:-1]),
+                ("CMv", CM[:-1]), ("CN0", CN[-1] + CN[:-1].sum(axis=0)),
+                ("CM0", CM[-1] + CM[:-1].sum(axis=0)),
+                ("taus", np.array([el.tau for el in self.elements],
+                                  dtype=float)),
+                ("mu", self.rho * g.A),
+                ("inertia", self.rho * np.array([g.J2 + g.J3, g.J2, g.J3])),
+                ("CNM", np.stack([CN, CN, CM, CM], axis=1)[:, :, None]),
+                ("_cache", {})):
+            object.__setattr__(self, name, value)
 
     @property
     def n_elements(self) -> int:
@@ -186,15 +173,17 @@ def _store(law: SectionLaw, key, arrays: tuple) -> tuple:
     return arrays
 
 
-def effective_stiffness(law: SectionLaw, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Effective diagonals (CN_bar, CM_bar) of the law time-discretized with
-    steps of size ``h`` (cached on the law, read-only)."""
+def effective_stiffness(law: SectionLaw, h: float) -> np.ndarray:
+    """Effective diagonals of the law time-discretized with steps of size
+    ``h``, stacked (4, 1, 3) like ``CNM``: CN_bar on Gam and Gam,s, CM_bar on
+    Kap and Kap,s (cached on the law, read-only)."""
     cached = law._cache.get(h)
     if cached is None:
-        c = trapezoidal_coeffs(law.taus, h)[0][:, None]
-        cached = _store(law, h, (law.CN0 - (c * law.CNv).sum(axis=0),
-                                 law.CM0 - (c * law.CMv).sum(axis=0)))
-    return cached
+        c = trapezoidal_coeffs(law.taus, h)[0][:, None, None, None]
+        Cv = law.CNM[:-1]
+        cached = _store(law, h, (law.CNM[-1] + Cv.sum(axis=0)
+                                 - (c * Cv).sum(axis=0),))
+    return cached[0]
 
 
 def _point_coefficients(law: SectionLaw, h: float, n: int
@@ -239,15 +228,11 @@ class ViscousState:
         out.beta[...] = self.beta
         return out
 
-    def force_history(self, law: SectionLaw) -> tuple[np.ndarray, np.ndarray]:
-        """(sum_a CNv_a beta_Ga, its s-derivative), each (n, 3)."""
-        S = np.einsum("ak,acnk->cnk", law.CNv, self.beta[:, :2])
-        return S[0], S[1]
-
-    def couple_history(self, law: SectionLaw) -> tuple[np.ndarray, np.ndarray]:
-        """(sum_a CMv_a beta_Ka, its s-derivative), each (n, 3)."""
-        S = np.einsum("ak,acnk->cnk", law.CMv, self.beta[:, 2:])
-        return S[0], S[1]
+    def history(self, law: SectionLaw) -> np.ndarray:
+        """The Maxwell history sums sum_a C_a beta_a of the four channels,
+        stacked (4, n, 3) like the strains: CNv on Gam and Gam,s, CMv on Kap
+        and Kap,s."""
+        return np.einsum("ack,acnk->cnk", law.CNM[:-1, :, 0], self.beta)
 
 
 def compute_beta(law: SectionLaw, state: ViscousState, strains: np.ndarray,

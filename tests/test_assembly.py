@@ -250,12 +250,10 @@ class TestStacking:
         calls, counted = self.counter(monkeypatch)
         for name in ("kin", "effective_stiffness"):
             counted(beam_residual, name)
-        for name in ("force_history", "couple_history"):
-            counted(ViscousState, name)
+        counted(ViscousState, "history")
         sim.assemble(5e-3, 5e-3)
         assert calls == dict.fromkeys(
-            ["kin", "effective_stiffness", "force_history", "couple_history"],
-            len(sim.stacks))
+            ["kin", "effective_stiffness", "history"], len(sim.stacks))
 
     @pytest.mark.parametrize("model", ["lattice", "two_law"])
     def test_skew_calls_per_law_stack(self, model, monkeypatch):

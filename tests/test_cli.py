@@ -421,12 +421,21 @@ class TestCliCommands:
         {"patch": {"generator": "line", "degree": 2, "n": 8.5,
                    "params": {"start": [0, 0, 0], "end": [0, 1, 0]}},
          "names": "n must be an integer"},
+        {"section": {"type": "circel"}, "names": "unknown section type 'circel'"},
+        {"output": {"probes": [{"patch": 0, "u": True, "name": "tip"}]},
+         "names": "probe 'tip'"},
+        {"output": {"probes": [{"patch": 0, "u": "1.0", "name": "tip"}]},
+         "names": "probe 'tip'"},
+        {"top": {"time": {"h": 5e-3, "t_end": 0.01}}, "names": "'t_end'"},
+        {"top": {"outputs": {"probes": [{"patch": 0, "u": 1.0}]}},
+         "names": "'outputs'"},
     ], ids=["E_inf_nan", "rho_inf", "diameter_nan", "tau_nan",
             "table_length", "table_columns", "table_times", "table_inf",
             "value_short", "end_nan", "knot_nan", "weight_inf",
             "diameter_negative", "side_negative", "support_patch_float",
             "support_patch_bool", "load_patch_float", "probe_patch_float",
-            "degree_float", "n_float"])
+            "degree_float", "n_float", "section_type_unknown", "probe_u_bool",
+            "probe_u_text", "time_key_unknown", "top_level_key_unknown"])
     def test_invalid_numbers_reported(self, tmp_path, capfd, change):
         # found before any step: exit 2, one line on stderr that names the
         # input (no library prints its own) and no output directory
@@ -440,6 +449,7 @@ class TestCliCommands:
         for key in ("supports", "loads", "output"):
             if key in change:
                 cfg[key] = change[key]
+        cfg.update(change.get("top", {}))
         path = tmp_path / "model.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / "out"

@@ -360,6 +360,21 @@ class TestConfig:
         assert extras["time"]["h"] == 5e-3
         assert model.probes[0].name == "tip"
 
+    def test_section_types(self):
+        # a custom section may name its type or leave it out
+        custom = {"A": 1e-4, "Jt": 2e-9, "J2": 1e-9, "J3": 1e-9}
+        cfg = {"version": 1,
+               "material": {"E_inf": 5e5, "nu": 0.5, "rho": 1100.0},
+               "patches": [{"generator": "line", "degree": 2, "n": 6,
+                            "params": {"start": [0, 0, 0],
+                                       "end": [0, 1, 0]}}]}
+        laws = [model_from_config(dict(cfg, section=section))[0]
+                .patches[0].law for section in (custom,
+                                                dict(custom, type="custom"))]
+        assert laws[0] == laws[1]
+        with pytest.raises(ValueError, match="'custom_'"):
+            model_from_config(dict(cfg, section=dict(custom, type="custom_")))
+
     def test_unsupported_version(self):
         with pytest.raises(ValueError):
             model_from_config({"version": 99, "material": {}, "section": {},

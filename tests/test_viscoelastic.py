@@ -61,6 +61,21 @@ class TestSectionLaw:
         assert law.instantaneous_young() == pytest.approx(
             PLA_E_INF + sum(E for E, _ in PLA_ELEMENTS))
 
+    def test_compares_and_hashes_on_inputs(self):
+        # the derived arrays take no part: equal inputs give equal laws with
+        # equal hashes, and any changed input an unequal law
+        law = pla_law()
+        assert law == pla_law() and hash(law) == hash(pla_law())
+        assert {law: 1}[pla_law()] == 1
+        changed = [law.elastic_limit(), pendulum_law(),
+                   build_section_law(PLA_E_INF, 0.3, PLA_ELEMENTS,
+                                     SectionGeometry.circle(0.005), 1250.0),
+                   build_section_law(PLA_E_INF, 0.4, PLA_ELEMENTS,
+                                     SectionGeometry.circle(0.006), 1250.0),
+                   build_section_law(PLA_E_INF, 0.4, PLA_ELEMENTS[1:],
+                                     SectionGeometry.circle(0.005), 1250.0)]
+        assert all(law != other for other in changed)
+
     def test_mass_and_inertia(self):
         law = pendulum_law()
         A = np.pi * 0.01 ** 2 / 4
@@ -105,16 +120,22 @@ class TestSectionLaw:
         np.testing.assert_allclose(el.CN0, law.CN0, rtol=1e-12)
 
 
+def bars(law, h):
+    """The rows (CN_bar, CM_bar) of the stacked effective diagonal."""
+    C = effective_stiffness(law, h)
+    return C[0, 0], C[2, 0]
+
+
 class TestEffectiveStiffness:
     def test_small_step_limit(self):
         law = pendulum_law()
-        CN, CM = effective_stiffness(law, 1e-12)
+        CN, CM = bars(law, 1e-12)
         np.testing.assert_allclose(CN, law.CN0, rtol=1e-10)
         np.testing.assert_allclose(CM, law.CM0, rtol=1e-10)
 
     def test_half_reduction_at_h_equal_two_tau(self):
         law = pendulum_law()
-        CN, _ = effective_stiffness(law, 2 * 0.1)
+        CN, _ = bars(law, 2 * 0.1)
         np.testing.assert_allclose(CN, law.CN0 - 0.5 * law.CNv[0], rtol=1e-14)
 
     def test_reference_factor(self):
@@ -125,7 +146,7 @@ class TestEffectiveStiffness:
     def test_bracketing(self):
         law = pla_law()
         for h in (1e-4, 1e-2, 1.0, 100.0):
-            CN, CM = effective_stiffness(law, h)
+            CN, CM = bars(law, h)
             assert np.all(CN > law.CN_inf) and np.all(CN < law.CN0)
             assert np.all(CM > law.CM_inf) and np.all(CM < law.CM0)
 
@@ -230,7 +251,7 @@ class TestInternalForces:
         assert_bitwise(N, 0.0 + law.CN_inf * G)
         assert_bitwise(M, 0.0 + law.CM_inf * K)
         for h in (1e-3, 0.5):
-            CN, CM = effective_stiffness(law, h)
+            CN, CM = bars(law, h)
             assert_bitwise(CN, law.CN0)
             assert_bitwise(CM, law.CM0)
 
@@ -351,11 +372,10 @@ class TestStackedLayout:
         # N,s and M,s as the s-derivative of the same sums
         assert_bitwise(NM[1], forces[1])
         assert_bitwise(NM[3], forces[3])
-        SbG, SbG_s = st.force_history(law)
+        SbG, SbG_s, SbK, SbK_s = st.history(law)
         assert np.array_equal(SbG, (law.CNv[:, None, :] * beta_ref[:, 0]).sum(0))
         assert np.array_equal(SbG_s,
                               (law.CNv[:, None, :] * beta_ref[:, 1]).sum(0))
-        SbK, SbK_s = st.couple_history(law)
         assert np.array_equal(SbK, (law.CMv[:, None, :] * beta_ref[:, 2]).sum(0))
         assert np.array_equal(SbK_s,
                               (law.CMv[:, None, :] * beta_ref[:, 3]).sum(0))
