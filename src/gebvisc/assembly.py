@@ -40,7 +40,8 @@ from .beam_residual import (CollocationState, end_force_spatial,
 from .initial_geometry import InitialFrameField
 from .integrator import (StepFailure, apply_increment, begin_step, commit_step,
                          initialize_accelerations)
-from .model import END, START, SUPPORT_KINDS, BeamModel, check_keys
+from .model import (END, START, SUPPORT_KINDS, BeamModel, check_keys,
+                    check_positive)
 from .splines import basis_eval, basis_matrices
 
 log = logging.getLogger(__name__)
@@ -63,8 +64,8 @@ class NewtonSettings:
     max_halvings: int = 3
 
     def __post_init__(self):
-        if not (0 < self.tol_increment < np.inf and 0 < self.tol_residual < np.inf):
-            raise ValueError("tolerances must be finite and positive")
+        check_positive(self.tol_increment, "tol_increment")
+        check_positive(self.tol_residual, "tol_residual")
         for name, least in (("max_iterations", 1), ("max_halvings", 0)):
             value = getattr(self, name)
             if (not isinstance(value, (int, np.integer))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .assembly import NewtonSettings, Simulation, step_count, time_march
 from .integrator import StepFailure
-from .model import check_keys, load_config, model_from_config
+from .model import check_keys, check_positive, load_config, model_from_config
 from .output import (ensure_dir, write_history_csv, write_run_metadata,
                      write_vtk_snapshot)
 from .scenarios import SCENARIO_NAMES, build_scenario
@@ -62,9 +62,7 @@ def _require_steps(params: dict, span: str, h: str):
     """Raise ``ValueError`` unless ``params[span]`` and ``params[h]`` are
     finite real numbers > 0 and the span a whole number of steps h."""
     for k in (span, h):
-        if not (isinstance(params[k], numbers.Real) and 0 < params[k] < np.inf):
-            raise ValueError(f"{k} must be a finite number > 0, "
-                             f"got {params[k]!r}")
+        check_positive(params[k], k)
     step_count(params[span], params[h])
 
 

@@ -507,6 +507,14 @@ def check_keys(section: dict, allowed, what: str) -> None:
         raise ValueError(f"unknown {what}: {sorted(unknown)}")
 
 
+def check_positive(value, name: str) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite real
+    number > 0; a bool is not one."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0 < value < np.inf):
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+
+
 def _section_from_config(cfg: dict) -> SectionGeometry:
     kind = cfg.get("type", "custom")
     if kind == "circle":

@@ -34,21 +34,24 @@ def write_vtk_snapshot(path, sim: Simulation,
     pts = np.vstack([cur for cur, _ in curves])
     disp = np.vstack([cur - ini for cur, ini in curves])
     lines = np.arange(len(pts)).reshape(len(curves), samples_per_patch)
+    # one formatting pass per patch: a whole section at once would hold every
+    # value as a Python float and the section's text at the same time
+    rows = (" ".join([FLOAT_FMT] * 3) + "\n") * samples_per_patch
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write("beam snapshot\n")
         fh.write("ASCII\nDATASET POLYDATA\n")
         fh.write(f"POINTS {len(pts)} double\n")
-        for p in pts:
-            fh.write(" ".join(FLOAT_FMT % v for v in p) + "\n")
+        fh.writelines(rows % tuple(b.tolist())
+                      for b in pts.reshape(len(curves), -1))
         total = sum(1 + len(l) for l in lines)
         fh.write(f"LINES {len(lines)} {total}\n")
         for l in lines:
             fh.write(str(len(l)) + " " + " ".join(str(i) for i in l) + "\n")
         fh.write(f"POINT_DATA {len(pts)}\n")
         fh.write("VECTORS displacement double\n")
-        for d in disp:
-            fh.write(" ".join(FLOAT_FMT % v for v in d) + "\n")
+        fh.writelines(rows % tuple(b.tolist())
+                      for b in disp.reshape(len(curves), -1))
 
 
 def write_run_metadata(path, scenario: str, params: dict, traj: Trajectory,

@@ -416,6 +416,30 @@ def read_vtk_points(path):
     return pts, disp
 
 
+def oracle_vtk_snapshot(path, sim, samples_per_patch: int = 200) -> None:
+    """Oracle for ``write_vtk_snapshot``: every value formatted and every
+    row written on its own."""
+    curves = [sim.sample_curve(k, samples_per_patch)
+              for k in range(len(sim.runtimes))]
+    pts = np.vstack([cur for cur, _ in curves])
+    disp = np.vstack([cur - ini for cur, ini in curves])
+    lines = np.arange(len(pts)).reshape(len(curves), samples_per_patch)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("# vtk DataFile Version 3.0\nbeam snapshot\n")
+        fh.write("ASCII\nDATASET POLYDATA\n")
+        fh.write(f"POINTS {len(pts)} double\n")
+        for p in pts:
+            fh.write(" ".join("%.12g" % v for v in p) + "\n")
+        total = sum(1 + len(l) for l in lines)
+        fh.write(f"LINES {len(lines)} {total}\n")
+        for l in lines:
+            fh.write(str(len(l)) + " " + " ".join(str(i) for i in l) + "\n")
+        fh.write(f"POINT_DATA {len(pts)}\n")
+        fh.write("VECTORS displacement double\n")
+        for d in disp:
+            fh.write(" ".join("%.12g" % v for v in d) + "\n")
+
+
 def find_span(kv: KnotVector, u: float) -> int:
     """Index i with knots[i] <= u < knots[i+1] (last nonempty span at
     u = u_max), for one parameter."""

@@ -599,7 +599,9 @@ class TestNewton:
         {"max_iterations": 10.5}, {"max_halvings": 2.5},
         {"tol_residual": np.inf}, {"tol_increment": np.nan},
         {"tol_increment": np.inf}, {"tol_residual": np.nan},
-        {"max_iterations": True}, {"max_halvings": False}])
+        {"max_iterations": True}, {"max_halvings": False},
+        {"tol_increment": True}, {"tol_residual": True},
+        {"tol_increment": "1e-8"}])
     def test_invalid_settings_rejected(self, bad):
         with pytest.raises(ValueError):
             NewtonSettings(**bad)

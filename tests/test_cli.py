@@ -12,7 +12,7 @@ from gebvisc.output import write_history_csv, write_vtk_snapshot
 from gebvisc.scenarios import (PLA_ELEMENTS, PLA_E_INF, PLA_NU, PLA_RHO,
                                SCENARIO_DEFAULTS, build_scenario, pla_law)
 
-from helpers import read_history_csv, read_vtk_points
+from helpers import oracle_vtk_snapshot, read_history_csv, read_vtk_points
 
 # published benchmark values the scenario defaults must reproduce
 EXPECTED_DEFAULTS = {
@@ -122,6 +122,18 @@ class TestOutputs:
         cur, ini = sim.sample_curve(0, 200)
         np.testing.assert_allclose(pts, cur, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(disp, cur - ini, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("name, overrides", [
+        ("lattice", {"cells": 3, "psi": 0.5236, "T": 0.025}),
+        ("pendulum", {"T": 0.025})], ids=["lattice3", "pendulum"])
+    def test_vtk_matches_per_value_writer(self, tmp_path, name, overrides):
+        # five steps, so the displacements are not all zero
+        sim, _, _ = run_scenario(name, overrides)
+        write_vtk_snapshot(tmp_path / "snap.vtk", sim)
+        oracle_vtk_snapshot(tmp_path / "ref.vtk", sim)
+        data = (tmp_path / "snap.vtk").read_bytes()
+        assert data == (tmp_path / "ref.vtk").read_bytes()
+        assert b"nan" not in data
 
     def test_initial_lattice_snapshot_matches_generator(self, tmp_path):
         from gebvisc.model import build_lattice
@@ -429,13 +441,22 @@ class TestCliCommands:
         {"top": {"time": {"h": 5e-3, "t_end": 0.01}}, "names": "'t_end'"},
         {"top": {"outputs": {"probes": [{"patch": 0, "u": 1.0}]}},
          "names": "'outputs'"},
+        {"top": {"time": {"h": True, "T": True}},
+         "names": "T must be a finite number > 0, got True"},
+        {"top": {"time": {"h": True, "T": 5e-3}},
+         "names": "h must be a finite number > 0, got True"},
+        {"top": {"newton": {"tol_increment": True}},
+         "names": "tol_increment must be a finite number > 0, got True"},
+        {"top": {"newton": {"tol_residual": False}},
+         "names": "tol_residual must be a finite number > 0, got False"},
     ], ids=["E_inf_nan", "rho_inf", "diameter_nan", "tau_nan",
             "table_length", "table_columns", "table_times", "table_inf",
             "value_short", "end_nan", "knot_nan", "weight_inf",
             "diameter_negative", "side_negative", "support_patch_float",
             "support_patch_bool", "load_patch_float", "probe_patch_float",
             "degree_float", "n_float", "section_type_unknown", "probe_u_bool",
-            "probe_u_text", "time_key_unknown", "top_level_key_unknown"])
+            "probe_u_text", "time_key_unknown", "top_level_key_unknown",
+            "time_bool", "h_bool", "tol_increment_bool", "tol_residual_bool"])
     def test_invalid_numbers_reported(self, tmp_path, capfd, change):
         # found before any step: exit 2, one line on stderr that names the
         # input (no library prints its own) and no output directory

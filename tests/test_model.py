@@ -427,14 +427,21 @@ class TestPatchSetup:
     def test_matches_pointwise_setup(self, curve, monkeypatch):
         curve = curve()
         patch = Patch(curve, unit_law())
+        grids = []
+
+        def oracle_fills(kv, us, max_deriv=0, weights=None):
+            grids.append(len(us))
+            return iter(oracle_basis_matrices(kv, us, max_deriv, weights))
+
         with monkeypatch.context() as m:
-            m.setattr(splines, "basis_matrices", oracle_basis_matrices)
+            m.setattr(splines, "_basis_fills", oracle_fills)
             m.setattr(initial_geometry, "_fine_grid", oracle_fine_grid)
             m.setattr(initial_geometry, "_transport_double_reflection",
                       oracle_transport)
             m.setattr(initial_geometry, "_fit_curvature",
                       oracle_fit_curvature)
             frames = Patch(curve, unit_law()).frames
+        assert grids  # the transport grid's basis came from the oracle
         for name in ("u", "c0", "c0_s", "c0_ss", "R0", "K0", "K0_s", "jac",
                      "jac_u"):
             assert_bitwise(getattr(patch.frames, name), getattr(frames, name))

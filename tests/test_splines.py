@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,43 @@ class TestCurve:
             fd2 = (cp - 2 * d[0] + cm) / h ** 2
             assert np.abs(d[1] - fd1).max() < 1e-6
             assert np.abs(d[2] - fd2).max() < 1e-3
+
+
+class TestEvalMany:
+    """``eval_many`` fills one basis buffer per derivative order and
+    multiplies it by the control points: the dense product of each order
+    bit for bit, with one dense matrix in memory."""
+
+    @pytest.mark.parametrize("p", range(1, 8))
+    def test_matches_dense_products(self, p):
+        rng = np.random.default_rng(50 + p)
+        for kv in knot_vectors(p):
+            # every knot, both ends among them, and random parameters
+            us = np.concatenate([kv.knots, rng.uniform(0.0, 1.0, 40)])
+            pts = rng.normal(size=(kv.n, 3))
+            for weights in (None, rng.uniform(0.3, 3.0, kv.n)):
+                curve = NurbsCurve(kv, pts, weights)
+                assert curve.is_rational == (weights is not None)
+                for max_deriv in range(min(2, p) + 1):
+                    got = curve.eval_many(us, max_deriv)
+                    mats = basis_matrices(kv, us, max_deriv, weights)
+                    assert len(got) == max_deriv + 1
+                    for c, B in zip(got, mats):
+                        assert_bitwise(c, B @ curve.points)
+
+    def test_one_dense_matrix_in_memory(self):
+        # the spiral's transport grid: p = 6, 250 control points and 2,686
+        # points; three dense matrices, one per order, would take about 3
+        kv = KnotVector.open_uniform(6, 250)
+        curve = NurbsCurve(kv, np.random.default_rng(7).normal(size=(250, 3)))
+        grid = np.linspace(0.0, 1.0, 2686)
+        tracemalloc.start()
+        try:
+            curve.eval_many(grid, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * grid.size * kv.n * 8
 
 
 class TestArcLength:
