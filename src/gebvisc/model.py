@@ -2,9 +2,11 @@
 
 A model is a list of patches (each an initial NURBS curve with a section law,
 Bishop frame field and Greville collocation set) plus supports, rigid joints
-and load histories.  Joints tie patch ends together rigidly: the spatial
-translation and rotation increments of all incident ends are equated and a
-massless balance of the spatial end resultants closes the row budget.
+and load histories.  ``build_patches`` sets the patches up from their curves,
+in groups that share degree, knots and weights.  Joints tie patch ends
+together rigidly: the spatial translation and rotation increments of all
+incident ends are equated and a massless balance of the spatial end
+resultants closes the row budget.
 
 The generators of the straight/curved lattice and of the re-entrant cell
 structure list their members and hand them to one network builder,
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .initial_geometry import bishop_frames
+from .initial_geometry import InitialFrameField, bishop_frames
 from .so3 import exp_so3
 from .splines import (KnotVector, NurbsCurve, basis_eval_many, check_integer,
                       greville, interpolate_curve, line_curve, to_arclength)
@@ -132,25 +134,17 @@ class LoadHistory:
 
 
 class Patch:
-    """One beam patch: initial curve, section law and collocation data."""
+    """One beam patch: initial curve, section law, initial frame field at
+    the collocation points and the basis stencils there, ``stencils`` =
+    (support_idx, phi0, phi1, phi2); ``build_patches`` makes them."""
 
-    def __init__(self, curve: NurbsCurve, law: SectionLaw):
+    def __init__(self, curve: NurbsCurve, law: SectionLaw,
+                 frames: InitialFrameField, stencils):
         self.curve = curve
         self.law = law
-        self.collocation = greville(curve.kv)
-        n = len(self.collocation)
-        self.frames = bishop_frames(curve, self.collocation,
-                                    min_total=max(10 * n, 100))
-        p = curve.kv.degree
-        self.n = n
-        # basis support and s-converted derivative stencils per point
-        w = curve.weights if curve.is_rational else None
-        first, ders = basis_eval_many(curve.kv, self.collocation, 2, w)
-        self.phi0 = ders[0]
-        self.phi1, self.phi2 = to_arclength(ders[1], ders[2],
-                                            self.frames.jac[:, None],
-                                            self.frames.jac_u[:, None])
-        self.support_idx = first[:, None] + np.arange(p + 1)
+        self.frames = frames
+        self.n = len(frames.u)
+        self.support_idx, self.phi0, self.phi1, self.phi2 = stencils
 
     def end_index(self, end: str) -> int:
         return 0 if end == START else self.n - 1
@@ -161,6 +155,44 @@ class Patch:
 
     def end_position(self, end: str) -> np.ndarray:
         return self.frames.c0[self.end_index(end)]
+
+
+def build_patches(curves, law: SectionLaw) -> list[Patch]:
+    """One patch per curve, in order, each with the section law ``law``.
+
+    Collocation is at the Greville points.  Curves that share degree, knots
+    and weights share their collocation points, transport grid and basis,
+    so each such group is set up together: one ``bishop_frames`` call, one
+    basis pass and one ``to_arclength`` for all of its curves.  A patch gets
+    the same bits alone as in any group and with any number of BLAS
+    threads: row dots are ``np.vecdot`` or stacked ``@`` (one BLAS call of
+    the one-curve shape per row or curve), each curvature fit is its own
+    ``lstsq``, and the elementwise operations do not depend on a value's
+    position in its batch (see ``initial_geometry``).  The stencils phi0
+    and support_idx are shared by the group, read-only.
+    """
+    groups = {}
+    for k, c in enumerate(curves):
+        key = (c.kv.degree, c.kv.knots.tobytes(), c.weights.tobytes())
+        groups.setdefault(key, []).append(k)
+    patches = [None] * len(curves)
+    for members in groups.values():
+        group = [curves[k] for k in members]
+        kv, n = group[0].kv, group[0].kv.n
+        u = greville(kv)
+        fields = bishop_frames(group, u, min_total=max(10 * n, 100))
+        w = group[0].weights if group[0].is_rational else None
+        first, (phi0, phi_u, phi_uu) = basis_eval_many(kv, u, 2, w)
+        phi1, phi2 = to_arclength(phi_u, phi_uu, *(
+            np.stack([getattr(f, name) for f in fields])[..., None]
+            for name in ("jac", "jac_u")))
+        support_idx = first[:, None] + np.arange(kv.degree + 1)
+        for a in (phi0, support_idx):
+            a.setflags(write=False)
+        for k, f, p1, p2 in zip(members, fields, phi1, phi2):
+            patches[k] = Patch(curves[k], law, f,
+                               (support_idx, phi0, p1, p2))
+    return patches
 
 
 #: what each support kind holds: the global translation components it fixes
@@ -357,6 +389,13 @@ def _member_curve(a: np.ndarray, b: np.ndarray, degree: int, n: int,
     return NurbsCurve(c.kv, pts, c.weights)
 
 
+def _check_count(value, name: str) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer
+    >= 1; a bool is not one."""
+    if check_integer(value, name) < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def _network(members, law: SectionLaw, cell_size: float, degree: int,
              n_ctrl: int, support: str, supported, loaded, load, probe: int
              ) -> BeamModel:
@@ -369,10 +408,8 @@ def _network(members, law: SectionLaw, cell_size: float, degree: int,
     gets a ``support`` on its first end.  ``load`` (if given) acts on the
     ``loaded`` patches, and the probe 'node' sits on the end of ``probe``.
     """
-    patches, ends_at = [], {}
-    for p, (a, b, rot_a, rot_b) in enumerate(members):
-        patches.append(Patch(_member_curve(a, b, degree, n_ctrl, rot_a, rot_b),
-                             law))
+    ends_at = {}
+    for p, (a, b, _, _) in enumerate(members):
         for x, end in ((a, START), (b, END)):
             key = tuple(np.round(x / cell_size * 1e6).astype(int))
             ends_at.setdefault(key, []).append((p, end))
@@ -381,6 +418,8 @@ def _network(members, law: SectionLaw, cell_size: float, degree: int,
     supports = [Support(*ends_at[key][0], kind=support)
                 for key in sorted(ends_at) if supported(key)]
     loads = [DistributedLoad(p, load) for p in loaded] if load is not None else []
+    patches = build_patches([_member_curve(a, b, degree, n_ctrl, rot_a, rot_b)
+                             for a, b, rot_a, rot_b in members], law)
     return BeamModel(patches, supports=supports, joints=joints, loads=loads,
                      probes=[Probe(probe, 1.0, "node")])
 
@@ -398,6 +437,8 @@ def build_lattice(psi: float, law: SectionLaw, cells: int = 5,
     """
     if not 0.0 <= psi < 0.5 * np.pi:
         raise ValueError("psi must lie in [0, pi/2)")
+    _check_count(cells, "cells")
+    check_positive(cell_size, "cell_size")
     nv = cells + 1
     Rz = _rot_z(psi) if psi != 0.0 else None
 
@@ -454,6 +495,9 @@ def build_auxetic(psi: float, law: SectionLaw, nx: int = 5, ny: int = 1,
     """
     if not 0.0 <= psi <= 0.25 * np.pi:
         raise ValueError("psi must lie in [0, pi/4]")
+    _check_count(nx, "nx")
+    _check_count(ny, "ny")
+    check_positive(cell_size, "cell_size")
     a = cell_size
     half = 0.5 * a
     members = []
@@ -557,7 +601,7 @@ def model_from_config(cfg: dict) -> tuple[BeamModel, dict]:
     if version != CONFIG_VERSION:
         raise ValueError(f"unsupported config version {version}")
     law = _law_from_config(cfg)
-    patches = []
+    curves = []
     for pc in cfg["patches"]:
         if "generator" in pc:
             gen = pc["generator"]
@@ -575,7 +619,7 @@ def model_from_config(cfg: dict) -> tuple[BeamModel, dict]:
         else:
             kv = KnotVector(pc["degree"], pc["knots"])
             curve = NurbsCurve(kv, pc["control_points"], pc.get("weights"))
-        patches.append(Patch(curve, law))
+        curves.append(curve)
     supports = [Support(s["patch"], s["end"], s["type"],
                         motion=_history_from_config(s["motion"])
                         if "motion" in s else None)
@@ -596,8 +640,9 @@ def model_from_config(cfg: dict) -> tuple[BeamModel, dict]:
             raise ValueError(f"unknown load target '{target['kind']}'")
     probes = [Probe(p["patch"], p["u"], p.get("name", f"probe{k}"))
               for k, p in enumerate(cfg.get("output", {}).get("probes", []))]
-    model = BeamModel(patches, supports=supports, joints=joints, loads=loads,
-                      end_loads=end_loads, probes=probes)
+    model = BeamModel(build_patches(curves, law), supports=supports,
+                      joints=joints, loads=loads, end_loads=end_loads,
+                      probes=probes)
     return model, {key: cfg.get(key, {}) for key in ("time", "newton")}
 
 

@@ -13,8 +13,8 @@ import numbers
 
 import numpy as np
 
-from .model import (BeamModel, DistributedLoad, EndLoad, LoadHistory, Patch,
-                    Probe, Support, build_auxetic, build_lattice,
+from .model import (BeamModel, DistributedLoad, EndLoad, LoadHistory, Probe,
+                    Support, build_auxetic, build_lattice, build_patches,
                     check_keys, spiral_curve, spivak_curve)
 from .splines import line_curve
 from .viscoelastic import SectionGeometry, SectionLaw, build_section_law
@@ -91,7 +91,7 @@ def build_pendulum(overrides: dict | None = None):
         SectionGeometry.circle(c["diameter"]), c["rho"]), overrides)
     curve = line_curve([0, 0, 0], [0, c["length"], 0], c["degree"], c["n"])
     model = BeamModel(
-        [Patch(curve, law)],
+        build_patches([curve], law),
         supports=[Support(0, "start", "hinge")],
         loads=[DistributedLoad(0, LoadHistory.constant([0, 0, c["q3"]]))],
         probes=[Probe(0, 1.0, "tip")])
@@ -106,7 +106,7 @@ def build_cantilever(overrides: dict | None = None):
         SectionGeometry.square(c["side"]), c["rho"]), overrides)
     curve = line_curve([0, 0, 0], [0, c["length"], 0], c["degree"], c["n"])
     model = BeamModel(
-        [Patch(curve, law)],
+        build_patches([curve], law),
         supports=[Support(0, "start", "clamp")],
         end_loads=[EndLoad(0, "end",
                            force=LoadHistory.constant([0, 0, c["F3"]]))],
@@ -123,7 +123,7 @@ def build_spivak(overrides: dict | None = None):
         SectionGeometry.square(c["side"]), c["rho"]), overrides)
     curve = spivak_curve(c["degree"], c["n"])
     model = BeamModel(
-        [Patch(curve, law)],
+        build_patches([curve], law),
         supports=[Support(0, "start", "clamp")],
         end_loads=[EndLoad(0, "end", force=LoadHistory.impulse_hold_release(
             [0, 0, c["F3"]], c["t_off"]))],
@@ -138,7 +138,7 @@ def build_spiral(overrides: dict | None = None):
     law = _maybe_elastic(pla_law(2.0 * c["radius"]), overrides)
     curve = spiral_curve(c["degree"], c["n"], c["scale"])
     model = BeamModel(
-        [Patch(curve, law)],
+        build_patches([curve], law),
         supports=[Support(0, "start", "hinge")],
         loads=[DistributedLoad(0, LoadHistory.constant(
             [0, 0, -law.mu * GRAVITY]))],

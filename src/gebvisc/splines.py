@@ -237,20 +237,29 @@ class NurbsCurve:
     def is_rational(self) -> bool:
         return bool(np.any(self.weights != 1.0))
 
-    def eval_many(self, us, max_deriv: int = 0) -> list[np.ndarray]:
-        """Evaluate at many parameters; returns [c, c_u, ...] arrays (len(us), 3).
 
-        One dense (len(us), n) basis buffer is filled per derivative order
-        and multiplied by the control points once, so the set-up holds one
-        such matrix, not one per order (a third of the memory at order 2).
-        The bits rest on that one full-grid product per order. Of the 24,174
-        values on the spiral's 2,686 x 250 grid (one BLAS thread), products
-        over row chunks of 1,024 changed 12,610, and sums over the p + 1
-        supported basis functions 6,220 (stacked matmul) or 11,116 (einsum).
-        """
-        w = self.weights if self.is_rational else None
-        return [B @ self.points
-                for B in _basis_fills(self.kv, us, max_deriv, w)]
+def eval_many(curves, us, max_deriv: int = 0) -> list[np.ndarray]:
+    """Evaluate curves that share one basis (degree, knots and weights) at
+    many parameters; returns [c, c_u, ...] arrays (len(curves), len(us), 3).
+
+    One dense (len(us), n) basis buffer is filled per derivative order and
+    multiplied by the stacked control points once: a stacked ``@`` makes one
+    BLAS product per curve in the shapes of a single curve, so a curve gets
+    the same bits alone or in a stack.  The set-up holds one such matrix,
+    not one per order (a third of the memory at order 2).  The bits rest on
+    that one full-grid product per order. Of the 24,174 values on the
+    spiral's 2,686 x 250 grid (one BLAS thread), products over row chunks of
+    1,024 changed 12,610, and sums over the p + 1 supported basis functions
+    6,220 (stacked matmul) or 11,116 (einsum).
+    """
+    kv, weights = curves[0].kv, curves[0].weights
+    if any(c.kv.degree != kv.degree or not np.array_equal(c.kv.knots, kv.knots)
+           or not np.array_equal(c.weights, weights) for c in curves[1:]):
+        raise ValueError("curves evaluated together must share degree, "
+                         "knots and weights")
+    w = weights if curves[0].is_rational else None
+    points = np.stack([c.points for c in curves])
+    return [B @ points for B in _basis_fills(kv, us, max_deriv, w)]
 
 
 def to_arclength(f_u: np.ndarray, f_uu: np.ndarray, J,

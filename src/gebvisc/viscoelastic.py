@@ -204,6 +204,17 @@ def _point_coefficients(law: SectionLaw, h: float, n: int
     return cached
 
 
+def _branch_moduli(law: SectionLaw, n: int) -> np.ndarray:
+    """The branch moduli CNv and CMv of ``CNM`` spelled out to the full
+    (m, 4, n, 3) shape of the viscous arrays of n points (cached,
+    read-only), like ``_point_coefficients``."""
+    cached = law._cache.get(("moduli", n))
+    if cached is None:
+        cached = _store(law, ("moduli", n), (np.broadcast_to(
+            law.CNM[:-1], (law.n_elements, 4, n, 3)).copy(),))
+    return cached[0]
+
+
 class ViscousState:
     """Branch strains and history terms at a set of points.
 
@@ -219,7 +230,8 @@ class ViscousState:
         self.n = n_points
         self.branch = np.zeros((n_elements, 4, n_points, 3))
         self.beta = np.zeros((n_elements, 4, n_points, 3))
-        # scratch (m + 1, 4, n, 3) of ``compute_beta`` and ``internal_forces``
+        # scratch (m + 1, 4, n, 3) of ``compute_beta``, ``internal_forces``
+        # and ``history``
         self._work = np.empty((n_elements + 1, 4, n_points, 3))
 
     def copy(self) -> "ViscousState":
@@ -231,8 +243,12 @@ class ViscousState:
     def history(self, law: SectionLaw) -> np.ndarray:
         """The Maxwell history sums sum_a C_a beta_a of the four channels,
         stacked (4, n, 3) like the strains: CNv on Gam and Gam,s, CMv on Kap
-        and Kap,s."""
-        return np.einsum("ack,acnk->cnk", law.CNM[:-1, :, 0], self.beta)
+        and Kap,s.  The products are taken on arrays of one shape, which
+        numpy does without setting up a broadcast, and added branch by
+        branch in branch order."""
+        work = np.multiply(_branch_moduli(law, self.n), self.beta,
+                           self._work[:-1])
+        return np.add.reduce(work, axis=0)
 
 
 def compute_beta(law: SectionLaw, state: ViscousState, strains: np.ndarray,

@@ -1,5 +1,7 @@
 """Shared test fixtures: synthetic states, laws and analytic frame fields."""
 
+import hashlib
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -12,9 +14,9 @@ from gebvisc.initial_geometry import (MIN_TANGENT, InitialFrameField,
                                       bishop_frames)
 from gebvisc.integrator import apply_increment
 from gebvisc.model import (BeamModel, DistributedLoad, EndLoad, Joint,
-                           LoadHistory, Patch, Support)
-from gebvisc.splines import (KnotVector, NurbsCurve, greville,
-                             interpolate_curve)
+                           LoadHistory, Support, build_patches)
+from gebvisc.splines import (KnotVector, NurbsCurve, _basis_fills, eval_many,
+                             greville, interpolate_curve)
 from gebvisc.viscoelastic import (SectionGeometry, build_section_law,
                                   trapezoidal_coeffs)
 
@@ -180,7 +182,7 @@ def compose_rotvec(theta: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
 def initial_curvature(curve: NurbsCurve, eval_points, **kwargs) -> np.ndarray:
     """Initial material curvature at the evaluation points (see bishop_frames)."""
-    return bishop_frames(curve, eval_points, **kwargs).K0
+    return bishop_frames([curve], eval_points, **kwargs)[0].K0
 
 
 def interpolate_function(fn, degree: int, n: int) -> NurbsCurve:
@@ -322,9 +324,19 @@ def rotated_model(model: BeamModel, Q: np.ndarray) -> BeamModel:
             params["values"] = params["values"] @ Q.T
         return LoadHistory(history.kind, Q @ history.value, **params)
 
+    # one set-up per section law, the patches of each in model order
+    patches = [None] * len(model.patches)
+    by_law = {}
+    for k, p in enumerate(model.patches):
+        by_law.setdefault(id(p.law), []).append(k)
+    for ks in by_law.values():
+        law = model.patches[ks[0]].law
+        curves = [NurbsCurve(c.kv, c.points @ Q.T, c.weights)
+                  for c in (model.patches[k].curve for k in ks)]
+        for k, patch in zip(ks, build_patches(curves, law)):
+            patches[k] = patch
     return BeamModel(
-        [Patch(NurbsCurve(p.curve.kv, p.curve.points @ Q.T,
-                          p.curve.weights), p.law) for p in model.patches],
+        patches,
         supports=[Support(s.patch, s.end, s.kind, turn(s.motion))
                   for s in model.supports],
         joints=[Joint(list(j.ends), turn(j.force), turn(j.moment))
@@ -364,7 +376,7 @@ def is_rotation(R: np.ndarray, tol: float = 1.0e-12) -> bool:
 def curve_point(curve: NurbsCurve, u: float, max_deriv: int = 0) -> np.ndarray:
     """Position and parametric derivatives of ``curve`` at the one parameter
     ``u``, shape (max_deriv + 1, 3)."""
-    return np.concatenate(curve.eval_many([u], max_deriv))
+    return np.concatenate(eval_many([curve], [u], max_deriv), axis=1)[0]
 
 
 def arclength_derivatives(c0: NurbsCurve, u: float) -> tuple[float, float]:
@@ -381,7 +393,7 @@ def arc_length(curve: NurbsCurve, gauss_order: int = 16) -> float:
     spans = np.unique(curve.kv.knots)
     mid, half = 0.5 * (spans[1:] + spans[:-1]), 0.5 * np.diff(spans)
     us = (mid[:, None] + half[:, None] * xg).ravel()
-    J = np.linalg.norm(curve.eval_many(us, 1)[1], axis=-1)
+    J = np.linalg.norm(eval_many([curve], us, 1)[1][0], axis=-1)
     return float(half @ (J.reshape(-1, gauss_order) @ wg))
 
 
@@ -620,6 +632,53 @@ def oracle_stencils(curve: NurbsCurve, frames: InitialFrameField):
         phi[1, i] = ders[1] / J
         phi[2, i] = ders[2] / J ** 2 - ders[1] * J_u / J ** 3
     return first, phi[0], phi[1], phi[2]
+
+
+def oracle_bishop_frames(curve: NurbsCurve, eval_points, oversample=10,
+                         min_total=2000) -> InitialFrameField:
+    """Oracle for ``bishop_frames``: one curve set up alone, one control
+    point product per basis order, and the oracle grid, transport and
+    curvature fits."""
+    grid, idx = oracle_fine_grid(eval_points, oversample, min_total)
+    w = curve.weights if curve.is_rational else None
+    x, x_u, x_uu = [B @ curve.points
+                    for B in _basis_fills(curve.kv, grid, 2, w)]
+    J = np.linalg.norm(x_u, axis=-1)
+    t = x_u / J[:, None]
+    k = int(np.argmin(np.abs(np.eye(3) @ t[0])))
+    d0 = np.eye(3)[k] - t[0] * t[0, k]
+    d1 = oracle_transport(x, t, d0 / np.linalg.norm(d0))
+    d1 -= np.sum(d1 * t, axis=-1, keepdims=True) * t
+    d1 /= np.linalg.norm(d1, axis=-1, keepdims=True)
+    R = np.stack([t, d1, np.cross(t, d1)], axis=-1)
+    s = np.concatenate([[0.0], np.cumsum(0.5 * (J[1:] + J[:-1])
+                                         * np.diff(grid))])
+    k_mid = (so3.log_so3(np.swapaxes(R[:-1], -1, -2) @ R[1:])
+             / np.diff(s)[:, None])
+    K0, K0_s = oracle_fit_curvature(s[idx], 0.5 * (s[1:] + s[:-1]), k_mid)
+    jac = J[idx]
+    jac_u = np.sum(x_u[idx] * x_uu[idx], axis=-1) / jac
+    c0_ss = x_uu[idx] / jac[:, None] ** 2 - x_u[idx] * (jac_u
+                                                        / jac ** 3)[:, None]
+    return InitialFrameField(np.asarray(eval_points, dtype=float), x[idx],
+                             x_u[idx] / jac[:, None], c0_ss, R[idx], K0, K0_s,
+                             jac, jac_u)
+
+
+#: the arrays of an ``InitialFrameField``
+FRAME_FIELDS = ("u", "c0", "c0_s", "c0_ss", "R0", "K0", "K0_s", "jac",
+                "jac_u")
+
+
+def setup_digest(model: BeamModel) -> str:
+    """SHA-256 over the set-up arrays of every patch of ``model``, in patch
+    order: its frame field, then its stencils."""
+    h = hashlib.sha256()
+    for p in model.patches:
+        for a in ([getattr(p.frames, name) for name in FRAME_FIELDS]
+                  + [p.support_idx, p.phi0, p.phi1, p.phi2]):
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
 
 
 def assert_bitwise(actual, expected):

@@ -24,7 +24,8 @@ from gebvisc.beam_residual import (kin, neumann_force_row, neumann_moment_row,
 from gebvisc.cli import fit_preplateau_slope, run_convergence, run_scenario
 from gebvisc.integrator import apply_increment, begin_step
 from gebvisc.model import (BeamModel, DistributedLoad, EndLoad, Joint,
-                           LoadHistory, Patch, Probe, Support)
+                           LoadHistory, Probe, Support,
+                           build_patches)
 from gebvisc.scenarios import build_scenario, pla_law
 from gebvisc.splines import line_curve
 from gebvisc.viscoelastic import (SectionGeometry, ViscousState,
@@ -222,7 +223,7 @@ class TestCriterion5:
                                 SectionGeometry.square(side), rho)
         curve = line_curve([0, 0, 0], [0, L, 0], 4, 20)
         model = BeamModel(
-            [Patch(curve, law)],
+            build_patches([curve], law),
             supports=[Support(0, "start", "clamp")],
             end_loads=[EndLoad(0, "end",
                                force=LoadHistory.constant([0, 0, -F]))],
@@ -285,7 +286,8 @@ class TestCriterion7:
     def test_free_rigid_flight(self):
         law = unit_law()
         curve = line_curve([0, 0, 0], [0, 1.0, 0], 3, 8)
-        model = BeamModel([Patch(curve, law)], probes=[Probe(0, 0.5, "mid")])
+        model = BeamModel(build_patches([curve], law),
+                          probes=[Probe(0, 0.5, "mid")])
         sim = Simulation(model)
         v0 = np.array([0.3, -0.1, 0.2])
         sim.set_initial_velocity(v0)
@@ -301,7 +303,7 @@ class TestCriterion7:
     def test_quiescent_persistence(self):
         law = unit_law()
         model = BeamModel(
-            [Patch(line_curve([0, 0, 0], [0, 1.0, 0], 3, 8), law)],
+            build_patches([line_curve([0, 0, 0], [0, 1.0, 0], 3, 8)], law),
             supports=[Support(0, "start", "clamp")],
             probes=[Probe(0, 1.0, "tip")])
         sim = Simulation(model)
@@ -333,7 +335,7 @@ class TestCriterion7:
         law = build_section_law(5e5, 0.5, [(4.5e6, 0.1)],
                                 SectionGeometry.circle(0.01), 1100.0)
         model = BeamModel(
-            [Patch(line_curve([0, 0, 0], [0, 1.0, 0], 2, 6), law)],
+            build_patches([line_curve([0, 0, 0], [0, 1.0, 0], 2, 6)], law),
             supports=[Support(0, "start", "hinge")],
             loads=[DistributedLoad(0, LoadHistory.constant([0, 0, -0.8475]))])
         sim = Simulation(model)
@@ -348,13 +350,13 @@ class TestCriterion7:
                                 SectionGeometry.circle(0.01), 1100.0)
         hist = LoadHistory.constant([0, 0, -0.8475])
         single = BeamModel(
-            [Patch(line_curve([0, 0, 0], [0, 1.0, 0], 6, 61), law)],
+            build_patches([line_curve([0, 0, 0], [0, 1.0, 0], 6, 61)], law),
             supports=[Support(0, "start", "hinge")],
             loads=[DistributedLoad(0, hist)],
             probes=[Probe(0, 1.0, "tip")])
         split = BeamModel(
-            [Patch(line_curve([0, 0, 0], [0, 0.5, 0], 6, 31), law),
-             Patch(line_curve([0, 0.5, 0], [0, 1.0, 0], 6, 31), law)],
+            build_patches([line_curve([0, 0, 0], [0, 0.5, 0], 6, 31),
+                           line_curve([0, 0.5, 0], [0, 1.0, 0], 6, 31)], law),
             supports=[Support(0, "start", "hinge")],
             joints=[Joint(ends=[(0, "end"), (1, "start")])],
             loads=[DistributedLoad(0, hist), DistributedLoad(1, hist)],

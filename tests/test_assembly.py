@@ -10,7 +10,8 @@ from gebvisc.assembly import (NewtonSettings, Simulation, step_count,
 from gebvisc.beam_residual import kin
 from gebvisc.integrator import StepFailure, begin_step
 from gebvisc.model import (BeamModel, DistributedLoad, EndLoad, Joint,
-                           LoadHistory, Patch, Probe, Support)
+                           LoadHistory, Probe, Support,
+                           build_patches)
 from gebvisc.splines import KnotVector, greville, interpolate_curve, line_curve
 from gebvisc.viscoelastic import SectionGeometry, build_section_law
 from helpers import (assembling_newton, assert_bitwise, dense_solve,
@@ -26,7 +27,7 @@ def pendulum_law():
 
 def pendulum_model(n=40, degree=4, probes=True):
     curve = line_curve([0, 0, 0], [0, 1.0, 0], degree=degree, n=n)
-    return BeamModel([Patch(curve, pendulum_law())],
+    return BeamModel(build_patches([curve], pendulum_law()),
                      supports=[Support(0, "start", "hinge")],
                      loads=[DistributedLoad(
                          0, LoadHistory.constant([0, 0, -0.8475]))],
@@ -56,7 +57,7 @@ def row_kinds_model():
               line_curve(F, G, 3, 7)]
     weight = LoadHistory.constant([0, 0, -0.8475])
     return BeamModel(
-        [Patch(c, law) for c in curves],
+        build_patches(curves, law),
         supports=[Support(0, "start", "clamp",
                           LoadHistory.sine_ramp_hold([0, 0, 0.01], 0.1)),
                   Support(3, "end", "roller_x3"),
@@ -108,7 +109,7 @@ def ring_model():
     ring = interpolate_curve(
         u, 0.1 * np.stack([np.cos(a), np.sin(a), np.zeros_like(a)], axis=1),
         kv)
-    return BeamModel([Patch(ring, pendulum_law())],
+    return BeamModel(build_patches([ring], pendulum_law()),
                      supports=[Support(0, "start", "hinge")],
                      joints=[Joint([(0, "start"), (0, "end")])],
                      loads=[DistributedLoad(
@@ -128,9 +129,11 @@ def two_law_model():
     arc = interpolate_curve(
         u, A + np.outer(u, B - A) + np.outer(0.1 * np.sin(np.pi * u),
                                              [0.0, 0.0, 1.0]), kv)
-    patches = [Patch(line_curve(O, A, 3, 7), law_a), Patch(arc, law_b),
-               Patch(line_curve(B, B + [0.4, 0.0, 0.0], 4, 8), law_a),
-               Patch(line_curve(B, B + [0.0, 0.4, -0.1], 3, 7), law_b)]
+    a0, a2 = build_patches([line_curve(O, A, 3, 7),
+                            line_curve(B, B + [0.4, 0.0, 0.0], 4, 8)], law_a)
+    b1, b3 = build_patches([arc, line_curve(B, B + [0.0, 0.4, -0.1], 3, 7)],
+                           law_b)
+    patches = [a0, b1, a2, b3]
     weight = LoadHistory.constant([0, 0, -0.8475])
     return BeamModel(
         patches,
@@ -503,7 +506,7 @@ class TestSystemStructure:
     def test_square_system_size_and_counts(self):
         law = pendulum_law()
         curve = line_curve([0, 0, 0], [1, 0, 0], degree=2, n=4)
-        model = BeamModel([Patch(curve, law)],
+        model = BeamModel(build_patches([curve], law),
                           supports=[Support(0, "start", "clamp")])
         sim = Simulation(model)
         A, rhs = sim.assemble(1e-3, 1e-3)
@@ -571,7 +574,7 @@ class TestSystemStructure:
         law = build_section_law(E, nu, [], SectionGeometry.circle(0.05), 1000.0)
         L, F = 1.0, 1e-3
         curve = line_curve([0, 0, 0], [0, L, 0], degree=4, n=40)
-        model = BeamModel([Patch(curve, law)],
+        model = BeamModel(build_patches([curve], law),
                           supports=[Support(0, "start", "clamp")],
                           end_loads=[EndLoad(0, "end",
                                              force=LoadHistory.constant(
@@ -666,7 +669,7 @@ class TestNewton:
         import pstats
         law = pendulum_law()
         sim = Simulation(BeamModel(
-            [Patch(line_curve([0, 0, 0], [0, 1.0, 0], 2, 6), law)],
+            build_patches([line_curve([0, 0, 0], [0, 1.0, 0], 2, 6)], law),
             supports=[Support(0, "start", "hinge")],
             loads=[DistributedLoad(0, LoadHistory.constant([0, 0, -0.8475]))]))
         h = 2e-4
@@ -723,7 +726,8 @@ class TestExactness:
     def test_free_rigid_flight(self):
         law = pendulum_law()
         curve = line_curve([0, 0, 0], [0, 1.0, 0], degree=3, n=8)
-        model = BeamModel([Patch(curve, law)], probes=[Probe(0, 0.5, "mid")])
+        model = BeamModel(build_patches([curve], law),
+                          probes=[Probe(0, 0.5, "mid")])
         sim = Simulation(model)
         v0 = np.array([0.3, -0.1, 0.2])
         sim.set_initial_velocity(v0)
@@ -739,7 +743,7 @@ class TestExactness:
     def test_quiescent_persistence(self):
         law = pendulum_law()
         curve = line_curve([0, 0, 0], [0, 1.0, 0], degree=3, n=8)
-        model = BeamModel([Patch(curve, law)],
+        model = BeamModel(build_patches([curve], law),
                           supports=[Support(0, "start", "clamp")],
                           probes=[Probe(0, 1.0, "tip")])
         sim = Simulation(model)
@@ -754,7 +758,7 @@ class TestExactness:
             law = pendulum_law()
             curve = line_curve([0, 0, 0], [0, 1.0, 0], degree=4, n=16)
             model = BeamModel(
-                [Patch(curve, law)],
+                build_patches([curve], law),
                 supports=[Support(0, "start", "hinge")],
                 loads=[DistributedLoad(0, LoadHistory.sine_ramp_hold(
                     [0, 0, -0.8475], 0.1))],
@@ -773,13 +777,13 @@ class TestJoints:
         law = pendulum_law()
         hist = LoadHistory.constant([0, 0, -0.8475])
         single = BeamModel(
-            [Patch(line_curve([0, 0, 0], [0, 1.0, 0], 4, 21), law)],
+            build_patches([line_curve([0, 0, 0], [0, 1.0, 0], 4, 21)], law),
             supports=[Support(0, "start", "hinge")],
             loads=[DistributedLoad(0, hist)],
             probes=[Probe(0, 1.0, "tip")])
         split = BeamModel(
-            [Patch(line_curve([0, 0, 0], [0, 0.5, 0], 4, 11), law),
-             Patch(line_curve([0, 0.5, 0], [0, 1.0, 0], 4, 11), law)],
+            build_patches([line_curve([0, 0, 0], [0, 0.5, 0], 4, 11),
+                           line_curve([0, 0.5, 0], [0, 1.0, 0], 4, 11)], law),
             supports=[Support(0, "start", "hinge")],
             joints=[Joint(ends=[(0, "end"), (1, "start")])],
             loads=[DistributedLoad(0, hist), DistributedLoad(1, hist)],
@@ -797,8 +801,8 @@ class TestJoints:
         law = build_section_law(1e7, 0.3, [], SectionGeometry.circle(0.05),
                                 1000.0)
         model = BeamModel(
-            [Patch(line_curve([0, 0, 0], [0, 0.5, 0], 3, 8), law),
-             Patch(line_curve([0, 0.5, 0], [0, 1.0, 0], 3, 8), law)],
+            build_patches([line_curve([0, 0, 0], [0, 0.5, 0], 3, 8),
+                           line_curve([0, 0.5, 0], [0, 1.0, 0], 3, 8)], law),
             supports=[Support(0, "start", "clamp")],
             joints=[Joint(ends=[(0, "end"), (1, "start")])],
             end_loads=[EndLoad(1, "end",
@@ -822,8 +826,8 @@ class TestJoints:
         law = pendulum_law()
         hist = LoadHistory.constant([0, 0, -0.8475])
         model = BeamModel(
-            [Patch(line_curve([0, 0, 0], [0, 0.5, 0], 3, 8), law),
-             Patch(line_curve([0, 0.5, 0], [0, 1.0, 0], 3, 8), law)],
+            build_patches([line_curve([0, 0, 0], [0, 0.5, 0], 3, 8),
+                           line_curve([0, 0.5, 0], [0, 1.0, 0], 3, 8)], law),
             supports=[Support(0, "start", "hinge")],
             joints=[Joint(ends=[(0, "end"), (1, "start")])],
             loads=[DistributedLoad(0, hist), DistributedLoad(1, hist)])
@@ -864,7 +868,7 @@ class TestStepControl:
         law = build_section_law(1e5, 0.3, [(9e5, 0.05)],
                                 SectionGeometry.circle(0.01), 1100.0)
         curve = line_curve([0, 0, 0], [0, 0.5, 0], degree=3, n=10)
-        model = BeamModel([Patch(curve, law)],
+        model = BeamModel(build_patches([curve], law),
                           supports=[Support(0, "start", "clamp")],
                           end_loads=[EndLoad(0, "end",
                                              force=LoadHistory.constant(

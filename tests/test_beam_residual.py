@@ -9,8 +9,8 @@ from gebvisc.beam_residual import (CollocationState, kin,
                                    tangent_blocks_moment,
                                    end_force_spatial, end_moment_spatial)
 from gebvisc.integrator import apply_increment
-from gebvisc.model import (BeamModel, EndLoad, Joint, LoadHistory, Patch,
-                           Support)
+from gebvisc.model import (BeamModel, EndLoad, Joint, LoadHistory, Support,
+                           build_patches)
 from gebvisc.splines import line_curve
 from gebvisc.viscoelastic import (SectionGeometry, build_section_law,
                                   effective_stiffness, internal_forces,
@@ -235,8 +235,9 @@ class TestBoundaryRows:
         law = build_section_law(5e5, 0.3, [(4.5e6, 0.1), (1e6, 0.02)],
                                 SectionGeometry.circle(0.01), 1100.0)
         model = BeamModel(
-            [Patch(line_curve([0, 0, 0], [0, 0.5, 0], 3, 8), law),
-             Patch(line_curve([0, 0.5, 0], [0.3, 0.9, 0.1], 4, 9), law)],
+            build_patches([line_curve([0, 0, 0], [0, 0.5, 0], 3, 8),
+                           line_curve([0, 0.5, 0], [0.3, 0.9, 0.1], 4, 9)],
+                          law),
             supports=[Support(0, "start", "clamp")],
             joints=[Joint([(0, "end"), (1, "start")])],
             end_loads=[EndLoad(1, "end",

@@ -449,6 +449,18 @@ class TestCliCommands:
          "names": "tol_increment must be a finite number > 0, got True"},
         {"top": {"newton": {"tol_residual": False}},
          "names": "tol_residual must be a finite number > 0, got False"},
+        {"argv": ["auxetic", "--nx", "0"],
+         "names": "nx must be an integer >= 1, got 0"},
+        {"argv": ["auxetic", "--nx", "-1"],
+         "names": "nx must be an integer >= 1, got -1"},
+        {"argv": ["auxetic", "--ny", "0"],
+         "names": "ny must be an integer >= 1, got 0"},
+        {"argv": ["auxetic", "--ny", "-1"],
+         "names": "ny must be an integer >= 1, got -1"},
+        {"argv": ["lattice", "--cells", "0"],
+         "names": "cells must be an integer >= 1, got 0"},
+        {"argv": ["lattice", "--cells", "-1"],
+         "names": "cells must be an integer >= 1, got -1"},
     ], ids=["E_inf_nan", "rho_inf", "diameter_nan", "tau_nan",
             "table_length", "table_columns", "table_times", "table_inf",
             "value_short", "end_nan", "knot_nan", "weight_inf",
@@ -456,10 +468,14 @@ class TestCliCommands:
             "support_patch_bool", "load_patch_float", "probe_patch_float",
             "degree_float", "n_float", "section_type_unknown", "probe_u_bool",
             "probe_u_text", "time_key_unknown", "top_level_key_unknown",
-            "time_bool", "h_bool", "tol_increment_bool", "tol_residual_bool"])
+            "time_bool", "h_bool", "tol_increment_bool", "tol_residual_bool",
+            "auxetic_nx_zero", "auxetic_nx_negative", "auxetic_ny_zero",
+            "auxetic_ny_negative", "lattice_cells_zero",
+            "lattice_cells_negative"])
     def test_invalid_numbers_reported(self, tmp_path, capfd, change):
         # found before any step: exit 2, one line on stderr that names the
-        # input (no library prints its own) and no output directory
+        # input (no library prints its own) and no output directory; a
+        # scenario flag is checked like a configuration entry
         cfg = self.short_config({})
         for key in ("material", "section"):
             cfg[key] = dict(cfg[key], **change.get(key, {}))
@@ -474,8 +490,14 @@ class TestCliCommands:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / "out"
-        for args in (["validate"], ["run", "custom", "--out", str(out)]):
-            assert main(args + ["--config", str(path)]) == 2
+        runs = [[*args, "--config", str(path)] for args in (
+            ["validate"], ["run", "custom", "--out", str(out)])]
+        if "argv" in change:
+            # one step, should the flag pass
+            runs = [["run", *change["argv"], "--T", "0.005", "--h", "0.005",
+                     "--out", str(out)]]
+        for args in runs:
+            assert main(args) == 2
             err = capfd.readouterr().err
             assert err.startswith("invalid configuration: ")
             assert err.count("\n") == 1

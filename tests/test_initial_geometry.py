@@ -41,7 +41,7 @@ class TestStraightBeam:
     def test_constant_frames_zero_curvature(self):
         c = line_curve([0, 0, 0], [0, 1.0, 0], degree=4, n=12)
         pts = greville(KnotVector.open_uniform(4, 12))
-        ff = bishop_frames(c, pts)
+        ff = bishop_frames([c], pts)[0]
         assert np.abs(ff.R0 - ff.R0[0]).max() < 1e-12
         assert np.abs(ff.K0).max() < 1e-12
         assert np.abs(ff.K0_s).max() < 1e-12
@@ -54,7 +54,7 @@ class TestCircle:
         rho = 2.5
         c = circle_curve(rho)
         pts = np.linspace(0.0, 1.0, 25)
-        ff = bishop_frames(c, pts, min_total=10000)
+        ff = bishop_frames([c], pts, min_total=10000)[0]
         mag = np.linalg.norm(ff.K0, axis=-1)
         assert np.abs(mag - 1.0 / rho).max() < 1e-6
         assert np.abs(ff.K0[:, 0]).max() < 1e-8  # Bishop: no twist component
@@ -62,7 +62,7 @@ class TestCircle:
     def test_frames_orthonormal_tangent_aligned(self):
         c = circle_curve(1.0)
         pts = np.linspace(0.0, 1.0, 11)
-        ff = bishop_frames(c, pts)
+        ff = bishop_frames([c], pts)[0]
         assert is_rotation(ff.R0, tol=1e-10)
         dots = np.einsum("ni,ni->n", ff.R0[:, :, 0], ff.c0_s)
         assert np.abs(dots - 1.0).max() < 1e-10
@@ -76,7 +76,7 @@ class TestCircle:
         kappa = (t ** 2 + 2.0) / (t ** 2 + 1.0) ** 1.5
         errs = []
         for total in (100, 200, 400):
-            ff = bishop_frames(c, pts, oversample=2, min_total=total)
+            ff = bishop_frames([c], pts, oversample=2, min_total=total)[0]
             errs.append(np.abs(np.linalg.norm(ff.K0, axis=-1) - kappa).max())
         order = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
         assert min(order) > 1.7
@@ -86,7 +86,7 @@ class TestSpiral:
     def test_matches_analytic_planar_curvature(self):
         c = spiral_curve()
         pts = np.linspace(0.05, 0.95, 19)
-        ff = bishop_frames(c, pts, min_total=20000)
+        ff = bishop_frames([c], pts, min_total=20000)[0]
         t = 2 * np.pi + 4 * np.pi * pts
         kappa = (t ** 2 + 2.0) / (t ** 2 + 1.0) ** 1.5
         mag = np.linalg.norm(ff.K0, axis=-1)
@@ -97,7 +97,7 @@ class TestSpivak:
     def test_well_defined_through_flat_point(self):
         c = spivak_curve()
         pts = np.linspace(0.0, 1.0, 201)  # includes the flat region around s=0
-        ff = bishop_frames(c, pts)
+        ff = bishop_frames([c], pts)[0]
         assert np.all(np.isfinite(ff.R0))
         assert np.all(np.isfinite(ff.K0))
         assert is_rotation(ff.R0, tol=1e-9)
@@ -112,19 +112,19 @@ class TestInvariants:
         rng = np.random.default_rng(31)
         c = circle_curve(1.5, n=30, degree=4)
         pts = np.linspace(0.0, 1.0, 13)
-        ff = bishop_frames(c, pts)
+        ff = bishop_frames([c], pts)[0]
         Q = so3.exp_so3(rng.normal(size=3))
         rotated = NurbsCurve(c.kv, c.points @ Q.T, c.weights)
         d0_rot = Q @ ff.R0[0, :, 1]
-        ff_rot = bishop_frames(rotated, pts, initial_director=d0_rot)
+        ff_rot = bishop_frames([rotated], pts, initial_director=d0_rot)[0]
         assert np.abs(ff_rot.R0 - Q @ ff.R0).max() < 1e-10
         assert np.abs(ff_rot.K0 - ff.K0).max() < 1e-10
 
     def test_director_flip_preserves_curvature_norm(self):
         c = spiral_curve(n=80, degree=4)
         pts = np.linspace(0.0, 1.0, 9)
-        ff = bishop_frames(c, pts)
-        flipped = bishop_frames(c, pts, initial_director=-ff.R0[0, :, 1])
+        ff = bishop_frames([c], pts)[0]
+        flipped = bishop_frames([c], pts, initial_director=-ff.R0[0, :, 1])[0]
         np.testing.assert_allclose(np.linalg.norm(flipped.K0, axis=-1),
                                    np.linalg.norm(ff.K0, axis=-1), atol=1e-10)
 
@@ -132,7 +132,7 @@ class TestInvariants:
         kv = KnotVector(2, [0, 0, 0, 0.5, 1, 1, 1])
         c = NurbsCurve(kv, [[0, 0, 0], [0, 0, 0], [1, 0, 0], [2, 0, 0]])
         with pytest.raises(ValueError):
-            bishop_frames(c, np.linspace(0, 1, 5))
+            bishop_frames([c], np.linspace(0, 1, 5))
 
     def test_initial_curvature_helper(self):
         c = circle_curve(2.0)
@@ -148,9 +148,16 @@ def random_walk(rng, n=60):
     return np.cumsum(rng.normal(size=(n, 3)), axis=0), tangents
 
 
+def transport(points, tangents, d0):
+    """The stacked transport of the one curve sampled at ``points``."""
+    return _transport_double_reflection(points[None], tangents[None],
+                                        d0[None])[0]
+
+
 class TestTransport:
     """The transport in array passes equals the step-by-step double
-    reflection bit for bit, on both of its degenerate branches too."""
+    reflection bit for bit, on both of its degenerate branches too, for
+    one curve and for every row of a stack."""
 
     def test_coincident_points_keep_the_director(self):
         points, tangents = random_walk(np.random.default_rng(7))
@@ -158,8 +165,8 @@ class TestTransport:
         points[20] = points[19] + 1e-13             # c1 = 3e-26
         step = points[20] - points[19]
         assert 0.0 < step @ step < MIN_TANGENT ** 2
-        d0 = default_director(tangents[0])
-        d = _transport_double_reflection(points, tangents, d0)
+        d0 = default_director(tangents[:1])[0]
+        d = transport(points, tangents, d0)
         assert_bitwise(d, oracle_transport(points, tangents, d0))
         assert_bitwise(d[10], d[9])
         assert_bitwise(d[20], d[19])
@@ -171,13 +178,43 @@ class TestTransport:
             tangents[i + 1] = (tangents[i] - (2.0 / (r1 @ r1))
                                * (r1 @ tangents[i]) * r1)
             tangents[i + 1, 0] += offset
-        d0 = default_director(tangents[0])
-        d = _transport_double_reflection(points, tangents, d0)
+        d0 = default_director(tangents[:1])[0]
+        d = transport(points, tangents, d0)
         assert_bitwise(d, oracle_transport(points, tangents, d0))
         for i in (10, 20):
             r1 = points[i + 1] - points[i]
             assert_bitwise(d[i + 1],
                            d[i] - (2.0 / (r1 @ r1)) * (r1 @ d[i]) * r1)
+
+
+    def test_degenerate_row_of_a_stack(self):
+        # row 2 has a zero-length step and row 1 one of 1e-13: each keeps
+        # its director over it, and every row equals the one-curve oracle
+        rng = np.random.default_rng(10)
+        points, tangents = np.stack([random_walk(rng) for _ in range(4)],
+                                    axis=1)
+        points[2, 30] = points[2, 29]
+        points[1, 12] = points[1, 11] + [1e-13, 0.0, 0.0]
+        for k, i in ((2, 29), (1, 11)):
+            step = points[k, i + 1] - points[k, i]
+            assert step @ step < MIN_TANGENT ** 2
+        d0 = default_director(tangents[:, 0])
+        d = _transport_double_reflection(points, tangents, d0)
+        assert d.shape == points.shape
+        assert_bitwise(d[2, 30], d[2, 29])
+        assert_bitwise(d[1, 12], d[1, 11])
+        for k in range(4):
+            assert_bitwise(d[k], oracle_transport(points[k], tangents[k],
+                                                  d0[k]))
+
+    def test_default_director(self):
+        # the global axis most orthogonal to the tangent, ties to the
+        # smaller index, projected onto the normal plane
+        t = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [1.0, 0.0, 0.0],
+                      [0.6, 0.8, 0.0]])
+        d = default_director(t)
+        np.testing.assert_allclose(d, [[1, 0, 0], [0, 1, 0], [0, 1, 0],
+                                       [0, 0, 1]], atol=1e-15)
 
 
 class TestCurvatureFit:
@@ -189,10 +226,21 @@ class TestCurvatureFit:
         k_mid[:, 2] = -0.0
         k_mid[::3, 1] = -0.0
         s_eval = np.sort(rng.uniform(s_mid[0] - 1.0, s_mid[-1] + 1.0, 25))
-        K0, K0_s = _fit_curvature(s_eval, s_mid, k_mid)
+        K0, K0_s = _fit_curvature(s_eval[None], s_mid[None], k_mid[None])
         expected = oracle_fit_curvature(s_eval, s_mid, k_mid)
-        assert_bitwise(K0, expected[0])
-        assert_bitwise(K0_s, expected[1])
+        assert_bitwise(K0[0], expected[0])
+        assert_bitwise(K0_s[0], expected[1])
+
+    def test_stack_matches_one_fit_per_curve(self):
+        rng = np.random.default_rng(11)
+        s_mid = np.cumsum(rng.exponential(size=(3, 30)), axis=1)
+        k_mid = rng.normal(size=(3, 30, 3))
+        s_eval = np.sort(rng.uniform(0.0, s_mid[:, -1:], (3, 12)), axis=1)
+        K0, K0_s = _fit_curvature(s_eval, s_mid, k_mid)
+        for k in range(3):
+            expected = oracle_fit_curvature(s_eval[k], s_mid[k], k_mid[k])
+            assert_bitwise(K0[k], expected[0])
+            assert_bitwise(K0_s[k], expected[1])
 
 
 class TestFineGrid:
@@ -235,19 +283,19 @@ class TestArguments:
     ], ids=["nan", "inf", "minus_inf"])
     def test_non_finite_eval_points(self, points, no_work):
         with pytest.raises(ValueError, match="eval_points"):
-            bishop_frames(line_curve([0, 0, 0], [1, 0, 0], 2, 5), points)
+            bishop_frames([line_curve([0, 0, 0], [1, 0, 0], 2, 5)], points)
 
     @pytest.mark.parametrize("points", [
         [0.0, 0.5, 0.5, 1.0], [0.0, 0.7, 0.4, 1.0],
     ], ids=["repeated", "decreasing"])
     def test_eval_points_not_increasing(self, points, no_work):
         with pytest.raises(ValueError, match="eval_points"):
-            bishop_frames(line_curve([0, 0, 0], [1, 0, 0], 2, 5), points)
+            bishop_frames([line_curve([0, 0, 0], [1, 0, 0], 2, 5)], points)
 
     @pytest.mark.parametrize("director", [
         [np.nan, 1.0, 0.0], [0.0, np.inf, 0.0], [0.0, 1.0, -np.inf],
     ], ids=["nan", "inf", "minus_inf"])
     def test_non_finite_director(self, director, no_work):
         with pytest.raises(ValueError, match="initial_director"):
-            bishop_frames(line_curve([0, 0, 0], [1, 0, 0], 2, 5),
+            bishop_frames([line_curve([0, 0, 0], [1, 0, 0], 2, 5)],
                           [0.0, 0.5, 1.0], initial_director=director)

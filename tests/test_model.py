@@ -1,19 +1,25 @@
 import json
+import os
 import pathlib
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from gebvisc import initial_geometry, so3, splines
+from gebvisc import model as model_module
 from gebvisc.model import (BeamModel, DistributedLoad, EndLoad, Joint,
-                           LoadHistory, Patch, Probe, Support,
+                           LoadHistory, Probe, Support,
                            _history_from_config, _member_curve, _rot_z,
-                           build_auxetic, build_lattice, model_from_config,
-                           spiral_curve, spivak_curve)
-from gebvisc.splines import KnotVector, NurbsCurve, line_curve
+                           build_auxetic, build_lattice, build_patches,
+                           model_from_config, spiral_curve, spivak_curve)
+from gebvisc.splines import (KnotVector, NurbsCurve, eval_many, greville,
+                             line_curve)
 from gebvisc.viscoelastic import SectionGeometry, build_section_law
-from helpers import (arc_length, assert_bitwise, oracle_basis_matrices,
+from helpers import (FRAME_FIELDS, arc_length, assert_bitwise,
+                     oracle_basis_matrices, oracle_bishop_frames,
                      oracle_fine_grid, oracle_fit_curvature, oracle_stencils,
                      oracle_transport, unit_law)
 
@@ -126,20 +132,21 @@ class TestValidation:
     def test_joint_requires_coincident_ends(self):
         law = small_law()
         with pytest.raises(ValueError):
-            BeamModel([Patch(line_curve([0, 0, 0], [1, 0, 0], 2, 4), law),
-                       Patch(line_curve([2, 0, 0], [3, 0, 0], 2, 4), law)],
+            BeamModel(build_patches([line_curve([0, 0, 0], [1, 0, 0], 2, 4),
+                                     line_curve([2, 0, 0], [3, 0, 0], 2, 4)],
+                                    law),
                       joints=[Joint(ends=[(0, "end"), (1, "start")])])
 
     def test_duplicate_support_rejected(self):
         law = small_law()
-        p = Patch(line_curve([0, 0, 0], [1, 0, 0], 2, 4), law)
+        p = build_patches([line_curve([0, 0, 0], [1, 0, 0], 2, 4)], law)[0]
         with pytest.raises(ValueError):
             BeamModel([p], supports=[Support(0, "start", "clamp"),
                                      Support(0, "start", "hinge")])
 
     def test_end_load_on_supported_end_rejected(self):
         law = small_law()
-        p = Patch(line_curve([0, 0, 0], [1, 0, 0], 2, 4), law)
+        p = build_patches([line_curve([0, 0, 0], [1, 0, 0], 2, 4)], law)[0]
         with pytest.raises(ValueError):
             BeamModel([p], supports=[Support(0, "start", "clamp")],
                       end_loads=[EndLoad(0, "start",
@@ -151,8 +158,8 @@ class TestValidation:
 
     def test_joint_with_two_supports_rejected(self):
         law = small_law()
-        ps = [Patch(line_curve([0, 0, 0], [1, 0, 0], 2, 4), law),
-              Patch(line_curve([1, 0, 0], [2, 0, 0], 2, 4), law)]
+        ps = build_patches([line_curve([0, 0, 0], [1, 0, 0], 2, 4),
+                            line_curve([1, 0, 0], [2, 0, 0], 2, 4)], law)
         with pytest.raises(ValueError, match="at most one support"):
             BeamModel(ps, supports=[Support(0, "end", "hinge"),
                                     Support(1, "start", "roller_x3")],
@@ -187,8 +194,9 @@ class TestValidation:
     def test_invalid_reference_rejected(self, change):
         law = small_law()
         parts = dict(
-            patches=[Patch(line_curve([0, 0, 0], [1, 0, 0], 2, 4), law),
-                     Patch(line_curve([1, 0, 0], [2, 0, 0], 2, 4), law)],
+            patches=build_patches([line_curve([0, 0, 0], [1, 0, 0], 2, 4),
+                                   line_curve([1, 0, 0], [2, 0, 0], 2, 4)],
+                                  law),
             supports=[Support(0, "start", "clamp")],
             joints=[Joint(ends=[(0, "end"), (1, "start")])],
             probes=[Probe(1, 1.0, "tip")])
@@ -269,6 +277,16 @@ class TestLattice:
         with pytest.raises(ValueError):
             build_lattice(np.pi / 2, pla_law(), cells=2)
 
+    @pytest.mark.parametrize("cells", [0, -1, 2.0, True])
+    def test_cells_checked(self, cells):
+        with pytest.raises(ValueError, match="cells must be an integer"):
+            build_lattice(0.0, pla_law(), cells=cells)
+
+    @pytest.mark.parametrize("size", [-0.01, 0.0, np.nan, np.inf])
+    def test_cell_size_checked(self, size):
+        with pytest.raises(ValueError, match="cell_size must be a finite"):
+            build_lattice(0.0, pla_law(), cells=2, cell_size=size)
+
 
 class TestAuxetic:
     def test_patch_count_is_120_at_default_dims(self):
@@ -310,6 +328,18 @@ class TestAuxetic:
     def test_psi_range_checked(self):
         with pytest.raises(ValueError):
             build_auxetic(0.9, pla_law(0.25e-3))
+
+    @pytest.mark.parametrize("dims", [(0, 1), (-1, 1), (1, 0), (1, -1),
+                                      (1.0, 1)])
+    def test_dims_checked(self, dims):
+        name = "nx" if dims[0] != 1 or isinstance(dims[0], float) else "ny"
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            build_auxetic(0.0, pla_law(0.25e-3), nx=dims[0], ny=dims[1])
+
+    @pytest.mark.parametrize("size", [-0.01, 0.0, np.nan, np.inf])
+    def test_cell_size_checked(self, size):
+        with pytest.raises(ValueError, match="cell_size must be a finite"):
+            build_auxetic(0.0, pla_law(0.25e-3), nx=1, ny=1, cell_size=size)
 
 
 class TestNetworkTopology:
@@ -384,7 +414,7 @@ class TestConfig:
 class TestAnalyticCurves:
     def test_spivak_endpoints(self):
         c = spivak_curve(degree=4, n=40)
-        np.testing.assert_allclose(c.eval_many([0.0, 1.0])[0],
+        np.testing.assert_allclose(eval_many([c], [0.0, 1.0])[0][0],
                                    [[-2.0, 0.0, np.exp(-0.25)],
                                     [3.0, np.exp(-1.0 / 9.0), 0.0]], atol=1e-12)
 
@@ -410,7 +440,9 @@ def rational_arc():
 
 
 class TestPatchSetup:
-    """A patch set up in batched passes equals a point-by-point set-up."""
+    """Patches are set up in groups that share degree, knots and weights.
+    A patch equals a point-by-point set-up of its curve alone, bit for bit,
+    whatever group it was set up in."""
 
     # the spiral and the member (patch 18 of the 5x5 lattice at psi = 0.5236)
     # have Jacobians whose cubes numpy's vectorized power rounds differently;
@@ -426,27 +458,115 @@ class TestPatchSetup:
             "auxetic_member_p3"])
     def test_matches_pointwise_setup(self, curve, monkeypatch):
         curve = curve()
-        patch = Patch(curve, unit_law())
-        grids = []
+        patch = build_patches([curve], unit_law())[0]
+        grids, stacks = [], []
 
         def oracle_fills(kv, us, max_deriv=0, weights=None):
             grids.append(len(us))
             return iter(oracle_basis_matrices(kv, us, max_deriv, weights))
 
+        def oracle_rows(points, tangents, d0):
+            stacks.append(len(points))
+            return np.stack([oracle_transport(*row)
+                             for row in zip(points, tangents, d0)])
+
+        def oracle_fits(s_eval, s_mid, k_mid):
+            fits = [oracle_fit_curvature(*row)
+                    for row in zip(s_eval, s_mid, k_mid)]
+            return tuple(np.stack(f) for f in zip(*fits))
+
         with monkeypatch.context() as m:
             m.setattr(splines, "_basis_fills", oracle_fills)
             m.setattr(initial_geometry, "_fine_grid", oracle_fine_grid)
             m.setattr(initial_geometry, "_transport_double_reflection",
-                      oracle_transport)
-            m.setattr(initial_geometry, "_fit_curvature",
-                      oracle_fit_curvature)
-            frames = Patch(curve, unit_law()).frames
-        assert grids  # the transport grid's basis came from the oracle
-        for name in ("u", "c0", "c0_s", "c0_ss", "R0", "K0", "K0_s", "jac",
-                     "jac_u"):
-            assert_bitwise(getattr(patch.frames, name), getattr(frames, name))
-        first, phi0, phi1, phi2 = oracle_stencils(curve, frames)
-        assert_bitwise(patch.support_idx[:, 0], first)
-        assert_bitwise(patch.phi0, phi0)
-        assert_bitwise(patch.phi1, phi1)
-        assert_bitwise(patch.phi2, phi2)
+                      oracle_rows)
+            m.setattr(initial_geometry, "_fit_curvature", oracle_fits)
+            frames = build_patches([curve], unit_law())[0].frames
+        # the grouped set-up ran, as a group of one, on the oracles
+        assert grids and stacks == [1]
+        assert_same_setup(patch, frames, curve)
+
+    @pytest.mark.parametrize("build, groups", [
+        (lambda: build_lattice(0.0, unit_law(), cells=3), [24]),
+        (lambda: build_lattice(0.5236, unit_law(), cells=3), [24]),
+        (lambda: build_auxetic(0.0, unit_law(), nx=2, ny=1), [54]),
+        (lambda: build_auxetic(np.pi / 6, unit_law(), nx=2, ny=1), [54]),
+        (lambda: model_from_config(three_group_config())[0], [2, 1, 1]),
+    ], ids=["lattice_psi0", "lattice_psi0.5236", "auxetic_psi0",
+            "auxetic_psi_pi6", "config_three_groups"])
+    def test_group_matches_alone_and_oracle(self, build, groups,
+                                            monkeypatch):
+        # the auxetic's straight columns and curved diagonals share a group;
+        # the configuration has two knot vectors and one rational curve
+        sizes = []
+
+        def counted(curves, *args, **kwargs):
+            sizes.append(len(curves))
+            return initial_geometry.bishop_frames(curves, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(model_module, "bishop_frames", counted)
+            model = build()
+        assert sizes == groups
+        for p in model.patches:
+            alone = build_patches([p.curve], p.law)[0]
+            assert_same_setup(p, alone.frames, p.curve)
+            for name in ("support_idx", "phi0", "phi1", "phi2"):
+                assert_bitwise(getattr(p, name), getattr(alone, name))
+            n = p.curve.kv.n
+            oracle = oracle_bishop_frames(p.curve, greville(p.curve.kv),
+                                          min_total=max(10 * n, 100))
+            assert_same_setup(p, oracle, p.curve)
+
+    def test_setup_digest_independent_of_blas_threads(self):
+        # lattice3 and the auxetic; the spiral and the spivak curve come
+        # from a dense interpolation solve whose bits follow the threads
+        code = ("from gebvisc.scenarios import build_scenario\n"
+                "from helpers import setup_digest\n"
+                "print(setup_digest(build_scenario('lattice', {'cells': 3,"
+                " 'psi': 0.5236})[0]), setup_digest(build_scenario("
+                "'auxetic', {})[0]))")
+        tests = pathlib.Path(__file__).resolve().parent
+        path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path,
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            out = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True, check=True)
+            digests.append(out.stdout.split())
+        assert len(digests[0]) == 2
+        assert digests[0] == digests[1]
+
+
+def three_group_config():
+    """Configuration of four patches in three set-up groups: two cubic
+    curves on one knot vector, a quartic line and a rational arc."""
+    arc = rational_arc()
+    return {
+        "material": {"E_inf": 1e6, "nu": 0.3, "rho": 1000.0},
+        "section": {"type": "circle", "diameter": 0.01},
+        "patches": [
+            {"generator": "line", "degree": 3, "n": 8,
+             "params": {"start": [0, 0, 0], "end": [1, 0, 0]}},
+            {"generator": "line", "degree": 4, "n": 9,
+             "params": {"start": [1, 0, 0], "end": [1, 1, 0]}},
+            {"degree": 2, "knots": arc.kv.knots.tolist(),
+             "control_points": arc.points.tolist(),
+             "weights": arc.weights.tolist()},
+            {"degree": 3,
+             "knots": KnotVector.open_uniform(3, 8).knots.tolist(),
+             "control_points": lattice_member(0, 0, 0.5236).points.tolist()},
+        ]}
+
+
+def assert_same_setup(patch, frames, curve):
+    """``patch`` has the frame field ``frames`` and the stencils of the
+    oracle, bit for bit."""
+    for name in FRAME_FIELDS:
+        assert_bitwise(getattr(patch.frames, name), getattr(frames, name))
+    first, phi0, phi1, phi2 = oracle_stencils(curve, frames)
+    assert_bitwise(patch.support_idx[:, 0], first)
+    assert_bitwise(patch.phi0, phi0)
+    assert_bitwise(patch.phi1, phi1)
+    assert_bitwise(patch.phi2, phi2)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from gebvisc.splines import (KnotVector, NurbsCurve, basis_eval,
-                             basis_eval_many, basis_matrices, greville,
-                             interpolate_curve, line_curve, to_arclength)
+                             basis_eval_many, basis_matrices, eval_many,
+                             greville, interpolate_curve, line_curve,
+                             to_arclength)
 from helpers import (arclength_derivatives, assert_bitwise, curve_point,
                      interpolate_function, oracle_basis_eval,
                      oracle_basis_matrices, oracle_greville)
@@ -178,14 +179,16 @@ class TestCurve:
     def test_straight_segment_midpoint(self):
         c = NurbsCurve(KnotVector(1, [0, 0, 1, 1]),
                        [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        np.testing.assert_allclose(c.eval_many([0.5])[0], [[1.0, 0.0, 0.0]])
+        np.testing.assert_allclose(eval_many([c], [0.5])[0][0],
+                                   [[1.0, 0.0, 0.0]])
 
     def test_rational_circle_arc(self):
         # quarter circle of radius 1 as a quadratic rational segment
         kv = KnotVector(2, [0, 0, 0, 1, 1, 1])
         c = NurbsCurve(kv, [[1, 0, 0], [1, 1, 0], [0, 1, 0]],
                        weights=[1.0, np.sqrt(0.5), 1.0])
-        r = np.linalg.norm(c.eval_many(np.linspace(0.0, 1.0, 50))[0], axis=1)
+        r = np.linalg.norm(eval_many([c], np.linspace(0.0, 1.0, 50))[0][0],
+                           axis=1)
         assert np.abs(r - 1.0).max() < 1e-12
 
     def test_weights_near_one_are_rational(self):
@@ -202,7 +205,7 @@ class TestCurve:
         first, ders = basis_eval_many(kv, us, 0, w)
         expected = np.einsum("mj,mjd->md", ders[0], c.points[
             first[:, None] + np.arange(4)])
-        np.testing.assert_allclose(c.eval_many(us)[0], expected, rtol=0,
+        np.testing.assert_allclose(eval_many([c], us)[0][0], expected, rtol=0,
                                    atol=1e-13)
 
     def test_derivatives_vs_finite_difference(self):
@@ -222,8 +225,9 @@ class TestCurve:
 
 class TestEvalMany:
     """``eval_many`` fills one basis buffer per derivative order and
-    multiplies it by the control points: the dense product of each order
-    bit for bit, with one dense matrix in memory."""
+    multiplies it by the stacked control points: for every curve of the
+    stack the dense product of each order bit for bit, with one dense
+    matrix in memory."""
 
     @pytest.mark.parametrize("p", range(1, 8))
     def test_matches_dense_products(self, p):
@@ -231,16 +235,30 @@ class TestEvalMany:
         for kv in knot_vectors(p):
             # every knot, both ends among them, and random parameters
             us = np.concatenate([kv.knots, rng.uniform(0.0, 1.0, 40)])
-            pts = rng.normal(size=(kv.n, 3))
+            pts = rng.normal(size=(3, kv.n, 3))
             for weights in (None, rng.uniform(0.3, 3.0, kv.n)):
-                curve = NurbsCurve(kv, pts, weights)
-                assert curve.is_rational == (weights is not None)
+                curves = [NurbsCurve(kv, x, weights) for x in pts]
+                assert curves[0].is_rational == (weights is not None)
                 for max_deriv in range(min(2, p) + 1):
-                    got = curve.eval_many(us, max_deriv)
+                    got = eval_many(curves, us, max_deriv)
                     mats = basis_matrices(kv, us, max_deriv, weights)
                     assert len(got) == max_deriv + 1
                     for c, B in zip(got, mats):
-                        assert_bitwise(c, B @ curve.points)
+                        assert c.shape == (3, len(us), 3)
+                        for ck, curve in zip(c, curves):
+                            assert_bitwise(ck, B @ curve.points)
+
+    @pytest.mark.parametrize("other", [
+        lambda c: NurbsCurve(KnotVector.open_uniform(3, 6), c.points),
+        lambda c: NurbsCurve(KnotVector(2, [0, 0, 0, 0.3, 0.5, 0.6, 1, 1, 1]),
+                             c.points),
+        lambda c: NurbsCurve(c.kv, c.points, np.linspace(1.0, 2.0, 6)),
+    ], ids=["degree", "knots", "weights"])
+    def test_curves_must_share_a_basis(self, other):
+        curve = NurbsCurve(KnotVector.open_uniform(2, 6),
+                           np.random.default_rng(3).normal(size=(6, 3)))
+        with pytest.raises(ValueError, match="share degree, knots and"):
+            eval_many([curve, other(curve)], [0.0, 0.5, 1.0])
 
     def test_one_dense_matrix_in_memory(self):
         # the spiral's transport grid: p = 6, 250 control points and 2,686
@@ -250,7 +268,7 @@ class TestEvalMany:
         grid = np.linspace(0.0, 1.0, 2686)
         tracemalloc.start()
         try:
-            curve.eval_many(grid, 2)
+            eval_many([curve], grid, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -299,21 +317,22 @@ class TestInterpolation:
     def test_two_point_linear(self):
         kv = KnotVector(1, [0, 0, 1, 1])
         c = interpolate_curve([0.0, 1.0], [[0, 0, 0], [1, 2, 3]], kv)
-        np.testing.assert_allclose(c.eval_many([0.5])[0], [[0.5, 1.0, 1.5]])
+        np.testing.assert_allclose(eval_many([c], [0.5])[0][0],
+                                   [[0.5, 1.0, 1.5]])
 
     def test_cubic_polynomial_reproduction(self):
         def poly(u):
             return np.array([u ** 3 - u, 2 * u ** 2 + 0.5, 3 * u ** 3])
         c = interpolate_function(poly, degree=3, n=12)
         us = np.linspace(0, 1, 101)
-        assert np.abs(c.eval_many(us)[0] - poly(us).T).max() < 1e-10
+        assert np.abs(eval_many([c], us)[0][0] - poly(us).T).max() < 1e-10
 
     def test_projector_property(self):
         rng = np.random.default_rng(24)
         kv = KnotVector.open_uniform(4, 10)
         orig = NurbsCurve(kv, rng.normal(size=(10, 3)))
         g = greville(kv)
-        again = interpolate_curve(g, orig.eval_many(g)[0], kv)
+        again = interpolate_curve(g, eval_many([orig], g)[0][0], kv)
         np.testing.assert_allclose(again.points, orig.points, atol=1e-10)
 
     def test_spivak_interpolation_error(self):
@@ -323,7 +342,7 @@ class TestInterpolation:
             return spivak_point(-2.0 + 5.0 * u)
         c = interpolate_function(fn, degree=6, n=150)
         us = np.linspace(0.0, 1.0, 3001)
-        err = np.abs(c.eval_many(us)[0] - [fn(u) for u in us]).max()
+        err = np.abs(eval_many([c], us)[0][0] - [fn(u) for u in us]).max()
         assert err < 1e-6
 
     def test_wrong_parameters_rejected(self):
