@@ -12,12 +12,12 @@ the joint leads solve it; a joint's other ends stay in their patch's band.
 Patches that share a section law are stacked into one collocation state, so
 the residual and tangent kernels, the increment update and the step commit
 run once per law per Newton iteration, whatever the number of patches.  The
-boundary and joint rows are planned at construction as index arrays over end
-ids, two per patch, so each end kernel runs at most once per law stack, on
-all its ends, and their values on the sub-blocks that each row writes.  A
-joint, and a supported end off joints with a free translation, form a
-balance group whose lead's slot equates the applied load with the end
-resultants of its members.
+boundary and joint rows are planned as index arrays over end ids, two per
+patch, so each end kernel runs at most once per law stack, on all its ends,
+and their values on the sub-blocks that each row writes, in array passes
+linear in the ends and the planned entries.  A joint, and a supported end off
+joints with a free translation, form a balance group whose lead's slot
+equates the applied load with the end resultants of its members.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ from .beam_residual import (CollocationState, end_force_spatial,
 from .initial_geometry import InitialFrameField
 from .integrator import (StepFailure, apply_increment, begin_step, commit_step,
                          initialize_accelerations)
-from .model import (END, START, SUPPORT_KINDS, BeamModel, check_keys,
-                    check_positive)
+from .model import END, SUPPORT_KINDS, BeamModel, check_keys, check_positive
 from .splines import basis_eval, basis_matrices
 
 log = logging.getLogger(__name__)
@@ -93,7 +92,8 @@ class PatchRuntime:
     Patches are stacked in model order.  A patch has as many control points
     as collocation points, so ``pts[j]`` selects patch ``patches[j]`` in the
     state and in ``ctrl`` alike; ``points`` is the global index of every
-    stacked point (six rows of the system) and control point (six unknowns).
+    stacked point (six rows of the system) and control point (six unknowns),
+    and ``ends`` the stacked start and end point of every patch.
     """
 
     def __init__(self, model: BeamModel, patches: list[int], first: np.ndarray):
@@ -107,32 +107,36 @@ class PatchRuntime:
             for name in ("u", "c0", "c0_s", "c0_ss", "R0", "K0", "K0_s",
                          "jac", "jac_u"))), self.law)
         self.ctrl = np.concatenate([p.curve.points for p in members])
-        start = np.cumsum([0] + [p.n for p in members])
+        n = np.diff(first)[patches]
+        start = np.cumsum(np.append(0, n))
         self.pts = [slice(a, b) for a, b in zip(start[:-1], start[1:])]
-        self.points = np.concatenate([first[k] + np.arange(p.n)
-                                      for k, p in zip(patches, members)])
-        self.patch_of_point = np.repeat(patches, np.diff(start))
-        # per patch: stencils (point, value/,s/,ss, control point) and the
-        # global control points they act on
-        phi = [np.stack([p.phi0, p.phi1, p.phi2], axis=1) for p in members]
-        cols = [first[k] + p.support_idx for k, p in zip(patches, members)]
-        # the value, ,s and ,ss stencils of every point, one below the other
-        indptr = np.cumsum([0] + [c.shape[1] for c in cols for _ in c] * 3)
-        self._interp = sp.csr_matrix(
-            (np.concatenate([f[:, d].ravel() for d in range(3) for f in phi]),
-             np.concatenate([c.ravel() for c in cols] * 3), indptr),
-            shape=(3 * len(self.points), first[-1]))
+        self.ends = np.stack([start[:-1], start[1:] - 1], axis=1).ravel()
+        self.points = np.arange(start[-1]) + np.repeat(first[patches]
+                                                       - start[:-1], n)
+        self.patch_of_point = np.repeat(patches, n)
+        # the value, ,s and ,ss stencils of every point, one below the
+        # other, and the global control points they act on
+        width = np.array([p.support_idx.shape[1] for p in members])
+        phi = np.concatenate([getattr(p, name) for name in
+                              ("phi0", "phi1", "phi2") for p in members],
+                             axis=None)
+        cols = np.concatenate([p.support_idx for p in members], axis=None)
+        cols += np.repeat(first[patches], n * width)
+        indptr = np.cumsum(np.append(0, np.tile(np.repeat(width, n), 3)))
+        self._interp = sp.csr_matrix((phi, np.tile(cols, 3), indptr),
+                                     shape=(3 * len(self.points), first[-1]))
         #: interior points by stencil width: (stacked points, global
         #: points, stencils (value/,s/,ss, stencil point, point), stencil
         #: control points)
         self.interior = []
-        for width in sorted({c.shape[1] for c in cols}):
-            js = [j for j, c in enumerate(cols) if c.shape[1] == width]
-            sel = np.concatenate([np.arange(start[j] + 1, start[j + 1] - 1)
-                                  for j in js])
-            self.interior.append((sel, self.points[sel], np.ascontiguousarray(
-                np.concatenate([phi[j][1:-1] for j in js]).transpose(1, 2, 0)),
-                np.concatenate([cols[j][1:-1] for j in js])))
+        of_width = np.repeat(width, n)
+        of_width[self.ends] = 0
+        for w in np.unique(width):
+            sel = np.flatnonzero(of_width == w)
+            at = indptr[sel] + np.arange(w)[:, None]
+            self.interior.append((sel, self.points[sel], phi[
+                at + indptr[start[-1]] * np.arange(3)[:, None, None]],
+                cols[at.T]))
 
     def snapshot(self):
         return (self.state.copy(), self.ctrl.copy())
@@ -164,6 +168,18 @@ ResidualPass = namedtuple("ResidualPass", "sections blocks R rhs inv")
 EndGroup = namedtuple("EndGroup", "ends pts sign")
 
 
+def _flatten(blocks, dtype=np.int32) -> np.ndarray:
+    """The entries of ``blocks``, tuples of arrays that broadcast, one block
+    after the other in one (tuple length, entries) array of ``dtype``."""
+    each = [np.broadcast(*b) for b in blocks]
+    out, at = np.empty((len(blocks[0]), sum(x.size for x in each)), dtype), 0
+    for b, x in zip(blocks, each):
+        for o, y in zip(out, b):
+            o[at:at + x.size].reshape(x.shape)[...] = y
+        at += x.size
+    return out
+
+
 class Simulation:
     """Owns the runtime states of a model and advances them in time.
 
@@ -186,10 +202,8 @@ class Simulation:
         self.runtimes = [slots[k] for k in range(len(model.patches))]
         self.t = 0.0
         self.total_iterations = 0
-        self._supported = model.supported_ends()
         self._plan_probes()
-        self._plan_pattern(self._plan_boundary())
-        self._plan_solve()
+        self._plan_solve(self._plan_pattern(self._plan_boundary()))
         self._init_conditions()
 
     # -- construction helpers ------------------------------------------------
@@ -226,58 +240,57 @@ class Simulation:
         the force rows of the translations the lead's support leaves free
         equate the applied force with the spatial end forces of the members,
         and the moment rows of a joint that is not clamped do the same for
-        couples.
+        couples.  Each end's attributes and stencil come from its stack.
         """
-        keys = [(k, end) for k in range(len(self.runtimes))
-                for end in (START, END)]
-        gid = {key: g for g, key in enumerate(keys)}
-        n = len(keys)
-        at = [(self.runtimes[k], end) for k, end in keys]
-        index = np.array([patch.end_index(end) for (patch, _, _), end in at])
-        self._slots = self.offsets.repeat(2) // 6 + index
+        n = 2 * len(self.runtimes)
+        # per end: its slot, stack and stacked point, where it starts (the
+        # states are the initial ones), and its value and ,s stencils,
+        # padded with zeros to the widest
+        self._end_at = self._slots, of_stack, pts = np.empty((3, n), dtype=int)
+        self._end_c0, self._end_R0 = np.empty((n, 3)), np.empty((n, 3, 3))
+        wide = max(p.support_idx.shape[1] for p in self.model.patches)
+        phi, cols = np.zeros((n, wide, 2)), np.zeros((n, wide), dtype=int)
+        for s, rt in enumerate(self.stacks):
+            g = (2 * np.array(rt.patches)[:, None] + (0, 1)).ravel()
+            e, A = rt.ends, rt._interp
+            self._slots[g], of_stack[g], pts[g] = rt.points[e], s, e
+            self._end_c0[g], self._end_R0[g] = rt.state.c[e], rt.state.R0[e]
+            k, q = np.nonzero(np.arange(wide) < np.diff(A.indptr)[e, None])
+            at = A.indptr[e[k]] + q
+            phi[g[k], q] = A.data[at[:, None] + (0, A.indptr[len(rt.points)])]
+            cols[g[k], q] = 6 * A.indices[at]
         # (end, its applied force, couple and motion histories)
-        applied = [(gid[el.patch, el.end], (el.force, el.moment))
+        applied = [(2 * el.patch + (el.end == END), (el.force, el.moment))
                    for el in self.model.end_loads]
-        applied += [(gid[s.patch, s.end], (None, None, s.motion))
-                    for s in self.model.supports]
+        # what the support of each end holds
+        held = [(2 * s.patch + (s.end == END), SUPPORT_KINDS[s.kind], s.motion)
+                for s in self.model.supports]
+        g = np.array([g for g, _, _ in held], dtype=int)
+        supported, clamped = np.zeros((2, n), dtype=bool)
+        fixed = np.zeros((n, 3), dtype=bool)
+        supported[g], clamped[g] = True, [k.rotation for _, k, _ in held]
+        fixed[g] = np.reshape([a in k.translations for _, k, _ in held
+                               for a in range(3)], (-1, 3))
+        applied += [(g, (None, None, motion)) for g, _, motion in held]
         # the lead of every end's balance group (itself off joints) and the
-        # end's position in its joint
+        # end's position in its joint: the ends of each joint, supported
+        # ones first
+        joints = self.model.joints
+        size = np.array([len(j.ends) for j in joints], dtype=int)
+        jid = np.repeat(np.arange(len(joints)), size)
+        head = size.cumsum() - size
+        ends = np.array([2 * k + (end == END) for j in joints
+                         for k, end in j.ends], dtype=int)
+        ends = ends[np.lexsort((~supported[ends], jid))]
         lead, rank = np.arange(n), np.zeros(n, dtype=int)
         jointed = np.zeros(n, dtype=bool)
-        for joint in self.model.joints:
-            ends = sorted((gid[tuple(e)] for e in joint.ends),
-                          key=lambda g: keys[g] not in self._supported)
-            lead[ends], rank[ends] = ends[0], range(len(ends))
-            jointed[ends] = True
-            applied.append((ends[0], (joint.force, joint.moment)))
+        lead[ends], rank[ends], jointed[ends] = (
+            ends[head][jid], np.arange(len(ends)) - head[jid], True)
+        applied += [(g, (j.force, j.moment))
+                    for g, j in zip(ends[head], joints)]
         leading = lead == np.arange(n)
         follow = np.flatnonzero(~leading)
         m = len(follow)
-        # the end of every stencil point of every end where the value or the
-        # slope is nonzero, its value and slope and its first unknown
-        end_of, phi, cols = [], [], []
-        for g in range(n):
-            p, i = self.runtimes[g // 2].patch, index[g]
-            f = np.stack([p.phi0[i], p.phi1[i]], axis=-1)
-            on = f.any(axis=1)
-            end_of += [g] * on.sum()
-            phi.append(f[on])
-            cols.append(self.offsets[g // 2] + 6 * p.support_idx[i][on])
-
-        of_stack = np.array([self.stacks.index(rt) for (_, rt, _), _ in at])
-        pts = np.array([pts.start for (_, _, pts), _ in at]) + index
-        sign = np.array([patch.end_sign(end) for (patch, _, _), end in at])
-        self._end_c0 = np.array([patch.end_position(end)
-                                 for (patch, _, _), end in at])
-        self._end_R0 = np.array([patch.frames.R0[i]
-                                 for ((patch, _, _), _), i in zip(at, index)])
-        # what the support of each end holds (None: no support)
-        held = [None if s is None else SUPPORT_KINDS[s.kind]
-                for s in map(self._supported.get, keys)]
-        supported = np.array([k is not None for k in held])
-        clamped = np.array([k is not None and k.rotation for k in held])
-        fixed = np.array([[k is not None and a in k.translations
-                           for a in range(3)] for k in held])
         # translation rows that are spatial force rows: those of joint ends
         # and of supported ends that their support leaves free
         free = ~fixed[lead] & (jointed | supported)[:, None]
@@ -288,11 +301,9 @@ class Simulation:
                            + np.arange(6)).reshape(-1)
 
         def groups(mask):
-            out = []
-            for s in range(len(self.stacks)):
-                g = np.flatnonzero(mask & (of_stack == s))
-                out.append(EndGroup(g, pts[g], sign[g]) if len(g) else None)
-            return out
+            return [EndGroup(g, pts[g], g % 2 * 2.0 - 1) if len(g) else None
+                    for g in (np.flatnonzero(mask & (of_stack == s))
+                              for s in range(len(self.stacks)))]
 
         #: per stack, the ends (None: none) of: every end; the Neumann force
         #: rows (free ends); the Neumann moment rows (free, hinged and roller
@@ -330,36 +341,36 @@ class Simulation:
         # its stencil and -R of its lead on the lead's, and unit diagonals
         # there, as do a support's fixed translations and a clamp; these
         # only where the value is nonzero.
-        end_of, phi = np.array(end_of), np.concatenate(phi)
-        cols, eye, rows = np.concatenate(cols), np.arange(3), 6 * self._slots
+        eye, rows = np.arange(3), 6 * self._slots
         each = np.ones(3, dtype=bool)
 
-        def on_stencil(ends, value):
-            # (source, point) on the stencils of the sources' ends
-            return np.nonzero((ends[:, None] == end_of)
-                              & ((phi[:, 0] != 0) | (not value)))
+        def on_stencil(ends, on):
+            # (source, (end, stencil point)) where ``on`` at the sources' ends
+            i, q = np.nonzero(on[ends])
+            return i, (ends[i], q)
 
+        stencil, value = phi.any(axis=2), phi[..., 0] != 0
         kernel_rows = [np.nonzero(x & each) for x in (
             (~jointed & ~supported)[:, None], (~jointed & ~clamped)[:, None],
             free, (jointed & ~clamped[lead])[:, None])]
         kind = np.repeat(np.arange(4), [len(g) for g, _ in kernel_rows])
         g, a = (np.concatenate(x) for x in zip(*kernel_rows))
-        i, p = on_stencil(g, False)
+        i, p = on_stencil(g, stencil)
         g, kind, a = g[i], kind[i], a[i]
         #: per kernel row value: its blocks' row in ``_system`` and stencil
         self._end_rows = (g, kind, slice(None), a)
-        self._end_phi = phi[p, :, None]
+        self._end_phi = phi[p][:, :, None]
         slot = np.where(kind < 2, g, lead[g])
         planned = [((rows[slot] + a + 3 * (kind % 2))[:, None],
-                    cols[p, None] + np.arange(6))]
+                    cols[p][:, None] + np.arange(6))]
 
         slot, g = np.tile(follow, 2), np.concatenate([follow, lead[follow]])
         unit = np.repeat([1.0, -1.0], m)
-        i, p = on_stencil(g, True)
+        i, p = on_stencil(g, value)
         #: per R block: its end and signed value stencil
-        self._end_R = (g[i], (unit[i] * phi[p, 0])[:, None, None])
+        self._end_R = (g[i], (unit[i] * phi[p][:, 0])[:, None, None])
         planned.append((rows[slot[i], None, None] + 3 + eye[:, None],
-                        cols[p, None, None] + 3 + eye))
+                        cols[p][:, None, None] + 3 + eye))
 
         e, d = np.nonzero(clamped[:, None] & each)
         f, c = np.nonzero(~leading[:, None] & each)
@@ -367,14 +378,13 @@ class Simulation:
             self._fixed, (e, d + 3), (f, c), (f, c)))
         unit = np.repeat([1.0, -1.0], [len(d) - 3 * m, 3 * m])
         i, p = on_stencil(np.concatenate([self._fixed[0], e, f, lead[f]]),
-                          True)
+                          value)
         #: the values of the unit diagonals
-        self._end_unit = unit[i] * phi[p, 0]
+        self._end_unit = unit[i] * phi[p][:, 0]
         planned.append((rows[slot[i]] + d[i], cols[p] + d[i]))
-        r, c = (np.concatenate([x.reshape(-1) for x in y]) for y in zip(
-            *(np.broadcast_arrays(*rc) for rc in planned)))
-        entries, self._end_of_value = np.unique(r * self.ndof + c,
-                                                return_inverse=True)
+        entries, self._end_of_value = np.unique(_flatten(
+            [(r * self.ndof + c,) for r, c in planned], np.int64)[0],
+            return_inverse=True)
         return np.divmod(entries, self.ndof)
 
     def _plan_pattern(self, end):
@@ -385,33 +395,35 @@ class Simulation:
         columns, 3, 3, stencil point, point), then the end entries ``end``
         in row order, into which the end values are summed; these lie on no
         interior row.  Entries that are zero at a state are values too.
+        Returns the blocks of entries as (rows, columns) that broadcast.
         """
         fm, dr, a, b, _, _ = np.indices((2, 2, 3, 3, 1, 1), sparse=True)
-        rows, cols = [], []
-
-        def add(r, c):
-            r, c = np.broadcast_arrays(r, c)
-            rows.append(r.reshape(-1))
-            cols.append(c.reshape(-1))
-
+        inner = np.zeros(self.ndof // 6, dtype=bool)
+        blocks = []
         for rt in self.stacks:
             for _, points, _, ctrl in rt.interior:
-                add(6 * points + 3 * fm + a, 6 * ctrl.T + 3 * dr + b)
-        if np.isin(end[0], np.concatenate(rows)).any():
+                blocks.append((6 * points + 3 * fm + a,
+                               6 * ctrl.T + 3 * dr + b))
+                inner[points] = True
+        if inner[end[0] // 6].any():
             raise RuntimeError("an end entry lies on an interior row")
-        add(*end)
-        rows = np.concatenate(rows)
-        #: the rows of the end values (row, first value, length)
-        self._runs = np.unique(end[0], return_index=True, return_counts=True)
-        self._rows, self._cols = (x.astype(np.int32)
-                                  for x in (rows, np.concatenate(cols)))
+        blocks.append(end)
+        #: the rows of the end values (row, first value, length); ``end``
+        #: is in row order
+        first = np.flatnonzero(np.diff(end[0], prepend=-1))
+        self._runs = (end[0][first], first, np.diff(first, append=len(end[0])))
+        planned = _flatten(blocks)
         # every matrix shares them: an in-place edit of one would move the plan
-        self._rows.flags.writeable = self._cols.flags.writeable = False
-        empty = np.flatnonzero(np.bincount(rows, minlength=self.ndof) == 0)
+        planned.flags.writeable = False
+        self._rows, self._cols = planned
+        filled = inner.repeat(6)
+        filled[end[0]] = True
+        empty = np.flatnonzero(~filled)
         if len(empty):
             raise RuntimeError(f"under-constrained system: empty rows {empty[:10]}")
+        return blocks
 
-    def _plan_solve(self):
+    def _plan_solve(self, blocks):
         """Block elimination plan of ``_solve``.
 
         The separator is the six unknowns and the six slot rows of every
@@ -429,6 +441,9 @@ class Simulation:
         column-major after them; or, for an A_sd entry, at the end of the
         buffer.  An A_sd entry on the band of patch k fills its row of S at
         every separator unknown packed for k; those places are planned too.
+        The ``blocks`` of ``_plan_pattern`` are mapped to places before they
+        broadcast; an end entry (the last block) on a band row that couples
+        two patches raises ``RuntimeError``.
         """
         ndof, sep = self.ndof, self._separator
         ns = len(sep)
@@ -436,23 +451,23 @@ class Simulation:
         in_sep[sep] = True
         band = np.flatnonzero(~in_sep)
         nb = len(band)
-        # place of every unknown in the band or in the separator
-        at = np.empty(ndof, dtype=np.int64)
-        at[band], at[sep] = np.arange(nb), np.arange(ns)
+        # place of every unknown: in the band, or nb + its place in the
+        # separator
+        at = np.empty(ndof, dtype=np.int32)
+        at[band], at[sep] = np.arange(nb), nb + np.arange(ns)
         patch = np.repeat(np.arange(len(self.runtimes), dtype=np.int32),
                           np.diff(self.offsets, append=ndof))
-        rows, cols = self._rows, self._cols
-        rs, cs = in_sep[rows], in_sep[cols]
-        dd = ~(rs | cs)
-        if (patch[rows] != patch[cols])[dd].any():
+        r, c = blocks[-1]
+        if np.any(patch[r] != patch[c], where=~(in_sep[r] | in_sep[c])):
             raise RuntimeError("a band row couples two patches")
-        i, j = at[rows], at[cols]
-        d = i - j
+        i, j = ij = _flatten([(at[r], at[c]) for r, c in blocks])
+        rs, cs = i >= nb, j >= nb
+        dd = ~(rs | cs)
+        ds, ss, sd = (np.flatnonzero(x) for x in (cs & ~rs, rs & cs, rs & ~cs))
         # packed columns: per patch, the separator unknowns that its band
         # rows reference, side by side
-        ds = cs & ~rs
-        pairs, pair = np.unique(patch[rows[ds]].astype(np.int64) * ns + j[ds],
-                                return_inverse=True)
+        pairs, pair = np.unique(patch.take(self._rows[ds]).astype(np.int64)
+                                * ns + (j[ds] - nb), return_inverse=True)
         owner, unknown = np.divmod(pairs, ns)
         pack = np.arange(len(pairs)) - np.searchsorted(owner, owner)
         npack = pack.max(initial=-1) + 1
@@ -462,22 +477,30 @@ class Simulation:
         #: packed column at every band row
         self._band, self._packed = band, packed[patch[band]]
 
+        # the entries off the band, before i becomes the band offset i - j
+        i_ds = i[ds].astype(np.int64)
+        (i_ss, j_ss), (i_sd, j_sd) = (ij[:, x].astype(np.int64) - nb
+                                      for x in (ss, sd))
+        d = np.subtract(i, j, out=i)
         kl = int(d.max(initial=0, where=dd))
         ku = -int(d.min(initial=0, where=dd))
         ldab = 2 * kl + ku + 1
         start = (ldab + npack + 1) * nb + ns * ns
-        ss, sd = rs & cs, rs & ~cs
         #: place in the solve's buffer of every value
-        self._dest = kl + ku + d + ldab * j
-        self._dest[ds] = ldab * nb + nb * pack[pair] + i[ds]
-        self._dest[ss] = start - ns * ns + i[ss] + ns * j[ss]
-        self._dest[sd] = start + np.arange(np.count_nonzero(sd))
-        self._bands = (kl, ku, ldab, start + np.count_nonzero(sd))
+        self._dest = np.multiply(j, ldab, dtype=np.int64)
+        d += kl + ku
+        self._dest += d
+        del ij, i, j, d
+        self._dest[ds] = ldab * nb + nb * pack[pair] + i_ds
+        self._dest[ss] = start - ns * ns + i_ss + ns * j_ss
+        self._dest[sd] = start + np.arange(len(sd))
+        self._bands = (kl, ku, ldab, start + len(sd))
         #: row, band column and place in S (ns * ns: none) at every packed
-        #: column of every A_sd entry
-        fill = self._packed[j[sd]]
-        self._fill = (i[sd], j[sd],
-                      np.where(fill < ns, i[sd, None] + ns * fill, ns * ns))
+        #: column of every A_sd entry, gathered from its patch's row of
+        #: ns * packed, which is ns * ns or more where none is packed
+        to_s = (ns * packed.astype(np.int64))[patch.take(self._cols[sd])]
+        to_s += i_sd[:, None]
+        self._fill = (i_sd, j_sd + nb, np.minimum(to_s, ns * ns, out=to_s))
 
     def _distributed(self, t: float) -> np.ndarray:
         """Distributed (force, moment) per unit length of every patch at
@@ -498,13 +521,11 @@ class Simulation:
             if W0 is not None:
                 st.W = np.tile(np.asarray(W0, dtype=float), (st.n, 1))
             initialize_accelerations(st, rt.law, *fm[:, rt.patch_of_point])
-        for (pk, end), sup in self._supported.items():
-            patch, rt, pts = self.runtimes[pk]
-            j = pts.start + patch.end_index(end)
-            held = SUPPORT_KINDS[sup.kind]
-            rt.state.a[j, held.translations] = 0.0
-            if held.rotation:
-                rt.state.A[j] = 0.0
+        # supports hold their ends' accelerations
+        (e, a), c, (_, stack, at) = self._fixed, self._clamped, self._end_at
+        for s, rt in enumerate(self.stacks):
+            rt.state.a[at[e[stack[e] == s]], a[stack[e] == s]] = 0.0
+            rt.state.A[at[c[stack[c] == s]]] = 0.0
 
     def set_initial_velocity(self, v0, W0=None):
         """Uniform initial velocities; re-derives consistent accelerations."""

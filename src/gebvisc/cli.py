@@ -74,11 +74,17 @@ def run_scenario(name: str, overrides: dict | None = None, out_dir=None,
                      out_dir, snapshot_times)
 
 
+def snapshot_name(t: float) -> str:
+    return f"snapshot_t{t:.3f}.vtk"
+
+
 def check_snapshot_times(times, params: dict):
     """Raise ``ValueError`` unless every snapshot time lies in [0, T + h/2]
-    of the scenario ``params``."""
+    of the scenario ``params`` and has a file name of its own."""
     if any(not 0 <= t <= params["T"] + params["h"] / 2 for t in times):
         raise ValueError(f"snapshot times must lie in [0, T]: {list(times)}")
+    if len({snapshot_name(t) for t in times}) < len(times):
+        raise ValueError(f"snapshot times share a file name: {list(times)}")
 
 
 def run_model(name: str, model, settings, params: dict, out_dir=None,
@@ -104,8 +110,8 @@ def run_model(name: str, model, settings, params: dict, out_dir=None,
         while snap and s.t >= snap[0] - 0.5 * h:
             t_snap = snap.pop(0)
             if out_dir is not None:
-                write_vtk_snapshot(os.path.join(
-                    out_dir, f"snapshot_t{t_snap:.3f}.vtk"), s)
+                write_vtk_snapshot(os.path.join(out_dir,
+                                                snapshot_name(t_snap)), s)
 
     def write(traj, extra=None):
         if out_dir is not None:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import so3
-from .splines import eval_many
+from .splines import basis_eval_many, eval_many
 
 #: tolerance for a degenerate tangent
 MIN_TANGENT = 1.0e-12
@@ -204,8 +204,8 @@ def _fit_curvature(s_eval: np.ndarray, s_mid: np.ndarray,
 
 
 def bishop_frames(curves, eval_points, initial_director=None,
-                  oversample: int = 10,
-                  min_total: int = 2000) -> list[InitialFrameField]:
+                  oversample: int = 10, min_total: int = 2000,
+                  return_basis: bool = False) -> list[InitialFrameField]:
     """Twist-free initial frames and curvature along each of ``curves``.
 
     Parameters
@@ -223,6 +223,9 @@ def bishop_frames(curves, eval_points, initial_director=None,
     oversample, min_total : int
         Transport grid resolution: at least ``oversample`` subintervals per
         evaluation gap and ``min_total`` overall.
+    return_basis : bool
+        Also return the grid pass's ``basis_eval_many`` (to order 2) at the
+        evaluation points, which the grid holds exactly.
 
     Returns one ``InitialFrameField`` per curve, in order.
     """
@@ -232,8 +235,10 @@ def bishop_frames(curves, eval_points, initial_director=None,
     if initial_director is not None and not np.isfinite(initial_director).all():
         raise ValueError("initial_director must be finite")
     grid, idx = _fine_grid(eval_points, oversample, min_total)
-
-    x, x_u, x_uu = eval_many(curves, grid, 2)
+    c = curves[0]
+    first, ders = basis = basis_eval_many(c.kv, grid, 2, c.weights
+                                          if c.is_rational else None)
+    x, x_u, x_uu = eval_many(curves, grid, 2, basis)
     J = np.linalg.norm(x_u, axis=-1)
     if np.any(J < MIN_TANGENT):
         raise ValueError("degenerate tangent on the transport grid")
@@ -274,5 +279,6 @@ def bishop_frames(curves, eval_points, initial_director=None,
     jac_u = np.sum(xu_e * xuu_e, axis=-1) / jac
     c0_s = xu_e / jac[..., None]
     c0_ss = xuu_e / jac[..., None] ** 2 - xu_e * (jac_u / jac ** 3)[..., None]
-    return [InitialFrameField(eval_points, *fields) for fields in zip(
+    frames = [InitialFrameField(eval_points, *fields) for fields in zip(
         x_e, c0_s, c0_ss, R[:, idx], K0, K0_s, jac, jac_u)]
+    return (frames, (first[idx], ders[:, idx])) if return_basis else frames

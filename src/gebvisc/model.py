@@ -27,8 +27,8 @@ import numpy as np
 
 from .initial_geometry import InitialFrameField, bishop_frames
 from .so3 import exp_so3
-from .splines import (KnotVector, NurbsCurve, basis_eval_many, check_integer,
-                      greville, interpolate_curve, line_curve, to_arclength)
+from .splines import (KnotVector, NurbsCurve, check_integer, greville,
+                      interpolate_curve, line_curve, to_arclength)
 from .viscoelastic import SectionGeometry, SectionLaw, build_section_law
 
 #: joint ends must coincide within this distance at t = 0 (meters)
@@ -149,10 +149,6 @@ class Patch:
     def end_index(self, end: str) -> int:
         return 0 if end == START else self.n - 1
 
-    def end_sign(self, end: str) -> float:
-        """Outward normal of the end: -1 at u = 0, +1 at u = 1."""
-        return -1.0 if end == START else 1.0
-
     def end_position(self, end: str) -> np.ndarray:
         return self.frames.c0[self.end_index(end)]
 
@@ -162,8 +158,9 @@ def build_patches(curves, law: SectionLaw) -> list[Patch]:
 
     Collocation is at the Greville points.  Curves that share degree, knots
     and weights share their collocation points, transport grid and basis,
-    so each such group is set up together: one ``bishop_frames`` call, one
-    basis pass and one ``to_arclength`` for all of its curves.  A patch gets
+    so each such group is set up together: one ``bishop_frames`` call, whose
+    grid pass gives the basis at the collocation points too, and one
+    ``to_arclength`` for all of its curves.  A patch gets
     the same bits alone as in any group and with any number of BLAS
     threads: row dots are ``np.vecdot`` or stacked ``@`` (one BLAS call of
     the one-curve shape per row or curve), each curvature fit is its own
@@ -180,9 +177,8 @@ def build_patches(curves, law: SectionLaw) -> list[Patch]:
         group = [curves[k] for k in members]
         kv, n = group[0].kv, group[0].kv.n
         u = greville(kv)
-        fields = bishop_frames(group, u, min_total=max(10 * n, 100))
-        w = group[0].weights if group[0].is_rational else None
-        first, (phi0, phi_u, phi_uu) = basis_eval_many(kv, u, 2, w)
+        fields, (first, (phi0, phi_u, phi_uu)) = bishop_frames(
+            group, u, min_total=max(10 * n, 100), return_basis=True)
         phi1, phi2 = to_arclength(phi_u, phi_uu, *(
             np.stack([getattr(f, name) for f in fields])[..., None]
             for name in ("jac", "jac_u")))
@@ -269,9 +265,6 @@ class BeamModel:
 
     def n_dofs(self) -> int:
         return 6 * sum(p.n for p in self.patches)
-
-    def supported_ends(self) -> dict[tuple[int, str], Support]:
-        return {(s.patch, s.end): s for s in self.supports}
 
     def validate(self) -> None:
         """Structural sanity: valid references, coincident joints, no

@@ -196,12 +196,13 @@ def greville(kv: KnotVector) -> np.ndarray:
 
 
 def _basis_fills(kv: KnotVector, us, max_deriv: int = 0,
-                 weights: np.ndarray | None = None):
+                 weights: np.ndarray | None = None, basis=None):
     """Yield ``B_k[i, j] = d^k R_j (us[i])`` for k = 0 .. max_deriv in one
     dense (len(us), n) buffer, refilled in place: every order has the same
-    supported columns, so each fill overwrites the order before."""
+    supported columns, so each fill overwrites the order before.  ``basis``
+    is ``basis_eval_many`` at ``us``, if it is evaluated already."""
     us = np.atleast_1d(np.asarray(us, dtype=float))
-    first, ders = basis_eval_many(kv, us, max_deriv, weights)
+    first, ders = basis or basis_eval_many(kv, us, max_deriv, weights)
     rows = np.arange(len(us))[:, None]
     cols = first[:, None] + np.arange(kv.degree + 1)
     B = np.zeros((len(us), kv.n))
@@ -238,9 +239,11 @@ class NurbsCurve:
         return bool(np.any(self.weights != 1.0))
 
 
-def eval_many(curves, us, max_deriv: int = 0) -> list[np.ndarray]:
+def eval_many(curves, us, max_deriv: int = 0,
+              basis=None) -> list[np.ndarray]:
     """Evaluate curves that share one basis (degree, knots and weights) at
     many parameters; returns [c, c_u, ...] arrays (len(curves), len(us), 3).
+    ``basis`` is ``basis_eval_many`` of the basis at ``us``, if at hand.
 
     One dense (len(us), n) basis buffer is filled per derivative order and
     multiplied by the stacked control points once: a stacked ``@`` makes one
@@ -259,7 +262,7 @@ def eval_many(curves, us, max_deriv: int = 0) -> list[np.ndarray]:
                          "knots and weights")
     w = weights if curves[0].is_rational else None
     points = np.stack([c.points for c in curves])
-    return [B @ points for B in _basis_fills(kv, us, max_deriv, w)]
+    return [B @ points for B in _basis_fills(kv, us, max_deriv, w, basis)]
 
 
 def to_arclength(f_u: np.ndarray, f_uu: np.ndarray, J,

@@ -1,11 +1,13 @@
 """Shared test fixtures: synthetic states, laws and analytic frame fields."""
 
 import hashlib
+import types
 
 import numpy as np
 import scipy.sparse as sp
 
 from gebvisc import so3
+from gebvisc.assembly import EndGroup, PatchSlot
 from gebvisc.beam_residual import (CollocationState, residual_force,
                                    residual_moment, section_state,
                                    tangent_blocks_force,
@@ -13,8 +15,9 @@ from gebvisc.beam_residual import (CollocationState, residual_force,
 from gebvisc.initial_geometry import (MIN_TANGENT, InitialFrameField,
                                       bishop_frames)
 from gebvisc.integrator import apply_increment
-from gebvisc.model import (BeamModel, DistributedLoad, EndLoad, Joint,
-                           LoadHistory, Support, build_patches)
+from gebvisc.model import (END, START, SUPPORT_KINDS, BeamModel,
+                           DistributedLoad, EndLoad, Joint, LoadHistory,
+                           Support, build_patches)
 from gebvisc.splines import (KnotVector, NurbsCurve, _basis_fills, eval_many,
                              greville, interpolate_curve)
 from gebvisc.viscoelastic import (SectionGeometry, build_section_law,
@@ -879,3 +882,285 @@ def oracle_rotvec_from_quat_continuous(q: np.ndarray):
     ws = np.where(np.abs(w) < 1.0e-12, 1.0, w)
     f = np.where(small, 2.0 / ws * (1.0 - s * s / (3.0 * ws * ws)), angle / ss)
     return f[..., None] * v, angle
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the construction-time plan of ``Simulation``
+# ---------------------------------------------------------------------------
+
+#: the plan arrays of a ``Simulation``, as nested tuples and lists of arrays
+PLAN_ARRAYS = ("_rows", "_cols", "_dest", "_bands", "_band", "_packed",
+               "_fill", "_separator", "_slots", "_end_rows", "_end_phi",
+               "_end_R", "_end_unit", "_end_of_value", "_runs", "_balance",
+               "_balance_force", "_balance_moment", "_continuity", "_fixed",
+               "_clamped", "_end_groups", "_end_c0", "_end_R0")
+#: the plan arrays of each of its stacks
+STACK_PLAN_ARRAYS = ("points", "patch_of_point", "pts", "interior", "_interp")
+
+
+def assert_plan_equal(actual, expected, where="plan"):
+    """``actual`` and ``expected`` are the same nesting of tuples and lists
+    (named tuples of one type) over arrays equal bit for bit with shapes and
+    dtypes (``assert_bitwise``), CSR matrices with such arrays, and scalars,
+    slices or ``None`` of one type and value."""
+    if isinstance(expected, np.ndarray):
+        assert isinstance(actual, np.ndarray), where
+        assert actual.shape == expected.shape, where
+        assert actual.dtype == expected.dtype, where
+        assert actual.tobytes() == expected.tobytes(), where
+    elif sp.issparse(expected):
+        assert actual.format == expected.format, where
+        assert actual.shape == expected.shape, where
+        for name in ("data", "indices", "indptr"):
+            assert_plan_equal(getattr(actual, name), getattr(expected, name),
+                              f"{where}.{name}")
+    elif isinstance(expected, (tuple, list)):
+        assert type(actual) is type(expected), where
+        assert len(actual) == len(expected), where
+        for k, (a, e) in enumerate(zip(actual, expected)):
+            assert_plan_equal(a, e, f"{where}[{k}]")
+    else:
+        assert type(actual) is type(expected), where
+        assert actual == expected, where
+
+
+def assert_plan_matches_oracle(sim):
+    """Every plan array of ``sim`` and of each of its stacks equals that of
+    ``oracle_plan`` on its model."""
+    oracle = oracle_plan(sim.model)
+    for name in PLAN_ARRAYS:
+        assert_plan_equal(getattr(sim, name), getattr(oracle, name), name)
+    assert len(sim.stacks) == len(oracle.stacks)
+    for s, (rt, ref) in enumerate(zip(sim.stacks, oracle.stacks)):
+        assert rt.patches == ref.patches
+        for name in STACK_PLAN_ARRAYS:
+            assert_plan_equal(getattr(rt, name), getattr(ref, name),
+                              f"stacks[{s}].{name}")
+
+
+class _OracleStack:
+    """The stencil plan of one law stack, one patch at a time."""
+
+    def __init__(self, model, patches, first):
+        members = [model.patches[k] for k in patches]
+        self.patches = patches
+        start = np.cumsum([0] + [p.n for p in members])
+        self.pts = [slice(a, b) for a, b in zip(start[:-1], start[1:])]
+        self.points = np.concatenate([first[k] + np.arange(p.n)
+                                      for k, p in zip(patches, members)])
+        self.patch_of_point = np.repeat(patches, np.diff(start))
+        phi = [np.stack([p.phi0, p.phi1, p.phi2], axis=1) for p in members]
+        cols = [first[k] + p.support_idx for k, p in zip(patches, members)]
+        indptr = np.cumsum([0] + [c.shape[1] for c in cols for _ in c] * 3)
+        self._interp = sp.csr_matrix(
+            (np.concatenate([f[:, d].ravel() for d in range(3) for f in phi]),
+             np.concatenate([c.ravel() for c in cols] * 3), indptr),
+            shape=(3 * len(self.points), first[-1]))
+        self.interior = []
+        for width in sorted({c.shape[1] for c in cols}):
+            js = [j for j, c in enumerate(cols) if c.shape[1] == width]
+            sel = np.concatenate([np.arange(start[j] + 1, start[j + 1] - 1)
+                                  for j in js])
+            self.interior.append((sel, self.points[sel], np.ascontiguousarray(
+                np.concatenate([phi[j][1:-1] for j in js]).transpose(1, 2, 0)),
+                np.concatenate([cols[j][1:-1] for j in js])))
+
+
+def oracle_plan(model: BeamModel):
+    """Oracle for the plan of ``Simulation(model)``: the stacks' stencils
+    gathered one patch at a time, the end stencils one end at a time, the
+    end values of each source found by a (sources x stencil points) mask,
+    and the solve's packed columns filled from a (values x packed columns)
+    selection.  Returns a namespace with the plan attributes of a
+    ``Simulation``."""
+    plan = types.SimpleNamespace(model=model)
+    first = np.cumsum([0] + [p.n for p in model.patches])
+    plan.offsets = 6 * first[:-1]
+    plan.ndof = int(6 * first[-1])
+    groups = {}
+    for k, p in enumerate(model.patches):
+        groups.setdefault(id(p.law), []).append(k)
+    plan.stacks = [_OracleStack(model, ks, first) for ks in groups.values()]
+    slots = {k: PatchSlot(model.patches[k], rt, pts)
+             for rt in plan.stacks for k, pts in zip(rt.patches, rt.pts)}
+    plan.runtimes = [slots[k] for k in range(len(model.patches))]
+    plan._supported = {(s.patch, s.end): s for s in model.supports}
+    _oracle_plan_pattern(plan, _oracle_plan_boundary(plan))
+    _oracle_plan_solve(plan)
+    return plan
+
+
+def _oracle_plan_boundary(self):
+    keys = [(k, end) for k in range(len(self.runtimes))
+            for end in (START, END)]
+    gid = {key: g for g, key in enumerate(keys)}
+    n = len(keys)
+    at = [(self.runtimes[k], end) for k, end in keys]
+    index = np.array([patch.end_index(end) for (patch, _, _), end in at])
+    self._slots = self.offsets.repeat(2) // 6 + index
+    applied = [(gid[el.patch, el.end], (el.force, el.moment))
+               for el in self.model.end_loads]
+    applied += [(gid[s.patch, s.end], (None, None, s.motion))
+                for s in self.model.supports]
+    lead, rank = np.arange(n), np.zeros(n, dtype=int)
+    jointed = np.zeros(n, dtype=bool)
+    for joint in self.model.joints:
+        ends = sorted((gid[tuple(e)] for e in joint.ends),
+                      key=lambda g: keys[g] not in self._supported)
+        lead[ends], rank[ends] = ends[0], range(len(ends))
+        jointed[ends] = True
+        applied.append((ends[0], (joint.force, joint.moment)))
+    leading = lead == np.arange(n)
+    follow = np.flatnonzero(~leading)
+    m = len(follow)
+    end_of, phi, cols = [], [], []
+    for g in range(n):
+        p, i = self.runtimes[g // 2].patch, index[g]
+        f = np.stack([p.phi0[i], p.phi1[i]], axis=-1)
+        on = f.any(axis=1)
+        end_of += [g] * on.sum()
+        phi.append(f[on])
+        cols.append(self.offsets[g // 2] + 6 * p.support_idx[i][on])
+
+    of_stack = np.array([self.stacks.index(rt) for (_, rt, _), _ in at])
+    pts = np.array([pts.start for (_, _, pts), _ in at]) + index
+    sign = np.array([-1.0 if end == START else 1.0 for _, end in at])
+    self._end_c0 = np.array([patch.end_position(end)
+                             for (patch, _, _), end in at])
+    self._end_R0 = np.array([patch.frames.R0[i]
+                             for ((patch, _, _), _), i in zip(at, index)])
+    held = [None if s is None else SUPPORT_KINDS[s.kind]
+            for s in map(self._supported.get, keys)]
+    supported = np.array([k is not None for k in held])
+    clamped = np.array([k is not None and k.rotation for k in held])
+    fixed = np.array([[k is not None and a in k.translations
+                       for a in range(3)] for k in held])
+    free = ~fixed[lead] & (jointed | supported)[:, None]
+    member = jointed | free.any(axis=1)
+    self._separator = (6 * self._slots[jointed & leading, None]
+                       + np.arange(6)).reshape(-1)
+
+    def groups(mask):
+        out = []
+        for s in range(len(self.stacks)):
+            g = np.flatnonzero(mask & (of_stack == s))
+            out.append(EndGroup(g, pts[g], sign[g]) if len(g) else None)
+        return out
+
+    self._end_groups = list(zip(
+        groups(np.ones(n, dtype=bool)), groups(~jointed & ~supported),
+        groups(~jointed & ~clamped), groups(member), groups(jointed)))
+    self._histories = [(g, ch, history) for g, histories in applied
+                       for ch, history in enumerate(histories)
+                       if history is not None]
+    at_rank = (np.flatnonzero(member & (rank == r))
+               for r in range(rank.max() + 1))
+    self._balance = [(lead[g], g) for g in at_rank if len(g)]
+    self._balance_force = np.nonzero(free & leading[:, None])
+    self._balance_moment = np.flatnonzero(jointed & leading & ~clamped)
+    self._continuity = (follow, lead[follow])
+    self._fixed = np.nonzero(fixed)
+    self._clamped = np.flatnonzero(clamped)
+
+    end_of, phi = np.array(end_of), np.concatenate(phi)
+    cols, eye, rows = np.concatenate(cols), np.arange(3), 6 * self._slots
+    each = np.ones(3, dtype=bool)
+
+    def on_stencil(ends, value):
+        return np.nonzero((ends[:, None] == end_of)
+                          & ((phi[:, 0] != 0) | (not value)))
+
+    kernel_rows = [np.nonzero(x & each) for x in (
+        (~jointed & ~supported)[:, None], (~jointed & ~clamped)[:, None],
+        free, (jointed & ~clamped[lead])[:, None])]
+    kind = np.repeat(np.arange(4), [len(g) for g, _ in kernel_rows])
+    g, a = (np.concatenate(x) for x in zip(*kernel_rows))
+    i, p = on_stencil(g, False)
+    g, kind, a = g[i], kind[i], a[i]
+    self._end_rows = (g, kind, slice(None), a)
+    self._end_phi = phi[p, :, None]
+    slot = np.where(kind < 2, g, lead[g])
+    planned = [((rows[slot] + a + 3 * (kind % 2))[:, None],
+                cols[p, None] + np.arange(6))]
+
+    slot, g = np.tile(follow, 2), np.concatenate([follow, lead[follow]])
+    unit = np.repeat([1.0, -1.0], m)
+    i, p = on_stencil(g, True)
+    self._end_R = (g[i], (unit[i] * phi[p, 0])[:, None, None])
+    planned.append((rows[slot[i], None, None] + 3 + eye[:, None],
+                    cols[p, None, None] + 3 + eye))
+
+    e, d = np.nonzero(clamped[:, None] & each)
+    f, c = np.nonzero(~leading[:, None] & each)
+    slot, d = (np.concatenate(x) for x in zip(
+        self._fixed, (e, d + 3), (f, c), (f, c)))
+    unit = np.repeat([1.0, -1.0], [len(d) - 3 * m, 3 * m])
+    i, p = on_stencil(np.concatenate([self._fixed[0], e, f, lead[f]]), True)
+    self._end_unit = unit[i] * phi[p, 0]
+    planned.append((rows[slot[i]] + d[i], cols[p] + d[i]))
+    r, c = (np.concatenate([x.reshape(-1) for x in y]) for y in zip(
+        *(np.broadcast_arrays(*rc) for rc in planned)))
+    entries, self._end_of_value = np.unique(r * self.ndof + c,
+                                            return_inverse=True)
+    return np.divmod(entries, self.ndof)
+
+
+def _oracle_plan_pattern(self, end):
+    fm, dr, a, b, _, _ = np.indices((2, 2, 3, 3, 1, 1), sparse=True)
+    rows, cols = [], []
+
+    def add(r, c):
+        r, c = np.broadcast_arrays(r, c)
+        rows.append(r.reshape(-1))
+        cols.append(c.reshape(-1))
+
+    for rt in self.stacks:
+        for _, points, _, ctrl in rt.interior:
+            add(6 * points + 3 * fm + a, 6 * ctrl.T + 3 * dr + b)
+    if np.isin(end[0], np.concatenate(rows)).any():
+        raise RuntimeError("an end entry lies on an interior row")
+    add(*end)
+    rows = np.concatenate(rows)
+    self._runs = np.unique(end[0], return_index=True, return_counts=True)
+    self._rows, self._cols = (x.astype(np.int32)
+                              for x in (rows, np.concatenate(cols)))
+
+
+def _oracle_plan_solve(self):
+    ndof, sep = self.ndof, self._separator
+    ns = len(sep)
+    in_sep = np.zeros(ndof, dtype=bool)
+    in_sep[sep] = True
+    band = np.flatnonzero(~in_sep)
+    nb = len(band)
+    at = np.empty(ndof, dtype=np.int64)
+    at[band], at[sep] = np.arange(nb), np.arange(ns)
+    patch = np.repeat(np.arange(len(self.runtimes), dtype=np.int32),
+                      np.diff(self.offsets, append=ndof))
+    rows, cols = self._rows, self._cols
+    rs, cs = in_sep[rows], in_sep[cols]
+    dd = ~(rs | cs)
+    i, j = at[rows], at[cols]
+    d = i - j
+    ds = cs & ~rs
+    pairs, pair = np.unique(patch[rows[ds]].astype(np.int64) * ns + j[ds],
+                            return_inverse=True)
+    owner, unknown = np.divmod(pairs, ns)
+    pack = np.arange(len(pairs)) - np.searchsorted(owner, owner)
+    npack = pack.max(initial=-1) + 1
+    packed = np.full((len(self.runtimes), npack), ns, dtype=np.int32)
+    packed[owner, pack] = unknown
+    self._band, self._packed = band, packed[patch[band]]
+    kl = int(d.max(initial=0, where=dd))
+    ku = -int(d.min(initial=0, where=dd))
+    ldab = 2 * kl + ku + 1
+    start = (ldab + npack + 1) * nb + ns * ns
+    ss, sd = rs & cs, rs & ~cs
+    self._dest = kl + ku + d + ldab * j
+    self._dest[ds] = ldab * nb + nb * pack[pair] + i[ds]
+    self._dest[ss] = start - ns * ns + i[ss] + ns * j[ss]
+    self._dest[sd] = start + np.arange(np.count_nonzero(sd))
+    self._bands = (kl, ku, ldab, start + np.count_nonzero(sd))
+    fill = self._packed[j[sd]]
+    self._fill = (i[sd], j[sd],
+                  np.where(fill < ns, i[sd, None] + ns * fill, ns * ns))

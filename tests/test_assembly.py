@@ -1,5 +1,6 @@
 import os
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from gebvisc.integrator import StepFailure, begin_step
 from gebvisc.model import (BeamModel, DistributedLoad, EndLoad, Joint,
                            LoadHistory, Probe, Support,
                            build_patches)
+from gebvisc.scenarios import build_scenario
 from gebvisc.splines import KnotVector, greville, interpolate_curve, line_curve
 from gebvisc.viscoelastic import SectionGeometry, build_section_law
-from helpers import (assembling_newton, assert_bitwise, dense_solve,
+from helpers import (PLAN_ARRAYS, STACK_PLAN_ARRAYS, assembling_newton,
+                     assert_bitwise, assert_plan_matches_oracle, dense_solve,
                      fd_tangent_blocks_force, fd_tangent_blocks_moment,
                      mmd_solve, one_end, oracle_system, patch_end,
                      value_solve)
@@ -339,7 +342,6 @@ def named_system(name):
 
 
 def lattice3_model():
-    from gebvisc.scenarios import build_scenario
     return build_scenario("lattice", {"cells": 3, "psi": 0.5236})[0]
 
 
@@ -391,7 +393,7 @@ class TestSolve:
         # the other ends' unknowns and slot rows stay in their patch's band
         model = make()
         sim = Simulation(model)
-        supported = model.supported_ends()
+        supported = {(s.patch, s.end) for s in model.supports}
         leads = []
         for joint in model.joints:
             ends = [tuple(e) for e in joint.ends]
@@ -500,6 +502,59 @@ class TestSolve:
                                           getattr(expected, name))
         np.testing.assert_array_equal(rhs_again, rhs)
         np.testing.assert_array_equal(sim._solve(again.data, rhs_again), x)
+
+
+#: the models whose plans are checked against the oracle
+PLAN_MODELS = {
+    "pendulum": pendulum_model,
+    "free": lambda: BeamModel(pendulum_model().patches),
+    "spiral": lambda: build_scenario("spiral")[0],
+    "row_kinds": row_kinds_model,
+    "two_law": two_law_model,
+    "ring": ring_model,
+    "lattice3_psi0": lambda: build_scenario("lattice", {"cells": 3,
+                                                        "psi": 0.0})[0],
+    "lattice3": lattice3_model,
+    "auxetic2x1": lambda: build_scenario("auxetic", {"nx": 2})[0],
+    "auxetic5x1": lambda: build_scenario("auxetic")[0],
+}
+
+
+def plan_bytes(sim):
+    """Bytes of the plan arrays of ``sim`` and of its stacks."""
+    def nbytes(x):
+        if isinstance(x, np.ndarray):
+            return x.nbytes
+        if isinstance(x, (tuple, list)):
+            return sum(map(nbytes, x))
+        if hasattr(x, "indptr"):
+            return nbytes((x.data, x.indices, x.indptr))
+        return 0
+    return nbytes([getattr(sim, name) for name in PLAN_ARRAYS]
+                  + [getattr(rt, name) for rt in sim.stacks
+                     for name in STACK_PLAN_ARRAYS])
+
+
+class TestPlan:
+    @pytest.mark.parametrize("name", PLAN_MODELS)
+    def test_matches_oracle(self, name):
+        # every plan array, with its shape and dtype, equals that of the
+        # planners that loop over patches and ends
+        assert_plan_matches_oracle(Simulation(PLAN_MODELS[name]()))
+
+    def test_memory_linear_in_plan(self):
+        # the auxetic's plan takes 3.8 MB; planning with (sources x stencil
+        # points) masks and (values x packed columns) temporaries peaked at
+        # 2.9 times that, the runtime states included; array passes peak at
+        # 1.9 times it
+        model = build_scenario("auxetic")[0]
+        tracemalloc.start()
+        try:
+            sim = Simulation(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * plan_bytes(sim)
 
 
 class TestSystemStructure:

@@ -173,20 +173,24 @@ class TestCliCommands:
         assert np.abs(disp).max() > 0.0
 
     @pytest.mark.parametrize("times", ["0.005,abc", "nan", "0.01,inf", "-1",
-                                       "-0.001", "0.0526", "5"],
+                                       "-0.001", "0.0526", "5",
+                                       "0.0005,0.001,0.0015"],
                              ids=["not_a_number", "nan", "inf", "negative",
                                   "just_below_zero", "beyond_end",
-                                  "far_beyond_end"])
+                                  "far_beyond_end", "same_file_name"])
     def test_invalid_snapshot_times_rejected(self, tmp_path, capsys, times):
-        # a time that no state of the run lies within h/2 of is rejected
+        # a time that no state of the run lies within h/2 of is rejected, as
+        # are times whose snapshots would be written to one file
         out = tmp_path / "run"
         assert main(["run", "pendulum", "--T", "0.05", "--out", str(out),
                      "--snapshots", times]) == 2
         assert "invalid configuration" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("times", [[5.0], [0.0, -1.0], [float("nan")]],
-                             ids=["beyond_end", "negative", "nan"])
+    @pytest.mark.parametrize("times", [[5.0], [0.0, -1.0], [float("nan")],
+                                       [0.01, 0.0104]],
+                             ids=["beyond_end", "negative", "nan",
+                                  "same_file_name"])
     def test_library_rejects_snapshot_times(self, tmp_path, times):
         # a library caller gets the check of the command line, before any
         # step or file

@@ -461,7 +461,7 @@ class TestPatchSetup:
         patch = build_patches([curve], unit_law())[0]
         grids, stacks = [], []
 
-        def oracle_fills(kv, us, max_deriv=0, weights=None):
+        def oracle_fills(kv, us, max_deriv=0, weights=None, basis=None):
             grids.append(len(us))
             return iter(oracle_basis_matrices(kv, us, max_deriv, weights))
 
