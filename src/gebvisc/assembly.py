@@ -168,15 +168,14 @@ ResidualPass = namedtuple("ResidualPass", "sections blocks R rhs inv")
 EndGroup = namedtuple("EndGroup", "ends pts sign")
 
 
-def _flatten(blocks, dtype=np.int32) -> np.ndarray:
-    """The entries of ``blocks``, tuples of arrays that broadcast, one block
-    after the other in one (tuple length, entries) array of ``dtype``."""
+def _flatten(blocks) -> np.ndarray:
+    """The entries of ``blocks``, (rows, columns) that broadcast, one block
+    after the other in one (2, entries) int32 array."""
     each = [np.broadcast(*b) for b in blocks]
-    out, at = np.empty((len(blocks[0]), sum(x.size for x in each)), dtype), 0
-    for b, x in zip(blocks, each):
-        for o, y in zip(out, b):
-            o[at:at + x.size].reshape(x.shape)[...] = y
-        at += x.size
+    out, at = np.empty((2, sum(x.size for x in each)), np.int32), 0
+    for (r, c), x in zip(blocks, each):
+        o = out[:, at:at + x.size].reshape(2, *x.shape)
+        o[0], o[1], at = r, c, at + x.size
     return out
 
 
@@ -382,8 +381,8 @@ class Simulation:
         #: the values of the unit diagonals
         self._end_unit = unit[i] * phi[p][:, 0]
         planned.append((rows[slot[i]] + d[i], cols[p] + d[i]))
-        entries, self._end_of_value = np.unique(_flatten(
-            [(r * self.ndof + c,) for r, c in planned], np.int64)[0],
+        entries, self._end_of_value = np.unique(np.concatenate(
+            [np.ravel(r * self.ndof + c) for r, c in planned]),
             return_inverse=True)
         return np.divmod(entries, self.ndof)
 
@@ -458,7 +457,7 @@ class Simulation:
         patch = np.repeat(np.arange(len(self.runtimes), dtype=np.int32),
                           np.diff(self.offsets, append=ndof))
         r, c = blocks[-1]
-        if np.any(patch[r] != patch[c], where=~(in_sep[r] | in_sep[c])):
+        if np.any((patch[r] != patch[c]) & ~(in_sep[r] | in_sep[c])):
             raise RuntimeError("a band row couples two patches")
         i, j = ij = _flatten([(at[r], at[c]) for r, c in blocks])
         rs, cs = i >= nb, j >= nb
@@ -482,8 +481,8 @@ class Simulation:
         (i_ss, j_ss), (i_sd, j_sd) = (ij[:, x].astype(np.int64) - nb
                                       for x in (ss, sd))
         d = np.subtract(i, j, out=i)
-        kl = int(d.max(initial=0, where=dd))
-        ku = -int(d.min(initial=0, where=dd))
+        on = d[dd]
+        kl, ku = int(on.max(initial=0)), -int(on.min(initial=0))
         ldab = 2 * kl + ku + 1
         start = (ldab + npack + 1) * nb + ns * ns
         #: place in the solve's buffer of every value

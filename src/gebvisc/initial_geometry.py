@@ -204,8 +204,8 @@ def _fit_curvature(s_eval: np.ndarray, s_mid: np.ndarray,
 
 
 def bishop_frames(curves, eval_points, initial_director=None,
-                  oversample: int = 10, min_total: int = 2000,
-                  return_basis: bool = False) -> list[InitialFrameField]:
+                  oversample: int = 10, min_total: int = 2000
+                  ) -> tuple[list[InitialFrameField], tuple]:
     """Twist-free initial frames and curvature along each of ``curves``.
 
     Parameters
@@ -223,11 +223,10 @@ def bishop_frames(curves, eval_points, initial_director=None,
     oversample, min_total : int
         Transport grid resolution: at least ``oversample`` subintervals per
         evaluation gap and ``min_total`` overall.
-    return_basis : bool
-        Also return the grid pass's ``basis_eval_many`` (to order 2) at the
-        evaluation points, which the grid holds exactly.
 
-    Returns one ``InitialFrameField`` per curve, in order.
+    Returns one ``InitialFrameField`` per curve, in order, and the shared
+    ``basis_eval_many`` (to order 2) at the evaluation points, whose values
+    the grid pass holds exactly.
     """
     eval_points = np.asarray(eval_points, dtype=float)
     if not np.isfinite(eval_points).all() or np.any(np.diff(eval_points) <= 0):
@@ -236,9 +235,9 @@ def bishop_frames(curves, eval_points, initial_director=None,
         raise ValueError("initial_director must be finite")
     grid, idx = _fine_grid(eval_points, oversample, min_total)
     c = curves[0]
-    first, ders = basis = basis_eval_many(c.kv, grid, 2, c.weights
-                                          if c.is_rational else None)
-    x, x_u, x_uu = eval_many(curves, grid, 2, basis)
+    first, ders = basis_eval_many(c.kv, grid, 2, c.weights
+                                  if c.is_rational else None)
+    x, x_u, x_uu = eval_many(curves, first, ders)
     J = np.linalg.norm(x_u, axis=-1)
     if np.any(J < MIN_TANGENT):
         raise ValueError("degenerate tangent on the transport grid")
@@ -281,4 +280,4 @@ def bishop_frames(curves, eval_points, initial_director=None,
     c0_ss = xuu_e / jac[..., None] ** 2 - xu_e * (jac_u / jac ** 3)[..., None]
     frames = [InitialFrameField(eval_points, *fields) for fields in zip(
         x_e, c0_s, c0_ss, R[:, idx], K0, K0_s, jac, jac_u)]
-    return (frames, (first[idx], ders[:, idx])) if return_basis else frames
+    return frames, (first[idx], ders[:, idx])

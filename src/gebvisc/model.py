@@ -178,7 +178,7 @@ def build_patches(curves, law: SectionLaw) -> list[Patch]:
         kv, n = group[0].kv, group[0].kv.n
         u = greville(kv)
         fields, (first, (phi0, phi_u, phi_uu)) = bishop_frames(
-            group, u, min_total=max(10 * n, 100), return_basis=True)
+            group, u, min_total=max(10 * n, 100))
         phi1, phi2 = to_arclength(phi_u, phi_uu, *(
             np.stack([getattr(f, name) for f in fields])[..., None]
             for name in ("jac", "jac_u")))

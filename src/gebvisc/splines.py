@@ -155,7 +155,7 @@ def basis_eval_many(kv: KnotVector, us, max_deriv: int = 0,
         ``ders[k, m, j]`` is the k-th derivative of basis ``first[m] + j``
         at ``us[m]``.
     """
-    us = np.asarray(us, dtype=float)
+    us = np.atleast_1d(np.asarray(us, dtype=float))
     outside = ~((kv.u_min <= us) & (us <= kv.u_max))
     if np.any(outside):
         raise ValueError(f"parameter {us[outside][0]} outside "
@@ -195,17 +195,14 @@ def greville(kv: KnotVector) -> np.ndarray:
     return sliding_window_view(kv.knots[1:kv.n + p], p).sum(axis=1) / p
 
 
-def _basis_fills(kv: KnotVector, us, max_deriv: int = 0,
-                 weights: np.ndarray | None = None, basis=None):
-    """Yield ``B_k[i, j] = d^k R_j (us[i])`` for k = 0 .. max_deriv in one
-    dense (len(us), n) buffer, refilled in place: every order has the same
-    supported columns, so each fill overwrites the order before.  ``basis``
-    is ``basis_eval_many`` at ``us``, if it is evaluated already."""
-    us = np.atleast_1d(np.asarray(us, dtype=float))
-    first, ders = basis or basis_eval_many(kv, us, max_deriv, weights)
-    rows = np.arange(len(us))[:, None]
+def _basis_fills(kv: KnotVector, first: np.ndarray, ders: np.ndarray):
+    """Yield ``B_k[i, j] = d^k R_j (us[i])`` for every order k of the
+    ``basis_eval_many`` output ``(first, ders)`` at ``us``, in one dense
+    (len(us), n) buffer refilled in place: every order has the same
+    supported columns, so each fill overwrites the order before."""
+    rows = np.arange(len(first))[:, None]
     cols = first[:, None] + np.arange(kv.degree + 1)
-    B = np.zeros((len(us), kv.n))
+    B = np.zeros((len(first), kv.n))
     for d in ders:
         B[rows, cols] = d
         yield B
@@ -214,7 +211,8 @@ def _basis_fills(kv: KnotVector, us, max_deriv: int = 0,
 def basis_matrices(kv: KnotVector, us, max_deriv: int = 0,
                    weights: np.ndarray | None = None) -> list[np.ndarray]:
     """Dense collocation matrices ``B_k`` with ``B_k[i, j] = d^k R_j (us[i])``."""
-    return [B.copy() for B in _basis_fills(kv, us, max_deriv, weights)]
+    return [B.copy() for B in _basis_fills(
+        kv, *basis_eval_many(kv, us, max_deriv, weights))]
 
 
 class NurbsCurve:
@@ -239,11 +237,12 @@ class NurbsCurve:
         return bool(np.any(self.weights != 1.0))
 
 
-def eval_many(curves, us, max_deriv: int = 0,
-              basis=None) -> list[np.ndarray]:
-    """Evaluate curves that share one basis (degree, knots and weights) at
-    many parameters; returns [c, c_u, ...] arrays (len(curves), len(us), 3).
-    ``basis`` is ``basis_eval_many`` of the basis at ``us``, if at hand.
+def eval_many(curves, first: np.ndarray,
+              ders: np.ndarray) -> list[np.ndarray]:
+    """Evaluate curves that share one basis (degree, knots and weights) from
+    ``(first, ders)``, the ``basis_eval_many`` of that basis at many
+    parameters ``us``; returns [c, c_u, ...] arrays (len(curves), len(us),
+    3), one per order of ``ders``.
 
     One dense (len(us), n) basis buffer is filled per derivative order and
     multiplied by the stacked control points once: a stacked ``@`` makes one
@@ -260,9 +259,8 @@ def eval_many(curves, us, max_deriv: int = 0,
            or not np.array_equal(c.weights, weights) for c in curves[1:]):
         raise ValueError("curves evaluated together must share degree, "
                          "knots and weights")
-    w = weights if curves[0].is_rational else None
     points = np.stack([c.points for c in curves])
-    return [B @ points for B in _basis_fills(kv, us, max_deriv, w, basis)]
+    return [B @ points for B in _basis_fills(kv, first, ders)]
 
 
 def to_arclength(f_u: np.ndarray, f_uu: np.ndarray, J,

@@ -18,8 +18,9 @@ from gebvisc.integrator import apply_increment
 from gebvisc.model import (END, START, SUPPORT_KINDS, BeamModel,
                            DistributedLoad, EndLoad, Joint, LoadHistory,
                            Support, build_patches)
-from gebvisc.splines import (KnotVector, NurbsCurve, _basis_fills, eval_many,
-                             greville, interpolate_curve)
+from gebvisc.splines import (KnotVector, NurbsCurve, basis_eval_many,
+                             basis_matrices, eval_many, greville,
+                             interpolate_curve)
 from gebvisc.viscoelastic import (SectionGeometry, build_section_law,
                                   trapezoidal_coeffs)
 
@@ -185,7 +186,7 @@ def compose_rotvec(theta: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
 def initial_curvature(curve: NurbsCurve, eval_points, **kwargs) -> np.ndarray:
     """Initial material curvature at the evaluation points (see bishop_frames)."""
-    return bishop_frames([curve], eval_points, **kwargs)[0].K0
+    return bishop_frames([curve], eval_points, **kwargs)[0][0].K0
 
 
 def interpolate_function(fn, degree: int, n: int) -> NurbsCurve:
@@ -376,10 +377,18 @@ def is_rotation(R: np.ndarray, tol: float = 1.0e-12) -> bool:
     return bool(ortho <= tol and det <= tol)
 
 
+def evaluate(curves, us, max_deriv: int = 0) -> list[np.ndarray]:
+    """``eval_many`` of ``curves``, which share one basis, at the
+    parameters ``us``."""
+    c = curves[0]
+    return eval_many(curves, *basis_eval_many(
+        c.kv, us, max_deriv, c.weights if c.is_rational else None))
+
+
 def curve_point(curve: NurbsCurve, u: float, max_deriv: int = 0) -> np.ndarray:
     """Position and parametric derivatives of ``curve`` at the one parameter
     ``u``, shape (max_deriv + 1, 3)."""
-    return np.concatenate(eval_many([curve], [u], max_deriv), axis=1)[0]
+    return np.concatenate(evaluate([curve], [u], max_deriv), axis=1)[0]
 
 
 def arclength_derivatives(c0: NurbsCurve, u: float) -> tuple[float, float]:
@@ -396,7 +405,7 @@ def arc_length(curve: NurbsCurve, gauss_order: int = 16) -> float:
     spans = np.unique(curve.kv.knots)
     mid, half = 0.5 * (spans[1:] + spans[:-1]), 0.5 * np.diff(spans)
     us = (mid[:, None] + half[:, None] * xg).ravel()
-    J = np.linalg.norm(eval_many([curve], us, 1)[1][0], axis=-1)
+    J = np.linalg.norm(evaluate([curve], us, 1)[1][0], axis=-1)
     return float(half @ (J.reshape(-1, gauss_order) @ wg))
 
 
@@ -645,7 +654,7 @@ def oracle_bishop_frames(curve: NurbsCurve, eval_points, oversample=10,
     grid, idx = oracle_fine_grid(eval_points, oversample, min_total)
     w = curve.weights if curve.is_rational else None
     x, x_u, x_uu = [B @ curve.points
-                    for B in _basis_fills(curve.kv, grid, 2, w)]
+                    for B in basis_matrices(curve.kv, grid, 2, w)]
     J = np.linalg.norm(x_u, axis=-1)
     t = x_u / J[:, None]
     k = int(np.argmin(np.abs(np.eye(3) @ t[0])))
@@ -926,10 +935,15 @@ def assert_plan_equal(actual, expected, where="plan"):
 
 def assert_plan_matches_oracle(sim):
     """Every plan array of ``sim`` and of each of its stacks equals that of
-    ``oracle_plan`` on its model."""
+    ``oracle_plan`` on its model, and so do the end and component that each
+    load and motion history acts on."""
     oracle = oracle_plan(sim.model)
     for name in PLAN_ARRAYS:
         assert_plan_equal(getattr(sim, name), getattr(oracle, name), name)
+    assert ([(g, ch) for g, ch, _ in sim._histories]
+            == [(g, ch) for g, ch, _ in oracle._histories])
+    assert all(h is ref for (_, _, h), (_, _, ref) in zip(sim._histories,
+                                                          oracle._histories))
     assert len(sim.stacks) == len(oracle.stacks)
     for s, (rt, ref) in enumerate(zip(sim.stacks, oracle.stacks)):
         assert rt.patches == ref.patches

@@ -41,7 +41,7 @@ class TestStraightBeam:
     def test_constant_frames_zero_curvature(self):
         c = line_curve([0, 0, 0], [0, 1.0, 0], degree=4, n=12)
         pts = greville(KnotVector.open_uniform(4, 12))
-        ff = bishop_frames([c], pts)[0]
+        [ff], _ = bishop_frames([c], pts)
         assert np.abs(ff.R0 - ff.R0[0]).max() < 1e-12
         assert np.abs(ff.K0).max() < 1e-12
         assert np.abs(ff.K0_s).max() < 1e-12
@@ -54,7 +54,7 @@ class TestCircle:
         rho = 2.5
         c = circle_curve(rho)
         pts = np.linspace(0.0, 1.0, 25)
-        ff = bishop_frames([c], pts, min_total=10000)[0]
+        [ff], _ = bishop_frames([c], pts, min_total=10000)
         mag = np.linalg.norm(ff.K0, axis=-1)
         assert np.abs(mag - 1.0 / rho).max() < 1e-6
         assert np.abs(ff.K0[:, 0]).max() < 1e-8  # Bishop: no twist component
@@ -62,7 +62,7 @@ class TestCircle:
     def test_frames_orthonormal_tangent_aligned(self):
         c = circle_curve(1.0)
         pts = np.linspace(0.0, 1.0, 11)
-        ff = bishop_frames([c], pts)[0]
+        [ff], _ = bishop_frames([c], pts)
         assert is_rotation(ff.R0, tol=1e-10)
         dots = np.einsum("ni,ni->n", ff.R0[:, :, 0], ff.c0_s)
         assert np.abs(dots - 1.0).max() < 1e-10
@@ -76,7 +76,7 @@ class TestCircle:
         kappa = (t ** 2 + 2.0) / (t ** 2 + 1.0) ** 1.5
         errs = []
         for total in (100, 200, 400):
-            ff = bishop_frames([c], pts, oversample=2, min_total=total)[0]
+            [ff], _ = bishop_frames([c], pts, oversample=2, min_total=total)
             errs.append(np.abs(np.linalg.norm(ff.K0, axis=-1) - kappa).max())
         order = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
         assert min(order) > 1.7
@@ -86,7 +86,7 @@ class TestSpiral:
     def test_matches_analytic_planar_curvature(self):
         c = spiral_curve()
         pts = np.linspace(0.05, 0.95, 19)
-        ff = bishop_frames([c], pts, min_total=20000)[0]
+        [ff], _ = bishop_frames([c], pts, min_total=20000)
         t = 2 * np.pi + 4 * np.pi * pts
         kappa = (t ** 2 + 2.0) / (t ** 2 + 1.0) ** 1.5
         mag = np.linalg.norm(ff.K0, axis=-1)
@@ -97,7 +97,7 @@ class TestSpivak:
     def test_well_defined_through_flat_point(self):
         c = spivak_curve()
         pts = np.linspace(0.0, 1.0, 201)  # includes the flat region around s=0
-        ff = bishop_frames([c], pts)[0]
+        [ff], _ = bishop_frames([c], pts)
         assert np.all(np.isfinite(ff.R0))
         assert np.all(np.isfinite(ff.K0))
         assert is_rotation(ff.R0, tol=1e-9)
@@ -112,19 +112,20 @@ class TestInvariants:
         rng = np.random.default_rng(31)
         c = circle_curve(1.5, n=30, degree=4)
         pts = np.linspace(0.0, 1.0, 13)
-        ff = bishop_frames([c], pts)[0]
+        [ff], _ = bishop_frames([c], pts)
         Q = so3.exp_so3(rng.normal(size=3))
         rotated = NurbsCurve(c.kv, c.points @ Q.T, c.weights)
         d0_rot = Q @ ff.R0[0, :, 1]
-        ff_rot = bishop_frames([rotated], pts, initial_director=d0_rot)[0]
+        [ff_rot], _ = bishop_frames([rotated], pts, initial_director=d0_rot)
         assert np.abs(ff_rot.R0 - Q @ ff.R0).max() < 1e-10
         assert np.abs(ff_rot.K0 - ff.K0).max() < 1e-10
 
     def test_director_flip_preserves_curvature_norm(self):
         c = spiral_curve(n=80, degree=4)
         pts = np.linspace(0.0, 1.0, 9)
-        ff = bishop_frames([c], pts)[0]
-        flipped = bishop_frames([c], pts, initial_director=-ff.R0[0, :, 1])[0]
+        [ff], _ = bishop_frames([c], pts)
+        [flipped], _ = bishop_frames([c], pts,
+                                     initial_director=-ff.R0[0, :, 1])
         np.testing.assert_allclose(np.linalg.norm(flipped.K0, axis=-1),
                                    np.linalg.norm(ff.K0, axis=-1), atol=1e-10)
 

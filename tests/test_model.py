@@ -8,18 +8,17 @@ import sys
 import numpy as np
 import pytest
 
-from gebvisc import initial_geometry, so3, splines
+from gebvisc import initial_geometry, so3
 from gebvisc import model as model_module
 from gebvisc.model import (BeamModel, DistributedLoad, EndLoad, Joint,
                            LoadHistory, Probe, Support,
                            _history_from_config, _member_curve, _rot_z,
                            build_auxetic, build_lattice, build_patches,
                            model_from_config, spiral_curve, spivak_curve)
-from gebvisc.splines import (KnotVector, NurbsCurve, eval_many, greville,
-                             line_curve)
+from gebvisc.splines import KnotVector, NurbsCurve, greville, line_curve
 from gebvisc.viscoelastic import SectionGeometry, build_section_law
-from helpers import (FRAME_FIELDS, arc_length, assert_bitwise,
-                     oracle_basis_matrices, oracle_bishop_frames,
+from helpers import (FRAME_FIELDS, arc_length, assert_bitwise, evaluate,
+                     oracle_basis_eval, oracle_bishop_frames,
                      oracle_fine_grid, oracle_fit_curvature, oracle_stencils,
                      oracle_transport, unit_law)
 
@@ -414,7 +413,7 @@ class TestConfig:
 class TestAnalyticCurves:
     def test_spivak_endpoints(self):
         c = spivak_curve(degree=4, n=40)
-        np.testing.assert_allclose(eval_many([c], [0.0, 1.0])[0][0],
+        np.testing.assert_allclose(evaluate([c], [0.0, 1.0])[0][0],
                                    [[-2.0, 0.0, np.exp(-0.25)],
                                     [3.0, np.exp(-1.0 / 9.0), 0.0]], atol=1e-12)
 
@@ -461,9 +460,11 @@ class TestPatchSetup:
         patch = build_patches([curve], unit_law())[0]
         grids, stacks = [], []
 
-        def oracle_fills(kv, us, max_deriv=0, weights=None, basis=None):
+        def oracle_basis(kv, us, max_deriv=0, weights=None):
             grids.append(len(us))
-            return iter(oracle_basis_matrices(kv, us, max_deriv, weights))
+            first, ders = zip(*(oracle_basis_eval(kv, u, max_deriv, weights)
+                                for u in us))
+            return np.array(first), np.stack(ders, axis=1)
 
         def oracle_rows(points, tangents, d0):
             stacks.append(len(points))
@@ -476,7 +477,7 @@ class TestPatchSetup:
             return tuple(np.stack(f) for f in zip(*fits))
 
         with monkeypatch.context() as m:
-            m.setattr(splines, "_basis_fills", oracle_fills)
+            m.setattr(initial_geometry, "basis_eval_many", oracle_basis)
             m.setattr(initial_geometry, "_fine_grid", oracle_fine_grid)
             m.setattr(initial_geometry, "_transport_double_reflection",
                       oracle_rows)

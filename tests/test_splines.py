@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from gebvisc.splines import (KnotVector, NurbsCurve, basis_eval,
-                             basis_eval_many, basis_matrices, eval_many,
-                             greville, interpolate_curve, line_curve,
-                             to_arclength)
+                             basis_eval_many, basis_matrices, greville,
+                             interpolate_curve, line_curve, to_arclength)
 from helpers import (arclength_derivatives, assert_bitwise, curve_point,
-                     interpolate_function, oracle_basis_eval,
+                     evaluate, interpolate_function, oracle_basis_eval,
                      oracle_basis_matrices, oracle_greville)
 
 
@@ -179,7 +178,7 @@ class TestCurve:
     def test_straight_segment_midpoint(self):
         c = NurbsCurve(KnotVector(1, [0, 0, 1, 1]),
                        [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        np.testing.assert_allclose(eval_many([c], [0.5])[0][0],
+        np.testing.assert_allclose(evaluate([c], [0.5])[0][0],
                                    [[1.0, 0.0, 0.0]])
 
     def test_rational_circle_arc(self):
@@ -187,7 +186,7 @@ class TestCurve:
         kv = KnotVector(2, [0, 0, 0, 1, 1, 1])
         c = NurbsCurve(kv, [[1, 0, 0], [1, 1, 0], [0, 1, 0]],
                        weights=[1.0, np.sqrt(0.5), 1.0])
-        r = np.linalg.norm(eval_many([c], np.linspace(0.0, 1.0, 50))[0][0],
+        r = np.linalg.norm(evaluate([c], np.linspace(0.0, 1.0, 50))[0][0],
                            axis=1)
         assert np.abs(r - 1.0).max() < 1e-12
 
@@ -205,7 +204,7 @@ class TestCurve:
         first, ders = basis_eval_many(kv, us, 0, w)
         expected = np.einsum("mj,mjd->md", ders[0], c.points[
             first[:, None] + np.arange(4)])
-        np.testing.assert_allclose(eval_many([c], us)[0][0], expected, rtol=0,
+        np.testing.assert_allclose(evaluate([c], us)[0][0], expected, rtol=0,
                                    atol=1e-13)
 
     def test_derivatives_vs_finite_difference(self):
@@ -240,7 +239,7 @@ class TestEvalMany:
                 curves = [NurbsCurve(kv, x, weights) for x in pts]
                 assert curves[0].is_rational == (weights is not None)
                 for max_deriv in range(min(2, p) + 1):
-                    got = eval_many(curves, us, max_deriv)
+                    got = evaluate(curves, us, max_deriv)
                     mats = basis_matrices(kv, us, max_deriv, weights)
                     assert len(got) == max_deriv + 1
                     for c, B in zip(got, mats):
@@ -258,7 +257,7 @@ class TestEvalMany:
         curve = NurbsCurve(KnotVector.open_uniform(2, 6),
                            np.random.default_rng(3).normal(size=(6, 3)))
         with pytest.raises(ValueError, match="share degree, knots and"):
-            eval_many([curve, other(curve)], [0.0, 0.5, 1.0])
+            evaluate([curve, other(curve)], [0.0, 0.5, 1.0])
 
     def test_one_dense_matrix_in_memory(self):
         # the spiral's transport grid: p = 6, 250 control points and 2,686
@@ -268,7 +267,7 @@ class TestEvalMany:
         grid = np.linspace(0.0, 1.0, 2686)
         tracemalloc.start()
         try:
-            eval_many([curve], grid, 2)
+            evaluate([curve], grid, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -317,7 +316,7 @@ class TestInterpolation:
     def test_two_point_linear(self):
         kv = KnotVector(1, [0, 0, 1, 1])
         c = interpolate_curve([0.0, 1.0], [[0, 0, 0], [1, 2, 3]], kv)
-        np.testing.assert_allclose(eval_many([c], [0.5])[0][0],
+        np.testing.assert_allclose(evaluate([c], [0.5])[0][0],
                                    [[0.5, 1.0, 1.5]])
 
     def test_cubic_polynomial_reproduction(self):
@@ -325,14 +324,14 @@ class TestInterpolation:
             return np.array([u ** 3 - u, 2 * u ** 2 + 0.5, 3 * u ** 3])
         c = interpolate_function(poly, degree=3, n=12)
         us = np.linspace(0, 1, 101)
-        assert np.abs(eval_many([c], us)[0][0] - poly(us).T).max() < 1e-10
+        assert np.abs(evaluate([c], us)[0][0] - poly(us).T).max() < 1e-10
 
     def test_projector_property(self):
         rng = np.random.default_rng(24)
         kv = KnotVector.open_uniform(4, 10)
         orig = NurbsCurve(kv, rng.normal(size=(10, 3)))
         g = greville(kv)
-        again = interpolate_curve(g, eval_many([orig], g)[0][0], kv)
+        again = interpolate_curve(g, evaluate([orig], g)[0][0], kv)
         np.testing.assert_allclose(again.points, orig.points, atol=1e-10)
 
     def test_spivak_interpolation_error(self):
@@ -342,7 +341,7 @@ class TestInterpolation:
             return spivak_point(-2.0 + 5.0 * u)
         c = interpolate_function(fn, degree=6, n=150)
         us = np.linspace(0.0, 1.0, 3001)
-        err = np.abs(eval_many([c], us)[0][0] - [fn(u) for u in us]).max()
+        err = np.abs(evaluate([c], us)[0][0] - [fn(u) for u in us]).max()
         assert err < 1e-6
 
     def test_wrong_parameters_rejected(self):
