@@ -9,15 +9,16 @@ Its values are made in one layout, one value per entry, equilibrated there
 row by row and handed to the solver as that value vector.  One LAPACK banded
 LU over the patch blocks and a dense LAPACK LU on the Schur complement of
 the joint leads solve it; a joint's other ends stay in their patch's band.
-Patches that share a section law are stacked into one collocation state, so
-the residual and tangent kernels, the increment update and the step commit
-run once per law per Newton iteration, whatever the number of patches.  The
-boundary and joint rows are planned as index arrays over end ids, two per
-patch, so each end kernel runs at most once per law stack, on all its ends,
-and their values on the sub-blocks that each row writes, in array passes
-linear in the ends and the planned entries.  A joint, and a supported end off
-joints with a free translation, form a balance group whose lead's slot
-equates the applied load with the end resultants of its members.
+Every patch is stacked, in model order, into one collocation state whose
+section laws are spelled out per point, so the residual and tangent kernels,
+the increment update and the step commit run once per Newton iteration,
+whatever the number of patches and laws.  The boundary and joint rows are
+planned as index arrays over end ids, two per patch, so each end kernel runs
+at most once per residual pass, on all its ends, and their values on the
+sub-blocks that each row writes, in array passes linear in the ends and the
+planned entries.  A joint, and a supported end off joints with a free
+translation, form a balance group whose lead's slot equates the applied load
+with the end resultants of its members.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .integrator import (StepFailure, apply_increment, begin_step, commit_step,
                          initialize_accelerations)
 from .model import END, SUPPORT_KINDS, BeamModel, check_keys, check_positive
 from .splines import basis_eval, basis_matrices
+from .viscoelastic import PointLaws
 
 log = logging.getLogger(__name__)
 
@@ -86,56 +88,47 @@ class NewtonReport:
 
 
 class PatchRuntime:
-    """Mutable simulation data of the patches that share one section law: one
-    collocation state over all their points and their stacked control nets.
-
-    Patches are stacked in model order.  A patch has as many control points
-    as collocation points, so ``pts[j]`` selects patch ``patches[j]`` in the
-    state and in ``ctrl`` alike; ``points`` is the global index of every
-    stacked point (six rows of the system) and control point (six unknowns),
-    and ``ends`` the stacked start and end point of every patch.
+    """Mutable simulation data of every patch of a model, stacked in model
+    order from the first points ``first`` of the patches and their number:
+    one collocation state over all the points, whose section laws ``law``
+    spells out, and the control nets.  A patch has as many control points
+    as collocation points, so point i owns six rows of the system and
+    control point i six unknowns; ``ends`` are the patches' end points.
     """
 
-    def __init__(self, model: BeamModel, patches: list[int], first: np.ndarray):
-        # ``first``: global index of the first point of every patch, then
-        # the number of points
-        members = [model.patches[k] for k in patches]
-        self.law = members[0].law
-        self.patches = patches
+    def __init__(self, model: BeamModel, first: np.ndarray):
+        members, n = model.patches, np.diff(first)
+        laws = {}
+        of_patch = [laws.setdefault(p.law, len(laws)) for p in members]
+        self.law = PointLaws(laws, np.repeat(of_patch, n))
         self.state = CollocationState(InitialFrameField(*(
             np.concatenate([getattr(p.frames, name) for p in members])
             for name in ("u", "c0", "c0_s", "c0_ss", "R0", "K0", "K0_s",
                          "jac", "jac_u"))), self.law)
         self.ctrl = np.concatenate([p.curve.points for p in members])
-        n = np.diff(first)[patches]
-        start = np.cumsum(np.append(0, n))
-        self.pts = [slice(a, b) for a, b in zip(start[:-1], start[1:])]
-        self.ends = np.stack([start[:-1], start[1:] - 1], axis=1).ravel()
-        self.points = np.arange(start[-1]) + np.repeat(first[patches]
-                                                       - start[:-1], n)
-        self.patch_of_point = np.repeat(patches, n)
+        self.ends = np.stack([first[:-1], first[1:] - 1], axis=1).ravel()
+        self.patch_of_point = np.repeat(np.arange(len(members)), n)
         # the value, ,s and ,ss stencils of every point, one below the
-        # other, and the global control points they act on
+        # other, and the control points they act on
         width = np.array([p.support_idx.shape[1] for p in members])
         phi = np.concatenate([getattr(p, name) for name in
                               ("phi0", "phi1", "phi2") for p in members],
                              axis=None)
         cols = np.concatenate([p.support_idx for p in members], axis=None)
-        cols += np.repeat(first[patches], n * width)
+        cols += np.repeat(first[:-1], n * width)
         indptr = np.cumsum(np.append(0, np.tile(np.repeat(width, n), 3)))
         self._interp = sp.csr_matrix((phi, np.tile(cols, 3), indptr),
-                                     shape=(3 * len(self.points), first[-1]))
-        #: interior points by stencil width: (stacked points, global
-        #: points, stencils (value/,s/,ss, stencil point, point), stencil
-        #: control points)
+                                     shape=(3 * first[-1], first[-1]))
+        #: interior points by stencil width: (points, stencils (value/,s/,ss,
+        #: stencil point, point), stencil control points)
         self.interior = []
         of_width = np.repeat(width, n)
         of_width[self.ends] = 0
         for w in np.unique(width):
             sel = np.flatnonzero(of_width == w)
             at = indptr[sel] + np.arange(w)[:, None]
-            self.interior.append((sel, self.points[sel], phi[
-                at + indptr[start[-1]] * np.arange(3)[:, None, None]],
+            self.interior.append((sel, phi[
+                at + indptr[first[-1]] * np.arange(3)[:, None, None]],
                 cols[at.T]))
 
     def snapshot(self):
@@ -146,25 +139,21 @@ class PatchRuntime:
         self.state, self.ctrl = snap
 
     def interp(self, dctrl: np.ndarray):
-        """Increment fields (value, ,s, ,ss) at the stacked points from the
-        global control increments ``dctrl`` (control points, 6)."""
+        """Increment fields (value, ,s, ,ss) at the points from the control
+        increments ``dctrl`` (control points, 6)."""
         return (self._interp @ dctrl).reshape(3, -1, 6)
 
 
-#: where a patch lives: its law stack ``rt`` and its points ``rt.*[pts]``
-PatchSlot = namedtuple("PatchSlot", "patch rt pts")
+#: one residual evaluation: the section state, the (ends, kernel, maker of
+#: their blocks) of every end kernel call, the rotations of the ends, the
+#: unequilibrated right-hand side and the inverse row scales that
+#: ``_system`` fills in
+ResidualPass = namedtuple("ResidualPass", "section blocks R rhs inv")
 
 
-#: one residual evaluation: the section state of every law stack, the
-#: (ends, kernel, maker of their blocks) of every end kernel call, the
-#: rotations of the ends, the unequilibrated right-hand side and the inverse
-#: row scales that ``_system`` fills in
-ResidualPass = namedtuple("ResidualPass", "sections blocks R rhs inv")
-
-
-#: ends of one law stack that one end kernel evaluates: their end ids (2 k
-#: and 2 k + 1 for the start and the end of patch k; also the terms of their
-#: own slots), stacked points and outward signs
+#: ends that one end kernel evaluates: their end ids (2 k and 2 k + 1 for
+#: the start and the end of patch k; also the terms of their own slots),
+#: points and outward signs
 EndGroup = namedtuple("EndGroup", "ends pts sign")
 
 
@@ -180,25 +169,16 @@ def _flatten(blocks) -> np.ndarray:
 
 
 class Simulation:
-    """Owns the runtime states of a model and advances them in time.
-
-    Patches that share a section law share one ``PatchRuntime`` in
-    ``stacks``; ``runtimes[k]`` tells where patch ``k`` lives in it.
-    """
+    """Owns the runtime state of a model and advances it in time;
+    ``runtimes[k]`` slices the points of patch ``k`` out of ``runtime``."""
 
     def __init__(self, model: BeamModel, settings: NewtonSettings | None = None):
         self.model = model
         self.settings = settings or NewtonSettings()
         first = np.cumsum([0] + [p.n for p in model.patches])
-        self.offsets = 6 * first[:-1]
         self.ndof = int(6 * first[-1])
-        groups = {}
-        for k, p in enumerate(model.patches):
-            groups.setdefault(id(p.law), []).append(k)
-        self.stacks = [PatchRuntime(model, ks, first) for ks in groups.values()]
-        slots = {k: PatchSlot(model.patches[k], rt, pts)
-                 for rt in self.stacks for k, pts in zip(rt.patches, rt.pts)}
-        self.runtimes = [slots[k] for k in range(len(model.patches))]
+        self.runtime = PatchRuntime(model, first)
+        self.runtimes = [slice(a, b) for a, b in zip(first[:-1], first[1:])]
         self.t = 0.0
         self.total_iterations = 0
         self._plan_probes()
@@ -208,15 +188,15 @@ class Simulation:
     # -- construction helpers ------------------------------------------------
 
     def _plan_probes(self):
-        """Basis row and first control point of every probe in its stack."""
+        """First control point, basis row and control points of each probe."""
         self._probes = {}
         for probe in self.model.probes:
-            patch, rt, pts = self.runtimes[probe.patch]
-            c = patch.curve
+            c = self.model.patches[probe.patch].curve
             first, ders = basis_eval(c.kv, probe.u, 0,
                                      c.weights if c.is_rational else None)
-            self._probes[probe.name] = (rt, pts.start + first, ders[0],
-                                        c.points[first:first + len(ders[0])])
+            self._probes[probe.name] = (
+                self.runtimes[probe.patch].start + first, ders[0],
+                c.points[first:first + len(ders[0])])
 
     def _plan_boundary(self):
         """Index arrays over the end ids that fill the boundary and joint
@@ -239,25 +219,21 @@ class Simulation:
         the force rows of the translations the lead's support leaves free
         equate the applied force with the spatial end forces of the members,
         and the moment rows of a joint that is not clamped do the same for
-        couples.  Each end's attributes and stencil come from its stack.
+        couples.
         """
         n = 2 * len(self.runtimes)
-        # per end: its slot, stack and stacked point, where it starts (the
-        # states are the initial ones), and its value and ,s stencils,
-        # padded with zeros to the widest
-        self._end_at = self._slots, of_stack, pts = np.empty((3, n), dtype=int)
-        self._end_c0, self._end_R0 = np.empty((n, 3)), np.empty((n, 3, 3))
+        # per end: its slot, where it starts (the state is the initial one),
+        # and its value and ,s stencils, padded with zeros to the widest
+        rt = self.runtime
+        self._slots = e = rt.ends
+        A = rt._interp
+        self._end_c0, self._end_R0 = rt.state.c[e], rt.state.R0[e]
         wide = max(p.support_idx.shape[1] for p in self.model.patches)
         phi, cols = np.zeros((n, wide, 2)), np.zeros((n, wide), dtype=int)
-        for s, rt in enumerate(self.stacks):
-            g = (2 * np.array(rt.patches)[:, None] + (0, 1)).ravel()
-            e, A = rt.ends, rt._interp
-            self._slots[g], of_stack[g], pts[g] = rt.points[e], s, e
-            self._end_c0[g], self._end_R0[g] = rt.state.c[e], rt.state.R0[e]
-            k, q = np.nonzero(np.arange(wide) < np.diff(A.indptr)[e, None])
-            at = A.indptr[e[k]] + q
-            phi[g[k], q] = A.data[at[:, None] + (0, A.indptr[len(rt.points)])]
-            cols[g[k], q] = 6 * A.indices[at]
+        k, q = np.nonzero(np.arange(wide) < np.diff(A.indptr)[e, None])
+        at = A.indptr[e[k]] + q
+        phi[k, q] = A.data[at[:, None] + (0, A.indptr[self.ndof // 6])]
+        cols[k, q] = 6 * A.indices[at]
         # (end, its applied force, couple and motion histories)
         applied = [(2 * el.patch + (el.end == END), (el.force, el.moment))
                    for el in self.model.end_loads]
@@ -299,18 +275,13 @@ class Simulation:
         self._separator = (6 * self._slots[jointed & leading, None]
                            + np.arange(6)).reshape(-1)
 
-        def groups(mask):
-            return [EndGroup(g, pts[g], g % 2 * 2.0 - 1) if len(g) else None
-                    for g in (np.flatnonzero(mask & (of_stack == s))
-                              for s in range(len(self.stacks)))]
-
-        #: per stack, the ends (None: none) of: every end; the Neumann force
-        #: rows (free ends); the Neumann moment rows (free, hinged and roller
-        #: ends); the spatial forces (balance group members); the spatial
-        #: couples (joint ends)
-        self._end_groups = list(zip(
-            groups(np.ones(n, dtype=bool)), groups(~jointed & ~supported),
-            groups(~jointed & ~clamped), groups(member), groups(jointed)))
+        #: the ends, maybe none, of: the Neumann force rows (free ends); the
+        #: Neumann moment rows (free, hinged and roller ends); the spatial
+        #: forces (balance group members); the spatial couples (joint ends)
+        self._end_groups = tuple(
+            EndGroup(g, self._slots[g], g % 2 * 2.0 - 1) for g in map(
+                np.flatnonzero, (~jointed & ~supported, ~jointed & ~clamped,
+                                 member, jointed)))
         #: (end, force/couple/motion, history) of every end load, joint load
         #: (on the joint's lead) and support motion
         self._histories = [(g, ch, history) for g, histories in applied
@@ -390,7 +361,7 @@ class Simulation:
         """Row and column of every value of the whole system.
 
         ``_system`` makes one value per entry: the interior values of each
-        law stack and stencil width (force/moment rows, displacement/rotation
+        stencil width (force/moment rows, displacement/rotation
         columns, 3, 3, stencil point, point), then the end entries ``end``
         in row order, into which the end values are summed; these lie on no
         interior row.  Entries that are zero at a state are values too.
@@ -399,11 +370,9 @@ class Simulation:
         fm, dr, a, b, _, _ = np.indices((2, 2, 3, 3, 1, 1), sparse=True)
         inner = np.zeros(self.ndof // 6, dtype=bool)
         blocks = []
-        for rt in self.stacks:
-            for _, points, _, ctrl in rt.interior:
-                blocks.append((6 * points + 3 * fm + a,
-                               6 * ctrl.T + 3 * dr + b))
-                inner[points] = True
+        for points, _, ctrl in self.runtime.interior:
+            blocks.append((6 * points + 3 * fm + a, 6 * ctrl.T + 3 * dr + b))
+            inner[points] = True
         if inner[end[0] // 6].any():
             raise RuntimeError("an end entry lies on an interior row")
         blocks.append(end)
@@ -454,8 +423,7 @@ class Simulation:
         # separator
         at = np.empty(ndof, dtype=np.int32)
         at[band], at[sep] = np.arange(nb), nb + np.arange(ns)
-        patch = np.repeat(np.arange(len(self.runtimes), dtype=np.int32),
-                          np.diff(self.offsets, append=ndof))
+        patch = self.runtime.patch_of_point.astype(np.int32).repeat(6)
         r, c = blocks[-1]
         if np.any((patch[r] != patch[c]) & ~(in_sep[r] | in_sep[c])):
             raise RuntimeError("a band row couples two patches")
@@ -502,29 +470,27 @@ class Simulation:
         self._fill = (i_sd, j_sd + nb, np.minimum(to_s, ns * ns, out=to_s))
 
     def _distributed(self, t: float) -> np.ndarray:
-        """Distributed (force, moment) per unit length of every patch at
-        time t, (2, patches, 3); each load is evaluated once."""
+        """Distributed (force, moment) per unit length at every point at
+        time t, (2, points, 3); each load is evaluated once."""
         fm = np.zeros((2, len(self.model.patches), 3))
         for load in self.model.loads:
             fm[0, load.patch] += load.force(t)
             if load.moment is not None:
                 fm[1, load.patch] += load.moment(t)
-        return fm
+        return fm[:, self.runtime.patch_of_point]
 
     def _init_conditions(self, v0=None, W0=None):
-        fm = self._distributed(0.0)
-        for rt in self.stacks:
-            st = rt.state
-            if v0 is not None:
-                st.v = np.tile(np.asarray(v0, dtype=float), (st.n, 1))
-            if W0 is not None:
-                st.W = np.tile(np.asarray(W0, dtype=float), (st.n, 1))
-            initialize_accelerations(st, rt.law, *fm[:, rt.patch_of_point])
+        st = self.runtime.state
+        if v0 is not None:
+            st.v = np.tile(np.asarray(v0, dtype=float), (st.n, 1))
+        if W0 is not None:
+            st.W = np.tile(np.asarray(W0, dtype=float), (st.n, 1))
+        initialize_accelerations(st, self.runtime.law,
+                                 *self._distributed(0.0))
         # supports hold their ends' accelerations
-        (e, a), c, (_, stack, at) = self._fixed, self._clamped, self._end_at
-        for s, rt in enumerate(self.stacks):
-            rt.state.a[at[e[stack[e] == s]], a[stack[e] == s]] = 0.0
-            rt.state.A[at[c[stack[c] == s]]] = 0.0
+        (e, a), c = self._fixed, self._clamped
+        st.a[self._slots[e], a] = 0.0
+        st.A[self._slots[c]] = 0.0
 
     def set_initial_velocity(self, v0, W0=None):
         """Uniform initial velocities; re-derives consistent accelerations."""
@@ -533,23 +499,15 @@ class Simulation:
     # -- assembly ------------------------------------------------------------
 
     def _residual(self, h: float, t_next: float) -> ResidualPass:
-        """The residual pass at the current state: the section state and
-        residual kernels of every stack and the boundary and joint rows;
-        nothing of the tangent."""
-        rhs = np.zeros(self.ndof)
-        r = rhs.reshape(-1, 6)
-        fm = self._distributed(t_next)
-        sections = []
-        for rt in self.stacks:
-            law, st = rt.law, rt.state
-            sec = section_state(st, law, h, *fm[:, rt.patch_of_point])
-            sections.append(sec)
-            F = residual_force(st, sec)
-            V = residual_moment(st, law, sec)
-            for sel, points, _, _ in rt.interior:
-                r[points] = -np.hstack([F[sel], V[sel]])
-        blocks, R = self._boundary_rows(sections, t_next, rhs)
-        return ResidualPass(sections, blocks, R, rhs, np.empty(self.ndof))
+        """The residual pass at the current state: the section state, the
+        residual kernels and the boundary and joint rows, which overwrite
+        the end points' rows; nothing of the tangent."""
+        rt = self.runtime
+        sec = section_state(rt.state, rt.law, h, *self._distributed(t_next))
+        rhs = -np.hstack([residual_force(rt.state, sec),
+                          residual_moment(rt.state, rt.law, sec)]).reshape(-1)
+        blocks, R = self._boundary_rows(sec, t_next, rhs)
+        return ResidualPass(sec, blocks, R, rhs, np.empty(self.ndof))
 
     def _system(self, h: float, res: ResidualPass):
         """Equilibrated values of the system at the current state, one per
@@ -558,19 +516,18 @@ class Simulation:
         values are contracted and scaled with the point index innermost."""
         # row equilibration: rows mix stiffness scales with unit Dirichlet rows
         blocks, scale = [], np.zeros(self.ndof)
-        for rt, sec in zip(self.stacks, res.sections):
-            law, st = rt.law, rt.state
-            # (force/moment rows, displacement/rotation columns,
-            # value/,s/,ss stencil, 3, 3, point)
-            C = np.concatenate((tangent_blocks_force(st, law, sec, h),
-                                tangent_blocks_moment(st, law, sec, h)),
-                               axis=1).reshape(st.n, -1).T
-            for sel, points, phi, _ in rt.interior:
-                V = np.einsum("rcdabn,dkn->rcabkn", C.take(sel, axis=1)
-                              .reshape(2, 2, 3, 3, 3, -1), phi)
-                scale.reshape(-1, 6)[points] = np.abs(V).max(
-                    axis=(1, 3, 4)).reshape(6, -1).T
-                blocks.append((points, V))
+        rt, sec = self.runtime, res.section
+        # (force/moment rows, displacement/rotation columns, value/,s/,ss
+        # stencil, 3, 3, point)
+        C = np.concatenate((tangent_blocks_force(rt.state, rt.law, sec, h),
+                            tangent_blocks_moment(rt.state, rt.law, sec, h)),
+                           axis=1).reshape(rt.state.n, -1).T
+        for points, phi, _ in rt.interior:
+            V = np.einsum("rcdabn,dkn->rcabkn", C.take(points, axis=1)
+                          .reshape(2, 2, 3, 3, 3, -1), phi)
+            scale.reshape(-1, 6)[points] = np.abs(V).max(
+                axis=(1, 3, 4)).reshape(6, -1).T
+            blocks.append((points, V))
         # the blocks of every end kernel (end, kernel, stencil, 3, 6)
         blk = np.empty((len(self._slots), 4, 2, 3, 6))
         for ends, k, make in res.blocks:
@@ -600,35 +557,29 @@ class Simulation:
         return sp.coo_matrix((values, (self._rows, self._cols)),
                              shape=(self.ndof,) * 2), rhs
 
-    def _boundary_rows(self, sections, t_next, rhs):
-        """Fills the boundary entries of ``rhs`` from the section state of
-        every stack; returns what ``_system`` makes the end values from: the
+    def _boundary_rows(self, sec, t_next, rhs):
+        """Fills the boundary entries of ``rhs`` from the section state
+        ``sec``; returns what ``_system`` makes the end values from: the
         (ends, kernel, maker of their blocks) of every end kernel call and
-        the rotation of every end.  Each end kernel runs at most once per
-        law stack, on all the ends that need it.
+        the rotation of every end.  Each end kernel runs at most once, on
+        all the ends that need it.
         """
-        n = len(self._slots)
-        c, R = np.empty((n, 3)), np.empty((n, 3, 3))
+        n, st = len(self._slots), self.runtime.state
+        c, R = st.c[self._slots], st.R[self._slots]
         ext = np.zeros((n, 3, 3))
         for g, ch, history in self._histories:
             ext[g, ch] += history(t_next)
         # the vector of every end kernel (end, kernel, 3); the couple of a
         # one-end group is never evaluated, and it subtracts a zero
         vec, blocks = np.zeros((n, 4, 3)), []
-        for rt, sec, (every, *groups) in zip(self.stacks, sections,
-                                             self._end_groups):
-            st = rt.state
-            c[every.ends] = st.c[every.pts]
-            R[every.ends] = st.R[every.pts]
-            for k, grp in enumerate(groups):
-                if grp is not None:
-                    # the Neumann rows take their applied force or couple
-                    load = (ext[grp.ends, k],) if k < 2 else ()
-                    vec[grp.ends, k], make = (
-                        neumann_force_row, neumann_moment_row,
-                        end_force_spatial, end_moment_spatial)[k](
-                            st, sec, grp.pts, *load, grp.sign)
-                    blocks.append((grp.ends, k, make))
+        for k, grp in enumerate(self._end_groups):
+            if len(grp.ends):
+                # the Neumann rows take their applied force or couple
+                load = (ext[grp.ends, k],) if k < 2 else ()
+                vec[grp.ends, k], make = (
+                    neumann_force_row, neumann_moment_row, end_force_spatial,
+                    end_moment_spatial)[k](st, sec, grp.pts, *load, grp.sign)
+                blocks.append((grp.ends, k, make))
         # the Neumann rows, and the spatial end force and couple
         E, fm = vec[:, :2].reshape(n, 6), vec[:, 2:]
         if self._balance:
@@ -760,15 +711,13 @@ class Simulation:
             delta = self._solve(values, rhs)
             inc_norm = np.abs(delta).max()
             self.total_iterations += 1
-            acc = 1.0
-            d = delta.reshape(-1, 6)
-            for rt in self.stacks:
-                f0, f1, f2 = rt.interp(d)
-                apply_increment(rt.state, f0[:, :3], f1[:, :3], f2[:, :3],
-                                f0[:, 3:], f1[:, 3:], f2[:, 3:], h)
-                rt.ctrl += d[rt.points, :3]
-                acc = max(acc, np.abs(rt.state.eta).max(),
-                          np.abs(rt.state.Theta).max())
+            d, rt = delta.reshape(-1, 6), self.runtime
+            f0, f1, f2 = rt.interp(d)
+            apply_increment(rt.state, f0[:, :3], f1[:, :3], f2[:, :3],
+                            f0[:, 3:], f1[:, 3:], f2[:, 3:], h)
+            rt.ctrl += d[:, :3]
+            acc = max(1.0, np.abs(rt.state.eta).max(),
+                      np.abs(rt.state.Theta).max())
             log.debug("step t=%.6g iter=%d res=%.3e inc=%.3e", t_next, it + 1,
                       report.residual_norms[-1], inc_norm)
             if inc_norm <= s.tol_increment * acc:
@@ -779,20 +728,17 @@ class Simulation:
     # -- time marching -----------------------------------------------------------
 
     def _attempt(self, h: float) -> None:
-        snaps = [rt.snapshot() for rt in self.stacks]
-        t0 = self.t
+        rt, t0 = self.runtime, self.t
+        snap = rt.snapshot()
         try:
-            for rt in self.stacks:
-                begin_step(rt.state, rt.law, h)
+            begin_step(rt.state, rt.law, h)
             report = self.newton(h, t0 + h)
             if not report.converged:
                 raise StepFailure(f"newton did not converge at t={t0 + h:.6g}")
-            for rt in self.stacks:
-                commit_step(rt.state, rt.law, h)
+            commit_step(rt.state, rt.law, h)
             self.t = t0 + h
         except StepFailure:
-            for rt, snap in zip(self.stacks, snaps):
-                rt.restore(snap)
+            rt.restore(snap)
             self.t = t0
             raise
 
@@ -812,16 +758,16 @@ class Simulation:
         self.advance(0.5 * h, depth + 1)
 
     def probe_displacement(self, probe) -> np.ndarray:
-        rt, first, row, x0 = self._probes[probe.name]
-        return row @ (rt.ctrl[first:first + len(row)] - x0)
+        first, row, x0 = self._probes[probe.name]
+        return row @ (self.runtime.ctrl[first:first + len(row)] - x0)
 
     def sample_curve(self, k: int, n_samples: int = 200):
         """Dense current/initial positions of patch ``k`` for output."""
-        patch, rt, pts = self.runtimes[k]
+        curve = self.model.patches[k].curve
         us = np.linspace(0.0, 1.0, n_samples)
-        w = patch.curve.weights if patch.curve.is_rational else None
-        B = basis_matrices(patch.curve.kv, us, 0, w)[0]
-        return B @ rt.ctrl[pts], B @ patch.curve.points
+        B = basis_matrices(curve.kv, us, 0,
+                           curve.weights if curve.is_rational else None)[0]
+        return B @ self.runtime.ctrl[self.runtimes[k]], B @ curve.points
 
 
 @dataclass

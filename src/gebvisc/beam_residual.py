@@ -4,9 +4,10 @@ Per collocation point the time-discretized force and moment balances are
 evaluated together with the 3x3 coefficient blocks of their linearization with
 respect to the incremental displacement and rotation fields and their first
 and second arc-length derivatives.  All quantities are material (pulled back
-by R^T); everything is vectorized over the points of a law stack.
+by R^T); everything is vectorized over every collocation point of the model,
+whose section laws are spelled out per point (``PointLaws``).
 
-One section pass per stack and residual pass, ``section_state``, evaluates
+One section pass per residual pass, ``section_state``, evaluates
 what all the kernels read: the kinematics of ``kin``, the Maxwell history
 sums and the products of the step's effective stiffness with the strains,
 both stacked (4, n, 3) over the channels, the effective stresses zF and zM,
@@ -42,12 +43,12 @@ import numpy as np
 
 from . import so3
 from .initial_geometry import InitialFrameField
-from .viscoelastic import SectionLaw, ViscousState, effective_stiffness
+from .viscoelastic import PointLaws, ViscousState
 
 
 class CollocationState:
-    """Kinematic and viscous state at the collocation points of the patches
-    of one law stack (all points of every patch that shares a section law).
+    """Kinematic and viscous state at the collocation points of every patch
+    of a model, stacked patch by patch in model order.
 
     Arrays are stacked over points: vectors (n, 3), rotations (n, 3, 3).
     ``eta``/``Theta`` accumulate the within-step increments (``qTheta`` is the
@@ -59,7 +60,7 @@ class CollocationState:
     ARRAYS = ("c", "c_s", "c_ss", "K", "K_s", "v", "a", "W", "A",
               "eta", "Theta", "a_star", "v_star", "A_star", "W_star")
 
-    def __init__(self, frames: InitialFrameField, law: SectionLaw):
+    def __init__(self, frames: InitialFrameField, law: PointLaws):
         n = len(frames.u)
         self.n = n
         self.c = frames.c0.copy()
@@ -72,7 +73,7 @@ class CollocationState:
             setattr(self, name, np.zeros((n, 3)))
         self.qTheta = np.zeros((n, 4))
         self.qTheta[:, 0] = 1.0
-        self.visc = ViscousState(law.n_elements, n)
+        self.visc = ViscousState(law.m, n)
         # frozen initial-configuration channels
         self.R0 = frames.R0
         self.K0 = frames.K0
@@ -112,23 +113,23 @@ def kin(state: CollocationState):
 #: skew matrices (n, 3, 3) of the vectors the kernels cross with
 Skews = namedtuple("Skews", "K y zF zM K_s W JW RTc_ss Ky rn rm Theta")
 
-#: what every kernel reads of a law stack's section at a step size and
-#: loads: R^T and y of ``kin``, CS = Cbar * strains and the Maxwell history
-#: sums Sb, both stacked (4, n, 3), the effective stresses zF = CS[0] - Sb[0]
-#: and zM = CS[2] - Sb[2], the rows CN_bar and CM_bar of Cbar, the material
+#: what every kernel reads of the section at a step size and loads: R^T and
+#: y of ``kin``, CS = Cbar * strains and the Maxwell history sums Sb, both
+#: stacked (4, n, 3), the effective stresses zF = CS[0] - Sb[0] and
+#: zM = CS[2] - Sb[2], the rows CN_bar and CM_bar (n, 3) of Cbar, the material
 #: loads rn = R^T (n_dist - mu a) and rm = R^T m_dist, J W and a function
 #: that makes the ``Skews`` on its first call
 SectionState = namedtuple(
     "SectionState", "RT y CS Sb zF zM CN_bar CM_bar rn rm JW skews")
 
 
-def section_state(state: CollocationState, law: SectionLaw, h: float,
+def section_state(state: CollocationState, law: PointLaws, h: float,
                   n_dist: np.ndarray, m_dist: np.ndarray) -> SectionState:
-    """The section pass of the stack under the spatial distributed force
+    """The section pass of the state under the spatial distributed force
     and moment ``n_dist`` and ``m_dist`` (n, 3), evaluated once per
-    residual pass; Cbar (4, 1, 3), CS and Sb are stacked like the strains."""
+    residual pass; Cbar, CS and Sb are stacked (4, n, 3) like the strains."""
     RT, y, strains, Ky, RTc_ss = kin(state)
-    Cbar = effective_stiffness(law, h)
+    Cbar = law.at_step(h)[0]
     CS = Cbar * strains
     Sb = state.visc.history(law)
     zF, zM = CS[::2] - Sb[::2]
@@ -139,8 +140,8 @@ def section_state(state: CollocationState, law: SectionLaw, h: float,
                rm, state.Theta)
     skews = functools.cache(lambda: Skews(*so3.skew(
         np.concatenate(vectors).reshape(len(vectors), -1, 3))))
-    return SectionState(RT, y, CS, Sb, zF, zM, Cbar[0, 0], Cbar[2, 0], rn, rm,
-                        JW, skews)
+    return SectionState(RT, y, CS, Sb, zF, zM, Cbar[0], Cbar[2], rn, rm, JW,
+                        skews)
 
 
 def residual_force(state: CollocationState,
@@ -153,7 +154,7 @@ def residual_force(state: CollocationState,
     return so3.cross(state.K, sec.zF) + sec.CS[1] - sec.Sb[1] + sec.rn
 
 
-def residual_moment(state: CollocationState, law: SectionLaw,
+def residual_moment(state: CollocationState, law: PointLaws,
                     sec: SectionState) -> np.ndarray:
     """Material moment-balance residual (n, 3); zero at a converged solution."""
     return (so3.cross(state.K, sec.zM) + sec.CS[3] - sec.Sb[3]
@@ -161,15 +162,15 @@ def residual_moment(state: CollocationState, law: SectionLaw,
             - law.inertia * state.A - so3.cross(state.W, sec.JW))
 
 
-def tangent_blocks_force(state: CollocationState, law: SectionLaw,
+def tangent_blocks_force(state: CollocationState, law: PointLaws,
                          sec: SectionState, h: float) -> np.ndarray:
     """Consistent tangent blocks (n, 2, 3, 3, 3) of the force balance; it has
     no block on the second derivative of the rotation increment."""
-    RT, CN, sk = sec.RT, sec.CN_bar[:, None], sec.skews()
+    RT, CN, sk = sec.RT, sec.CN_bar[..., None], sec.skews()
     Kt = sk.K
     CNyt, CNRT = CN * sk.y, CN * RT
     blk = np.zeros((state.n, 2, 3, 3, 3))
-    blk[:, 0, 0] = -(4.0 / h ** 2) * law.mu * RT
+    blk[:, 0, 0] = (-(4.0 / h ** 2) * law.mu)[..., None] * RT
     blk[:, 0, 1] = Kt @ CNRT - CN * (Kt @ RT)
     blk[:, 0, 2] = CNRT
     blk[:, 1, 0] = (Kt @ CNyt - sk.zF @ Kt + CN * sk.RTc_ss - CN * sk.Ky
@@ -178,7 +179,7 @@ def tangent_blocks_force(state: CollocationState, law: SectionLaw,
     return blk
 
 
-def tangent_blocks_moment(state: CollocationState, law: SectionLaw,
+def tangent_blocks_moment(state: CollocationState, law: PointLaws,
                           sec: SectionState, h: float) -> np.ndarray:
     """Consistent tangent blocks (n, 2, 3, 3, 3) of the moment balance; its
     only block on the displacement increment is the ,s one.
@@ -187,19 +188,19 @@ def tangent_blocks_moment(state: CollocationState, law: SectionLaw,
     incremental rotation, which transports the solver increment from the
     step-end tangent space to the one the trapezoidal extrapolation lives in.
     """
-    RT, CM, sk = sec.RT, sec.CM_bar[:, None], sec.skews()
-    Kt, yt, J = sk.K, sk.y, law.inertia
+    RT, CM, sk = sec.RT, sec.CM_bar[..., None], sec.skews()
+    Kt, yt, J = sk.K, sk.y, law.inertia[:, None]
     CMKt = CM * Kt
-    G_blk = yt * sec.CN_bar - sk.zF
+    G_blk = yt * sec.CN_bar[:, None] - sk.zF
     Tinv = so3.tangent_map_inverse(state.Theta, sk.Theta)
-    inertia_blk = ((4.0 / h ** 2) * np.diag(J)
+    inertia_blk = ((4.0 / h ** 2) * (law.inertia[..., None] * np.eye(3))
                    + (2.0 / h) * (sk.W * J - sk.JW))
     blk = np.zeros((state.n, 2, 3, 3, 3))
     blk[:, 0, 1] = G_blk @ RT
     blk[:, 1, 0] = (Kt @ CMKt - sk.zM @ Kt + CM * sk.K_s
                     + G_blk @ yt + sk.rm - inertia_blk @ Tinv)
-    blk[:, 1, 1] = CMKt + Kt * sec.CM_bar - sk.zM
-    blk[:, 1, 2] = np.diag(sec.CM_bar)
+    blk[:, 1, 1] = CMKt + Kt * sec.CM_bar[:, None] - sk.zM
+    blk[:, 1, 2] = CM * np.eye(3)
     return blk
 
 
@@ -232,10 +233,10 @@ def neumann_force_row(state: CollocationState, sec: SectionState,
     ``n_c`` (e, 3): residuals and the maker of their blocks."""
     RT = np.swapaxes(state.R.take(pts, axis=0), -1, -2)
     rn = (RT @ n_c[:, :, None])[..., 0]
+    CN = sec.CN_bar.take(pts, axis=0)[..., None]
     return 0.0 - sec.zF.take(pts, axis=0) + sign[:, None] * rn, lambda: (
-        _end_blocks(sec.CN_bar[:, None] * sec.skews().y.take(pts, axis=0)
-                    - sign[:, None, None] * so3.skew(rn),
-                    eta_s=sec.CN_bar[:, None] * RT))
+        _end_blocks(CN * sec.skews().y.take(pts, axis=0)
+                    - sign[:, None, None] * so3.skew(rn), eta_s=CN * RT))
 
 
 def neumann_moment_row(state: CollocationState, sec: SectionState,
@@ -244,10 +245,11 @@ def neumann_moment_row(state: CollocationState, sec: SectionState,
     ``m_c`` (e, 3): residuals and the maker of their blocks."""
     RT = np.swapaxes(state.R.take(pts, axis=0), -1, -2)
     rm = (RT @ m_c[:, :, None])[..., 0]
+    CM = sec.CM_bar.take(pts, axis=0)[..., None]
     return 0.0 - sec.zM.take(pts, axis=0) + sign[:, None] * rm, lambda: (
-        _end_blocks(sec.CM_bar[:, None] * sec.skews().K.take(pts, axis=0)
+        _end_blocks(CM * sec.skews().K.take(pts, axis=0)
                     - sign[:, None, None] * so3.skew(rm),
-                    theta_s=np.diag(sec.CM_bar)))
+                    theta_s=CM * np.eye(3)))
 
 
 def end_force_spatial(state: CollocationState, sec: SectionState,
@@ -257,11 +259,11 @@ def end_force_spatial(state: CollocationState, sec: SectionState,
     where rows live in the fixed frame."""
     R = state.R.take(pts, axis=0)
     zF = sec.zF.take(pts, axis=0)
-    s = sign[:, None, None]
+    CN, s = sec.CN_bar.take(pts, axis=0)[..., None], sign[:, None, None]
     return sign[:, None] * (R @ zF[:, :, None])[..., 0], lambda: _end_blocks(
-        s * (R @ (sec.CN_bar[:, None] * sec.skews().y.take(pts, axis=0)
+        s * (R @ (CN * sec.skews().y.take(pts, axis=0)
                   - sec.skews().zF.take(pts, axis=0))),
-        eta_s=s * (R @ (sec.CN_bar[:, None] * np.swapaxes(R, -1, -2))))
+        eta_s=s * (R @ (CN * np.swapaxes(R, -1, -2))))
 
 
 def end_moment_spatial(state: CollocationState, sec: SectionState,
@@ -270,8 +272,8 @@ def end_moment_spatial(state: CollocationState, sec: SectionState,
     their blocks."""
     R = state.R.take(pts, axis=0)
     zM = sec.zM.take(pts, axis=0)
-    s = sign[:, None, None]
+    CM, s = sec.CM_bar.take(pts, axis=0)[..., None], sign[:, None, None]
     return sign[:, None] * (R @ zM[:, :, None])[..., 0], lambda: _end_blocks(
-        s * (R @ (sec.CM_bar[:, None] * sec.skews().K.take(pts, axis=0)
+        s * (R @ (CM * sec.skews().K.take(pts, axis=0)
                   - sec.skews().zM.take(pts, axis=0))),
-        theta_s=s * (R @ np.diag(sec.CM_bar)))
+        theta_s=s * (R @ (CM * np.eye(3))))

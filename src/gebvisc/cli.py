@@ -22,7 +22,8 @@ from .integrator import StepFailure
 from .model import check_keys, check_positive, load_config, model_from_config
 from .output import (ensure_dir, write_history_csv, write_run_metadata,
                      write_vtk_snapshot)
-from .scenarios import SCENARIO_NAMES, build_scenario
+from .scenarios import (SCENARIO_DEFAULTS, SCENARIO_NAMES, _merge,
+                        build_scenario)
 
 log = logging.getLogger(__name__)
 
@@ -140,23 +141,36 @@ def displacement_field(sim: Simulation, n_probe: int) -> np.ndarray:
 
 
 def convergence_setup(study: dict):
-    """(scenario, pairs, reference, t_eval, h, probe points, overrides) of a
-    convergence study; a malformed study raises before any run.
+    """(scenario, pairs, reference, t_eval, h, probe points, the overrides
+    of each pair's run) of a convergence study; a malformed study raises
+    before any run.
 
-    ``study`` keys: scenario, pairs ([[p, n], ...]), reference ([p, n]),
-    t_eval, h, optionally probe_points (an integer >= 2) and scenario
-    overrides under "overrides".
+    ``study`` keys: scenario (not 'custom'), pairs ([[p, n], ...], two n
+    at least per degree p), reference ([p, n]), t_eval, h, optionally
+    probe_points (an integer >= 2) and scenario overrides under "overrides".
     """
+    check_keys(study, ("scenario", "pairs", "reference", "t_eval", "h",
+                       "probe_points", "overrides"), "study keys")
     _require_steps(study, "t_eval", "h")
     n_probe = study.get("probe_points", 101)
     if not isinstance(n_probe, numbers.Integral) or n_probe < 2:
         raise ValueError(f"probe_points must be an integer >= 2: {n_probe!r}")
+    name, h, t_eval = study["scenario"], study["h"], study["t_eval"]
+    if name not in SCENARIO_DEFAULTS:
+        raise ValueError(f"no convergence study of scenario {name!r}")
     pairs = [tuple(pn) for pn in study["pairs"]]
     p_ref, n_ref = study["reference"]
+    runs = {(p, n): {**study.get("overrides", {}), "degree": p, "n": n,
+                     "h": h, "T": t_eval} for p, n in pairs + [(p_ref, n_ref)]}
+    for run in runs.values():
+        _merge(name, run)
+    if any(p < 1 or n <= p for p, n in runs):
+        raise ValueError("every run needs a degree >= 1 and n > degree")
     if any(n >= n_ref and p >= p_ref for p, n in pairs):
         raise ValueError("reference must be strictly finer than every study pair")
-    return (study["scenario"], pairs, (p_ref, n_ref), study["t_eval"],
-            study["h"], n_probe, dict(study.get("overrides", {})))
+    if any(len({n for q, n in pairs if q == p}) < 2 for p, _ in pairs):
+        raise ValueError("every degree needs two distinct n for its slope")
+    return name, pairs, (p_ref, n_ref), t_eval, h, n_probe, runs
 
 
 def run_convergence(study: dict, out_dir=None):
@@ -165,13 +179,11 @@ def run_convergence(study: dict, out_dir=None):
     ``study`` is described in ``convergence_setup``.  Returns a result dict
     with per-pair errors and fitted pre-plateau slopes per degree.
     """
-    name, pairs, (p_ref, n_ref), t_eval, h, n_probe, overrides = \
+    name, pairs, (p_ref, n_ref), t_eval, h, n_probe, runs = \
         convergence_setup(study)
 
     def field(p, n):
-        model, params = build_scenario(name, {**overrides, "degree": p,
-                                              "n": n, "h": h, "T": t_eval})
-        sim = Simulation(model)
+        sim = Simulation(build_scenario(name, runs[p, n])[0])
         time_march(sim, t_eval, h)
         return displacement_field(sim, n_probe)
 

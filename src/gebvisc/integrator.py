@@ -20,7 +20,7 @@ import numpy as np
 
 from . import so3
 from .beam_residual import CollocationState, kin
-from .viscoelastic import SectionLaw, compute_beta, internal_forces, \
+from .viscoelastic import PointLaws, compute_beta, internal_forces, \
     update_viscous_state
 
 
@@ -28,7 +28,7 @@ class StepFailure(RuntimeError):
     """Raised when a step cannot be completed at the current step size."""
 
 
-def begin_step(state: CollocationState, law: SectionLaw, h: float) -> None:
+def begin_step(state: CollocationState, law: PointLaws, h: float) -> None:
     """Freeze history terms and apply the zero-increment predictor.
 
     Must be called on a converged state at the step start; afterwards the
@@ -105,14 +105,14 @@ def apply_increment(state: CollocationState, de: np.ndarray, de_s: np.ndarray,
     state.W = (2.0 / h) * state.Theta - state.W_star
 
 
-def commit_step(state: CollocationState, law: SectionLaw, h: float) -> None:
+def commit_step(state: CollocationState, law: PointLaws, h: float) -> None:
     """Finalize a converged step: advance branch strains, tidy rotations."""
     update_viscous_state(law, state.visc, kin(state)[2], h)
     # re-orthonormalize against float drift; a no-op up to rounding
     state.R = so3.quat_to_matrix(so3.quat_from_matrix(state.R))
 
 
-def initialize_accelerations(state: CollocationState, law: SectionLaw,
+def initialize_accelerations(state: CollocationState, law: PointLaws,
                              n_dist: np.ndarray, m_dist: np.ndarray) -> None:
     """Consistent accelerations at t = 0 from the pointwise balance equations.
 

@@ -552,14 +552,31 @@ def check_positive(value, name: str) -> None:
         raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
+#: the keys of a section configuration, by its type
+SECTION_KEYS = {"circle": ("diameter",), "square": ("side",),
+                "custom": ("A", "A2", "A3", "Jt", "J2", "J3")}
+#: per patch generator: the keys of its parameters, which it takes by name
+#: with the degree and n
+GENERATORS = {"line": (("start", "end"), line_curve),
+              "spivak": ((), spivak_curve), "spiral": (("scale",), spiral_curve)}
+
+
+def _entries(section: dict, key: str, allowed):
+    """The entries of the list ``section[key]``, if any, checked for keys."""
+    for entry in section.get(key, []):
+        check_keys(entry, allowed, f"keys of an entry of {key}")
+        yield entry
+
+
 def _section_from_config(cfg: dict) -> SectionGeometry:
     kind = cfg.get("type", "custom")
+    if kind not in SECTION_KEYS:
+        raise ValueError(f"unknown section type {kind!r}")
+    check_keys(cfg, ("type",) + SECTION_KEYS[kind], f"keys of a {kind} section")
     if kind == "circle":
         return SectionGeometry.circle(cfg["diameter"])
     if kind == "square":
         return SectionGeometry.square(cfg["side"])
-    if kind != "custom":
-        raise ValueError(f"unknown section type {kind!r}")
     return SectionGeometry(A=cfg["A"], A2=cfg.get("A2", cfg["A"]),
                            A3=cfg.get("A3", cfg["A"]), Jt=cfg["Jt"],
                            J2=cfg["J2"], J3=cfg["J3"])
@@ -567,13 +584,16 @@ def _section_from_config(cfg: dict) -> SectionGeometry:
 
 def _law_from_config(cfg: dict) -> SectionLaw:
     mat = cfg["material"]
-    elements = [(e["E"], e["tau"]) for e in mat.get("elements", [])]
+    check_keys(mat, ("E_inf", "nu", "rho", "elements"), "material keys")
+    elements = [(e["E"], e["tau"])
+                for e in _entries(mat, "elements", ("E", "tau"))]
     return build_section_law(mat["E_inf"], mat["nu"], elements,
                              _section_from_config(cfg["section"]), mat["rho"])
 
 
 def _history_from_config(cfg: dict) -> LoadHistory:
     _, keys = _history_kind(cfg["kind"])
+    check_keys(cfg, ("kind",) + keys, f"keys of a {cfg['kind']} history")
     return getattr(LoadHistory, cfg["kind"])(*(cfg[key] for key in keys))
 
 
@@ -597,34 +617,35 @@ def model_from_config(cfg: dict) -> tuple[BeamModel, dict]:
     curves = []
     for pc in cfg["patches"]:
         if "generator" in pc:
-            gen = pc["generator"]
+            check_keys(pc, ("generator", "params", "degree", "n"),
+                       "keys of a generated patch")
+            if pc["generator"] not in GENERATORS:
+                raise ValueError(f"unknown patch generator '{pc['generator']}'")
+            keys, make = GENERATORS[pc["generator"]]
             pars = pc.get("params", {})
-            degree = pc.get("degree", 3)
-            n = pc.get("n", 8)
-            if gen == "line":
-                curve = line_curve(pars["start"], pars["end"], degree, n)
-            elif gen == "spivak":
-                curve = spivak_curve(degree, n)
-            elif gen == "spiral":
-                curve = spiral_curve(degree, n, pars.get("scale", 0.01))
-            else:
-                raise ValueError(f"unknown patch generator '{gen}'")
+            check_keys(pars, keys, "generator params")
+            curve = make(degree=pc.get("degree", 3), n=pc.get("n", 8), **pars)
         else:
+            check_keys(pc, ("degree", "knots", "control_points", "weights"),
+                       "keys of a patch")
             kv = KnotVector(pc["degree"], pc["knots"])
             curve = NurbsCurve(kv, pc["control_points"], pc.get("weights"))
         curves.append(curve)
     supports = [Support(s["patch"], s["end"], s["type"],
                         motion=_history_from_config(s["motion"])
                         if "motion" in s else None)
-                for s in cfg.get("supports", [])]
+                for s in _entries(cfg, "supports",
+                                  ("patch", "end", "type", "motion"))]
     joints = [Joint(ends=[tuple(e) for e in j["ends"]],
                     force=_history_from_config(j["force"]) if "force" in j else None,
                     moment=_history_from_config(j["moment"]) if "moment" in j else None)
-              for j in cfg.get("joints", [])]
+              for j in _entries(cfg, "joints", ("ends", "force", "moment"))]
     loads, end_loads = [], []
-    for lc in cfg.get("loads", []):
+    for lc in _entries(cfg, "loads", ("target", "history")):
         target = lc["target"]
         hist = _history_from_config(lc["history"])
+        check_keys(target, ("kind", "patch") + (
+            ("end",) if target["kind"] == "end" else ()), "keys of a load target")
         if target["kind"] == "distributed":
             loads.append(DistributedLoad(target["patch"], hist))
         elif target["kind"] == "end":
@@ -632,7 +653,8 @@ def model_from_config(cfg: dict) -> tuple[BeamModel, dict]:
         else:
             raise ValueError(f"unknown load target '{target['kind']}'")
     probes = [Probe(p["patch"], p["u"], p.get("name", f"probe{k}"))
-              for k, p in enumerate(cfg.get("output", {}).get("probes", []))]
+              for k, p in enumerate(_entries(cfg.get("output", {}), "probes",
+                                             ("patch", "u", "name")))]
     model = BeamModel(build_patches(curves, law), supports=supports,
                       joints=joints, loads=loads, end_loads=end_loads,
                       probes=probes)

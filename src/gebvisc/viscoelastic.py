@@ -16,9 +16,12 @@ The total strains travel as one stacked (4, n, 3) array of the four channels
 (Gam, Gam,s, Kap, Kap,s) at n points, the trailing axis the material
 component.  The channels share these recursions, so the branch strains and
 history terms of all of them are advanced as two stacked (m, 4, n, 3) arrays.
-One moduli table ``SectionLaw.CNM`` (m + 1, 4, 1, 3) serves all four channels,
-so the history sums, the effective stiffness (4, 1, 3) of a step and the
-resultants (N, N,s, M, M,s) come out stacked in the same order.
+The points may follow different laws: ``PointLaws`` spells the laws out per
+point, one moduli table ``CNM`` (m + 1, 4, n, 3) for all four channels, with
+m the largest branch count and zero moduli padding a law with fewer branches
+before its long-term spring.  The history sums, the effective stiffness
+(4, n, 3) of a step and the resultants (N, N,s, M, M,s) come out stacked in
+the same order.
 """
 
 from __future__ import annotations
@@ -104,8 +107,6 @@ class SectionLaw:
     mu: float = field(init=False, compare=False)
     inertia: np.ndarray = field(init=False, compare=False)
     CNM: np.ndarray = field(init=False, repr=False, compare=False)
-    #: read-only arrays derived from the law, see ``_store``
-    _cache: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.E_inf < np.inf and 0.0 < self.rho < np.inf):
@@ -125,8 +126,7 @@ class SectionLaw:
                                   dtype=float)),
                 ("mu", self.rho * g.A),
                 ("inertia", self.rho * np.array([g.J2 + g.J3, g.J2, g.J3])),
-                ("CNM", np.stack([CN, CN, CM, CM], axis=1)[:, :, None]),
-                ("_cache", {})):
+                ("CNM", np.stack([CN, CN, CM, CM], axis=1)[:, :, None])):
             object.__setattr__(self, name, value)
 
     @property
@@ -159,60 +159,48 @@ def trapezoidal_coeffs(taus: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarr
     return h / den, (2.0 * taus - h) / den
 
 
-def _store(law: SectionLaw, key, arrays: tuple) -> tuple:
-    """Cache the read-only ``arrays`` on ``law`` under ``key``.
+class PointLaws:
+    """The section laws of n points spelled out per point: ``laws`` are the
+    distinct laws and ``index`` (n,) the law of every point.
 
-    A run uses a handful of step sizes (h and its halvings) and of point
-    counts, and the cache is cleared should it ever grow past 256 entries.
+    ``CNM`` (m + 1, 4, n, 3) holds the moduli of every point in the layout
+    of ``SectionLaw.CNM``, m the largest branch count; a law with fewer
+    branches gets zero moduli and coefficients before its long-term spring,
+    which add exact zeros to every sum.  ``mu`` (n, 1) and ``inertia``
+    (n, 3) are the mass per unit length and the rotary inertia.
     """
-    for a in arrays:
-        a.setflags(write=False)
-    if len(law._cache) >= 256:
-        law._cache.clear()
-    law._cache[key] = arrays
-    return arrays
 
+    def __init__(self, laws, index: np.ndarray):
+        self.laws, self.index = tuple(laws), index
+        self.m = max(law.n_elements for law in self.laws)
+        CNM = np.zeros((len(self.laws), self.m + 1, 4, 3))
+        for l, law in enumerate(self.laws):
+            CNM[l, [*range(law.n_elements), -1]] = law.CNM[:, :, 0]
+        self.CNM = np.ascontiguousarray(CNM[index].transpose(1, 2, 0, 3))
+        self.mu = np.array([[law.mu] for law in self.laws])[index]
+        self.inertia = np.array([law.inertia for law in self.laws])[index]
+        self._steps = {}
 
-def effective_stiffness(law: SectionLaw, h: float) -> np.ndarray:
-    """Effective diagonals of the law time-discretized with steps of size
-    ``h``, stacked (4, 1, 3) like ``CNM``: CN_bar on Gam and Gam,s, CM_bar on
-    Kap and Kap,s (cached on the law, read-only)."""
-    cached = law._cache.get(h)
-    if cached is None:
-        c = trapezoidal_coeffs(law.taus, h)[0][:, None, None, None]
-        Cv = law.CNM[:-1]
-        cached = _store(law, h, (law.CNM[-1] + Cv.sum(axis=0)
-                                 - (c * Cv).sum(axis=0),))
-    return cached[0]
-
-
-def _point_coefficients(law: SectionLaw, h: float, n: int
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """The trapezoidal coefficients (c, d) spelled out to the full
-    (m, 4, n, 3) shape of the viscous arrays of n points (cached, read-only).
-
-    The history updates then multiply arrays of one shape, which numpy does
-    without setting up a broadcast; on arrays of a few points that set-up
-    costs more than the arithmetic.
-    """
-    cached = law._cache.get((h, n))
-    if cached is None:
-        shape = (law.n_elements, 4, n, 3)
-        cached = _store(law, (h, n), tuple(
-            np.broadcast_to(x[:, None, None, None], shape).copy()
-            for x in trapezoidal_coeffs(law.taus, h)))
-    return cached
-
-
-def _branch_moduli(law: SectionLaw, n: int) -> np.ndarray:
-    """The branch moduli CNv and CMv of ``CNM`` spelled out to the full
-    (m, 4, n, 3) shape of the viscous arrays of n points (cached,
-    read-only), like ``_point_coefficients``."""
-    cached = law._cache.get(("moduli", n))
-    if cached is None:
-        cached = _store(law, ("moduli", n), (np.broadcast_to(
-            law.CNM[:-1], (law.n_elements, 4, n, 3)).copy(),))
-    return cached[0]
+    def at_step(self, h: float) -> tuple:
+        """The effective stiffness (4, n, 3) of steps of size ``h``, CN_bar
+        on Gam and Gam,s and CM_bar on Kap and Kap,s, and the trapezoidal
+        coefficients (c, d) of every law gathered to the (m, 4, n, 3) shape
+        of the viscous arrays, which numpy multiplies without setting up a
+        broadcast (cached per step size, read-only)."""
+        cached = self._steps.get(h)
+        if cached is None:
+            cd = np.zeros((2, len(self.laws), self.m))
+            for l, law in enumerate(self.laws):
+                cd[:, l, :law.n_elements] = trapezoidal_coeffs(law.taus, h)
+            c, d = np.broadcast_to(cd[:, self.index].transpose(0, 2, 1)[
+                ..., None, :, None], (2, self.m, 4, len(self.index), 3)).copy()
+            Cv = self.CNM[:-1]
+            cached = (self.CNM[-1] + Cv.sum(axis=0) - (c * Cv).sum(axis=0),
+                      c, d)
+            for a in cached:
+                a.setflags(write=False)
+            self._steps[h] = cached
+        return cached
 
 
 class ViscousState:
@@ -240,31 +228,30 @@ class ViscousState:
         out.beta[...] = self.beta
         return out
 
-    def history(self, law: SectionLaw) -> np.ndarray:
+    def history(self, law: PointLaws) -> np.ndarray:
         """The Maxwell history sums sum_a C_a beta_a of the four channels,
         stacked (4, n, 3) like the strains: CNv on Gam and Gam,s, CMv on Kap
         and Kap,s.  The products are taken on arrays of one shape, which
         numpy does without setting up a broadcast, and added branch by
         branch in branch order."""
-        work = np.multiply(_branch_moduli(law, self.n), self.beta,
-                           self._work[:-1])
+        work = np.multiply(law.CNM[:-1], self.beta, self._work[:-1])
         return np.add.reduce(work, axis=0)
 
 
-def compute_beta(law: SectionLaw, state: ViscousState, strains: np.ndarray,
+def compute_beta(law: PointLaws, state: ViscousState, strains: np.ndarray,
                  h: float) -> None:
     """Refresh the history terms of ``state`` for a step of size ``h``.
 
     ``strains`` are the stacked total strains (4, n, 3) at the step start;
     the state's branch strains must correspond to the same instant.
     """
-    c, d = _point_coefficients(law, h, state.n)
+    _, c, d = law.at_step(h)
     S = np.multiply(c, strains, state._work[:-1])
     beta = np.multiply(d, state.branch, state.beta)
     np.add(beta, S, beta)
 
 
-def update_viscous_state(law: SectionLaw, state: ViscousState,
+def update_viscous_state(law: PointLaws, state: ViscousState,
                          strains: np.ndarray, h: float) -> None:
     """Advance the branch strains to the step end using the stored betas.
 
@@ -272,12 +259,11 @@ def update_viscous_state(law: SectionLaw, state: ViscousState,
     step end; the betas in ``state`` must have been computed at the step
     start.
     """
-    branch = np.multiply(_point_coefficients(law, h, state.n)[0], strains,
-                         state.branch)
+    branch = np.multiply(law.at_step(h)[1], strains, state.branch)
     np.add(branch, state.beta, branch)
 
 
-def internal_forces(law: SectionLaw, strains: np.ndarray,
+def internal_forces(law: PointLaws, strains: np.ndarray,
                     state: ViscousState) -> np.ndarray:
     """Material resultants (N, N,s, M, M,s), stacked (4, n, 3), of the
     stacked total strains ``strains`` (4, n, 3).

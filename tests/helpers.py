@@ -7,7 +7,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from gebvisc import so3
-from gebvisc.assembly import EndGroup, PatchSlot
+from gebvisc.assembly import EndGroup
 from gebvisc.beam_residual import (CollocationState, residual_force,
                                    residual_moment, section_state,
                                    tangent_blocks_force,
@@ -21,14 +21,19 @@ from gebvisc.model import (END, START, SUPPORT_KINDS, BeamModel,
 from gebvisc.splines import (KnotVector, NurbsCurve, basis_eval_many,
                              basis_matrices, eval_many, greville,
                              interpolate_curve)
-from gebvisc.viscoelastic import (SectionGeometry, build_section_law,
-                                  trapezoidal_coeffs)
+from gebvisc.viscoelastic import (PointLaws, SectionGeometry,
+                                  build_section_law, trapezoidal_coeffs)
 
 
 def unit_law(elements=((2.0, 0.5), (1.0, 0.05)), nu=0.3):
     """Section law with O(1) entries for well-conditioned FD checks."""
     geo = SectionGeometry(A=1.0, A2=0.8, A3=0.9, Jt=0.5, J2=0.3, J3=0.4)
     return build_section_law(1.0, nu, elements, geo, rho=1.0)
+
+
+def point_laws(law, n):
+    """The per-point table of n points that all follow ``law``."""
+    return PointLaws([law], np.zeros(n, dtype=int))
 
 
 def straight_frames(n, length=1.0, axis=1):
@@ -52,7 +57,8 @@ def straight_frames(n, length=1.0, axis=1):
 
 
 def random_state(law, n, h, rng, theta_scale=0.5):
-    """Fully populated random-but-plausible state for tangent checks."""
+    """Fully populated random-but-plausible state for tangent checks; ``law``
+    is the per-point table of the n points."""
     st = CollocationState(straight_frames(n), law)
     st.c = rng.normal(size=(n, 3))
     st.c_s = rng.normal(size=(n, 3)) * 0.3 + st.c_s
@@ -67,7 +73,7 @@ def random_state(law, n, h, rng, theta_scale=0.5):
     # one strain channel at a time
     for stack in (st.visc.branch, st.visc.beta):
         for k in range(4):
-            stack[:, k] = rng.normal(size=(law.n_elements, n, 3)) * 0.2
+            stack[:, k] = rng.normal(size=(law.m, n, 3)) * 0.2
     # accumulated increments and starred channels; kinematics follow from them
     st.eta = rng.normal(size=(n, 3)) * 0.1
     Th = rng.normal(size=(n, 3))
@@ -197,10 +203,10 @@ def interpolate_function(fn, degree: int, n: int) -> NurbsCurve:
 
 
 def patch_end(sim, k: int, end: str):
-    """(law-stack state, stacked point index) of the end ``end`` of patch
-    ``k`` of a simulation."""
-    patch, rt, pts = sim.runtimes[k]
-    return rt.state, pts.start + patch.end_index(end)
+    """(state, point index) of the end ``end`` of patch ``k`` of a
+    simulation."""
+    return (sim.runtime.state,
+            sim.runtimes[k].start + sim.model.patches[k].end_index(end))
 
 
 def end_row(kernel, state, sec, pts, *args):
@@ -283,15 +289,13 @@ def assembling_newton(sim):
             delta = sim._solve(A.data, rhs)
             inc_norm = np.abs(delta).max()
             sim.total_iterations += 1
-            acc = 1.0
-            d = delta.reshape(-1, 6)
-            for rt in sim.stacks:
-                f0, f1, f2 = rt.interp(d)
-                apply_increment(rt.state, f0[:, :3], f1[:, :3], f2[:, :3],
-                                f0[:, 3:], f1[:, 3:], f2[:, 3:], h)
-                rt.ctrl += d[rt.points, :3]
-                acc = max(acc, np.abs(rt.state.eta).max(),
-                          np.abs(rt.state.Theta).max())
+            d, rt = delta.reshape(-1, 6), sim.runtime
+            f0, f1, f2 = rt.interp(d)
+            apply_increment(rt.state, f0[:, :3], f1[:, :3], f2[:, :3],
+                            f0[:, 3:], f1[:, 3:], f2[:, 3:], h)
+            rt.ctrl += d[:, :3]
+            acc = max(1.0, np.abs(rt.state.eta).max(),
+                      np.abs(rt.state.Theta).max())
             if inc_norm <= s.tol_increment * acc:
                 report.converged = True
                 break
@@ -360,10 +364,11 @@ def joint_mismatch(sim) -> tuple[float, float]:
     for joint in sim.model.joints:
         x, Q = [], []
         for k, end in joint.ends:
-            patch, rt, pts = sim.runtimes[k]
+            patch, rt = sim.model.patches[k], sim.runtime
             i = patch.end_index(end)
-            x.append(rt.ctrl[pts.start + i])
-            Q.append(rt.state.R[pts.start + i] @ patch.frames.R0[i].T)
+            x.append(rt.ctrl[sim.runtimes[k].start + i])
+            Q.append(rt.state.R[sim.runtimes[k].start + i]
+                     @ patch.frames.R0[i].T)
         dx = max(dx, np.linalg.norm(np.array(x) - x[0], axis=-1).max())
         dR = max(dR, np.abs(np.array(Q) - Q[0]).max())
     return dx, dR
@@ -712,22 +717,21 @@ def oracle_system(sim, h, res):
     reduced first.  ``res`` is left as it is."""
     rows, cols, values = [], [], []
     _, fm, dr, a, b, _ = np.indices((1, 2, 2, 3, 3, 1), sparse=True)
-    for rt, sec in zip(sim.stacks, res.sections):
-        st, law = rt.state, rt.law
-        C = np.concatenate((tangent_blocks_force(st, law, sec, h)[:, None],
-                            tangent_blocks_moment(st, law, sec, h)[:, None]),
-                           axis=1)
-        for k, pts in zip(rt.patches, rt.pts):
-            p, first = sim.model.patches[k], sim.offsets[k] // 6
-            phi = np.stack([p.phi0, p.phi1, p.phi2], axis=1)
-            for i in range(1, p.n - 1):
-                values.append(np.einsum("rcdab,dk->rcabk", C[pts.start + i],
-                                        phi[i]).reshape(-1))
-                r, c = np.broadcast_arrays(
-                    6 * (first + i) + 3 * fm + a,
-                    6 * (first + p.support_idx[i]) + 3 * dr + b)
-                rows.append(r.reshape(-1))
-                cols.append(c.reshape(-1))
+    st, law, sec = sim.runtime.state, sim.runtime.law, res.section
+    C = np.concatenate((tangent_blocks_force(st, law, sec, h)[:, None],
+                        tangent_blocks_moment(st, law, sec, h)[:, None]),
+                       axis=1)
+    for p, pts in zip(sim.model.patches, sim.runtimes):
+        first = pts.start
+        phi = np.stack([p.phi0, p.phi1, p.phi2], axis=1)
+        for i in range(1, p.n - 1):
+            values.append(np.einsum("rcdab,dk->rcabk", C[first + i],
+                                    phi[i]).reshape(-1))
+            r, c = np.broadcast_arrays(
+                6 * (first + i) + 3 * fm + a,
+                6 * (first + p.support_idx[i]) + 3 * dr + b)
+            rows.append(r.reshape(-1))
+            cols.append(c.reshape(-1))
     blk = np.empty((len(sim._slots), 4, 2, 3, 6))
     for ends, k, make in res.blocks:
         blk[ends, k] = make()
@@ -902,9 +906,9 @@ PLAN_ARRAYS = ("_rows", "_cols", "_dest", "_bands", "_band", "_packed",
                "_fill", "_separator", "_slots", "_end_rows", "_end_phi",
                "_end_R", "_end_unit", "_end_of_value", "_runs", "_balance",
                "_balance_force", "_balance_moment", "_continuity", "_fixed",
-               "_clamped", "_end_groups", "_end_c0", "_end_R0")
-#: the plan arrays of each of its stacks
-STACK_PLAN_ARRAYS = ("points", "patch_of_point", "pts", "interior", "_interp")
+               "_clamped", "_end_groups", "_end_c0", "_end_R0", "runtimes")
+#: the plan arrays of its runtime
+RUNTIME_PLAN_ARRAYS = ("ends", "patch_of_point", "interior", "_interp")
 
 
 def assert_plan_equal(actual, expected, where="plan"):
@@ -934,7 +938,7 @@ def assert_plan_equal(actual, expected, where="plan"):
 
 
 def assert_plan_matches_oracle(sim):
-    """Every plan array of ``sim`` and of each of its stacks equals that of
+    """Every plan array of ``sim`` and of its runtime equals that of
     ``oracle_plan`` on its model, and so do the end and component that each
     load and motion history acts on."""
     oracle = oracle_plan(sim.model)
@@ -944,44 +948,39 @@ def assert_plan_matches_oracle(sim):
             == [(g, ch) for g, ch, _ in oracle._histories])
     assert all(h is ref for (_, _, h), (_, _, ref) in zip(sim._histories,
                                                           oracle._histories))
-    assert len(sim.stacks) == len(oracle.stacks)
-    for s, (rt, ref) in enumerate(zip(sim.stacks, oracle.stacks)):
-        assert rt.patches == ref.patches
-        for name in STACK_PLAN_ARRAYS:
-            assert_plan_equal(getattr(rt, name), getattr(ref, name),
-                              f"stacks[{s}].{name}")
+    for name in RUNTIME_PLAN_ARRAYS:
+        assert_plan_equal(getattr(sim.runtime, name),
+                          getattr(oracle.runtime, name), f"runtime.{name}")
 
 
-class _OracleStack:
-    """The stencil plan of one law stack, one patch at a time."""
+class _OracleRuntime:
+    """The stencil plan of every patch of a model, one patch at a time."""
 
-    def __init__(self, model, patches, first):
-        members = [model.patches[k] for k in patches]
-        self.patches = patches
-        start = np.cumsum([0] + [p.n for p in members])
-        self.pts = [slice(a, b) for a, b in zip(start[:-1], start[1:])]
-        self.points = np.concatenate([first[k] + np.arange(p.n)
-                                      for k, p in zip(patches, members)])
-        self.patch_of_point = np.repeat(patches, np.diff(start))
+    def __init__(self, model, first):
+        members = model.patches
+        self.ends = np.array([[first[k], first[k + 1] - 1]
+                              for k in range(len(members))]).ravel()
+        self.patch_of_point = np.concatenate(
+            [np.full(p.n, k) for k, p in enumerate(members)])
         phi = [np.stack([p.phi0, p.phi1, p.phi2], axis=1) for p in members]
-        cols = [first[k] + p.support_idx for k, p in zip(patches, members)]
+        cols = [first[k] + p.support_idx for k, p in enumerate(members)]
         indptr = np.cumsum([0] + [c.shape[1] for c in cols for _ in c] * 3)
         self._interp = sp.csr_matrix(
             (np.concatenate([f[:, d].ravel() for d in range(3) for f in phi]),
              np.concatenate([c.ravel() for c in cols] * 3), indptr),
-            shape=(3 * len(self.points), first[-1]))
+            shape=(3 * first[-1], first[-1]))
         self.interior = []
         for width in sorted({c.shape[1] for c in cols}):
             js = [j for j, c in enumerate(cols) if c.shape[1] == width]
-            sel = np.concatenate([np.arange(start[j] + 1, start[j + 1] - 1)
+            sel = np.concatenate([np.arange(first[j] + 1, first[j + 1] - 1)
                                   for j in js])
-            self.interior.append((sel, self.points[sel], np.ascontiguousarray(
+            self.interior.append((sel, np.ascontiguousarray(
                 np.concatenate([phi[j][1:-1] for j in js]).transpose(1, 2, 0)),
                 np.concatenate([cols[j][1:-1] for j in js])))
 
 
 def oracle_plan(model: BeamModel):
-    """Oracle for the plan of ``Simulation(model)``: the stacks' stencils
+    """Oracle for the plan of ``Simulation(model)``: the runtime's stencils
     gathered one patch at a time, the end stencils one end at a time, the
     end values of each source found by a (sources x stencil points) mask,
     and the solve's packed columns filled from a (values x packed columns)
@@ -991,13 +990,9 @@ def oracle_plan(model: BeamModel):
     first = np.cumsum([0] + [p.n for p in model.patches])
     plan.offsets = 6 * first[:-1]
     plan.ndof = int(6 * first[-1])
-    groups = {}
-    for k, p in enumerate(model.patches):
-        groups.setdefault(id(p.law), []).append(k)
-    plan.stacks = [_OracleStack(model, ks, first) for ks in groups.values()]
-    slots = {k: PatchSlot(model.patches[k], rt, pts)
-             for rt in plan.stacks for k, pts in zip(rt.patches, rt.pts)}
-    plan.runtimes = [slots[k] for k in range(len(model.patches))]
+    plan.runtime = _OracleRuntime(model, first)
+    plan.runtimes = [slice(first[k], first[k + 1])
+                     for k in range(len(model.patches))]
     plan._supported = {(s.patch, s.end): s for s in model.supports}
     _oracle_plan_pattern(plan, _oracle_plan_boundary(plan))
     _oracle_plan_solve(plan)
@@ -1005,12 +1000,11 @@ def oracle_plan(model: BeamModel):
 
 
 def _oracle_plan_boundary(self):
-    keys = [(k, end) for k in range(len(self.runtimes))
-            for end in (START, END)]
+    patches = self.model.patches
+    keys = [(k, end) for k in range(len(patches)) for end in (START, END)]
     gid = {key: g for g, key in enumerate(keys)}
     n = len(keys)
-    at = [(self.runtimes[k], end) for k, end in keys]
-    index = np.array([patch.end_index(end) for (patch, _, _), end in at])
+    index = np.array([patches[k].end_index(end) for k, end in keys])
     self._slots = self.offsets.repeat(2) // 6 + index
     applied = [(gid[el.patch, el.end], (el.force, el.moment))
                for el in self.model.end_loads]
@@ -1029,20 +1023,19 @@ def _oracle_plan_boundary(self):
     m = len(follow)
     end_of, phi, cols = [], [], []
     for g in range(n):
-        p, i = self.runtimes[g // 2].patch, index[g]
+        p, i = patches[g // 2], index[g]
         f = np.stack([p.phi0[i], p.phi1[i]], axis=-1)
         on = f.any(axis=1)
         end_of += [g] * on.sum()
         phi.append(f[on])
         cols.append(self.offsets[g // 2] + 6 * p.support_idx[i][on])
 
-    of_stack = np.array([self.stacks.index(rt) for (_, rt, _), _ in at])
-    pts = np.array([pts.start for (_, _, pts), _ in at]) + index
-    sign = np.array([-1.0 if end == START else 1.0 for _, end in at])
-    self._end_c0 = np.array([patch.end_position(end)
-                             for (patch, _, _), end in at])
-    self._end_R0 = np.array([patch.frames.R0[i]
-                             for ((patch, _, _), _), i in zip(at, index)])
+    pts = np.array([self.runtimes[k].start for k, _ in keys]) + index
+    sign = np.array([-1.0 if end == START else 1.0 for _, end in keys])
+    self._end_c0 = np.array([patches[k].end_position(end)
+                             for k, end in keys])
+    self._end_R0 = np.array([patches[k].frames.R0[i]
+                             for (k, _), i in zip(keys, index)])
     held = [None if s is None else SUPPORT_KINDS[s.kind]
             for s in map(self._supported.get, keys)]
     supported = np.array([k is not None for k in held])
@@ -1054,16 +1047,13 @@ def _oracle_plan_boundary(self):
     self._separator = (6 * self._slots[jointed & leading, None]
                        + np.arange(6)).reshape(-1)
 
-    def groups(mask):
-        out = []
-        for s in range(len(self.stacks)):
-            g = np.flatnonzero(mask & (of_stack == s))
-            out.append(EndGroup(g, pts[g], sign[g]) if len(g) else None)
-        return out
+    def group(mask):
+        g = np.flatnonzero(mask)
+        return EndGroup(g, pts[g], sign[g])
 
-    self._end_groups = list(zip(
-        groups(np.ones(n, dtype=bool)), groups(~jointed & ~supported),
-        groups(~jointed & ~clamped), groups(member), groups(jointed)))
+    self._end_groups = (group(~jointed & ~supported),
+                        group(~jointed & ~clamped), group(member),
+                        group(jointed))
     self._histories = [(g, ch, history) for g, histories in applied
                        for ch, history in enumerate(histories)
                        if history is not None]
@@ -1128,9 +1118,8 @@ def _oracle_plan_pattern(self, end):
         rows.append(r.reshape(-1))
         cols.append(c.reshape(-1))
 
-    for rt in self.stacks:
-        for _, points, _, ctrl in rt.interior:
-            add(6 * points + 3 * fm + a, 6 * ctrl.T + 3 * dr + b)
+    for points, _, ctrl in self.runtime.interior:
+        add(6 * points + 3 * fm + a, 6 * ctrl.T + 3 * dr + b)
     if np.isin(end[0], np.concatenate(rows)).any():
         raise RuntimeError("an end entry lies on an interior row")
     add(*end)

@@ -34,9 +34,9 @@ from gebvisc.viscoelastic import (SectionGeometry, ViscousState,
                                   trapezoidal_coeffs, update_viscous_state)
 
 from helpers import (apply_blocks, apply_end_blocks, force_residual,
-                     joint_mismatch, moment_residual, one_end, random_state,
-                     relative_error, rotated_model, superpose_rotation,
-                     unit_law)
+                     joint_mismatch, moment_residual, one_end, point_laws,
+                     random_state, relative_error, rotated_model,
+                     superpose_rotation, unit_law)
 
 
 def ok(criterion, detail):
@@ -80,15 +80,15 @@ class TestCriterion1:
         h = law.taus.min() / 100.0
         T = min(5.0 * law.taus.max(), 10.0)
         n_steps = int(round(T / h))
-        st = ViscousState(law.n_elements, 1)
+        st, pl = ViscousState(law.n_elements, 1), point_laws(law, 1)
         # the stacked strains (Gam, Gam,s, Kap, Kap,s) of a held unit stretch
         S = np.zeros((4, 1, 3))
         S[0, 0, 0] = 1.0
         Ns = np.empty(n_steps)
         for k in range(n_steps):
-            compute_beta(law, st, S, h)
-            update_viscous_state(law, st, S, h)
-            Ns[k] = internal_forces(law, S, st)[0, 0, 0]
+            compute_beta(pl, st, S, h)
+            update_viscous_state(pl, st, S, h)
+            Ns[k] = internal_forces(pl, S, st)[0, 0, 0]
         t = h * np.arange(1, n_steps + 1)
         exact = law.CN_inf[0] + (law.CNv[:, 0, None]
                                  * np.exp(-t[None] / law.taus[:, None])).sum(0)
@@ -153,9 +153,9 @@ class TestCriterion4:
 
     def test_tangent_fd_agreement(self):
         rng = np.random.default_rng(100)
-        law = unit_law()
         eps = 1e-6
         n = 100
+        law = point_laws(unit_law(), n)
         st = random_state(law, n, self.H, rng)
         n_dist = rng.normal(size=(n, 3))
         m_dist = rng.normal(size=(n, 3))
@@ -204,8 +204,7 @@ class TestCriterion4:
         sim = Simulation(model, NewtonSettings(tol_increment=1e-14,
                                                max_iterations=40))
         time_march(sim, 0.25, 5e-3)
-        for rt in sim.stacks:
-            begin_step(rt.state, rt.law, 5e-3)
+        begin_step(sim.runtime.state, sim.runtime.law, 5e-3)
         rep = sim.newton(5e-3, sim.t + 5e-3)
         r = np.array([x for x in rep.residual_norms if x > 0])
         assert len(r) >= 3
@@ -237,7 +236,7 @@ class TestCriterion5:
         G_inf = E_inf / (2 * (1 + nu))
         exact = -(F * L ** 3 / (3 * E_inf * I) + F * L / (G_inf * A))
         # strain stays small as required
-        kappa_max = max(np.abs(kin(rt.state)[2][2]).max() for rt in sim.stacks)
+        kappa_max = np.abs(kin(sim.runtime.state)[2][2]).max()
         assert kappa_max * side / 2 < 1e-4
         rel = abs(u3 - exact) / abs(exact)
         wall = time.perf_counter() - start
@@ -295,9 +294,8 @@ class TestCriterion7:
         sim.set_initial_velocity(v0)
         traj = time_march(sim, 0.2, 1e-2)
         err = np.abs(traj.probes["mid"] - np.outer(traj.times, v0)).max()
-        strain = max(max(np.abs(kin(rt.state)[2][0]).max(),
-                         np.abs(kin(rt.state)[2][2]).max())
-                     for rt in sim.stacks)
+        strains = kin(sim.runtime.state)[2]
+        strain = max(np.abs(strains[0]).max(), np.abs(strains[2]).max())
         assert err < 1e-12
         assert strain < 1e-12
         ok("7-flight", f"free flight error {err:.1e}, strain {strain:.1e}")
@@ -316,7 +314,7 @@ class TestCriterion7:
 
     def test_frame_indifference(self):
         rng = np.random.default_rng(200)
-        law = unit_law()
+        law = point_laws(unit_law(), 10)
         h = 0.02
         st = random_state(law, 10, h, rng)
         n_dist = rng.normal(size=(10, 3))
@@ -343,8 +341,8 @@ class TestCriterion7:
             loads=[DistributedLoad(0, LoadHistory.constant([0, 0, -0.8475]))])
         sim = Simulation(model)
         time_march(sim, 10_000 * 2e-4, 2e-4)
-        drift = max(np.abs(np.swapaxes(rt.state.R, -1, -2) @ rt.state.R
-                           - np.eye(3)).max() for rt in sim.stacks)
+        R = sim.runtime.state.R
+        drift = np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)).max()
         assert drift < 1e-10
         ok("7-drift", f"orthonormality drift {drift:.1e} after 10^4 steps")
 

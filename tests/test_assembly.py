@@ -16,7 +16,7 @@ from gebvisc.model import (BeamModel, DistributedLoad, EndLoad, Joint,
 from gebvisc.scenarios import build_scenario
 from gebvisc.splines import KnotVector, greville, interpolate_curve, line_curve
 from gebvisc.viscoelastic import SectionGeometry, build_section_law
-from helpers import (PLAN_ARRAYS, STACK_PLAN_ARRAYS, assembling_newton,
+from helpers import (PLAN_ARRAYS, RUNTIME_PLAN_ARRAYS, assembling_newton,
                      assert_bitwise, assert_plan_matches_oracle, dense_solve,
                      fd_tangent_blocks_force, fd_tangent_blocks_moment,
                      mmd_solve, one_end, oracle_system, patch_end,
@@ -91,8 +91,7 @@ def predictor_system(sim, steps, h):
     the predictor of the next one."""
     if steps:
         time_march(sim, steps * h, h)
-    for rt in sim.stacks:
-        begin_step(rt.state, rt.law, h)
+    begin_step(sim.runtime.state, sim.runtime.law, h)
     return sim.assemble(h, sim.t + h)
 
 
@@ -158,13 +157,12 @@ class TestStacking:
     def test_two_laws_match_recorded(self):
         h = 1e-3
         sim = Simulation(two_law_model())
-        assert [rt.patches for rt in sim.stacks] == [[0, 2], [1, 3]]
+        assert len(sim.runtime.law.laws) == 2
         # the recorded probes pin the rounding of the march's solves, which
         # were dense LAPACK solves at 180 unknowns when they were recorded
         sim._solve = value_solve(sim, dense_solve)
         traj = time_march(sim, 3 * h, h)
-        for rt in sim.stacks:
-            begin_step(rt.state, rt.law, h)
+        begin_step(sim.runtime.state, sim.runtime.law, h)
         A, rhs = sim.assemble(h, sim.t + h)
         A = recorded_form(sim, A)
         ref = np.load(self.REFERENCE)
@@ -207,6 +205,8 @@ class TestStacking:
 
     @pytest.mark.parametrize("model", ["lattice", "two_law"])
     def test_kernels_run_once_per_law_stack(self, model, monkeypatch):
+        # one collocation state holds every patch and law: each kernel runs
+        # once per residual pass, system, iteration or step
         sim = self.stacked_sim(model)
         calls, counted = self.counter(monkeypatch)
         counted(sim, "assemble")
@@ -218,59 +218,56 @@ class TestStacking:
                      "apply_increment", "begin_step", "commit_step") \
                 + end_kernels:
             counted(assembly, name)
-        stacks = len({id(p.law) for p in sim.model.patches})
-        assert len(sim.stacks) == stacks
+        assert len(sim.runtime.law.laws) == (2 if model == "two_law" else 1)
         h = 5e-3
         sim.assemble(h, h)
         # both models have joint ends; each end kernel runs at most once
-        # per stack
         end_calls = {name: calls.pop(name, 0) for name in end_kernels}
-        assert 0 < end_calls["end_force_spatial"] <= stacks
-        assert max(end_calls.values()) <= stacks
+        assert end_calls["end_force_spatial"] == 1
+        assert max(end_calls.values()) == 1
         assert calls == {"assemble": 1, "_system": 1, **dict.fromkeys(
             ["residual_force", "residual_moment", "tangent_blocks_force",
-             "tangent_blocks_moment"], stacks)}
+             "tangent_blocks_moment"], 1)}
         calls.clear()
         sim.advance(h)
         assert sim.total_iterations > 0
         # a converged check evaluates the residual and end kernels without
-        # a system: those run at most once per stack per residual
-        # evaluation, the tangent kernels once per stack per system
-        evaluations, rest = divmod(calls["residual_force"], stacks)
-        assert rest == 0 and calls["residual_moment"] == calls["residual_force"]
-        assert calls["tangent_blocks_force"] == stacks * calls["_system"]
-        assert calls["tangent_blocks_moment"] == stacks * calls["_system"]
+        # a system: those run at most once per residual evaluation, the
+        # tangent kernels once per system
+        evaluations = calls["residual_force"]
+        assert calls["residual_moment"] == evaluations
+        assert calls["tangent_blocks_force"] == calls["_system"]
+        assert calls["tangent_blocks_moment"] == calls["_system"]
         for name in end_kernels:
-            assert calls.get(name, 0) <= stacks * evaluations
-        assert calls["apply_increment"] == stacks * sim.total_iterations
-        assert calls["begin_step"] == calls["commit_step"] == stacks
+            assert calls.get(name, 0) <= evaluations
+        assert calls["apply_increment"] == sim.total_iterations
+        assert calls["begin_step"] == calls["commit_step"] == 1
 
     @pytest.mark.parametrize("model", ["lattice", "two_law"])
     def test_section_evaluated_once_per_law_stack(self, model, monkeypatch):
         # the kinematics, the Maxwell history sums and the effective
-        # stiffness of a stack are evaluated once per assembly, for its
-        # interior and its end kernels alike
+        # stiffness are evaluated once per assembly, for the interior and
+        # the end kernels alike, whatever the number of laws
         from gebvisc import beam_residual
-        from gebvisc.viscoelastic import ViscousState
+        from gebvisc.viscoelastic import PointLaws, ViscousState
         sim = self.stacked_sim(model)
         calls, counted = self.counter(monkeypatch)
-        for name in ("kin", "effective_stiffness"):
-            counted(beam_residual, name)
+        counted(beam_residual, "kin")
+        counted(PointLaws, "at_step")
         counted(ViscousState, "history")
         sim.assemble(5e-3, 5e-3)
-        assert calls == dict.fromkeys(
-            ["kin", "effective_stiffness", "history"], len(sim.stacks))
+        assert calls == dict.fromkeys(["kin", "at_step", "history"], 1)
 
     @pytest.mark.parametrize("model", ["lattice", "two_law"])
     def test_skew_calls_per_law_stack(self, model, monkeypatch):
         # the section pass makes every skew matrix the kernels read in one
-        # call per stack; only the Neumann rows skew their end loads apart
+        # call; only the Neumann rows skew their end loads apart
         from gebvisc import so3
         sim = self.stacked_sim(model)
         calls, counted = self.counter(monkeypatch)
         counted(so3, "skew")
         sim.assemble(5e-3, 5e-3)
-        assert len(sim.stacks) <= calls["skew"] <= 3 * len(sim.stacks)
+        assert 1 <= calls["skew"] <= 3
 
 
 class TestRowKinds:
@@ -398,7 +395,7 @@ class TestSolve:
         for joint in model.joints:
             ends = [tuple(e) for e in joint.ends]
             k, end = next((e for e in ends if e in supported), ends[0])
-            leads.append(sim.offsets[k] // 6
+            leads.append(sim.runtimes[k].start
                          + model.patches[k].end_index(end))
         assert len(sim._separator) == 6 * len(model.joints)
         blocks = sim._separator.reshape(-1, 6)
@@ -521,7 +518,7 @@ PLAN_MODELS = {
 
 
 def plan_bytes(sim):
-    """Bytes of the plan arrays of ``sim`` and of its stacks."""
+    """Bytes of the plan arrays of ``sim`` and of its runtime."""
     def nbytes(x):
         if isinstance(x, np.ndarray):
             return x.nbytes
@@ -531,8 +528,8 @@ def plan_bytes(sim):
             return nbytes((x.data, x.indices, x.indptr))
         return 0
     return nbytes([getattr(sim, name) for name in PLAN_ARRAYS]
-                  + [getattr(rt, name) for rt in sim.stacks
-                     for name in STACK_PLAN_ARRAYS])
+                  + [getattr(sim.runtime, name)
+                     for name in RUNTIME_PLAN_ARRAYS])
 
 
 class TestPlan:
@@ -611,11 +608,10 @@ class TestSystemStructure:
     def test_values_match_oracle(self, make, h):
         # every planned entry gets the bits of the point-by-point contraction
         # and equilibration, at the predictor after three steps; the two
-        # laws' stacks each mix the stencil widths of degrees 3 and 4
+        # laws each hold a patch of degree 3 and one of degree 4
         sim = Simulation(make())
         time_march(sim, 3 * h, h)
-        for rt in sim.stacks:
-            begin_step(rt.state, rt.law, h)
+        begin_step(sim.runtime.state, sim.runtime.law, h)
         res = sim._residual(h, sim.t + h)
         rows, cols, expected, expected_rhs = oracle_system(sim, h, res)
         values, rhs = sim._system(h, res)
@@ -664,12 +660,11 @@ class TestSystemStructure:
                                                  [0, 0, F]))])
         sim = Simulation(model)
         h = 1e6  # statics limit: inertia terms negligible
-        for rt in sim.stacks:
-            begin_step(rt.state, rt.law, h)
+        begin_step(sim.runtime.state, sim.runtime.law, h)
         report = sim.newton(h, h)
         assert report.converged
         state, j = patch_end(sim, 0, "end")
-        tip = state.c[j] - sim.runtimes[0].patch.frames.c0[-1]
+        tip = state.c[j] - sim.model.patches[0].frames.c0[-1]
         I = np.pi * 0.05 ** 4 / 64
         A_sec = np.pi * 0.05 ** 2 / 4
         G = E / (2 * (1 + nu))
@@ -701,8 +696,7 @@ class TestNewton:
         model = BeamModel(model.patches, supports=model.supports, loads=[],
                           probes=[])  # no load: quiescent
         sim = Simulation(model)
-        for rt in sim.stacks:
-            begin_step(rt.state, rt.law, 1e-3)
+        begin_step(sim.runtime.state, sim.runtime.law, 1e-3)
         report = sim.newton(1e-3, 1e-3)
         assert report.converged
         assert sim.total_iterations == 0
@@ -737,8 +731,7 @@ class TestNewton:
         for name in ("residual_force", "tangent_blocks_force"):
             counted(assembly, name)
         traj = time_march(sim, steps * h, h)
-        assert calls["tangent_blocks_force"] == \
-            len(sim.stacks) * calls["_system"]
+        assert calls["tangent_blocks_force"] == calls["_system"]
         assert calls["tangent_blocks_force"] < calls["residual_force"]
         assert traj.iterations == expected.iterations
         assert_bitwise(traj.probes["tip"], expected.probes["tip"])
@@ -774,8 +767,7 @@ class TestNewton:
                          NewtonSettings(tol_increment=1e-13,
                                         max_iterations=30))
         traj = time_march(sim, 0.05, 5e-3)
-        for rt in sim.stacks:
-            begin_step(rt.state, rt.law, 5e-3)
+        begin_step(sim.runtime.state, sim.runtime.law, 5e-3)
         report = sim.newton(5e-3, sim.t + 5e-3)
         r = np.array(report.residual_norms)
         r = r[r > 1e-14]
@@ -819,9 +811,9 @@ class TestExactness:
         traj = time_march(sim, n_steps * h, h)
         expect = np.outer(traj.times, v0)
         assert np.abs(traj.probes["mid"] - expect).max() < 1e-12
-        for rt in sim.stacks:
-            assert np.abs(kin(rt.state)[2][0]).max() < 1e-12
-            assert np.abs(kin(rt.state)[2][2]).max() < 1e-12
+        strains = kin(sim.runtime.state)[2]
+        assert np.abs(strains[0]).max() < 1e-12
+        assert np.abs(strains[2]).max() < 1e-12
 
     def test_quiescent_persistence(self):
         law = pendulum_law()
@@ -892,14 +884,13 @@ class TestJoints:
                                force=LoadHistory.constant([0, 0, 1e-3]))])
         sim = Simulation(model)
         h = 1e6
-        for rt in sim.stacks:
-            begin_step(rt.state, rt.law, h)
+        begin_step(sim.runtime.state, sim.runtime.law, h)
         report = sim.newton(h, h)
         assert report.converged
         from gebvisc.beam_residual import end_force_spatial
         (sa, ja), (sb, jb) = patch_end(sim, 0, "end"), patch_end(sim, 1, "start")
-        fa, _ = one_end(end_force_spatial, sa, law, h, ja, +1.0)
-        fb, _ = one_end(end_force_spatial, sb, law, h, jb, -1.0)
+        fa, _ = one_end(end_force_spatial, sa, sim.runtime.law, h, ja, +1.0)
+        fb, _ = one_end(end_force_spatial, sb, sim.runtime.law, h, jb, -1.0)
         assert np.abs(fa + fb).max() < 1e-8
         # transmitted force equals the applied tip load up to the collocation
         # equilibrium error of the coarse patch
@@ -920,8 +911,8 @@ class TestJoints:
         ca = sa.c[ja]
         cb = sb.c[jb]
         assert np.linalg.norm(ca - cb) < 1e-9
-        Qa = sa.R[ja] @ sim.runtimes[0].patch.frames.R0[-1].T
-        Qb = sb.R[jb] @ sim.runtimes[1].patch.frames.R0[0].T
+        Qa = sa.R[ja] @ sim.model.patches[0].frames.R0[-1].T
+        Qb = sb.R[jb] @ sim.model.patches[1].frames.R0[0].T
         assert np.abs(Qa - Qb).max() < 1e-9
 
 

@@ -5,65 +5,69 @@ from gebvisc import so3
 from gebvisc.assembly import Simulation, time_march
 from gebvisc.beam_residual import (CollocationState, kin,
                                    neumann_force_row, neumann_moment_row,
+                                   residual_force, residual_moment,
                                    section_state, tangent_blocks_force,
                                    tangent_blocks_moment,
                                    end_force_spatial, end_moment_spatial)
-from gebvisc.integrator import apply_increment
+from gebvisc.integrator import (apply_increment, begin_step, commit_step,
+                                initialize_accelerations)
 from gebvisc.model import (BeamModel, EndLoad, Joint, LoadHistory, Support,
                            build_patches)
+from gebvisc.scenarios import pla_law
 from gebvisc.splines import line_curve
-from gebvisc.viscoelastic import (SectionGeometry, build_section_law,
-                                  effective_stiffness, internal_forces,
+from gebvisc.viscoelastic import (PointLaws, SectionGeometry,
+                                  build_section_law, internal_forces,
                                   trapezoidal_coeffs)
 
-from helpers import (apply_blocks, apply_end_blocks, end_row, force_residual,
-                     moment_residual, one_end, random_state, relative_error,
-                     straight_frames, superpose_rotation, unit_law,
-                     unloaded_section)
+from helpers import (apply_blocks, apply_end_blocks, assert_bitwise, end_row,
+                     force_residual, moment_residual, one_end, point_laws,
+                     random_state, relative_error, straight_frames,
+                     superpose_rotation, unit_law, unloaded_section)
 
 H = 0.02
 
 
-def bars(law, h=H):
-    C = effective_stiffness(law, h)
+def bars(pl, h=H):
+    C = pl.at_step(h)[0]
     return C[0, 0], C[2, 0]
 
 
 class TestResidualTrivial:
     def test_quiescent_state_zero_residual(self):
-        law = unit_law()
-        st = CollocationState(straight_frames(5), law)
+        pl = point_laws(unit_law(), 5)
+        st = CollocationState(straight_frames(5), pl)
         z = np.zeros((5, 3))
-        assert np.abs(force_residual(st, law, z, H)).max() == 0.0
-        assert np.abs(moment_residual(st, law, z, H)).max() == 0.0
+        assert np.abs(force_residual(st, pl, z, H)).max() == 0.0
+        assert np.abs(moment_residual(st, pl, z, H)).max() == 0.0
 
     def test_uniform_axial_strain_no_forces(self):
-        law = unit_law()
-        st = CollocationState(straight_frames(5), law)
+        pl = point_laws(unit_law(), 5)
+        st = CollocationState(straight_frames(5), pl)
         st.c_s = st.c_s * 1.01  # homogeneous stretch, all s-derivatives zero
         z = np.zeros((5, 3))
-        assert np.abs(force_residual(st, law, z, H)).max() < 1e-14
+        assert np.abs(force_residual(st, pl, z, H)).max() < 1e-14
 
     def test_gravity_only(self):
-        law = unit_law()
-        st = CollocationState(straight_frames(4), law)
+        pl = point_laws(unit_law(), 4)
+        st = CollocationState(straight_frames(4), pl)
         q = np.tile([0.0, 0.0, -9.81], (4, 1))
         expect = np.einsum("nji,nj->ni", st.R, q)
-        np.testing.assert_allclose(force_residual(st, law, q, H), expect,
+        np.testing.assert_allclose(force_residual(st, pl, q, H), expect,
                                    atol=1e-14)
 
     def test_pure_gyroscopic_term(self):
         law = unit_law()
-        st = CollocationState(straight_frames(3), law)
+        pl = point_laws(law, 3)
+        st = CollocationState(straight_frames(3), pl)
         rng = np.random.default_rng(5)
         st.W = rng.normal(size=(3, 3))
         z = np.zeros((3, 3))
         expect = -np.cross(st.W, law.inertia * st.W)
-        np.testing.assert_allclose(moment_residual(st, law, z, H),
+        np.testing.assert_allclose(moment_residual(st, pl, z, H),
                                    expect, atol=1e-14)
         # spin about a principal axis produces no gyroscopic moment
         st.W = np.tile([0.0, 2.0, 0.0], (3, 1))
-        assert np.abs(moment_residual(st, law, z, H)).max() < 1e-14
+        assert np.abs(moment_residual(st, pl, z, H)).max() < 1e-14
 
 
 class TestTwoPathOracle:
@@ -73,7 +77,8 @@ class TestTwoPathOracle:
         rng = np.random.default_rng(6)
         law = unit_law()
         n = 12
-        st = random_state(law, n, H, rng)
+        pl = point_laws(law, n)
+        st = random_state(pl, n, H, rng)
         c, _ = trapezoidal_coeffs(law.taus, H)
         strains = kin(st)[2]
         _, Gam_s, _, Kap_s = strains
@@ -81,7 +86,7 @@ class TestTwoPathOracle:
         n_dist = rng.normal(size=(n, 3))
         m_dist = rng.normal(size=(n, 3))
 
-        N, _, M, _ = internal_forces(law, strains, st.visc)
+        N, _, M, _ = internal_forces(pl, strains, st.visc)
         N_s = (law.CN_inf * Gam_s
                + (law.CNv[:, None, :]
                   * (Gam_s[None] - st.visc.branch[:, 1])).sum(0))
@@ -96,9 +101,9 @@ class TestTwoPathOracle:
                     + np.einsum("nij,nj->ni", RT, m_dist)
                     - law.inertia * st.A
                     - np.cross(st.W, law.inertia * st.W))
-        assert relative_error(force_residual(st, law, n_dist, H),
+        assert relative_error(force_residual(st, pl, n_dist, H),
                               F_oracle) < 1e-12
-        assert relative_error(moment_residual(st, law, m_dist, H),
+        assert relative_error(moment_residual(st, pl, m_dist, H),
                               V_oracle) < 1e-12
 
 
@@ -108,7 +113,8 @@ class TestTangentFiniteDifference:
     def fd_vs_blocks(self, law, n_states, seed, eps=1e-6):
         rng = np.random.default_rng(seed)
         n = n_states
-        st = random_state(law, n, H, rng)
+        pl = point_laws(law, n)
+        st = random_state(pl, n, H, rng)
         n_dist = rng.normal(size=(n, 3))
         m_dist = rng.normal(size=(n, 3))
         inc = [rng.normal(size=(n, 3)) for _ in range(6)]
@@ -119,13 +125,13 @@ class TestTangentFiniteDifference:
             return sp
 
         sp, sm = perturbed(1.0), perturbed(-1.0)
-        fd_F = (force_residual(sp, law, n_dist, H)
-                - force_residual(sm, law, n_dist, H)) / (2 * eps)
-        fd_V = (moment_residual(sp, law, m_dist, H)
-                - moment_residual(sm, law, m_dist, H)) / (2 * eps)
-        sec = section_state(st, law, H, n_dist, m_dist)
-        bf = tangent_blocks_force(st, law, sec, H)
-        bm = tangent_blocks_moment(st, law, sec, H)
+        fd_F = (force_residual(sp, pl, n_dist, H)
+                - force_residual(sm, pl, n_dist, H)) / (2 * eps)
+        fd_V = (moment_residual(sp, pl, m_dist, H)
+                - moment_residual(sm, pl, m_dist, H)) / (2 * eps)
+        sec = section_state(st, pl, H, n_dist, m_dist)
+        bf = tangent_blocks_force(st, pl, sec, H)
+        bm = tangent_blocks_moment(st, pl, sec, H)
         return (relative_error(fd_F, apply_blocks(bf, *inc)),
                 relative_error(fd_V, apply_blocks(bm, *inc)), bf, bm)
 
@@ -150,9 +156,10 @@ class TestTangentFiniteDifference:
         # end rows (value/,s stencil, displacement/rotation columns): the
         # force rows couple to dTheta and deta,s, the moment rows to dTheta
         # and dTheta,s; every other block is exactly zero
+        pl = point_laws(law, 10)
         rng = np.random.default_rng(9)
-        st = random_state(law, 10, H, rng)
-        sec = unloaded_section(st, law, H)
+        st = random_state(pl, 10, H, rng)
+        sec = unloaded_section(st, pl, H)
         pts = np.arange(10)
         sign = np.where(pts % 2, 1.0, -1.0)
         loads = rng.normal(size=(10, 3))
@@ -172,11 +179,12 @@ class TestTangentFiniteDifference:
 
     def test_zero_state_blocks(self):
         law = unit_law()
-        st = CollocationState(straight_frames(4), law)
-        CN, CM = bars(law)
-        sec = unloaded_section(st, law, H)
-        bf = tangent_blocks_force(st, law, sec, H)
-        bm = tangent_blocks_moment(st, law, sec, H)
+        pl = point_laws(law, 4)
+        st = CollocationState(straight_frames(4), pl)
+        CN, CM = bars(pl)
+        sec = unloaded_section(st, pl, H)
+        bf = tangent_blocks_force(st, pl, sec, H)
+        bm = tangent_blocks_moment(st, pl, sec, H)
         R0T = np.swapaxes(st.R0, -1, -2)
         np.testing.assert_allclose(bf[:, 0, 2], CN[None, :, None] * R0T, atol=1e-15)
         np.testing.assert_allclose(bf[:, 0, 0], -(4 / H ** 2) * law.mu * R0T,
@@ -196,11 +204,12 @@ class TestTangentFiniteDifference:
         # zeroing the betas must reproduce the elastic tangent blocks
         rng = np.random.default_rng(10)
         law = unit_law()
-        st = random_state(law, 8, H, rng)
-        bf = tangent_blocks_force(st, law, unloaded_section(st, law, H), H)
+        pl = point_laws(law, 8)
+        st = random_state(pl, 8, H, rng)
+        bf = tangent_blocks_force(st, pl, unloaded_section(st, pl, H), H)
         st2 = st.copy()
         st2.visc.beta[:] = 0.0
-        bf2 = tangent_blocks_force(st2, law, unloaded_section(st2, law, H), H)
+        bf2 = tangent_blocks_force(st2, pl, unloaded_section(st2, pl, H), H)
         # identical except for the beta-driven skew terms in t / ts
         np.testing.assert_array_equal(bf[:, 0, 0], bf2[:, 0, 0])
         np.testing.assert_array_equal(bf[:, 0, 1], bf2[:, 0, 1])
@@ -212,26 +221,27 @@ class TestTangentFiniteDifference:
 
 class TestBoundaryRows:
     def test_free_end_relaxed_zero(self):
-        law = unit_law()
-        st = CollocationState(straight_frames(5), law)
-        res, _ = one_end(neumann_force_row, st, law, H, 4, np.zeros(3), +1.0)
+        pl = point_laws(unit_law(), 5)
+        st = CollocationState(straight_frames(5), pl)
+        res, _ = one_end(neumann_force_row, st, pl, H, 4, np.zeros(3), +1.0)
         assert np.abs(res).max() == 0.0
-        res, _ = one_end(neumann_moment_row, st, law, H, 0, np.zeros(3), -1.0)
+        res, _ = one_end(neumann_moment_row, st, pl, H, 0, np.zeros(3), -1.0)
         assert np.abs(res).max() == 0.0
 
     def test_elastic_tip_force_algebra(self):
         law = unit_law(elements=())
-        st = CollocationState(straight_frames(5), law)
+        pl = point_laws(law, 5)
+        st = CollocationState(straight_frames(5), pl)
         f = np.array([0.1, -0.2, 0.05])
         i = 4
         Gam = (st.R[i].T @ f) / law.CN0
         st.c_s[i] = st.R[i] @ (st.Gref[i] + Gam)
-        res, _ = one_end(neumann_force_row, st, law, H, i, f, +1.0)
+        res, _ = one_end(neumann_force_row, st, pl, H, i, f, +1.0)
         assert np.abs(res).max() < 1e-15
 
     def test_stacked_ends_match_one_end_calls(self):
-        # the four ends of two patches of degrees 3 and 4 in one law stack,
-        # after three steps under an end force and couple
+        # the four ends of two patches of degrees 3 and 4 in one collocation
+        # state, after three steps under an end force and couple
         law = build_section_law(5e5, 0.3, [(4.5e6, 0.1), (1e6, 0.02)],
                                 SectionGeometry.circle(0.01), 1100.0)
         model = BeamModel(
@@ -246,20 +256,19 @@ class TestBoundaryRows:
         sim = Simulation(model)
         h = 1e-3
         time_march(sim, 3 * h, h)
-        (rt,) = sim.stacks
-        st = rt.state
-        pts = np.array([rt.pts[1].stop - 1, rt.pts[0].start,
-                        rt.pts[1].start, rt.pts[0].stop - 1])
+        st, pl, pts = sim.runtime.state, sim.runtime.law, sim.runtimes
+        pts = np.array([pts[1].stop - 1, pts[0].start, pts[1].start,
+                        pts[0].stop - 1])
         sign = np.array([1.0, -1.0, -1.0, 1.0])
         loads = np.random.default_rng(14).normal(size=(2, 4, 3))
-        sec = unloaded_section(st, law, h)
+        sec = unloaded_section(st, pl, h)
         for kernel, args in ((neumann_force_row, (loads[0], sign)),
                              (neumann_moment_row, (loads[1], sign)),
                              (end_force_spatial, (sign,)),
                              (end_moment_spatial, (sign,))):
             out = end_row(kernel, st, sec, pts, *args)
             for e, i in enumerate(pts):
-                one = one_end(kernel, st, law, h, i, *(x[e] for x in args))
+                one = one_end(kernel, st, pl, h, i, *(x[e] for x in args))
                 pairs = [(x[e], y) for x, y in zip(out, one)]
                 for x, y in pairs:
                     np.testing.assert_array_equal(x, y)
@@ -267,11 +276,11 @@ class TestBoundaryRows:
 
     def test_fd_consistency_of_rows(self):
         rng = np.random.default_rng(11)
-        law = unit_law()
+        pl = point_laws(unit_law(), 3)
         eps = 1e-6
         worst_f = worst_m = 0.0
         for trial in range(100):
-            st = random_state(law, 3, H, rng)
+            st = random_state(pl, 3, H, rng)
             n_c = rng.normal(size=3)
             m_c = rng.normal(size=3)
             sign = 1.0 if trial % 2 == 0 else -1.0
@@ -284,12 +293,12 @@ class TestBoundaryRows:
                 return sp
 
             sp, sm = perturbed(1.0), perturbed(-1.0)
-            rf = one_end(neumann_force_row, st, law, H, i, n_c, sign)
-            rm = one_end(neumann_moment_row, st, law, H, i, m_c, sign)
-            fd_f = -(one_end(neumann_force_row, sp, law, H, i, n_c, sign)[0]
-                     - one_end(neumann_force_row, sm, law, H, i, n_c, sign)[0]) / (2 * eps)
-            fd_m = -(one_end(neumann_moment_row, sp, law, H, i, m_c, sign)[0]
-                     - one_end(neumann_moment_row, sm, law, H, i, m_c, sign)[0]) / (2 * eps)
+            rf = one_end(neumann_force_row, st, pl, H, i, n_c, sign)
+            rm = one_end(neumann_moment_row, st, pl, H, i, m_c, sign)
+            fd_f = -(one_end(neumann_force_row, sp, pl, H, i, n_c, sign)[0]
+                     - one_end(neumann_force_row, sm, pl, H, i, n_c, sign)[0]) / (2 * eps)
+            fd_m = -(one_end(neumann_moment_row, sp, pl, H, i, m_c, sign)[0]
+                     - one_end(neumann_moment_row, sm, pl, H, i, m_c, sign)[0]) / (2 * eps)
             an_f = apply_end_blocks(rf[1], inc, i)
             an_m = apply_end_blocks(rm[1], inc, i)
             worst_f = max(worst_f, relative_error(fd_f[None], an_f[None]))
@@ -299,10 +308,10 @@ class TestBoundaryRows:
 
     def test_spatial_end_force_fd(self):
         rng = np.random.default_rng(12)
-        law = unit_law()
+        pl = point_laws(unit_law(), 3)
         eps = 1e-6
         for _ in range(20):
-            st = random_state(law, 3, H, rng)
+            st = random_state(pl, 3, H, rng)
             inc = [rng.normal(size=(3, 3)) for _ in range(6)]
 
             def perturbed(sgn):
@@ -312,14 +321,14 @@ class TestBoundaryRows:
 
             sp, sm = perturbed(1.0), perturbed(-1.0)
             for i, sign in ((0, -1.0), (2, +1.0)):
-                f0, blk = one_end(end_force_spatial, st, law, H, i, sign)
-                fd = (one_end(end_force_spatial, sp, law, H, i, sign)[0]
-                      - one_end(end_force_spatial, sm, law, H, i, sign)[0]) / (2 * eps)
+                f0, blk = one_end(end_force_spatial, st, pl, H, i, sign)
+                fd = (one_end(end_force_spatial, sp, pl, H, i, sign)[0]
+                      - one_end(end_force_spatial, sm, pl, H, i, sign)[0]) / (2 * eps)
                 an = apply_end_blocks(blk, inc, i)
                 assert relative_error(fd[None], an[None]) < 5e-6
-                m0, blk = one_end(end_moment_spatial, st, law, H, i, sign)
-                fd = (one_end(end_moment_spatial, sp, law, H, i, sign)[0]
-                      - one_end(end_moment_spatial, sm, law, H, i, sign)[0]) / (2 * eps)
+                m0, blk = one_end(end_moment_spatial, st, pl, H, i, sign)
+                fd = (one_end(end_moment_spatial, sp, pl, H, i, sign)[0]
+                      - one_end(end_moment_spatial, sm, pl, H, i, sign)[0]) / (2 * eps)
                 an = apply_end_blocks(blk, inc, i)
                 assert relative_error(fd[None], an[None]) < 5e-6
 
@@ -327,16 +336,16 @@ class TestBoundaryRows:
 class TestFrameIndifference:
     def test_material_residuals_invariant(self):
         rng = np.random.default_rng(13)
-        law = unit_law()
-        st = random_state(law, 10, H, rng)
+        pl = point_laws(unit_law(), 10)
+        st = random_state(pl, 10, H, rng)
         n_dist = rng.normal(size=(10, 3))
         m_dist = rng.normal(size=(10, 3))
-        F = force_residual(st, law, n_dist, H)
-        V = moment_residual(st, law, m_dist, H)
+        F = force_residual(st, pl, n_dist, H)
+        V = moment_residual(st, pl, m_dist, H)
         Q = so3.exp_so3(rng.normal(size=3))
         st_rot = superpose_rotation(st, Q)
-        F_rot = force_residual(st_rot, law, n_dist @ Q.T, H)
-        V_rot = moment_residual(st_rot, law, m_dist @ Q.T, H)
+        F_rot = force_residual(st_rot, pl, n_dist @ Q.T, H)
+        V_rot = moment_residual(st_rot, pl, m_dist @ Q.T, H)
         assert np.abs(F - F_rot).max() < 1e-12 * max(1, np.abs(F).max())
         assert np.abs(V - V_rot).max() < 1e-12 * max(1, np.abs(V).max())
         # strain measures themselves are material
@@ -344,3 +353,108 @@ class TestFrameIndifference:
         Gam_rot, _, Kap_rot, _ = kin(st_rot)[2]
         assert np.abs(Gam - Gam_rot).max() < 1e-13
         assert np.abs(Kap - Kap_rot).max() == 0.0
+
+
+class TestMixedLaws:
+    """One table of an elastic law (m = 0), a one-branch law and the
+    eight-branch PLA law: every point gets the bits of its own law's points
+    alone, since the zero moduli and coefficients that pad the shorter laws
+    add exact zeros."""
+
+    LAWS = (unit_law(elements=()), unit_law(elements=((2.0, 0.5),)),
+            pla_law(0.005))
+    INDEX = np.array([2, 0, 1, 1, 2, 0, 0, 2, 1, 2, 0, 1])
+
+    @classmethod
+    def states(cls, rng):
+        """The mixed table and state, and per law its table and the state of
+        its points alone, with the same values."""
+        n = len(cls.INDEX)
+        mixed = PointLaws(cls.LAWS, cls.INDEX)
+        st = random_state(mixed, n, H, rng)
+        alone = []
+        for l, law in enumerate(cls.LAWS):
+            sel, m = cls.INDEX == l, law.n_elements
+            # the padded branches of a shorter law stay zero in a march
+            for stack in (st.visc.branch, st.visc.beta):
+                stack[m:, :, sel] = 0.0
+            pl = point_laws(law, np.count_nonzero(sel))
+            one = CollocationState(straight_frames(len(pl.index)), pl)
+            for name in CollocationState.ARRAYS + (
+                    "R", "qTheta", "R0", "K0", "K0_s", "Gref", "Gref_s"):
+                setattr(one, name, getattr(st, name)[sel].copy())
+            one.visc.branch[...] = st.visc.branch[:m, :, sel]
+            one.visc.beta[...] = st.visc.beta[:m, :, sel]
+            alone.append((sel, m, pl, one))
+        return mixed, st, alone
+
+    def test_table_matches_each_law_alone(self):
+        mixed, st, alone = self.states(np.random.default_rng(15))
+        Cbar, c, d = mixed.at_step(H)
+        strains = kin(st)[2]
+        for sel, m, pl, one in alone:
+            C1, c1, d1 = pl.at_step(H)
+            assert_bitwise(Cbar[:, sel], C1)
+            for x, x1 in ((c, c1), (d, d1)):
+                assert_bitwise(x[:m, :, sel], x1)
+                assert not x[m:, :, sel].any()
+            assert_bitwise(st.visc.history(mixed)[:, sel],
+                           one.visc.history(pl))
+            assert_bitwise(internal_forces(mixed, strains, st.visc)[:, sel],
+                           internal_forces(pl, kin(one)[2], one.visc))
+            assert_bitwise(mixed.CNM[:m, :, sel], pl.CNM[:-1])
+            assert not mixed.CNM[m:-1, :, sel].any()
+            assert_bitwise(mixed.CNM[-1][:, sel], pl.CNM[-1])
+            assert_bitwise(mixed.mu[sel], pl.mu)
+            assert_bitwise(mixed.inertia[sel], pl.inertia)
+
+    def test_kernels_match_each_law_alone(self):
+        rng = np.random.default_rng(16)
+        mixed, st, alone = self.states(rng)
+        n = len(self.INDEX)
+        loads = rng.normal(size=(4, n, 3))
+        sign = np.where(np.arange(n) % 2, 1.0, -1.0)
+        sec = section_state(st, mixed, H, loads[0], loads[1])
+        out = [residual_force(st, sec), residual_moment(st, mixed, sec),
+               tangent_blocks_force(st, mixed, sec, H),
+               tangent_blocks_moment(st, mixed, sec, H)]
+        ends = np.arange(n)
+        for kernel, args in ((neumann_force_row, (loads[2], sign)),
+                             (neumann_moment_row, (loads[3], sign)),
+                             (end_force_spatial, (sign,)),
+                             (end_moment_spatial, (sign,))):
+            out += end_row(kernel, st, sec, ends, *args)
+        for sel, _, pl, one in alone:
+            k = np.count_nonzero(sel)
+            sec1 = section_state(one, pl, H, loads[0][sel], loads[1][sel])
+            ref = [residual_force(one, sec1), residual_moment(one, pl, sec1),
+                   tangent_blocks_force(one, pl, sec1, H),
+                   tangent_blocks_moment(one, pl, sec1, H)]
+            for kernel, args in ((neumann_force_row, (loads[2], sign)),
+                                 (neumann_moment_row, (loads[3], sign)),
+                                 (end_force_spatial, (sign,)),
+                                 (end_moment_spatial, (sign,))):
+                ref += end_row(kernel, one, sec1, np.arange(k),
+                               *(x[sel] for x in args))
+            for x, x1 in zip(out, ref):
+                assert_bitwise(x[sel], x1)
+
+    def test_step_matches_each_law_alone(self):
+        # the history update of a step begin and commit, and the consistent
+        # accelerations of the continuous law
+        rng = np.random.default_rng(17)
+        mixed, st, alone = self.states(rng)
+        loads = rng.normal(size=(2, len(self.INDEX), 3))
+        initialize_accelerations(st, mixed, *loads)
+        begin_step(st, mixed, H)
+        commit_step(st, mixed, H)
+        for sel, m, pl, one in alone:
+            initialize_accelerations(one, pl, *loads[:, sel])
+            begin_step(one, pl, H)
+            commit_step(one, pl, H)
+            for name in ("a", "A", "v", "W"):
+                assert_bitwise(getattr(st, name)[sel], getattr(one, name))
+            assert_bitwise(st.visc.beta[:m, :, sel], one.visc.beta)
+            assert_bitwise(st.visc.branch[:m, :, sel], one.visc.branch)
+            assert not st.visc.beta[m:, :, sel].any()
+            assert not st.visc.branch[m:, :, sel].any()

@@ -254,6 +254,38 @@ class TestCliCommands:
         assert "invalid configuration" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("change, names", [
+        ({"scenario": "custom"}, "'custom'"),
+        ({"scenario": "pendulm"}, "'pendulm'"),
+        ({"overrides": {"cells": 3}}, "'cells'"),
+        ({"overrides": {"diameter": "0.01"}}, "'diameter'"),
+        ({"pairs": [[2, 8], [2, 12.5]]}, "'n'"),
+        ({"pairs": [[2.0, 8], [2.0, 12]]}, "'degree'"),
+        ({"reference": [4, 40.0]}, "'n'"),
+        ({"probe_point": 11}, "'probe_point'"),
+        ({"pairs": [[2, 2], [2, 8]]}, "n > degree"),
+        ({"reference": [0, 40]}, "degree >= 1"),
+        ({"pairs": [[2, 8]]}, "two distinct n"),
+        ({"pairs": [[2, 8], [2, 8], [3, 8], [3, 12]]}, "two distinct n"),
+    ], ids=["custom", "unknown_scenario", "unknown_override",
+            "override_type", "pair_n_float", "pair_degree_float",
+            "reference_n_float", "unknown_key", "n_not_above_degree",
+            "degree_zero", "one_pair", "one_distinct_n"])
+    def test_invalid_study_rejected(self, tmp_path, capsys, change, names):
+        # every run's scenario and overrides, the study's keys and a slope
+        # for every degree are checked before any run or output: a bad pair
+        # is found before the reference run, not after it
+        study = {"scenario": "pendulum", "pairs": [[2, 8], [2, 12]],
+                 "reference": [4, 40], "t_eval": 0.05, "h": 5e-3, **change}
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(study))
+        out = tmp_path / "conv"
+        assert main(["converge", "--config", str(path), "--out",
+                     str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: ") and names in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("scenario", ["pendulum", "lattice"])
     def test_negative_diameter_rejected(self, tmp_path, capsys, scenario):
         out = tmp_path / "run"
@@ -481,8 +513,11 @@ class TestCliCommands:
         # input (no library prints its own) and no output directory; a
         # scenario flag is checked like a configuration entry
         cfg = self.short_config({})
-        for key in ("material", "section"):
-            cfg[key] = dict(cfg[key], **change.get(key, {}))
+        cfg["material"] = dict(cfg["material"], **change.get("material", {}))
+        # a section that names its type replaces the circle
+        section = change.get("section", {})
+        cfg["section"] = section if "type" in section \
+            else dict(cfg["section"], **section)
         if "history" in change:
             cfg["loads"][0]["history"] = change["history"]
         if "patch" in change:
@@ -551,6 +586,49 @@ class TestCliCommands:
         path.write_text(json.dumps(dict(self.chain_config(), **change)))
         self.assert_invalid_configuration(tmp_path, capsys, path)
 
+    #: per configuration entry kind: where a misspelt key goes in
+    #: ``chain_config`` (the keys down to it), its value, and the key that
+    #: the report names
+    MISSPELT = {
+        "material": (("material", "element"), [{"E": 4.5e6, "tau": 0.1}],
+                     "element"),
+        "element": (("material", "elements"), [{"E": 4.5e6, "taus": 0.1}],
+                    "taus"),
+        "section": (("section", "diamter"), 0.01, "diamter"),
+        "patch": (("patches", 0, "degre"), 3, "degre"),
+        "params": (("patches", 0, "params", "strat"), [0, 0, 0], "strat"),
+        "nurbs_patch": (("patches", 0), dict(NURBS, weigths=[1, 1, 1, 1]),
+                        "weigths"),
+        "support": (("supports", 0, "motoin"), PUSH, "motoin"),
+        "joint": (("joints", 0, "forces"), PUSH, "forces"),
+        "load": (("loads",), [{"target": {"kind": "end", "patch": 1,
+                                          "end": "end"},
+                               "history": PUSH, "histroy": PUSH}], "histroy"),
+        "target": (("loads",), [{"target": {"kind": "distributed",
+                                            "patch": 1, "end": "end"},
+                                 "history": PUSH}], "end"),
+        "history": (("loads",), [{"target": {"kind": "distributed",
+                                             "patch": 1},
+                                  "history": dict(PUSH, t_off=0.1)}],
+                    "t_off"),
+        "probe": (("output", "probes", 0, "nmae"), "tip", "nmae"),
+    }
+
+    @pytest.mark.parametrize("entry", MISSPELT)
+    def test_misspelt_key_reported(self, tmp_path, capsys, entry):
+        # a key that no entry of its kind takes is named, not ignored
+        (*path, last), value, misspelt = self.MISSPELT[entry]
+        cfg = self.chain_config()
+        section = cfg
+        for key in path:
+            section = section[key]
+        section[last] = value
+        file = tmp_path / "model.json"
+        file.write_text(json.dumps(cfg))
+        assert main(["validate", "--config", str(file)]) == 2
+        assert repr(misspelt) in capsys.readouterr().err
+        self.assert_invalid_configuration(tmp_path, capsys, file)
+
     @pytest.mark.parametrize("name", ["missing.json", "."])
     def test_unreadable_config_reported(self, tmp_path, capsys, name):
         self.assert_invalid_configuration(tmp_path, capsys, tmp_path / name)
@@ -607,7 +685,7 @@ class TestCliCommands:
             raise StepFailure("forced failure")
 
         monkeypatch.setattr(Simulation, "advance", fail)
-        study = {"scenario": "pendulum", "pairs": [[2, 8]],
+        study = {"scenario": "pendulum", "pairs": [[2, 8], [2, 12]],
                  "reference": [4, 40], "t_eval": 0.05, "h": 5e-3}
         path = tmp_path / "study.json"
         path.write_text(json.dumps(study))

@@ -8,70 +8,70 @@ from gebvisc.integrator import (StepFailure, apply_increment, begin_step,
 from gebvisc.viscoelastic import internal_forces, trapezoidal_coeffs
 
 from helpers import (axial, force_residual, moment_residual,
-                     oracle_tangent_map, random_state, straight_frames,
-                     unit_law)
+                     oracle_tangent_map, point_laws, random_state,
+                     straight_frames, unit_law)
 
 H = 0.01
 
 
 class TestBeginStep:
     def test_statics_limit_keeps_state(self):
-        law = unit_law()
-        st = CollocationState(straight_frames(4), law)
+        pl = point_laws(unit_law(), 4)
+        st = CollocationState(straight_frames(4), pl)
         c0, R0 = st.c.copy(), st.R.copy()
-        begin_step(st, law, H)
+        begin_step(st, pl, H)
         np.testing.assert_array_equal(st.c, c0)
         np.testing.assert_array_equal(st.R, R0)
         assert np.abs(st.a).max() == 0.0
         assert np.abs(st.A).max() == 0.0
 
     def test_rejects_nonpositive_step(self):
-        law = unit_law()
-        st = CollocationState(straight_frames(3), law)
+        pl = point_laws(unit_law(), 3)
+        st = CollocationState(straight_frames(3), pl)
         with pytest.raises(ValueError):
-            begin_step(st, law, 0.0)
+            begin_step(st, pl, 0.0)
 
     def test_constant_velocity_translation(self):
-        law = unit_law()
-        st = CollocationState(straight_frames(4), law)
+        pl = point_laws(unit_law(), 4)
+        st = CollocationState(straight_frames(4), pl)
         v0 = np.tile([0.1, -0.2, 0.3], (4, 1))
         st.v = v0.copy()
-        begin_step(st, law, H)
+        begin_step(st, pl, H)
         z = np.zeros((4, 3))
         apply_increment(st, H * v0, z, z, z, z, z, H)
         np.testing.assert_allclose(st.a, 0.0, atol=1e-12)
         np.testing.assert_allclose(st.v, v0, atol=1e-13)
 
     def test_constant_spin_about_principal_axis(self):
-        law = unit_law()
-        st = CollocationState(straight_frames(4), law)
+        pl = point_laws(unit_law(), 4)
+        st = CollocationState(straight_frames(4), pl)
         W0 = np.tile([2.5, 0.0, 0.0], (4, 1))
         st.W = W0.copy()
-        begin_step(st, law, H)
+        begin_step(st, pl, H)
         z = np.zeros((4, 3))
         apply_increment(st, z, z, z, H * W0, z, z, H)
         np.testing.assert_allclose(st.A, 0.0, atol=1e-10)
         np.testing.assert_allclose(st.W, W0, atol=1e-11)
         # and the spun state satisfies both balances with no loads
-        assert np.abs(force_residual(st, law, z, H)).max() < 1e-10
-        assert np.abs(moment_residual(st, law, z, H)).max() < 1e-10
+        assert np.abs(force_residual(st, pl, z, H)).max() < 1e-10
+        assert np.abs(moment_residual(st, pl, z, H)).max() < 1e-10
 
     def test_predictor_extrapolation(self):
         rng = np.random.default_rng(40)
-        law = unit_law()
-        st = CollocationState(straight_frames(3), law)
+        pl = point_laws(unit_law(), 3)
+        st = CollocationState(straight_frames(3), pl)
         st.v = rng.normal(size=(3, 3))
         st.a = rng.normal(size=(3, 3))
         a_expected = -(4.0 / H) * st.v - st.a
-        begin_step(st, law, H)
+        begin_step(st, pl, H)
         np.testing.assert_allclose(st.a, a_expected, atol=1e-12)
 
 
 class TestApplyIncrement:
     def test_zero_increment_is_identity(self):
         rng = np.random.default_rng(41)
-        law = unit_law()
-        st = random_state(law, 6, H, rng)
+        pl = point_laws(unit_law(), 6)
+        st = random_state(pl, 6, H, rng)
         before = st.copy()
         z = np.zeros((6, 3))
         apply_increment(st, z, z, z, z, z, z, H)
@@ -83,8 +83,8 @@ class TestApplyIncrement:
 
     def test_pure_translation_leaves_rotation_channels(self):
         rng = np.random.default_rng(42)
-        law = unit_law()
-        st = random_state(law, 6, H, rng)
+        pl = point_laws(unit_law(), 6)
+        st = random_state(pl, 6, H, rng)
         before = st.copy()
         de = rng.normal(size=(6, 3))
         de_s = rng.normal(size=(6, 3))
@@ -99,9 +99,9 @@ class TestApplyIncrement:
         np.testing.assert_allclose(dG, expect, atol=1e-14)
 
     def test_rotation_composition_failure(self):
-        law = unit_law()
-        st = CollocationState(straight_frames(3), law)
-        begin_step(st, law, H)
+        pl = point_laws(unit_law(), 3)
+        st = CollocationState(straight_frames(3), pl)
+        begin_step(st, pl, H)
         z = np.zeros((3, 3))
         big = np.tile([2.0, 0.0, 0.0], (3, 1))
         apply_increment(st, z, z, z, big, z, z, H)
@@ -131,7 +131,8 @@ class TestApplyIncrement:
 
         law = unit_law()
         s_pts = np.linspace(0.2, 1.8, 7)
-        st = CollocationState(straight_frames(len(s_pts)), law)
+        pl = point_laws(law, len(s_pts))
+        st = CollocationState(straight_frames(len(s_pts)), pl)
         st.R = so3.exp_so3(np.array([phi(s) for s in s_pts]))
         K = np.array([oracle_tangent_map(phi(s)) @ dphi(s) for s in s_pts])
         st.K = K
@@ -139,7 +140,7 @@ class TestApplyIncrement:
         Kf = lambda s: oracle_tangent_map(phi(s)) @ dphi(s)
         st.K_s = np.array([(Kf(s + ds_fd) - Kf(s - ds_fd)) / (2 * ds_fd)
                            for s in s_pts])
-        begin_step(st, law, H)
+        begin_step(st, pl, H)
         de = np.zeros((len(s_pts), 3))
         apply_increment(st, de, de, de,
                         np.array([dth(s) for s in s_pts]),
@@ -164,26 +165,28 @@ class TestCommit:
     def test_elastic_commit_is_archive(self):
         rng = np.random.default_rng(43)
         law = unit_law(elements=())
-        st = random_state(law, 5, H, rng)
+        pl = point_laws(law, 5)
+        st = random_state(pl, 5, H, rng)
         # make R exactly orthonormal so the tidy-up is a no-op up to rounding
         st.R = so3.quat_to_matrix(so3.quat_from_matrix(st.R))
         before = st.copy()
-        commit_step(st, law, H)
+        commit_step(st, pl, H)
         assert np.abs(st.R - before.R).max() < 1e-14
         np.testing.assert_array_equal(st.c, before.c)
 
     def test_held_strain_geometric_approach(self):
         law = unit_law(elements=((2.0, 0.5),))
+        pl = point_laws(law, 2)
         tau = 0.5
-        st = CollocationState(straight_frames(2), law)
+        st = CollocationState(straight_frames(2), pl)
         st.c_s *= 1.01  # held stretch
         gam = kin(st)[2][0]
         c, d = trapezoidal_coeffs(law.taus, H)
         ratios = []
         prev = None
         for _ in range(6):
-            begin_step(st, law, H)
-            commit_step(st, law, H)
+            begin_step(st, pl, H)
+            commit_step(st, pl, H)
             dev = np.abs(st.visc.branch[0, 0] - gam).max()
             if prev is not None:
                 ratios.append(dev / prev)
@@ -192,13 +195,14 @@ class TestCommit:
 
     def test_relaxation_with_frozen_kinematics(self):
         law = unit_law(elements=((2.0, 0.5),))
-        st = CollocationState(straight_frames(2), law)
+        pl = point_laws(law, 2)
+        st = CollocationState(straight_frames(2), pl)
         st.c_s *= 1.02
         N_hist = []
         for _ in range(50):
-            begin_step(st, law, H)
-            commit_step(st, law, H)
-            N_hist.append(internal_forces(law, kin(st)[2], st.visc)[0, 0, 0])
+            begin_step(st, pl, H)
+            commit_step(st, pl, H)
+            N_hist.append(internal_forces(pl, kin(st)[2], st.visc)[0, 0, 0])
         assert np.all(np.diff(N_hist) < 0.0)
         # approaches the long-term value from above
         assert N_hist[-1] > law.CN_inf[0] * kin(st)[2][0, 0, 0]
@@ -207,9 +211,10 @@ class TestCommit:
 class TestInitialAccelerations:
     def test_gravity_start(self):
         law = unit_law()
-        st = CollocationState(straight_frames(5), law)
+        pl = point_laws(law, 5)
+        st = CollocationState(straight_frames(5), pl)
         q = np.tile([0.0, 0.0, -9.81 * law.mu], (5, 1))
-        initialize_accelerations(st, law, q, np.zeros((5, 3)))
+        initialize_accelerations(st, pl, q, np.zeros((5, 3)))
         np.testing.assert_allclose(st.a, q / law.mu, atol=1e-12)
         np.testing.assert_allclose(st.A, 0.0, atol=1e-12)
 
@@ -217,14 +222,15 @@ class TestInitialAccelerations:
         # accelerations chosen so that both pointwise balances vanish
         rng = np.random.default_rng(44)
         law = unit_law()
-        st = random_state(law, 6, H, rng)
+        pl = point_laws(law, 6)
+        st = random_state(pl, 6, H, rng)
         # consistent branch strains for the continuous law
         st.visc.branch[:, 1] = 0.3 * kin(st)[2][1][None]
         st.visc.branch[:, 3] = 0.3 * kin(st)[2][3][None]
         n_dist = rng.normal(size=(6, 3))
         m_dist = rng.normal(size=(6, 3))
-        initialize_accelerations(st, law, n_dist, m_dist)
-        N = internal_forces(law, kin(st)[2], st.visc)[0]
+        initialize_accelerations(st, pl, n_dist, m_dist)
+        N = internal_forces(pl, kin(st)[2], st.visc)[0]
         RT = np.swapaxes(st.R, -1, -2)
         N_s = (law.CN_inf * kin(st)[2][1]
                + (law.CNv[:, None, :]

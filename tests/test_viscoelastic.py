@@ -3,9 +3,9 @@ import pytest
 
 from gebvisc.viscoelastic import (MaxwellElement, SectionGeometry, ViscousState,
                                   build_section_law, compute_beta,
-                                  effective_stiffness, internal_forces,
-                                  trapezoidal_coeffs, update_viscous_state)
-from helpers import assert_bitwise, linearize_viscous
+                                  internal_forces, trapezoidal_coeffs,
+                                  update_viscous_state)
+from helpers import assert_bitwise, linearize_viscous, point_laws
 
 PLA_ELEMENTS = [
     (1.577e8, 0.02), (3.610e7, 0.18), (4.095e8, 17.0), (7.580e8, 117.0),
@@ -27,13 +27,14 @@ def pla_law():
 def relax_steps(law, gamma, h, n_steps):
     """March a held strain with the scalar recursions; returns N(t) history."""
     st = ViscousState(law.n_elements, 1)
+    pl = point_laws(law, st.n)
     S = np.zeros((4, 1, 3))
     S[0, 0, 0] = gamma
     Ns = []
     for _ in range(n_steps):
-        compute_beta(law, st, S, h)
-        update_viscous_state(law, st, S, h)
-        Ns.append(internal_forces(law, S, st)[0, 0, 0])
+        compute_beta(pl, st, S, h)
+        update_viscous_state(pl, st, S, h)
+        Ns.append(internal_forces(pl, S, st)[0, 0, 0])
     return np.array(Ns)
 
 
@@ -122,7 +123,7 @@ class TestSectionLaw:
 
 def bars(law, h):
     """The rows (CN_bar, CM_bar) of the stacked effective diagonal."""
-    C = effective_stiffness(law, h)
+    C = point_laws(law, 1).at_step(h)[0]
     return C[0, 0], C[2, 0]
 
 
@@ -159,7 +160,8 @@ class TestBeta:
     def test_zero_history(self):
         law = pendulum_law()
         st = ViscousState(1, 4)
-        compute_beta(law, st, np.zeros((4, 4, 3)), 1e-3)
+        pl = point_laws(law, st.n)
+        compute_beta(pl, st, np.zeros((4, 4, 3)), 1e-3)
         assert np.abs(st.beta[:, 0]).max() == 0.0
         assert np.abs(st.beta[:, 3]).max() == 0.0
 
@@ -167,10 +169,11 @@ class TestBeta:
         law = pendulum_law()
         tau, h, gamma = 0.1, 0.02, 0.3
         st = ViscousState(1, 1)
+        pl = point_laws(law, st.n)
         S = np.zeros((4, 1, 3))
         S[0] = gamma
         st.branch[:, 0] = gamma
-        compute_beta(law, st, S, h)
+        compute_beta(pl, st, S, h)
         np.testing.assert_allclose(st.beta[0, 0, 0],
                                    gamma * 2 * tau / (2 * tau + h), rtol=1e-14)
 
@@ -184,9 +187,10 @@ class TestUpdate:
     def test_zero_stays_zero(self):
         law = pendulum_law()
         st = ViscousState(1, 3)
+        pl = point_laws(law, st.n)
         Z = np.zeros((4, 3, 3))
-        compute_beta(law, st, Z, 1e-3)
-        update_viscous_state(law, st, Z, 1e-3)
+        compute_beta(pl, st, Z, 1e-3)
+        update_viscous_state(pl, st, Z, 1e-3)
         for stack in (st.branch, st.beta):
             assert np.abs(stack).max() == 0.0
 
@@ -194,12 +198,13 @@ class TestUpdate:
         law = pla_law()
         gamma = 0.123
         st = ViscousState(law.n_elements, 2)
+        pl = point_laws(law, st.n)
         st.branch[:, 0] = gamma
         S = np.zeros((4, 2, 3))
         S[0] = gamma
         for _ in range(5):
-            compute_beta(law, st, S, 0.05)
-            update_viscous_state(law, st, S, 0.05)
+            compute_beta(pl, st, S, 0.05)
+            update_viscous_state(pl, st, S, 0.05)
         np.testing.assert_allclose(st.branch[:, 0], gamma, rtol=0, atol=1e-15)
 
     def test_step_strain_tracks_exponential(self):
@@ -207,13 +212,14 @@ class TestUpdate:
         tau, gamma = 0.1, 1.0
         h = tau / 100.0
         st = ViscousState(1, 1)
+        pl = point_laws(law, st.n)
         S = np.zeros((4, 1, 3))
         S[0, 0, 0] = gamma
         t = 0.0
         max_err = 0.0
         for _ in range(500):
-            compute_beta(law, st, S, h)
-            update_viscous_state(law, st, S, h)
+            compute_beta(pl, st, S, h)
+            update_viscous_state(pl, st, S, h)
             t += h
             exact = gamma * (1.0 - np.exp(-t / tau))
             max_err = max(max_err, abs(st.branch[0, 0, 0, 0] - exact))
@@ -223,7 +229,7 @@ class TestUpdate:
 class TestInternalForces:
     def test_zero_state(self):
         law = pla_law()
-        N, _, M, _ = internal_forces(law, np.zeros((4, 2, 3)),
+        N, _, M, _ = internal_forces(point_laws(law, 2), np.zeros((4, 2, 3)),
                                      ViscousState(8, 2))
         assert np.abs(N).max() == 0.0 and np.abs(M).max() == 0.0
 
@@ -232,8 +238,8 @@ class TestInternalForces:
         G = np.array([[1e-3, 2e-3, -1e-3]])
         K = np.array([[0.5, -0.2, 0.1]])
         Z = np.zeros((1, 3))
-        N, _, M, _ = internal_forces(law, np.array((G, Z, K, Z)),
-                                     ViscousState(8, 1))
+        N, _, M, _ = internal_forces(point_laws(law, 1),
+                                     np.array((G, Z, K, Z)), ViscousState(8, 1))
         np.testing.assert_allclose(N, law.CN0 * G, rtol=1e-14)
         np.testing.assert_allclose(M, law.CM0 * K, rtol=1e-14)
 
@@ -246,8 +252,8 @@ class TestInternalForces:
         G, K = rng.normal(size=(2, 7, 3))
         G[0], K[0] = 0.0, -0.0
         Z = np.zeros((7, 3))
-        N, _, M, _ = internal_forces(law, np.array((G, Z, K, Z)),
-                                     ViscousState(0, 7))
+        N, _, M, _ = internal_forces(point_laws(law, 7),
+                                     np.array((G, Z, K, Z)), ViscousState(0, 7))
         assert_bitwise(N, 0.0 + law.CN_inf * G)
         assert_bitwise(M, 0.0 + law.CM_inf * K)
         for h in (1e-3, 0.5):
@@ -282,13 +288,14 @@ class TestConsistency:
                                 SectionGeometry.circle(0.01), 1000.0)
         def run(h):
             st = ViscousState(1, 1)
+            pl = point_laws(law, st.n)
             n = int(round(T / h))
             g_old = np.zeros((4, 1, 3))
             for k in range(n):
                 g_new = np.zeros((4, 1, 3))
                 g_new[0, 0, 0] = np.sin(w * (k + 1) * h)
-                compute_beta(law, st, g_old, h)
-                update_viscous_state(law, st, g_new, h)
+                compute_beta(pl, st, g_old, h)
+                update_viscous_state(pl, st, g_new, h)
                 g_old = g_new
             return st.branch[0, 0, 0, 0]
         exact = (np.sin(w * T) - w * tau * np.cos(w * T)
@@ -304,14 +311,15 @@ class TestConsistency:
         s = np.linspace(0.0, 1.0, 41)
         ds = s[1] - s[0]
         st = ViscousState(1, len(s))
+        pl = point_laws(law, st.n)
         h = 0.01
         for k in range(20):
             amp = np.sin(0.7 * (k + 1))
             S = np.zeros((4, len(s), 3))
             S[0, :, 0] = amp * np.sin(2 * np.pi * s)
             S[1, :, 0] = amp * 2 * np.pi * np.cos(2 * np.pi * s)
-            compute_beta(law, st, S, h)
-            update_viscous_state(law, st, S, h)
+            compute_beta(pl, st, S, h)
+            update_viscous_state(pl, st, S, h)
         fd = np.gradient(st.branch[0, 0, :, 0], ds)
         interior = slice(2, -2)
         assert np.abs(fd[interior] - st.branch[0, 1, interior, 0]).max() < 5e-3
@@ -353,6 +361,7 @@ class TestStackedLayout:
         rng = np.random.default_rng(10 * m + n)
         law = self.random_law(m, rng)
         st = ViscousState(m, n)
+        pl = point_laws(law, st.n)
         for stack in (st.branch, st.beta):
             for k in range(4):
                 stack[:, k] = rng.normal(size=(m, n, 3))
@@ -362,9 +371,9 @@ class TestStackedLayout:
         h = 2.5e-3
         beta_ref, branch_ref, forces = self.reference_step(
             law, branch, beta, start, end, h)
-        compute_beta(law, st, start, h)
-        update_viscous_state(law, st, end, h)
-        NM = internal_forces(law, end, st)
+        compute_beta(pl, st, start, h)
+        update_viscous_state(pl, st, end, h)
+        NM = internal_forces(pl, end, st)
         assert np.array_equal(st.beta, beta_ref)
         assert np.array_equal(st.branch, branch_ref)
         assert np.array_equal(NM[0], forces[0])
@@ -372,7 +381,7 @@ class TestStackedLayout:
         # N,s and M,s as the s-derivative of the same sums
         assert_bitwise(NM[1], forces[1])
         assert_bitwise(NM[3], forces[3])
-        SbG, SbG_s, SbK, SbK_s = st.history(law)
+        SbG, SbG_s, SbK, SbK_s = st.history(pl)
         assert np.array_equal(SbG, (law.CNv[:, None, :] * beta_ref[:, 0]).sum(0))
         assert np.array_equal(SbG_s,
                               (law.CNv[:, None, :] * beta_ref[:, 1]).sum(0))
@@ -404,11 +413,12 @@ class TestStackedLayout:
         rng = np.random.default_rng(100 + 10 * m + n)
         law = self.random_law(m, rng)
         st = ViscousState(m, n)
+        pl = point_laws(law, st.n)
         st.branch[...] = rng.normal(size=st.branch.shape)
         strains = rng.normal(size=(4, n, 3))
         strains[:, 0] = 0.0, -0.0, 0.0
         N_ref, M_ref = self.two_channel_forces(law, strains, st.branch)
-        NM = internal_forces(law, strains, st)
+        NM = internal_forces(pl, strains, st)
         assert_bitwise(NM[0], N_ref)
         assert_bitwise(NM[2], M_ref)
 
