@@ -41,8 +41,8 @@ from .beam_residual import (CollocationState, end_force_spatial,
 from .initial_geometry import InitialFrameField
 from .integrator import (StepFailure, apply_increment, begin_step, commit_step,
                          initialize_accelerations)
-from .model import END, SUPPORT_KINDS, BeamModel, check_keys, check_positive
-from .splines import basis_eval, basis_matrices
+from .model import END, SUPPORT_KINDS, BeamModel, check_keys
+from .splines import basis_eval, basis_matrices, check_integer, check_positive
 from .viscoelastic import PointLaws
 
 log = logging.getLogger(__name__)
@@ -67,11 +67,8 @@ class NewtonSettings:
     def __post_init__(self):
         check_positive(self.tol_increment, "tol_increment")
         check_positive(self.tol_residual, "tol_residual")
-        for name, least in (("max_iterations", 1), ("max_halvings", 0)):
-            value = getattr(self, name)
-            if (not isinstance(value, (int, np.integer))
-                    or isinstance(value, bool) or value < least):
-                raise ValueError(f"{name} must be an integer >= {least}")
+        check_integer(self.max_iterations, "max_iterations", 1)
+        check_integer(self.max_halvings, "max_halvings", 0)
 
     @classmethod
     def from_config(cls, section: dict) -> "NewtonSettings":

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import numbers
 import os
 import sys
 
@@ -19,11 +18,12 @@ import numpy as np
 
 from .assembly import NewtonSettings, Simulation, step_count, time_march
 from .integrator import StepFailure
-from .model import check_keys, check_positive, load_config, model_from_config
+from .model import check_keys, load_config, model_from_config
 from .output import (ensure_dir, write_history_csv, write_run_metadata,
                      write_vtk_snapshot)
 from .scenarios import (SCENARIO_DEFAULTS, SCENARIO_NAMES, _merge,
                         build_scenario)
+from .splines import check_integer, check_positive
 
 log = logging.getLogger(__name__)
 
@@ -147,21 +147,24 @@ def convergence_setup(study: dict):
 
     ``study`` keys: scenario (not 'custom'), pairs ([[p, n], ...], two n
     at least per degree p), reference ([p, n]), t_eval, h, optionally
-    probe_points (an integer >= 2) and scenario overrides under "overrides".
+    probe_points (an integer >= 2) and scenario overrides under "overrides"
+    (not degree, n, h or T, which each run sets).
     """
     check_keys(study, ("scenario", "pairs", "reference", "t_eval", "h",
                        "probe_points", "overrides"), "study keys")
     _require_steps(study, "t_eval", "h")
-    n_probe = study.get("probe_points", 101)
-    if not isinstance(n_probe, numbers.Integral) or n_probe < 2:
-        raise ValueError(f"probe_points must be an integer >= 2: {n_probe!r}")
+    n_probe = check_integer(study.get("probe_points", 101), "probe_points", 2)
     name, h, t_eval = study["scenario"], study["h"], study["t_eval"]
     if name not in SCENARIO_DEFAULTS:
         raise ValueError(f"no convergence study of scenario {name!r}")
+    overrides = study.get("overrides", {})
+    check_keys(overrides, {*SCENARIO_DEFAULTS[name], "elastic"}
+               - {"degree", "n", "h", "T"}, "study overrides (each run "
+               "sets its degree, n, h and T)")
     pairs = [tuple(pn) for pn in study["pairs"]]
     p_ref, n_ref = study["reference"]
-    runs = {(p, n): {**study.get("overrides", {}), "degree": p, "n": n,
-                     "h": h, "T": t_eval} for p, n in pairs + [(p_ref, n_ref)]}
+    runs = {(p, n): {**overrides, "degree": p, "n": n, "h": h, "T": t_eval}
+            for p, n in pairs + [(p_ref, n_ref)]}
     for run in runs.values():
         _merge(name, run)
     if any(p < 1 or n <= p for p, n in runs):

@@ -33,10 +33,9 @@ def begin_step(state: CollocationState, law: PointLaws, h: float) -> None:
 
     Must be called on a converged state at the step start; afterwards the
     state holds the predictor kinematics (eta = Theta = 0, accelerations
-    re-extrapolated) against which Newton iterations run.
+    re-extrapolated) against which Newton iterations run; an h that is not
+    > 0 raises ``ValueError`` (from ``PointLaws.at_step``).
     """
-    if h <= 0.0:
-        raise ValueError("time step must be positive")
     compute_beta(law, state.visc, kin(state)[2], h)
     state.a_star = (4.0 / h) * state.v + state.a
     state.v_star = state.v.copy()

@@ -19,7 +19,6 @@ rotates the end tangents.
 from __future__ import annotations
 
 import json
-import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -27,8 +26,9 @@ import numpy as np
 
 from .initial_geometry import InitialFrameField, bishop_frames
 from .so3 import exp_so3
-from .splines import (KnotVector, NurbsCurve, check_integer, greville,
-                      interpolate_curve, line_curve, to_arclength)
+from .splines import (KnotVector, NurbsCurve, check_integer, check_positive,
+                      check_real, greville, interpolate_curve, line_curve,
+                      to_arclength)
 from .viscoelastic import SectionGeometry, SectionLaw, build_section_law
 
 #: joint ends must coincide within this distance at t = 0 (meters)
@@ -82,7 +82,7 @@ def _history_kind(kind: str):
 
 class LoadHistory:
     """Piecewise-defined vector load history, evaluable at any t >= 0; its
-    value is a 3-vector, and it and the parameters must be finite."""
+    value is a finite 3-vector, its parameters are finite, t_ramp > 0."""
 
     def __init__(self, kind: str, value, **params):
         self.kind = kind
@@ -96,6 +96,9 @@ class LoadHistory:
                 raise ValueError("a table needs strictly increasing times and "
                                  "values shaped (len(times), 3)")
             params.update(times=times, values=values)
+        else:
+            for key, x in params.items():
+                check_real(x, key, positive=key == "t_ramp")
         self.params = params
         if self.value.shape != (3,) or not all(
                 np.isfinite(x).all() for x in (self.value, *params.values())):
@@ -315,9 +318,8 @@ class BeamModel:
         names = set()
         for probe in self.probes:
             check_integer(probe.patch, f"probe '{probe.name}' patch")
-            if (isinstance(probe.u, bool) or not isinstance(probe.u, numbers.Real)
-                    or not 0 <= probe.patch < n_patches
-                    or not 0.0 <= probe.u <= 1.0):
+            check_real(probe.u, f"probe '{probe.name}' u")
+            if not 0 <= probe.patch < n_patches or not 0.0 <= probe.u <= 1.0:
                 raise ValueError(f"probe '{probe.name}' references invalid "
                                  f"point {(probe.patch, probe.u)}")
             if probe.name in names:
@@ -353,6 +355,7 @@ def spivak_curve(degree: int = 6, n: int = 150) -> NurbsCurve:
 
 def spiral_curve(degree: int = 6, n: int = 250,
                  scale: float = 0.01) -> NurbsCurve:
+    check_real(scale, "scale")
     kv = KnotVector.open_uniform(degree, n)
     g = greville(kv)
     t0, t1 = 2.0 * np.pi, 6.0 * np.pi
@@ -380,13 +383,6 @@ def _member_curve(a: np.ndarray, b: np.ndarray, degree: int, n: int,
     if rot_b is not None:
         pts[-2] = b + rot_b @ (pts[-2] - b)
     return NurbsCurve(c.kv, pts, c.weights)
-
-
-def _check_count(value, name: str) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer
-    >= 1; a bool is not one."""
-    if check_integer(value, name) < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _network(members, law: SectionLaw, cell_size: float, degree: int,
@@ -430,7 +426,7 @@ def build_lattice(psi: float, law: SectionLaw, cells: int = 5,
     """
     if not 0.0 <= psi < 0.5 * np.pi:
         raise ValueError("psi must lie in [0, pi/2)")
-    _check_count(cells, "cells")
+    check_integer(cells, "cells", 1)
     check_positive(cell_size, "cell_size")
     nv = cells + 1
     Rz = _rot_z(psi) if psi != 0.0 else None
@@ -488,8 +484,8 @@ def build_auxetic(psi: float, law: SectionLaw, nx: int = 5, ny: int = 1,
     """
     if not 0.0 <= psi <= 0.25 * np.pi:
         raise ValueError("psi must lie in [0, pi/4]")
-    _check_count(nx, "nx")
-    _check_count(ny, "ny")
+    check_integer(nx, "nx", 1)
+    check_integer(ny, "ny", 1)
     check_positive(cell_size, "cell_size")
     a = cell_size
     half = 0.5 * a
@@ -542,14 +538,6 @@ def check_keys(section: dict, allowed, what: str) -> None:
     unknown = set(section) - set(allowed)
     if unknown:
         raise ValueError(f"unknown {what}: {sorted(unknown)}")
-
-
-def check_positive(value, name: str) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite real
-    number > 0; a bool is not one."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not 0 < value < np.inf):
-        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 #: the keys of a section configuration, by its type

@@ -9,14 +9,12 @@ a plain dict so the CLI can map flags straight onto them.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
 from .model import (BeamModel, DistributedLoad, EndLoad, LoadHistory, Probe,
                     Support, build_auxetic, build_lattice, build_patches,
                     check_keys, spiral_curve, spivak_curve)
-from .splines import line_curve
+from .splines import check_integer, check_real, line_curve
 from .viscoelastic import SectionGeometry, SectionLaw, build_section_law
 
 GRAVITY = 9.81
@@ -58,21 +56,16 @@ def pla_law(diameter: float) -> SectionLaw:
                              SectionGeometry.circle(diameter), PLA_RHO)
 
 
-#: the numbers an override may be, by the type of its default (a flag is none)
-_NUMBER_KINDS = {int: (numbers.Integral, "an integer"),
-                 float: (numbers.Real, "a real number")}
-
-
 def _merge(name: str, overrides: dict | None) -> dict:
     cfg = dict(SCENARIO_DEFAULTS[name])
     if overrides:
         check_keys(overrides, [*cfg, "elastic"], f"overrides for '{name}'")
+        # an override is a number of the kind of its default (a flag is none)
+        checks = {int: check_integer, float: check_real}
         for k, v in overrides.items():
-            kind = _NUMBER_KINDS.get(type(cfg.get(k)))
-            if kind and v is not None and (isinstance(v, bool)
-                                           or not isinstance(v, kind[0])):
-                raise ValueError(f"override '{k}' for '{name}' must be "
-                                 f"{kind[1]}, got {v!r}")
+            check = checks.get(type(cfg.get(k)))
+            if check and v is not None:
+                check(v, f"override '{k}' for '{name}'")
         cfg.update({k: v for k, v in overrides.items() if v is not None})
     return cfg
 

@@ -9,16 +9,36 @@ geometry Jacobian.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+# The checks of every scalar input: each returns the value or raises
+# ``ValueError`` naming it, and none takes a bool for a number.
 
-def check_integer(value, name: str) -> int:
-    """``value`` as an int; a bool or any other non-integer raises
-    ``ValueError`` naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
+
+def check_integer(value, name: str, least: int | None = None) -> int:
+    """``value`` as an int: an integer, >= ``least`` if given."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
+
+
+def check_real(value, name: str, positive: bool = False):
+    """``value``: a finite real number, > 0 if ``positive``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not -np.inf < value < np.inf or positive and not value > 0):
+        raise ValueError(f"{name} must be a finite number"
+                         f"{' > 0' if positive else ''}, got {value!r}")
+    return value
+
+
+def check_positive(value, name: str):
+    """``value``: a finite real number > 0."""
+    return check_real(value, name, positive=True)
 
 
 class KnotVector:
@@ -33,11 +53,8 @@ class KnotVector:
     """
 
     def __init__(self, degree: int, knots):
-        self.degree = check_integer(degree, "degree")
+        self.degree = p = check_integer(degree, "degree", 1)
         self.knots = np.asarray(knots, dtype=float)
-        p = self.degree
-        if p < 1:
-            raise ValueError("degree must be >= 1")
         if not np.isfinite(self.knots).all():
             raise ValueError("knots must be finite")
         if np.any(np.diff(self.knots) < 0.0):
@@ -69,8 +86,7 @@ class KnotVector:
     @classmethod
     def open_uniform(cls, degree: int, n: int) -> "KnotVector":
         """Clamped knot vector with n basis functions and uniform interior knots."""
-        if check_integer(n, "n") < check_integer(degree, "degree") + 1:
-            raise ValueError("need at least degree+1 control points")
+        check_integer(n, "n", check_integer(degree, "degree") + 1)
         interior = np.linspace(0.0, 1.0, n - degree + 1)[1:-1]
         knots = np.concatenate([np.zeros(degree + 1), interior, np.ones(degree + 1)])
         return cls(degree, knots)

@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .splines import check_positive, check_real
+
 
 @dataclass(frozen=True)
 class MaxwellElement:
@@ -38,14 +40,8 @@ class MaxwellElement:
     tau: float
 
     def __post_init__(self):
-        if not (0.0 < self.E < np.inf and 0.0 < self.tau < np.inf):
-            raise ValueError("Maxwell element needs finite E > 0 and tau > 0")
-
-
-def _check_size(size: float, name: str) -> None:
-    if not 0.0 < size < np.inf:
-        raise ValueError(f"section {name} must be finite and positive, "
-                         f"not {size!r}")
+        check_positive(self.E, "Maxwell element E")
+        check_positive(self.tau, "Maxwell element tau")
 
 
 @dataclass(frozen=True)
@@ -60,13 +56,11 @@ class SectionGeometry:
 
     def __post_init__(self):
         for name in ("A", "A2", "A3", "Jt", "J2", "J3"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"section property {name} must be finite "
-                                 "and positive")
+            check_positive(getattr(self, name), f"section {name}")
 
     @classmethod
     def circle(cls, diameter: float) -> "SectionGeometry":
-        _check_size(diameter, "diameter")
+        check_positive(diameter, "section diameter")
         A = np.pi * diameter ** 2 / 4.0
         I = np.pi * diameter ** 4 / 64.0
         return cls(A=A, A2=A, A3=A, Jt=2.0 * I, J2=I, J3=I)
@@ -74,7 +68,7 @@ class SectionGeometry:
     @classmethod
     def square(cls, side: float) -> "SectionGeometry":
         # torsion constant defaults to the polar moment J2 + J3
-        _check_size(side, "side")
+        check_positive(side, "section side")
         A = side ** 2
         I = side ** 4 / 12.0
         return cls(A=A, A2=A, A3=A, Jt=2.0 * I, J2=I, J3=I)
@@ -109,9 +103,9 @@ class SectionLaw:
     CNM: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (0.0 < self.E_inf < np.inf and 0.0 < self.rho < np.inf):
-            raise ValueError("E_inf and rho must be finite and positive")
-        if not -1.0 < self.nu <= 0.5:
+        check_positive(self.E_inf, "E_inf")
+        check_positive(self.rho, "rho")
+        if not -1.0 < check_real(self.nu, "nu") <= 0.5:
             raise ValueError("Poisson's ratio outside (-1, 0.5]")
         g = self.geometry
         E = np.array([el.E for el in self.elements] + [self.E_inf])
@@ -152,8 +146,7 @@ def build_section_law(E_inf: float, nu: float, elements, geometry: SectionGeomet
 
 def trapezoidal_coeffs(taus: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-branch update coefficients (c_a, d_a) of the trapezoidal rule."""
-    if h <= 0.0:
-        raise ValueError("time step must be positive")
+    check_positive(h, "time step")
     taus = np.asarray(taus, dtype=float)
     den = 2.0 * taus + h
     return h / den, (2.0 * taus - h) / den

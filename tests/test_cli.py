@@ -267,10 +267,16 @@ class TestCliCommands:
         ({"reference": [0, 40]}, "degree >= 1"),
         ({"pairs": [[2, 8]]}, "two distinct n"),
         ({"pairs": [[2, 8], [2, 8], [3, 8], [3, 12]]}, "two distinct n"),
+        # each run sets its own degree, n, h and T
+        ({"overrides": {"degree": 7}}, "'degree'"),
+        ({"overrides": {"n": 5}}, "'n'"),
+        ({"overrides": {"h": 1.0}}, "'h'"),
+        ({"overrides": {"T": 9.0}}, "'T'"),
     ], ids=["custom", "unknown_scenario", "unknown_override",
             "override_type", "pair_n_float", "pair_degree_float",
             "reference_n_float", "unknown_key", "n_not_above_degree",
-            "degree_zero", "one_pair", "one_distinct_n"])
+            "degree_zero", "one_pair", "one_distinct_n", "override_degree",
+            "override_n", "override_h", "override_T"])
     def test_invalid_study_rejected(self, tmp_path, capsys, change, names):
         # every run's scenario and overrides, the study's keys and a slope
         # for every degree are checked before any run or output: a bad pair
@@ -497,6 +503,39 @@ class TestCliCommands:
          "names": "cells must be an integer >= 1, got 0"},
         {"argv": ["lattice", "--cells", "-1"],
          "names": "cells must be an integer >= 1, got -1"},
+        {"material": {"E_inf": True},
+         "names": "E_inf must be a finite number > 0, got True"},
+        {"material": {"rho": True},
+         "names": "rho must be a finite number > 0, got True"},
+        {"material": {"nu": False},
+         "names": "nu must be a finite number, got False"},
+        {"material": {"elements": [{"E": True, "tau": 0.1}]},
+         "names": "Maxwell element E must be a finite number > 0, got True"},
+        {"material": {"elements": [{"E": 4.5e6, "tau": True}]},
+         "names": "Maxwell element tau must be a finite number > 0, got True"},
+        {"section": {"diameter": True},
+         "names": "section diameter must be a finite number > 0, got True"},
+        {"section": {"type": "custom", "A": True, "Jt": 2e-10, "J2": 1e-10,
+                     "J3": 1e-10},
+         "names": "section A must be a finite number > 0, got True"},
+        {"history": {"kind": "impulse_hold_release", "value": [0, 0, -1.0],
+                     "t_off": True},
+         "names": "t_off must be a finite number, got True"},
+        {"history": {"kind": "sine_ramp_hold", "value": [0, 0, -1.0],
+                     "t_ramp": True},
+         "names": "t_ramp must be a finite number > 0, got True"},
+        {"history": {"kind": "raised_sine_pulse", "peak": [0, 0, -1.0],
+                     "omega": True, "t_end": 1.0},
+         "names": "omega must be a finite number, got True"},
+        {"history": {"kind": "raised_sine_pulse", "peak": [0, 0, -1.0],
+                     "omega": 4.0, "t_end": True},
+         "names": "t_end must be a finite number, got True"},
+        {"history": {"kind": "sine_ramp_hold", "value": [0, 0, -1.0],
+                     "t_ramp": 0},
+         "names": "t_ramp must be a finite number > 0, got 0"},
+        {"history": {"kind": "sine_ramp_hold", "value": [0, 0, -1.0],
+                     "t_ramp": -0.5},
+         "names": "t_ramp must be a finite number > 0, got -0.5"},
     ], ids=["E_inf_nan", "rho_inf", "diameter_nan", "tau_nan",
             "table_length", "table_columns", "table_times", "table_inf",
             "value_short", "end_nan", "knot_nan", "weight_inf",
@@ -507,7 +546,10 @@ class TestCliCommands:
             "time_bool", "h_bool", "tol_increment_bool", "tol_residual_bool",
             "auxetic_nx_zero", "auxetic_nx_negative", "auxetic_ny_zero",
             "auxetic_ny_negative", "lattice_cells_zero",
-            "lattice_cells_negative"])
+            "lattice_cells_negative", "E_inf_bool", "rho_bool", "nu_bool",
+            "element_E_bool", "element_tau_bool", "diameter_bool",
+            "custom_A_bool", "t_off_bool", "t_ramp_bool", "omega_bool",
+            "t_end_bool", "t_ramp_zero", "t_ramp_negative"])
     def test_invalid_numbers_reported(self, tmp_path, capfd, change):
         # found before any step: exit 2, one line on stderr that names the
         # input (no library prints its own) and no output directory; a

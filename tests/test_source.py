@@ -232,3 +232,59 @@ def test_unread_class_assignments_are_found(tmp_path):
                     encoding="utf-8")
     assert unread_class_assignments([path]) == ["mod.py:2 NAMES",
                                                 "mod.py:4 y"]
+
+
+def hand_written_checks(path: pathlib.Path) -> list[str]:
+    """The marks of a scalar input check written outside the shared family
+    in ``splines.py``: a use of the ``numbers`` module, an
+    ``isinstance(..., bool)`` call and a comparison against ``inf``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+
+    def is_inf(node):
+        if isinstance(node, ast.UnaryOp):
+            node = node.operand
+        return isinstance(node, ast.Attribute) and node.attr == "inf"
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(
+                alias.name == "numbers" for alias in node.names):
+            found.append(f"{path.name}:{node.lineno} import numbers")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numbers":
+            found.append(f"{path.name}:{node.lineno} from numbers")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "isinstance" and len(node.args) == 2):
+            kinds = node.args[1]
+            kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            if any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds):
+                found.append(f"{path.name}:{node.lineno} isinstance bool")
+        elif isinstance(node, ast.Compare) and any(
+                map(is_inf, [node.left, *node.comparators])):
+            found.append(f"{path.name}:{node.lineno} compare inf")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                        if p.name != "splines.py"),
+                         ids=lambda p: p.name)
+def test_scalar_checks_are_shared(path):
+    # every scalar input goes through check_integer, check_real or
+    # check_positive; a hand-written checker here would drift from them
+    assert hand_written_checks(path) == []
+
+
+def test_hand_written_checks_are_found(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import numbers\n"
+                    "from numbers import Real\n"
+                    "import numpy as np\n"
+                    "a = isinstance(x, bool)\n"
+                    "b = isinstance(x, (int, bool))\n"
+                    "c = 0 < x < np.inf\n"
+                    "d = -np.inf < x\n"
+                    "e = isinstance(x, int) and x < 3 and np.isinf(x)\n",
+                    encoding="utf-8")
+    assert hand_written_checks(path) == [
+        "mod.py:1 import numbers", "mod.py:2 from numbers",
+        "mod.py:4 isinstance bool", "mod.py:5 isinstance bool",
+        "mod.py:6 compare inf", "mod.py:7 compare inf"]

@@ -92,7 +92,7 @@ class TestSectionLaw:
         with pytest.raises(ValueError):
             SectionGeometry(A=0.0, A2=1, A3=1, Jt=1, J2=1, J3=1)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, True])
     def test_finite_numbers_enforced(self, bad):
         geo = SectionGeometry.circle(0.01)
         for make in (lambda: build_section_law(bad, 0.3, [], geo, 1.0),
@@ -111,7 +111,8 @@ class TestSectionLaw:
                              ids=["circle", "square"])
     def test_negative_size_rejected(self, make):
         # its square and fourth power would give a valid section
-        with pytest.raises(ValueError, match="finite and positive"):
+        with pytest.raises(ValueError, match="section (diameter|side) must "
+                           "be a finite number > 0"):
             make(-0.01)
 
     def test_elastic_limit(self):
