@@ -14,13 +14,19 @@ consecutive fine frames and interpolated to the evaluation points.
 weights, and so their evaluation points, transport grid and basis: one grid,
 one basis pass per order, one transport loop over the steps with every curve
 in each, one rotation logarithm and one curvature fit serve them all.  A
-single curve is a stack of one.  Every array keeps the IEEE operations of the
-one-point form, bit for bit, so a curve gets the same bits alone as in any
-stack and with one BLAS thread as with several:
+single curve shares all of this but the transport loop: its steps run on
+Python floats, in less than half the time of a stack of one.  Every
+array keeps the IEEE operations of the one-point form, bit for bit, so a
+curve gets the same bits alone as in any stack and with one BLAS thread as
+with several:
 
 * every row dot product is one BLAS ``ddot`` of a row pair, through
-  ``np.vecdot`` (equal to the 1-D ``a @ b``); ``np.einsum``,
-  ``(a * b).sum`` and Python floats round differently on some hosts;
+  ``np.vecdot`` in a stack and ``ndarray.dot`` of two row views in the
+  one-curve loop (both equal to the 1-D ``a @ b``); ``np.einsum``,
+  ``(a * b).sum`` and a Python sum of products round differently on some
+  hosts;
+* a product or difference of two Python floats rounds as numpy's
+  elementwise one does;
 * control points meet the basis in one full-grid product per order and
   curve (a stacked ``@``, see ``splines.eval_many``);
 * each curvature fit is its own public ``np.linalg.lstsq``;
@@ -98,8 +104,8 @@ def _transport_double_reflection(points: np.ndarray, tangents: np.ndarray,
     scratch block: the weights are spelled out to that shape, and each
     row's dot product comes out once per component (``np.vecdot`` over
     ``_rows3`` views, three equal ``ddot``).  On arrays this small a
-    broadcast or a new array costs more than the arithmetic; so one step of
-    one curve costs no more than the scalar form of it did.
+    broadcast or a new array costs more than the arithmetic.  A stack of
+    one curve without a degenerate step takes ``_transport_one`` instead.
     """
     # step-major, so that one step of every curve is one contiguous block
     x, t = (np.ascontiguousarray(np.swapaxes(a, 0, 1))
@@ -114,8 +120,12 @@ def _transport_double_reflection(points: np.ndarray, tangents: np.ndarray,
         c2 = np.vecdot(r2, r2)
         w2 = 2.0 / c2
     skip1, skip2 = (c[..., None] < MIN_TANGENT ** 2 for c in (c1, c2))
+    skipped = np.flatnonzero(np.any(skip1 | skip2, axis=(1, 2)))
+    if len(d0) == 1 and not len(skipped):
+        return _transport_one(r1[:, 0], r2[:, 0], w1[:, 0], w2[:, 0],
+                              d0[0])[None]
     masks = [None] * len(r1)
-    for i in np.flatnonzero(np.any(skip1 | skip2, axis=(1, 2))):
+    for i in skipped:
         masks[i] = skip1[i], skip2[i]
     w1, w2 = (np.repeat(w[..., None], 3, axis=-1) for w in (w1, w2))
     d = np.empty(x.shape)
@@ -140,6 +150,41 @@ def _transport_double_reflection(points: np.ndarray, tangents: np.ndarray,
                 dn[...] = np.where(mask[0], dp, np.where(mask[1], dn, dn - c))
             dp, dp3 = dn, dn3
     return np.swapaxes(d, 0, 1)
+
+
+#: grid steps of the one-curve transport per conversion to Python floats
+_CHUNK = 64
+
+
+def _transport_one(r1: np.ndarray, r2: np.ndarray, w1: np.ndarray,
+                   w2: np.ndarray, d0: np.ndarray) -> np.ndarray:
+    """Directors (N, 3) of one curve from ``d0`` (3,), given the reflection
+    vectors ``r1``, ``r2`` (N - 1, 3) and weights ``w1``, ``w2`` (N - 1,)
+    of its steps, none degenerate: the double reflection a step at a time
+    on Python floats.  Each dot is ``ndarray.dot`` of two contiguous rows,
+    the ``ddot`` of ``np.vecdot``; rows become floats a chunk of steps at a
+    time, never the whole grid at once.
+    """
+    d = np.empty((len(r1) + 1, 3))
+    d[0] = d0
+    dp = d[0]
+    p0, p1, p2 = dp.tolist()
+    m = np.empty(3)  # the first reflection
+    for k in range(0, len(r1), _CHUNK):
+        e = k + _CHUNK
+        for a, b, dn, (a0, a1, a2), (b0, b1, b2), wa, wb in zip(
+                r1[k:e], r2[k:e], d[k + 1:e + 1], r1[k:e].tolist(),
+                r2[k:e].tolist(), w1[k:e].tolist(), w2[k:e].tolist()):
+            s = wa * float(a.dot(dp))
+            m[0] = q0 = p0 - s * a0
+            m[1] = q1 = p1 - s * a1
+            m[2] = q2 = p2 - s * a2
+            s = wb * float(b.dot(m))
+            dn[0] = p0 = q0 - s * b0
+            dn[1] = p1 = q1 - s * b1
+            dn[2] = p2 = q2 - s * b2
+            dp = dn
+    return d
 
 
 def _fine_grid(g: np.ndarray, oversample: int,

@@ -165,8 +165,9 @@ def build_patches(curves, law: SectionLaw) -> list[Patch]:
     grid pass gives the basis at the collocation points too, and one
     ``to_arclength`` for all of its curves.  A patch gets
     the same bits alone as in any group and with any number of BLAS
-    threads: row dots are ``np.vecdot`` or stacked ``@`` (one BLAS call of
-    the one-curve shape per row or curve), each curvature fit is its own
+    threads: row dots are ``np.vecdot``, ``ndarray.dot`` of two rows in a
+    lone curve's transport loop, or stacked ``@`` (one BLAS call of the
+    one-curve shape per row or curve), each curvature fit is its own
     ``lstsq``, and the elementwise operations do not depend on a value's
     position in its batch (see ``initial_geometry``).  The stencils phi0
     and support_idx are shared by the group, read-only.

@@ -14,7 +14,7 @@ import numpy as np
 from .model import (BeamModel, DistributedLoad, EndLoad, LoadHistory, Probe,
                     Support, build_auxetic, build_lattice, build_patches,
                     check_keys, spiral_curve, spivak_curve)
-from .splines import check_integer, check_real, line_curve
+from .splines import check_bool, check_integer, check_real, line_curve
 from .viscoelastic import SectionGeometry, SectionLaw, build_section_law
 
 GRAVITY = 9.81
@@ -60,10 +60,11 @@ def _merge(name: str, overrides: dict | None) -> dict:
     cfg = dict(SCENARIO_DEFAULTS[name])
     if overrides:
         check_keys(overrides, [*cfg, "elastic"], f"overrides for '{name}'")
-        # an override is a number of the kind of its default (a flag is none)
-        checks = {int: check_integer, float: check_real}
+        # an override is of the kind of its default; the one flag, elastic,
+        # has none and is off unless given
+        checks = {int: check_integer, float: check_real, bool: check_bool}
         for k, v in overrides.items():
-            check = checks.get(type(cfg.get(k)))
+            check = checks.get(type(cfg.get(k, False)))
             if check and v is not None:
                 check(v, f"override '{k}' for '{name}'")
         cfg.update({k: v for k, v in overrides.items() if v is not None})

@@ -137,7 +137,11 @@ def log_so3(R: np.ndarray) -> np.ndarray:
         If the rotation angle is within ``PI_MARGIN`` of pi, where the
         logarithm becomes ill-conditioned.
     """
-    return rotvec_from_quat(quat_from_matrix(R))
+    # quat_from_matrix gives a scalar part >= 0, so the angle is in [0, pi]
+    theta, angle = rotvec_from_quat_continuous(quat_from_matrix(R))
+    if np.any(angle > np.pi - PI_MARGIN):
+        raise ValueError("rotation angle too close to pi for a rotation vector")
+    return theta
 
 
 def tangent_map_inverse(theta: np.ndarray, th: np.ndarray | None = None
@@ -221,12 +225,10 @@ def quat_from_matrix(R: np.ndarray) -> np.ndarray:
 
     # each branch present on its own matrices: one gather, one scatter, or
     # plain slices when one branch takes every matrix
-    for c in range(4):
-        at = np.flatnonzero(case == c)
-        if not len(at):
+    for c, count in enumerate(np.bincount(case, minlength=4).tolist()):
+        if not count:
             continue
-        if len(at) == n:
-            at = slice(None)
+        at = slice(None) if count == n else np.flatnonzero(case == c)
         M = Rf[at]
         qc = np.empty((len(M), 4))
         if c == 0:
@@ -246,16 +248,6 @@ def quat_from_matrix(R: np.ndarray) -> np.ndarray:
     # canonical sign: nonnegative scalar part
     q *= np.where(q[:, :1] < 0.0, -1.0, 1.0)
     return quat_normalize(q).reshape(batch + (4,))
-
-
-def rotvec_from_quat(q: np.ndarray) -> np.ndarray:
-    """Rotation vector of a unit quaternion, angle restricted to [0, pi)."""
-    q = np.asarray(q, dtype=float)
-    theta, angle = rotvec_from_quat_continuous(
-        q * np.where(q[..., :1] < 0.0, -1.0, 1.0))
-    if np.any(angle > np.pi - PI_MARGIN):
-        raise ValueError("rotation angle too close to pi for a rotation vector")
-    return theta
 
 
 def rotvec_from_quat_continuous(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 # The checks of every scalar input: each returns the value or raises
-# ``ValueError`` naming it, and none takes a bool for a number.
+# ``ValueError`` naming it; a number is never a bool, and a flag is nothing
+# but one.
 
 
 def check_integer(value, name: str, least: int | None = None) -> int:
@@ -39,6 +40,13 @@ def check_real(value, name: str, positive: bool = False):
 def check_positive(value, name: str):
     """``value``: a finite real number > 0."""
     return check_real(value, name, positive=True)
+
+
+def check_bool(value, name: str) -> bool:
+    """``value``: a bool, not a number or a string that reads as one."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
 
 
 class KnotVector:

@@ -185,9 +185,9 @@ def linearize_viscous(h: float, taus) -> np.ndarray:
 
 def compose_rotvec(theta: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Rotation vector of exp(skew(theta)) @ exp(skew(delta)) via quaternions."""
-    return so3.rotvec_from_quat(
+    return so3.log_so3(so3.quat_to_matrix(
         so3.quat_multiply(so3.quat_from_rotvec(theta),
-                          so3.quat_from_rotvec(delta)))
+                          so3.quat_from_rotvec(delta))))
 
 
 def initial_curvature(curve: NurbsCurve, eval_points, **kwargs) -> np.ndarray:

@@ -69,8 +69,9 @@ class TestScenarioDefaults:
     @pytest.mark.parametrize("name, overrides", [
         ("pendulum", {"cells": 3}), ("lattice", {"cells": 3.0}),
         ("pendulum", {"degree": 3.0}), ("pendulum", {"n": True}),
-        ("pendulum", {"T": "2"})],
-        ids=["unknown", "float_cells", "float_degree", "bool_n", "str_T"])
+        ("pendulum", {"T": "2"}), ("pendulum", {"elastic": "yes"})],
+        ids=["unknown", "float_cells", "float_degree", "bool_n", "str_T",
+             "str_elastic"])
     def test_unknown_override_rejected(self, name, overrides):
         with pytest.raises(ValueError, match=next(iter(overrides))):
             build_scenario(name, overrides)
@@ -272,11 +273,16 @@ class TestCliCommands:
         ({"overrides": {"n": 5}}, "'n'"),
         ({"overrides": {"h": 1.0}}, "'h'"),
         ({"overrides": {"T": 9.0}}, "'T'"),
+        # the elastic flag is true or false, not read by truthiness
+        ({"overrides": {"elastic": "false"}}, "'elastic'"),
+        ({"overrides": {"elastic": 1}}, "'elastic'"),
+        ({"overrides": {"elastic": [1]}}, "'elastic'"),
     ], ids=["custom", "unknown_scenario", "unknown_override",
             "override_type", "pair_n_float", "pair_degree_float",
             "reference_n_float", "unknown_key", "n_not_above_degree",
             "degree_zero", "one_pair", "one_distinct_n", "override_degree",
-            "override_n", "override_h", "override_T"])
+            "override_n", "override_h", "override_T", "elastic_str",
+            "elastic_int", "elastic_list"])
     def test_invalid_study_rejected(self, tmp_path, capsys, change, names):
         # every run's scenario and overrides, the study's keys and a slope
         # for every degree are checked before any run or output: a bad pair

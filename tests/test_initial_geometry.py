@@ -6,6 +6,7 @@ from gebvisc.initial_geometry import (MIN_TANGENT, _fine_grid,
                                       _fit_curvature,
                                       _transport_double_reflection,
                                       bishop_frames, default_director)
+from gebvisc.scenarios import build_scenario
 from gebvisc.splines import KnotVector, NurbsCurve, greville, line_curve
 from helpers import (assert_bitwise, initial_curvature, interpolate_function,
                      is_rotation, oracle_fine_grid, oracle_fit_curvature,
@@ -150,15 +151,77 @@ def random_walk(rng, n=60):
 
 
 def transport(points, tangents, d0):
-    """The stacked transport of the one curve sampled at ``points``."""
+    """The transport of the one curve sampled at ``points``."""
     return _transport_double_reflection(points[None], tangents[None],
                                         d0[None])[0]
 
 
+def transport_in_stack(points, tangents, d0):
+    """The transport of the curve sampled at ``points`` as the first row of
+    a stack of two, the second a random walk."""
+    other, other_t = random_walk(np.random.default_rng(0), len(points))
+    return _transport_double_reflection(
+        np.stack([points, other]), np.stack([tangents, other_t]),
+        np.stack([d0, default_director(other_t[:1])[0]]))[0]
+
+
 class TestTransport:
-    """The transport in array passes equals the step-by-step double
-    reflection bit for bit, on both of its degenerate branches too, for
-    one curve and for every row of a stack."""
+    """The transport equals the step-by-step double reflection bit for bit,
+    on both of its degenerate branches too, for one curve in its own loop
+    of Python floats and for every row of a stack."""
+
+    def test_one_curve_equals_its_row_of_a_stack(self):
+        points, tangents = random_walk(np.random.default_rng(12), 300)
+        d0 = default_director(tangents[:1])[0]
+        d = transport(points, tangents, d0)
+        assert_bitwise(d, oracle_transport(points, tangents, d0))
+        assert_bitwise(d, transport_in_stack(points, tangents, d0))
+
+    @pytest.mark.parametrize("name", ["pendulum", "spivak", "spiral"])
+    def test_scenario_grids_take_the_one_curve_loop(self, monkeypatch,
+                                                    name):
+        # the transport grid of the scenario's curve, recorded as
+        # bishop_frames hands it over, runs the one-curve loop once
+        grids, loops = [], []
+        one = initial_geometry._transport_one
+
+        def record(*args):
+            grids.append(args)
+            return _transport_double_reflection(*args)
+
+        def record_loop(*args):
+            loops.append(len(args[0]))
+            return one(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(initial_geometry, "_transport_double_reflection",
+                      record)
+            m.setattr(initial_geometry, "_transport_one", record_loop)
+            build_scenario(name)
+        [(points, tangents, d0)] = grids
+        assert points.shape[0] == 1 and loops == [points.shape[1] - 1]
+        points, tangents, d0 = points[0], tangents[0], d0[0]
+        d = transport(points, tangents, d0)
+        assert_bitwise(d, oracle_transport(points, tangents, d0))
+        assert_bitwise(d, transport_in_stack(points, tangents, d0))
+
+    def test_one_curve_calls_no_vecdot_per_step(self, monkeypatch):
+        # a lone curve's steps take ndarray.dot: np.vecdot serves only the
+        # precomputation, where a stack calls it twice per step
+        points, tangents = random_walk(np.random.default_rng(13), 100)
+        d0 = default_director(tangents[:1])[0]
+        calls, vecdot = [], np.vecdot
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return vecdot(*args, **kwargs)
+
+        monkeypatch.setattr(np, "vecdot", counted)
+        transport(points, tangents, d0)
+        assert len(calls) == 3
+        calls.clear()
+        transport_in_stack(points, tangents, d0)
+        assert len(calls) > 2 * 99
 
     def test_coincident_points_keep_the_director(self):
         points, tangents = random_walk(np.random.default_rng(7))
