@@ -29,7 +29,7 @@ with several:
   elementwise one does;
 * control points meet the basis in one full-grid product per order and
   curve (a stacked ``@``, see ``splines.eval_many``);
-* each curvature fit is its own public ``np.linalg.lstsq``;
+* one xGELSD call per distinct curvature-fit matrix (columns round alone);
 * the elementwise operations do not depend on the position of a value in
   its batch, also where numpy's SIMD loops differ from the C library
   (checked for ``** 3``, ``sin``, ``cos``, ``arctan2``, ``sqrt`` and
@@ -40,12 +40,15 @@ with several:
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import so3
 from .splines import basis_eval_many, eval_many
 
 #: tolerance for a degenerate tangent
 MIN_TANGENT = 1.0e-12
+#: xGELSD rescales a right-hand side of max |b| in (0, _SAFE) or > 1 / _SAFE
+_SAFE = np.finfo(float).tiny / np.finfo(float).eps
 
 
 class InitialFrameField:
@@ -216,9 +219,11 @@ def _fit_curvature(s_eval: np.ndarray, s_mid: np.ndarray,
 
     Each point gets a cubic least-squares fit of the four samples of its
     curve around it, the three components as columns of one fit, in the
-    scaled variable that maps the four sample positions onto [-1, 1].  All
-    points at once but the ``lstsq``, in the steps of numpy's ``polyfit``,
-    ``polyval`` and ``polyder``.
+    scaled variable that maps the four sample positions onto [-1, 1]: all
+    points at once in the steps of numpy's ``polyfit``, ``polyval`` and
+    ``polyder``, and one xGELSD call (``lstsq``'s driver) per distinct
+    window matrix, whose columns round as alone; a point whose samples
+    xGELSD would rescale as a whole (``_SAFE``) is fitted alone.
     """
     m, n = s_eval.shape
     lo = np.clip(np.stack([np.searchsorted(a, b)
@@ -234,9 +239,23 @@ def _fit_curvature(s_eval: np.ndarray, s_mid: np.ndarray,
     V = np.stack([xs * 0 + 1, xs, xs * xs, xs * xs * xs], axis=1)
     norm = np.sqrt(np.square(V).sum(axis=-1))
     A = np.swapaxes(V, 1, 2) / norm[:, None, :]
-    lstsq, rcond = np.linalg.lstsq, 4 * np.finfo(float).eps
-    coef = np.stack([lstsq(a, y, rcond)[0]
-                     for a, y in zip(A, k_mid[row, win])])
+    y = k_mid[row, win]
+    big = np.abs(y).max(axis=(1, 2))
+    alone = ~((big == 0) | ((big >= _SAFE) & (big <= 1 / _SAFE)))
+    key = np.c_[A.reshape(-1, 16), np.where(alone, np.arange(m * n), -1.0)]
+    _, inv, counts = np.unique(key.view("V136").ravel(),  # a row's bytes
+                               return_inverse=True, return_counts=True)
+    rcond = 4 * np.finfo(float).eps
+    lwork, liwork, _ = lapack.dgelsd_lwork(4, 4, 3 * counts.max(), rcond)
+    order, end = np.argsort(inv), np.cumsum(counts)
+    b = np.ascontiguousarray(np.swapaxes(y[order], 1, 2))  # points' columns
+    for s, e in zip(end - counts, end):
+        sol, *_, info = lapack.dgelsd(A[order[s]], b[s:e].reshape(-1, 4).T,
+                                      int(lwork), liwork, rcond, overwrite_b=1)
+        if info:
+            raise np.linalg.LinAlgError("SVD did not converge in lstsq")
+        b[s:e] = sol.T.reshape(-1, 3, 4)  # a no-op where LAPACK wrote b
+    coef = np.swapaxes(b, 1, 2)[np.argsort(order)]
     coef /= norm[:, :, None]
     der = coef[:, 1:] * scl[:, :, None] * np.arange(1.0, 4.0)[:, None]
     xe = off + scl * s_eval.reshape(-1, 1)

@@ -167,10 +167,10 @@ def build_patches(curves, law: SectionLaw) -> list[Patch]:
     the same bits alone as in any group and with any number of BLAS
     threads: row dots are ``np.vecdot``, ``ndarray.dot`` of two rows in a
     lone curve's transport loop, or stacked ``@`` (one BLAS call of the
-    one-curve shape per row or curve), each curvature fit is its own
-    ``lstsq``, and the elementwise operations do not depend on a value's
-    position in its batch (see ``initial_geometry``).  The stencils phi0
-    and support_idx are shared by the group, read-only.
+    one-curve shape per row or curve), one xGELSD call per distinct
+    curvature-fit matrix (columns round alone), and elementwise operations
+    independent of a value's place in its batch (see ``initial_geometry``).
+    The stencils phi0 and support_idx are shared by the group, read-only.
     """
     groups = {}
     for k, c in enumerate(curves):
@@ -373,24 +373,23 @@ def _rot_z(psi: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _member_curve(a: np.ndarray, b: np.ndarray, degree: int, n: int,
+def _member_curve(a: np.ndarray, b: np.ndarray, kv: KnotVector, g: np.ndarray,
                   rot_a: np.ndarray | None, rot_b: np.ndarray | None) -> NurbsCurve:
-    """Straight member a -> b with the control points adjacent to the ends
-    rotated about the respective end node (rigid end-tangent rotation)."""
-    c = line_curve(a, b, degree, n)
-    pts = c.points.copy()
+    """Straight member a -> b on ``kv`` and its Greville points ``g``; the
+    control points next to each end turn rigidly about its node."""
+    pts = a + g[:, None] * (b - a)
     if rot_a is not None:
         pts[1] = a + rot_a @ (pts[1] - a)
     if rot_b is not None:
         pts[-2] = b + rot_b @ (pts[-2] - b)
-    return NurbsCurve(c.kv, pts, c.weights)
+    return NurbsCurve(kv, pts)
 
 
 def _network(members, law: SectionLaw, cell_size: float, degree: int,
              n_ctrl: int, support: str, supported, loaded, load, probe: int
              ) -> BeamModel:
     """Beam network of ``members`` (a, b, rotation about a, rotation about
-    b), one ``_member_curve`` patch each in list order.
+    b), one ``_member_curve`` patch each in list order, on one knot vector.
 
     A node is keyed by its coordinates rounded to 1e-6 of ``cell_size``.
     Every node with two or more member ends is a rigid joint (nodes in key
@@ -408,7 +407,9 @@ def _network(members, law: SectionLaw, cell_size: float, degree: int,
     supports = [Support(*ends_at[key][0], kind=support)
                 for key in sorted(ends_at) if supported(key)]
     loads = [DistributedLoad(p, load) for p in loaded] if load is not None else []
-    patches = build_patches([_member_curve(a, b, degree, n_ctrl, rot_a, rot_b)
+    kv = KnotVector.open_uniform(degree, n_ctrl)
+    g = greville(kv)
+    patches = build_patches([_member_curve(a, b, kv, g, rot_a, rot_b)
                              for a, b, rot_a, rot_b in members], law)
     return BeamModel(patches, supports=supports, joints=joints, loads=loads,
                      probes=[Probe(probe, 1.0, "node")])

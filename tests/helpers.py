@@ -634,6 +634,25 @@ def oracle_fit_curvature(s_eval, s_mid, k_mid):
     return K0, K0_s
 
 
+def oracle_fit_curvature_by_point(s_eval, s_mid, k_mid):
+    """Oracle for the curvature fits of ``bishop_frames`` on any samples:
+    one ``polyfit`` per point, the three components as the columns of one
+    ``np.linalg.lstsq``, whose xGELSD rescales the point's right-hand side
+    as a whole where its largest magnitude is tiny, huge or infinite."""
+    P = np.polynomial.polynomial
+    K0 = np.empty((len(s_eval), 3))
+    K0_s = np.empty((len(s_eval), 3))
+    for a, se in enumerate(s_eval):
+        lo = max(0, min(np.searchsorted(s_mid, se) - 2, len(s_mid) - 4))
+        x = s_mid[lo:lo + 4]
+        off, scl = np.polynomial.polyutils.mapparms([x.min(), x.max()],
+                                                    [-1, 1])
+        coef = P.polyfit(off + scl * x, k_mid[lo:lo + 4], 3)
+        K0[a] = P.polyval(off + scl * se, coef)
+        K0_s[a] = P.polyval(off + scl * se, P.polyder(coef, 1, scl))
+    return K0, K0_s
+
+
 def oracle_stencils(curve: NurbsCurve, frames: InitialFrameField):
     """Oracle for the stencils of ``Patch``: (support_first, phi0, phi1,
     phi2) at the Greville points, one point at a time with the oracle

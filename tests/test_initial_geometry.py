@@ -10,7 +10,7 @@ from gebvisc.scenarios import build_scenario
 from gebvisc.splines import KnotVector, NurbsCurve, greville, line_curve
 from helpers import (assert_bitwise, initial_curvature, interpolate_function,
                      is_rotation, oracle_fine_grid, oracle_fit_curvature,
-                     oracle_transport)
+                     oracle_fit_curvature_by_point, oracle_transport)
 
 
 def circle_curve(radius, n=40, degree=5, turns=0.7):
@@ -305,6 +305,70 @@ class TestCurvatureFit:
             expected = oracle_fit_curvature(s_eval[k], s_mid[k], k_mid[k])
             assert_bitwise(K0[k], expected[0])
             assert_bitwise(K0_s[k], expected[1])
+
+    @staticmethod
+    def repeated_windows():
+        """Three curves with the same uniform sample positions: evaluation
+        points share windows within a curve (several per sample gap, and
+        the clipped ends) and across the curves."""
+        rng = np.random.default_rng(13)
+        s_mid = np.broadcast_to(0.5 * np.arange(24) + 0.25, (3, 24))
+        k_mid = rng.normal(size=(3, 24, 3))
+        k_mid[0, :, 2] = -0.0
+        k_mid[1, ::4] = -0.0
+        k_mid[2, 5:9] = 0.0  # points whose samples are all zero
+        s_eval = np.broadcast_to(np.linspace(0.0, 12.0, 41), (3, 41))
+        return s_eval, s_mid, k_mid
+
+    def test_repeated_windows_match_one_fit_per_point(self):
+        s_eval, s_mid, k_mid = self.repeated_windows()
+        K0, K0_s = _fit_curvature(s_eval, s_mid, k_mid)
+        for k in range(3):
+            expected = oracle_fit_curvature(s_eval[k], s_mid[k], k_mid[k])
+            assert_bitwise(K0[k], expected[0])
+            assert_bitwise(K0_s[k], expected[1])
+
+    def test_one_lapack_call_per_distinct_window(self, monkeypatch):
+        calls = []
+        dgelsd = initial_geometry.lapack.dgelsd
+
+        def counted(a, b, *args, **kwargs):
+            calls.append((a.tobytes(), b.shape[1]))
+            return dgelsd(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(initial_geometry.lapack, "dgelsd", counted)
+        s_eval, s_mid, k_mid = self.repeated_windows()
+        _fit_curvature(s_eval, s_mid, k_mid)
+        # every point is solved once, in a call of its own window matrix,
+        # and no matrix is solved twice
+        assert sum(columns for _, columns in calls) == 3 * s_eval.size
+        assert len({a for a, _ in calls}) == len(calls) < s_eval.size
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e-300,
+                                       1e300],
+                             ids=["nan", "inf", "minus_inf", "tiny", "huge"])
+    def test_extreme_samples_match_one_lstsq_per_point(self, value):
+        # xGELSD rescales a right-hand side whose largest magnitude is
+        # infinite, tiny or huge as a whole: such a point is fitted alone
+        s_eval, s_mid, k_mid = self.repeated_windows()
+        k_mid = k_mid.copy()
+        if np.isfinite(value):  # every sample of some windows
+            k_mid[1, 6:14] *= value
+        else:
+            k_mid[1, 10, 1] = value
+        K0, K0_s = _fit_curvature(s_eval, s_mid, k_mid)
+        for k in range(3):
+            expected = oracle_fit_curvature_by_point(s_eval[k], s_mid[k],
+                                                     k_mid[k])
+            assert_bitwise(K0[k], expected[0])
+            assert_bitwise(K0_s[k], expected[1])
+
+    def test_non_finite_position_raises_as_lstsq(self):
+        s_eval, s_mid, k_mid = self.repeated_windows()
+        s_mid = s_mid.copy()
+        s_mid[0, 10] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            _fit_curvature(s_eval, s_mid, k_mid)
 
 
 class TestFineGrid:

@@ -260,8 +260,10 @@ class TestLattice:
         class _B:  # build with negative psi via the internal rotation
             pass
         import gebvisc.model as M
+        kv = KnotVector.open_uniform(3, 8)
         b_member = M._member_curve(np.array([0.0, 2 * 0.012, 0.0]),
-                                   np.array([0.012, 2 * 0.012, 0.0]), 3, 8,
+                                   np.array([0.012, 2 * 0.012, 0.0]),
+                                   kv, greville(kv),
                                    M._rot_z(-np.pi / 8), M._rot_z(-np.pi / 8))
         np.testing.assert_allclose(mirrored(pa), b_member.points, atol=1e-15)
 
@@ -425,9 +427,10 @@ class TestAnalyticCurves:
 def lattice_member(i, j, psi, cell_size=0.012):
     """Horizontal member (i, j) -> (i + 1, j) of ``build_lattice``."""
     Rz = _rot_z(psi)
+    kv = KnotVector.open_uniform(3, 8)
     return _member_curve(np.array([i * cell_size, j * cell_size, 0.0]),
                          np.array([(i + 1) * cell_size, j * cell_size, 0.0]),
-                         3, 8, Rz, Rz)
+                         kv, greville(kv), Rz, Rz)
 
 
 def rational_arc():
@@ -518,6 +521,14 @@ class TestPatchSetup:
             oracle = oracle_bishop_frames(p.curve, greville(p.curve.kv),
                                           min_total=max(10 * n, 100))
             assert_same_setup(p, oracle, p.curve)
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_lattice(0.5236, unit_law(), cells=3),
+        lambda: build_auxetic(np.pi / 6, unit_law(), nx=2, ny=1),
+    ], ids=["lattice3", "auxetic2x1"])
+    def test_network_members_share_one_knot_vector(self, build):
+        patches = build().patches
+        assert all(p.curve.kv is patches[0].curve.kv for p in patches)
 
     def test_setup_digest_independent_of_blas_threads(self):
         # lattice3 and the auxetic; the spiral and the spivak curve come
